@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet lint lint-registry build test race chaos bench bench-smoke bench-diff serve-smoke trace-smoke trace
+.PHONY: ci fmt-check vet lint lint-registry build test race chaos bench bench-smoke bench-diff bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
 
-ci: fmt-check vet lint lint-registry build bench-diff serve-smoke trace-smoke race
+ci: fmt-check vet lint lint-registry build bench-diff bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -25,15 +25,14 @@ lint:
 	$(GO) run ./cmd/approxlint -json -p 0 ./... > lint.json
 	$(GO) run ./cmd/approxlint -ir
 
-# Guard the analyzer inventory: the registry (approxlint -list), the
-# README's analyzer table, and the documented count must all agree, so a
-# new rule cannot land undocumented (or vice versa).
+# Guard the analyzer inventory: the registry (approxlint -list) and the
+# README's analyzer table must list the same number of analyzers, so a new
+# rule cannot land undocumented (or vice versa).
 lint-registry:
-	@want=12; \
-	got=$$($(GO) run ./cmd/approxlint -list | wc -l); \
+	@got=$$($(GO) run ./cmd/approxlint -list | wc -l); \
 	doc=$$(grep -c '^| `[a-z]*` |' README.md); \
-	if [ "$$got" -ne "$$want" ] || [ "$$doc" -ne "$$want" ]; then \
-		echo "analyzer registry mismatch: -list=$$got README table=$$doc want=$$want"; \
+	if [ "$$got" -eq 0 ] || [ "$$got" -ne "$$doc" ]; then \
+		echo "analyzer registry mismatch: -list=$$got README table=$$doc"; \
 		exit 1; \
 	fi
 
@@ -79,6 +78,17 @@ bench:
 # still gates at the same fraction and is noise-free.
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff -threshold 0.35 BENCH_PR9.json BENCH_PR10.json
+
+# The repo benchmark's exec_fresh workload at smoke scale: every model ×
+# configuration × batch executes and its output digest is checked against
+# benchmark/expected.json, so a kernel change that moves one bit fails here.
+bench-exec-smoke:
+	$(GO) run ./benchmark --workload exec_fresh -smoke
+
+# Ten seconds of the convolution differential fuzzer (direct-pack engine
+# against the im2col reference), starting from the committed corpus.
+fuzz-smoke:
+	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

@@ -11,6 +11,7 @@ package predictor
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/approx"
 	"repro/internal/graph"
@@ -183,10 +184,26 @@ func (q *QoSPredictor) Predict(cfg approx.Config) float64 {
 	}
 }
 
+// sortedOps appends cfg's op IDs to buf in ascending order. The predictors
+// sum one profile term per op in floating point, where order changes the
+// last bits, and Go randomizes map iteration: summed in map order, two runs
+// of one seed could disagree by an ulp, flip a comparison in the search and
+// ship different curves. Ascending op order makes a prediction a function
+// of the configuration alone.
+func sortedOps(cfg approx.Config, buf []int) []int {
+	for op := range cfg {
+		buf = append(buf, op)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
 // predict1 implements Π1(config) = QoS(T_base + α·Σ ΔT(op, knob)).
 func (q *QoSPredictor) predict1(cfg approx.Config, alpha float64) float64 {
 	sum := q.Profiles.BaseOut.Clone()
-	for op, knob := range cfg {
+	var buf [32]int
+	for _, op := range sortedOps(cfg, buf[:0]) {
+		knob := cfg[op]
 		if knob == approx.KnobFP32 {
 			continue
 		}
@@ -202,7 +219,9 @@ func (q *QoSPredictor) predict1(cfg approx.Config, alpha float64) float64 {
 // predict2 implements Π2(config) = QoS_base + α·Σ ΔQ(op, knob).
 func (q *QoSPredictor) predict2(cfg approx.Config, alpha float64) float64 {
 	s := q.Profiles.BaseQoS
-	for op, knob := range cfg {
+	var buf [32]int
+	for _, op := range sortedOps(cfg, buf[:0]) {
+		knob := cfg[op]
 		if knob == approx.KnobFP32 {
 			continue
 		}

@@ -187,3 +187,47 @@ func TestPerfPredictorZeroCostPanics(t *testing.T) {
 	}()
 	NewPerfPredictor([]graph.NodeCost{{ID: 0}})
 }
+
+// TestPredictionIndependentOfMapOrder: a prediction sums one float term per
+// op, and Go randomizes the iteration order of the configuration map, so
+// summing in map order gave one configuration several answers an ulp apart
+// (and one seed several tuning curves). Fifty evaluations of a twelve-op
+// configuration, whose terms span nine orders of magnitude so that every
+// summation order rounds differently, must agree in every bit, and so must
+// an equal configuration built in the opposite order.
+func TestPredictionIndependentOfMapOrder(t *testing.T) {
+	const ops = 12
+	g := tensor.NewRNG(77)
+	base := tensor.New(1, 8)
+	g.FillNormal(base, 0, 1)
+	p := NewProfiles(91.3, base)
+	cfg, rev := approx.Config{}, approx.Config{}
+	for op := 0; op < ops; op++ {
+		dt := tensor.New(1, 8)
+		g.FillNormal(dt, 0, float32(math.Pow(10, float64(op%5)-3)))
+		p.Add(op, approx.KnobID(op+1), g.NormFloat64()*math.Pow(10, float64(op%9)-6), dt)
+		cfg[op] = approx.KnobID(op + 1)
+	}
+	for op := ops - 1; op >= 0; op-- {
+		rev[op] = cfg[op]
+	}
+	sumAll := func(out *tensor.Tensor) float64 {
+		var s float64
+		for _, v := range out.Data() {
+			s += float64(v)
+		}
+		return s
+	}
+	for _, q := range []*QoSPredictor{NewQoSPredictor(Pi2, p, nil), NewQoSPredictor(Pi1, p, sumAll)} {
+		q.Alpha = 0.83
+		want := math.Float64bits(q.Predict(cfg))
+		for i := 0; i < 50; i++ {
+			if got := math.Float64bits(q.Predict(cfg)); got != want {
+				t.Fatalf("%v: evaluation %d = %#x, first %#x", q.Model, i, got, want)
+			}
+		}
+		if got := math.Float64bits(q.Predict(rev)); got != want {
+			t.Fatalf("%v: same configuration built in reverse = %#x, want %#x", q.Model, got, want)
+		}
+	}
+}

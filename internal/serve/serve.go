@@ -567,7 +567,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, sp *obs.Span) (*p
 		cancel()
 		s.stats.rejected.Add(1)
 		mRejectedDrain.Inc()
-		obs.Flight().Event("serve.reject_draining", "", sp.TraceID())
+		obs.Flight().Event("serve.rejected_draining", "", sp.TraceID())
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return nil, nil, http.StatusServiceUnavailable
@@ -575,7 +575,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, sp *obs.Span) (*p
 		cancel()
 		s.stats.rejected.Add(1)
 		mRejectedFull.Inc()
-		obs.Flight().Event("serve.reject_full", "", sp.TraceID())
+		obs.Flight().Event("serve.rejected_full", "", sp.TraceID())
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "admission queue full")
 		return nil, nil, http.StatusTooManyRequests

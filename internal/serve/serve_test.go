@@ -14,6 +14,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/pareto"
 	"repro/internal/tensor"
 	"repro/internal/tensorops"
@@ -246,6 +247,23 @@ func TestServeBackpressureAndDrain(t *testing.T) {
 	st := s.Stats()
 	if st.Served != 2 || st.Rejected < 2 {
 		t.Errorf("accounting after drain: served=%d rejected=%d, want 2 served and >=2 rejected", st.Served, st.Rejected)
+	}
+
+	// A refusal shows in the flight ring under the name of the counter it
+	// increments, so a dump and a scrape of the same incident line up.
+	events := make(map[string]bool)
+	for _, e := range obs.Flight().Entries() {
+		if e.Kind == "event" {
+			events[e.Name] = true
+		}
+	}
+	for _, name := range []string{"serve.rejected_full", "serve.rejected_draining"} {
+		if !events[name] {
+			t.Errorf("flight ring has no %q event", name)
+		}
+		if _, ok := obs.Default.Snapshot()[name].(int64); !ok {
+			t.Errorf("no counter named %q", name)
+		}
 	}
 }
 

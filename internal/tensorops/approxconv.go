@@ -35,10 +35,10 @@ func Conv2DFilterSampling(x, w *tensor.Tensor, p ConvParams, stride, offset int,
 }
 
 // Conv2DFilterSamplingFused is Conv2DFilterSampling with a fused
-// bias/activation epilogue. For weights marked cacheable the sampled
-// filter itself is memoized in the pack cache (the zero-and-rescale pass
-// used to run on every call), and the cached copy is marked cacheable in
-// turn so its FP16 quantization memoizes as well.
+// bias/activation epilogue. The sampled filter positions are dropped from
+// both GEMM operands — the weight block is K-compacted (memoized in the
+// pack cache for weights marked cacheable) and the packer never emits the
+// matching patch rows — so a 50% knob multiplies half the K extent.
 func Conv2DFilterSamplingFused(x, w *tensor.Tensor, p ConvParams, stride, offset int, prec Precision, ep Epilogue) *tensor.Tensor {
 	if stride < 2 || stride > 4 {
 		panicShape("FilterSampling", "stride %d not in {2,3,4}", stride)
@@ -46,17 +46,14 @@ func Conv2DFilterSamplingFused(x, w *tensor.Tensor, p ConvParams, stride, offset
 	if offset < 0 || offset >= stride {
 		panicShape("FilterSampling", "offset %d not in [0,%d)", offset, stride)
 	}
-	sw := defaultPackCache.cachedSampledFilter(w, stride, offset)
-	if sw == nil {
-		sw = SampleFilter(w, stride, offset)
-	}
-	return convolve(x, sw, p, prec, nil, ep)
+	return convolve(x, w, p, prec, nil, sampSpec{stride, offset}, ep)
 }
 
 // SampleFilter returns a copy of w with every stride-th element (per output
 // filter, flattened over Ci×Kh×Kw, starting at offset) zeroed and the rest
-// rescaled by stride/(stride-1). Zeroed weights are skipped by the GEMM
-// inner loop, so the functional kernel genuinely performs fewer multiplies.
+// rescaled by stride/(stride-1): the definition of the approximation, and
+// the reference the differential tests convolve with. The engine consumes
+// the same values with the zeros removed (compactSampledFilter).
 func SampleFilter(w *tensor.Tensor, stride, offset int) *tensor.Tensor {
 	out := w.Clone()
 	co := w.Dim(0)
@@ -70,6 +67,30 @@ func SampleFilter(w *tensor.Tensor, stride, offset int) *tensor.Tensor {
 				od[base+i] = 0
 			} else {
 				od[base+i] *= scale
+			}
+		}
+	}
+	return out
+}
+
+// compactSampledFilter returns the (Co × kept) matrix of w's surviving,
+// rescaled filter elements: SampleFilter's output without the zeroed
+// positions.
+func compactSampledFilter(w *tensor.Tensor, samp sampSpec) *tensor.Tensor {
+	co := w.Dim(0)
+	fvol := w.Elems() / co
+	kc := samp.keptK(fvol)
+	out := tensor.New(co, kc)
+	scale := float32(samp.stride) / float32(samp.stride-1)
+	wd, od := w.Data(), out.Data()
+	for f := 0; f < co; f++ {
+		d := od[f*kc : (f+1)*kc]
+		cur := sampCursor{sampSpec: samp}
+		k := 0
+		for _, v := range wd[f*fvol : (f+1)*fvol] {
+			if !cur.drop() {
+				d[k] = v * scale
+				k++
 			}
 		}
 	}
@@ -91,5 +112,5 @@ func Conv2DPerforated(x, w *tensor.Tensor, p ConvParams, dir PerfDirection, stri
 	if offset < 0 || offset >= stride {
 		panicShape("Perforated", "offset %d not in [0,%d)", offset, stride)
 	}
-	return convolve(x, w, p, prec, &perfSpec{dir: dir, stride: stride, offset: offset}, Epilogue{})
+	return convolve(x, w, p, prec, &perfSpec{dir: dir, stride: stride, offset: offset}, sampSpec{}, Epilogue{})
 }

@@ -82,6 +82,65 @@ func BenchmarkConv2DPerforated50(b *testing.B) {
 	}
 }
 
+// The *Fresh benchmarks have the shape of serving: constant (cacheable,
+// prepacked) weights and an input no cache has an identity for, so every
+// call quantizes, packs and multiplies — nothing of the input is memoized.
+// The shape is alexnet2's second convolution at the benchmark's width.
+func benchFresh(b *testing.B, ci, co, hw, k int, p ConvParams, run func(x, w *tensor.Tensor)) {
+	g := tensor.NewRNG(7)
+	x := tensor.New(1, ci, hw, hw)
+	g.FillNormal(x, 0, 1)
+	w := tensor.New(co, ci/p.Norm().Groups, k, k)
+	g.FillHe(w, ci*k*k)
+	w.MarkCacheable()
+	defer InvalidatePacked(w)
+	run(x, w) // fill what the kernel keeps per weight (sampled filter, FP16 copy)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(x, w)
+	}
+}
+
+var benchEpilogue = Epilogue{Act: ActTanh}
+
+func BenchmarkConv2DExactFresh(b *testing.B) {
+	p := ConvParams{PadH: 1, PadW: 1}
+	benchFresh(b, 8, 8, 32, 3, p, func(x, w *tensor.Tensor) { Conv2DFused(x, w, p, FP32, benchEpilogue) })
+}
+
+func BenchmarkConv2DFP16Fresh(b *testing.B) {
+	p := ConvParams{PadH: 1, PadW: 1}
+	benchFresh(b, 8, 8, 32, 3, p, func(x, w *tensor.Tensor) { Conv2DFused(x, w, p, FP16, benchEpilogue) })
+}
+
+func BenchmarkConv2DFilterSampling50Fresh(b *testing.B) {
+	p := ConvParams{PadH: 1, PadW: 1}
+	benchFresh(b, 8, 8, 32, 3, p, func(x, w *tensor.Tensor) {
+		Conv2DFilterSamplingFused(x, w, p, 2, 0, FP32, benchEpilogue)
+	})
+}
+
+func BenchmarkConv2DPerforated50Fresh(b *testing.B) {
+	p := ConvParams{PadH: 1, PadW: 1}
+	benchFresh(b, 8, 8, 32, 3, p, func(x, w *tensor.Tensor) { Conv2DPerforated(x, w, p, PerfRows, 2, 0, FP32) })
+}
+
+// BenchmarkConv2DPointwiseFresh is a 1×1 convolution (mobilenet's
+// pointwise layers, resnet's shortcuts): the patch matrix is the input
+// itself, so packing is a pure transpose.
+func BenchmarkConv2DPointwiseFresh(b *testing.B) {
+	p := ConvParams{}
+	benchFresh(b, 32, 64, 16, 1, p, func(x, w *tensor.Tensor) { Conv2DFused(x, w, p, FP32, benchEpilogue) })
+}
+
+// BenchmarkConv2DDepthwiseFresh is one filter per channel: the small-m
+// kernel that reads input rows in place.
+func BenchmarkConv2DDepthwiseFresh(b *testing.B) {
+	p := ConvParams{Groups: 32, PadH: 1, PadW: 1}
+	benchFresh(b, 32, 32, 16, 3, p, func(x, w *tensor.Tensor) { Conv2DFused(x, w, p, FP32, benchEpilogue) })
+}
+
 func benchGemmOperands(m, k, n int) (a, bb, c []float32) {
 	g := tensor.NewRNG(2)
 	a = make([]float32, m*k)
@@ -174,5 +233,41 @@ func BenchmarkSoftmax(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Softmax(x, FP32)
+	}
+}
+
+// TestConv2DFusedFreshAllocs pins the allocation count of the serving-shaped
+// call (fresh input, constant weights): the output tensor (3), the plan and
+// its tables (2), the fused epilogue (1) and the dispatch closure (1);
+// perforation trades the epilogue for its spec and adds the interpolation
+// pass's dispatch (3).
+// BENCH_PR6→PR10 let Conv2DExact drift from 5 to 6 allocs/op under a gate
+// too loose to notice; a new allocation on this path must be a decision.
+// AllocsPerRun measures at GOMAXPROCS 1; more workers add one closure per
+// (image, group) dispatch and the goroutines it spawns.
+func TestConv2DFusedFreshAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the scratch pool allocates more under the race detector")
+	}
+	g := tensor.NewRNG(7)
+	x := randTensor(g, 1, 8, 32, 32)
+	w := randTensor(g, 8, 8, 3, 3).MarkCacheable()
+	defer InvalidatePacked(w)
+	p := ConvParams{PadH: 1, PadW: 1}
+	ep := Epilogue{Bias: randTensor(g, 8), Act: ActReLU}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"exact", 7, func() { Conv2DFused(x, w, p, FP32, ep) }},
+		{"fp16", 7, func() { Conv2DFused(x, w, p, FP16, ep) }},
+		{"samp50", 7, func() { Conv2DFilterSamplingFused(x, w, p, 2, 0, FP32, ep) }},
+		{"perf50", 10, func() { Conv2DPerforated(x, w, p, PerfRows, 2, 0, FP32) }},
+	} {
+		tc.run() // fill the scratch pool and the per-weight cache entries
+		if got := testing.AllocsPerRun(50, tc.run); got > tc.max {
+			t.Errorf("%s: %v allocs per call, pinned at %v", tc.name, got, tc.max)
+		}
 	}
 }

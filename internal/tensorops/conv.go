@@ -36,7 +36,7 @@ func (p ConvParams) Norm() ConvParams {
 // (Co,Ci/G,Kh,Kw); the result is (N,Co,Ho,Wo). With FP16 precision the
 // operands and result pass through half-precision quantization.
 func Conv2D(x, w *tensor.Tensor, p ConvParams, prec Precision) *tensor.Tensor {
-	return convolve(x, w, p, prec, nil, Epilogue{})
+	return convolve(x, w, p, prec, nil, sampSpec{}, Epilogue{})
 }
 
 // Conv2DFused is Conv2D with the bias/activation/FP16-writeback epilogue
@@ -45,7 +45,7 @@ func Conv2D(x, w *tensor.Tensor, p ConvParams, prec Precision) *tensor.Tensor {
 // completes, instead of three whole-tensor clone-and-sweep passes
 // afterwards. Bit-identical to the unfused chain.
 func Conv2DFused(x, w *tensor.Tensor, p ConvParams, prec Precision, ep Epilogue) *tensor.Tensor {
-	return convolve(x, w, p, prec, nil, ep)
+	return convolve(x, w, p, prec, nil, sampSpec{}, ep)
 }
 
 // perfSpec describes output-perforation for the perforated-convolution
@@ -56,12 +56,18 @@ type perfSpec struct {
 	offset int
 }
 
+// skips reports whether output row/column i is perforated.
+func (p *perfSpec) skips(i int) bool { return i%p.stride == p.offset }
+
 // convolve is the shared engine: exact convolution over the output elements
-// selected by perf (all of them when perf is nil), using an optionally
-// pre-sampled weight tensor. ep is fused into the GEMM writeback when
-// there is no perforation (interpolation needs the raw conv output);
-// perforated callers apply their epilogue afterwards via ApplyEpilogue.
-func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec, ep Epilogue) *tensor.Tensor {
+// perf keeps (all of them when perf is nil) and the filter positions samp
+// keeps (all of them for the zero samp). B panels are packed straight from
+// the input (convpack.go); perforation shrinks the GEMM's N and filter
+// sampling its K, so a skipped output or filter element costs nothing. ep
+// is fused into the GEMM writeback when there is no perforation
+// (interpolation needs the raw conv output); perforated callers apply their
+// epilogue afterwards via ApplyEpilogue.
+func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec, samp sampSpec, ep Epilogue) *tensor.Tensor {
 	p = p.Norm()
 	if x.Rank() != 4 || w.Rank() != 4 {
 		panicShape("Conv2D", "need 4-D input and weight, got %v and %v", x.Shape(), w.Shape())
@@ -78,6 +84,20 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	ho := tensor.ConvOutDim(h, kh, p.StrideH, p.PadH)
 	wo := tensor.ConvOutDim(wd, kw, p.StrideW, p.PadW)
 
+	if samp.stride != 0 {
+		// The weight operand loses the sampled K columns (memoized for
+		// cacheable weights, and cacheable in turn so its FP16
+		// quantization memoizes as well).
+		if samp.keptK(cig*kh*kw) == 0 {
+			// A one-element filter with its element sampled out: the zero
+			// filter, which needs no sampling.
+			w, samp = tensor.New(co, cig, kh, kw), sampSpec{}
+		} else if cw := defaultPackCache.cachedSampledFilter(w, samp); cw != nil {
+			w = cw
+		} else {
+			w = compactSampledFilter(w, samp)
+		}
+	}
 	xd, wdat := x.Data(), w.Data()
 	if prec == FP16 {
 		// Quantized operands come from the pack cache for marked tensors
@@ -104,108 +124,83 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	od := out.Data()
 
 	cog := co / g // output channels per group
-	kvol := cig * kh * kw
 	how := ho * wo
+	pl := newConvPlan(xd, ci, cig, h, wd, kh, kw, ho, wo, p, perf, samp)
+	kc := pl.kc
 
-	// The fused per-row epilogue (one rowEpi per group — a C row is one
-	// output channel, so bias indexes per row within the group's slice).
-	var eps []rowEpi
+	// The fused epilogue: a C row is one output channel, so bias indexes
+	// by row.
+	var re *rowEpi
 	if perf == nil && (prec == FP16 || !ep.empty()) {
-		eps = make([]rowEpi, g)
-		for grp := range eps {
-			re := rowEpi{perRow: true, act: ep.Act, clip: ep.Clip, quant: prec == FP16}
-			if ep.Bias != nil {
-				re.bias = ep.Bias.Data()[grp*cog : (grp+1)*cog]
-			}
-			eps[grp] = re
+		re = &rowEpi{perRow: true, act: ep.Act, clip: ep.Clip, quant: prec == FP16}
+		if ep.Bias != nil {
+			re.bias = ep.Bias.Data()
 		}
 	}
 
-	// FP16 convolutions over a cacheable input (calibration batches,
-	// baseline activations replayed by suffix profiling) additionally
-	// memoize the whole prepared B operand — the quantized, packed im2col
-	// columns of each (image, group): the steady state skips quantize,
-	// im2col and pack entirely. FP16 is where the win concentrates (the
+	// Un-approximated FP16 convolutions over a cacheable input (calibration
+	// batches, baseline activations replayed by suffix profiling) memoize
+	// the packed columns of each (image, group): the steady state skips
+	// quantize and pack entirely. FP16 is where the win concentrates (the
 	// quantization pass rides along for free) and caching only the reduced
 	// precision keeps the approximate path strictly cheaper than the exact
-	// one. Only the blocked GEMM geometry qualifies, and only when the
-	// conv's full column working set fits the cache budget (a sweep larger
-	// than the LRU would miss on every call while still paying the
-	// insert).
-	colsCached := prec == FP16 && cog >= gemmMR && how >= gemmNR &&
-		defaultPackCache.colsBudgetOK(n, g, kvol*how)
+	// one. The conv's full column working set must fit the cache budget (a
+	// sweep larger than the LRU would miss on every call while still paying
+	// the insert); perforated and sampled variants pack their smaller
+	// matrix afresh rather than multiply the cache's keys.
+	colsCached := prec == FP16 && cog >= gemmMR && perf == nil && samp.stride == 0 &&
+		defaultPackCache.colsBudgetOK(n, g, kc*how)
 	if colsCached {
 		_, _, colsCached = x.CacheKey()
 	}
 
-	// im2col per (image, group): cols is (kvol × ho*wo), weights for the
-	// group form a (cog × kvol) matrix; their product is the output block.
-	// The column matrix comes from the scratch pool — im2col fully
-	// overwrites it, so the unspecified-contents contract holds.
-	parallel.For(n, func(img int) {
-		cols := tensor.Scratch(kvol * how)
-		for grp := 0; grp < g; grp++ {
-			wblock := wdat[grp*cog*kvol : (grp+1)*cog*kvol]
-			oblock := od[(img*co+grp*cog)*how : (img*co+(grp+1)*cog)*how]
-			var re *rowEpi
-			if eps != nil {
-				re = &eps[grp]
-			}
-			if colsCached {
-				geo := colsGeo{img: img, grp: grp, ci: ci, cig: cig, h: h, w: wd, kh: kh, kw: kw, ho: ho, wo: wo, p: p}
-				if pre := defaultPackCache.cachedConvCols(x, xd, geo, prec); pre != nil {
-					gemmRun(wblock, nil, oblock, cog, kvol, how, false, pre, re)
-					continue
-				}
-			}
-			im2col(xd, cols, img, grp, ci, cig, h, wd, kh, kw, ho, wo, p)
-			gemmRun(wblock, cols, oblock, cog, kvol, how, false, nil, re)
+	// The blocked kernel spreads each (image, group) over the workers
+	// itself, so whole images are dispatched; groups with too few rows to
+	// amortize packing (depthwise has cog == 1) stream their input rows in
+	// place, one (image, group) per unit of dispatch.
+	grain := g
+	if cog < gemmMR {
+		grain = 1
+	}
+	ncols := pl.ncols()
+	parallel.ForChunked(n*g/grain, func(lo, hi int) {
+		// Perforation multiplies into a compact (cog × kept) block and
+		// scatters it; the skipped outputs are interpolated below.
+		var compact []float32
+		if perf != nil && cog >= gemmMR {
+			compact = tensor.Scratch(cog * ncols)
+			defer tensor.Release(compact)
 		}
-		tensor.Release(cols)
+		for u := lo * grain; u < hi*grain; u++ {
+			img, grp := u/g, u%g
+			wblock := wdat[grp*cog*kc : (grp+1)*cog*kc]
+			oblock := od[(img*co+grp*cog)*how : (img*co+(grp+1)*cog)*how]
+			switch {
+			case cog < gemmMR:
+				pl.direct(wblock, oblock, cog, img, grp, re, grp*cog)
+			case perf != nil:
+				for i := range compact {
+					compact[i] = 0
+				}
+				pl.blocked(wblock, compact, cog, img, grp, nil, nil, 0)
+				pl.scatter(oblock, compact, cog)
+			default:
+				var pre *prepacked
+				if colsCached {
+					pre = defaultPackCache.cachedConvCols(x, pl, img, grp, prec)
+				}
+				pl.blocked(wblock, oblock, cog, img, grp, pre, re, grp*cog)
+			}
+		}
 	})
 
 	if perf != nil {
 		interpolatePerforated(out, perf)
 	}
-	if prec == FP16 && eps == nil {
+	if prec == FP16 && re == nil {
 		out.ToFP16()
 	}
 	return out
-}
-
-// im2col unrolls the input patches of one (image, group) into cols, a
-// (cig*kh*kw) × (ho*wo) column matrix. Out-of-bounds (padding) elements
-// are zero.
-func im2col(xd, cols []float32, img, grp, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams) {
-	ow := ho * wo
-	for c := 0; c < cig; c++ {
-		inC := grp*cig + c
-		chanBase := (img*ci + inC) * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				rowBase := ((c*kh+ky)*kw + kx) * ow
-				for oy := 0; oy < ho; oy++ {
-					iy := oy*p.StrideH - p.PadH + ky
-					dst := cols[rowBase+oy*wo : rowBase+(oy+1)*wo]
-					if iy < 0 || iy >= h {
-						for i := range dst {
-							dst[i] = 0
-						}
-						continue
-					}
-					srcRow := xd[chanBase+iy*w : chanBase+(iy+1)*w]
-					for ox := 0; ox < wo; ox++ {
-						ix := ox*p.StrideW - p.PadW + kx
-						if ix < 0 || ix >= w {
-							dst[ox] = 0
-						} else {
-							dst[ox] = srcRow[ix]
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // interpolatePerforated overwrites the perforated output rows/columns with
@@ -216,7 +211,7 @@ func im2col(xd, cols []float32, img, grp, ci, cig, h, w, kh, kw, ho, wo int, p C
 func interpolatePerforated(out *tensor.Tensor, perf *perfSpec) {
 	n, co, ho, wo := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
 	od := out.Data()
-	skip := func(i int) bool { return i%perf.stride == perf.offset%perf.stride }
+	skip := perf.skips
 
 	parallel.For(n*co, func(nc int) {
 		base := nc * ho * wo

@@ -1,0 +1,266 @@
+package tensorops
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// The reference convolution engine, retained from before the direct packer:
+// a materialised im2col column matrix multiplied by the naive gemmRef
+// kernel, perforation by computing every output and interpolating over the
+// skipped ones, filter sampling by multiplying with SampleFilter's zeroed
+// weights, and the epilogue as separate whole-tensor passes. The engine
+// must reproduce its output bit for bit.
+
+// im2col unrolls the input patches of one (image, group) into cols, a
+// (cig*kh*kw) × (ho*wo) column matrix. Out-of-bounds (padding) elements
+// are zero.
+func im2col(xd, cols []float32, img, grp, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams) {
+	ow := ho * wo
+	for c := 0; c < cig; c++ {
+		chanBase := (img*ci + grp*cig + c) * h * w
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				rowBase := ((c*kh+ky)*kw + kx) * ow
+				for oy := 0; oy < ho; oy++ {
+					iy := oy*p.StrideH - p.PadH + ky
+					for ox := 0; ox < wo; ox++ {
+						ix := ox*p.StrideW - p.PadW + kx
+						var v float32
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							v = xd[chanBase+iy*w+ix]
+						}
+						cols[rowBase+oy*wo+ox] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+// convKnob selects one approximation of a differential case.
+type convKnob struct {
+	perf *perfSpec
+	samp sampSpec
+}
+
+func (k convKnob) String() string {
+	switch {
+	case k.perf != nil:
+		return fmt.Sprintf("perf-%v-%d-%d", k.perf.dir, k.perf.stride, k.perf.offset)
+	case k.samp.stride != 0:
+		return fmt.Sprintf("samp-%d-%d", k.samp.stride, k.samp.offset)
+	}
+	return "exact"
+}
+
+// refConvolve is the reference engine described above.
+func refConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKnob, ep Epilogue) *tensor.Tensor {
+	p = p.Norm()
+	if knob.samp.stride != 0 {
+		w = SampleFilter(w, knob.samp.stride, knob.samp.offset)
+	}
+	if prec == FP16 {
+		x, w = x.CloneFP16(), w.CloneFP16()
+	}
+	n, ci, h, wd := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	co, cig, kh, kw := w.Dim(0), w.Dim(1), w.Dim(2), w.Dim(3)
+	g := p.Groups
+	cog, kvol := co/g, cig*kh*kw
+	ho := tensor.ConvOutDim(h, kh, p.StrideH, p.PadH)
+	wo := tensor.ConvOutDim(wd, kw, p.StrideW, p.PadW)
+	how := ho * wo
+	out := tensor.New(n, co, ho, wo)
+	cols := make([]float32, kvol*how)
+	for img := 0; img < n; img++ {
+		for grp := 0; grp < g; grp++ {
+			im2col(x.Data(), cols, img, grp, ci, cig, h, wd, kh, kw, ho, wo, p)
+			gemmRef(w.Data()[grp*cog*kvol:(grp+1)*cog*kvol], cols,
+				out.Data()[(img*co+grp*cog)*how:(img*co+(grp+1)*cog)*how], cog, kvol, how)
+		}
+	}
+	if knob.perf != nil {
+		interpolatePerforated(out, knob.perf)
+	}
+	if prec == FP16 {
+		out.ToFP16()
+	}
+	return unfusedChain(out, ep, prec)
+}
+
+// engineConvolve runs the same case through the public entry points.
+func engineConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKnob, ep Epilogue) *tensor.Tensor {
+	switch {
+	case knob.perf != nil:
+		out := Conv2DPerforated(x, w, p, knob.perf.dir, knob.perf.stride, knob.perf.offset, prec)
+		return ApplyEpilogue(out, ep, prec)
+	case knob.samp.stride != 0:
+		return Conv2DFilterSamplingFused(x, w, p, knob.samp.stride, knob.samp.offset, prec, ep)
+	}
+	return Conv2DFused(x, w, p, prec, ep)
+}
+
+// allConvKnobs is exact + the paper's 18 perforation + 9 sampling knobs.
+func allConvKnobs() []convKnob {
+	knobs := []convKnob{{}}
+	for stride := 2; stride <= 4; stride++ {
+		for off := 0; off < stride; off++ {
+			for _, dir := range []PerfDirection{PerfRows, PerfCols} {
+				knobs = append(knobs, convKnob{perf: &perfSpec{dir: dir, stride: stride, offset: off}})
+			}
+			knobs = append(knobs, convKnob{samp: sampSpec{stride, off}})
+		}
+	}
+	return knobs
+}
+
+// diffEpilogues returns the epilogues a case cycles through: none, and
+// bias with each activation kind that changes the arithmetic.
+func diffEpilogues(bias *tensor.Tensor) []Epilogue {
+	return []Epilogue{{}, {Bias: bias, Act: ActReLU}, {Bias: bias, Act: ActTanh}, {Act: ActClippedReLU, Clip: 1}}
+}
+
+// requireSameBits fails unless got and want agree in shape and in every
+// float32 bit pattern.
+func requireSameBits(t *testing.T, got, want *tensor.Tensor, format string, args ...any) {
+	t.Helper()
+	if !got.Shape().Equal(want.Shape()) {
+		t.Fatalf(format+": shape %v, reference %v", append(args, got.Shape(), want.Shape())...)
+	}
+	gd, wd := got.Data(), want.Data()
+	for i := range wd {
+		if math.Float32bits(gd[i]) != math.Float32bits(wd[i]) {
+			t.Fatalf(format+": out[%d] = %v (%#x), reference %v (%#x)",
+				append(args, i, gd[i], math.Float32bits(gd[i]), wd[i], math.Float32bits(wd[i]))...)
+		}
+	}
+}
+
+// withProcs runs fn under each GOMAXPROCS setting: 1 takes the serial
+// branches, more splits every dispatch into that many panel ranges (the
+// worker-token pool is sized at start-up, so on a small host some of them
+// run inline — the partition is what matters for bit-identity).
+func withProcs(t *testing.T, procs []int, fn func(t *testing.T)) {
+	for _, n := range procs {
+		t.Run(fmt.Sprintf("procs%d", n), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+			fn(t)
+		})
+	}
+}
+
+// TestConvDirectMatchesReference pins the direct-pack engine bit-identical
+// to the reference over stride {1,2} × pad {0,1,2} × kernel {1,3,5} ×
+// Wo mod 4 ∈ {0,1,2,3} × channel layouts (blocked with remainder rows,
+// grouped, small-m grouped, depthwise) × precision × every knob, cycling
+// the epilogues, plus the degenerate outputs narrower than one panel.
+func TestConvDirectMatchesReference(t *testing.T) {
+	type layout struct{ ci, co, groups int }
+	layouts := []layout{{3, 6, 1}, {4, 12, 2}, {4, 4, 2}, {4, 4, 4}}
+	knobs := allConvKnobs()
+	withProcs(t, []int{1, 3}, func(t *testing.T) {
+		g := tensor.NewRNG(41)
+		cases := 0
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, k := range []int{1, 3, 5} {
+					for wi := 0; wi < 4; wi++ {
+						// Four input widths whose output widths are
+						// consecutive, so all residues mod 4 occur.
+						h, w := 6+k, 5+k+wi*stride
+						for li, l := range layouts {
+							p := ConvParams{StrideH: stride, StrideW: stride, PadH: pad, PadW: pad, Groups: l.groups}
+							x := randTensor(g, 2, l.ci, h, w)
+							wt := randTensor(g, l.co, l.ci/l.groups, k, k)
+							if (wi+li)%2 == 0 {
+								wt.MarkCacheable() // sampled filters and FP16 weights via the pack cache
+							}
+							eps := diffEpilogues(randTensor(g, l.co))
+							for _, prec := range []Precision{FP32, FP16} {
+								for ki, knob := range knobs {
+									ep := eps[(cases+ki)%len(eps)]
+									want := refConvolve(x, wt, p, prec, knob, ep)
+									got := engineConvolve(x, wt, p, prec, knob, ep)
+									requireSameBits(t, got, want, "stride=%d pad=%d k=%d in=%dx%d layout=%+v %v %v ep=%d",
+										stride, pad, k, h, w, l, prec, knob, (cases+ki)%len(eps))
+								}
+								// The cached-columns path: cold build, then hit.
+								cx := x.Clone().MarkCacheable()
+								want := refConvolve(x, wt, p, prec, convKnob{}, eps[1])
+								for pass := 0; pass < 2; pass++ {
+									requireSameBits(t, Conv2DFused(cx, wt, p, prec, eps[1]), want,
+										"cacheable pass %d stride=%d pad=%d k=%d in=%dx%d layout=%+v %v", pass, stride, pad, k, h, w, l, prec)
+								}
+								InvalidatePacked(cx)
+							}
+							InvalidatePacked(wt)
+							cases++
+						}
+					}
+				}
+			}
+		}
+		// Outputs with fewer than gemmNR positions (tail only), before and
+		// after perforation removes some.
+		for _, hw := range [][2]int{{3, 3}, {3, 4}, {4, 5}, {5, 3}} {
+			p := ConvParams{}
+			x := randTensor(g, 1, 5, hw[0], hw[1])
+			wt := randTensor(g, 7, 5, 3, 3)
+			for _, prec := range []Precision{FP32, FP16} {
+				for _, knob := range knobs {
+					want := refConvolve(x, wt, p, prec, knob, Epilogue{})
+					requireSameBits(t, engineConvolve(x, wt, p, prec, knob, Epilogue{}), want, "tiny %v %v %v", hw, prec, knob)
+				}
+			}
+		}
+	})
+}
+
+// FuzzConvDirectVsReference draws a convolution — shape, stride, padding,
+// grouping, precision, epilogue, knob, GOMAXPROCS — from the fuzz input and
+// requires the engine and the reference to agree bit for bit. The seed
+// corpus is committed under testdata/fuzz (one entry per engine path) and
+// runs as part of the ordinary test suite; `make fuzz-smoke` mutates it.
+func FuzzConvDirectVsReference(f *testing.F) {
+	knobs := allConvKnobs()
+	f.Fuzz(func(t *testing.T, seed int64, b []byte) {
+		if len(b) < 16 {
+			t.Skip()
+		}
+		pick := func(i, lo, hi int) int { return lo + int(b[i])%(hi-lo+1) }
+		n, cig := pick(0, 1, 3), pick(1, 1, 6)
+		h, w := pick(2, 1, 12), pick(3, 1, 12)
+		cog := pick(4, 1, 9)
+		kh, kw := pick(5, 1, 5), pick(6, 1, 5)
+		p := ConvParams{
+			StrideH: pick(7, 1, 3), StrideW: pick(8, 1, 3),
+			PadH: pick(9, 0, 2), PadW: pick(10, 0, 2),
+			Groups: pick(11, 1, 4),
+		}
+		if h+2*p.PadH < kh || w+2*p.PadW < kw {
+			t.Skip() // no output position
+		}
+		prec := Precision(pick(12, 0, 1))
+		knob := knobs[int(b[13])%len(knobs)]
+		g := tensor.NewRNG(seed)
+		x := randTensor(g, n, cig*p.Groups, h, w)
+		wt := randTensor(g, cog*p.Groups, cig, kh, kw)
+		// Exact zeros exercise the kernels' sparsity skips (ReLU outputs,
+		// pruned weights).
+		for i, d := 0, x.Data(); i < len(d); i += 3 {
+			d[i] = 0
+		}
+		for i, d := 0, wt.Data(); i < len(d); i += 5 {
+			d[i] = 0
+		}
+		ep := diffEpilogues(randTensor(g, cog*p.Groups))[pick(14, 0, 3)]
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(pick(15, 1, 4)))
+		want := refConvolve(x, wt, p, prec, knob, ep)
+		got := engineConvolve(x, wt, p, prec, knob, ep)
+		requireSameBits(t, got, want, "n=%d cig=%d cog=%d in=%dx%d k=%dx%d %+v %v %v", n, cig, cog, h, w, kh, kw, p, prec, knob)
+	})
+}

@@ -1,6 +1,7 @@
 package tensorops
 
 import (
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -136,14 +137,12 @@ func ApplyEpilogue(out *tensor.Tensor, ep Epilogue, prec Precision) *tensor.Tens
 	default:
 		panicShape("ApplyEpilogue", "unsupported rank %d", out.Rank())
 	}
-	n := out.Dim(0)
 	bd := ep.Bias.Data()
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * spatial
-			epilogueSeg(od[base:base+spatial], bd[ch], true, ep.Act, ep.Clip, quant)
+	parallel.ForChunked(out.Dim(0)*c, func(lo, hi int) {
+		for seg := lo; seg < hi; seg++ {
+			epilogueSeg(od[seg*spatial:(seg+1)*spatial], bd[seg%c], true, ep.Act, ep.Clip, quant)
 		}
-	}
+	})
 	return out
 }
 

@@ -5,12 +5,25 @@
 // perforated convolution (18 knobs), reduction sampling (3 knobs), and
 // IEEE FP16 variants of all of them.
 //
-// Functional note: in the paper the approximations save time by skipping
-// work on real hardware. Here the kernels compute the *semantics* of each
-// approximation exactly (skipped outputs really are interpolated, skipped
-// filter elements really are dropped with rescaling), while the time and
-// energy impact is modeled analytically by internal/device using the same
-// compute/memory reduction factors as §3.4 of the paper.
+// What the approximations cost here. In the paper they save time by not
+// doing work (§3.4), and for the two convolution knobs this engine does the
+// same: perforation packs and multiplies only the kept output rows/columns
+// (the GEMM's N shrinks) and interpolates the rest, and filter sampling
+// drops the sampled filter positions from both operands (the GEMM's K
+// shrinks) — see convpack.go. Reduction sampling likewise visits only the
+// sampled window elements. FP16, PROMISE and int8 remain emulation: values
+// are quantized or perturbed through their target format and computed in
+// float32, which costs extra passes rather than saving any. For those —
+// and for energy everywhere — the time impact is modeled analytically by
+// internal/device using the compute/memory reduction factors of §3.4;
+// EXPERIMENTS.md sets the measured speedups beside the modeled ones.
+//
+// Every fast path is pinned bit-identical to a retained reference: the
+// blocked GEMM and its SSE2 kernel against the naive triple loop
+// (gemm_test.go), the fused epilogues against the separate-pass chain
+// (panelcache_test.go), and the direct-pack convolution with its N- and
+// K-shrinking against im2col + reference GEMM computing everything
+// (convdiff_test.go, table and fuzz).
 package tensorops
 
 import (
@@ -85,8 +98,8 @@ func gemmRun(a, b, c []float32, m, k, n int, quantB bool, pre *prepacked, ep *ro
 		return
 	}
 	if pre == nil && m < gemmMR {
-		// Too few rows to amortize packing (depthwise convolution reaches
-		// here with m == 1): stream B rows directly, saxpy style.
+		// Too few rows to amortize packing (a dense layer on a batch of
+		// one to three): stream B rows directly, saxpy style.
 		if parallel.Serial() {
 			gemmSaxpyRows(0, m, a, b, c, k, n, quantB, ep)
 		} else {
@@ -170,31 +183,7 @@ func gemmBlockRange(blo, bhi int, a, b, c, packed, tail []float32, m, k, n, np i
 		if rows > gemmMR {
 			rows = gemmMR
 		}
-		if rows == gemmMR {
-			a0 := a[i0*k : (i0+1)*k]
-			a1 := a[(i0+1)*k : (i0+2)*k]
-			a2 := a[(i0+2)*k : (i0+3)*k]
-			a3 := a[(i0+3)*k : (i0+4)*k]
-			c0 := c[i0*n : (i0+1)*n]
-			c1 := c[(i0+1)*n : (i0+2)*n]
-			c2 := c[(i0+2)*n : (i0+3)*n]
-			c3 := c[(i0+3)*n : (i0+4)*n]
-			for jp := 0; jp < np; jp++ {
-				panel := packed[jp*k*gemmNR : (jp+1)*k*gemmNR]
-				j0 := jp * gemmNR
-				microTile4(a0, a1, a2, a3, panel,
-					c0[j0:j0+gemmNR], c1[j0:j0+gemmNR], c2[j0:j0+gemmNR], c3[j0:j0+gemmNR])
-			}
-		} else {
-			for r := 0; r < rows; r++ {
-				arow := a[(i0+r)*k : (i0+r+1)*k]
-				crow := c[(i0+r)*n : (i0+r+1)*n]
-				for jp := 0; jp < np; jp++ {
-					j0 := jp * gemmNR
-					microKernel1(arow, packed[jp*k*gemmNR:(jp+1)*k*gemmNR], crow[j0:j0+gemmNR])
-				}
-			}
-		}
+		gemmRowBlock(a, c, packed, i0, rows, k, n, 0, np)
 		for r := 0; r < rows; r++ {
 			arow := a[(i0+r)*k : (i0+r+1)*k]
 			crow := c[(i0+r)*n : (i0+r+1)*n]
@@ -204,6 +193,38 @@ func gemmBlockRange(blo, bhi int, a, b, c, packed, tail []float32, m, k, n, np i
 				gemmTailRow(arow, b, crow, n, jTail, quantB)
 			}
 			ep.apply(crow, i0+r)
+		}
+	}
+}
+
+// gemmRowBlock accumulates the `rows` (≤ gemmMR) rows of C starting at row
+// i0 against np consecutive packed panels, into C columns j0 onward (ldc is
+// C's row stride): the 4×4 micro-tile for a full block, the 1×4 edge kernel
+// for remainder rows.
+func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
+	if rows == gemmMR {
+		a0 := a[i0*k : (i0+1)*k]
+		a1 := a[(i0+1)*k : (i0+2)*k]
+		a2 := a[(i0+2)*k : (i0+3)*k]
+		a3 := a[(i0+3)*k : (i0+4)*k]
+		c0 := c[i0*ldc+j0 : (i0+1)*ldc]
+		c1 := c[(i0+1)*ldc+j0 : (i0+2)*ldc]
+		c2 := c[(i0+2)*ldc+j0 : (i0+3)*ldc]
+		c3 := c[(i0+3)*ldc+j0 : (i0+4)*ldc]
+		for jp := 0; jp < np; jp++ {
+			panel := panels[jp*k*gemmNR : (jp+1)*k*gemmNR]
+			j := jp * gemmNR
+			microTile4(a0, a1, a2, a3, panel,
+				c0[j:j+gemmNR], c1[j:j+gemmNR], c2[j:j+gemmNR], c3[j:j+gemmNR])
+		}
+		return
+	}
+	for r := 0; r < rows; r++ {
+		arow := a[(i0+r)*k : (i0+r+1)*k]
+		crow := c[(i0+r)*ldc+j0 : (i0+r+1)*ldc]
+		for jp := 0; jp < np; jp++ {
+			j := jp * gemmNR
+			microKernel1(arow, panels[jp*k*gemmNR:(jp+1)*k*gemmNR], crow[j:j+gemmNR])
 		}
 	}
 }

@@ -46,7 +46,7 @@ func QuantizeInt8(t *tensor.Tensor) *tensor.Tensor {
 
 // Conv2DInt8 computes a convolution with int8-quantized input and weights.
 func Conv2DInt8(x, w *tensor.Tensor, p ConvParams) *tensor.Tensor {
-	return convolve(QuantizeInt8(x), QuantizeInt8(w), p, FP32, nil, Epilogue{})
+	return convolve(QuantizeInt8(x), QuantizeInt8(w), p, FP32, nil, sampSpec{}, Epilogue{})
 }
 
 // MatMulInt8 computes a dense layer with int8-quantized operands.

@@ -56,15 +56,14 @@ const (
 	// packQuant: the source tensor's data quantized through FP16
 	// ([]float32 of the same length).
 	packQuant packKind = iota
-	// packSampled: a filter-sampled copy of a conv weight
-	// (*tensor.Tensor), keyed by (stride, offset).
+	// packSampled: the K-compacted filter-sampled copy of a conv weight
+	// (*tensor.Tensor, Co × kept), keyed by (stride, offset).
 	packSampled
 	// packPanels: a prepacked B operand (panels + tail) for the blocked
 	// GEMM, keyed by (k, n) and precision.
 	packPanels
-	// packCols: the packed (and, for FP16, quantized) im2col column
-	// matrix of one (image, group) of a convolution, keyed by the conv
-	// geometry.
+	// packCols: the packed (and, for FP16, quantized) patch matrix of one
+	// (image, group) of a convolution, keyed by the conv geometry.
 	packCols
 )
 
@@ -279,18 +278,18 @@ func cachedQuantized(t *tensor.Tensor) ([]float32, bool) {
 	return defaultPackCache.cachedQuantized(t)
 }
 
-// cachedSampledFilter returns the filter-sampled copy of w, memoized when
-// w is cacheable. The cached tensor is itself marked cacheable so the
-// FP16 quantization of a sampled filter memoizes too. Returns nil when w
-// has no cache identity.
-func (c *PackCache) cachedSampledFilter(w *tensor.Tensor, stride, offset int) *tensor.Tensor {
+// cachedSampledFilter returns the K-compacted filter-sampled copy of w
+// (compactSampledFilter), memoized when w is cacheable. The cached tensor
+// is itself marked cacheable so the FP16 quantization of a sampled filter
+// memoizes too. Returns nil when w has no cache identity.
+func (c *PackCache) cachedSampledFilter(w *tensor.Tensor, samp sampSpec) *tensor.Tensor {
 	id, gen, ok := w.CacheKey()
 	if !ok {
 		return nil
 	}
-	k := packKey{id: id, gen: gen, kind: packSampled, g0: stride, g1: offset}
+	k := packKey{id: id, gen: gen, kind: packSampled, g0: samp.stride, g1: samp.offset}
 	v := c.getOrCompute(k, func() (any, int64) {
-		sw := SampleFilter(w, stride, offset).MarkCacheable()
+		sw := compactSampledFilter(w, samp).MarkCacheable()
 		return sw, int64(4 * sw.Elems())
 	})
 	return v.(*tensor.Tensor)
@@ -356,17 +355,6 @@ func (c *PackCache) cachedPrepackedB(w *tensor.Tensor, k, n int, prec Precision)
 	return v.(*prepacked)
 }
 
-// colsGeo is the geometry a packed-cols entry is keyed by, beyond the
-// input tensor's identity (which already fixes N, Ci, H, W).
-type colsGeo struct {
-	img, grp int
-	ci, cig  int
-	h, w     int
-	kh, kw   int
-	ho, wo   int
-	p        ConvParams
-}
-
 // colsBudgetOK reports whether one convolution's whole column working set
 // (n images × g groups × colElems floats) fits comfortably in the cache.
 // Sequential sweeps over a working set larger than an LRU cache are the
@@ -377,36 +365,40 @@ func (c *PackCache) colsBudgetOK(n, g, colElems int) bool {
 	return 4*int64(n)*int64(g)*int64(colElems) <= c.maxBytes/8
 }
 
-// cachedConvCols returns the packed im2col operand of one (image, group)
-// of a convolution, memoized when x is cacheable. xd is x's data in the
-// precision the GEMM will consume — raw for FP32, quantized through FP16
-// for FP16 (the packed values must match the uncached path, which runs
-// im2col over exactly that slice). Returns nil when x has no identity;
-// callers also gate on the blocked-path geometry (enough output rows and
-// columns) and the working-set budget before asking.
-func (c *PackCache) cachedConvCols(x *tensor.Tensor, xd []float32, geo colsGeo, prec Precision) *prepacked {
+// cachedConvCols returns the packed patch matrix of one (image, group) of
+// an un-approximated convolution, memoized when x is cacheable. pl.xd is
+// x's data in the precision the GEMM will consume — raw for FP32,
+// quantized through FP16 for FP16 — and the panels are written by the same
+// packer the uncached path runs, so both hold the same values. Returns nil
+// when x has no identity; callers also gate on the working-set budget
+// before asking.
+func (c *PackCache) cachedConvCols(x *tensor.Tensor, pl *convPlan, img, grp int, prec Precision) *prepacked {
 	id, gen, ok := x.CacheKey()
 	if !ok {
 		return nil
 	}
+	groups := pl.ci / pl.cig
 	key := packKey{
 		id: id, gen: gen, kind: packCols, prec: prec,
-		g0: geo.img*geo.p.Groups + geo.grp,
-		g1: geo.kh, g2: geo.kw,
-		g3: geo.p.StrideH, g4: geo.p.StrideW,
-		g5: geo.p.PadH, g6: geo.p.PadW,
-		g7: geo.p.Groups,
+		g0: img*groups + grp,
+		g1: pl.kh, g2: pl.kw,
+		g3: pl.sh, g4: pl.sw,
+		g5: pl.ph, g6: pl.pw,
+		g7: groups,
 	}
 	v := c.getOrCompute(key, func() (any, int64) {
-		kvol := geo.cig * geo.kh * geo.kw
-		how := geo.ho * geo.wo
-		cols := tensor.Scratch(kvol * how)
-		im2col(xd, cols, geo.img, geo.grp, geo.ci, geo.cig, geo.h, geo.w, geo.kh, geo.kw, geo.ho, geo.wo, geo.p)
-		// The stored panels come from plain make (inside buildPrepacked),
-		// never from the pool: a pooled payload could be re-issued by
-		// Scratch while an evicted entry's borrower still reads it.
-		p := buildPrepacked(cols, kvol, how, false)
-		tensor.Release(cols)
+		// Plain make, never the pool: a pooled payload could be re-issued
+		// by Scratch while an evicted entry's borrower still reads it.
+		n := pl.ncols()
+		p := &prepacked{np: n / gemmNR}
+		if p.np > 0 {
+			p.panels = make([]float32, p.np*pl.kc*gemmNR)
+			pl.packPanels(p.panels, img, grp, 0, p.np)
+		}
+		if tl := n - p.np*gemmNR; tl > 0 {
+			p.tail = make([]float32, tl*pl.kc)
+			pl.packTail(p.tail, img, grp)
+		}
 		return p, p.bytes()
 	})
 	return v.(*prepacked)

@@ -313,27 +313,36 @@ func TestConvColsCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSampledFilterCacheReused: the sampled-filter cache must return the
-// same values as a fresh SampleFilter and key distinct knobs separately.
+// TestSampledFilterCacheReused: the sampled-filter cache must return
+// SampleFilter's surviving values — the zeroed positions removed, nothing
+// else changed — and key distinct knobs separately.
 func TestSampledFilterCacheReused(t *testing.T) {
 	g := tensor.NewRNG(23)
 	w := randTensor(g, 8, 4, 3, 3).MarkCacheable()
+	fvol := 4 * 3 * 3
 	c := NewPackCache(1 << 20)
 	for _, knob := range [][2]int{{2, 0}, {2, 1}, {4, 1}} {
-		stride, offset := knob[0], knob[1]
-		want := SampleFilter(w, stride, offset)
-		got := c.cachedSampledFilter(w, stride, offset)
+		samp := sampSpec{stride: knob[0], offset: knob[1]}
+		var want []float32
+		for i, v := range SampleFilter(w, samp.stride, samp.offset).Data() {
+			if i%fvol%samp.stride != samp.offset {
+				want = append(want, v)
+			}
+		}
+		got := c.cachedSampledFilter(w, samp)
 		if got == nil {
-			t.Fatalf("stride=%d offset=%d: no cached filter", stride, offset)
+			t.Fatalf("%+v: no cached filter", samp)
 		}
-		again := c.cachedSampledFilter(w, stride, offset)
-		if got != again {
-			t.Errorf("stride=%d offset=%d: second lookup rebuilt", stride, offset)
+		if again := c.cachedSampledFilter(w, samp); got != again {
+			t.Errorf("%+v: second lookup rebuilt", samp)
 		}
-		wd, gd := want.Data(), got.Data()
-		for i := range wd {
-			if wd[i] != gd[i] {
-				t.Fatalf("stride=%d offset=%d: [%d] = %v, want %v", stride, offset, i, gd[i], wd[i])
+		gd := got.Data()
+		if len(gd) != len(want) || got.Dim(1) != samp.keptK(fvol) {
+			t.Fatalf("%+v: %d elements (%v), want %d", samp, len(gd), got.Shape(), len(want))
+		}
+		for i := range want {
+			if want[i] != gd[i] {
+				t.Fatalf("%+v: [%d] = %v, want %v", samp, i, gd[i], want[i])
 			}
 		}
 	}
