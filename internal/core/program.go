@@ -117,9 +117,9 @@ func NewGraphProgram(g *graph.Graph, calibIn, testIn *tensor.Tensor, calibMetric
 		return nil, err
 	}
 	// Register the long-lived tensors with the pack cache: constant
-	// weights (packed panels, FP16 copies) and the calibration/test
-	// batches (quantized copies, packed im2col columns) are reused across
-	// thousands of tuning executions, so their derived operands memoize.
+	// weights (packed panels, sampled filters, FP16 copies) and the
+	// calibration/test batches (FP16 copies) are reused across thousands
+	// of tuning executions, so their derived operands memoize.
 	g.PrepackWeights()
 	calibIn.MarkCacheable()
 	testIn.MarkCacheable()
@@ -177,7 +177,7 @@ func (p *GraphProgram) Score(set InputSet, out *tensor.Tensor) float64 {
 // baseVals returns (computing once) the cached baseline node values.
 // The values are marked cacheable: suffix re-execution feeds the same
 // baseline activations into approximated nodes over and over, so their
-// quantized/packed derivations are worth memoizing too.
+// FP16 copies are worth memoizing too.
 func (p *GraphProgram) baseVals(set InputSet) []*tensor.Tensor {
 	if set == Test {
 		if p.baseTest == nil {

@@ -77,15 +77,11 @@ type Coordinator struct {
 	stats httpStats
 
 	// Server-side trace capture: when a request arrives with a W3C
-	// traceparent header, the middleware records a coord:<path> span under
+	// traceparent header, the middleware opens a coord:<path> span under
 	// the caller's trace so GET /v1/stats can assemble the cross-process
-	// trace. traceMu has its own lock (the middleware must not contend
-	// with protocol state).
-	traceMu    sync.Mutex
-	coordSpans []obs.SpanRecord
-	spanHead   int           // ring cursor once coordSpans is full
-	spanIDs    *obs.IDSource // server-side span identity
-	traceBase  time.Time     // anchors coord span start offsets
+	// trace. The tracer is private to this coordinator and retains the
+	// most recent maxCoordSpans records.
+	tracer *obs.Tracer
 }
 
 // edgeLease tracks one edge's liveness.
@@ -126,8 +122,7 @@ func NewCoordinator(p core.Program, devProfiles *predictor.Profiles, opts core.I
 		shards:    make(map[int]*predictor.Profiles),
 		validated: make(map[int][]pareto.Point),
 		edgeTel:   make(map[int]edgeTelemetryReq),
-		spanIDs:   obs.NewIDSource(opts.Seed),
-		traceBase: time.Now(),
+		tracer:    obs.NewTracer(obs.TracerOptions{KeepInMemory: maxCoordSpans, IDSeed: opts.Seed}),
 	}, nil
 }
 

@@ -101,6 +101,10 @@ func (c *Coordinator) instrument(path string, h http.HandlerFunc) http.HandlerFu
 	local := c.stats.endpoint(path)
 	return func(w http.ResponseWriter, r *http.Request) {
 		inflight.Add(1)
+		var sp *obs.Span // stays the no-op span for untraced requests
+		if sc := obs.Extract(r.Header); sc.Valid() {
+			sp = c.tracer.StartRemote(sc, "coord:"+path)
+		}
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
@@ -109,9 +113,7 @@ func (c *Coordinator) instrument(path string, h http.HandlerFunc) http.HandlerFu
 		lat.Observe(seconds)
 		mHTTPResponses.With(path + " " + statusClass(rec.status)).Inc()
 		c.stats.record(local, seconds, rec.status)
-		if sc := obs.Extract(r.Header); sc.Valid() {
-			c.recordSpan(sc, path, start, seconds, rec.status)
-		}
+		sp.With("status", rec.status).End()
 	}
 }
 
@@ -119,30 +121,6 @@ func (c *Coordinator) instrument(path string, h http.HandlerFunc) http.HandlerFu
 // oldest record is overwritten, so a long-lived coordinator keeps the
 // most recent fleet activity.
 const maxCoordSpans = 512
-
-// recordSpan stores the server-side span of one traced request: the
-// caller's trace ID, the caller's span as parent, and a span ID minted
-// here — no tracer required on the coordinator.
-func (c *Coordinator) recordSpan(sc obs.SpanContext, path string, start time.Time, seconds float64, status int) {
-	rec := obs.SpanRecord{
-		Name:         "coord:" + path,
-		Start:        start.Sub(c.traceBase).Nanoseconds(),
-		Dur:          int64(seconds * 1e9),
-		TraceID:      sc.TraceID,
-		SpanID:       c.spanIDs.SpanID(),
-		ParentSpanID: sc.SpanID,
-		Attrs:        map[string]any{"status": status},
-	}
-	rec.End = rec.Start + rec.Dur
-	c.traceMu.Lock()
-	if len(c.coordSpans) < maxCoordSpans {
-		c.coordSpans = append(c.coordSpans, rec)
-	} else {
-		c.coordSpans[c.spanHead] = rec
-		c.spanHead = (c.spanHead + 1) % maxCoordSpans
-	}
-	c.traceMu.Unlock()
-}
 
 // Fleet-telemetry wire types.
 
@@ -247,13 +225,8 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 // have different bases, so ordering is per-process best-effort; span
 // parentage carries the authoritative structure).
 func (c *Coordinator) assembleTraces(tel []edgeTelemetryReq) map[string][]obs.SpanRecord {
-	c.traceMu.Lock()
-	coord := make([]obs.SpanRecord, len(c.coordSpans))
-	copy(coord, c.coordSpans)
-	c.traceMu.Unlock()
-
 	traces := make(map[string][]obs.SpanRecord)
-	for _, rec := range coord {
+	for _, rec := range c.tracer.Records() {
 		tid := rec.TraceID.String()
 		traces[tid] = append(traces[tid], rec)
 	}

@@ -39,14 +39,14 @@ var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$`)
 // metricCtors are the obs package-level constructors whose first argument
 // is the registry name.
 var metricCtors = map[string]bool{
-	"NewCounter": true, "NewGauge": true, "NewHistogram": true,
+	"NewCounter": true, "NewGauge": true,
 	"NewCounterVec": true, "NewGaugeVec": true,
 	"NewQHistogram": true, "NewQHistVec": true,
 }
 
 // metricRegistryMethods are the *obs.Registry methods under the same rule.
 var metricRegistryMethods = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true,
+	"Counter": true, "Gauge": true,
 	"CounterVec": true, "GaugeVec": true,
 	"QHistogram": true, "QHistVec": true,
 }

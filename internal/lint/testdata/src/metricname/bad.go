@@ -11,7 +11,6 @@ import (
 func Good() {
 	obs.NewCounter("tuner.configs_explored").Inc()
 	obs.NewQHistogram("tuner.iteration_seconds").Observe(0.1)
-	obs.NewHistogram("tuner.step_error", 0.001, 2, 20)
 }
 
 // Dynamic builds the name at run time — flagged.

@@ -91,106 +91,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 // NewGauge returns the named gauge in the Default registry.
 func NewGauge(name string) *Gauge { return Default.Gauge(name) }
 
-// Histogram accumulates observations into fixed log-scale buckets: bucket
-// i covers values ≤ start·growthⁱ, with one overflow bucket above the
-// last bound. Observations are lock-free atomic adds.
-type Histogram struct {
-	bounds  []float64 // ascending upper bounds, len n
-	buckets []atomic.Int64
-	over    atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 sum, CAS-updated
-}
-
-func newHistogram(start, growth float64, n int) *Histogram {
-	if start <= 0 || growth <= 1 || n < 1 {
-		panic(fmt.Sprintf("obs: bad histogram shape start=%v growth=%v n=%d", start, growth, n))
-	}
-	h := &Histogram{bounds: make([]float64, n), buckets: make([]atomic.Int64, n)}
-	b := start
-	for i := range h.bounds {
-		h.bounds[i] = b
-		b *= growth
-	}
-	return h
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	idx := -1
-	for i, ub := range h.bounds {
-		if v <= ub {
-			idx = i
-			break
-		}
-	}
-	if idx >= 0 {
-		h.buckets[idx].Add(1)
-	} else {
-		h.over.Add(1)
-	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bucket returns the count of bucket i (values ≤ Bounds()[i] and greater
-// than the previous bound).
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i].Load() }
-
-// Overflow returns the count of observations above the last bound.
-func (h *Histogram) Overflow() int64 { return h.over.Load() }
-
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
-// HistogramSnapshot is the exported form of a histogram.
-type HistogramSnapshot struct {
-	Count    int64         `json:"count"`
-	Sum      float64       `json:"sum"`
-	Buckets  []BucketCount `json:"buckets,omitempty"`
-	Overflow int64         `json:"overflow,omitempty"`
-}
-
-// BucketCount is one (upper-bound, count) pair; zero-count buckets are
-// omitted from snapshots.
-type BucketCount struct {
-	LE float64 `json:"le"`
-	N  int64   `json:"n"`
-}
-
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.Count(), Sum: h.Sum(), Overflow: h.Overflow()}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, BucketCount{LE: h.bounds[i], N: n})
-		}
-	}
-	return s
-}
-
-// Histogram returns (creating if needed) the named histogram. The shape
-// parameters apply only on first creation.
-func (r *Registry) Histogram(name string, start, growth float64, n int) *Histogram {
-	return lookup(r, name, func() *Histogram { return newHistogram(start, growth, n) })
-}
-
-// NewHistogram returns the named histogram in the Default registry.
-func NewHistogram(name string, start, growth float64, n int) *Histogram {
-	return Default.Histogram(name, start, growth, n)
-}
-
 // CounterVec is a family of counters keyed by a label value (e.g. kernel
 // invocations by knob kind). Label lookup takes a read lock; the counters
 // themselves are lock-free, so hot paths should cache the *Counter.
@@ -281,8 +181,8 @@ func NewGaugeVec(name string) *GaugeVec { return Default.GaugeVec(name) }
 
 // Snapshot returns the current value of every metric keyed by name:
 // int64 for counters, float64 for gauges, map[string]... for the vec
-// families, HistogramSnapshot for histograms and QSummary for quantile
-// histograms — the expvar-style JSON the HTTP endpoint serves.
+// families and QSummary for quantile histograms — the expvar-style JSON
+// the HTTP endpoint serves.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -293,8 +193,6 @@ func (r *Registry) Snapshot() map[string]any {
 			out[name] = m.Value()
 		case *Gauge:
 			out[name] = m.Value()
-		case *Histogram:
-			out[name] = m.snapshot()
 		case *CounterVec:
 			out[name] = m.snapshot()
 		case *GaugeVec:

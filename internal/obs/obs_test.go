@@ -91,7 +91,7 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 	reg := NewRegistry()
 	ctr := reg.Counter("c")
 	g := reg.Gauge("g")
-	h := reg.Histogram("h", 1, 2, 10)
+	h := reg.QHistogram("h")
 	vec := reg.CounterVec("v")
 
 	const workers, iters = 8, 200
@@ -135,43 +135,6 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 	byLabel := snap["v"].(map[string]int64)
 	if byLabel["w0"]+byLabel["w1"] != workers*iters {
 		t.Fatalf("vec snapshot = %v", byLabel)
-	}
-}
-
-func TestHistogramBucketBoundaries(t *testing.T) {
-	h := newHistogram(1, 10, 4) // bounds 1, 10, 100, 1000
-	cases := []struct {
-		v    float64
-		want int // bucket index, -1 = overflow
-	}{
-		{0, 0}, {-5, 0}, {1, 0}, // ≤ first bound
-		{1.0001, 1}, {10, 1}, // boundary is inclusive
-		{10.5, 2}, {100, 2},
-		{1000, 3},
-		{1000.1, -1}, {1e9, -1},
-	}
-	for _, c := range cases {
-		h.Observe(c.v)
-	}
-	counts := map[int]int64{}
-	for i := 0; i < 4; i++ {
-		counts[i] = h.Bucket(i)
-	}
-	counts[-1] = h.Overflow()
-	want := map[int]int64{0: 3, 1: 2, 2: 2, 3: 1, -1: 2}
-	for k, n := range want {
-		if counts[k] != n {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", k, counts[k], n, counts)
-		}
-	}
-	if h.Count() != int64(len(cases)) {
-		t.Fatalf("count = %d, want %d", h.Count(), len(cases))
-	}
-	wantBounds := []float64{1, 10, 100, 1000}
-	for i, b := range h.Bounds() {
-		if b != wantBounds[i] {
-			t.Fatalf("bounds = %v, want %v", h.Bounds(), wantBounds)
-		}
 	}
 }
 

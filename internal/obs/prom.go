@@ -17,7 +17,6 @@ import (
 //   - Gauge        → gauge
 //   - CounterVec   → counter with a `key` label per family member
 //   - GaugeVec     → gauge with a `key` label per family member
-//   - Histogram    → histogram (cumulative `_bucket{le=...}` series)
 //   - QHistogram   → summary (p50/p90/p99 quantile series) plus a
 //     `<name>_max` gauge for the tail
 //   - QHistVec     → summary with a `key` label per family member
@@ -87,16 +86,6 @@ func (r *Registry) writeText(w io.Writer, om bool) error {
 			for _, kv := range sortedFloatLabels(m.snapshot()) {
 				pw.line(pn, promLabel("key", kv.k), kv.v)
 			}
-		case *Histogram:
-			pw.typ(pn, "histogram")
-			var cum int64
-			for i, ub := range m.bounds {
-				cum += m.Bucket(i)
-				pw.line(pn+"_bucket", promLabel("le", promFloat(ub)), float64(cum))
-			}
-			pw.line(pn+"_bucket", promLabel("le", "+Inf"), float64(m.Count()))
-			pw.line(pn+"_sum", "", m.Sum())
-			pw.line(pn+"_count", "", float64(m.Count()))
 		case *QHistogram:
 			if om {
 				s := m.Snapshot()

@@ -24,13 +24,13 @@ func promTestRegistry() *Registry {
 	cv.With("perf-33%").Add(3)
 	gv := reg.GaugeVec("distrib.http_inflight")
 	gv.With("/v1/register").Set(1)
-	h := reg.Histogram("predictor.calibration_abs_error", 0.01, 10, 3)
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(99)
 	// Dyadic values (i/1024) keep every partial sum exact, so the
 	// exposition is bit-identical no matter how the observations split
 	// across the histogram's per-P shards.
+	h := reg.QHistogram("predictor.calibration_abs_error")
+	h.Observe(1.0 / 256)
+	h.Observe(1.0 / 16)
+	h.Observe(96)
 	q := reg.QHistogram("runtime.invocation_seconds")
 	exTID, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
 	for i := 1; i <= 100; i++ {

@@ -9,8 +9,8 @@ import (
 
 // WriteSummary renders the registry as an end-of-run telemetry table:
 // one row per metric (vec families expand to one row per label), sorted
-// by name. Counters and gauges print their value; histograms print
-// count/mean; quantile histograms print count, p50/p90/p99 and max.
+// by name. Counters and gauges print their value; quantile histograms
+// print count, p50/p90/p99 and max.
 // reg nil means the Default registry.
 func WriteSummary(w io.Writer, reg *Registry) error {
 	if reg == nil {
@@ -39,12 +39,6 @@ func WriteSummary(w io.Writer, reg *Registry) error {
 			for _, kv := range sortedFloatLabels(v) {
 				fmt.Fprintf(tw, "%s{%s}\t%g\n", name, kv.k, kv.v)
 			}
-		case HistogramSnapshot:
-			mean := 0.0
-			if v.Count > 0 {
-				mean = v.Sum / float64(v.Count)
-			}
-			fmt.Fprintf(tw, "%s\tn=%d mean=%.4g\n", name, v.Count, mean)
 		case QSummary:
 			fmt.Fprintf(tw, "%s\t%s\n", name, formatQSummary(v))
 		case map[string]QSummary:

@@ -5,13 +5,13 @@ import "repro/internal/obs"
 // Predictor telemetry (§3.3, Fig. 8): how often each error-composition
 // model is evaluated, the fitted α per calibration, and the distribution
 // of post-calibration absolute prediction errors on the calibration
-// samples (log-scale buckets from 0.001 to ~65 QoS units).
+// samples, in QoS units.
 var (
 	mPi1Evals = obs.NewCounter("predictor.pi1_evals")
 	mPi2Evals = obs.NewCounter("predictor.pi2_evals")
 	mCalibs   = obs.NewCounter("predictor.calibrations")
 	gAlpha    = obs.NewGauge("predictor.alpha")
-	hCalibErr = obs.NewHistogram("predictor.calibration_abs_error", 0.001, 2, 16)
+	hCalibErr = obs.NewQHistogram("predictor.calibration_abs_error")
 )
 
 // observeCalibration records the fitted α and the per-sample absolute

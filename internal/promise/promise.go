@@ -23,11 +23,11 @@ import (
 
 // Noise-injection telemetry: how often the functional simulator perturbs
 // an operator output, at which voltage level, over how many elements, and
-// the distribution of injected absolute σ values (log-scale buckets).
+// the distribution of injected absolute σ values.
 var (
 	mPerturbs  = obs.NewCounter("promise.perturbations")
 	mElems     = obs.NewCounter("promise.elements_perturbed")
-	hSigma     = obs.NewHistogram("promise.sigma_abs", 1e-6, 10, 12)
+	hSigma     = obs.NewQHistogram("promise.sigma_abs")
 	byLevelVec = obs.NewCounterVec("promise.perturbations_by_level")
 	// levelCounters caches the per-level counters for the hot path.
 	levelCounters [Levels + 1]*obs.Counter

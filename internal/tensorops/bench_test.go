@@ -241,8 +241,7 @@ func BenchmarkSoftmax(b *testing.B) {
 // its tables (2), the fused epilogue (1) and the dispatch closure (1);
 // perforation trades the epilogue for its spec and adds the interpolation
 // pass's dispatch (3).
-// BENCH_PR6→PR10 let Conv2DExact drift from 5 to 6 allocs/op under a gate
-// too loose to notice; a new allocation on this path must be a decision.
+// A new allocation on this path must be a decision, not drift.
 // AllocsPerRun measures at GOMAXPROCS 1; more workers add one closure per
 // (image, group) dispatch and the goroutines it spawns.
 func TestConv2DFusedFreshAllocs(t *testing.T) {

@@ -103,7 +103,9 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 		// Quantized operands come from the pack cache for marked tensors
 		// (constant weights, calibration inputs — quantized once, reused
 		// across thousands of tuning executions) and from pooled scratch
-		// otherwise.
+		// otherwise. The copy of x is the one activation-derived entry the
+		// cache keeps: quantizing marked activations afresh on every call
+		// cost the alexnet2 tuning passes about 8 % of their wall time.
 		if q, ok := cachedQuantized(x); ok {
 			xd = q
 		} else {
@@ -126,7 +128,7 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	cog := co / g // output channels per group
 	how := ho * wo
 	pl := newConvPlan(xd, ci, cig, h, wd, kh, kw, ho, wo, p, perf, samp)
-	kc := pl.kc
+	wsz := cog * pl.kc // one group's weight block
 
 	// The fused epilogue: a C row is one output channel, so bias indexes
 	// by row.
@@ -136,22 +138,6 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 		if ep.Bias != nil {
 			re.bias = ep.Bias.Data()
 		}
-	}
-
-	// Un-approximated FP16 convolutions over a cacheable input (calibration
-	// batches, baseline activations replayed by suffix profiling) memoize
-	// the packed columns of each (image, group): the steady state skips
-	// quantize and pack entirely. FP16 is where the win concentrates (the
-	// quantization pass rides along for free) and caching only the reduced
-	// precision keeps the approximate path strictly cheaper than the exact
-	// one. The conv's full column working set must fit the cache budget (a
-	// sweep larger than the LRU would miss on every call while still paying
-	// the insert); perforated and sampled variants pack their smaller
-	// matrix afresh rather than multiply the cache's keys.
-	colsCached := prec == FP16 && cog >= gemmMR && perf == nil && samp.stride == 0 &&
-		defaultPackCache.colsBudgetOK(n, g, kc*how)
-	if colsCached {
-		_, _, colsCached = x.CacheKey()
 	}
 
 	// The blocked kernel spreads each (image, group) over the workers
@@ -173,7 +159,7 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 		}
 		for u := lo * grain; u < hi*grain; u++ {
 			img, grp := u/g, u%g
-			wblock := wdat[grp*cog*kc : (grp+1)*cog*kc]
+			wblock := wdat[grp*wsz : (grp+1)*wsz]
 			oblock := od[(img*co+grp*cog)*how : (img*co+(grp+1)*cog)*how]
 			switch {
 			case cog < gemmMR:
@@ -182,14 +168,10 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 				for i := range compact {
 					compact[i] = 0
 				}
-				pl.blocked(wblock, compact, cog, img, grp, nil, nil, 0)
+				pl.blocked(wblock, compact, cog, img, grp, nil, 0)
 				pl.scatter(oblock, compact, cog)
 			default:
-				var pre *prepacked
-				if colsCached {
-					pre = defaultPackCache.cachedConvCols(x, pl, img, grp, prec)
-				}
-				pl.blocked(wblock, oblock, cog, img, grp, pre, re, grp*cog)
+				pl.blocked(wblock, oblock, cog, img, grp, re, grp*cog)
 			}
 		}
 	})

@@ -257,40 +257,33 @@ const packBlockFloats = 16 << 10
 // blocked computes c = a · B for one (img, grp): a is the (m × kc) weight
 // block with m ≥ gemmMR, B the patch matrix, c the zeroed (m × ncols)
 // result. One dispatch over panel ranges replaces pack-barrier-multiply:
-// each worker packs a block of its panels (or borrows them from pre, the
-// cached columns), multiplies all of A against it and applies ep to every
-// finished row segment (C row i is output channel chan0+i). The unit past
-// the last full panel is the ncols mod gemmNR tail.
-func (pl *convPlan) blocked(a, c []float32, m, img, grp int, pre *prepacked, ep *rowEpi, chan0 int) {
-	n := pl.ncols()
-	units := (n + gemmNR - 1) / gemmNR
+// each worker packs a block of its panels, multiplies all of A against it
+// and applies ep to every finished row segment (C row i is output channel
+// chan0+i). The unit past the last full panel is the ncols mod gemmNR tail.
+func (pl *convPlan) blocked(a, c []float32, m, img, grp int, ep *rowEpi, chan0 int) {
+	units := (pl.ncols() + gemmNR - 1) / gemmNR
 	if parallel.Serial() {
-		pl.blockedRange(a, c, m, img, grp, pre, ep, chan0, 0, units)
+		pl.blockedRange(a, c, m, img, grp, ep, chan0, 0, units)
 		return
 	}
 	parallel.ForChunked(units, func(lo, hi int) {
-		pl.blockedRange(a, c, m, img, grp, pre, ep, chan0, lo, hi)
+		pl.blockedRange(a, c, m, img, grp, ep, chan0, lo, hi)
 	})
 }
 
 // blockedRange is one worker's share of blocked: units [lo,hi).
-func (pl *convPlan) blockedRange(a, c []float32, m, img, grp int, pre *prepacked, ep *rowEpi, chan0, lo, hi int) {
+func (pl *convPlan) blockedRange(a, c []float32, m, img, grp int, ep *rowEpi, chan0, lo, hi int) {
 	n, kc := pl.ncols(), pl.kc
 	np := n / gemmNR
 	psz := kc * gemmNR
-	blk := packBlockFloats / psz
+	blk := packBlockFloats / psz // panels packed and multiplied at a time
 	if blk < 1 {
 		blk = 1
 	}
-	var buf []float32
-	if pre == nil {
-		size := blk
-		if hi-lo < size {
-			size = hi - lo
-		}
-		buf = tensor.Scratch(size * psz) // ≥ one panel, which also holds the tail
-		defer tensor.Release(buf)
+	if blk > hi-lo {
+		blk = hi - lo
 	}
+	buf := tensor.Scratch(blk * psz) // ≥ one panel, which also holds the tail
 	phi := hi
 	if phi > np {
 		phi = np
@@ -300,13 +293,8 @@ func (pl *convPlan) blockedRange(a, c []float32, m, img, grp int, pre *prepacked
 		if b1 > phi {
 			b1 = phi
 		}
-		var panels []float32
-		if pre != nil {
-			panels = pre.panels[b0*psz : b1*psz]
-		} else {
-			panels = buf[:(b1-b0)*psz]
-			pl.packPanels(panels, img, grp, b0, b1)
-		}
+		panels := buf[:(b1-b0)*psz]
+		pl.packPanels(panels, img, grp, b0, b1)
 		for i0 := 0; i0 < m; i0 += gemmMR {
 			rows := m - i0
 			if rows > gemmMR {
@@ -319,19 +307,15 @@ func (pl *convPlan) blockedRange(a, c []float32, m, img, grp int, pre *prepacked
 		}
 	}
 	if hi > np {
-		var tail []float32
-		if pre != nil {
-			tail = pre.tail
-		} else {
-			tail = buf[:(n-np*gemmNR)*kc]
-			pl.packTail(tail, img, grp)
-		}
+		tail := buf[:(n-np*gemmNR)*kc]
+		pl.packTail(tail, img, grp)
 		for i := 0; i < m; i++ {
 			crow := c[i*n : (i+1)*n]
 			gemmTailRowPre(a[i*kc:(i+1)*kc], tail, crow, n, np*gemmNR)
 			ep.apply(crow[np*gemmNR:], chan0+i)
 		}
 	}
+	tensor.Release(buf)
 }
 
 // direct computes the m < gemmMR output channels of one (img, grp) — the

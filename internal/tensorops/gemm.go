@@ -66,21 +66,6 @@ func Gemm(a, b, c []float32, m, k, n int) {
 	gemmEngine(a, b, c, m, k, n, false)
 }
 
-// GemmPacked computes C += A·B with B supplied as a tensor (k×n
-// row-major): when bt is marked cacheable and the shape fits the blocked
-// path, the packed panels come from the process-wide pack cache, so
-// repeated calls skip the per-call pack pass entirely. Otherwise it
-// falls back to the uncached engine. Bit-identical to Gemm either way.
-func GemmPacked(a []float32, bt *tensor.Tensor, c []float32, m, k, n int) {
-	if m >= gemmMR {
-		if pre := defaultPackCache.cachedPrepackedB(bt, k, n, FP32); pre != nil {
-			gemmRun(a, nil, c, m, k, n, false, pre, nil)
-			return
-		}
-	}
-	gemmEngine(a, bt.Data(), c, m, k, n, false)
-}
-
 // gemmEngine is the per-call kernel entry: pack B (quantizing when
 // quantB is set — fusing the former full-tensor quantizedCopy pass into
 // the pack step), multiply, no epilogue.

@@ -11,14 +11,17 @@ import (
 // Pack-once operand cache. The tuning phases re-execute the same tensor
 // graph thousands of times across candidate configurations, so the
 // per-invocation operand transforms — FP16 quantization of constant
-// weights and calibration inputs, filter sampling, and packing B into the
-// GEMM panel layout — are recomputed from identical bytes on every call.
-// The PackCache memoizes those derived operands keyed by (source tensor
-// identity, generation, transform kind, precision, geometry/knob
-// parameters). Only tensors explicitly marked cacheable (constant weights,
-// long-lived calibration inputs, cached baseline activations) participate;
-// transient per-execution tensors have no identity and can never pollute
-// the cache.
+// weights and calibration inputs, filter sampling, and packing a dense
+// weight into the GEMM panel layout — are recomputed from identical bytes
+// on every call. The PackCache memoizes those three kinds of derived
+// operand keyed by (source tensor identity, generation, transform kind,
+// precision, shape/knob parameters). Only tensors explicitly marked
+// cacheable (constant weights, long-lived calibration inputs, cached
+// baseline activations) participate; transient per-execution tensors have
+// no identity and can never pollute the cache. A convolution's packed
+// patch matrix is not among them: every (op, knob) suffix run asks for a
+// geometry no earlier run packed, so convolve packs from the input each
+// call (convpack.go).
 //
 // Memory is bounded: entries are evicted least-recently-used once the
 // byte budget is exceeded, and a single entry larger than the whole
@@ -44,9 +47,8 @@ var (
 )
 
 // DefaultPackCacheBytes is the byte budget of the process-wide cache:
-// large enough for every weight panel plus the packed calibration-input
-// columns of the model-zoo networks, small next to the activations a
-// tuning run touches.
+// large enough for every weight-derived operand and FP16 activation copy
+// of the model-zoo networks, and the memory bound for full-width models.
 const DefaultPackCacheBytes = 128 << 20
 
 // packKind discriminates the transform a cache entry holds.
@@ -62,18 +64,15 @@ const (
 	// packPanels: a prepacked B operand (panels + tail) for the blocked
 	// GEMM, keyed by (k, n) and precision.
 	packPanels
-	// packCols: the packed (and, for FP16, quantized) patch matrix of one
-	// (image, group) of a convolution, keyed by the conv geometry.
-	packCols
 )
 
-// packKey identifies one derived operand. The meaning of the geometry
-// fields g0..g7 depends on kind; unused fields are zero.
+// packKey identifies one derived operand. The meaning of g0 and g1 depends
+// on kind; unused fields are zero.
 type packKey struct {
-	id, gen                        uint64
-	kind                           packKind
-	prec                           Precision
-	g0, g1, g2, g3, g4, g5, g6, g7 int
+	id, gen uint64
+	kind    packKind
+	prec    Precision
+	g0, g1  int
 }
 
 type packEntry struct {
@@ -249,12 +248,6 @@ func InvalidatePacked(t *tensor.Tensor) {
 	}
 }
 
-// PackCacheStats exposes the process-wide cache occupancy for CLI
-// summaries and tests.
-func PackCacheStats() (entries int, bytes int64) {
-	return defaultPackCache.Len(), defaultPackCache.Bytes()
-}
-
 // --- derived-operand constructors -------------------------------------
 
 // cachedQuantized returns t's data quantized through FP16, memoized in c
@@ -350,55 +343,6 @@ func (c *PackCache) cachedPrepackedB(w *tensor.Tensor, k, n int, prec Precision)
 	key := packKey{id: id, gen: gen, kind: packPanels, prec: prec, g0: k, g1: n}
 	v := c.getOrCompute(key, func() (any, int64) {
 		p := buildPrepacked(w.Data(), k, n, prec == FP16)
-		return p, p.bytes()
-	})
-	return v.(*prepacked)
-}
-
-// colsBudgetOK reports whether one convolution's whole column working set
-// (n images × g groups × colElems floats) fits comfortably in the cache.
-// Sequential sweeps over a working set larger than an LRU cache are the
-// pathological access pattern — every lookup misses, every miss allocates
-// and evicts — so a conv that cannot keep all its columns resident at
-// once is better off packing into pooled scratch per call.
-func (c *PackCache) colsBudgetOK(n, g, colElems int) bool {
-	return 4*int64(n)*int64(g)*int64(colElems) <= c.maxBytes/8
-}
-
-// cachedConvCols returns the packed patch matrix of one (image, group) of
-// an un-approximated convolution, memoized when x is cacheable. pl.xd is
-// x's data in the precision the GEMM will consume — raw for FP32,
-// quantized through FP16 for FP16 — and the panels are written by the same
-// packer the uncached path runs, so both hold the same values. Returns nil
-// when x has no identity; callers also gate on the working-set budget
-// before asking.
-func (c *PackCache) cachedConvCols(x *tensor.Tensor, pl *convPlan, img, grp int, prec Precision) *prepacked {
-	id, gen, ok := x.CacheKey()
-	if !ok {
-		return nil
-	}
-	groups := pl.ci / pl.cig
-	key := packKey{
-		id: id, gen: gen, kind: packCols, prec: prec,
-		g0: img*groups + grp,
-		g1: pl.kh, g2: pl.kw,
-		g3: pl.sh, g4: pl.sw,
-		g5: pl.ph, g6: pl.pw,
-		g7: groups,
-	}
-	v := c.getOrCompute(key, func() (any, int64) {
-		// Plain make, never the pool: a pooled payload could be re-issued
-		// by Scratch while an evicted entry's borrower still reads it.
-		n := pl.ncols()
-		p := &prepacked{np: n / gemmNR}
-		if p.np > 0 {
-			p.panels = make([]float32, p.np*pl.kc*gemmNR)
-			pl.packPanels(p.panels, img, grp, 0, p.np)
-		}
-		if tl := n - p.np*gemmNR; tl > 0 {
-			p.tail = make([]float32, tl*pl.kc)
-			pl.packTail(p.tail, img, grp)
-		}
 		return p, p.bytes()
 	})
 	return v.(*prepacked)

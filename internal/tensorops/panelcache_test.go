@@ -7,28 +7,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestGemmPackedBitIdentical pins the pack-once contract: a GEMM run
-// through cached prepacked panels must be bit-identical to the per-call
-// engine, cold and warm, across the full differential grid (remainder
-// rows, tail columns, sub-panel shapes).
-func TestGemmPackedBitIdentical(t *testing.T) {
+// TestMatMulPrepackedBitIdentical pins the pack-once contract: a dense
+// layer run through cached prepacked panels must be bit-identical to the
+// per-call engine, cold and warm, both precisions, across the full
+// differential grid (remainder rows, tail columns, sub-panel shapes).
+func TestMatMulPrepackedBitIdentical(t *testing.T) {
 	g := tensor.NewRNG(29)
 	for _, m := range gemmShapes {
 		for _, k := range gemmShapes {
 			for _, n := range gemmShapes {
-				a := make([]float32, m*k)
-				fillNormal(g, a)
-				bt := randTensor(g, k, n).MarkCacheable()
-				want := make([]float32, m*n)
-				Gemm(a, bt.Data(), want, m, k, n)
-				for pass := 0; pass < 2; pass++ { // cold (pack) then warm (hit)
-					got := make([]float32, m*n)
-					GemmPacked(a, bt, got, m, k, n)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("m=%d k=%d n=%d pass=%d: C[%d] = %v, uncached %v",
-								m, k, n, pass, i, got[i], want[i])
-						}
+				x := randTensor(g, m, k)
+				w := randTensor(g, k, n)
+				cw := w.Clone().MarkCacheable()
+				for _, prec := range []Precision{FP32, FP16} {
+					want := MatMul(x, w, prec)        // transient weight: packed per call
+					for pass := 0; pass < 2; pass++ { // cold (pack) then warm (hit)
+						requireSameBits(t, MatMul(x, cw, prec), want,
+							"m=%d k=%d n=%d prec=%v pass=%d", m, k, n, prec, pass)
 					}
 				}
 			}
@@ -282,10 +277,11 @@ func TestMatMulFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestConvColsCacheBitIdentical: a convolution over a cacheable input
-// (which memoizes its packed im2col columns) must match the transient
-// uncached path bit for bit, cold and warm, both precisions, including
-// grouped geometry.
+// TestConvColsCacheBitIdentical: a convolution over a cacheable input and
+// weight must match the transient path bit for bit, cold and warm, both
+// precisions, including grouped geometry — and all it may leave in the
+// cache is the FP16 copy of each operand: the packed columns are rebuilt
+// from the input on every call, never memoized.
 func TestConvColsCacheBitIdentical(t *testing.T) {
 	g := tensor.NewRNG(53)
 	cases := []ConvParams{
@@ -293,22 +289,23 @@ func TestConvColsCacheBitIdentical(t *testing.T) {
 		{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
 		{Groups: 2, PadH: 1, PadW: 1},
 	}
+	shared := defaultPackCache
+	defer func() { defaultPackCache = shared }()
 	for _, p := range cases {
 		x := randTensor(g, 2, 4, 9, 9)
 		w := randTensor(g, 8, 4/p.Norm().Groups, 3, 3)
-		cx := x.Clone().MarkCacheable()
+		cx, cw := x.Clone().MarkCacheable(), w.Clone().MarkCacheable()
+		defaultPackCache = NewPackCache(1 << 20)
 		for _, prec := range []Precision{FP32, FP16} {
-			want := Conv2D(x, w, p, prec) // transient input: never cached
+			want := Conv2D(x, w, p, prec) // transient operands: never cached
 			for pass := 0; pass < 2; pass++ {
-				got := Conv2D(cx, w, p, prec)
-				wd, gd := want.Data(), got.Data()
-				for i := range wd {
-					if wd[i] != gd[i] {
-						t.Fatalf("p=%+v prec=%v pass=%d: out[%d] = %v, uncached %v",
-							p, prec, pass, i, gd[i], wd[i])
-					}
-				}
+				requireSameBits(t, Conv2D(cx, cw, p, prec), want, "p=%+v prec=%v pass=%d", p, prec, pass)
 			}
+		}
+		c := defaultPackCache
+		if wantBytes := int64(4 * (x.Elems() + w.Elems())); c.Len() != 2 || c.Bytes() != wantBytes {
+			t.Errorf("p=%+v: cache holds %d entries / %d bytes, want the 2 quantized copies / %d bytes",
+				p, c.Len(), c.Bytes(), wantBytes)
 		}
 	}
 }
