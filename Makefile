@@ -1,12 +1,12 @@
 # Tier-1 verification gate: everything `make ci` runs must stay green.
-# CI = formatting check + vet + project lint (source + IR) + build +
+# CI = formatting check + vet + FMA guard + project lint (source + IR) + build +
 # smokes + race-enabled tests + the repo benchmark's own tests.
 
 GO ?= go
 
-.PHONY: ci fmt-check vet lint lint-registry build test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
+.PHONY: ci fmt-check vet no-fma lint lint-registry build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
 
-ci: fmt-check vet lint lint-registry build bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
+ci: fmt-check vet no-fma lint lint-registry build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -16,6 +16,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Every assembly kernel is pinned bit-identical to a scalar reference that
+# rounds the product and the sum separately; one fused multiply-add breaks
+# all of those pins at once.
+no-fma:
+	@! grep -rnE 'VFN?M(ADD|SUB)' --include='*.s' internal/
 
 # Project-specific static analysis (cmd/approxlint): twelve go/ast+go/types
 # analyzers over the source tree (per-package analysis parallelized with
@@ -38,6 +44,11 @@ lint-registry:
 
 build:
 	$(GO) build ./...
+
+# The portable kernels behind the amd64 assembly must keep compiling.
+build-portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/cpu ./internal/tensor ./internal/tensorops
 
 test:
 	$(GO) test ./...

@@ -38,6 +38,7 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/serve"
 	"repro/internal/tensor"
+	"repro/internal/tensorops"
 )
 
 func main() {
@@ -148,8 +149,8 @@ func main() {
 	if err := srv.Start(*addr); err != nil {
 		log.Fatalf("approxserve: %v", err)
 	}
-	logger.Infof("approxserve: serving %s on %s (SLO %v, window %d, max batch %d, %d curve points)\n",
-		program, srv.Addr(), *slo, *window, *maxBatch, curve.Len())
+	logger.Infof("approxserve: serving %s on %s (SLO %v, window %d, max batch %d, %d curve points, %s kernels)\n",
+		program, srv.Addr(), *slo, *window, *maxBatch, curve.Len(), tensorops.KernelTier())
 	if *readyFile != "" {
 		if err := os.WriteFile(*readyFile, []byte(srv.Addr()), 0o644); err != nil {
 			log.Fatalf("approxserve: %v", err)

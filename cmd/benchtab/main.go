@@ -13,10 +13,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/tensorops"
 )
 
 func main() {
@@ -107,6 +109,9 @@ func main() {
 		}
 	}
 
+	// Times below depend on which kernels ran; two hosts' numbers are not
+	// comparable without this line.
+	fmt.Printf("benchtab: %s/%s, GOMAXPROCS %d, %s kernels\n\n", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), tensorops.KernelTier())
 	ran := 0
 	for _, r := range all {
 		if !want[r.name] {

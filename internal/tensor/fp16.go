@@ -25,7 +25,12 @@ func F32ToF16(f float32) uint16 {
 		return sign | 0x7c00
 	case exp > 142: // overflow (unbiased exp > 15): round to infinity
 		return sign | 0x7c00
-	case exp < 103: // underflows to zero even as subnormal (unbiased < -24)
+	case exp < 103: // below the smallest subnormal half, 2^-24
+		if exp == 102 && mant != 0 {
+			// Strictly above the half-way point 2^-25: nearest is 2^-24.
+			// (Exactly 2^-25 ties to even, which is zero.)
+			return sign | 1
+		}
 		return sign
 	case exp < 113: // subnormal half
 		// Shift mantissa (with implicit leading 1) right so the exponent
@@ -94,7 +99,9 @@ func F16ToF32(h uint16) float32 {
 // Everything else (zeros, subnormal halves, overflow candidates at
 // exponent 142, Inf, NaN) goes through the reference conversion pair, so
 // the result is bit-identical to F16ToF32(F32ToF16(v)) for every input
-// (fp16_test.go sweeps the encoding space to pin this).
+// (fp16_test.go sweeps the encoding space to pin this). The fast path
+// covers exponents 113–141 only, so F32ToF16's rounding at the underflow
+// edge (exponent 102) does not reach it.
 func QuantizeFP16(v float32) float32 {
 	bits := math.Float32bits(v)
 	if e := (bits >> 23) & 0xff; e-113 < 29 {
@@ -104,13 +111,23 @@ func QuantizeFP16(v float32) float32 {
 	return F16ToF32(F32ToF16(v))
 }
 
+// quantizeBulk, when non-nil, is the vector tier of QuantizeFP16Slice: it
+// quantizes a leading run of src into dst and returns the run's length. On
+// amd64 with F16C it is the VCVTPS2PH/VCVTPH2PS kernel (fp16_amd64.s),
+// bit-identical to QuantizeFP16; elsewhere it stays nil. Tests swap it.
+var quantizeBulk func(dst, src []float32) int
+
 // QuantizeFP16Slice quantizes src through half precision into dst
 // (dst and src may be the same slice). It is the bulk entry point the
 // kernel paths use; len(dst) must be at least len(src).
 func QuantizeFP16Slice(dst, src []float32) {
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = QuantizeFP16(v)
+	done := 0
+	if quantizeBulk != nil {
+		done = quantizeBulk(dst, src)
+	}
+	for i := done; i < len(src); i++ {
+		dst[i] = QuantizeFP16(src[i])
 	}
 }
 

@@ -157,74 +157,78 @@ func withProcs(t *testing.T, procs []int, fn func(t *testing.T)) {
 // to the reference over stride {1,2} × pad {0,1,2} × kernel {1,3,5} ×
 // Wo mod 4 ∈ {0,1,2,3} × channel layouts (blocked with remainder rows,
 // grouped, small-m grouped, depthwise) × precision × every knob, cycling
-// the epilogues, plus the degenerate outputs narrower than one panel.
+// the epilogues, plus the degenerate outputs narrower than one panel —
+// once per kernel tier the CPU has.
 func TestConvDirectMatchesReference(t *testing.T) {
 	type layout struct{ ci, co, groups int }
 	layouts := []layout{{3, 6, 1}, {4, 12, 2}, {4, 4, 2}, {4, 4, 4}}
 	knobs := allConvKnobs()
 	withProcs(t, []int{1, 3}, func(t *testing.T) {
-		g := tensor.NewRNG(41)
-		cases := 0
-		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1, 2} {
-				for _, k := range []int{1, 3, 5} {
-					for wi := 0; wi < 4; wi++ {
-						// Four input widths whose output widths are
-						// consecutive, so all residues mod 4 occur.
-						h, w := 6+k, 5+k+wi*stride
-						for li, l := range layouts {
-							p := ConvParams{StrideH: stride, StrideW: stride, PadH: pad, PadW: pad, Groups: l.groups}
-							x := randTensor(g, 2, l.ci, h, w)
-							wt := randTensor(g, l.co, l.ci/l.groups, k, k)
-							if (wi+li)%2 == 0 {
-								wt.MarkCacheable() // sampled filters and FP16 weights via the pack cache
-							}
-							eps := diffEpilogues(randTensor(g, l.co))
-							for _, prec := range []Precision{FP32, FP16} {
-								for ki, knob := range knobs {
-									ep := eps[(cases+ki)%len(eps)]
-									want := refConvolve(x, wt, p, prec, knob, ep)
-									got := engineConvolve(x, wt, p, prec, knob, ep)
-									requireSameBits(t, got, want, "stride=%d pad=%d k=%d in=%dx%d layout=%+v %v %v ep=%d",
-										stride, pad, k, h, w, l, prec, knob, (cases+ki)%len(eps))
+		forEachTier(t, func(t *testing.T) {
+			g := tensor.NewRNG(41)
+			cases := 0
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []int{0, 1, 2} {
+					for _, k := range []int{1, 3, 5} {
+						for wi := 0; wi < 4; wi++ {
+							// Four input widths whose output widths are
+							// consecutive, so all residues mod 4 occur.
+							h, w := 6+k, 5+k+wi*stride
+							for li, l := range layouts {
+								p := ConvParams{StrideH: stride, StrideW: stride, PadH: pad, PadW: pad, Groups: l.groups}
+								x := randTensor(g, 2, l.ci, h, w)
+								wt := randTensor(g, l.co, l.ci/l.groups, k, k)
+								if (wi+li)%2 == 0 {
+									wt.MarkCacheable() // sampled filters and FP16 weights via the pack cache
 								}
-								// The cached-columns path: cold build, then hit.
-								cx := x.Clone().MarkCacheable()
-								want := refConvolve(x, wt, p, prec, convKnob{}, eps[1])
-								for pass := 0; pass < 2; pass++ {
-									requireSameBits(t, Conv2DFused(cx, wt, p, prec, eps[1]), want,
-										"cacheable pass %d stride=%d pad=%d k=%d in=%dx%d layout=%+v %v", pass, stride, pad, k, h, w, l, prec)
+								eps := diffEpilogues(randTensor(g, l.co))
+								for _, prec := range []Precision{FP32, FP16} {
+									for ki, knob := range knobs {
+										ep := eps[(cases+ki)%len(eps)]
+										want := refConvolve(x, wt, p, prec, knob, ep)
+										got := engineConvolve(x, wt, p, prec, knob, ep)
+										requireSameBits(t, got, want, "stride=%d pad=%d k=%d in=%dx%d layout=%+v %v %v ep=%d",
+											stride, pad, k, h, w, l, prec, knob, (cases+ki)%len(eps))
+									}
+									// The cached-columns path: cold build, then hit.
+									cx := x.Clone().MarkCacheable()
+									want := refConvolve(x, wt, p, prec, convKnob{}, eps[1])
+									for pass := 0; pass < 2; pass++ {
+										requireSameBits(t, Conv2DFused(cx, wt, p, prec, eps[1]), want,
+											"cacheable pass %d stride=%d pad=%d k=%d in=%dx%d layout=%+v %v", pass, stride, pad, k, h, w, l, prec)
+									}
+									InvalidatePacked(cx)
 								}
-								InvalidatePacked(cx)
+								InvalidatePacked(wt)
+								cases++
 							}
-							InvalidatePacked(wt)
-							cases++
 						}
 					}
 				}
 			}
-		}
-		// Outputs with fewer than gemmNR positions (tail only), before and
-		// after perforation removes some.
-		for _, hw := range [][2]int{{3, 3}, {3, 4}, {4, 5}, {5, 3}} {
-			p := ConvParams{}
-			x := randTensor(g, 1, 5, hw[0], hw[1])
-			wt := randTensor(g, 7, 5, 3, 3)
-			for _, prec := range []Precision{FP32, FP16} {
-				for _, knob := range knobs {
-					want := refConvolve(x, wt, p, prec, knob, Epilogue{})
-					requireSameBits(t, engineConvolve(x, wt, p, prec, knob, Epilogue{}), want, "tiny %v %v %v", hw, prec, knob)
+			// Outputs with fewer than gemmNR positions (tail only), before and
+			// after perforation removes some.
+			for _, hw := range [][2]int{{3, 3}, {3, 4}, {4, 5}, {5, 3}} {
+				p := ConvParams{}
+				x := randTensor(g, 1, 5, hw[0], hw[1])
+				wt := randTensor(g, 7, 5, 3, 3)
+				for _, prec := range []Precision{FP32, FP16} {
+					for _, knob := range knobs {
+						want := refConvolve(x, wt, p, prec, knob, Epilogue{})
+						requireSameBits(t, engineConvolve(x, wt, p, prec, knob, Epilogue{}), want, "tiny %v %v %v", hw, prec, knob)
+					}
 				}
 			}
-		}
+		})
 	})
 }
 
 // FuzzConvDirectVsReference draws a convolution — shape, stride, padding,
 // grouping, precision, epilogue, knob, GOMAXPROCS — from the fuzz input and
-// requires the engine and the reference to agree bit for bit. The seed
-// corpus is committed under testdata/fuzz (one entry per engine path) and
-// runs as part of the ordinary test suite; `make fuzz-smoke` mutates it.
+// requires the engine, under every kernel tier the CPU has, and the
+// reference to agree bit for bit. The seed corpus is committed under
+// testdata/fuzz (one entry per engine path) and runs as part of the
+// ordinary test suite; `make fuzz-smoke` mutates it.
 func FuzzConvDirectVsReference(f *testing.F) {
 	knobs := allConvKnobs()
 	f.Fuzz(func(t *testing.T, seed int64, b []byte) {
@@ -260,7 +264,11 @@ func FuzzConvDirectVsReference(f *testing.F) {
 		ep := diffEpilogues(randTensor(g, cog*p.Groups))[pick(14, 0, 3)]
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(pick(15, 1, 4)))
 		want := refConvolve(x, wt, p, prec, knob, ep)
-		got := engineConvolve(x, wt, p, prec, knob, ep)
-		requireSameBits(t, got, want, "n=%d cig=%d cog=%d in=%dx%d k=%dx%d %+v %v %v", n, cig, cog, h, w, kh, kw, p, prec, knob)
+		defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
+		for tier := tierPortable; tier <= bestTier(); tier++ {
+			gemmTier = tier
+			got := engineConvolve(x, wt, p, prec, knob, ep)
+			requireSameBits(t, got, want, "tier=%v n=%d cig=%d cog=%d in=%dx%d k=%dx%d %+v %v %v", tier, n, cig, cog, h, w, kh, kw, p, prec, knob)
+		}
 	})
 }

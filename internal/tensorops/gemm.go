@@ -13,20 +13,36 @@
 // shrinks) — see convpack.go. Reduction sampling likewise visits only the
 // sampled window elements. FP16, PROMISE and int8 remain emulation: values
 // are quantized or perturbed through their target format and computed in
-// float32, which costs extra passes rather than saving any. For those —
-// and for energy everywhere — the time impact is modeled analytically by
-// internal/device using the compute/memory reduction factors of §3.4;
-// EXPERIMENTS.md sets the measured speedups beside the modeled ones.
+// float32, so they add passes rather than save any. The FP16 pass is one
+// F16C round trip per eight floats where the CPU has it, which brings an
+// all-FP16 execution to within about a tenth of the exact one but not below
+// it. For those — and for energy everywhere — the time impact is modeled
+// analytically by internal/device using the compute/memory reduction
+// factors of §3.4; EXPERIMENTS.md sets the measured speedups beside the
+// modeled ones.
+//
+// Kernel tiers. The full-block GEMM micro-kernel exists three times and the
+// CPU picks one at start-up (internal/cpu: CPUID + XGETBV, no flag,
+// environment variable or build tag): an AVX kernel computing a 4×8 tile
+// from two adjacent panels (gemm_avx_amd64.s) where the processor has AVX
+// and the OS saves YMM state; the SSE2 4×4 kernel (gemm_amd64.s) on every
+// other amd64, and for an odd last panel under AVX; the pure Go microKernel4
+// everywhere else. tensor.QuantizeFP16Slice has a vector tier of its own
+// when F16C is present as well. KernelTier reports the choice. No kernel
+// uses a fused multiply-add: its single rounding differs from the separate
+// product and sum of the scalar reference, and every pin below is
+// bit-for-bit.
 //
 // Every fast path is pinned bit-identical to a retained reference: the
-// blocked GEMM and its SSE2 kernel against the naive triple loop
+// blocked GEMM under each tier against the naive triple loop
 // (gemm_test.go), the fused epilogues against the separate-pass chain
 // (panelcache_test.go), and the direct-pack convolution with its N- and
 // K-shrinking against im2col + reference GEMM computing everything
-// (convdiff_test.go, table and fuzz).
+// (convdiff_test.go, table and fuzz, again under each tier).
 package tensorops
 
 import (
+	"repro/internal/cpu"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -58,6 +74,36 @@ const (
 	gemmMR = 4 // micro-tile rows (rows of A per inner kernel)
 	gemmNR = 4 // micro-tile columns (panel width)
 )
+
+// kernelTier names an implementation of the full-block micro-kernel. All
+// tiers perform the same float32 operation sequence per output element and
+// are pinned bit-identical to each other and to the reference.
+type kernelTier int
+
+// Ascending: a CPU that runs a tier runs every tier below it.
+const (
+	tierPortable kernelTier = iota // pure Go microKernel4, every architecture
+	tierSSE2                       // 4×4 tile, gemm_amd64.s, every amd64
+	tierAVX                        // 4×8 tile over panel pairs, gemm_avx_amd64.s
+)
+
+// gemmTier is the tier gemmRowBlock runs, chosen once from what the CPU
+// reports (internal/cpu). Nothing but the tests assigns it again.
+var gemmTier = bestTier()
+
+func (t kernelTier) String() string {
+	return [...]string{"portable", "sse2", "avx"}[t]
+}
+
+// KernelTier names the kernels this process runs — "avx+f16c" (AVX GEMM
+// tile and F16C FP16 round trip), "avx", "sse2" or "portable" — so that
+// speed numbers from two hosts are never compared without it.
+func KernelTier() string {
+	if gemmTier == tierAVX && cpu.F16C {
+		return "avx+f16c"
+	}
+	return gemmTier.String()
+}
 
 // Gemm computes C = A·B for row-major A (m×k), B (k×n), C (m×n).
 // C must be zeroed by the caller if pure assignment is wanted; Gemm
@@ -184,10 +230,21 @@ func gemmBlockRange(blo, bhi int, a, b, c, packed, tail []float32, m, k, n, np i
 
 // gemmRowBlock accumulates the `rows` (≤ gemmMR) rows of C starting at row
 // i0 against np consecutive packed panels, into C columns j0 onward (ldc is
-// C's row stride): the 4×4 micro-tile for a full block, the 1×4 edge kernel
-// for remainder rows.
+// C's row stride). A full block goes through the widest tier the CPU has:
+// the AVX kernel takes the panels two at a time and leaves an odd last one
+// to the 4×4 micro-tile; remainder rows take the 1×4 edge kernel.
 func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
+	if k == 0 {
+		return
+	}
 	if rows == gemmMR {
+		jp := 0
+		if gemmTier == tierAVX {
+			jp = panelPairsAVX(a, c, panels, i0, k, ldc, j0, np)
+		}
+		if jp == np {
+			return
+		}
 		a0 := a[i0*k : (i0+1)*k]
 		a1 := a[(i0+1)*k : (i0+2)*k]
 		a2 := a[(i0+2)*k : (i0+3)*k]
@@ -196,7 +253,7 @@ func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
 		c1 := c[(i0+1)*ldc+j0 : (i0+2)*ldc]
 		c2 := c[(i0+2)*ldc+j0 : (i0+3)*ldc]
 		c3 := c[(i0+3)*ldc+j0 : (i0+4)*ldc]
-		for jp := 0; jp < np; jp++ {
+		for ; jp < np; jp++ {
 			panel := panels[jp*k*gemmNR : (jp+1)*k*gemmNR]
 			j := jp * gemmNR
 			microTile4(a0, a1, a2, a3, panel,
@@ -267,8 +324,11 @@ func packRange(plo, phi int, b, packed []float32, k, n int, quantB bool) {
 // accumulators. The a slices are the four A rows (equal length k); panel is
 // the packed B panel (k×gemmNR); c0..c3 are the four gemmNR-wide C row
 // segments. It is the portable implementation behind microTile4 — on amd64
-// the SSE2 kernel in gemm_amd64.s runs instead, computing the same
-// operation sequence per output element.
+// the assembly kernels run instead, computing the same operation sequence
+// per output element. No tier tests for zero A elements: an accumulator
+// that starts at +0 is never −0, so a ±0 product leaves it unchanged and
+// skipping one is not observable on finite operands; since filter sampling
+// compacts K instead of zeroing it, there is also nothing left to skip.
 func microKernel4(a0, a1, a2, a3, panel []float32, c0, c1, c2, c3 []float32) {
 	kc := len(a0)
 	a1 = a1[:kc]
@@ -281,10 +341,6 @@ func microKernel4(a0, a1, a2, a3, panel []float32, c0, c1, c2, c3 []float32) {
 	var s30, s31, s32, s33 float32
 	for l := 0; l < kc; l++ {
 		v0, v1, v2, v3 := a0[l], a1[l], a2[l], a3[l]
-		//lint:ignore floateq panel-level sparsity fast path: filter sampling zeroes the same flattened positions in every filter, so whole A columns vanish and contribute nothing
-		if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-			continue
-		}
 		pi := l * gemmNR
 		p := panel[pi : pi+gemmNR]
 		b0, b1, b2, b3 := p[0], p[1], p[2], p[3]

@@ -2,8 +2,9 @@
 // lane over the full K extent in ascending-l order with separate MULPS and
 // ADDPS (no FMA), so every lane performs exactly the float32 operation
 // sequence of the scalar reference kernel and the result is bit-identical
-// for a zeroed C. SSE2 is in the amd64 baseline (GOAMD64=v1), so this
-// needs no runtime feature detection.
+// for a zeroed C. SSE2 is in the amd64 baseline (GOAMD64=v1), so this is
+// the tier every amd64 can run; where the CPU has AVX it handles only an odd
+// last panel (gemm_avx_amd64.s takes the pairs).
 
 #include "textflag.h"
 
@@ -13,10 +14,8 @@
 //   R8..R11  A row pointers      X0      packed {v0,v1,v2,v3}
 //   R12      panel cursor        X1..X3  row-element loads
 //   SI       kc                  X4..X7  accumulator rows of the 4×4 tile
-//   DX       l                   X8      zero-test scratch
-//   AX       zero-test mask      X9      panel row {b0,b1,b2,b3}
+//   DX       l                   X9      panel row {b0,b1,b2,b3}
 //                                X10..X13 broadcast temporaries
-//                                X15     constant zero
 TEXT ·microKernel4SSE(SB), NOSPLIT, $0-80
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
@@ -28,7 +27,6 @@ TEXT ·microKernel4SSE(SB), NOSPLIT, $0-80
 	XORPS X5, X5
 	XORPS X6, X6
 	XORPS X7, X7
-	XORPS X15, X15
 	XORQ  DX, DX
 	JMP   cond
 
@@ -42,15 +40,6 @@ loop:
 	UNPCKLPS X1, X0
 	UNPCKLPS X3, X2
 	MOVLHPS X2, X0
-
-	// Panel-level sparsity fast path: if all four lanes are bitwise +0.0
-	// (how filter sampling zeroes weights), the column contributes nothing.
-	// Integer compare keeps this in SSE2 and sidesteps NaN semantics.
-	MOVOU X0, X8
-	PCMPEQL X15, X8
-	PMOVMSKB X8, AX
-	CMPL AX, $0xFFFF
-	JEQ  skip
 
 	// C[r][0:4] += v_r * {b0,b1,b2,b3} for r = 0..3.
 	MOVUPS (R12), X9
@@ -71,7 +60,6 @@ loop:
 	MULPS  X9, X13
 	ADDPS  X13, X7
 
-skip:
 	ADDQ $16, R12
 	INCQ DX
 

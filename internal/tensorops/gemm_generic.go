@@ -2,8 +2,14 @@
 
 package tensorops
 
-// microTile4 falls back to the portable micro-kernel on platforms without
-// an assembly implementation.
+// Platforms without an assembly implementation run the portable Go
+// micro-kernels only.
+
+func bestTier() kernelTier { return tierPortable }
+
 func microTile4(a0, a1, a2, a3, panel []float32, c0, c1, c2, c3 []float32) {
 	microKernel4(a0, a1, a2, a3, panel, c0, c1, c2, c3)
 }
+
+// panelPairsAVX is never reached: gemmTier is tierPortable here.
+func panelPairsAVX(a, c, panels []float32, i0, k, ldc, j0, np int) int { return 0 }

@@ -2,6 +2,7 @@ package tensorops
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/tensor"
@@ -40,83 +41,108 @@ func fillNormal(g *tensor.RNG, d []float32) {
 // rows, N tail columns, sub-panel matrices).
 var gemmShapes = []int{1, 3, 7, 17, 64, 129}
 
+// forEachTier runs fn once per kernel tier — AVX, SSE2, portable — as a
+// subtest named after the tier, with the dispatch variable swapped for its
+// duration. A tier this CPU or architecture lacks is skipped with a message.
+// Every tier is held to the same reference, so they are bit-identical to
+// each other as well.
+func forEachTier(t *testing.T, fn func(t *testing.T)) {
+	for _, tier := range []kernelTier{tierAVX, tierSSE2, tierPortable} {
+		t.Run(tier.String(), func(t *testing.T) {
+			if tier > bestTier() {
+				t.Skipf("no %v kernel tier on this CPU/architecture", tier)
+			}
+			defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
+			gemmTier = tier
+			fn(t)
+		})
+	}
+}
+
 func TestGemmMatchesReferenceExactly(t *testing.T) {
-	g := tensor.NewRNG(11)
-	for _, m := range gemmShapes {
-		for _, k := range gemmShapes {
-			for _, n := range gemmShapes {
-				a := make([]float32, m*k)
-				b := make([]float32, k*n)
-				fillNormal(g, a)
-				fillNormal(g, b)
-				got := make([]float32, m*n)
-				want := make([]float32, m*n)
-				Gemm(a, b, got, m, k, n)
-				gemmRef(a, b, want, m, k, n)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("m=%d k=%d n=%d: C[%d] = %v, reference %v (must be bit-identical into zeroed C)",
-							m, k, n, i, got[i], want[i])
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(11)
+		for _, m := range gemmShapes {
+			for _, k := range gemmShapes {
+				for _, n := range gemmShapes {
+					a := make([]float32, m*k)
+					b := make([]float32, k*n)
+					fillNormal(g, a)
+					fillNormal(g, b)
+					got := make([]float32, m*n)
+					want := make([]float32, m*n)
+					Gemm(a, b, got, m, k, n)
+					gemmRef(a, b, want, m, k, n)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("m=%d k=%d n=%d: C[%d] = %v, reference %v (must be bit-identical into zeroed C)",
+								m, k, n, i, got[i], want[i])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestGemmSparseAMatchesReference(t *testing.T) {
-	// Filter-sampling-style sparsity: the same flattened positions zeroed
-	// in every row of A, which the panel-level fast path skips whole.
-	g := tensor.NewRNG(12)
-	for _, stride := range []int{2, 3, 4} {
-		m, k, n := 9, 35, 21
+	forEachTier(t, func(t *testing.T) {
+		// Filter-sampling-style sparsity: the same flattened positions zeroed
+		// in every row of A. No tier skips them; their ±0 products must leave
+		// the accumulators as the reference's skip does.
+		g := tensor.NewRNG(12)
+		for _, stride := range []int{2, 3, 4} {
+			m, k, n := 9, 35, 21
+			a := make([]float32, m*k)
+			b := make([]float32, k*n)
+			fillNormal(g, a)
+			fillNormal(g, b)
+			for i := 0; i < m; i++ {
+				for l := 0; l < k; l++ {
+					if l%stride == 0 {
+						a[i*k+l] = 0
+					}
+				}
+			}
+			got := make([]float32, m*n)
+			want := make([]float32, m*n)
+			Gemm(a, b, got, m, k, n)
+			gemmRef(a, b, want, m, k, n)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("stride=%d: C[%d] = %v, reference %v", stride, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+func TestGemmAccumulatesIntoNonZeroC(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		// With a pre-filled C the engine computes c + (t0+t1+…) while the
+		// reference computes ((c+t0)+t1)+…; equal within rounding tolerance.
+		g := tensor.NewRNG(13)
+		m, k, n := 17, 29, 23
 		a := make([]float32, m*k)
 		b := make([]float32, k*n)
 		fillNormal(g, a)
 		fillNormal(g, b)
-		for i := 0; i < m; i++ {
-			for l := 0; l < k; l++ {
-				if l%stride == 0 {
-					a[i*k+l] = 0
-				}
-			}
-		}
 		got := make([]float32, m*n)
 		want := make([]float32, m*n)
+		fillNormal(g, got)
+		copy(want, got)
 		Gemm(a, b, got, m, k, n)
 		gemmRef(a, b, want, m, k, n)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("stride=%d: C[%d] = %v, reference %v", stride, i, got[i], want[i])
+			d := float64(got[i]) - float64(want[i])
+			if d < 0 {
+				d = -d
+			}
+			if d > 1e-5 {
+				t.Fatalf("C[%d] = %v, reference %v (|Δ| %v > 1e-5)", i, got[i], want[i], d)
 			}
 		}
-	}
-}
-
-func TestGemmAccumulatesIntoNonZeroC(t *testing.T) {
-	// With a pre-filled C the engine computes c + (t0+t1+…) while the
-	// reference computes ((c+t0)+t1)+…; equal within rounding tolerance.
-	g := tensor.NewRNG(13)
-	m, k, n := 17, 29, 23
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	fillNormal(g, a)
-	fillNormal(g, b)
-	got := make([]float32, m*n)
-	want := make([]float32, m*n)
-	fillNormal(g, got)
-	copy(want, got)
-	Gemm(a, b, got, m, k, n)
-	gemmRef(a, b, want, m, k, n)
-	for i := range want {
-		d := float64(got[i]) - float64(want[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > 1e-5 {
-			t.Fatalf("C[%d] = %v, reference %v (|Δ| %v > 1e-5)", i, got[i], want[i], d)
-		}
-	}
+	})
 }
 
 func TestGemmEngineQuantBMatchesQuantizedReference(t *testing.T) {
@@ -190,6 +216,75 @@ func TestGemmDegenerateDims(t *testing.T) {
 		t.Fatalf("k=0 Gemm mutated C: %v", c[0])
 	}
 	Gemm(nil, nil, nil, 0, 3, 0) // empty: no panic
+}
+
+// TestKernelTierNamesTheDispatch pins the reported name to what runs: the
+// widest tier available is the one selected at start-up, and the name
+// follows the dispatch variable when a test swaps it.
+func TestKernelTierNamesTheDispatch(t *testing.T) {
+	if gemmTier != bestTier() {
+		t.Fatalf("start-up tier %v is not the widest available, %v", gemmTier, bestTier())
+	}
+	names := map[string]bool{}
+	forEachTier(t, func(t *testing.T) {
+		names[KernelTier()] = true
+		if got := KernelTier(); got != gemmTier.String() && got != "avx+f16c" {
+			t.Fatalf("KernelTier() = %q under tier %v", got, gemmTier)
+		}
+	})
+	if len(names) != int(bestTier())+1 {
+		t.Fatalf("%d tiers reported as %v", bestTier()+1, names)
+	}
+}
+
+// TestGemmRowBlockPanelCountsAndOffsets drives gemmRowBlock directly where
+// the grid's shapes do not reach: every panel count 1…7 (so the AVX tier
+// sees zero to three pairs with and without an odd last panel), k from 0
+// through both parities of its two-step unrolled loop, and A, the panels and
+// the C row segments starting at addresses that are not 32-byte aligned,
+// with C's row stride odd. Guard values around each C segment catch a store
+// outside it.
+func TestGemmRowBlockPanelCountsAndOffsets(t *testing.T) {
+	const guard = float32(-777.25)
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(19)
+		shifted := func(n, off int) []float32 { return make([]float32, n+off)[off:] }
+		for _, k := range []int{0, 1, 2, 5, 32, 33} {
+			for np := 1; np <= 7; np++ {
+				for _, off := range []int{0, 1, 3, 5} {
+					n := np * gemmNR
+					a, b := shifted(gemmMR*k, off), make([]float32, k*n)
+					fillNormal(g, a)
+					fillNormal(g, b)
+					packed := shifted(np*k*gemmNR, off)
+					packRange(0, np, b, packed, k, n, false)
+					want := make([]float32, gemmMR*n)
+					gemmRef(a, b, want, gemmMR, k, n)
+
+					j0, ldc := off, n+2*off+1
+					c := shifted(gemmMR*ldc, off)
+					for i := range c {
+						c[i] = guard
+					}
+					for r := 0; r < gemmMR; r++ {
+						clear(c[r*ldc+j0 : r*ldc+j0+n])
+					}
+					gemmRowBlock(a, c, packed, 0, gemmMR, k, ldc, j0, np)
+					for i, v := range c {
+						r, j := i/ldc, i%ldc-j0
+						switch {
+						case j < 0 || j >= n:
+							if v != guard {
+								t.Fatalf("k=%d np=%d off=%d: wrote outside the tile at C[%d][%d]", k, np, off, r, j)
+							}
+						case math.Float32bits(v) != math.Float32bits(want[r*n+j]):
+							t.Fatalf("k=%d np=%d off=%d: C[%d][%d] = %v, reference %v", k, np, off, r, j, v, want[r*n+j])
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // naiveConv32 is a float32-accumulation direct convolution whose reduction

@@ -169,33 +169,51 @@ func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, 
 	}
 	out := tensor.New(n, c, ho, wo)
 	od := out.Data()
-	keep := func(i int) bool { return (i*num)%den < num }
+	// The window's kept taps, found once: tap k = ky·KW+kx survives
+	// sampling when (k·num) mod den < num. off is the tap's distance from
+	// the window's top-left input element.
+	type tap struct{ ky, kx, off int }
+	kept := make([]tap, 0, p.KH*p.KW)
+	for k := 0; k < p.KH*p.KW; k++ {
+		if (k*num)%den < num {
+			kept = append(kept, tap{k / p.KW, k % p.KW, k/p.KW*w + k%p.KW})
+		}
+	}
 	parallel.For(n*c, func(nc int) {
 		inBase := nc * h * w
 		outBase := nc * ho * wo
 		for oy := 0; oy < ho; oy++ {
+			iy0 := oy*p.StrideH - p.PadH
+			rowInside := iy0 >= 0 && iy0+p.KH <= h
 			for ox := 0; ox < wo; ox++ {
+				ix0 := ox*p.StrideW - p.PadW
+				origin := inBase + iy0*w + ix0
 				var acc float64
 				count := 0
 				best := float32(math.Inf(-1))
-				idx := 0
-				for ky := 0; ky < p.KH; ky++ {
-					iy := oy*p.StrideH - p.PadH + ky
-					for kx := 0; kx < p.KW; kx++ {
-						ix := ox*p.StrideW - p.PadW + kx
-						k := idx
-						idx++
-						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+				switch {
+				case !rowInside || ix0 < 0 || ix0+p.KW > w:
+					// A border window tests each tap against the input.
+					for _, t := range kept {
+						if uint(iy0+t.ky) >= uint(h) || uint(ix0+t.kx) >= uint(w) {
 							continue
 						}
-						if !keep(k) {
-							continue
-						}
-						v := xd[inBase+iy*w+ix]
+						v := xd[origin+t.off]
 						if avg {
 							acc += float64(v)
 							count++
 						} else if v > best {
+							best = v
+						}
+					}
+				case avg:
+					for _, t := range kept {
+						acc += float64(xd[origin+t.off])
+					}
+					count = len(kept)
+				default:
+					for _, t := range kept {
+						if v := xd[origin+t.off]; v > best {
 							best = v
 						}
 					}

@@ -109,6 +109,75 @@ func TestAvgPoolPaddingExcludedFromCount(t *testing.T) {
 	}
 }
 
+// refPool is the pooling loop as it was before the keep table and the
+// interior/border split: every tap of every window tested for bounds and
+// for sampling. poolSampled must reproduce it bit for bit.
+func refPool(x *tensor.Tensor, p PoolParams, avg bool, num, den int) *tensor.Tensor {
+	p = p.Norm()
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	ho := tensor.ConvOutDim(h, p.KH, p.StrideH, p.PadH)
+	wo := tensor.ConvOutDim(w, p.KW, p.StrideW, p.PadW)
+	out := tensor.New(n, c, ho, wo)
+	for nc := 0; nc < n*c; nc++ {
+		for oy := 0; oy < ho; oy++ {
+			for ox := 0; ox < wo; ox++ {
+				var acc float64
+				count := 0
+				best := float32(math.Inf(-1))
+				for ky := 0; ky < p.KH; ky++ {
+					for kx := 0; kx < p.KW; kx++ {
+						iy, ix := oy*p.StrideH-p.PadH+ky, ox*p.StrideW-p.PadW+kx
+						if iy < 0 || iy >= h || ix < 0 || ix >= w || ((ky*p.KW+kx)*num)%den >= num {
+							continue
+						}
+						v := x.Data()[nc*h*w+iy*w+ix]
+						acc += float64(v)
+						count++
+						if v > best {
+							best = v
+						}
+					}
+				}
+				var r float32
+				switch {
+				case count == 0:
+				case avg:
+					r = float32(acc / float64(count))
+				default:
+					r = best
+				}
+				out.Data()[nc*ho*wo+oy*wo+ox] = r
+			}
+		}
+	}
+	return out
+}
+
+func TestPoolMatchesReferenceLoop(t *testing.T) {
+	g := tensor.NewRNG(21)
+	ratios := [][2]int{{1, 1}, {1, 2}, {2, 5}, {1, 4}, {3, 4}}
+	for _, k := range [][2]int{{2, 2}, {3, 3}, {2, 3}, {5, 1}} {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, 2} {
+				p := PoolParams{KH: k[0], KW: k[1], StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+				for _, hw := range [][2]int{{5, 5}, {7, 4}, {9, 11}} {
+					if hw[0]+2*pad < k[0] || hw[1]+2*pad < k[1] {
+						continue
+					}
+					x := randTensor(g, 2, 3, hw[0], hw[1])
+					for _, r := range ratios {
+						for _, avg := range []bool{false, true} {
+							got := poolSampled(x, p, FP32, avg, r[0], r[1])
+							requireSameBits(t, got, refPool(x, p, avg, r[0], r[1]),
+								"pool %+v in=%v avg=%v ratio=%d/%d", p, hw, avg, r[0], r[1])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPoolSampledSubset(t *testing.T) {
 	x := tensor.FromSlice([]float32{
 		1, 100,

@@ -12,23 +12,25 @@ import (
 // per-call engine, cold and warm, both precisions, across the full
 // differential grid (remainder rows, tail columns, sub-panel shapes).
 func TestMatMulPrepackedBitIdentical(t *testing.T) {
-	g := tensor.NewRNG(29)
-	for _, m := range gemmShapes {
-		for _, k := range gemmShapes {
-			for _, n := range gemmShapes {
-				x := randTensor(g, m, k)
-				w := randTensor(g, k, n)
-				cw := w.Clone().MarkCacheable()
-				for _, prec := range []Precision{FP32, FP16} {
-					want := MatMul(x, w, prec)        // transient weight: packed per call
-					for pass := 0; pass < 2; pass++ { // cold (pack) then warm (hit)
-						requireSameBits(t, MatMul(x, cw, prec), want,
-							"m=%d k=%d n=%d prec=%v pass=%d", m, k, n, prec, pass)
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(29)
+		for _, m := range gemmShapes {
+			for _, k := range gemmShapes {
+				for _, n := range gemmShapes {
+					x := randTensor(g, m, k)
+					w := randTensor(g, k, n)
+					cw := w.Clone().MarkCacheable()
+					for _, prec := range []Precision{FP32, FP16} {
+						want := MatMul(x, w, prec)        // transient weight: packed per call
+						for pass := 0; pass < 2; pass++ { // cold (pack) then warm (hit)
+							requireSameBits(t, MatMul(x, cw, prec), want,
+								"m=%d k=%d n=%d prec=%v pass=%d", m, k, n, prec, pass)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestPackCacheHitsAndInvalidate drives a private cache instance through
