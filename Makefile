@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet no-fma lint lint-registry build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
+.PHONY: ci fmt-check vet no-fma no-fma-selftest lint lint-registry build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
 
-ci: fmt-check vet no-fma lint lint-registry build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
+ci: fmt-check vet no-fma no-fma-selftest lint lint-registry build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -20,8 +20,14 @@ vet:
 # Every assembly kernel is pinned bit-identical to a scalar reference that
 # rounds the product and the sum separately; one fused multiply-add breaks
 # all of those pins at once.
+FMA_RE = VFN?M(ADD|SUB)
+
 no-fma:
-	@! grep -rnE 'VFN?M(ADD|SUB)' --include='*.s' internal/
+	@! grep -rnE '$(FMA_RE)' --include='*.s' internal/
+
+# The guard must be able to fail: the same pattern over a planted instruction.
+no-fma-selftest:
+	@printf '\tVFMADD231PD Y1, Y2, Y3\n' | grep -qE '$(FMA_RE)' || { echo "no-fma: the pattern misses a planted VFMADD231PD"; exit 1; }
 
 # Project-specific static analysis (cmd/approxlint): twelve go/ast+go/types
 # analyzers over the source tree (per-package analysis parallelized with
@@ -77,10 +83,12 @@ chaos:
 bench-exec-smoke:
 	$(GO) run ./benchmark --workload exec_fresh -smoke
 
-# Ten seconds of the convolution differential fuzzer (direct-pack engine
-# against the im2col reference), starting from the committed corpus.
+# Ten seconds each of the convolution differential fuzzer (direct-pack
+# engine against the im2col reference) and of the row-epilogue one (every
+# kernel tier against the scalar chain), starting from the committed corpora.
 fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
+	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzEpilogueRow -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

@@ -236,6 +236,69 @@ func BenchmarkSoftmax(b *testing.B) {
 	}
 }
 
+// The row-kernel benchmarks time what a layer does to a C row besides the
+// GEMM, per element (SetBytes: 4 bytes each, so MB/s ÷ 4 is elements/µs),
+// once under the tier the CPU picked and once under the portable tier —
+// the scalar Go that was the only implementation before the vector tier.
+// Rows are 1024 floats: L1-resident, as a just-completed C row is.
+func benchRowTiers(b *testing.B, n int, run func()) {
+	for _, tier := range []kernelTier{bestTier(), tierPortable} {
+		b.Run(tier.String(), func(b *testing.B) {
+			defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
+			gemmTier = tier
+			b.SetBytes(int64(4 * n))
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
+func benchRow(n int) (row, src []float32) {
+	g := tensor.NewRNG(5)
+	row, src = make([]float32, n), make([]float32, n)
+	for i := range src {
+		src[i] = float32(g.NormFloat64()) * 2
+	}
+	return row, src
+}
+
+func BenchmarkTanhSlice(b *testing.B) {
+	row, src := benchRow(1024)
+	benchRowTiers(b, len(row), func() { tanhSlice(row, src) })
+}
+
+func BenchmarkEpilogueRow(b *testing.B) {
+	row, src := benchRow(1024)
+	bias := tensor.FromSlice([]float32{0.25}, 1)
+	for _, act := range []struct {
+		name string
+		ep   Epilogue
+	}{
+		{"relu", Epilogue{Bias: bias, Act: ActReLU}},
+		{"clip", Epilogue{Bias: bias, Act: ActClippedReLU, Clip: 6}},
+		{"tanh", Epilogue{Bias: bias, Act: ActTanh}},
+	} {
+		for _, prec := range []Precision{FP32, FP16} {
+			e := newRowEpi(act.ep, true, prec == FP16, true)
+			b.Run(act.name+"/"+prec.String(), func(b *testing.B) {
+				benchRowTiers(b, len(row), func() {
+					copy(row, src)
+					e.apply(row, 0)
+				})
+			})
+		}
+	}
+}
+
+func BenchmarkAxpy(b *testing.B) {
+	row, src := benchRow(1024)
+	benchRowTiers(b, len(row), func() {
+		clear(row) // keeps the sums finite over b.N calls
+		axpy(row, src, 0.5)
+	})
+}
+
 // TestConv2DFusedFreshAllocs pins the allocation count of the serving-shaped
 // call (fresh input, constant weights): the output tensor (3), the plan and
 // its tables (2), the fused epilogue (1) and the dispatch closure (1);

@@ -133,11 +133,8 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	// The fused epilogue: a C row is one output channel, so bias indexes
 	// by row.
 	var re *rowEpi
-	if perf == nil && (prec == FP16 || !ep.empty()) {
-		re = &rowEpi{perRow: true, act: ep.Act, clip: ep.Clip, quant: prec == FP16}
-		if ep.Bias != nil {
-			re.bias = ep.Bias.Data()
-		}
+	if perf == nil {
+		re = newRowEpi(ep, true, prec == FP16, true)
 	}
 
 	// The blocked kernel spreads each (image, group) over the workers

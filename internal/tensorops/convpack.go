@@ -254,6 +254,16 @@ func (pl *convPlan) scatter(out, compact []float32, m int) {
 // full.
 const packBlockFloats = 16 << 10
 
+// panelBlock is how many panels of K extent kc a worker packs and multiplies
+// at a time: what fits packBlockFloats, rounded down to an even count and
+// never less than one pair. The AVX kernel takes panels two at a time and an
+// odd one left over runs through the 4×4 tile at half its rate — with
+// kc = 576 or 1152 (7 and 3 to the budget) that was every seventh or third
+// panel, and past kc = 2048 (one to the budget) every panel.
+func panelBlock(kc int) int {
+	return max(packBlockFloats/(kc*gemmNR)&^1, 2)
+}
+
 // blocked computes c = a · B for one (img, grp): a is the (m × kc) weight
 // block with m ≥ gemmMR, B the patch matrix, c the zeroed (m × ncols)
 // result. One dispatch over panel ranges replaces pack-barrier-multiply:
@@ -276,13 +286,7 @@ func (pl *convPlan) blockedRange(a, c []float32, m, img, grp int, ep *rowEpi, ch
 	n, kc := pl.ncols(), pl.kc
 	np := n / gemmNR
 	psz := kc * gemmNR
-	blk := packBlockFloats / psz // panels packed and multiplied at a time
-	if blk < 1 {
-		blk = 1
-	}
-	if blk > hi-lo {
-		blk = hi - lo
-	}
+	blk := min(panelBlock(kc), hi-lo)
 	buf := tensor.Scratch(blk * psz) // ≥ one panel, which also holds the tail
 	phi := hi
 	if phi > np {
@@ -375,10 +379,7 @@ func (pl *convPlan) direct(a, out []float32, m, img, grp int, ep *rowEpi, chan0 
 							}
 						case lo >= hi:
 						case sw == 1:
-							d := dst[lo:hi]
-							for j, sv := range src[lo+off:][:len(d)] {
-								d[j] += av * sv
-							}
+							axpy(dst[lo:hi], src[lo+off:], av)
 						default:
 							for ox := lo; ox < hi; ox++ {
 								dst[ox] += av * src[ox*sw+off]

@@ -1,19 +1,20 @@
 package tensorops
 
 import (
+	"repro/internal/cpu"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// Fused epilogues. A conv/matmul node's bias-add, activation and FP16
-// writeback quantization used to run as separate whole-tensor passes
-// (three clones and three sweeps per node). The fused path applies them
-// to each C row as the GEMM completes it, while the row is still hot in
-// cache, with the *identical* per-element operation order as the unfused
-// chain: quantize-writeback, add bias, quantize, activate, quantize.
-// Each quantization step only runs under FP16, exactly where the old
-// chain ran a ToFP16 pass — so fused and unfused results are bit-equal
-// (the differential tests pin this).
+// Epilogues. What follows a conv/matmul node's GEMM — bias-add, activation
+// and the FP16 quantization after each — is applied to each C row as the
+// GEMM completes it, while the row is still hot in cache, as the chain
+// quantize-writeback, add bias, quantize, activate, quantize per element;
+// each quantization runs only under FP16. One function, rowEpi.apply, runs
+// that chain for every caller: the fused GEMM writeback, ApplyEpilogue for
+// the kernels that cannot fuse, and the standalone BiasAdd/ReLU/
+// ClippedReLU/Tanh operators. Under tierAVX it is a single pass of
+// epilogueRowAVX; rowEpi.passes is the scalar chain it is pinned to.
 
 // ActKind selects the activation applied by an Epilogue.
 type ActKind int
@@ -33,148 +34,178 @@ type Epilogue struct {
 	Clip float32 // ClippedReLU ceiling
 }
 
-func (e Epilogue) empty() bool { return e.Bias == nil && e.Act == ActNone }
+// rowEpi flags: the steps of the chain, in the order they run. The values
+// are shared with epilogueRowAVX through go_asm.h.
+const (
+	epiQuantIn = 1 << iota // the segment is a raw GEMM result: quantize it first
+	epiBiasRow             // add bias[row] to every element (conv: a C row is a channel)
+	epiBiasCol             // add bias[j] to element j (matmul: a C column is a feature)
+	epiQuant               // FP16: quantize after the bias step and after the activation
+	epiReLU
+	epiClip
+	epiTanh
+)
 
-// rowEpi is the engine-level epilogue applied to one completed C row.
-// perRow selects how bias indexes: by C row (convolution — rows are
-// output channels) or by C column (matmul — columns are output
-// features). quant adds the FP16 writeback quantization. The fused
-// epilogue has assignment semantics, so it is only valid when C was
-// zeroed before the GEMM (every conv/matmul output is).
+// rowEpi is the engine-level epilogue applied to one completed C row. It
+// has assignment semantics, so fused into a GEMM it is only valid when C
+// was zeroed first (every conv/matmul output is).
 type rowEpi struct {
-	bias   []float32
-	perRow bool
-	act    ActKind
-	clip   float32
-	quant  bool
+	bias  []float32
+	clip  float32
+	flags int
 }
 
-// apply transforms crow in place; row is the global C row index.
-// Nil-receiver safe (no epilogue). The pass order replicates the unfused
-// chain exactly: each whole-tensor pass of the old code becomes a
-// whole-row pass here, and per-element results are identical.
-func (e *rowEpi) apply(crow []float32, row int) {
-	if e == nil {
+// newRowEpi builds the chain for ep. perRow selects how bias indexes (see
+// epiBiasRow/epiBiasCol), quant the FP16 steps, and raw — a segment fresh
+// from the GEMM rather than an already written-back tensor — the leading
+// one. It returns nil when the chain has no step.
+func newRowEpi(ep Epilogue, perRow, quant, raw bool) *rowEpi {
+	e := &rowEpi{clip: ep.Clip}
+	if ep.Bias != nil {
+		e.bias = ep.Bias.Data()
+		if perRow {
+			e.flags |= epiBiasRow
+		} else {
+			e.flags |= epiBiasCol
+		}
+	}
+	switch ep.Act {
+	case ActReLU:
+		e.flags |= epiReLU
+	case ActClippedReLU:
+		e.flags |= epiClip
+	case ActTanh:
+		e.flags |= epiTanh
+	}
+	if quant && raw {
+		e.flags |= epiQuantIn
+	}
+	if e.flags == 0 {
+		return nil
+	}
+	if quant {
+		e.flags |= epiQuant
+	}
+	return e
+}
+
+// apply transforms seg in place; row is the global C row index, and under
+// epiBiasCol seg starts at column 0. Nil-receiver safe (no epilogue).
+func (e *rowEpi) apply(seg []float32, row int) {
+	if e == nil || len(seg) == 0 {
 		return
 	}
-	if e.quant {
-		tensor.QuantizeFP16Slice(crow, crow)
+	if gemmTier != tierAVX || len(seg) < rowVec || e.flags&epiQuant != 0 && !cpu.F16C {
+		e.passes(seg, row)
+		return
 	}
-	if e.bias != nil {
-		if e.perRow {
+	var bias *float32
+	switch {
+	case e.flags&epiBiasRow != 0:
+		bias = &e.bias[row]
+	case e.flags&epiBiasCol != 0:
+		bias = &e.bias[:len(seg)][0]
+	}
+	epilogueRowAVX(&seg[0], len(seg), bias, e.flags, e.clip)
+}
+
+// passes is the chain in scalar Go, one pass over the segment per step: the
+// reference epilogueRowAVX transcribes, the sse2/portable tiers, and what
+// runs on segments shorter than a vector.
+func (e *rowEpi) passes(seg []float32, row int) {
+	if e.flags&epiQuantIn != 0 {
+		tensor.QuantizeFP16Slice(seg, seg)
+	}
+	if e.flags&(epiBiasRow|epiBiasCol) != 0 {
+		if e.flags&epiBiasRow != 0 {
 			bv := e.bias[row]
-			for j := range crow {
-				//lint:ignore tensoralias crow IS the output row — the fused epilogue transforms the GEMM writeback in place; no input tensor aliases it
-				crow[j] += bv
+			for j := range seg {
+				//lint:ignore tensoralias seg IS the output segment — the epilogue rewrites the conv/matmul result in place; no input tensor aliases it
+				seg[j] += bv
 			}
 		} else {
-			for j := range crow {
-				crow[j] += e.bias[j]
+			for j, bv := range e.bias[:len(seg)] {
+				seg[j] += bv
 			}
 		}
-		if e.quant {
-			tensor.QuantizeFP16Slice(crow, crow)
+		if e.flags&epiQuant != 0 {
+			tensor.QuantizeFP16Slice(seg, seg)
 		}
 	}
-	if e.act != ActNone {
-		switch e.act {
-		case ActReLU:
-			for j, v := range crow {
-				if v < 0 {
-					crow[j] = 0
-				}
-			}
-		case ActClippedReLU:
-			for j, v := range crow {
-				if v < 0 {
-					crow[j] = 0
-				} else if v > e.clip {
-					crow[j] = e.clip
-				}
-			}
-		case ActTanh:
-			for j, v := range crow {
-				crow[j] = tanh32(v)
+	switch {
+	case e.flags&epiReLU != 0:
+		for j, v := range seg {
+			if v < 0 {
+				seg[j] = 0
 			}
 		}
-		if e.quant {
-			tensor.QuantizeFP16Slice(crow, crow)
+	case e.flags&epiClip != 0:
+		for j, v := range seg {
+			if v < 0 {
+				seg[j] = 0
+			} else if v > e.clip {
+				seg[j] = e.clip
+			}
 		}
+	case e.flags&epiTanh != 0:
+		tanhSlice(seg, seg)
+	default:
+		return
+	}
+	if e.flags&epiQuant != 0 {
+		tensor.QuantizeFP16Slice(seg, seg)
 	}
 }
+
+// epiBlock is the unit of parallel dispatch for a bias-less epilogue, which
+// has no per-channel state and so splits the flat data: big enough that a
+// block of the cheapest step (ReLU) outlasts starting a goroutine.
+const epiBlock = 16 << 10
 
 // ApplyEpilogue applies bias + activation (+ FP16 re-quantization after
 // each step) to out in place, in a single pass without clones. It serves
 // the kernel variants whose epilogue cannot fuse into the GEMM writeback
 // (perforated convolution interpolates the raw output first; PROMISE
-// perturbs it) and is element-for-element identical to the unfused
-// BiasAdd → ToFP16 → Act → ToFP16 chain it replaces. out must already
-// carry the kernel's own writeback quantization (convolve's FP16 paths
-// guarantee this).
+// perturbs it) and the standalone operators in ops.go. Under FP16 a kernel's
+// output must already carry its own writeback quantization (convolve's FP16
+// paths guarantee this).
 func ApplyEpilogue(out *tensor.Tensor, ep Epilogue, prec Precision) *tensor.Tensor {
-	if ep.empty() {
+	e := newRowEpi(ep, out.Rank() == 4, prec == FP16, false)
+	if e == nil {
 		return out
 	}
-	quant := prec == FP16
 	od := out.Data()
 	if ep.Bias == nil {
-		epilogueSeg(od, 0, false, ep.Act, ep.Clip, quant)
+		parallel.ForChunked((len(od)+epiBlock-1)/epiBlock, func(lo, hi int) {
+			e.apply(od[lo*epiBlock:min(hi*epiBlock, len(od))], 0)
+		})
 		return out
 	}
 	c := ep.Bias.Elems()
-	var spatial int
 	switch out.Rank() {
 	case 4:
+		// One segment per channel plane, bias by plane.
 		if out.Dim(1) != c {
 			panicShape("ApplyEpilogue", "bias length %d != channels %d", c, out.Dim(1))
 		}
-		spatial = out.Dim(2) * out.Dim(3)
+		spatial := out.Dim(2) * out.Dim(3)
+		parallel.ForChunked(out.Dim(0)*c, func(lo, hi int) {
+			for seg := lo; seg < hi; seg++ {
+				e.apply(od[seg*spatial:(seg+1)*spatial], seg%c)
+			}
+		})
 	case 2:
+		// One segment per row, bias by column.
 		if out.Dim(1) != c {
 			panicShape("ApplyEpilogue", "bias length %d != features %d", c, out.Dim(1))
 		}
-		spatial = 1
+		parallel.ForChunked(out.Dim(0), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				e.apply(od[i*c:(i+1)*c], i)
+			}
+		})
 	default:
 		panicShape("ApplyEpilogue", "unsupported rank %d", out.Rank())
 	}
-	bd := ep.Bias.Data()
-	parallel.ForChunked(out.Dim(0)*c, func(lo, hi int) {
-		for seg := lo; seg < hi; seg++ {
-			epilogueSeg(od[seg*spatial:(seg+1)*spatial], bd[seg%c], true, ep.Act, ep.Clip, quant)
-		}
-	})
 	return out
-}
-
-// epilogueSeg runs the per-element chain over one channel segment:
-// (+bias, quantize), activation, quantize — each quantization gated on
-// FP16 and placed exactly where the unfused chain's ToFP16 passes ran.
-func epilogueSeg(seg []float32, bv float32, addBias bool, act ActKind, clip float32, quant bool) {
-	for i, v := range seg {
-		if addBias {
-			v += bv
-			if quant {
-				v = tensor.QuantizeFP16(v)
-			}
-		}
-		switch act {
-		case ActReLU:
-			if v < 0 {
-				v = 0
-			}
-		case ActClippedReLU:
-			if v < 0 {
-				v = 0
-			} else if v > clip {
-				v = clip
-			}
-		case ActTanh:
-			v = tanh32(v)
-		}
-		if act != ActNone && quant {
-			v = tensor.QuantizeFP16(v)
-		}
-		//lint:ignore tensoralias seg IS the output segment — the epilogue rewrites the conv/matmul result in place; no input tensor aliases it
-		seg[i] = v
-	}
 }

@@ -27,7 +27,11 @@
 // from two adjacent panels (gemm_avx_amd64.s) where the processor has AVX
 // and the OS saves YMM state; the SSE2 4×4 kernel (gemm_amd64.s) on every
 // other amd64, and for an odd last panel under AVX; the pure Go microKernel4
-// everywhere else. tensor.QuantizeFP16Slice has a vector tier of its own
+// everywhere else. The AVX tier also covers the rest of a layer
+// (rowops_avx_amd64.s): the bias/activation/FP16 epilogue of a C row in one
+// pass, tanh32 four float64 lanes at a time, and the axpy under the
+// depthwise and small-batch dense kernels; the other tiers run the scalar Go
+// those transcribe. tensor.QuantizeFP16Slice has a vector tier of its own
 // when F16C is present as well. KernelTier reports the choice. No kernel
 // uses a fused multiply-add: its single rounding differs from the separate
 // product and sum of the scalar reference, and every pin below is
@@ -35,10 +39,13 @@
 //
 // Every fast path is pinned bit-identical to a retained reference: the
 // blocked GEMM under each tier against the naive triple loop
-// (gemm_test.go), the fused epilogues against the separate-pass chain
-// (panelcache_test.go), and the direct-pack convolution with its N- and
-// K-shrinking against im2col + reference GEMM computing everything
-// (convdiff_test.go, table and fuzz, again under each tier).
+// (gemm_test.go), the vector tanh against tanh32 over all 2^32 inputs
+// (tanh_vector_test.go), the epilogue and axpy kernels against the scalar
+// chain (rowops_test.go, table and fuzz), the fused epilogues against the
+// standalone operators (panelcache_test.go), and the direct-pack
+// convolution with its N- and K-shrinking against im2col + reference GEMM
+// computing everything (convdiff_test.go, table and fuzz, again under each
+// tier).
 package tensorops
 
 import (
@@ -75,29 +82,34 @@ const (
 	gemmNR = 4 // micro-tile columns (panel width)
 )
 
-// kernelTier names an implementation of the full-block micro-kernel. All
-// tiers perform the same float32 operation sequence per output element and
-// are pinned bit-identical to each other and to the reference.
+// kernelTier names an implementation of the full-block micro-kernel and of
+// the row kernels around it. All tiers perform the same operation sequence
+// per output element and are pinned bit-identical to each other and to the
+// reference.
 type kernelTier int
 
 // Ascending: a CPU that runs a tier runs every tier below it.
 const (
 	tierPortable kernelTier = iota // pure Go microKernel4, every architecture
 	tierSSE2                       // 4×4 tile, gemm_amd64.s, every amd64
-	tierAVX                        // 4×8 tile over panel pairs, gemm_avx_amd64.s
+	tierAVX                        // 4×8 tile over panel pairs, gemm_avx_amd64.s; row kernels, rowops_avx_amd64.s
 )
 
-// gemmTier is the tier gemmRowBlock runs, chosen once from what the CPU
-// reports (internal/cpu). Nothing but the tests assigns it again.
+// gemmTier is the tier gemmRowBlock and the row kernels run, chosen once
+// from what the CPU reports (internal/cpu). Nothing but the tests assigns it
+// again.
 var gemmTier = bestTier()
 
 func (t kernelTier) String() string {
 	return [...]string{"portable", "sse2", "avx"}[t]
 }
 
-// KernelTier names the kernels this process runs — "avx+f16c" (AVX GEMM
-// tile and F16C FP16 round trip), "avx", "sse2" or "portable" — so that
-// speed numbers from two hosts are never compared without it.
+// KernelTier names the kernels this process runs, so that speed numbers
+// from two hosts are never compared without it: "avx" is the 4×8 GEMM tile
+// plus the vector row kernels (four-lane tanh32, the one-pass FP32 epilogue,
+// axpy); "avx+f16c" adds the F16C round trip, in QuantizeFP16Slice and
+// inside the FP16 epilogue pass; "sse2" is the 4×4 assembly tile and
+// "portable" the Go one, both over scalar row loops.
 func KernelTier() string {
 	if gemmTier == tierAVX && cpu.F16C {
 		return "avx+f16c"
@@ -445,9 +457,7 @@ func gemmSaxpyRow(arow, b, crow []float32, n int, quantB bool) {
 				crow[j] += av * tensor.QuantizeFP16(bv)
 			}
 		} else {
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
+			axpy(crow, brow, av)
 		}
 	}
 }
@@ -486,13 +496,7 @@ func MatMulFused(x, w *tensor.Tensor, prec Precision, ep Epilogue) *tensor.Tenso
 		}
 	}
 	out := tensor.New(n, m)
-	var re *rowEpi
-	if prec == FP16 || !ep.empty() {
-		re = &rowEpi{act: ep.Act, clip: ep.Clip, quant: prec == FP16}
-		if ep.Bias != nil {
-			re.bias = ep.Bias.Data() // indexed by column: per output feature
-		}
-	}
+	re := newRowEpi(ep, false, prec == FP16, true) // bias by column: per output feature
 	if n >= gemmMR {
 		if pre := defaultPackCache.cachedPrepackedB(w, k, m, prec); pre != nil {
 			gemmRun(xd, nil, out.Data(), n, k, m, false, pre, re)

@@ -287,6 +287,34 @@ func TestGemmRowBlockPanelCountsAndOffsets(t *testing.T) {
 	})
 }
 
+// TestPanelBlockLeavesNoOddPanelMidRange pins the block size blockedRange
+// steps by: always even, so that walking any unit range the way
+// blockedRange does hands panelPairsAVX every panel except, at most, the
+// range's last, and within the pack budget unless one pair already exceeds
+// it. kc = 576 and 1152 are resnet18's 64- and 128-channel 3×3 layers, where
+// the budget alone gives 7 and 3; past kc = 2048 it gives 1.
+func TestPanelBlockLeavesNoOddPanelMidRange(t *testing.T) {
+	for _, tc := range []struct{ kc, want int }{
+		{1, 4096}, {27, 150}, {72, 56}, {576, 6}, {1152, 2}, {2048, 2}, {2304, 2}, {9000, 2},
+	} {
+		blk := panelBlock(tc.kc)
+		if blk != tc.want {
+			t.Errorf("panelBlock(%d) = %d, want %d", tc.kc, blk, tc.want)
+		}
+		if blk > 2 && blk*tc.kc*gemmNR > packBlockFloats {
+			t.Errorf("panelBlock(%d) = %d panels overruns the %d-float budget", tc.kc, blk, packBlockFloats)
+		}
+		for _, r := range [][2]int{{0, 64}, {3, 64}, {5, 18}, {0, 7}, {10, 11}} {
+			step := min(blk, r[1]-r[0])
+			for b0 := r[0]; b0 < r[1]; b0 += step {
+				if b1 := min(b0+step, r[1]); (b1-b0)%2 != 0 && b1 != r[1] {
+					t.Errorf("kc=%d range %v: block [%d,%d) leaves an odd panel before the range ends", tc.kc, r, b0, b1)
+				}
+			}
+		}
+	}
+}
+
 // naiveConv32 is a float32-accumulation direct convolution whose reduction
 // order (channel → kernel row → kernel column, ascending) matches the
 // im2col+GEMM engine's flattened-l order, making the comparison exact.

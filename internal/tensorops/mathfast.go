@@ -16,6 +16,13 @@ import "math"
 // (serial, sharded, fused, unfused, cached) shares this one function, so
 // the engine's bit-identity invariants are unaffected.
 //
+// It has a vector twin: TANH4 in rowops_avx_amd64.s is this function
+// transcribed operation for operation onto four float64 lanes (behind
+// tanhSlice and the epilogue's tanh step), and tanh_vector_test.go holds it
+// to this one on every float32 bit pattern. A change to the arithmetic
+// here — a constant, the order of two operations, a branch — must be made
+// there as well, or that sweep fails.
+//
 // Exactness at the edges: tanh32(0) == 0 (k=0 reduction is exact at 0),
 // tanh32(-x) == -tanh32(x) (computed on |x|), NaN propagates, and
 // |2x| >= 18.03 saturates to ±1 — the value float32 rounds

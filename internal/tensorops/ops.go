@@ -9,87 +9,25 @@ import (
 
 // ReLU applies max(0,x) elementwise.
 func ReLU(x *tensor.Tensor, prec Precision) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
-	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		}
-	}
-	if prec == FP16 {
-		out.ToFP16()
-	}
-	return out
+	return ApplyEpilogue(x.Clone(), Epilogue{Act: ActReLU}, prec)
 }
 
 // ClippedReLU applies min(max(0,x),clip) elementwise (ReLU6 with clip=6,
 // used by MobileNet).
 func ClippedReLU(x *tensor.Tensor, clip float32, prec Precision) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
-	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		} else if v > clip {
-			d[i] = clip
-		}
-	}
-	if prec == FP16 {
-		out.ToFP16()
-	}
-	return out
+	return ApplyEpilogue(x.Clone(), Epilogue{Act: ActClippedReLU, Clip: clip}, prec)
 }
 
 // Tanh applies tanh elementwise (tanh32 — the float32-targeted kernel
 // shared with the fused epilogues).
 func Tanh(x *tensor.Tensor, prec Precision) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
-	for i, v := range d {
-		d[i] = tanh32(v)
-	}
-	if prec == FP16 {
-		out.ToFP16()
-	}
-	return out
+	return ApplyEpilogue(x.Clone(), Epilogue{Act: ActTanh}, prec)
 }
 
 // BiasAdd adds a per-channel bias b (length C) to a (N,C,H,W) or (N,C)
 // tensor.
 func BiasAdd(x, b *tensor.Tensor, prec Precision) *tensor.Tensor {
-	out := x.Clone()
-	c := b.Elems()
-	var spatial int
-	switch x.Rank() {
-	case 4:
-		if x.Dim(1) != c {
-			panicShape("BiasAdd", "bias length %d != channels %d", c, x.Dim(1))
-		}
-		spatial = x.Dim(2) * x.Dim(3)
-	case 2:
-		if x.Dim(1) != c {
-			panicShape("BiasAdd", "bias length %d != features %d", c, x.Dim(1))
-		}
-		spatial = 1
-	default:
-		panicShape("BiasAdd", "unsupported rank %d", x.Rank())
-	}
-	n := x.Dim(0)
-	od, bd := out.Data(), b.Data()
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * spatial
-			bv := bd[ch]
-			seg := od[base : base+spatial]
-			for i := range seg {
-				seg[i] += bv
-			}
-		}
-	}
-	if prec == FP16 {
-		out.ToFP16()
-	}
-	return out
+	return ApplyEpilogue(x.Clone(), Epilogue{Bias: b}, prec)
 }
 
 // Add returns the elementwise sum of two equal-shaped tensors (residual

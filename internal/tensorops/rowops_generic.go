@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package tensorops
+
+// Never reached: gemmTier is tierPortable here, so the scalar loops run.
+
+func tanh4AVX(dst, src *float32, groups int) {}
+
+func epilogueRowAVX(p *float32, n int, bias *float32, flags int, clip float32) {}
+
+func axpyAVX(dst, src *float32, n int, a float32) {}

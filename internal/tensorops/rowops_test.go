@@ -1,0 +1,286 @@
+package tensorops
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// refEpilogue is the epilogue chain on one element, written out in scalar
+// Go with nothing shared with rowEpi but tanh32 and QuantizeFP16: quantize
+// (raw GEMM result), add bias and quantize, activate and quantize — each
+// quantization only under quant. It is what every tier of rowEpi.apply, and
+// the standalone operators built on it, must reproduce bit for bit.
+func refEpilogue(v float32, bias *float32, act ActKind, clip float32, quant, raw bool) float32 {
+	q := func(v float32) float32 {
+		if quant {
+			return tensor.QuantizeFP16(v)
+		}
+		return v
+	}
+	if raw {
+		v = q(v)
+	}
+	if bias != nil {
+		v = q(v + *bias)
+	}
+	switch act {
+	case ActReLU:
+		if v < 0 {
+			v = 0
+		}
+	case ActClippedReLU:
+		if v < 0 {
+			v = 0
+		} else if v > clip {
+			v = clip
+		}
+	case ActTanh:
+		v = tanh32(v)
+	default:
+		return v
+	}
+	return q(v)
+}
+
+// epilogueSpecials are the values planted among the random ones: both
+// zeros, infinities, quiet and signalling NaNs with payloads, subnormals,
+// the clip value and its neighbours, tanh's saturation edge, and the FP16
+// overflow and underflow boundaries.
+func epilogueSpecials(clip float32) []float32 {
+	bits := []uint32{
+		0, 1 << 31, 0x7f800000, 0xff800000, 0x7fc00000, 0xffc12345, 0x7f800001, 0x00000001, 0x80000001,
+		0x41103d70, 0x41103d71, 0xc1103d71, 0x477fefff, 0x477ff000, 0xc77ff000, 0x33000000, 0x33000001, 0x387fffff,
+	}
+	out := []float32{clip, math.Nextafter32(clip, 100), math.Nextafter32(clip, -100), -clip}
+	for _, b := range bits {
+		out = append(out, math.Float32frombits(b))
+	}
+	return out
+}
+
+const (
+	biasNone = iota
+	biasRow
+	biasCol
+)
+
+// checkEpilogueRow runs rowEpi.apply over vals (copied into a guarded
+// buffer at the given misalignment) and compares with refEpilogue. bias
+// holds one value per element for biasCol and is indexed by row for biasRow.
+func checkEpilogueRow(t *testing.T, vals, bias []float32, biasKind int, act ActKind, clip float32, quant, raw bool, off int, desc string) {
+	t.Helper()
+	const guard = float32(-777.25)
+	n := len(vals)
+	ep := Epilogue{Act: act, Clip: clip}
+	row := 0
+	if biasKind != biasNone {
+		ep.Bias = tensor.FromSlice(bias, len(bias))
+		row = n / 2 % len(bias)
+	}
+	e := newRowEpi(ep, biasKind == biasRow, quant, raw)
+	buf := make([]float32, off+n+9)
+	for i := range buf {
+		buf[i] = guard
+	}
+	copy(buf[off:], vals)
+	e.apply(buf[off:off+n], row)
+	for i, got := range buf {
+		j := i - off
+		if j < 0 || j >= n {
+			if got != guard {
+				t.Fatalf("%s: wrote outside the segment at %d", desc, j)
+			}
+			continue
+		}
+		var bv *float32
+		switch biasKind {
+		case biasRow:
+			bv = &bias[row]
+		case biasCol:
+			bv = &bias[j]
+		}
+		if want := refEpilogue(vals[j], bv, act, clip, quant, raw); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s: [%d] %v (%#08x) -> %#08x, scalar chain %#08x",
+				desc, j, vals[j], math.Float32bits(vals[j]), math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+}
+
+// TestEpilogueRowMatchesScalarChain holds rowEpi.apply, under every tier,
+// to the scalar chain: each activation × no/row/column bias × FP32/FP16 ×
+// raw or written-back input × lengths 0…33 (scalar-only, one vector, whole
+// vectors, and every overlap of the last vector with the one before) at
+// misaligned starts, with the special values planted.
+func TestEpilogueRowMatchesScalarChain(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(41)
+		for _, act := range []ActKind{ActNone, ActReLU, ActClippedReLU, ActTanh} {
+			for _, clip := range []float32{6, 0.75, -2} {
+				if act != ActClippedReLU && clip != 6 {
+					continue
+				}
+				specials := epilogueSpecials(clip)
+				for biasKind := biasNone; biasKind <= biasCol; biasKind++ {
+					for _, quant := range []bool{false, true} {
+						for _, raw := range []bool{false, true} {
+							for n := 0; n <= 33; n++ {
+								vals := make([]float32, n)
+								fillNormal(g, vals)
+								for i := range vals {
+									if (i+n)%3 == 0 {
+										vals[i] = specials[(i*7+n)%len(specials)]
+									} else if i%4 == 1 {
+										vals[i] *= 8 // past the clips and into tanh's flat part
+									}
+								}
+								bias := make([]float32, max(n, 1))
+								fillNormal(g, bias)
+								if n > 2 {
+									bias[1], bias[2] = 0, float32(math.Inf(1))
+								}
+								desc := fmt.Sprintf("act=%d clip=%v bias=%d quant=%v raw=%v n=%d", act, clip, biasKind, quant, raw, n)
+								checkEpilogueRow(t, vals, bias, biasKind, act, clip, quant, raw, n%4, desc)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzEpilogueRow draws a segment, a bias, an activation, a clip and a
+// precision from the fuzz input — the floats taken from the bytes as they
+// are, so every bit pattern is reachable — and requires rowEpi.apply under
+// every tier the CPU has to agree with the scalar chain bit for bit without
+// touching anything outside the segment. A NaN bias is the one input the
+// harness replaces: when both addends are NaN the hardware keeps the first
+// operand's payload, and the compiler may order a scalar sum either way.
+func FuzzEpilogueRow(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ctl uint32, clip float32, b []byte) {
+		n := len(b) / 8
+		if n > 200 {
+			t.Skip()
+		}
+		vals, bias := make([]float32, n), make([]float32, max(n, 1))
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[8*i:]))
+			bias[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[8*i+4:]))
+			if math.IsNaN(float64(bias[i])) {
+				bias[i] = float32(i) - 2.5
+			}
+		}
+		act := ActKind(ctl % 4)
+		biasKind := int(ctl >> 2 % 3)
+		quant, raw := ctl>>4&1 == 1, ctl>>5&1 == 1
+		defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
+		for tier := tierPortable; tier <= bestTier(); tier++ {
+			gemmTier = tier
+			desc := fmt.Sprintf("tier=%v act=%d clip=%v bias=%d quant=%v raw=%v n=%d", tier, act, clip, biasKind, quant, raw, n)
+			checkEpilogueRow(t, vals, bias, biasKind, act, clip, quant, raw, int(ctl>>6%4), desc)
+		}
+	})
+}
+
+// TestStandaloneOpsMatchScalarChain pins the public element-wise operators
+// and ApplyEpilogue to the scalar chain on tensors that span several
+// dispatch blocks, serial and sharded: a bias-less pass splits the flat
+// data, a biased one splits by channel plane or by row.
+func TestStandaloneOpsMatchScalarChain(t *testing.T) {
+	g := tensor.NewRNG(43)
+	x4 := randTensor(g, 2, 5, 67, 61) // 40870 elements: three blocks, the last one ragged
+	x2 := randTensor(g, 7, 37)
+	for i, d := 0, x4.Data(); i < len(d); i += 11 {
+		d[i] = epilogueSpecials(6)[i/11%22]
+	}
+	b4, b2 := randTensor(g, 5), randTensor(g, 37)
+	withProcs(t, []int{1, 3}, func(t *testing.T) {
+		forEachTier(t, func(t *testing.T) {
+			for _, prec := range []Precision{FP32, FP16} {
+				for _, tc := range []struct {
+					name    string
+					x, bias *tensor.Tensor
+					ep      Epilogue
+					run     func(x *tensor.Tensor) *tensor.Tensor
+				}{
+					{"ReLU", x4, nil, Epilogue{Act: ActReLU}, func(x *tensor.Tensor) *tensor.Tensor { return ReLU(x, prec) }},
+					{"ClippedReLU", x4, nil, Epilogue{Act: ActClippedReLU, Clip: 1.5}, func(x *tensor.Tensor) *tensor.Tensor { return ClippedReLU(x, 1.5, prec) }},
+					{"Tanh", x4, nil, Epilogue{Act: ActTanh}, func(x *tensor.Tensor) *tensor.Tensor { return Tanh(x, prec) }},
+					{"BiasAdd4D", x4, b4, Epilogue{}, func(x *tensor.Tensor) *tensor.Tensor { return BiasAdd(x, b4, prec) }},
+					{"BiasAdd2D", x2, b2, Epilogue{}, func(x *tensor.Tensor) *tensor.Tensor { return BiasAdd(x, b2, prec) }},
+					{"ApplyEpilogue4D", x4, b4, Epilogue{Act: ActTanh}, func(x *tensor.Tensor) *tensor.Tensor {
+						return ApplyEpilogue(x.Clone(), Epilogue{Bias: b4, Act: ActTanh}, prec)
+					}},
+					{"ApplyEpilogue2D", x2, b2, Epilogue{Act: ActReLU}, func(x *tensor.Tensor) *tensor.Tensor {
+						return ApplyEpilogue(x.Clone(), Epilogue{Bias: b2, Act: ActReLU}, prec)
+					}},
+				} {
+					before := tc.x.Clone()
+					got := tc.run(tc.x)
+					requireSameBits(t, tc.x, before, "%s %v: input", tc.name, prec)
+					want := tc.x.Clone()
+					wd := want.Data()
+					plane := 1
+					if tc.x.Rank() == 4 {
+						plane = tc.x.Dim(2) * tc.x.Dim(3)
+					}
+					for i, v := range wd {
+						var bv *float32
+						if tc.bias != nil {
+							bv = &tc.bias.Data()[i/plane%tc.bias.Elems()]
+						}
+						wd[i] = refEpilogue(v, bv, tc.ep.Act, tc.ep.Clip, prec == FP16, false)
+					}
+					requireSameBits(t, got, want, "%s %v", tc.name, prec)
+				}
+			}
+		})
+	})
+}
+
+// TestAxpyMatchesScalar: lengths 0…33 at misaligned starts, with zeros,
+// infinities and a NaN among the operands, against the scalar statement;
+// nothing outside dst is written.
+func TestAxpyMatchesScalar(t *testing.T) {
+	const guard = float32(-777.25)
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(47)
+		for n := 0; n <= 33; n++ {
+			for off := 0; off < 4; off++ {
+				src := make([]float32, off+n+3)[off:]
+				fillNormal(g, src)
+				init := make([]float32, n)
+				fillNormal(g, init)
+				if n > 5 {
+					src[0], src[2], src[n-1] = 0, float32(math.Inf(-1)), float32(math.NaN())
+					init[1], init[3] = float32(math.Copysign(0, -1)), float32(math.Inf(1))
+				}
+				a := float32(g.NormFloat64())
+				buf := make([]float32, off+n+9)
+				for i := range buf {
+					buf[i] = guard
+				}
+				copy(buf[off:], init)
+				axpy(buf[off:off+n], src, a)
+				for i, got := range buf {
+					j := i - off
+					if j < 0 || j >= n {
+						if got != guard {
+							t.Fatalf("n=%d off=%d: wrote outside dst at %d", n, off, j)
+						}
+						continue
+					}
+					want := init[j]
+					want += a * src[j]
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("n=%d off=%d: dst[%d] = %v, scalar %v", n, off, j, got, want)
+					}
+				}
+			}
+		}
+	})
+}
