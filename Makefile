@@ -84,11 +84,13 @@ bench-exec-smoke:
 	$(GO) run ./benchmark --workload exec_fresh -smoke
 
 # Ten seconds each of the convolution differential fuzzer (direct-pack
-# engine against the im2col reference) and of the row-epilogue one (every
-# kernel tier against the scalar chain), starting from the committed corpora.
+# engine against the im2col reference), of the row-epilogue one (every
+# kernel tier against the scalar chain) and of the /v1/infer body scanner
+# against encoding/json, starting from the committed corpora.
 fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzEpilogueRow -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzInferRequestDecode -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

@@ -55,7 +55,7 @@ func main() {
 		window     = flag.Int("window", serve.DefaultWindow, "tuner control window, in batch executions")
 		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max items coalesced into one execution")
 		maxQueue   = flag.Int("max-queue", serve.DefaultMaxQueue, "admission queue bound, in requests (backpressure beyond)")
-		linger     = flag.Duration("linger", serve.DefaultLinger, "batcher linger after the first request of a batch")
+		linger     = flag.Duration("linger", serve.DefaultLinger, "longest a batch is held open for requests whose bodies have already reached the server (queued requests join at once; nothing else is waited for)")
 		drain      = flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-drain bound on shutdown")
 		readyFile  = flag.String("ready-file", "", "write the bound address to this file once serving")
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -22,6 +23,8 @@ var (
 	mFailed        = obs.NewCounter("serve.failures")
 	mBatches       = obs.NewCounter("serve.batches")
 	mSLOMiss       = obs.NewCounter("serve.slo_misses")
+	mLingerWaits   = obs.NewCounter("serve.linger_waits")
+	mLingerExpired = obs.NewCounter("serve.linger_expired")
 
 	gQueueDepth  = obs.NewGauge("serve.queue_depth")
 	gInFlight    = obs.NewGauge("serve.in_flight")
@@ -33,6 +36,9 @@ var (
 	qBatchItems = obs.NewQHistogram("serve.batch_items")
 	qEndpoint   = obs.NewQHistVec("serve.http_seconds")
 	qConfigExec = obs.NewQHistVec("serve.config_exec_seconds")
+	// qItemsExec is the batch execution time by item count (at most
+	// MaxBatch label values): the process's own measured t(items) curve.
+	qItemsExec = obs.NewQHistVec("serve.items_exec_seconds")
 )
 
 // stats is the per-server request accounting behind /statz.
@@ -44,6 +50,11 @@ type stats struct {
 	failed    atomic.Int64
 	sloMisses atomic.Int64
 	batches   atomic.Int64
+	// lingerWaits counts batches whose collection waited for a request
+	// known to be arriving; lingerExpired those of them that the Linger
+	// bound, not the arrival, ended.
+	lingerWaits   atomic.Int64
+	lingerExpired atomic.Int64
 }
 
 // pending is one admitted inference request waiting for its batch.
@@ -99,11 +110,25 @@ func (s *Server) enqueue(p *pending) admitState {
 	}
 }
 
+// arrived retires one known arrival: the handler that counted itself in
+// s.arriving has either enqueued its request or answered it with a
+// refusal. The poke wakes a batcher that is waiting for exactly this
+// request, so that a refusal — which never reaches the queue — does not
+// cost the forming batch the rest of its Linger.
+func (s *Server) arrived() {
+	s.arriving.Add(-1)
+	select {
+	case s.poke <- struct{}{}:
+	default:
+	}
+}
+
 // loop is the micro-batcher: it blocks for the first request of a
-// batch, lingers briefly to coalesce followers, and executes the batch
-// under the tuner's current configuration. It exits when Shutdown
-// closes the queue, after executing everything already admitted —
-// including a request held over from a batch it would have overflowed.
+// batch, collects the followers that are queued or known to be arriving,
+// and executes the batch under the tuner's current configuration. It
+// exits when Shutdown closes the queue, after executing everything
+// already admitted — including a request held over from a batch it would
+// have overflowed.
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	for {
@@ -116,44 +141,77 @@ func (s *Server) loop() {
 				return
 			}
 		}
-		batch := s.collect(first)
+		batch, lingered := s.collect(first)
 		gQueueDepth.Set(float64(len(s.queue)))
-		s.runBatch(batch)
+		s.runBatch(batch, lingered)
 	}
 }
 
-// collect gathers requests for one batch: up to MaxBatch items, waiting
-// at most Linger after the first arrival. During drain the closed queue
-// yields immediately, so the tail flushes without lingering.
-func (s *Server) collect(first *pending) []*pending {
+// collect gathers requests for one batch, up to MaxBatch items, and
+// returns them with the time it spent waiting. It is work-conserving:
+// everything already queued is taken without blocking, and it waits only
+// while some handler holds a complete request body it has not yet
+// enqueued or refused (s.arriving > 0) — never for a request that may or
+// may not be sent — and for at most Linger per batch, so that a
+// descheduled handler cannot hold the executor. An idle server therefore
+// dispatches a lone request at once and arms no timer. During drain the
+// closed queue yields immediately, so the tail flushes without waiting.
+func (s *Server) collect(first *pending) ([]*pending, time.Duration) {
 	reqs := []*pending{first}
 	items := first.items
-	if items >= s.cfg.MaxBatch {
-		return reqs
-	}
-	timer := time.NewTimer(s.cfg.Linger)
-	defer timer.Stop()
+	var (
+		timer   *time.Timer // armed by the first actual wait
+		waitAt  time.Time
+		expired bool
+	)
+collecting:
 	for items < s.cfg.MaxBatch {
+		var p *pending
+		var open bool
 		select {
-		case p, ok := <-s.queue:
-			if !ok {
-				return reqs
+		case p, open = <-s.queue:
+		default:
+			if s.arriving.Load() == 0 {
+				break collecting
 			}
-			if items+p.items > s.cfg.MaxBatch {
-				// Would overflow the batch: hold it as the seed of the
-				// next one. The hold slot belongs to the loop goroutine,
-				// so an admitted request survives even if the queue is
-				// closed for drain before the next iteration.
-				s.held = p
-				return reqs
+			if timer == nil {
+				timer = time.NewTimer(s.cfg.Linger)
+				defer timer.Stop()
+				waitAt = time.Now()
 			}
-			reqs = append(reqs, p)
-			items += p.items
-		case <-timer.C:
-			return reqs
+			select {
+			case p, open = <-s.queue:
+			case <-s.poke:
+				continue // an arrival was enqueued or refused: look again
+			case <-timer.C:
+				expired = true
+				break collecting
+			}
 		}
+		if !open {
+			break
+		}
+		if items+p.items > s.cfg.MaxBatch {
+			// Would overflow the batch: hold it as the seed of the next
+			// one. The hold slot belongs to the loop goroutine, so an
+			// admitted request survives even if the queue is closed for
+			// drain before the next iteration.
+			s.held = p
+			break
+		}
+		reqs = append(reqs, p)
+		items += p.items
 	}
-	return reqs
+	if timer == nil {
+		return reqs, 0
+	}
+	s.stats.lingerWaits.Add(1)
+	mLingerWaits.Inc()
+	if expired {
+		s.stats.lingerExpired.Add(1)
+		mLingerExpired.Inc()
+	}
+	return reqs, time.Since(waitAt)
 }
 
 // runBatch executes one coalesced batch under the configuration the
@@ -161,7 +219,7 @@ func (s *Server) collect(first *pending) []*pending {
 // The fan-out happens after executeBatch has ended the batch span, so a
 // member's completion-time sampling decision always sees the full batch
 // subtree in its buffered trace.
-func (s *Server) runBatch(reqs []*pending) {
+func (s *Server) runBatch(reqs []*pending, lingered time.Duration) {
 	start := time.Now()
 	// Expire requests whose deadline passed while queued: executing
 	// them wastes batch capacity on an answer nobody is waiting for.
@@ -176,7 +234,7 @@ func (s *Server) runBatch(reqs []*pending) {
 	if len(live) == 0 {
 		return
 	}
-	parts, shared, err := s.executeBatch(live, start)
+	parts, shared, err := s.executeBatch(live, start, lingered)
 	if err != nil {
 		s.fail(live, err)
 		return
@@ -195,10 +253,10 @@ func (s *Server) runBatch(reqs []*pending) {
 // output parts plus the shared result fields. When tracing is enabled
 // it wraps the work in a serve:batch span that links every member
 // request's trace, with serve:execute and serve:tuner children.
-func (s *Server) executeBatch(live []*pending, start time.Time) ([]*tensor.Tensor, result, error) {
+func (s *Server) executeBatch(live []*pending, start time.Time, lingered time.Duration) ([]*tensor.Tensor, result, error) {
 	var bsp *obs.Span
 	if tr := s.cfg.Tracer; tr != nil {
-		bsp = tr.Start("serve:batch")
+		bsp = tr.Start("serve:batch").With("lingered_ms", lingered.Seconds()*1e3)
 		for _, p := range live {
 			bsp.Link(p.sc.TraceID)
 		}
@@ -270,6 +328,7 @@ func (s *Server) executeBatch(live []*pending, start time.Time) ([]*tensor.Tenso
 	qExec.Observe(exec)
 	qBatchItems.Observe(float64(items))
 	qConfigExec.With(label).Observe(exec)
+	qItemsExec.With(strconv.Itoa(items)).Observe(exec)
 	if recal {
 		gRecalNeeded.Set(1)
 		// First drift latch: leave an automatic flight dump behind while
@@ -285,7 +344,7 @@ func (s *Server) executeBatch(live []*pending, start time.Time) ([]*tensor.Tenso
 		s.trace = s.trace[len(s.trace)-maxBatchTrace:]
 	}
 	s.mu.Unlock()
-	s.refreshSlowThreshold()
+	s.refreshSlowThreshold(start.Add(wall))
 
 	return parts, result{
 		cfgIdx:     idx,
@@ -300,17 +359,25 @@ func (s *Server) executeBatch(live []*pending, start time.Time) ([]*tensor.Tenso
 // of samples is noise).
 const slowMinSamples = 20
 
+// slowRefreshEvery bounds how often the slow-trace threshold is
+// re-derived: a snapshot of the request histogram is a ~10 KB allocation
+// on the one serial goroutine in the server, and a running quantile of
+// thousands of samples does not move between two batches.
+const slowRefreshEvery = 100 * time.Millisecond
+
 // refreshSlowThreshold re-derives the tail sampler's "slow" cutoff from
-// the live request-latency quantile. Skipped when tracing is off
-// (nothing consumes it) and while samples are few.
-func (s *Server) refreshSlowThreshold() {
-	if s.cfg.Tracer == nil {
+// the live request-latency quantile, at most once per slowRefreshEvery.
+// Skipped when tracing is off (nothing consumes it); while samples are
+// few it keeps looking after every batch.
+func (s *Server) refreshSlowThreshold(now time.Time) {
+	if s.cfg.Tracer == nil || now.Sub(s.slowAt) < slowRefreshEvery {
 		return
 	}
 	snap := qRequest.Snapshot()
 	if snap.Count() < slowMinSamples {
 		return
 	}
+	s.slowAt = now
 	s.slowNs.Store(int64(snap.Quantile(s.cfg.SlowQuantile) * 1e9))
 }
 
