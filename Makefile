@@ -1,12 +1,13 @@
 # Tier-1 verification gate: everything `make ci` runs must stay green.
-# CI = formatting check + vet + FMA guard + project lint (source + IR) + build +
-# smokes + race-enabled tests + the repo benchmark's own tests.
+# CI = formatting check + vet (and its self-test) + FMA guard + IR lint +
+# build + smokes + race-enabled tests (the source lint suite runs inside
+# them) + the repo benchmark's own tests.
 
 GO ?= go
 
-.PHONY: ci fmt-check vet no-fma no-fma-selftest lint lint-registry build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
+.PHONY: ci fmt-check vet vet-selftest no-fma no-fma-selftest lint build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
 
-ci: fmt-check vet no-fma no-fma-selftest lint lint-registry build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
+ci: fmt-check vet vet-selftest no-fma no-fma-selftest lint build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -16,6 +17,19 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Uncalled context cancel functions are go vet's to find (lostcancel), not
+# the project linter's, so that hand-over must be able to fail: vet over a
+# package with a lost cancel planted on each marked line must report both.
+LOSTCANCEL = internal/lint/testdata/src/lostcancel
+
+vet-selftest:
+	@out=$$($(GO) vet ./$(LOSTCANCEL) 2>&1); \
+	lines=$$(grep -n 'vet: lostcancel' $(LOSTCANCEL)/bad.go | cut -d: -f1); \
+	[ -n "$$lines" ] || { echo "vet-selftest: no marked lines in $(LOSTCANCEL)/bad.go"; exit 1; }; \
+	for l in $$lines; do \
+		echo "$$out" | grep -q "bad.go:$$l:" || { echo "vet-selftest: go vet misses the lost cancel planted at bad.go:$$l"; exit 1; }; \
+	done
 
 # Every assembly kernel is pinned bit-identical to a scalar reference that
 # rounds the product and the sum separately; one fused multiply-add breaks
@@ -29,24 +43,11 @@ no-fma:
 no-fma-selftest:
 	@printf '\tVFMADD231PD Y1, Y2, Y3\n' | grep -qE '$(FMA_RE)' || { echo "no-fma: the pattern misses a planted VFMADD231PD"; exit 1; }
 
-# Project-specific static analysis (cmd/approxlint): twelve go/ast+go/types
-# analyzers over the source tree (per-package analysis parallelized with
-# -p 0, findings archived as lint.json), then the domain validators over
-# the knob registry and the model-zoo graphs.
+# The domain validators over the knob registry and the model-zoo graphs
+# (cmd/approxlint -ir). The source analyzers need no target of their own:
+# TestRepositoryIsLintClean runs them over the tree inside `go test`.
 lint:
-	$(GO) run ./cmd/approxlint -json -p 0 ./... > lint.json
 	$(GO) run ./cmd/approxlint -ir
-
-# Guard the analyzer inventory: the registry (approxlint -list) and the
-# README's analyzer table must list the same number of analyzers, so a new
-# rule cannot land undocumented (or vice versa).
-lint-registry:
-	@got=$$($(GO) run ./cmd/approxlint -list | wc -l); \
-	doc=$$(grep -c '^| `[a-z]*` |' README.md); \
-	if [ "$$got" -eq 0 ] || [ "$$got" -ne "$$doc" ]; then \
-		echo "analyzer registry mismatch: -list=$$got README table=$$doc"; \
-		exit 1; \
-	fi
 
 build:
 	$(GO) build ./...
@@ -85,12 +86,14 @@ bench-exec-smoke:
 
 # Ten seconds each of the convolution differential fuzzer (direct-pack
 # engine against the im2col reference), of the row-epilogue one (every
-# kernel tier against the scalar chain) and of the /v1/infer body scanner
-# against encoding/json, starting from the committed corpora.
+# kernel tier against the scalar chain), of the /v1/infer body scanner
+# against encoding/json and of the traceparent header parser, starting
+# from the committed corpora and in-code seeds.
 fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzEpilogueRow -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzInferRequestDecode -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

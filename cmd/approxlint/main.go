@@ -1,31 +1,27 @@
-// Command approxlint runs the project's static-analysis suite: twelve
-// go/ast+go/types analyzers over the source tree — the syntactic rules
-// (stdlib-only imports, seeded-RNG determinism, obs-span hygiene, float
-// equality, tensor-kernel aliasing, shared-map lock discipline, HTTP
-// client defaults, metric naming) and the flow-sensitive rules built on
-// internal/lint/flow (scratch-pool lifecycle, module-wide lock ordering,
-// context cancellation, map-iteration determinism) — plus, with -ir, the
-// domain-level validators over the system's data: the approximation-knob
-// registry against the modeled devices and the dataflow graphs of the
-// model zoo.
+// Command approxlint runs the project's static-analysis suite: ten
+// go/ast+go/types analyzers over the source tree — seeded-RNG determinism,
+// tensor-kernel aliasing, shared-map lock discipline, HTTP client defaults,
+// metric naming, detached contexts, module-wide lock ordering,
+// map-iteration determinism, and the two path-sensitive rules built on
+// internal/lint/flow (obs-span and scratch-pool lifecycle) — plus, with
+// -ir, the domain-level validators over the system's data: the
+// approximation-knob registry against the modeled devices and the dataflow
+// graphs of the model zoo.
 //
 // Usage:
 //
-//	approxlint [-ir] [-list] [-json] [-p N] [packages]
+//	approxlint [-ir] [-list] [-only analyzer] [packages]
 //
-// Packages default to ./... resolved from the module root. With -p N the
-// per-package analyses run on N goroutines (0 = GOMAXPROCS); output is
-// byte-identical to a serial run. With -json the findings are emitted as
-// a JSON array on stdout (human-readable lines move to stderr) for
-// tooling; `make lint` archives them as lint.json. The exit code is 1
-// when any finding is reported, making the command a CI gate (`make ci`
-// runs both modes).
+// Packages default to ./... resolved from the module root. The exit code
+// is 1 when any finding is reported and 2 on a usage or load error. The
+// source suite also runs inside `go test` (TestRepositoryIsLintClean);
+// `make lint` runs the -ir mode, which has no test twin.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/approx"
@@ -37,58 +33,51 @@ import (
 	"repro/internal/tensor"
 )
 
-func main() {
-	irMode := flag.Bool("ir", false, "validate the knob registry and model-zoo graphs instead of source code")
-	list := flag.Bool("list", false, "list the registered analyzers and exit")
-	only := flag.String("only", "", "comma-free single analyzer name to run (default: all)")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout (human-readable lines go to stderr)")
-	par := flag.Int("p", 1, "parallel analysis workers (0 = GOMAXPROCS); output is identical to a serial run")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: approxlint [-ir] [-list] [-only analyzer] [-json] [-p N] [packages]\n\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("approxlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	irMode := fs.Bool("ir", false, "validate the knob registry and model-zoo graphs instead of source code")
+	list := fs.Bool("list", false, "list the registered analyzers and exit")
+	only := fs.String("only", "", "comma-free single analyzer name to run (default: all)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: approxlint [-ir] [-list] [-only analyzer] [packages]\n\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.AllAnalyzers() {
-			fmt.Printf("%-12s %s\n", a.Name(), a.Doc())
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name(), a.Doc())
 		}
-		return
+		return 0
 	}
 	if *irMode {
-		os.Exit(runIR())
+		return runIR(stdout, stderr)
 	}
-	os.Exit(runSource(flag.Args(), *only, *jsonOut, *par))
-}
-
-// jsonDiag is the machine-readable rendering of one finding.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	return runSource(fs.Args(), *only, stdout, stderr)
 }
 
 // runSource loads the requested packages and applies the analyzer suite.
-func runSource(patterns []string, only string, jsonOut bool, workers int) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
+func runSource(patterns []string, only string, stdout, stderr io.Writer) int {
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "approxlint:", err)
+		fmt.Fprintln(stderr, "approxlint:", err)
 		return 2
 	}
 	pkgs, err := lint.Load(wd, patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "approxlint:", err)
+		fmt.Fprintln(stderr, "approxlint:", err)
 		return 2
 	}
 	failed := 0
 	for _, p := range pkgs {
 		for _, terr := range p.TypeErrors {
-			fmt.Fprintf(os.Stderr, "approxlint: %s: type error: %v\n", p.Path, terr)
+			fmt.Fprintf(stderr, "approxlint: %s: type error: %v\n", p.Path, terr)
 			failed = 2
 		}
 	}
@@ -96,34 +85,17 @@ func runSource(patterns []string, only string, jsonOut bool, workers int) int {
 	if only != "" {
 		a := lint.AnalyzerByName(only)
 		if a == nil {
-			fmt.Fprintf(os.Stderr, "approxlint: unknown analyzer %q (try -list)\n", only)
+			fmt.Fprintf(stderr, "approxlint: unknown analyzer %q (try -list)\n", only)
 			return 2
 		}
 		runner.Analyzers = []lint.Analyzer{a}
 	}
-	diags := runner.RunParallel(pkgs, workers)
-	if jsonOut {
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "approxlint:", err)
-			return 2
-		}
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	diags := runner.Run(pkgs)
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "approxlint: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "approxlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return failed
@@ -133,11 +105,11 @@ func runSource(patterns []string, only string, jsonOut bool, workers int) int {
 // TX2 device models, knob-set/curve invariants, and deep structural +
 // shape validation of every model-zoo graph (built at reduced width so the
 // check stays fast; shape inference touches no tensor data).
-func runIR() int {
+func runIR(stdout, stderr io.Writer) int {
 	bad := 0
 	report := func(errs []error) {
 		for _, e := range errs {
-			fmt.Println(e)
+			fmt.Fprintln(stdout, e)
 			bad++
 		}
 	}
@@ -168,17 +140,17 @@ func runIR() int {
 	for _, class := range []approx.OpClass{approx.OpConv, approx.OpMatMul, approx.OpReduce, approx.OpOther} {
 		for _, id := range approx.KnobsFor(class, true) {
 			if _, ok := approx.Lookup(id); !ok {
-				fmt.Printf("knob policy for %s emits unregistered id %d\n", class, id)
+				fmt.Fprintf(stdout, "knob policy for %s emits unregistered id %d\n", class, id)
 				bad++
 			}
 		}
 	}
 
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "approxlint -ir: %d finding(s)\n", bad)
+		fmt.Fprintf(stderr, "approxlint -ir: %d finding(s)\n", bad)
 		return 1
 	}
-	fmt.Printf("approxlint -ir: knob registry (%d knobs, %d devices) and %d model graphs validate clean\n",
+	fmt.Fprintf(stdout, "approxlint -ir: knob registry (%d knobs, %d devices) and %d model graphs validate clean\n",
 		len(approx.All()), len(devs), len(zoo))
 	return 0
 }

@@ -65,7 +65,6 @@ func (o Options) norm() Options {
 	if o.StallLimit == 0 {
 		o.StallLimit = 1000
 	}
-	//lint:ignore floateq exact zero is the unset-option sentinel
 	if o.QoSPenalty == 0 {
 		o.QoSPenalty = 10.0
 	}

@@ -126,7 +126,6 @@ func (b *bandit) pick(rng *tensor.RNG) int {
 	best, bestScore := 0, math.Inf(-1)
 	for i := range b.trials {
 		var score float64
-		//lint:ignore floateq the trial counter only ever holds whole increments; exact zero means untried
 		if b.trials[i] == 0 {
 			score = math.Inf(1) // try everything once
 		} else {

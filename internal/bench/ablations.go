@@ -63,7 +63,7 @@ func PredictorAccuracy(s *Session, name string, nSamples int) *Report {
 		}
 		for i := 0; i < len(eval); i++ {
 			for j := i + 1; j < len(eval); j++ {
-				//lint:ignore floateq rank agreement skips exactly-tied measured values by identity
+				// rank agreement skips exactly-tied measured values by identity
 				if eval[i].real == eval[j].real {
 					continue
 				}

@@ -51,11 +51,9 @@ func Fig7(s *Session) *Report {
 				costs := comp.Costs()
 				sp = gpu.Time(costs, nil) / gpu.Time(costs, pt.Config)
 			}
-			//lint:ignore floateq loop variables are compared against the exact slice elements they iterate over
 			if dAcc == accDrops[0] && pmin == psnrMins[0] {
 				firstCell = sp
 			}
-			//lint:ignore floateq loop variables are compared against the exact slice elements they iterate over
 			if dAcc == accDrops[len(accDrops)-1] && pmin == psnrMins[len(psnrMins)-1] {
 				lastCell = sp
 			}

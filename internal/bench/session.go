@@ -88,11 +88,9 @@ func (c Config) norm() Config {
 	if c.Images == 0 {
 		c.Images = d.Images
 	}
-	//lint:ignore floateq exact zero is the unset-field sentinel
 	if c.Width == 0 {
 		c.Width = d.Width
 	}
-	//lint:ignore floateq exact zero is the unset-field sentinel
 	if c.HeavyWidth == 0 {
 		c.HeavyWidth = d.HeavyWidth
 	}

@@ -275,7 +275,7 @@ func (rt *RuntimeTuner) RecordInvocationAt(idx int, execTime float64) {
 		return
 	}
 	next := rt.pick(rt.requiredPerf)
-	//lint:ignore floateq curve points are discrete entries; a switch is a change of identity, not of magnitude
+	// curve points are discrete entries; a switch is a change of identity, not of magnitude
 	if next.Perf != rt.current.Perf || !sameConfig(next.Config, rt.current.Config) {
 		rt.switchTo(next)
 	}
@@ -353,7 +353,7 @@ func (rt *RuntimeTuner) pick(required float64) pareto.Point {
 		return rt.curve.Points[rt.curve.Len()-1]
 	default: // PolicyAverage
 		below, above, _ := rt.curve.Bracket(required)
-		//lint:ignore floateq bracket endpoints coincide only when they are the same stored curve entry
+		// bracket endpoints coincide only when they are the same stored curve entry
 		if below.Perf == above.Perf {
 			return below
 		}
@@ -403,7 +403,7 @@ func (rt *RuntimeTuner) MixProbabilities(required float64) (below, above pareto.
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	below, above, _ = rt.curve.Bracket(required)
-	//lint:ignore floateq bracket endpoints coincide only when they are the same stored curve entry
+	// bracket endpoints coincide only when they are the same stored curve entry
 	if below.Perf == above.Perf {
 		return below, above, 1, 0
 	}

@@ -77,7 +77,6 @@ func Generate(s Spec) *Dataset {
 	if s.Bumps == 0 {
 		s.Bumps = 4
 	}
-	//lint:ignore floateq exact zero is the unset-field sentinel
 	if s.NoiseStd == 0 {
 		s.NoiseStd = 0.05
 	}

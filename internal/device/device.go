@@ -165,7 +165,7 @@ func (d *Device) NodeTime(c graph.NodeCost, id approx.KnobID) float64 {
 func (d *Device) Time(costs []graph.NodeCost, cfg approx.Config) float64 {
 	var t float64
 	for _, c := range costs {
-		//lint:ignore floateq analytic cost rows are exactly zero for free ops (input, flatten)
+		// analytic cost rows are exactly zero for free ops (input, flatten)
 		if c.Nc == 0 && c.Nm == 0 {
 			continue
 		}
@@ -195,7 +195,7 @@ func (d *Device) NodeEnergy(c graph.NodeCost, id approx.KnobID) float64 {
 func (d *Device) Energy(costs []graph.NodeCost, cfg approx.Config) float64 {
 	var e float64
 	for _, c := range costs {
-		//lint:ignore floateq analytic cost rows are exactly zero for free ops (input, flatten)
+		// analytic cost rows are exactly zero for free ops (input, flatten)
 		if c.Nc == 0 && c.Nm == 0 {
 			continue
 		}

@@ -10,10 +10,8 @@ import (
 // AllAnalyzers returns the project analyzer suite in reporting order.
 func AllAnalyzers() []Analyzer {
 	return []Analyzer{
-		StdlibOnly{},
 		DetRand{},
 		SpanEnd{},
-		FloatEq{},
 		TensorAlias{},
 		LockGuard{},
 		HTTPDefault{},
@@ -33,38 +31,6 @@ func AnalyzerByName(name string) Analyzer {
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// stdlibonly: the repository builds with the Go standard library alone.
-// Any third-party import — anything whose first path element contains a
-// dot — breaks the project's no-dependencies constraint (DESIGN.md).
-
-// StdlibOnly flags imports outside the standard library and this module.
-type StdlibOnly struct{}
-
-func (StdlibOnly) Name() string { return "stdlibonly" }
-func (StdlibOnly) Doc() string {
-	return "imports must be standard library or module-internal (no third-party dependencies)"
-}
-
-func (StdlibOnly) Run(pass *Pass) {
-	module := moduleOf(pass.Pkg.Path)
-	for _, f := range pass.Pkg.Files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if path == module || strings.HasPrefix(path, module+"/") {
-				continue
-			}
-			first, _, _ := strings.Cut(path, "/")
-			if strings.Contains(first, ".") {
-				pass.Reportf(imp.Pos(), "import %q is outside the standard library and module %q", path, module)
-			}
-		}
-	}
 }
 
 // moduleOf recovers the module path from an analysis-unit path

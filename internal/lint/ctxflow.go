@@ -8,134 +8,28 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// ctxflow: context lifecycle discipline. Two rules.
-//
-// Rule 1 (everywhere): the CancelFunc returned by context.WithCancel /
-// WithTimeout / WithDeadline must be called on every path of the
-// function that created it — a missed cancel leaks the derived context's
-// timer and goroutine until the parent is cancelled, which for
-// long-lived coordinator contexts is effectively forever. Defer-aware
-// via the shared resource engine; handing the cancel func to another
-// function or storing it transfers ownership. A cancel assigned to the
-// blank identifier is flagged outright.
-//
-// Rule 2 (internal/distrib only): a function that already receives a
-// context.Context must not mint a fresh context.Background()/TODO() —
-// that detaches the request path from the caller's deadline and
-// cancellation, the exact livelock class the chaos suite hunts. The
-// canonical nil-guard (`if ctx == nil { ctx = context.Background() }`)
-// is recognized and allowed.
+// ctxflow: context lifecycle discipline in internal/distrib. A function
+// that already receives a context.Context must not mint a fresh
+// context.Background()/TODO() — that detaches the request path from the
+// caller's deadline and cancellation, the exact livelock class the chaos
+// suite hunts. The canonical nil-guard (`if ctx == nil { ctx =
+// context.Background() }`) is recognized and allowed. (Uncalled cancel
+// functions are `go vet`'s lostcancel check; `make vet-selftest` pins that
+// it still fires.)
 
-// CtxFlow flags uncalled context cancel functions and detached contexts
-// in distrib request paths.
+// CtxFlow flags detached contexts in distrib request paths.
 type CtxFlow struct{}
 
 func (CtxFlow) Name() string { return "ctxflow" }
 func (CtxFlow) Doc() string {
-	return "context.CancelFunc must be called on all paths; no fresh Background()/TODO() in distrib functions that receive a ctx"
+	return "no fresh context.Background()/TODO() in distrib functions that receive a ctx"
 }
 
-var ctxCancelCtors = map[string]bool{
-	"WithCancel": true, "WithTimeout": true, "WithDeadline": true,
-	"WithCancelCause": true, "WithTimeoutCause": true, "WithDeadlineCause": true,
-}
+// ctxflowPkgSuffix scopes the rule to the distributed protocol.
+const ctxflowPkgSuffix = "internal/distrib"
 
-func (c CtxFlow) Run(pass *Pass) {
-	c.checkCancelFuncs(pass)
-	c.checkDetachedContexts(pass)
-}
-
-// checkCancelFuncs runs the flow-sensitive release-on-all-paths engine
-// with cancel-function acquire/release matchers.
-func (CtxFlow) checkCancelFuncs(pass *Pass) {
-	// Blank-identifier cancels first: `ctx, _ := context.WithTimeout(...)`
-	// leaks unconditionally and never reaches the dataflow engine
-	// (there is no variable to track).
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 2 || len(as.Rhs) != 1 {
-				return true
-			}
-			call, ok := as.Rhs[0].(*ast.CallExpr)
-			if !ok || !isCtxCancelCtor(pass, call) {
-				return true
-			}
-			if id, ok := as.Lhs[1].(*ast.Ident); ok && id.Name == "_" {
-				pass.Reportf(as.Pos(), "cancel function of %s is discarded; the derived context leaks until its parent is cancelled", ctxCtorName(call))
-			}
-			return true
-		})
-	}
-
-	spec := resourceSpec{
-		noun:        "context cancel function",
-		releaseVerb: "cancel()",
-		argEscapes:  true, // handing the cancel func off transfers responsibility
-		acquire: func(pass *Pass, as *ast.AssignStmt) *types.Var {
-			if len(as.Lhs) != 2 || len(as.Rhs) != 1 {
-				return nil
-			}
-			call, ok := as.Rhs[0].(*ast.CallExpr)
-			if !ok || !isCtxCancelCtor(pass, call) {
-				return nil
-			}
-			id, ok := as.Lhs[1].(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return nil
-			}
-			v, _ := pass.ObjectOf(id).(*types.Var)
-			return v
-		},
-		release: func(pass *Pass, call *ast.CallExpr) *types.Var {
-			id, ok := call.Fun.(*ast.Ident)
-			if !ok {
-				return nil
-			}
-			v, ok := pass.ObjectOf(id).(*types.Var)
-			if !ok {
-				return nil
-			}
-			return v
-		},
-	}
-	runResourceAnalysis(pass, spec)
-}
-
-// isCtxCancelCtor matches context.WithCancel/WithTimeout/WithDeadline
-// (and their Cause variants).
-func isCtxCancelCtor(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !ctxCancelCtors[sel.Sel.Name] {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkg, ok := pass.ObjectOf(id).(*types.PkgName)
-	return ok && pkg.Imported().Path() == "context"
-}
-
-func ctxCtorName(call *ast.CallExpr) string {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		return "context." + sel.Sel.Name
-	}
-	return "context constructor"
-}
-
-// ctxflowPkgSuffixes scopes rule 2 to the distributed protocol.
-var ctxflowPkgSuffixes = []string{"internal/distrib"}
-
-// checkDetachedContexts implements rule 2.
-func (CtxFlow) checkDetachedContexts(pass *Pass) {
-	scoped := false
-	for _, s := range ctxflowPkgSuffixes {
-		if strings.HasSuffix(strings.TrimSuffix(pass.Pkg.Path, "_test"), s) {
-			scoped = true
-		}
-	}
-	if !scoped {
+func (CtxFlow) Run(pass *Pass) {
+	if !strings.HasSuffix(strings.TrimSuffix(pass.Pkg.Path, "_test"), ctxflowPkgSuffix) {
 		return
 	}
 	for i, f := range pass.Pkg.Files {
@@ -161,8 +55,8 @@ func (CtxFlow) checkDetachedContexts(pass *Pass) {
 					return true
 				}
 				pass.Reportf(call.Pos(),
-					"%s inside a function that already receives ctx %q detaches this path from the caller's cancellation; derive from %s instead",
-					ctxCtorName(call), ctxParam.Name(), ctxParam.Name())
+					"context.%s inside a function that already receives ctx %q detaches this path from the caller's cancellation; derive from %s instead",
+					call.Fun.(*ast.SelectorExpr).Sel.Name, ctxParam.Name(), ctxParam.Name())
 				return true
 			})
 		}

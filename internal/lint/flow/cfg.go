@@ -105,7 +105,7 @@ func Inspect(n ast.Node, fn func(ast.Node) bool) {
 			return
 		}
 		for _, sub := range []ast.Node{r.Key, r.Value, r.X} {
-			if sub != nil && !isNilExpr(sub) {
+			if sub != nil {
 				Inspect(sub, fn)
 			}
 		}
@@ -120,11 +120,6 @@ func Inspect(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(m)
 	})
-}
-
-func isNilExpr(n ast.Node) bool {
-	e, ok := n.(ast.Expr)
-	return ok && e == nil
 }
 
 // target is one enclosing breakable/continuable construct.
@@ -170,7 +165,7 @@ func (b *builder) goTo(to *Block) {
 }
 
 func (b *builder) add(n ast.Node) {
-	if n != nil && !isNilExpr(n) {
+	if n != nil {
 		b.cur.Nodes = append(b.cur.Nodes, n)
 	}
 }

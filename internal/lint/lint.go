@@ -6,11 +6,12 @@
 // The engine exists because ApproxTuner's correctness guarantees hinge on
 // invariants the Go type system cannot see: tuning must be reproducible
 // (seeded RNG only), tensor kernels must not silently mutate their inputs,
-// trace spans must be closed on every path, floating-point values must not
-// be compared with ==, and shared maps in the concurrent packages must be
-// written under a lock. Each of those rules is one Analyzer in this
-// package; cmd/approxlint runs the suite over ./... and the Makefile ci
-// target gates on it.
+// trace spans must be closed on every path, and shared maps in the
+// concurrent packages must be written under a lock. Each of those rules is
+// one Analyzer in this package, and only rules no other gate owns live
+// here (go vet, gofmt and the module file have their own); the suite runs
+// inside `go test` as TestRepositoryIsLintClean, and cmd/approxlint runs
+// it from the command line.
 //
 // A diagnostic can be suppressed with a comment on the flagged line or on
 // the line directly above it:
@@ -23,12 +24,13 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,6 +42,12 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
+
+	// Anchor, when set, is where the finding's cause sits: a //lint:ignore
+	// there covers it as one at Pos does. The flow-sensitive analyzers
+	// report a leak where the path ends — many lines from the acquisition,
+	// which is the stable line to annotate.
+	Anchor token.Position
 }
 
 func (d Diagnostic) String() string {
@@ -48,9 +56,8 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one static-analysis rule. Implementations receive a fully
 // parsed and type-checked package via the Pass and report findings through
-// it. Analyzers must be stateless across passes (the runner reuses them
-// for every package, and the parallel runner invokes Run concurrently on
-// different packages).
+// it. Analyzers must be stateless across passes: the runner reuses them
+// for every package and invokes Run concurrently on different packages.
 type Analyzer interface {
 	// Name is the stable identifier used in diagnostics and in
 	// //lint:ignore directives (lowercase, no spaces).
@@ -83,70 +90,26 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.ReportfAt(pos, token.NoPos, format, args...)
+}
+
+// ReportfAt records a diagnostic at pos anchored at its cause (see
+// Diagnostic.Anchor).
+func (p *Pass) ReportfAt(pos, anchor token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.analyzer,
 		Message:  fmt.Sprintf(format, args...),
+		Anchor:   p.Fset.Position(anchor),
 	})
 }
 
 // TypeOf returns the static type of an expression (nil when the
 // type-checker could not resolve it).
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if p.Pkg.Info == nil {
-		return nil
-	}
-	return p.Pkg.Info.TypeOf(e)
-}
+func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
 // ObjectOf resolves an identifier to its object (definition or use).
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if p.Pkg.Info == nil {
-		return nil
-	}
-	if o := p.Pkg.Info.Defs[id]; o != nil {
-		return o
-	}
-	return p.Pkg.Info.Uses[id]
-}
-
-// IgnoredAt reports whether a well-formed //lint:ignore directive
-// covering this pass's analyzer sits on pos's line or the line directly
-// above. Flow-sensitive analyzers use it to honor a suppression placed
-// on the acquisition site (the Scratch/WithCancel line) even though the
-// diagnostic itself is reported at the leak point, which may be many
-// lines away on another path.
-func (p *Pass) IgnoredAt(pos token.Pos) bool {
-	f := p.FileOf(pos)
-	if f == nil {
-		return false
-	}
-	line := p.Fset.Position(pos).Line
-	for _, d := range parseDirectives(p.Fset, f) {
-		if d.reason == "" || !d.covers(p.analyzer) {
-			continue
-		}
-		if d.pos.Line == line || d.pos.Line == line-1 {
-			return true
-		}
-	}
-	return false
-}
-
-// FileOf returns the *ast.File containing pos (nil if none).
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// Filename returns the on-disk name of the file containing pos.
-func (p *Pass) Filename(pos token.Pos) string {
-	return p.Fset.Position(pos).Filename
-}
+func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
 
 // Runner executes a set of analyzers over loaded packages and applies
 // suppression directives.
@@ -159,27 +122,14 @@ func NewRunner() *Runner {
 	return &Runner{Analyzers: AllAnalyzers()}
 }
 
-// Run analyzes every package serially and returns the surviving
-// (unsuppressed) diagnostics sorted by file position. Equivalent to
-// RunParallel(pkgs, 1); the output is byte-identical regardless of
-// worker count.
+// Run analyzes every package and returns the surviving (unsuppressed)
+// diagnostics sorted by file position. The per-package analyzer phase
+// fans out over GOMAXPROCS goroutines: each package collects into its own
+// slice and results are merged in package order; module-wide analyzers
+// then run once, serially; the final sort is total (position, analyzer,
+// message), so the output is byte-identical at any processor count.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
-	return r.RunParallel(pkgs, 1)
-}
-
-// RunParallel is Run with the per-package analyzer phase fanned out over
-// `workers` goroutines (workers <= 0 means GOMAXPROCS). Each package
-// collects into its own slice and results are merged in package order;
-// module-wide analyzers then run once, serially; the final sort is total
-// (position, analyzer, message), so diagnostics are byte-identical
-// across serial and parallel runs.
-func (r *Runner) RunParallel(pkgs []*Package, workers int) []Diagnostic {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkgs) && len(pkgs) > 0 {
-		workers = len(pkgs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(pkgs))
 
 	perPkg := make([][]Diagnostic, len(pkgs))
 	var next atomic.Int64
@@ -222,21 +172,13 @@ func (r *Runner) RunParallel(pkgs []*Package, workers int) []Diagnostic {
 	}
 
 	diags = applySuppressions(pkgs, diags, r.names())
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+			strings.Compare(a.Message, b.Message))
 	})
 	return diags
 }
@@ -295,8 +237,9 @@ func (d *ignoreDirective) covers(analyzer string) bool {
 }
 
 // applySuppressions drops diagnostics covered by a directive on the same
-// line or the line directly above, and adds findings for malformed or
-// unused directives so suppressions cannot rot silently.
+// line or the line directly above — theirs or their anchor's — and adds
+// findings for malformed or unused directives so suppressions cannot rot
+// silently.
 func applySuppressions(pkgs []*Package, diags []Diagnostic, known map[string]bool) []Diagnostic {
 	// filename -> line -> directives on that line
 	byLine := make(map[string]map[int][]*ignoreDirective)
@@ -318,11 +261,13 @@ func applySuppressions(pkgs []*Package, diags []Diagnostic, known map[string]boo
 	var kept []Diagnostic
 	for _, diag := range diags {
 		suppressed := false
-		for _, line := range []int{diag.Pos.Line, diag.Pos.Line - 1} {
-			for _, d := range byLine[diag.Pos.Filename][line] {
-				if d.covers(diag.Analyzer) && d.reason != "" {
-					d.used = true
-					suppressed = true
+		for _, at := range []token.Position{diag.Pos, diag.Anchor} {
+			for _, line := range []int{at.Line, at.Line - 1} {
+				for _, d := range byLine[at.Filename][line] {
+					if d.covers(diag.Analyzer) && d.reason != "" {
+						d.used = true
+						suppressed = true
+					}
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -57,9 +58,7 @@ func wantMarkers(t *testing.T, pkgs []*Package) map[string]bool {
 // produce a finding, every finding must be marked.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	fixtures := []string{
-		"stdlibonly",
 		"detrand",
-		"floateq",
 		"spanfix",
 		"internal/tensorops",
 		"internal/parallel",
@@ -102,16 +101,16 @@ func TestDirectiveFindings(t *testing.T) {
 	pkgs := loadFixture(t, "directive")
 	diags := NewRunner().Run(pkgs)
 
-	var sawMalformed, sawUnknown, sawFloatEq bool
+	var sawMalformed, sawUnknown, sawFinding bool
 	for _, d := range diags {
 		switch {
 		case d.Analyzer == "lintdirective" && strings.Contains(d.Message, "malformed"):
 			sawMalformed = true
 		case d.Analyzer == "lintdirective" && strings.Contains(d.Message, "unknown analyzer"):
 			sawUnknown = true
-		case d.Analyzer == "floateq":
-			// The reason-less directive must NOT suppress the comparison.
-			sawFloatEq = true
+		case d.Analyzer == "httpdefault":
+			// The reason-less directive must NOT suppress the finding.
+			sawFinding = true
 		}
 	}
 	if !sawMalformed {
@@ -120,8 +119,8 @@ func TestDirectiveFindings(t *testing.T) {
 	if !sawUnknown {
 		t.Error("directive naming an unknown analyzer was not reported")
 	}
-	if !sawFloatEq {
-		t.Error("float comparison under a malformed directive was wrongly suppressed")
+	if !sawFinding {
+		t.Error("timeout-less client under a malformed directive was wrongly suppressed")
 	}
 }
 
@@ -156,29 +155,48 @@ func TestFlowIgnoreInteraction(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism pins byte-identical output across serial and
-// parallel runs over a multi-package load — the ordering guarantee
-// cmd/approxlint -p relies on.
+// TestTwoLeaksAtOneReturn pins the resource engine's de-duplication key:
+// findings are distinct when their formatted messages are, so two buffers
+// leaking at the same return are both reported.
+func TestTwoLeaksAtOneReturn(t *testing.T) {
+	diags := NewRunner().Run(loadFixture(t, "leakpair"))
+	if len(diags) != 2 {
+		t.Fatalf("got %d findings, want one per leaked buffer: %v", len(diags), diags)
+	}
+	if diags[0].Pos != diags[1].Pos {
+		t.Errorf("findings at %v and %v, want both at the early return", diags[0].Pos, diags[1].Pos)
+	}
+	for i, name := range []string{`"a"`, `"b"`} {
+		if !strings.Contains(diags[i].Message, "scratch buffer "+name) {
+			t.Errorf("finding %d = %q, want the leak of %s", i, diags[i].Message, name)
+		}
+	}
+}
+
+// TestParallelDeterminism pins byte-identical output at every processor
+// count over a multi-package load: Run fans out over GOMAXPROCS, and the
+// findings must not depend on it.
 func TestParallelDeterminism(t *testing.T) {
 	var pkgs []*Package
-	for _, fx := range []string{"poolaudit", "lockorder", "maporder", "internal/distrib", "floateq", "metricname"} {
+	for _, fx := range []string{"poolaudit", "lockorder", "maporder", "internal/distrib", "spanfix", "metricname"} {
 		pkgs = append(pkgs, loadFixture(t, fx)...)
 	}
-	render := func(diags []Diagnostic) string {
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var sb strings.Builder
-		for _, d := range diags {
+		for _, d := range NewRunner().Run(pkgs) {
 			sb.WriteString(d.String())
 			sb.WriteByte('\n')
 		}
 		return sb.String()
 	}
-	serial := render(NewRunner().RunParallel(pkgs, 1))
+	serial := render(1)
 	if serial == "" {
 		t.Fatal("fixture load produced no diagnostics; determinism check is vacuous")
 	}
-	for _, workers := range []int{2, 4, 0} {
-		if got := render(NewRunner().RunParallel(pkgs, workers)); got != serial {
-			t.Errorf("RunParallel(%d) output differs from serial run:\n--- serial ---\n%s--- parallel ---\n%s", workers, serial, got)
+	for _, procs := range []int{2, 4} {
+		if got := render(procs); got != serial {
+			t.Errorf("output at GOMAXPROCS=%d differs from GOMAXPROCS=1:\n--- 1 ---\n%s--- %d ---\n%s", procs, serial, procs, got)
 		}
 	}
 }
@@ -186,7 +204,7 @@ func TestParallelDeterminism(t *testing.T) {
 // TestDiagnosticFormat pins the file:line:col rendering the CI gate and
 // editors rely on.
 func TestDiagnosticFormat(t *testing.T) {
-	pkgs := loadFixture(t, "floateq")
+	pkgs := loadFixture(t, "httpdefault")
 	diags := NewRunner().Run(pkgs)
 	if len(diags) == 0 {
 		t.Fatal("no diagnostics")
@@ -201,10 +219,10 @@ func TestDiagnosticFormat(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry checks the suite covers the twelve project rules
-// and that names resolve.
+// TestAnalyzerRegistry checks the suite covers the ten project rules and
+// that names resolve.
 func TestAnalyzerRegistry(t *testing.T) {
-	names := []string{"stdlibonly", "detrand", "spanend", "floateq", "tensoralias", "lockguard", "httpdefault", "metricname",
+	names := []string{"detrand", "spanend", "tensoralias", "lockguard", "httpdefault", "metricname",
 		"poolaudit", "lockorder", "ctxflow", "maporder"}
 	all := AllAnalyzers()
 	if len(all) != len(names) {

@@ -301,19 +301,10 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	seen := make(map[string]bool)
 	var out []*Package
 	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "all" || pat == l.Module+"/...":
-			pkgs, err := l.LoadAll()
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range pkgs {
-				if !seen[p.Path] {
-					seen[p.Path] = true
-					out = append(out, p)
-				}
-			}
-		default:
+		var pkgs []*Package
+		if pat == "./..." || pat == "all" || pat == l.Module+"/..." {
+			pkgs, err = l.LoadAll()
+		} else {
 			d := pat
 			if !filepath.IsAbs(d) {
 				d = filepath.Join(dir, pat)
@@ -321,15 +312,15 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 			if fi, err := os.Stat(d); err != nil || !fi.IsDir() {
 				return nil, fmt.Errorf("lint: pattern %q is not a directory (only ./... and directory paths are supported)", pat)
 			}
-			pkgs, err := l.LoadDir(d)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range pkgs {
-				if !seen[p.Path] {
-					seen[p.Path] = true
-					out = append(out, p)
-				}
+			pkgs, err = l.LoadDir(d)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range pkgs {
+			if !seen[p.Path] {
+				seen[p.Path] = true
+				out = append(out, p)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -403,7 +404,7 @@ func emitCycle(cycle []string, edges map[string]*lockEdge, seen map[string]bool)
 			how = "acquired via " + shortFn(e.viaCall)
 		}
 		hops = append(hops, fmt.Sprintf("%s %s while holding %s in %s (%s:%d)",
-			shortKey(to), how, shortKey(from), shortFn(e.fn), filepathBase(p.Filename), p.Line))
+			shortKey(to), how, shortKey(from), shortFn(e.fn), filepath.Base(p.Filename), p.Line))
 	}
 	var names []string
 	for _, k := range rot {

@@ -38,7 +38,6 @@ func (PoolAudit) Run(pass *Pass) {
 	spec := resourceSpec{
 		noun:        "scratch buffer",
 		releaseVerb: "tensor.Release",
-		argEscapes:  false, // kernels borrow slices synchronously
 		acquire: func(pass *Pass, as *ast.AssignStmt) *types.Var {
 			if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 				return nil

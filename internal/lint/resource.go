@@ -1,25 +1,32 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"path/filepath"
+	"slices"
 
 	"repro/internal/lint/flow"
 )
 
 // ---------------------------------------------------------------------------
 // Shared flow-sensitive resource-lifecycle engine. poolaudit (tensor
-// scratch buffers) and ctxflow (context cancel functions) are the same
-// analysis with different acquire/release matchers: a variable bound to
-// an acquired resource must reach a release on every path to function
-// exit (a deferred release covers all paths), must not be released
-// twice, and must not be used after a definite release.
+// scratch buffers) and spanend (obs spans) are the same analysis with
+// different acquire/release matchers: a variable bound to an acquired
+// resource must reach a release on every path to function exit (a
+// deferred release covers all paths) and — unless the spec says a
+// released resource stays usable — must not be released twice or used
+// after a definite release.
 //
 // The engine is intraprocedural over the flow-package CFG. Ownership
 // transfers exempt a variable from tracking: returning it, assigning it
 // to anything, capturing it in a function literal, sending it on a
-// channel, taking its address, or placing it in a composite literal.
+// channel, taking its address, placing it in a composite literal, or
+// passing it to a call the spec says takes ownership. Method receivers
+// and ordinary call arguments are synchronous borrows.
 // Known unsoundness is documented in DESIGN.md §7 (bitmask facts merge
 // path states, so a defer on one branch covers leaks on another; escape
 // analysis is per-variable, not per-value).
@@ -35,8 +42,7 @@ const (
 
 // resourceSpec configures the engine for one analyzer.
 type resourceSpec struct {
-	// what the resource is called in diagnostics ("scratch buffer",
-	// "context cancel function").
+	// what the resource is called in diagnostics ("scratch buffer", "span").
 	noun string
 	// acquire inspects an assignment and returns the variable bound to a
 	// fresh resource (nil when the statement is not an acquisition).
@@ -44,11 +50,14 @@ type resourceSpec struct {
 	// release inspects a call and returns the tracked variable it
 	// releases (nil when the call is not a release).
 	release func(pass *Pass, call *ast.CallExpr) *types.Var
-	// argEscapes: passing the variable as an ordinary call argument
-	// transfers ownership (true for cancel funcs, false for pool buffers
-	// — kernels borrow slices synchronously).
-	argEscapes bool
-	// releaseVerb names the expected call in leak messages ("tensor.Release", "cancel()").
+	// takesOwnership reports calls whose arguments are handed over rather
+	// than lent (obs.ContextWithSpan); nil when every call borrows.
+	takesOwnership func(call *ast.CallExpr) bool
+	// usableReleased turns off the double-release and use-after-release
+	// checks: an ended span can still be read and End is idempotent; a
+	// released buffer belongs to the pool.
+	usableReleased bool
+	// releaseVerb names the expected call in leak messages ("tensor.Release", "End()").
 	releaseVerb string
 }
 
@@ -59,7 +68,6 @@ type resEngine struct {
 
 	tracked map[*types.Var]token.Pos // var -> acquire position
 	escapes map[*types.Var]bool      // ownership left the unit
-	seen    map[string]bool          // diagnostic dedup
 }
 
 func runResourceAnalysis(pass *Pass, spec resourceSpec) {
@@ -101,15 +109,14 @@ func (e *resEngine) checkFunc(body *ast.BlockStmt) {
 	}
 
 	// Phase 2: drop variables whose ownership escapes this unit.
+	e.escapes = map[*types.Var]bool{}
 	for _, blk := range g.Blocks {
 		for _, n := range blk.Nodes {
 			e.scanEscapes(n)
 		}
 	}
-	for v := range e.tracked {
-		if e.escaped(v) {
-			delete(e.tracked, v)
-		}
+	for v := range e.escapes {
+		delete(e.tracked, v)
 	}
 	if len(e.tracked) == 0 {
 		return
@@ -118,7 +125,7 @@ func (e *resEngine) checkFunc(body *ast.BlockStmt) {
 	// Phase 3: solve, then re-walk reachable blocks reporting.
 	analysis := flow.Forward[resFact]{
 		Entry: resFact{},
-		Clone: cloneResFact,
+		Clone: maps.Clone[resFact],
 		Join:  joinResFact,
 		Transfer: func(f resFact, n ast.Node) resFact {
 			return e.transfer(f, n, nil)
@@ -126,56 +133,52 @@ func (e *resEngine) checkFunc(body *ast.BlockStmt) {
 	}
 	in := analysis.Solve(g)
 
-	e.seen = map[string]bool{}
-	report := func(pos token.Pos, format string, args ...any) {
-		key := Diagnostic{Pos: e.pass.Fset.Position(pos), Message: format}.String()
-		if e.seen[key] {
-			return
+	// Findings are anchored at the acquisition, so a //lint:ignore there
+	// covers a leak reported lines away, and de-duplicated on the formatted
+	// message: two variables leaking at the same return are two findings.
+	type finding struct {
+		pos token.Pos
+		msg string
+	}
+	seen := map[finding]bool{}
+	report := func(v *types.Var, pos token.Pos, format string, args ...any) {
+		key := finding{pos, fmt.Sprintf(format, args...)}
+		if !seen[key] {
+			seen[key] = true
+			e.pass.ReportfAt(pos, e.tracked[v], "%s", key.msg)
 		}
-		e.seen[key] = true
-		e.pass.Reportf(pos, format, args...)
 	}
 	for _, blk := range g.Blocks {
 		f, ok := in[blk]
 		if !ok {
 			continue
 		}
-		out := cloneResFact(f)
+		out := maps.Clone(f)
 		for _, n := range blk.Nodes {
 			out = e.transfer(out, n, report)
 		}
 		// Leak check on edges into the synthetic exit.
-		for _, s := range blk.Succs {
-			if s != g.Exit {
+		if !slices.Contains(blk.Succs, g.Exit) {
+			continue
+		}
+		for v, st := range out {
+			if st&resLive == 0 || st&resDeferred != 0 {
 				continue
 			}
-			for v, st := range out {
-				if st&resLive == 0 || st&resDeferred != 0 {
-					continue
-				}
-				if e.pass.IgnoredAt(e.tracked[v]) {
-					continue
-				}
-				pos := e.leakPos(blk, v)
-				acq := e.pass.Fset.Position(e.tracked[v])
-				report(pos, "%s %q (acquired at %s:%d) is not released on this path; call %s on every path or defer it",
-					e.spec.noun, v.Name(), filepathBase(acq.Filename), acq.Line, e.spec.releaseVerb)
+			pos := e.tracked[v]
+			if len(blk.Nodes) > 0 {
+				// The statement the path ends on — its return, when it has one.
+				pos = blk.Nodes[len(blk.Nodes)-1].Pos()
 			}
-			break
+			acq := e.pass.Fset.Position(e.tracked[v])
+			report(v, pos, "%s %q (acquired at %s:%d) is not released on this path; call %s on every path or defer it",
+				e.spec.noun, v.Name(), filepath.Base(acq.Filename), acq.Line, e.spec.releaseVerb)
 		}
 	}
 }
 
 // resFact maps tracked variables to their may-state.
 type resFact map[*types.Var]resState
-
-func cloneResFact(f resFact) resFact {
-	out := make(resFact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
 
 func joinResFact(dst, src resFact) (resFact, bool) {
 	changed := false
@@ -190,29 +193,39 @@ func joinResFact(dst, src resFact) (resFact, bool) {
 
 // releasesTracked returns the tracked variable the call releases, nil
 // when the call is not a release or releases an untracked variable (a
-// spec's release matcher may match structurally — e.g. any call through
-// a func-typed variable — so the tracked-set filter lives here).
+// spec's release matcher may match structurally — e.g. any x.End() call
+// — so the tracked-set filter lives here).
 func (e *resEngine) releasesTracked(call *ast.CallExpr) *types.Var {
-	v := e.spec.release(e.pass, call)
-	if v == nil {
-		return nil
+	if v := e.spec.release(e.pass, call); v != nil && e.isTracked(v) {
+		return v
 	}
-	if _, ok := e.tracked[v]; !ok {
-		return nil
+	return nil
+}
+
+// trackedVar resolves an identifier to the tracked variable it names, nil
+// when it names anything else.
+func (e *resEngine) trackedVar(id *ast.Ident) *types.Var {
+	if v, ok := e.pass.ObjectOf(id).(*types.Var); ok && e.isTracked(v) {
+		return v
 	}
-	return v
+	return nil
+}
+
+func (e *resEngine) isTracked(v *types.Var) bool {
+	_, ok := e.tracked[v]
+	return ok
 }
 
 // transfer applies one block node. With report == nil it is the pure
 // dataflow transfer; the reporting pass passes a dedup-ing reporter.
-func (e *resEngine) transfer(f resFact, n ast.Node, report func(token.Pos, string, ...any)) resFact {
+func (e *resEngine) transfer(f resFact, n ast.Node, report func(*types.Var, token.Pos, string, ...any)) resFact {
 	// Deferred releases: only the direct `defer release(v)` form counts
 	// (a release inside a deferred closure marks v escaped instead).
 	if d, ok := n.(*ast.DeferStmt); ok {
 		if v := e.releasesTracked(d.Call); v != nil {
 			st := f[v]
-			if report != nil && st&resDeferred != 0 && !e.pass.IgnoredAt(e.tracked[v]) {
-				report(d.Pos(), "release of %q is deferred again while a deferred release is already registered (defer in a loop releases the same %s twice)",
+			if report != nil && st&resDeferred != 0 {
+				report(v, d.Pos(), "release of %q is deferred again while a deferred release is already registered (defer in a loop releases the same %s twice)",
 					v.Name(), e.spec.noun)
 			}
 			f[v] = st | resDeferred
@@ -223,43 +236,39 @@ func (e *resEngine) transfer(f resFact, n ast.Node, report func(token.Pos, strin
 	flow.Inspect(n, func(m ast.Node) bool {
 		switch node := m.(type) {
 		case *ast.AssignStmt:
-			if v := e.spec.acquire(e.pass, node); v != nil {
-				if _, ok := e.tracked[v]; ok {
-					st := f[v]
-					// A deferred release covers the previous value (the
-					// acquire-and-defer-in-a-loop idiom is clean); only a
-					// live, undeferred previous value leaks here.
-					if report != nil && st&resLive != 0 && st&resDeferred == 0 && !e.pass.IgnoredAt(e.tracked[v]) {
-						report(node.Pos(), "%q is re-acquired while still holding an unreleased %s (previous value leaks)",
-							v.Name(), e.spec.noun)
-					}
-					// A fresh resource: prior releases and defers covered
-					// the previous value, not this one.
-					f[v] = resLive
-					return false
+			if v := e.spec.acquire(e.pass, node); v != nil && e.isTracked(v) {
+				st := f[v]
+				// A deferred release covers the previous value (the
+				// acquire-and-defer-in-a-loop idiom is clean); only a
+				// live, undeferred previous value leaks here.
+				if report != nil && st&resLive != 0 && st&resDeferred == 0 {
+					report(v, node.Pos(), "%q is re-acquired while still holding an unreleased %s (previous value leaks)",
+						v.Name(), e.spec.noun)
 				}
+				// A fresh resource: prior releases and defers covered
+				// the previous value, not this one.
+				f[v] = resLive
+				return false
 			}
 		case *ast.CallExpr:
 			if v := e.releasesTracked(node); v != nil {
 				st := f[v]
-				if report != nil && st&resReleased != 0 && !e.pass.IgnoredAt(e.tracked[v]) {
+				if report != nil && !e.spec.usableReleased && st&resReleased != 0 {
 					if st&resLive == 0 {
-						report(node.Pos(), "%q is released twice (%s already called on every path reaching here)", v.Name(), e.spec.releaseVerb)
+						report(v, node.Pos(), "%q is released twice (%s already called on every path reaching here)", v.Name(), e.spec.releaseVerb)
 					} else {
-						report(node.Pos(), "%q may already be released on some path reaching this %s call", v.Name(), e.spec.releaseVerb)
+						report(v, node.Pos(), "%q may already be released on some path reaching this %s call", v.Name(), e.spec.releaseVerb)
 					}
 				}
 				f[v] = (st &^ resLive) | resReleased
 				return false
 			}
 		case *ast.Ident:
-			if v, ok := e.pass.ObjectOf(node).(*types.Var); ok {
-				if _, tracked := e.tracked[v]; tracked {
-					st := f[v]
-					if report != nil && st&resReleased != 0 && st&resLive == 0 && !e.pass.IgnoredAt(e.tracked[v]) {
-						report(node.Pos(), "use of %s %q after release", e.spec.noun, v.Name())
-					}
-				}
+			if report == nil || e.spec.usableReleased {
+				break
+			}
+			if v := e.trackedVar(node); v != nil && f[v]&(resReleased|resLive) == resReleased {
+				report(v, node.Pos(), "use of %s %q after release", e.spec.noun, v.Name())
 			}
 		}
 		return true
@@ -268,8 +277,8 @@ func (e *resEngine) transfer(f resFact, n ast.Node, report func(token.Pos, strin
 }
 
 // scanEscapes marks tracked variables whose ownership leaves this unit.
-// Element reads (buf[i]) and synchronous borrows (the variable as a call
-// argument when the spec says arguments don't escape) are NOT transfers;
+// Element reads (buf[i]) and synchronous borrows (the variable as a
+// method receiver or call argument) are NOT transfers;
 // assigning, returning, sending, capturing in a literal, launching a
 // goroutine with it, or deferring a non-release call over it are.
 func (e *resEngine) scanEscapes(n ast.Node) {
@@ -293,9 +302,6 @@ func (e *resEngine) scanEscapes(n ast.Node) {
 			return false
 		case *ast.SendStmt:
 			e.markEscapesIn(node.Value)
-			return false
-		case *ast.FuncLit:
-			e.markAllIn(node)
 			return false
 		case *ast.UnaryExpr:
 			if node.Op == token.AND {
@@ -327,10 +333,10 @@ func (e *resEngine) scanEscapes(n ast.Node) {
 
 // markEscapesIn marks tracked variables whose VALUE flows out through
 // the expression subtree. Occurrences as an index-expression base
-// (element read/write), inside len/cap, or as a borrowed call argument
-// (when !spec.argEscapes) do not count; everything else does.
+// (element read/write), inside len/cap, or as a borrowed receiver or
+// call argument do not count; everything else does.
 func (e *resEngine) markEscapesIn(n ast.Node) {
-	if n == nil || isNilExpr(n) {
+	if n == nil {
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
@@ -358,9 +364,14 @@ func (e *resEngine) markEscapesIn(n ast.Node) {
 					}
 				}
 			}
-			e.markEscapesIn(node.Fun)
+			if sel, ok := node.Fun.(*ast.SelectorExpr); ok {
+				e.markBorrowedArg(sel.X) // sp.With(...): the receiver is lent too
+			} else {
+				e.markEscapesIn(node.Fun)
+			}
+			owns := e.spec.takesOwnership != nil && e.spec.takesOwnership(node)
 			for _, a := range node.Args {
-				if e.spec.argEscapes {
+				if owns {
 					e.markEscapesIn(a)
 				} else {
 					e.markBorrowedArg(a)
@@ -369,7 +380,7 @@ func (e *resEngine) markEscapesIn(n ast.Node) {
 			return false
 		case *ast.IndexExpr:
 			// buf[i]: an element, not the slice value.
-			if id, ok := node.X.(*ast.Ident); ok && e.isTracked(id) {
+			if id, ok := node.X.(*ast.Ident); ok && e.trackedVar(id) != nil {
 				e.markEscapesIn(node.Index)
 				return false
 			}
@@ -383,10 +394,10 @@ func (e *resEngine) markEscapesIn(n ast.Node) {
 	})
 }
 
-// markBorrowedArg walks a call argument under borrow semantics: a bare
-// tracked variable (or a re-slice of one) is lent to the callee for the
-// duration of the call and stays owned here; anything nested deeper is
-// walked with the usual value rules.
+// markBorrowedArg walks a call argument or receiver under borrow
+// semantics: a bare tracked variable (or a re-slice of one) is lent to
+// the callee for the duration of the call and stays owned here; anything
+// nested deeper is walked with the usual value rules.
 func (e *resEngine) markBorrowedArg(a ast.Expr) {
 	switch arg := a.(type) {
 	case *ast.Ident:
@@ -415,53 +426,8 @@ func (e *resEngine) markAllIn(n ast.Node) {
 	})
 }
 
-func (e *resEngine) isTracked(id *ast.Ident) bool {
-	v, ok := e.pass.ObjectOf(id).(*types.Var)
-	if !ok {
-		return false
-	}
-	_, tr := e.tracked[v]
-	return tr
-}
-
 func (e *resEngine) mark(id *ast.Ident) {
-	if v, ok := e.pass.ObjectOf(id).(*types.Var); ok {
-		if _, tracked := e.tracked[v]; tracked {
-			if e.escapes == nil {
-				e.escapes = map[*types.Var]bool{}
-			}
-			e.escapes[v] = true
-		}
+	if v := e.trackedVar(id); v != nil {
+		e.escapes[v] = true
 	}
-}
-
-func (e *resEngine) escaped(v *types.Var) bool { return e.escapes[v] }
-
-func isNilExpr(n ast.Node) bool {
-	e, ok := n.(ast.Expr)
-	return ok && e == nil
-}
-
-// leakPos picks the position to report a leak at: the block's return
-// statement when it ends in one, otherwise its last node, otherwise the
-// acquisition site.
-func (e *resEngine) leakPos(blk *flow.Block, v *types.Var) token.Pos {
-	for i := len(blk.Nodes) - 1; i >= 0; i-- {
-		if r, ok := blk.Nodes[i].(*ast.ReturnStmt); ok {
-			return r.Pos()
-		}
-	}
-	if len(blk.Nodes) > 0 {
-		return blk.Nodes[len(blk.Nodes)-1].Pos()
-	}
-	return e.tracked[v]
-}
-
-func filepathBase(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' || p[i] == '\\' {
-			return p[i+1:]
-		}
-	}
-	return p
 }

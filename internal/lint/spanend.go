@@ -2,7 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -11,11 +11,14 @@ import (
 // Span.Child (and the obs.Start package helper) must be ended on every
 // path of the function that created it — otherwise the span never reaches
 // the JSONL export and the trace tree silently loses a subtree. The
-// analyzer requires either `defer sp.End()` or an explicit `sp.End()`
-// that no return statement can bypass. Ownership transfers — returning
-// the span, storing it in a struct field or variable, appending it to a
-// collection — exempt the creation site (the owner ends it elsewhere,
-// e.g. RuntimeTuner.Close).
+// analyzer runs the shared resource engine: `defer sp.End()` covers every
+// path, an explicit `sp.End()` must be reached from each one. Calling a
+// method on the span or passing it to a function lends it; returning it,
+// storing it, capturing it in a closure or placing it in a context with
+// obs.ContextWithSpan hands it to a new owner, who ends it elsewhere
+// (e.g. RuntimeTuner.Close). Reading an ended span (sp.Duration()) is
+// legal and End is idempotent, so the engine's use-after-release and
+// double-release checks are off.
 
 // SpanEnd flags obs spans that are started but not ended on all paths.
 type SpanEnd struct{}
@@ -33,186 +36,65 @@ func isSpanType(t string) bool {
 	return strings.HasPrefix(t, "*") && strings.HasSuffix(t, spanTypeSuffix)
 }
 
-func (s SpanEnd) Run(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		// Analyze each function unit (declaration or literal) separately:
-		// the creator of a span is responsible for ending it.
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					s.checkFunc(pass, fn.Body)
-				}
-			case *ast.FuncLit:
-				s.checkFunc(pass, fn.Body)
-			}
-			return true
-		})
-	}
-}
-
-// spanUse accumulates everything the function does with one span variable.
-type spanUse struct {
-	assignPos token.Pos
-	deferred  bool        // defer sp.End() (directly or via deferred closure)
-	endPos    []token.Pos // explicit sp.End() call positions
-	exempt    bool        // returned / stored / aliased: ownership moved
-}
-
-func (s SpanEnd) checkFunc(pass *Pass, body *ast.BlockStmt) {
-	// Pass 1: span-producing assignments directly in this unit (nested
-	// literals are their own units).
-	uses := make(map[string]*spanUse) // keyed by object position (unique per var)
-	varName := make(map[string]string)
-	objKey := func(id *ast.Ident) string {
-		obj := pass.ObjectOf(id)
-		if obj == nil {
-			return ""
-		}
-		return pass.Fset.Position(obj.Pos()).String()
-	}
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		// SpanFromContext borrows the context's span — retrieval, not
-		// creation; whoever put it in the context owns its End.
-		if id := chainBaseIdent(call.Fun); id != nil && id.Name == "SpanFromContext" {
-			return
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "SpanFromContext" {
-			return
-		}
+func (SpanEnd) Run(pass *Pass) {
+	runResourceAnalysis(pass, resourceSpec{
+		noun:           "span",
+		releaseVerb:    "End()",
+		usableReleased: true,
 		// Any span-typed LHS of a call assignment creates ownership here —
 		// including the multi-value forms (ctx, sp := tr.StartCtx(...)),
 		// where the call's type is a tuple, so each LHS identifier is
-		// typed individually.
-		for _, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
+		// typed individually. SpanFromContext borrows the context's span:
+		// retrieval, not creation; whoever put it there owns its End.
+		acquire: func(pass *Pass, as *ast.AssignStmt) *types.Var {
+			if len(as.Rhs) != 1 {
+				return nil
 			}
-			obj := pass.ObjectOf(id)
-			if obj == nil || obj.Type() == nil || !isSpanType(obj.Type().String()) {
-				continue
+			call, ok := as.Rhs[0].(*ast.CallExpr)
+			if !ok || calleeName(call) == "SpanFromContext" {
+				return nil
 			}
-			key := objKey(id)
-			if key == "" {
-				continue
+			for _, lhs := range as.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok || id.Name == "_" {
+					continue
+				}
+				if v, ok := pass.ObjectOf(id).(*types.Var); ok && isSpanType(v.Type().String()) {
+					return v
+				}
 			}
-			if _, seen := uses[key]; !seen {
-				uses[key] = &spanUse{assignPos: as.Pos()}
-				varName[key] = id.Name
+			return nil
+		},
+		// The receiver may be a chain of pass-through span methods:
+		// sp.With("k", v).End().
+		release: func(pass *Pass, call *ast.CallExpr) *types.Var {
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "End" || len(call.Args) != 0 {
+				return nil
 			}
-		}
+			id := chainBaseIdent(sel.X)
+			if id == nil {
+				return nil
+			}
+			v, _ := pass.ObjectOf(id).(*types.Var)
+			return v
+		},
+		takesOwnership: func(call *ast.CallExpr) bool {
+			return calleeName(call) == "ContextWithSpan"
+		},
 	})
-	if len(uses) == 0 {
-		return
-	}
+}
 
-	// Pass 2: ends, defers and ownership transfers anywhere in the unit,
-	// nested literals included (a deferred closure may end the span; a
-	// goroutine handed the span owns it).
-	var walk func(n ast.Node, inDefer bool)
-	walk = func(n ast.Node, inDefer bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch node := m.(type) {
-			case *ast.DeferStmt:
-				walk(node.Call, true)
-				return false
-			case *ast.CallExpr:
-				if sel, ok := node.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "End" && len(node.Args) == 0 {
-					// The receiver may be a chain of pass-through span
-					// methods: sp.With("k", v).End().
-					if id := chainBaseIdent(sel.X); id != nil {
-						if u := uses[objKey(id)]; u != nil {
-							if inDefer {
-								u.deferred = true
-							} else {
-								u.endPos = append(u.endPos, node.Pos())
-							}
-							return true
-						}
-					}
-				}
-				if sel, ok := node.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "ContextWithSpan" {
-					// obs.ContextWithSpan(ctx, sp) stores the span in the
-					// context: ownership moves with the context, the holder
-					// ends it (typically via SpanFromContext).
-					for _, arg := range node.Args {
-						if id, ok := arg.(*ast.Ident); ok {
-							if u := uses[objKey(id)]; u != nil {
-								u.exempt = true
-							}
-						}
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, res := range node.Results {
-					if id, ok := res.(*ast.Ident); ok {
-						if u := uses[objKey(id)]; u != nil {
-							u.exempt = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				// Storing the span somewhere else moves ownership:
-				// x.field = sp, m[k] = sp, alias := sp.
-				for _, rhs := range node.Rhs {
-					if id, ok := rhs.(*ast.Ident); ok {
-						if u := uses[objKey(id)]; u != nil && node.Pos() != u.assignPos {
-							u.exempt = true
-						}
-					}
-				}
-			case *ast.KeyValueExpr:
-				if id, ok := node.Value.(*ast.Ident); ok {
-					if u := uses[objKey(id)]; u != nil {
-						u.exempt = true
-					}
-				}
-			}
-			return true
-		})
+// calleeName is the unqualified name a call is spelled with: f(...) and
+// pkg.f(...) / recv.f(...) both give "f".
+func calleeName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
 	}
-	walk(body, false)
-
-	// Pass 3: returns at this unit's level that could bypass the earliest
-	// explicit End.
-	var returns []token.Pos
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		if r, ok := n.(*ast.ReturnStmt); ok {
-			returns = append(returns, r.Pos())
-		}
-	})
-
-	for key, u := range uses {
-		if u.exempt || u.deferred {
-			continue
-		}
-		name := varName[key]
-		if len(u.endPos) == 0 {
-			pass.Reportf(u.assignPos, "span %q is started but never ended in this function; add defer %s.End()", name, name)
-			continue
-		}
-		first := u.endPos[0]
-		for _, p := range u.endPos {
-			if p < first {
-				first = p
-			}
-		}
-		for _, r := range returns {
-			if r > u.assignPos && r < first {
-				pass.Reportf(r, "return may bypass %s.End() (started at %s); end the span with defer",
-					name, pass.Fset.Position(u.assignPos))
-			}
-		}
-	}
+	return ""
 }
 
 // chainBaseIdent unwraps a method-call chain (sp.With(...).With(...)) to
@@ -234,18 +116,4 @@ func chainBaseIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// inspectSkippingFuncLits walks a function body without descending into
-// nested function literals (which are analyzed as their own units).
-func inspectSkippingFuncLits(body *ast.BlockStmt, fn func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
 }

@@ -3,10 +3,10 @@
 // the test, since the directive occupies its own comment line).
 package directive
 
-//lint:ignore floateq
-func missingReason(a, b float64) bool {
-	return a == b
-}
+import "net/http"
+
+//lint:ignore httpdefault
+func missingReason() *http.Client { return &http.Client{} }
 
 //lint:ignore nosuchanalyzer the analyzer name is wrong
 func unknownAnalyzer() {}

@@ -21,24 +21,6 @@ func DeferCancel(ctx context.Context) error {
 	return work(ctx)
 }
 
-// DiscardedCancel throws the cancel func away: the derived context
-// leaks until its parent is cancelled.
-func DiscardedCancel(ctx context.Context) error {
-	tctx, _ := context.WithTimeout(ctx, time.Second) // want ctxflow
-	return work(tctx)
-}
-
-// LeakOnEarlyReturn misses cancel on the failure path.
-func LeakOnEarlyReturn(ctx context.Context, fail bool) error {
-	cctx, cancel := context.WithCancel(ctx)
-	if fail {
-		return errFailed // want ctxflow
-	}
-	err := work(cctx)
-	cancel()
-	return err
-}
-
 // DetachedBackground mints a root context inside a function that
 // already receives one, detaching this path from the caller's deadline.
 func DetachedBackground(ctx context.Context) error {

@@ -7,10 +7,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Leak starts a span and never ends it — flagged.
+// Leak starts a span and never ends it — flagged where the function
+// falls off its end.
 func Leak(t *obs.Tracer) {
-	sp := t.Start("leak") // want spanend
-	_ = sp.AcquireDetail()
+	sp := t.Start("leak")
+	_ = sp.AcquireDetail() // want spanend
 }
 
 // Deferred ends the span with defer — clean.
@@ -56,11 +57,11 @@ func Closure(t *obs.Tracer) {
 }
 
 // LeakCtx starts a context-scoped span (multi-value assignment) and
-// never ends it — flagged.
+// never ends it — flagged at the return.
 func LeakCtx(t *obs.Tracer, ctx context.Context) context.Context {
-	ctx, sp := t.StartCtx(ctx, "leak-ctx") // want spanend
+	ctx, sp := t.StartCtx(ctx, "leak-ctx")
 	sp.AcquireDetail()
-	return ctx
+	return ctx // want spanend
 }
 
 // DeferredCtx ends the context-scoped span with defer — clean.
@@ -82,9 +83,9 @@ func BypassCtx(t *obs.Tracer, ctx context.Context, fail bool) {
 // PackageCtx uses the package-level helper — same multi-value shape,
 // flagged when leaked.
 func PackageCtx(ctx context.Context) context.Context {
-	ctx, sp := obs.StartCtx(ctx, "pkg-ctx") // want spanend
+	ctx, sp := obs.StartCtx(ctx, "pkg-ctx")
 	sp.AcquireDetail()
-	return ctx
+	return ctx // want spanend
 }
 
 // IntoContext stores the span in a context: ownership moves with the

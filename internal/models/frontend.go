@@ -109,7 +109,6 @@ func FromSpec(spec ModelSpec) (*Model, error) {
 		return nil, fmt.Errorf("models: spec has no layers")
 	}
 	width := spec.WidthMult
-	//lint:ignore floateq exact zero is the unset-field sentinel
 	if width == 0 {
 		width = 1
 	}

@@ -34,7 +34,6 @@ func (s Scale) norm() Scale {
 	if s.Images == 0 {
 		s.Images = DefaultScale.Images
 	}
-	//lint:ignore floateq exact zero is the unset-field sentinel
 	if s.Width == 0 {
 		s.Width = DefaultScale.Width
 	}

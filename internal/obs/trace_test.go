@@ -434,3 +434,45 @@ func TestExemplarJSONRoundTrip(t *testing.T) {
 		t.Errorf("summary exemplar trace = %s, want %s", sum.Exemplars[0].TraceID, tid)
 	}
 }
+
+// FuzzParseTraceparent holds the parser of the one header every peer can
+// send us to three properties: it never panics, what it accepts is a valid
+// identity that survives FormatTraceparent → ParseTraceparent unchanged,
+// and what it rejects comes back as the zero SpanContext — so an all-zero
+// trace or span ID can never be continued.
+func FuzzParseTraceparent(f *testing.F) {
+	const tid, sid = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
+	for _, seed := range []string{
+		"00-" + tid + "-" + sid + "-01",                     // valid
+		"cc-" + tid + "-" + sid + "-00",                     // future version, unsampled
+		"ff-" + tid + "-" + sid + "-01",                     // reserved version
+		"00-" + strings.Repeat("0", 32) + "-" + sid + "-01", // zero trace ID
+		"00-" + tid + "-" + strings.Repeat("0", 16) + "-01", // zero span ID
+		"00-" + strings.ToUpper(tid) + "-" + strings.ToUpper(sid) + "-01",
+		"00-" + tid + "-" + sid,               // short: no flags
+		"00-" + tid[:31] + "-" + sid + "-01",  // short trace ID
+		"00-" + tid + "-" + sid + "-01-extra", // trailing field
+		"00_" + tid + "_" + sid + "_01",       // wrong separators
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceparent(v)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected the value but returned %+v", v, sc)
+			}
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an identity with a zero ID: %+v", v, sc)
+		}
+		if got := FormatTraceparent(sc); !strings.EqualFold(got[3:52], v[3:52]) {
+			t.Fatalf("ParseTraceparent(%q) reads IDs %q", v, got[3:52])
+		}
+		if back, ok := ParseTraceparent(FormatTraceparent(sc)); !ok || back != sc {
+			t.Fatalf("round trip of %q: got %+v (ok=%v), want %+v", v, back, ok, sc)
+		}
+	})
+}

@@ -32,7 +32,6 @@ func Dominated(s, o Point) bool {
 // StrictlyDominated reports s ≺ o: dominated with at least one strict
 // inequality.
 func StrictlyDominated(s, o Point) bool {
-	//lint:ignore floateq the dominance relation of Eq. 1 is defined with exact equality on stored coordinates
 	return Dominated(s, o) && (s.QoS != o.QoS || s.Perf != o.Perf)
 }
 
@@ -53,7 +52,6 @@ func Set(points []Point) []Point {
 	copy(sorted, points)
 	// Sort by Perf descending, QoS descending; sweep keeping rising QoS.
 	sort.Slice(sorted, func(i, j int) bool {
-		//lint:ignore floateq sort comparator orders by exact stored values; ties fall through to QoS
 		if sorted[i].Perf != sorted[j].Perf {
 			return sorted[i].Perf > sorted[j].Perf
 		}
@@ -64,7 +62,6 @@ func Set(points []Point) []Point {
 	lastPerf := math.Inf(1)
 	for _, p := range sorted {
 		if p.QoS > bestQoS {
-			//lint:ignore floateq duplicate collapse compares bit-identical stored Perf values
 			if p.Perf == lastPerf && len(out) > 0 {
 				// Same Perf, higher QoS cannot happen due to sort order.
 				continue

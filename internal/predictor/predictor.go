@@ -330,7 +330,7 @@ func NewPerfPredictor(costs []graph.NodeCost) *PerfPredictor {
 func (p *PerfPredictor) Cost(cfg approx.Config) float64 {
 	var total float64
 	for _, c := range p.costs {
-		//lint:ignore floateq analytic cost rows are exactly zero for free ops (input, flatten)
+		// analytic cost rows are exactly zero for free ops (input, flatten)
 		if c.Nc == 0 && c.Nm == 0 {
 			continue
 		}

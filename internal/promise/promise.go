@@ -109,7 +109,7 @@ func Perturb(out *tensor.Tensor, level int, rng *tensor.RNG) {
 		sum += float64(v) * float64(v)
 	}
 	rms := math.Sqrt(sum / float64(len(d)))
-	//lint:ignore floateq guards division by an exactly-zero RMS (all-zero output tensor)
+	// guards division by an exactly-zero RMS (all-zero output tensor)
 	if rms == 0 {
 		rms = 1e-6
 	}

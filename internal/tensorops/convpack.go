@@ -346,7 +346,7 @@ func (pl *convPlan) direct(a, out []float32, m, img, grp int, ep *rowEpi, chan0 
 					}
 					av := arow[ai]
 					ai++
-					//lint:ignore floateq sparsity fast path: exactly-zero weights contribute nothing
+					// sparsity fast path: exactly-zero weights contribute nothing
 					if av == 0 {
 						continue
 					}

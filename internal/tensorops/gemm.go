@@ -294,7 +294,6 @@ func gemmTailRowPre(arow, tail, crow []float32, n, j0 int) {
 		col := tail[(j-j0)*k : (j-j0+1)*k]
 		var s float32
 		for l, av := range arow {
-			//lint:ignore floateq sparsity fast path: exactly-zero activations contribute nothing
 			if av != 0 {
 				s += av * col[l]
 			}
@@ -400,7 +399,6 @@ func microKernel1(arow, panel []float32, crow []float32) {
 	var s0, s1, s2, s3 float32
 	for l := 0; l < kc; l++ {
 		v := arow[l]
-		//lint:ignore floateq sparsity fast path: exactly-zero activations contribute nothing
 		if v == 0 {
 			continue
 		}
@@ -426,7 +424,7 @@ func gemmTailRow(arow, b, crow []float32, n, j0 int, quantB bool) {
 		var s float32
 		bi := j
 		for _, av := range arow {
-			//lint:ignore floateq sparsity fast path: exactly-zero activations contribute nothing
+			// sparsity fast path: exactly-zero activations contribute nothing
 			if av != 0 {
 				bv := b[bi]
 				if quantB {
@@ -447,7 +445,7 @@ func gemmTailRow(arow, b, crow []float32, n, j0 int, quantB bool) {
 // each B element is quantized on access.
 func gemmSaxpyRow(arow, b, crow []float32, n int, quantB bool) {
 	for l, av := range arow {
-		//lint:ignore floateq sparsity fast path: exactly-zero activations contribute nothing
+		// sparsity fast path: exactly-zero activations contribute nothing
 		if av == 0 {
 			continue
 		}

@@ -18,7 +18,7 @@ func gemmRef(a, b, c []float32, m, k, n int) {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
 		for l, av := range arow {
-			//lint:ignore floateq reference kernel mirrors the engine's sparsity skip
+			// reference kernel mirrors the engine's sparsity skip
 			if av == 0 {
 				continue
 			}

@@ -83,7 +83,7 @@ func NonMaxSuppress(mag, gx, gy *tensor.Tensor, prec Precision) *tensor.Tensor {
 			for x := 0; x < w; x++ {
 				i := base + y*w + x
 				m := md[i]
-				//lint:ignore floateq exactly-zero magnitude pixels have no gradient to suppress
+				// exactly-zero magnitude pixels have no gradient to suppress
 				if m == 0 {
 					continue
 				}
@@ -141,7 +141,7 @@ func Hysteresis(mag *tensor.Tensor, lo, hi float32, prec Precision) *tensor.Tens
 				case m > hi:
 					od[i] = 1
 				case m > lo:
-					//lint:ignore floateq the output is a 0/1 edge mask; zero is the unvisited sentinel
+					// the output is a 0/1 edge mask; zero is the unvisited sentinel
 					for dy := -1; dy <= 1 && od[i] == 0; dy++ {
 						for dx := -1; dx <= 1; dx++ {
 							if (dy != 0 || dx != 0) && strong(y+dy, x+dx) {

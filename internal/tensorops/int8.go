@@ -27,7 +27,7 @@ func QuantizeInt8(t *tensor.Tensor) *tensor.Tensor {
 			maxAbs = a
 		}
 	}
-	//lint:ignore floateq all-zero tensor short-circuit before computing the quantization scale
+	// all-zero tensor short-circuit before computing the quantization scale
 	if maxAbs == 0 {
 		return out
 	}

@@ -194,7 +194,6 @@ func BatchNorm(x *tensor.Tensor, bp BatchNormParams, prec Precision) *tensor.Ten
 		panicShape("BatchNorm", "parameter length mismatch for %d channels", c)
 	}
 	eps := bp.Eps
-	//lint:ignore floateq exact zero is the unset-field sentinel
 	if eps == 0 {
 		eps = 1e-5
 	}
