@@ -117,7 +117,7 @@ func main() {
 		opts.MaxRetries = *retries
 		logger.Infof("install-time tuning on %s over loopback HTTP (%s objective, %d edges, lease %v)...\n",
 			dev.Name, obj, *edges, *leaseTTL)
-		curve, err = runDistributed(app, devRes, dev, opts, *seed, logger)
+		curve, err = runDistributed(app, devRes, dev, opts, logger)
 		if err != nil {
 			log.Fatalf("installtune: %v", err)
 		}
@@ -160,7 +160,7 @@ func main() {
 // loopback HTTP transport: a coordinator served on 127.0.0.1 and one edge
 // client goroutine per fleet member, all sharing the same options (and
 // therefore the same lease/retry discipline the flags configured).
-func runDistributed(app *approxtuner.App, devRes *approxtuner.Result, dev *approxtuner.Device, opts approxtuner.InstallOptions, seed int64, logger *obs.Logger) (*approxtuner.Curve, error) {
+func runDistributed(app *approxtuner.App, devRes *approxtuner.Result, dev *approxtuner.Device, opts approxtuner.InstallOptions, logger *obs.Logger) (*approxtuner.Curve, error) {
 	coord, err := distrib.NewCoordinator(app.Program(), devRes.Profiles, opts)
 	if err != nil {
 		return nil, err
@@ -181,7 +181,7 @@ func runDistributed(app *approxtuner.App, devRes *approxtuner.Result, dev *appro
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := distrib.NewEdge(i, baseURL, app.Program(), dev, seed, opts)
+			e := distrib.NewEdge(i, baseURL, app.Program(), dev, opts)
 			_, errs[i] = e.Run(ctx)
 		}(i)
 	}

@@ -180,7 +180,6 @@ func TechniqueAblation(s *Session, name string) *Report {
 	profiles := s.Profiles(name)
 	qosMin := s.CalibBaseline(name) - 3
 	scoreVariant := func(techniques []string) (float64, int) {
-		pol := core.KnobPolicy{AllowFP16: true}
 		prob := problemOf(e.prog)
 		qp := predictor.NewQoSPredictor(predictor.Pi2, profiles, nil)
 		pp := predictor.NewPerfPredictor(e.prog.Costs())
@@ -191,7 +190,6 @@ func TechniqueAblation(s *Session, name string) *Report {
 			Seed:       s.cfg.Seed + 5,
 			Techniques: techniques,
 		})
-		_ = pol
 		best := 1.0
 		for !tuner.Done() {
 			cfg := tuner.Next()

@@ -131,100 +131,18 @@ func PredictiveTune(p Program, o Options) (*Result, error) {
 	}
 	st.ProfileTime = watch.Lap()
 
-	// Step 2: initialize and calibrate the QoS predictor (lines 18–20).
-	csp := root.Child("calibrate").With("samples", o.NCalibrate)
-	scoreFn := func(out *tensor.Tensor) float64 { return p.Score(Calib, out) }
-	var qp *predictor.QoSPredictor
-	if o.Model == predictor.Pi1 {
-		qp = predictor.NewQoSPredictor(predictor.Pi1, profiles, scoreFn)
-	} else {
-		qp = predictor.NewQoSPredictor(predictor.Pi2, profiles, nil)
+	// Steps 2–4: calibrate the predictor, search with it, shortlist.
+	candidates, err := searchShortlist(p, profiles, o, rng.Split(2), root, watch, &st)
+	if err != nil {
+		return nil, err
 	}
-	prob := problemFor(p, o.Policy)
-	calibRng := rng.Split(2)
-	calCfgs := make([]approx.Config, o.NCalibrate)
-	calRngs := make([]*tensor.RNG, o.NCalibrate)
-	for i := range calCfgs {
-		// Draw the config and the per-run RNG sequentially (Split advances
-		// the parent), in the exact interleaving of the sequential loop.
-		calCfgs[i] = randomConfig(prob, calibRng)
-		calRngs[i] = calibRng.Split(int64(i))
-	}
-	calQoS := evalScores(p, calCfgs, calRngs, nil)
-	samples := make([]predictor.Sample, 0, o.NCalibrate)
-	for i, cfg := range calCfgs {
-		samples = append(samples, predictor.Sample{Cfg: cfg, QoS: calQoS[i]})
-	}
-	st.Alpha = qp.Calibrate(samples)
-	csp.With("alpha", st.Alpha).End()
-	st.CalibrateTime = watch.Lap()
-
-	// Step 3: autotune with the QoS and performance prediction models
-	// (lines 23–30).
-	ssp := root.Child("search")
-	perfOf := perfModel(p, o)
-	tuner := autotuner.New(prob, autotuner.Options{
-		MaxIters:   o.MaxIters,
-		StallLimit: o.StallLimit,
-		QoSMin:     o.QoSMin,
-		Seed:       o.Seed + 7,
-	})
-	seen := make(map[string]bool)
-	nOps := maxOp(p) + 1
-	// The exact baseline is always feasible; prime the search with it and
-	// keep it as a candidate so the curve is never empty.
-	baseCfg := baselineConfig(p)
-	tuner.Prime(baseCfg, autotuner.Feedback{QoS: profiles.BaseQoS, Perf: 1})
-	candidates := []pareto.Point{{QoS: profiles.BaseQoS, Perf: 1, Config: baseCfg}}
-	seen[baseCfg.Key(nOps)] = true
-	for !tuner.Done() {
-		cfg := tuner.Next()
-		predQoS := qp.Predict(cfg)
-		predPerf := perfOf(cfg)
-		tuner.Report(cfg, autotuner.Feedback{QoS: predQoS, Perf: predPerf})
-		st.RawConfigs++
-		if predQoS > o.QoSMin {
-			key := cfg.Key(nOps)
-			if !seen[key] {
-				seen[key] = true
-				candidates = append(candidates, pareto.Point{QoS: predQoS, Perf: predPerf, Config: cfg.Clone()})
-			}
-		}
-	}
-	st.Iterations = tuner.Iterations()
-	st.Candidates = len(candidates)
-	ssp.With("iterations", st.Iterations).With("candidates", st.Candidates).End()
-	st.SearchTime = watch.Lap()
-
-	// Step 4: keep configurations within ε1 of the Pareto frontier
-	// (line 33), bounding the validation workload.
-	eps1 := pareto.EpsilonForLimit(candidates, o.MaxConfigs)
-	shortlist := pareto.Trim(pareto.RelaxedSet(candidates, eps1), o.MaxConfigs)
 
 	// Step 5: validate the predicted QoS empirically and filter
-	// (lines 36–41). The exact baseline is re-attached first: it is
-	// trivially valid and guarantees the shipped curve is never empty even
-	// when an optimistic predictor Pareto-dominates it out of the
-	// shortlist and every other candidate fails validation.
-	vsp := root.Child("validate").With("shortlist", len(shortlist))
-	shortlist = ensureBaseline(shortlist, baseCfg, profiles.BaseQoS, nOps)
-	valRng := rng.Split(3)
-	valCfgs := make([]approx.Config, len(shortlist))
-	valRngs := make([]*tensor.RNG, len(shortlist))
-	for i, pt := range shortlist {
-		valCfgs[i] = pt.Config
-		valRngs[i] = valRng.Split(int64(i))
-	}
-	valQoS := evalScores(p, valCfgs, valRngs, vsp)
-	var validated []pareto.Point
-	for i, pt := range shortlist {
-		if valQoS[i] > o.QoSMin {
-			validated = append(validated, pareto.Point{QoS: valQoS[i], Perf: pt.Perf, Config: pt.Config})
-		}
-	}
+	// (lines 36–41).
+	vsp := root.Child("validate").With("shortlist", len(candidates))
+	validated, _ := validate(p, p, candidates, 0, 1, rng.Split(3), InstallOptions{Options: o}, vsp)
 	st.Validated = len(validated)
-	eps2 := pareto.EpsilonForLimit(validated, o.MaxConfigs)
-	final := pareto.Trim(pareto.RelaxedSet(validated, eps2), o.MaxConfigs)
+	final := shortlist(validated, o.MaxConfigs)
 	vsp.With("validated", st.Validated).End()
 	st.ValidateTime = watch.Lap()
 	st.Total = watch.Total()
@@ -259,64 +177,173 @@ func EmpiricalTune(p Program, o Options) (*Result, error) {
 	rng := tensor.NewRNG(o.Seed)
 	var st Stats
 
-	perfOf := perfModel(p, o)
-	baseOut := baselineOutput(p, Calib)
-	baseQoS := p.Score(Calib, baseOut)
-
-	ssp := root.Child("search")
-	prob := problemFor(p, o.Policy)
-	tuner := autotuner.New(prob, autotuner.Options{
-		MaxIters:   o.MaxIters,
-		StallLimit: o.StallLimit,
-		QoSMin:     o.QoSMin,
-		Seed:       o.Seed + 7,
-	})
-	seen := make(map[string]bool)
-	nOps := maxOp(p) + 1
-	baseCfg := baselineConfig(p)
-	tuner.Prime(baseCfg, autotuner.Feedback{QoS: baseQoS, Perf: 1})
-	candidates := []pareto.Point{{QoS: baseQoS, Perf: 1, Config: baseCfg}}
-	seen[baseCfg.Key(nOps)] = true
-	i := 0
-	for !tuner.Done() {
-		cfgs := tuner.NextBatch(o.EvalBatch)
+	baseQoS := p.Score(Calib, baselineOutput(p, Calib))
+	evaluated := 0
+	measured := func(cfgs []approx.Config) []float64 {
 		rngs := make([]*tensor.RNG, len(cfgs))
 		for j := range cfgs {
-			rngs[j] = rng.Split(int64(i + j))
+			rngs[j] = rng.Split(int64(evaluated + j))
 		}
-		qos := evalScores(p, cfgs, rngs, nil)
-		fbs := make([]autotuner.Feedback, len(cfgs))
-		perfs := make([]float64, len(cfgs))
-		for j, cfg := range cfgs {
-			perfs[j] = perfOf(cfg)
-			fbs[j] = autotuner.Feedback{QoS: qos[j], Perf: perfs[j]}
-		}
-		tuner.ReportBatch(cfgs, fbs)
-		for j, cfg := range cfgs {
-			st.RawConfigs++
-			if qos[j] > o.QoSMin {
-				key := cfg.Key(nOps)
-				if !seen[key] {
-					seen[key] = true
-					candidates = append(candidates, pareto.Point{QoS: qos[j], Perf: perfs[j], Config: cfg.Clone()})
-				}
-			}
-		}
-		i += len(cfgs)
+		evaluated += len(cfgs)
+		return evalScores(p, cfgs, rngs, nil)
 	}
-	st.Iterations = tuner.Iterations()
-	st.Candidates = len(candidates)
-	ssp.With("iterations", st.Iterations).With("candidates", st.Candidates).End()
+	candidates := search(p, o, baseQoS, o.EvalBatch, measured, root, &st)
 	st.SearchTime = watch.Lap()
 
-	eps2 := pareto.EpsilonForLimit(candidates, o.MaxConfigs)
-	final := pareto.Trim(pareto.RelaxedSet(candidates, eps2), o.MaxConfigs)
-	final = ensureBaseline(final, baseCfg, baseQoS, nOps)
+	// Every candidate's QoS is already a measurement: the shortlist ships.
+	final := ensureBaseline(shortlist(candidates, o.MaxConfigs), p, baseQoS)
 	st.Validated = len(final)
 	st.Total = watch.Total()
 
 	curve := pareto.NewRelaxedCurve(p.Name(), baseQoS, final)
 	return &Result{Curve: curve, Stats: st}, nil
+}
+
+// searchShortlist is steps 2–4 of Algorithm 1 over a knob space o.Policy
+// and profiles that cover it: calibrate Π, search with Π as the QoS oracle,
+// keep the ε1-shortlist. Development time runs it on the software knobs,
+// install time (SearchShortlist) on software and hardware knobs together.
+func searchShortlist(p Program, profiles *predictor.Profiles, o Options, calibRng *tensor.RNG, parent *obs.Span, watch *Stopwatch, st *Stats) ([]pareto.Point, error) {
+	if o.Model == predictor.Pi1 && !profiles.SupportsPi1() {
+		return nil, fmt.Errorf("core: Π1 unavailable for %q: the profiles carry no raw-output deltas", p.Name())
+	}
+
+	// Step 2: initialize and calibrate the QoS predictor (lines 18–20).
+	csp := parent.Child("calibrate").With("samples", o.NCalibrate)
+	qp := predictor.NewQoSPredictor(o.Model, profiles, func(out *tensor.Tensor) float64 { return p.Score(Calib, out) })
+	prob := problemFor(p, o.Policy)
+	cfgs := make([]approx.Config, o.NCalibrate)
+	rngs := make([]*tensor.RNG, o.NCalibrate)
+	for i := range cfgs {
+		// Draw the config and the per-run RNG sequentially (Split advances
+		// the parent), in the exact interleaving of a sequential loop,
+		// before fanning the runs out.
+		cfgs[i] = randomConfig(prob, calibRng)
+		rngs[i] = calibRng.Split(int64(i))
+	}
+	samples := make([]predictor.Sample, o.NCalibrate)
+	for i, q := range evalScores(p, cfgs, rngs, csp) {
+		samples[i] = predictor.Sample{Cfg: cfgs[i], QoS: q}
+	}
+	st.Alpha = qp.Calibrate(samples)
+	csp.With("alpha", st.Alpha).End()
+	st.CalibrateTime = watch.Lap()
+
+	// Step 3: autotune with the QoS and performance prediction models
+	// (lines 23–30) — the search's batch-of-one case, since a prediction
+	// costs nothing to wait for.
+	predicted := func(cfgs []approx.Config) []float64 {
+		qos := make([]float64, len(cfgs))
+		for i, cfg := range cfgs {
+			qos[i] = qp.Predict(cfg)
+		}
+		return qos
+	}
+	candidates := search(p, o, profiles.BaseQoS, 1, predicted, parent, st)
+	st.SearchTime = watch.Lap()
+
+	// Step 4: keep configurations within ε1 of the Pareto frontier
+	// (line 33), bounding the validation workload. The exact baseline is
+	// re-attached: it is trivially valid and guarantees the shipped curve is
+	// never empty even when an optimistic predictor Pareto-dominates it out
+	// of the shortlist and every other candidate fails validation.
+	return ensureBaseline(shortlist(candidates, o.MaxConfigs), p, profiles.BaseQoS), nil
+}
+
+// search is the one autotuning loop (Algorithm 1 lines 23–30): prime the
+// tuner with the exact baseline, then propose batch configurations at a
+// time, score them — by prediction or by measurement, the caller's choice —
+// report the feedback in index order, and keep each distinct configuration
+// that clears QoS_min as a candidate tradeoff point. A batch is proposed
+// before any of its feedback exists, so the trajectory depends on batch but
+// never on how score evaluates it.
+func search(p Program, o Options, baseQoS float64, batch int, score func([]approx.Config) []float64, parent *obs.Span, st *Stats) []pareto.Point {
+	ssp := parent.Child("search")
+	perfOf := perfModel(p, o)
+	tuner := autotuner.New(problemFor(p, o.Policy), autotuner.Options{
+		MaxIters:   o.MaxIters,
+		StallLimit: o.StallLimit,
+		QoSMin:     o.QoSMin,
+		Seed:       o.Seed + 7,
+	})
+	// The exact baseline is always feasible; prime the search with it and
+	// keep it as a candidate so the curve is never empty.
+	base := baselinePoint(p, baseQoS)
+	tuner.Prime(base.Config, autotuner.Feedback{QoS: base.QoS, Perf: base.Perf})
+	candidates := []pareto.Point{base}
+	nOps := maxOp(p) + 1
+	seen := map[string]bool{base.Config.Key(nOps): true}
+	fbs := make([]autotuner.Feedback, 0, batch)
+	for !tuner.Done() {
+		cfgs := tuner.NextBatch(batch)
+		qos := score(cfgs)
+		fbs = fbs[:0]
+		for j, cfg := range cfgs {
+			fbs = append(fbs, autotuner.Feedback{QoS: qos[j], Perf: perfOf(cfg)})
+		}
+		tuner.ReportBatch(cfgs, fbs)
+		for j, cfg := range cfgs {
+			if qos[j] <= o.QoSMin {
+				continue
+			}
+			if key := cfg.Key(nOps); !seen[key] {
+				seen[key] = true
+				candidates = append(candidates, pareto.Point{QoS: qos[j], Perf: fbs[j].Perf, Config: cfg.Clone()})
+			}
+		}
+	}
+	// Every proposal is reported, so the two counts are one number.
+	st.Iterations, st.RawConfigs = tuner.Iterations(), tuner.Iterations()
+	st.Candidates = len(candidates)
+	ssp.With("iterations", st.Iterations).With("candidates", st.Candidates).End()
+	return candidates
+}
+
+// shortlist keeps the points within ε of the Pareto frontier, with ε the
+// largest rung of §6.4's ladder that holds the set to limit (ε1 before
+// validation, ε2 after).
+func shortlist(points []pareto.Point, limit int) []pareto.Point {
+	return pareto.Trim(pareto.RelaxedSet(points, pareto.EpsilonForLimit(points, limit)), limit)
+}
+
+// validate is the one place a configuration's real QoS is measured and held
+// against QoS_min (Algorithm 1 lines 36–41, and §4's re-measurement on the
+// target): it runs pts[first], pts[first+stride], … on local, drops the points
+// at or under o.QoSMin, and returns the survivors with their measured QoS.
+// With a device in o, points holding a knob the device cannot execute are
+// skipped before they run and survivors carry the Perf measured on it (full
+// is the whole-calibration-set program whose costs the device model reads);
+// without one they keep their predicted Perf. ran counts the points executed.
+//
+// Each run's RNG is rng.Split(index in pts), drawn sequentially for the
+// points that run — a skipped point advances nothing — before the runs fan
+// out, so the result is independent of worker count and interleaving.
+func validate(local, full Program, pts []pareto.Point, first, stride int, rng *tensor.RNG, o InstallOptions, sp *obs.Span) (kept []pareto.Point, ran int) {
+	var cfgs []approx.Config
+	var rngs []*tensor.RNG
+	for i := first; i < len(pts); i += stride {
+		if o.Device != nil && !deviceSupports(o.Device, pts[i].Config) {
+			continue
+		}
+		kept = append(kept, pts[i])
+		cfgs = append(cfgs, pts[i].Config)
+		rngs = append(rngs, rng.Split(int64(i)))
+	}
+	ran = len(kept)
+	n := 0
+	for j, qos := range evalScores(local, cfgs, rngs, sp) {
+		if qos <= o.QoSMin {
+			continue
+		}
+		pt := kept[j]
+		pt.QoS = qos
+		if o.Device != nil {
+			pt.Perf = measurePerf(full, o.Device, o.Objective, pt.Config)
+		}
+		kept[n] = pt
+		n++
+	}
+	return kept[:n], ran
 }
 
 // evalScores runs p once per (config, rng) pair — concurrently when the
@@ -331,20 +358,6 @@ func evalScores(p Program, cfgs []approx.Config, rngs []*tensor.RNG, sp *obs.Spa
 		qos[i] = p.Score(Calib, out)
 	})
 	return qos
-}
-
-// newSearchTuner builds the search engine with the options' bounds.
-func newSearchTuner(prob autotuner.Problem, o Options) *autotuner.Tuner {
-	return autotuner.New(prob, autotuner.Options{
-		MaxIters:   o.MaxIters,
-		StallLimit: o.StallLimit,
-		QoSMin:     o.QoSMin,
-		Seed:       o.Seed + 7,
-	})
-}
-
-func feedback(qos, perf float64) autotuner.Feedback {
-	return autotuner.Feedback{QoS: qos, Perf: perf}
 }
 
 // problemFor builds the autotuner search space for a program under a knob
@@ -378,23 +391,25 @@ func perfModel(p Program, o Options) func(approx.Config) float64 {
 }
 
 // ensureBaseline prepends the baseline tradeoff point when absent.
-func ensureBaseline(points []pareto.Point, baseCfg approx.Config, baseQoS float64, nOps int) []pareto.Point {
-	key := baseCfg.Key(nOps)
+func ensureBaseline(points []pareto.Point, p Program, baseQoS float64) []pareto.Point {
+	base := baselinePoint(p, baseQoS)
+	nOps := maxOp(p) + 1
 	for _, pt := range points {
-		if pt.Config.Key(nOps) == key {
+		if pt.Config.Equal(base.Config, nOps) {
 			return points
 		}
 	}
-	return append([]pareto.Point{{QoS: baseQoS, Perf: 1, Config: baseCfg}}, points...)
+	return append([]pareto.Point{base}, points...)
 }
 
-// baselineConfig maps every op of the program to FP32.
-func baselineConfig(p Program) approx.Config {
+// baselinePoint is the exact execution as a tradeoff point: every op at
+// FP32, and Perf 1 under any objective because Perf is relative to it.
+func baselinePoint(p Program, baseQoS float64) pareto.Point {
 	cfg := make(approx.Config)
 	for _, op := range p.Ops() {
 		cfg[op] = approx.KnobFP32
 	}
-	return cfg
+	return pareto.Point{QoS: baseQoS, Perf: 1, Config: cfg}
 }
 
 func maxOp(p Program) int {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -69,11 +70,10 @@ type InstallOptions struct {
 }
 
 // Norm returns o with every unset field replaced by its documented
-// default — the normalization InstallTune applies internally, exported
-// for transports (internal/distrib) that drive SearchShortlist directly.
-func (o InstallOptions) Norm() InstallOptions { return o.norm() }
-
-func (o InstallOptions) norm() InstallOptions {
+// default. InstallTune, RefineCurve and the network transport
+// (internal/distrib) all normalize through it, so no default is written
+// down twice.
+func (o InstallOptions) Norm() InstallOptions {
 	o.Options = o.Options.norm()
 	if o.NEdge == 0 {
 		o.NEdge = 4
@@ -93,6 +93,32 @@ func (o InstallOptions) norm() InstallOptions {
 	return o
 }
 
+// ForFleet returns o normalized for a distributed run of p, or the reason
+// no fleet — simulated or networked — can run it: the protocol measures on
+// a device model, and more than one edge needs a calibration set that
+// shards.
+func (o InstallOptions) ForFleet(p Program) (InstallOptions, error) {
+	o = o.Norm()
+	if o.Device == nil {
+		return o, errNoDevice
+	}
+	if _, ok := p.(Sharder); !ok && o.NEdge > 1 {
+		return o, errCannotShard(p, o.NEdge)
+	}
+	return o, nil
+}
+
+var errNoDevice = errors.New("core: install-time tuning requires a device model")
+
+func errCannotShard(p Program, nEdge int) error {
+	return fmt.Errorf("core: program %q cannot shard calibration inputs for %d edge devices", p.Name(), nEdge)
+}
+
+// installPolicy is the knob space install time adds the hardware knobs to.
+func (o InstallOptions) installPolicy() KnobPolicy {
+	return KnobPolicy{IncludeHardware: true, AllowFP16: o.Policy.AllowFP16}
+}
+
 // InstallStats extends tuning stats with the distributed-phase timings of
 // §7.4 (edge profile collection vs server autotuning).
 type InstallStats struct {
@@ -108,15 +134,10 @@ type InstallResult struct {
 	Stats InstallStats
 }
 
-// MeasurePerf returns the device-measured Perf of cfg relative to the
-// exact baseline under the chosen objective (exported for the network
-// transport and the bench harness).
-func MeasurePerf(p Program, dev *device.Device, obj Objective, cfg approx.Config) float64 {
-	return measurePerf(p, dev, obj, cfg)
-}
-
 // measurePerf returns the device-measured Perf of cfg relative to the
-// exact baseline under the chosen objective.
+// exact baseline under the chosen objective. It is where the device model
+// enters tuning: the energy search objective and every install-time
+// validation read it, and nothing else asks the device.
 func measurePerf(p Program, dev *device.Device, obj Objective, cfg approx.Config) float64 {
 	costs := p.Costs()
 	if obj == MinimizeEnergy {
@@ -125,63 +146,8 @@ func measurePerf(p Program, dev *device.Device, obj Objective, cfg approx.Config
 	return dev.Time(costs, nil) / dev.Time(costs, cfg)
 }
 
-// RefineCurve is the software-only install-time path (§4): it re-measures
-// every configuration of the development-time curve on the target device
-// — both real performance and real QoS — filters the ones that miss the
-// QoS threshold or that the device cannot execute (e.g. FP16 knobs on the
-// TX2's CPU), and returns the refined Pareto curve PS(S*).
-func RefineCurve(p Program, devCurve *pareto.Curve, o InstallOptions) (*InstallResult, error) {
-	o = o.norm()
-	if o.Device == nil {
-		return nil, fmt.Errorf("core: install-time tuning requires a device model")
-	}
-	root := obs.Start("phase:install").
-		With("program", p.Name()).With("mode", "refine").
-		With("device", o.Device.Name).With("objective", o.Objective.String())
-	defer root.End()
-	watch := NewStopwatch()
-	rng := tensor.NewRNG(o.Seed + 100)
-	var pts []pareto.Point
-	var st InstallStats
-	rsp := root.Child("refine").With("curve_points", len(devCurve.Points))
-	// Split an RNG only for device-supported points, in curve order — the
-	// exact draw sequence of the sequential loop — then re-measure them
-	// concurrently.
-	var keep []int
-	var cfgs []approx.Config
-	var rngs []*tensor.RNG
-	for i, pt := range devCurve.Points {
-		if !deviceSupports(o.Device, pt.Config) {
-			continue
-		}
-		keep = append(keep, i)
-		cfgs = append(cfgs, pt.Config)
-		rngs = append(rngs, rng.Split(int64(i)))
-	}
-	qos := evalScores(p, cfgs, rngs, rsp)
-	for j, i := range keep {
-		pt := devCurve.Points[i]
-		st.RawConfigs++
-		if qos[j] <= o.QoSMin {
-			continue
-		}
-		perf := measurePerf(p, o.Device, o.Objective, pt.Config)
-		pts = append(pts, pareto.Point{QoS: qos[j], Perf: perf, Config: pt.Config})
-	}
-	st.Validated = len(pts)
-	rsp.With("validated", st.Validated).End()
-	st.Total = watch.Lap()
-	curve := pareto.NewCurve(p.Name(), devCurve.BaselineQoS, pts)
-	curve.BaselineTime = o.Device.Time(p.Costs(), nil)
-	return &InstallResult{Curve: curve, Stats: st}, nil
-}
-
-// DeviceSupports reports whether a device can execute every knob of a
-// configuration (exported for the network transport).
-func DeviceSupports(dev *device.Device, cfg approx.Config) bool {
-	return deviceSupports(dev, cfg)
-}
-
+// deviceSupports reports whether a device can execute every knob of a
+// configuration.
 func deviceSupports(dev *device.Device, cfg approx.Config) bool {
 	for _, kid := range cfg {
 		if !dev.SupportsKnob(kid) {
@@ -189,6 +155,32 @@ func deviceSupports(dev *device.Device, cfg approx.Config) bool {
 		}
 	}
 	return true
+}
+
+// RefineCurve is the software-only install-time path (§4): it re-measures
+// every configuration of the development-time curve on the target device
+// — both real performance and real QoS — filters the ones that miss the
+// QoS threshold or that the device cannot execute (e.g. FP16 knobs on the
+// TX2's CPU), and returns the refined Pareto curve PS(S*).
+func RefineCurve(p Program, devCurve *pareto.Curve, o InstallOptions) (*InstallResult, error) {
+	o = o.Norm()
+	if o.Device == nil {
+		return nil, errNoDevice
+	}
+	root := obs.Start("phase:install").
+		With("program", p.Name()).With("mode", "refine").
+		With("device", o.Device.Name).With("objective", o.Objective.String())
+	defer root.End()
+	watch := NewStopwatch()
+	var st InstallStats
+	rsp := root.Child("refine").With("curve_points", len(devCurve.Points))
+	pts, ran := validate(p, p, devCurve.Points, 0, 1, tensor.NewRNG(o.Seed+100), o, rsp)
+	st.RawConfigs, st.Validated = ran, len(pts)
+	rsp.With("validated", st.Validated).End()
+	st.Total = watch.Lap()
+	curve := pareto.NewCurve(p.Name(), devCurve.BaselineQoS, pts)
+	curve.BaselineTime = o.Device.Time(p.Costs(), nil)
+	return &InstallResult{Curve: curve, Stats: st}, nil
 }
 
 // InstallTune is the hardware-knob install-time path (§4): distributed
@@ -199,14 +191,14 @@ func deviceSupports(dev *device.Device, cfg approx.Config) bool {
 // space; the shortlist is scattered back to the edge devices for
 // validation and performance/energy measurement; and the server computes
 // the final curve PS(S*₁ ∪ … ∪ S*ₙ).
+//
+// The four steps are the exported functions below; this fleet calls them
+// from goroutines, internal/distrib's from HTTP handlers and clients, and
+// for equal options the two ship byte-identical curves.
 func InstallTune(p Program, devProfiles *predictor.Profiles, o InstallOptions) (*InstallResult, error) {
-	o = o.norm()
-	if o.Device == nil {
-		return nil, fmt.Errorf("core: install-time tuning requires a device model")
-	}
-	sharder, canShard := p.(Sharder)
-	if o.NEdge > 1 && !canShard {
-		return nil, fmt.Errorf("core: program %q cannot shard calibration inputs for %d edge devices", p.Name(), o.NEdge)
+	o, err := o.ForFleet(p)
+	if err != nil {
+		return nil, err
 	}
 	root := obs.Start("phase:install").
 		With("program", p.Name()).With("mode", "distributed").
@@ -215,153 +207,162 @@ func InstallTune(p Program, devProfiles *predictor.Profiles, o InstallOptions) (
 	watch := NewStopwatch()
 	var st InstallStats
 
-	// Phase 1: distributed hardware-knob profile collection.
-	hwKnobs := func(op int) []approx.KnobID {
-		all := KnobsFor(p, op, KnobPolicy{IncludeHardware: true, AllowFP16: o.Policy.AllowFP16})
-		var hw []approx.KnobID
-		for _, id := range all {
-			if !approx.MustLookup(id).HardwareIndependent() {
-				hw = append(hw, id)
-			}
-		}
-		return hw
-	}
 	esp := root.Child("edge-profile")
-	var hwProfiles *predictor.Profiles
-	if o.NEdge <= 1 {
-		hwProfiles = CollectProfilesSpan(p, nil, hwKnobs, tensor.NewRNG(o.Seed+200), esp)
-	} else {
-		n := sharder.NumCalib()
-		shards := make([]*predictor.Profiles, o.NEdge)
-		errs := make([]error, o.NEdge)
-		var wg sync.WaitGroup
-		for e := 0; e < o.NEdge; e++ {
-			lo := e * n / o.NEdge
-			hi := (e + 1) * n / o.NEdge
-			wg.Add(1)
-			go func(e, lo, hi int) {
-				defer wg.Done()
-				ssp := esp.Child("edge-shard").With("edge", e).With("calib", hi-lo)
-				defer ssp.End()
-				sp, err := sharder.Shard(lo, hi)
-				if err != nil {
-					errs[e] = err
-					return
-				}
-				shards[e] = CollectProfilesSpan(sp, nil, hwKnobs, tensor.NewRNG(o.Seed+200+int64(e)), ssp)
-			}(e, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				esp.End()
-				return nil, err
-			}
-		}
-		hwProfiles = predictor.Merge(shards)
-	}
+	shards := make([]*predictor.Profiles, o.NEdge)
+	err = eachEdge(o.NEdge, func(e int) (err error) {
+		ssp := esp.Child("edge-shard").With("edge", e)
+		defer ssp.End()
+		shards[e], err = ProfileShard(p, o, e, ssp)
+		return err
+	})
 	esp.End()
+	if err != nil {
+		return nil, err
+	}
 	st.EdgeProfileTime = watch.Lap()
 
-	// Phase 2: the server merges software and hardware profiles and runs
-	// predictive tuning over the combined space (lines 18–30 of
-	// Algorithm 1 with hardware knobs included). Validation inside
-	// PredictiveTune is skipped here — it happens distributed below — so
-	// we run the search manually via PredictiveTune with the merged
-	// profiles and harvest its pre-validation shortlist by setting
-	// MaxConfigs as the scatter width.
-	combined := combineProfiles(devProfiles, hwProfiles)
 	tsp := root.Child("server-tune")
-	shortlist, searchStats, err := predictiveSearchSpan(p, combined, o, tsp)
-	tsp.With("shortlist", len(shortlist)).End()
+	candidates, searchStats, err := SearchShortlist(p, devProfiles, shards, o, tsp)
+	tsp.With("shortlist", len(candidates)).End()
 	if err != nil {
 		return nil, err
 	}
 	st.Stats = searchStats
 	st.ServerTuneTime = watch.Lap()
 
-	// Phase 3: scatter validation across edge devices. Each edge measures
-	// real QoS on its shard and device perf/energy for an equal fraction
-	// of the shortlist, returning its local Pareto set.
-	nEdge := o.NEdge
-	if nEdge < 1 {
-		nEdge = 1
+	vsp := root.Child("edge-validate").With("shortlist", len(candidates))
+	edgeSets := make([][]pareto.Point, o.NEdge)
+	err = eachEdge(o.NEdge, func(e int) (err error) {
+		edgeSpan := vsp.Child("edge").With("edge", e)
+		defer edgeSpan.End()
+		edgeSets[e], err = ValidateSlice(p, o, e, candidates, edgeSpan)
+		return err
+	})
+	vsp.End()
+	if err != nil {
+		return nil, err
 	}
-	vsp := root.Child("edge-validate").With("shortlist", len(shortlist))
-	edgeSets := make([][]pareto.Point, nEdge)
-	var wg sync.WaitGroup
+	st.ValidatePerEdge = (len(candidates) + o.NEdge - 1) / o.NEdge
+
+	curve := FinalCurve(p, devProfiles.BaseQoS, edgeSets, o)
+	for _, s := range edgeSets {
+		st.Validated += len(s)
+	}
+	st.ValidateTime = watch.Lap()
+	st.Total = watch.Total()
+	return &InstallResult{Curve: curve, Stats: st}, nil
+}
+
+// eachEdge runs one protocol step on every simulated edge at once and
+// returns the lowest-numbered edge's error.
+func eachEdge(nEdge int, step func(e int) error) error {
 	errs := make([]error, nEdge)
+	var wg sync.WaitGroup
 	for e := 0; e < nEdge; e++ {
 		wg.Add(1)
 		go func(e int) {
 			defer wg.Done()
-			edgeSpan := vsp.Child("edge").With("edge", e)
-			defer edgeSpan.End()
-			var local Program = p
-			if canShard && nEdge > 1 {
-				n := sharder.NumCalib()
-				sp, err := sharder.Shard(e*n/nEdge, (e+1)*n/nEdge)
-				if err != nil {
-					errs[e] = err
-					return
-				}
-				local = sp
-			}
-			rng := tensor.NewRNG(o.Seed + 300 + int64(e))
-			for i := e; i < len(shortlist); i += nEdge {
-				pt := shortlist[i]
-				if !deviceSupports(o.Device, pt.Config) {
-					continue
-				}
-				out := runTraced(local, pt.Config, Calib, rng.Split(int64(i)), edgeSpan)
-				realQoS := local.Score(Calib, out)
-				if realQoS <= o.QoSMin {
-					continue
-				}
-				perf := measurePerf(p, o.Device, o.Objective, pt.Config)
-				edgeSets[e] = append(edgeSets[e], pareto.Point{QoS: realQoS, Perf: perf, Config: pt.Config})
-			}
-			edgeSets[e] = pareto.Set(edgeSets[e])
+			errs[e] = step(e)
 		}(e)
 	}
 	wg.Wait()
-	vsp.End()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	st.ValidatePerEdge = (len(shortlist) + nEdge - 1) / nEdge
+	return nil
+}
 
-	// Phase 4: the server unions the per-edge Pareto sets and computes the
-	// final curve.
+// The §4 protocol, one function per step. Every step takes the fleet's
+// ForFleet-normalized options and is a pure function of them and its unit
+// number: a unit's seed comes from the unit, never from who computes it, so
+// a survivor that takes over a dead peer's shard or slice reproduces the
+// bytes the peer would have sent. Spans may be nil.
+
+// ProfileShard is step 1 as edge unit performs it: collect the QoS profiles
+// of the hardware-specific knobs on the unit's calibration shard.
+func ProfileShard(p Program, o InstallOptions, unit int, sp *obs.Span) (*predictor.Profiles, error) {
+	local, err := edgeProgram(p, unit, o.NEdge)
+	if err != nil {
+		return nil, err
+	}
+	pol := o.installPolicy()
+	hwKnobs := func(op int) []approx.KnobID {
+		var hw []approx.KnobID
+		for _, id := range KnobsFor(p, op, pol) {
+			if !approx.MustLookup(id).HardwareIndependent() {
+				hw = append(hw, id)
+			}
+		}
+		return hw
+	}
+	return CollectProfilesSpan(local, nil, hwKnobs, tensor.NewRNG(o.Seed+200+int64(unit)), sp), nil
+}
+
+// SearchShortlist is step 2, the server's: merge the edges' shard profiles
+// (mean ΔQ, concatenated ΔT), lay them over the development-time software
+// profiles, and run steps 2–4 of Algorithm 1 — calibration, search,
+// ε1-shortlist — over the combined knob space. shards is indexed by unit.
+func SearchShortlist(p Program, devProfiles *predictor.Profiles, shards []*predictor.Profiles, o InstallOptions, sp *obs.Span) ([]pareto.Point, Stats, error) {
+	hw := shards[0]
+	if len(shards) > 1 {
+		hw = predictor.Merge(shards)
+	}
+	o.Policy = o.installPolicy()
+	if o.Objective == MinimizeEnergy {
+		// For energy the search ranks by the device's energy model (the
+		// "corresponding prediction model" of §3.1); for time it keeps the
+		// hardware-agnostic Eq. 3 ranking.
+		dev := o.Device
+		o.PerfModel = func(cfg approx.Config) float64 { return measurePerf(p, dev, MinimizeEnergy, cfg) }
+	}
+	var st Stats
+	candidates, err := searchShortlist(p, combineProfiles(devProfiles, hw), o.Options, tensor.NewRNG(o.Seed+400), sp, NewStopwatch(), &st)
+	return candidates, st, err
+}
+
+// ValidateSlice is step 3 as edge unit performs it: measure real QoS on the
+// unit's calibration shard, and perf/energy on the device, for its equal
+// share shortlist[unit], shortlist[unit+NEdge], … and return the local
+// Pareto set.
+func ValidateSlice(p Program, o InstallOptions, unit int, candidates []pareto.Point, sp *obs.Span) ([]pareto.Point, error) {
+	local, err := edgeProgram(p, unit, o.NEdge)
+	if err != nil {
+		return nil, err
+	}
+	kept, _ := validate(local, p, candidates, unit, o.NEdge, tensor.NewRNG(o.Seed+300+int64(unit)), o, sp)
+	return pareto.Set(kept), nil
+}
+
+// FinalCurve is step 4, the server's: the curve PS(S*₁ ∪ … ∪ S*ₙ) over the
+// edges' local Pareto sets, indexed by unit.
+func FinalCurve(p Program, baseQoS float64, edgeSets [][]pareto.Point, o InstallOptions) *pareto.Curve {
 	var union []pareto.Point
 	for _, s := range edgeSets {
 		union = append(union, s...)
 	}
 	sort.Slice(union, func(i, j int) bool { return union[i].Perf < union[j].Perf })
-	st.Validated = len(union)
-	st.ValidateTime = watch.Lap()
-	st.Total = watch.Total()
-
-	curve := pareto.NewCurve(p.Name(), combined.BaseQoS, union)
+	curve := pareto.NewCurve(p.Name(), baseQoS, union)
 	curve.BaselineTime = o.Device.Time(p.Costs(), nil)
-	return &InstallResult{Curve: curve, Stats: st.Stats.withInstall(st)}, nil
+	return curve
 }
 
-// withInstall keeps the embedded Stats consistent; InstallStats embeds
-// Stats by value so the helper just returns the updated embedded copy.
-func (s Stats) withInstall(ist InstallStats) InstallStats {
-	ist.Stats = s
-	ist.Stats.Validated = ist.Validated
-	return ist
-}
-
-// CombineProfiles merges the development-time (software-knob) profiles
-// with the install-time hardware-knob profiles into one table (exported
-// for the network transport).
-func CombineProfiles(sw, hw *predictor.Profiles) *predictor.Profiles {
-	return combineProfiles(sw, hw)
+// edgeProgram is p as edge unit of an nEdge fleet sees it: the unit's
+// in-order share of the calibration inputs, or all of p for a fleet of one.
+func edgeProgram(p Program, unit, nEdge int) (Program, error) {
+	if unit < 0 || unit >= nEdge {
+		return nil, fmt.Errorf("core: unit %d is outside a fleet of %d", unit, nEdge)
+	}
+	if nEdge == 1 {
+		return p, nil
+	}
+	sharder, ok := p.(Sharder)
+	if !ok {
+		return nil, errCannotShard(p, nEdge)
+	}
+	n := sharder.NumCalib()
+	return sharder.Shard(unit*n/nEdge, (unit+1)*n/nEdge)
 }
 
 // combineProfiles merges the development-time (software-knob) profiles
@@ -385,110 +386,4 @@ func combineProfiles(sw, hw *predictor.Profiles) *predictor.Profiles {
 		}
 	}
 	return out
-}
-
-// SearchShortlist runs steps 2–4 of Algorithm 1 (predictor calibration,
-// model-driven search, ε1 shortlist) against pre-merged profiles with
-// hardware knobs included, returning the shortlist for distributed
-// validation. It is the server-side compute step of the distributed
-// install-time protocol (§4), exposed for network transports
-// (internal/distrib).
-func SearchShortlist(p Program, profiles *predictor.Profiles, o InstallOptions) ([]pareto.Point, Stats, error) {
-	return predictiveSearchSpan(p, profiles, o, nil)
-}
-
-// predictiveSearchSpan runs steps 2–4 of Algorithm 1 (calibration, search,
-// ε1 shortlist) against pre-merged profiles, returning the shortlist for
-// distributed validation. A live parent span gets calibrate/search
-// children.
-func predictiveSearchSpan(p Program, profiles *predictor.Profiles, o InstallOptions, parent *obs.Span) ([]pareto.Point, Stats, error) {
-	var st Stats
-	watch := NewStopwatch()
-	if o.Model == predictor.Pi1 && !profiles.SupportsPi1() {
-		return nil, st, fmt.Errorf("core: Π1 unavailable for %q at install time", p.Name())
-	}
-	scoreFn := func(out *tensor.Tensor) float64 { return p.Score(Calib, out) }
-	var qp *predictor.QoSPredictor
-	if o.Model == predictor.Pi1 {
-		qp = predictor.NewQoSPredictor(predictor.Pi1, profiles, scoreFn)
-	} else {
-		qp = predictor.NewQoSPredictor(predictor.Pi2, profiles, nil)
-	}
-	pol := KnobPolicy{IncludeHardware: true, AllowFP16: o.Policy.AllowFP16}
-	prob := problemFor(p, pol)
-	csp := parent.Child("calibrate")
-	calibRng := tensor.NewRNG(o.Seed + 400)
-	calCfgs := make([]approx.Config, o.NCalibrate)
-	calRngs := make([]*tensor.RNG, o.NCalibrate)
-	for i := range calCfgs {
-		// Config draw and Split advance the parent RNG; keep the sequential
-		// loop's exact interleaving before fanning the runs out.
-		calCfgs[i] = randomConfig(prob, calibRng)
-		calRngs[i] = calibRng.Split(int64(i))
-	}
-	calQoS := evalScores(p, calCfgs, calRngs, csp)
-	samples := make([]predictor.Sample, 0, o.NCalibrate)
-	for i, cfg := range calCfgs {
-		samples = append(samples, predictor.Sample{Cfg: cfg, QoS: calQoS[i]})
-	}
-	st.Alpha = qp.Calibrate(samples)
-	csp.With("samples", len(samples)).With("alpha", st.Alpha).End()
-	st.CalibrateTime = watch.Lap()
-
-	// Objective-aware performance model: for energy tuning the prediction
-	// uses the device energy model (the "corresponding prediction model"
-	// of §3.1); for time it uses the hardware-agnostic Eq. 3 ranking.
-	pp := predictor.NewPerfPredictor(p.Costs())
-	perfOf := func(cfg approx.Config) float64 {
-		if o.Objective == MinimizeEnergy {
-			return measurePerf(p, o.Device, MinimizeEnergy, cfg)
-		}
-		return pp.Predict(cfg)
-	}
-
-	ssp := parent.Child("search")
-	tuner := newSearchTuner(prob, o.Options)
-	seen := make(map[string]bool)
-	nOps := maxOp(p) + 1
-	baseCfg := baselineConfig(p)
-	tuner.Prime(baseCfg, feedback(profiles.BaseQoS, perfOf(baseCfg)))
-	candidates := []pareto.Point{{QoS: profiles.BaseQoS, Perf: perfOf(baseCfg), Config: baseCfg}}
-	seen[baseCfg.Key(nOps)] = true
-	for !tuner.Done() {
-		cfg := tuner.Next()
-		predQoS := qp.Predict(cfg)
-		perf := perfOf(cfg)
-		tuner.Report(cfg, feedback(predQoS, perf))
-		st.RawConfigs++
-		if predQoS > o.QoSMin {
-			key := cfg.Key(nOps)
-			if !seen[key] {
-				seen[key] = true
-				candidates = append(candidates, pareto.Point{QoS: predQoS, Perf: perf, Config: cfg.Clone()})
-			}
-		}
-	}
-	st.Iterations = tuner.Iterations()
-	st.Candidates = len(candidates)
-	ssp.With("iterations", st.Iterations).With("candidates", st.Candidates).End()
-	st.SearchTime = watch.Lap()
-
-	eps1 := pareto.EpsilonForLimit(candidates, o.MaxConfigs)
-	shortlist := pareto.Trim(pareto.RelaxedSet(candidates, eps1), o.MaxConfigs)
-	shortlist = ensureBaseline(shortlist, baseCfg, profiles.BaseQoS, nOps)
-	return shortlist, st, nil
-}
-
-// HardwareKnobsFor returns the hardware-specific knob candidates
-// (PROMISE levels) for one op of a program — the knob set edge devices
-// profile during distributed install-time tuning.
-func HardwareKnobsFor(p Program, op int, allowFP16 bool) []approx.KnobID {
-	all := KnobsFor(p, op, KnobPolicy{IncludeHardware: true, AllowFP16: allowFP16})
-	var hw []approx.KnobID
-	for _, id := range all {
-		if !approx.MustLookup(id).HardwareIndependent() {
-			hw = append(hw, id)
-		}
-	}
-	return hw
 }

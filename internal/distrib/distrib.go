@@ -1,34 +1,38 @@
-// Package distrib is a real network transport for ApproxTuner's
-// distributed install-time tuning protocol (§4). The paper distributes
-// the phase across a server and a fleet of edge devices to amortize
-// profile collection and validation; internal/core simulates the fleet
-// in-process with goroutines, while this package runs the identical
-// four-step protocol over HTTP + JSON:
+// Package distrib carries ApproxTuner's distributed install-time tuning
+// protocol (§4) over HTTP + JSON. The protocol itself — what an edge
+// profiles, what the server searches, what an edge validates, how the final
+// curve is formed, and every seed involved — is internal/core's four
+// exported steps (ProfileShard, SearchShortlist, ValidateSlice, FinalCurve),
+// the same functions core.InstallTune's goroutine fleet calls; this package
+// holds no tuning logic of its own, so for equal options a fault-free HTTP
+// fleet ships a curve byte-identical to InstallTune's
+// (TestHTTPMatchesInProcessInstallTune). What it adds is what a network
+// needs:
 //
-//  1. each edge registers and receives its calibration-shard assignment
-//     (POST /v1/register);
-//  2. each edge collects hardware-knob QoS profiles on its shard and
-//     uploads them (POST /v1/profiles); once all shards arrive, the
-//     coordinator merges them with the shipped software profiles and runs
-//     the predictive search (Algorithm 1 lines 18–30 + the ε1 shortlist);
-//  3. each edge polls for its validation assignment (GET /v1/assignments),
-//     measures real QoS and device performance/energy for its slice of
-//     the shortlist, and uploads its local Pareto set (POST /v1/validated);
-//  4. the coordinator unions the per-edge Pareto sets into the final
-//     curve, which edges fetch with GET /v1/curve.
+//  1. each edge registers and receives the fleet's tuning options — seed,
+//     fleet size, QoS threshold, objective — from the coordinator
+//     (POST /v1/register), so no edge can be configured to disagree;
+//  2. each edge runs core.ProfileShard for its unit and uploads the result
+//     (POST /v1/profiles); once all shards arrive, the coordinator runs
+//     core.SearchShortlist, outside its lock, so polls and lease renewals
+//     go on while it searches;
+//  3. each edge polls for the shortlist (GET /v1/assignments), runs
+//     core.ValidateSlice for its unit, and uploads its local Pareto set
+//     (POST /v1/validated);
+//  4. the coordinator hands the per-unit sets to core.FinalCurve, and edges
+//     fetch the result with GET /v1/curve.
 //
 // Fault model: edges crash, restart, and sit behind lossy links. Every
 // registration carries a liveness lease that is renewed by any request
 // from that edge; when a lease expires before the edge's profile or
 // validation upload, the coordinator re-offers the orphaned work unit to
 // the next live edge that polls, so the fleet converges with any subset
-// of survivors. Uploads carry attempt tokens and are applied
-// first-write-wins, making retried and duplicated POSTs idempotent. The
-// edge client (edge.go) retries with seeded exponential backoff, bounds
-// every request with a timeout, and threads a context through both poll
-// loops so nothing can spin forever. With zero faults the protocol's
-// final curve is bit-identical to the fault-oblivious one: the same
-// shard seeds, merge order, and slice-union order are preserved.
+// of survivors. A unit's result depends on the unit number alone, never on
+// who computes it, so a takeover reproduces the dead owner's bytes. Uploads
+// carry attempt tokens and are applied first-write-wins, making retried and
+// duplicated POSTs idempotent. The edge client (edge.go) retries with seeded
+// exponential backoff, bounds every request with a timeout, and threads a
+// context through both poll loops so nothing can spin forever.
 package distrib
 
 import (
@@ -98,18 +102,14 @@ type workItem struct {
 	done  bool
 }
 
-// NewCoordinator builds a coordinator for nEdge devices (set in
-// opts.NEdge; defaults to 4).
+// NewCoordinator builds a coordinator for a fleet of opts.NEdge devices.
+// Unset options take core.InstallOptions' defaults; options no fleet can run
+// (no device model, an unshardable program for several edges) are refused
+// here, as core.InstallTune refuses them.
 func NewCoordinator(p core.Program, devProfiles *predictor.Profiles, opts core.InstallOptions) (*Coordinator, error) {
-	if opts.NEdge <= 0 {
-		opts.NEdge = 4
-	}
-	// Unset search/robustness knobs take their documented defaults here,
-	// so the handlers never feed zero values (e.g. MaxConfigs) into the
-	// server-side search.
-	opts = opts.Norm()
-	if _, ok := p.(core.Sharder); !ok && opts.NEdge > 1 {
-		return nil, fmt.Errorf("distrib: program %q cannot shard for %d edges", p.Name(), opts.NEdge)
+	opts, err := opts.ForFleet(p)
+	if err != nil {
+		return nil, err
 	}
 	return &Coordinator{
 		prog:      p,
@@ -133,13 +133,6 @@ func (c *Coordinator) now() time.Time {
 	return time.Now()
 }
 
-func (c *Coordinator) leaseTTL() time.Duration {
-	if c.opts.LeaseTTL > 0 {
-		return c.opts.LeaseTTL
-	}
-	return 30 * time.Second
-}
-
 // Wire types.
 
 type registerReq struct {
@@ -150,11 +143,15 @@ type registerReq struct {
 	Attempt int `json:"attempt,omitempty"`
 }
 
+// registerResp hands the edge the fleet's tuning options — everything
+// core.ProfileShard and core.ValidateSlice read besides the edge's own
+// device — so the whole fleet works from the coordinator's values.
 type registerResp struct {
-	Lo        int  `json:"lo"`
-	Hi        int  `json:"hi"`
-	NEdge     int  `json:"n_edge"`
-	AllowFP16 bool `json:"allow_fp16"`
+	Seed      int64          `json:"seed"`
+	NEdge     int            `json:"n_edge"`
+	AllowFP16 bool           `json:"allow_fp16"`
+	QoSMin    float64        `json:"qos_min"`
+	Obj       core.Objective `json:"objective"`
 	// Epoch counts the edge's registrations after lease expiry (0 for the
 	// first incarnation).
 	Epoch int `json:"epoch,omitempty"`
@@ -172,21 +169,14 @@ type profilesReq struct {
 	Profiles json.RawMessage `json:"profiles"`
 }
 
-// shardOffer re-offers an orphaned profile shard to a live edge.
-type shardOffer struct {
-	Shard int `json:"shard"`
-	Lo    int `json:"lo"`
-	Hi    int `json:"hi"`
-}
-
 type assignmentsResp struct {
-	Ready   bool           `json:"ready"`
-	Configs []pareto.Point `json:"configs"` // QoS/Perf are server predictions
-	QoSMin  float64        `json:"qos_min"`
-	Obj     core.Objective `json:"objective"`
+	Ready bool `json:"ready"`
+	// Shortlist is the whole ε1-shortlist (QoS/Perf are server
+	// predictions); core.ValidateSlice takes a unit's share of it.
+	Shortlist []pareto.Point `json:"shortlist"`
 	// Reprofile, when set on a not-ready response, asks the polling edge
 	// to collect profiles for a dead edge's shard.
-	Reprofile *shardOffer `json:"reprofile,omitempty"`
+	Reprofile *int `json:"reprofile,omitempty"`
 }
 
 type validatedReq struct {
@@ -198,20 +188,12 @@ type validatedReq struct {
 	Points  []pareto.Point `json:"points"`
 }
 
-// sliceOffer re-offers an orphaned validation slice to a live edge.
-type sliceOffer struct {
-	Slice   int            `json:"slice"`
-	Configs []pareto.Point `json:"configs"`
-	QoSMin  float64        `json:"qos_min"`
-	Obj     core.Objective `json:"objective"`
-}
-
 type curveResp struct {
 	Ready bool            `json:"ready"`
 	Curve json.RawMessage `json:"curve,omitempty"`
 	// Revalidate, when set on a not-ready response, asks the polling edge
 	// to validate a dead edge's shortlist slice.
-	Revalidate *sliceOffer `json:"revalidate,omitempty"`
+	Revalidate *int `json:"revalidate,omitempty"`
 }
 
 // Handler returns the coordinator's HTTP API. Every protocol endpoint
@@ -243,10 +225,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("edge id %d out of range [0,%d)", req.EdgeID, c.opts.NEdge), http.StatusBadRequest)
 		return
 	}
-	n := 0
-	if sh, ok := c.prog.(core.Sharder); ok {
-		n = sh.NumCalib()
-	}
 	c.mu.Lock()
 	now := c.now()
 	if c.started.IsZero() {
@@ -269,19 +247,20 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		st.expired = false
 		mReRegistrations.Inc()
 	}
-	st.expires = now.Add(c.leaseTTL())
+	st.expires = now.Add(c.opts.LeaseTTL)
 	if c.profWork[req.EdgeID] == nil {
 		c.profWork[req.EdgeID] = &workItem{owner: req.EdgeID}
 	}
 	epoch := st.epoch
 	c.mu.Unlock()
 	writeJSON(w, registerResp{
-		Lo:          req.EdgeID * n / c.opts.NEdge,
-		Hi:          (req.EdgeID + 1) * n / c.opts.NEdge,
+		Seed:        c.opts.Seed,
 		NEdge:       c.opts.NEdge,
 		AllowFP16:   c.opts.Policy.AllowFP16,
+		QoSMin:      c.opts.QoSMin,
+		Obj:         c.opts.Objective,
 		Epoch:       epoch,
-		LeaseMillis: c.leaseTTL().Milliseconds(),
+		LeaseMillis: c.opts.LeaseTTL.Milliseconds(),
 	})
 }
 
@@ -307,6 +286,17 @@ func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if shards := c.applyProfiles(req, shard, profs); shards != nil {
+		c.search(shards)
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// applyProfiles records one profile upload (first write wins, duplicates
+// absorbed). The upload that completes the set — there is exactly one,
+// since a filled shard is never written again — gets the shards back in
+// unit order and owes the fleet the search.
+func (c *Coordinator) applyProfiles(req profilesReq, shard int, profs *predictor.Profiles) []*predictor.Profiles {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(req.EdgeID)
@@ -315,16 +305,14 @@ func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		// Duplicate delivery of an already-applied upload (retry after a
 		// lost response, or a duplicated request on the wire).
 		mDupRequests.Inc()
-		w.WriteHeader(http.StatusNoContent)
-		return
+		return nil
 	}
 	c.seen[key] = true
 	if _, ok := c.shards[shard]; ok {
 		// The shard was already filled — by this edge's earlier attempt or
 		// by a reassignment race. First write wins.
 		mRedundantUploads.Inc()
-		w.WriteHeader(http.StatusNoContent)
-		return
+		return nil
 	}
 	c.shards[shard] = profs
 	if wi := c.profWork[shard]; wi != nil {
@@ -332,35 +320,42 @@ func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	} else {
 		c.profWork[shard] = &workItem{owner: req.EdgeID, done: true}
 	}
-	if !c.searched && c.allShardsLocked() {
-		// All shards arrived: merge (mean ΔQ, concatenated ΔT) and run the
-		// server-side predictive search. A panicking search must become a
-		// recorded error, not a wedged fleet: the upload's attempt token is
-		// already marked applied, so retries would be absorbed as
-		// duplicates and the edges would poll a never-ready coordinator
-		// forever.
-		ordered := make([]*predictor.Profiles, 0, c.opts.NEdge)
-		for e := 0; e < c.opts.NEdge; e++ {
-			ordered = append(ordered, c.shards[e])
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					c.searchErr = fmt.Errorf("distrib: server-side search panicked: %v", r)
-				}
-				c.searched = true
-			}()
-			hw := predictor.Merge(ordered)
-			combined := core.CombineProfiles(c.devProfs, hw)
-			c.shortlist, _, c.searchErr = core.SearchShortlist(c.prog, combined, c.opts)
-		}()
-		if c.searchErr == nil {
-			for s := 0; s < c.opts.NEdge; s++ {
-				c.valWork[s] = &workItem{owner: s}
+	if !c.allShardsLocked() {
+		return nil
+	}
+	ordered := make([]*predictor.Profiles, c.opts.NEdge)
+	for s := range ordered {
+		ordered[s] = c.shards[s]
+	}
+	return ordered
+}
+
+// search runs the server-side step and publishes its outcome. It runs
+// without c.mu: the search is the protocol's longest step, and while it
+// lasts the fleet must still get "not ready" answers and lease renewals
+// from its polls. A panicking search must become a recorded error, not a
+// wedged fleet: the triggering upload's attempt token is already marked
+// applied, so retries would be absorbed as duplicates and the edges would
+// poll a never-ready coordinator forever.
+func (c *Coordinator) search(shards []*predictor.Profiles) {
+	var shortlist []pareto.Point
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("distrib: server-side search panicked: %v", r)
 			}
+		}()
+		shortlist, _, err = core.SearchShortlist(c.prog, c.devProfs, shards, c.opts, nil)
+	}()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.shortlist, c.searchErr, c.searched = shortlist, err, true
+	if err == nil {
+		for s := 0; s < c.opts.NEdge; s++ {
+			c.valWork[s] = &workItem{owner: s}
 		}
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) handleAssignments(w http.ResponseWriter, r *http.Request) {
@@ -384,26 +379,13 @@ func (c *Coordinator) handleAssignments(w http.ResponseWriter, r *http.Request) 
 				c.profWork[shard] = wi
 			}
 			wi.owner = edgeID
-			n := 0
-			if sh, isSh := c.prog.(core.Sharder); isSh {
-				n = sh.NumCalib()
-			}
-			resp.Reprofile = &shardOffer{
-				Shard: shard,
-				Lo:    shard * n / c.opts.NEdge,
-				Hi:    (shard + 1) * n / c.opts.NEdge,
-			}
+			resp.Reprofile = &shard
 			mReassignedShards.Inc()
 		}
 		writeJSON(w, resp)
 		return
 	}
-	writeJSON(w, assignmentsResp{
-		Ready:   true,
-		Configs: c.sliceLocked(edgeID),
-		QoSMin:  c.opts.QoSMin,
-		Obj:     c.opts.Objective,
-	})
+	writeJSON(w, assignmentsResp{Ready: true, Shortlist: c.shortlist})
 }
 
 func (c *Coordinator) handleValidated(w http.ResponseWriter, r *http.Request) {
@@ -443,14 +425,11 @@ func (c *Coordinator) handleValidated(w http.ResponseWriter, r *http.Request) {
 		wi.done = true
 	}
 	if c.final == nil && c.allSlicesLocked() {
-		var union []pareto.Point
-		for s := 0; s < c.opts.NEdge; s++ {
-			union = append(union, c.validated[s]...)
+		sets := make([][]pareto.Point, c.opts.NEdge)
+		for s := range sets {
+			sets[s] = c.validated[s]
 		}
-		c.final = pareto.NewCurve(c.prog.Name(), c.devProfs.BaseQoS, union)
-		if c.opts.Device != nil {
-			c.final.BaselineTime = c.opts.Device.Time(c.prog.Costs(), nil)
-		}
+		c.final = core.FinalCurve(c.prog, c.devProfs.BaseQoS, sets, c.opts)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -472,12 +451,7 @@ func (c *Coordinator) handleCurve(w http.ResponseWriter, r *http.Request) {
 		if c.final == nil && c.searched && c.searchErr == nil {
 			if slice, ok := c.orphanSliceLocked(edgeID); ok {
 				c.valWork[slice].owner = edgeID
-				resp.Revalidate = &sliceOffer{
-					Slice:   slice,
-					Configs: c.sliceLocked(slice),
-					QoSMin:  c.opts.QoSMin,
-					Obj:     c.opts.Objective,
-				}
+				resp.Revalidate = &slice
 				mReassignedSlices.Inc()
 			}
 		}
@@ -518,7 +492,7 @@ func (c *Coordinator) Registered() int {
 // touchLocked renews the lease of a registered edge. Callers hold c.mu.
 func (c *Coordinator) touchLocked(edgeID int) {
 	if st := c.edges[edgeID]; st != nil {
-		st.expires = c.now().Add(c.leaseTTL())
+		st.expires = c.now().Add(c.opts.LeaseTTL)
 	}
 }
 
@@ -528,7 +502,7 @@ func (c *Coordinator) touchLocked(edgeID int) {
 func (c *Coordinator) deadLocked(owner int, now time.Time) bool {
 	st := c.edges[owner]
 	if st == nil {
-		return !c.started.IsZero() && now.After(c.started.Add(c.leaseTTL()))
+		return !c.started.IsZero() && now.After(c.started.Add(c.opts.LeaseTTL))
 	}
 	if now.After(st.expires) {
 		if !st.expired {
@@ -602,16 +576,6 @@ func (c *Coordinator) allSlicesLocked() bool {
 		}
 	}
 	return true
-}
-
-// sliceLocked returns the equal-fraction scatter of the shortlist for one
-// slice: shortlist[slice::NEdge]. Callers hold c.mu.
-func (c *Coordinator) sliceLocked(slice int) []pareto.Point {
-	var mine []pareto.Point
-	for i := slice; i < len(c.shortlist); i += c.opts.NEdge {
-		mine = append(mine, c.shortlist[i])
-	}
-	return mine
 }
 
 // tokenKey builds the idempotency-token key for one applied operation.

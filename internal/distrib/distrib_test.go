@@ -1,10 +1,15 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,7 +77,7 @@ func TestFullProtocolOverHTTP(t *testing.T) {
 			defer wg.Done()
 			e := &Edge{
 				ID: i, BaseURL: srv.URL, Program: gp,
-				Device: device.NewTX2GPU(), Seed: 11,
+				Device: device.NewTX2GPU(),
 			}
 			c, err := e.Run(ctx)
 			results[i] = &errCurve{c, err}
@@ -112,46 +117,35 @@ type errCurve struct {
 	err   error
 }
 
+// TestHTTPMatchesInProcessInstallTune pins what this package is: a transport.
+// The HTTP fleet and core.InstallTune's goroutine fleet call the same four
+// core steps with the same seeds, so for equal options — the edges take
+// theirs from the coordinator — the two final curves are the same bytes.
 func TestHTTPMatchesInProcessInstallTune(t *testing.T) {
-	// The HTTP transport and the goroutine-simulated fleet implement the
-	// same protocol; with one edge (no sharding noise), both should find
-	// feasible curves of the same character.
 	gp, base := buildProgram(t)
 	profs := devProfiles(t, gp)
-	opts := core.InstallOptions{
-		Options: core.Options{
-			QoSMin: base - 10, NCalibrate: 5, MaxIters: 150, StallLimit: 80,
-			MaxConfigs: 12, Policy: core.KnobPolicy{AllowFP16: true}, Seed: 3,
-			Model: predictor.Pi2,
-		},
-		Device:    device.NewTX2GPU(),
-		Objective: core.MinimizeEnergy,
-		NEdge:     1,
-	}
-	inproc, err := core.InstallTune(gp, profs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(gp, profs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	e := &Edge{ID: 0, BaseURL: srv.URL, Program: gp, Device: device.NewTX2GPU(), Seed: 11}
-	viaHTTP, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inproc.Curve.Len() == 0 || viaHTTP.Len() == 0 {
-		t.Fatalf("empty curves: in-process %d, http %d", inproc.Curve.Len(), viaHTTP.Len())
+	for _, nEdge := range []int{1, 3} {
+		spec := fleetSpec{nEdge: nEdge}
+		inproc, err := core.InstallTune(gp, profs, chaosOptions(base, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := inproc.Curve.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := runFleet(t, gp, profs, base, spec)
+		checkConvergence(t, res, base, nil)
+		if !bytes.Equal(res.coordCurve, want) {
+			t.Errorf("%d edges: the HTTP fleet and InstallTune shipped different curves:\nhttp:\n%s\nin-process:\n%s", nEdge, res.coordCurve, want)
+		}
 	}
 }
 
 func TestRegisterRejectsBadEdgeID(t *testing.T) {
 	gp, base := buildProgram(t)
 	coord, err := NewCoordinator(gp, devProfiles(t, gp), core.InstallOptions{
-		Options: core.Options{QoSMin: base - 10, Seed: 1},
+		Options: core.Options{QoSMin: base - 10},
 		Device:  device.NewTX2GPU(),
 		NEdge:   2,
 	})
@@ -160,7 +154,7 @@ func TestRegisterRejectsBadEdgeID(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	e := &Edge{ID: 99, BaseURL: srv.URL, Program: gp, Seed: 1}
+	e := &Edge{ID: 99, BaseURL: srv.URL, Program: gp}
 	if _, err := e.Run(context.Background()); err == nil {
 		t.Fatal("out-of-range edge id must be rejected")
 	}
@@ -173,7 +167,7 @@ func TestRegisterRejectsBadEdgeID(t *testing.T) {
 func TestHandlersRejectBogusIdentifiers(t *testing.T) {
 	gp, base := buildProgram(t)
 	coord, err := NewCoordinator(gp, devProfiles(t, gp), core.InstallOptions{
-		Options: core.Options{QoSMin: base - 10, Seed: 1},
+		Options: core.Options{QoSMin: base - 10},
 		Device:  device.NewTX2GPU(),
 		NEdge:   2,
 	})
@@ -243,7 +237,7 @@ func TestHandlersRejectBogusIdentifiers(t *testing.T) {
 func TestRegisterIsIdempotent(t *testing.T) {
 	gp, base := buildProgram(t)
 	coord, err := NewCoordinator(gp, devProfiles(t, gp), core.InstallOptions{
-		Options: core.Options{QoSMin: base - 10, Seed: 1},
+		Options: core.Options{QoSMin: base - 10},
 		Device:  device.NewTX2GPU(),
 		NEdge:   2,
 	})
@@ -311,5 +305,141 @@ func TestProfilesUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if _, err := predictor.UnmarshalProfiles([]byte(`{"base_out":{"dims":[2,2],"data":"AAAA"}}`)); err == nil {
 		t.Fatal("mismatched tensor payload must be rejected")
+	}
+}
+
+// blockingProgram is the coordinator's copy of a program whose server-side
+// search lasts exactly as long as a test wants: the search's first execution
+// (a calibration run) closes started, and every execution waits for release.
+type blockingProgram struct {
+	*core.GraphProgram
+	started, release chan struct{}
+	startOnce        sync.Once
+}
+
+func (b *blockingProgram) Run(cfg approx.Config, set core.InputSet, rng *tensor.RNG) *tensor.Tensor {
+	b.startOnce.Do(func() { close(b.started) })
+	<-b.release
+	return b.GraphProgram.Run(cfg, set, rng)
+}
+
+// TestSearchRunsOutsideTheLock pins the fix for a fleet-wide stall: the
+// coordinator used to run the whole server-side search holding its mutex, so
+// for the search's duration every poll blocked past RequestTimeout and no
+// lease could be renewed — at paper-scale iteration counts edges ran out of
+// retries, or came back to find their healthy peers' slices "orphaned". Here
+// the search is held open while two lease lengths pass on the coordinator's
+// clock: every poll must still be answered "not ready" inside
+// RequestTimeout, and afterwards no unit may have been reassigned.
+func TestSearchRunsOutsideTheLock(t *testing.T) {
+	gp, base := buildProgram(t)
+	slow := &blockingProgram{GraphProgram: gp, started: make(chan struct{}), release: make(chan struct{})}
+	opts := chaosOptions(base, fleetSpec{nEdge: 2, leaseTTL: time.Minute})
+	opts.RequestTimeout = 500 * time.Millisecond
+	coord, err := NewCoordinator(slow, devProfiles(t, gp), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var elapsed atomic.Int64
+	t0 := time.Now()
+	coord.Now = func() time.Time { return t0.Add(time.Duration(elapsed.Load())) }
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(srv.Close)
+	// Registered after srv.Close, so it runs before it: Close waits for the
+	// handler the search is running in.
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(slow.release) }) }
+	t.Cleanup(release)
+
+	post := func(cl *http.Client, path string, body any) error {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		resp, err := cl.Post(srv.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			return fmt.Errorf("POST %s: %s", path, resp.Status)
+		}
+		return nil
+	}
+	uploadShard := func(e int) error {
+		profs, err := core.ProfileShard(gp, coord.opts, e, nil)
+		if err != nil {
+			return err
+		}
+		payload, err := profs.Marshal()
+		if err != nil {
+			return err
+		}
+		return post(srv.Client(), "/v1/profiles", profilesReq{EdgeID: e, Attempt: 2, Profiles: payload})
+	}
+	edgeClient := &http.Client{Timeout: opts.RequestTimeout}
+	poll := func(e int, path string, out any) {
+		t.Helper()
+		resp, err := edgeClient.Get(fmt.Sprintf("%s%s?edge=%d", srv.URL, path, e))
+		if err != nil {
+			t.Fatalf("edge %d poll of %s not answered within RequestTimeout: %v", e, path, err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("edge %d poll of %s: status %d, %v", e, path, resp.StatusCode, err)
+		}
+	}
+
+	before := res2counters()
+	for e := 0; e < 2; e++ {
+		if err := post(edgeClient, "/v1/register", registerReq{EdgeID: e, Attempt: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := uploadShard(0); err != nil {
+		t.Fatal(err)
+	}
+	searched := make(chan error, 1)
+	go func() { searched <- uploadShard(1) }() // the upload that completes the set carries the search
+	<-slow.started
+
+	for step := 0; step < 3; step++ {
+		elapsed.Add(int64(opts.LeaseTTL * 2 / 3))
+		for e := 0; e < 2; e++ {
+			var asn assignmentsResp
+			var cr curveResp
+			poll(e, "/v1/assignments", &asn)
+			poll(e, "/v1/curve", &cr)
+			if asn.Ready || asn.Reprofile != nil || cr.Ready || cr.Revalidate != nil {
+				t.Fatalf("mid-search poll by edge %d: assignments %+v, curve %+v; want plain not-ready", e, asn, cr)
+			}
+		}
+	}
+	release()
+	if err := <-searched; err != nil {
+		t.Fatal(err)
+	}
+	// Edge 0 goes on to validate and asks for the curve. Edge 1 has not
+	// uploaded yet, but it polled through the whole search, so its slice is
+	// not an orphan.
+	var asn assignmentsResp
+	poll(0, "/v1/assignments", &asn)
+	if !asn.Ready || len(asn.Shortlist) == 0 {
+		t.Fatalf("no shortlist after the search: %+v", asn)
+	}
+	pts, err := core.ValidateSlice(gp, coord.opts, 0, asn.Shortlist, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := post(edgeClient, "/v1/validated", validatedReq{EdgeID: 0, Attempt: 3, Points: pts}); err != nil {
+		t.Fatal(err)
+	}
+	var cr curveResp
+	poll(0, "/v1/curve", &cr)
+	if cr.Ready || cr.Revalidate != nil {
+		t.Fatalf("edge 0 after its upload: %+v; want to wait for edge 1, whose lease the search did not cost", cr)
+	}
+	if after := res2counters(); after != before {
+		t.Errorf("work was reassigned around a slow search: %+v → %+v", before, after)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/obs"
@@ -36,15 +35,15 @@ type Edge struct {
 	Transport http.RoundTripper
 	// PollInterval paces the assignment/curve polling loops (default 20ms).
 	PollInterval time.Duration
-	Seed         int64
-	// RequestTimeout bounds every HTTP request (default 10s).
+	// RequestTimeout bounds every HTTP request, MaxRetries is how many times
+	// a failed request is retried before the run aborts, and RetryBase is
+	// the first backoff delay (it doubles per retry with seeded jitter,
+	// capped at 2s). Zero means the core.InstallOptions default of the same
+	// name. Tuning options are not here: the coordinator hands them out at
+	// registration.
 	RequestTimeout time.Duration
-	// MaxRetries is how many times a failed request is retried with
-	// exponential backoff before the run aborts (default 4).
-	MaxRetries int
-	// RetryBase is the first backoff delay; it doubles per retry with
-	// seeded jitter, capped at 2s (default 50ms).
-	RetryBase time.Duration
+	MaxRetries     int
+	RetryBase      time.Duration
 	// Failpoints injects protocol-step crashes for chaos testing.
 	Failpoints Failpoints
 	// Tracer, when set, wraps the run in an edge:run span with one child
@@ -55,7 +54,7 @@ type Edge struct {
 	Tracer *obs.Tracer
 
 	httpc   *http.Client
-	rng     *tensor.RNG // backoff jitter stream (never touches tuning RNGs)
+	rng     *tensor.RNG // backoff jitter stream, the only RNG an edge seeds itself
 	attempt int         // logical-operation idempotency token counter
 	span    *obs.Span   // run-level root span (nil when Tracer is nil)
 
@@ -71,13 +70,12 @@ type Edge struct {
 
 // NewEdge builds an edge whose robustness knobs come from the install
 // options (the same knobs the coordinator was built with).
-func NewEdge(id int, baseURL string, p core.Program, dev *device.Device, seed int64, opts core.InstallOptions) *Edge {
+func NewEdge(id int, baseURL string, p core.Program, dev *device.Device, opts core.InstallOptions) *Edge {
 	return &Edge{
 		ID:             id,
 		BaseURL:        baseURL,
 		Program:        p,
 		Device:         dev,
-		Seed:           seed,
 		RequestTimeout: opts.RequestTimeout,
 		MaxRetries:     opts.MaxRetries,
 		RetryBase:      opts.RetryBase,
@@ -92,7 +90,7 @@ func (e *Edge) client() *http.Client {
 		// Client-level timeout is a backstop; the per-request context
 		// deadline in doOnce is the operative bound.
 		e.httpc = &http.Client{
-			Timeout:   e.requestTimeout() + time.Second,
+			Timeout:   e.RequestTimeout + time.Second,
 			Transport: e.Transport,
 		}
 	}
@@ -104,27 +102,6 @@ func (e *Edge) poll() time.Duration {
 		return e.PollInterval
 	}
 	return 20 * time.Millisecond
-}
-
-func (e *Edge) requestTimeout() time.Duration {
-	if e.RequestTimeout > 0 {
-		return e.RequestTimeout
-	}
-	return 10 * time.Second
-}
-
-func (e *Edge) maxRetries() int {
-	if e.MaxRetries > 0 {
-		return e.MaxRetries
-	}
-	return 4
-}
-
-func (e *Edge) retryBase() time.Duration {
-	if e.RetryBase > 0 {
-		return e.RetryBase
-	}
-	return 50 * time.Millisecond
 }
 
 func (e *Edge) nextAttempt() int {
@@ -140,9 +117,12 @@ func (e *Edge) Run(ctx context.Context) (*pareto.Curve, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Jitter stream for backoff only: a separate seed space keeps retry
-	// timing from perturbing the deterministic tuning streams.
-	e.rng = tensor.NewRNG(e.Seed + 9001 + int64(e.ID)*7919)
+	// Unset robustness knobs take core.InstallOptions' documented defaults.
+	d := core.InstallOptions{RequestTimeout: e.RequestTimeout, MaxRetries: e.MaxRetries, RetryBase: e.RetryBase}.Norm()
+	e.RequestTimeout, e.MaxRetries, e.RetryBase = d.RequestTimeout, d.MaxRetries, d.RetryBase
+	// Jitter stream for backoff only: retry timing never touches the tuning
+	// streams, whose seeds all come from the coordinator.
+	e.rng = tensor.NewRNG(9001 + int64(e.ID)*7919)
 	if e.telLat == nil {
 		e.telLat = obs.NewQHist()
 	}
@@ -151,30 +131,33 @@ func (e *Edge) Run(ctx context.Context) (*pareto.Curve, error) {
 		defer e.span.End()
 	}
 
-	// Step 1: register, get shard assignment.
+	// Step 1: register, and take the fleet's tuning options from the
+	// coordinator; only the device is the edge's own.
 	var reg registerResp
 	if err := e.post(ctx, "/v1/register", registerReq{EdgeID: e.ID, Attempt: e.nextAttempt()}, &reg); err != nil {
 		return nil, err
 	}
-	local := e.Program
-	if sh, ok := e.Program.(core.Sharder); ok && reg.Hi > reg.Lo {
-		sp, err := sh.Shard(reg.Lo, reg.Hi)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: edge %d shard: %w", e.ID, err)
-		}
-		local = sp
+	o := core.InstallOptions{
+		Options: core.Options{
+			QoSMin: reg.QoSMin,
+			Policy: core.KnobPolicy{AllowFP16: reg.AllowFP16},
+			Seed:   reg.Seed,
+		},
+		Device:    e.Device,
+		Objective: reg.Obj,
+		NEdge:     reg.NEdge,
 	}
 
 	// Step 2: collect hardware-knob profiles on the shard and upload.
 	if e.Failpoints.CrashBeforeProfiles {
 		return nil, fmt.Errorf("edge %d: %w before profile upload", e.ID, ErrInjectedCrash)
 	}
-	if err := e.collectAndUpload(ctx, e.ID, local, reg.AllowFP16); err != nil {
+	if err := e.profileAndUpload(ctx, o, e.ID); err != nil {
 		return nil, err
 	}
 
-	// Step 3: poll for the validation assignment — picking up orphaned
-	// profile shards of dead edges on the way — then validate and upload
+	// Step 3: poll for the shortlist — picking up orphaned profile shards
+	// of dead edges on the way — then validate this edge's slice and upload
 	// the local Pareto set.
 	var asn assignmentsResp
 	for {
@@ -185,11 +168,7 @@ func (e *Edge) Run(ctx context.Context) (*pareto.Curve, error) {
 			return nil, err
 		}
 		if asn.Reprofile != nil {
-			shardProg, err := e.shardProgram(asn.Reprofile.Lo, asn.Reprofile.Hi)
-			if err != nil {
-				return nil, err
-			}
-			if err := e.collectAndUpload(ctx, asn.Reprofile.Shard, shardProg, reg.AllowFP16); err != nil {
+			if err := e.profileAndUpload(ctx, o, *asn.Reprofile); err != nil {
 				return nil, err
 			}
 			continue
@@ -201,12 +180,10 @@ func (e *Edge) Run(ctx context.Context) (*pareto.Curve, error) {
 			return nil, err
 		}
 	}
-	pts := e.validateConfigs(e.ID, asn.Configs, asn.QoSMin, asn.Obj, local)
 	if e.Failpoints.CrashBeforeValidated {
 		return nil, fmt.Errorf("edge %d: %w before validated upload", e.ID, ErrInjectedCrash)
 	}
-	slice := e.ID
-	if err := e.post(ctx, "/v1/validated", validatedReq{EdgeID: e.ID, Slice: &slice, Attempt: e.nextAttempt(), Points: pts}, nil); err != nil {
+	if err := e.validateAndUpload(ctx, o, e.ID, asn.Shortlist); err != nil {
 		return nil, err
 	}
 
@@ -218,10 +195,7 @@ func (e *Edge) Run(ctx context.Context) (*pareto.Curve, error) {
 			return nil, err
 		}
 		if cr.Revalidate != nil {
-			o := cr.Revalidate
-			pts := e.validateConfigs(o.Slice, o.Configs, o.QoSMin, o.Obj, local)
-			s := o.Slice
-			if err := e.post(ctx, "/v1/validated", validatedReq{EdgeID: e.ID, Slice: &s, Attempt: e.nextAttempt(), Points: pts}, nil); err != nil {
+			if err := e.validateAndUpload(ctx, o, *cr.Revalidate, asn.Shortlist); err != nil {
 				return nil, err
 			}
 			continue
@@ -278,59 +252,28 @@ func (e *Edge) reportTelemetry(ctx context.Context) {
 // upload.
 const maxUploadSpans = 256
 
-// shardProgram shards the edge's full program for an arbitrary
-// calibration range (used when taking over a dead edge's shard).
-func (e *Edge) shardProgram(lo, hi int) (core.Program, error) {
-	if sh, ok := e.Program.(core.Sharder); ok && hi > lo {
-		sp, err := sh.Shard(lo, hi)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: edge %d shard [%d,%d): %w", e.ID, lo, hi, err)
-		}
-		return sp, nil
+// profileAndUpload runs protocol step 1 for one unit — this edge's own, or
+// a dead edge's it was offered — and uploads the profiles.
+func (e *Edge) profileAndUpload(ctx context.Context, o core.InstallOptions, shard int) error {
+	profs, err := core.ProfileShard(e.Program, o, shard, nil)
+	if err != nil {
+		return fmt.Errorf("distrib: edge %d shard %d: %w", e.ID, shard, err)
 	}
-	return e.Program, nil
-}
-
-// collectAndUpload collects hardware-knob profiles for one shard and
-// uploads them. The RNG is seeded by the shard number — not the edge's
-// own ID — so a survivor reproduces exactly the profiles the shard's
-// original owner would have collected (fleets share the base seed).
-func (e *Edge) collectAndUpload(ctx context.Context, shard int, local core.Program, allowFP16 bool) error {
-	profs := core.CollectProfiles(local, nil, func(op int) []approx.KnobID {
-		return core.HardwareKnobsFor(local, op, allowFP16)
-	}, tensor.NewRNG(e.Seed+int64(shard)))
 	payload, err := profs.Marshal()
 	if err != nil {
 		return err
 	}
-	s := shard
-	return e.post(ctx, "/v1/profiles", profilesReq{EdgeID: e.ID, Shard: &s, Attempt: e.nextAttempt(), Profiles: payload}, nil)
+	return e.post(ctx, "/v1/profiles", profilesReq{EdgeID: e.ID, Shard: &shard, Attempt: e.nextAttempt(), Profiles: payload}, nil)
 }
 
-// validateConfigs measures real QoS (on the edge's local calibration
-// shard) and device perf/energy for one shortlist slice. The RNG is
-// seeded by the slice number so the zero-fault draw sequence matches the
-// fault-oblivious protocol exactly; skipped (device-unsupported) configs
-// do not advance the stream.
-func (e *Edge) validateConfigs(slice int, configs []pareto.Point, qosMin float64, obj core.Objective, local core.Program) []pareto.Point {
-	rng := tensor.NewRNG(e.Seed + 1000 + int64(slice))
-	var pts []pareto.Point
-	for i, pt := range configs {
-		if e.Device != nil && !core.DeviceSupports(e.Device, pt.Config) {
-			continue
-		}
-		out := local.Run(pt.Config, core.Calib, rng.Split(int64(i)))
-		realQoS := local.Score(core.Calib, out)
-		if realQoS <= qosMin {
-			continue
-		}
-		perf := pt.Perf
-		if e.Device != nil {
-			perf = core.MeasurePerf(e.Program, e.Device, obj, pt.Config)
-		}
-		pts = append(pts, pareto.Point{QoS: realQoS, Perf: perf, Config: pt.Config})
+// validateAndUpload runs protocol step 3 for one unit and uploads the local
+// Pareto set.
+func (e *Edge) validateAndUpload(ctx context.Context, o core.InstallOptions, slice int, shortlist []pareto.Point) error {
+	pts, err := core.ValidateSlice(e.Program, o, slice, shortlist, nil)
+	if err != nil {
+		return fmt.Errorf("distrib: edge %d slice %d: %w", e.ID, slice, err)
 	}
-	return pareto.Set(pts)
+	return e.post(ctx, "/v1/validated", validatedReq{EdgeID: e.ID, Slice: &slice, Attempt: e.nextAttempt(), Points: pts}, nil)
 }
 
 // retryableError marks transport-level failures and 5xx responses, which
@@ -377,14 +320,14 @@ func (e *Edge) do(ctx context.Context, method, path string, body []byte, out any
 		if ctx.Err() != nil {
 			return fmt.Errorf("distrib: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
 		}
-		if try >= e.maxRetries() {
-			return fmt.Errorf("distrib: %s %s: %d retries exhausted: %w", method, path, e.maxRetries(), lastErr)
+		if try >= e.MaxRetries {
+			return fmt.Errorf("distrib: %s %s: %d retries exhausted: %w", method, path, e.MaxRetries, lastErr)
 		}
 	}
 }
 
 func (e *Edge) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
-	rctx, cancel := context.WithTimeout(ctx, e.requestTimeout())
+	rctx, cancel := context.WithTimeout(ctx, e.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -441,7 +384,7 @@ func (e *Edge) doOnce(ctx context.Context, method, path string, body []byte, out
 // backoff returns the delay before retry number try (1-based): the base
 // doubles per retry with multiplicative jitter in [1,2), capped at 2s.
 func (e *Edge) backoff(try int) time.Duration {
-	d := e.retryBase() << (try - 1)
+	d := e.RetryBase << (try - 1)
 	if max := 2 * time.Second; d > max {
 		d = max
 	}

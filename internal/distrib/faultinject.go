@@ -27,7 +27,7 @@ type Failpoints struct {
 	// CrashBeforeProfiles aborts the run after registration, before the
 	// profile upload.
 	CrashBeforeProfiles bool
-	// CrashBeforeValidated aborts the run after validation compute,
+	// CrashBeforeValidated aborts the run once the shortlist has arrived,
 	// before the validated upload.
 	CrashBeforeValidated bool
 }

@@ -59,7 +59,7 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 			defer wg.Done()
 			e := &Edge{
 				ID: i, BaseURL: srv.URL, Program: gp,
-				Device: device.NewTX2GPU(), Seed: 11,
+				Device:    device.NewTX2GPU(),
 				RetryBase: time.Millisecond,
 				// A lossy link forces client retries so the retry fields in
 				// /v1/stats are exercised, not just present. Per-edge seeds
@@ -165,7 +165,7 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 func TestTelemetryRejectsBadEdgeID(t *testing.T) {
 	gp, base := buildProgram(t)
 	coord, err := NewCoordinator(gp, devProfiles(t, gp), core.InstallOptions{
-		Options: core.Options{QoSMin: base - 10, Seed: 1},
+		Options: core.Options{QoSMin: base - 10},
 		Device:  device.NewTX2GPU(),
 		NEdge:   2,
 	})

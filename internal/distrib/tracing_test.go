@@ -53,7 +53,7 @@ func TestCrossProcessTracing(t *testing.T) {
 			defer wg.Done()
 			e := &Edge{
 				ID: i, BaseURL: srv.URL, Program: gp,
-				Device: device.NewTX2GPU(), Seed: 11,
+				Device: device.NewTX2GPU(),
 				Tracer: tracers[i],
 			}
 			_, errs[i] = e.Run(ctx)
@@ -161,7 +161,7 @@ func TestEdgeTracingDisabledNoHeaders(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	e := &Edge{ID: 0, BaseURL: srv.URL, Program: gp, Device: device.NewTX2GPU(), Seed: 11}
+	e := &Edge{ID: 0, BaseURL: srv.URL, Program: gp, Device: device.NewTX2GPU()}
 	if _, err := e.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
