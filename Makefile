@@ -87,15 +87,17 @@ bench-exec-smoke:
 # Ten seconds each of the convolution differential fuzzer (direct-pack
 # engine against the im2col reference), of the row-epilogue one (every
 # kernel tier against the scalar chain), of the /v1/infer body scanner
-# against encoding/json, of the traceparent header parser and of the
-# install-time coordinator's four upload endpoints, starting from the
-# committed corpora and in-code seeds.
+# against encoding/json, of the traceparent header parser, of the
+# install-time coordinator's four upload endpoints and of the tradeoff-curve
+# decoder (round trip and core.CheckCurve), starting from the committed
+# corpora and in-code seeds.
 fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzEpilogueRow -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzInferRequestDecode -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s
 	$(GO) test ./internal/distrib -run '^$$' -fuzz FuzzCoordinatorUploads -fuzztime 10s
+	$(GO) test ./internal/pareto -run '^$$' -fuzz FuzzUnmarshalCurve -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

@@ -129,7 +129,7 @@ func main() {
 		sampler = obs.NewTailSampler(obs.TailSamplerOptions{Seed: *traceSeed})
 		cfg.Sampler = sampler
 		cfg.Tracer = obs.NewTracer(obs.TracerOptions{
-			KeepInMemory: 1024,
+			KeepInMemory: -1, // nothing reads Records(): spans reach the sampler and the flight ring
 			IDSeed:       *traceSeed,
 			Sinks:        []obs.SpanSink{sampler},
 		})

@@ -67,8 +67,8 @@ type Program interface {
 	FixedOutputShape() bool
 }
 
-// Prepacker is an optional Program capability: pre-populate the pack-once
-// operand caches (packed weight panels, FP16 copies) before tuning starts,
+// Prepacker is an optional Program capability: build the pack-once
+// operands (packed weight panels, FP16 copies) before tuning starts,
 // recording the work under the caller's observability span so the
 // pack_cache prepass is visible in traces.
 type Prepacker interface {
@@ -126,10 +126,10 @@ func NewGraphProgram(g *graph.Graph, calibIn, testIn *tensor.Tensor, calibMetric
 	if err != nil {
 		return nil, err
 	}
-	// Register the long-lived tensors with the pack cache: constant
-	// weights (packed panels, sampled filters, FP16 copies) and the
-	// calibration/test batches (FP16 copies) are reused across thousands
-	// of tuning executions, so their derived operands memoize.
+	// Mark the long-lived tensors cacheable: constant weights (packed
+	// panels, sampled filters, FP16 copies) and the calibration/test
+	// batches (FP16 copies) are reused across thousands of tuning
+	// executions, so they keep the operands derived from them.
 	g.PrepackWeights()
 	calibIn.MarkCacheable()
 	testIn.MarkCacheable()
@@ -210,9 +210,9 @@ func markAll(vals []*tensor.Tensor) []*tensor.Tensor {
 	return vals
 }
 
-// Prepack implements Prepacker: it registers every constant weight with
-// the tensorops pack cache and eagerly builds the packed panels both
-// precisions will reuse, so the first tuning executions start warm. The
+// Prepack implements Prepacker: it marks every constant weight cacheable
+// and eagerly builds the packed panels both precisions will reuse, so the
+// first tuning executions start warm. The
 // work is recorded as a pack_cache:prepack span under the caller's phase.
 func (p *GraphProgram) Prepack(parent *obs.Span) {
 	sp := parent.Child("pack_cache:prepack")

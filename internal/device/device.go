@@ -131,9 +131,6 @@ func (d *Device) SetFrequencyMHz(f float64) {
 	d.freqMHz = f
 }
 
-// FrequencyMHz returns the current DVFS frequency.
-func (d *Device) FrequencyMHz() float64 { return d.freqMHz }
-
 // freqScale is the compute-throughput derating at the current frequency.
 func (d *Device) freqScale() float64 { return d.freqMHz / d.nominalMHz }
 

@@ -98,9 +98,9 @@ func TestShardableExclusions(t *testing.T) {
 }
 
 // TestStandardizeWeightsInvalidatesCache: standardization mutates weights
-// in place after FP16 executions have warmed the pack cache; a later FP16
-// execution must see the new weights, matching a twin graph that was
-// standardized before any cache warmup.
+// in place after FP16 executions have built the derived operands; a later
+// FP16 execution must see the new weights, matching a twin graph that was
+// standardized before anything was derived.
 func TestStandardizeWeightsInvalidatesCache(t *testing.T) {
 	build := func() *Graph { return tinyNet(tensor.NewRNG(41)) }
 	gr := build()
@@ -116,7 +116,7 @@ func TestStandardizeWeightsInvalidatesCache(t *testing.T) {
 		}
 	}
 
-	// Warm the pack cache with the pre-standardization weights.
+	// Build the operands of the pre-standardization weights.
 	gr.PrepackWeights()
 	gr.Execute(in, cfg, ExecOptions{})
 
@@ -141,7 +141,7 @@ func TestPrepackWeightsCounts(t *testing.T) {
 		if nd.Weight == nil {
 			continue
 		}
-		if _, _, ok := nd.Weight.CacheKey(); !ok {
+		if _, ok := nd.Weight.DerivedBytes(); !ok {
 			t.Errorf("node %d weight not cacheable after prepack", nd.ID)
 		}
 	}

@@ -31,12 +31,7 @@ type ExecOptions struct {
 // is bit-identical to the serial one, so callers cannot observe which
 // path ran. Traced executions stay serial to keep per-node spans intact.
 func (g *Graph) Execute(input *tensor.Tensor, cfg approx.Config, opts ExecOptions) *tensor.Tensor {
-	sp, detail := g.traceExec(opts.Trace, "full")
-	if !detail {
-		opts.Trace = nil
-	} else {
-		opts.Trace = sp
-	}
+	sp, opts := g.traced(opts, "full")
 	// Two execution paths, because each wins where it runs: sharding whole
 	// batches across workers beats per-kernel parallelism alone by about
 	// 17 % of the benchmark's exec_fresh goodput, and a batch of one or a
@@ -51,38 +46,18 @@ func (g *Graph) Execute(input *tensor.Tensor, cfg approx.Config, opts ExecOption
 	return out
 }
 
-// executeOnce is the single-goroutine graph sweep behind Execute.
+// executeOnce is the single-goroutine full run behind Execute and behind
+// each of its shards.
 func (g *Graph) executeOnce(input *tensor.Tensor, cfg approx.Config, opts ExecOptions) *tensor.Tensor {
-	vals := make([]*tensor.Tensor, len(g.Nodes))
-	for _, n := range g.Nodes {
-		switch n.Kind {
-		case OpInput:
-			vals[n.ID] = input
-		default:
-			vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), opts)
-		}
-	}
-	return vals[g.Output]
+	return g.sweep(input, nil, 0, cfg, opts)[g.Output]
 }
 
 // ExecuteAll runs the program and returns every node's value (indexed by
 // node ID). The per-node values let profile collection re-execute only the
 // suffix of the graph affected by approximating a single operator.
 func (g *Graph) ExecuteAll(input *tensor.Tensor, cfg approx.Config, opts ExecOptions) []*tensor.Tensor {
-	sp, detail := g.traceExec(opts.Trace, "all")
-	if !detail {
-		opts.Trace = nil
-	} else {
-		opts.Trace = sp
-	}
-	vals := make([]*tensor.Tensor, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if n.Kind == OpInput {
-			vals[n.ID] = input
-			continue
-		}
-		vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), opts)
-	}
+	sp, opts := g.traced(opts, "all")
+	vals := g.sweep(input, nil, 0, cfg, opts)
 	sp.End()
 	return vals
 }
@@ -96,22 +71,41 @@ func (g *Graph) ExecuteFrom(base []*tensor.Tensor, from int, cfg approx.Config, 
 	if len(base) != len(g.Nodes) {
 		panic(fmt.Sprintf("graph: base has %d values for %d nodes", len(base), len(g.Nodes)))
 	}
-	sp, detail := g.traceExec(opts.Trace, "suffix")
-	if !detail {
-		opts.Trace = nil
-	} else {
-		opts.Trace = sp.With("from", from)
+	sp, opts := g.traced(opts, "suffix")
+	opts.Trace.With("from", from)
+	out := g.sweep(nil, base, from, cfg, opts)[g.Output]
+	sp.End()
+	return out
+}
+
+// traced opens the per-execution span and returns it with the options the
+// nodes run under: Trace is that span while the tracer's graph-detail
+// budget lasts, and nil (no per-node spans) otherwise.
+func (g *Graph) traced(opts ExecOptions, mode string) (*obs.Span, ExecOptions) {
+	sp, detail := g.traceExec(opts.Trace, mode)
+	opts.Trace = nil
+	if detail {
+		opts.Trace = sp
 	}
+	return sp, opts
+}
+
+// sweep is the one node loop: over a private copy of base (nil for a full
+// run, whose input nodes take input) it executes every operator with
+// ID ≥ from in order and returns all the values.
+func (g *Graph) sweep(input *tensor.Tensor, base []*tensor.Tensor, from int, cfg approx.Config, opts ExecOptions) []*tensor.Tensor {
 	vals := make([]*tensor.Tensor, len(g.Nodes))
 	copy(vals, base)
 	for _, n := range g.Nodes {
-		if n.ID < from || n.Kind == OpInput {
-			continue
+		if n.Kind == OpInput {
+			if base == nil {
+				vals[n.ID] = input
+			}
+		} else if n.ID >= from {
+			vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), opts)
 		}
-		vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), opts)
 	}
-	sp.End()
-	return vals[g.Output]
+	return vals
 }
 
 func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, opts ExecOptions) *tensor.Tensor {
@@ -250,25 +244,22 @@ func (n *Node) fusedEpilogue() tensorops.Epilogue {
 }
 
 // InvalidateWeight records an in-place mutation of the node's weight
-// tensor: it advances the tensor's cache generation and drops every
-// derived operand (packed panels, quantized copies, sampled filters) from
-// the process-wide pack cache. Any pass that rewrites Weight.Data() —
-// StandardizeWeights, models.Prune — must call it, or cached executions
+// tensor by dropping every operand derived from it (packed panels,
+// quantized copies, sampled filters). Any pass that rewrites Weight.Data()
+// — StandardizeWeights, models.Prune — must call it, or later executions
 // would keep using the old weights.
 func (n *Node) InvalidateWeight() {
-	if n.Weight == nil {
-		return
+	if n.Weight != nil {
+		n.Weight.InvalidateCache()
 	}
-	n.Weight.InvalidateCache()
-	tensorops.InvalidatePacked(n.Weight)
 }
 
 // PrepackWeights marks every conv/matmul weight cacheable and eagerly
 // builds the derived operands the execution paths will ask for — packed
 // GEMM panels for dense weights (both precisions) and FP16 quantized
 // copies for conv weights — so the first tuning executions start warm.
-// Idempotent (later calls hit the cache); returns the number of cache
-// entries ensured.
+// Idempotent (later calls find them built); returns the number of operands
+// ensured.
 func (g *Graph) PrepackWeights() int {
 	count := 0
 	for _, n := range g.Nodes {

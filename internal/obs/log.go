@@ -39,9 +39,6 @@ func NewLogger(w io.Writer, level Level) *Logger {
 // SetLevel changes the level at runtime.
 func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
 
-// LevelNow returns the current level.
-func (l *Logger) LevelNow() Level { return Level(l.level.Load()) }
-
 func (l *Logger) emit(min Level, format string, args ...any) {
 	if Level(l.level.Load()) < min {
 		return

@@ -37,10 +37,6 @@ var clockBase = time.Now()
 // clock source for spans, stopwatches and phase timings.
 func Now() int64 { return int64(time.Since(clockBase)) }
 
-// WallStart returns the wall-clock instant corresponding to Now() == 0,
-// letting exporters reconstruct absolute timestamps.
-func WallStart() time.Time { return clockBase }
-
 // global holds the installed tracer; nil means tracing is disabled.
 var global atomic.Pointer[Tracer]
 
@@ -51,9 +47,6 @@ func Install(t *Tracer) *Tracer { return global.Swap(t) }
 
 // Active returns the installed tracer, or nil when tracing is disabled.
 func Active() *Tracer { return global.Load() }
-
-// Enabled reports whether a tracer is installed.
-func Enabled() bool { return global.Load() != nil }
 
 // Start opens a root span on the installed tracer. It returns nil (a
 // valid no-op span) when tracing is disabled.

@@ -218,12 +218,14 @@ func (c *Curve) Marshal() ([]byte, error) {
 	return json.MarshalIndent(c, "", "  ")
 }
 
-// UnmarshalCurve restores a shipped curve, re-sorting defensively.
+// UnmarshalCurve restores a shipped curve, re-sorting defensively; points
+// of equal Perf keep their shipped order, so a curve survives a round trip
+// unchanged (FuzzUnmarshalCurve).
 func UnmarshalCurve(data []byte) (*Curve, error) {
 	var c Curve
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("pareto: bad curve: %w", err)
 	}
-	sort.Slice(c.Points, func(i, j int) bool { return c.Points[i].Perf < c.Points[j].Perf })
+	sort.SliceStable(c.Points, func(i, j int) bool { return c.Points[i].Perf < c.Points[j].Perf })
 	return &c, nil
 }

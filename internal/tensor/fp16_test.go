@@ -84,40 +84,34 @@ func TestQuantizeFP16SliceMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestCacheIdentity pins the MarkCacheable/CacheKey/InvalidateCache
-// contract: unmarked tensors are never cacheable, marking is idempotent,
-// IDs are unique per tensor, and invalidation advances only the
-// generation.
+// TestCacheIdentity pins the MarkCacheable contract: unmarked tensors are
+// never cacheable, marking is idempotent, and neither a clone nor a view
+// inherits the mark.
 func TestCacheIdentity(t *testing.T) {
-	a, b := New(4), New(4)
-	if _, _, ok := a.CacheKey(); ok {
-		t.Fatal("unmarked tensor reports a cache key")
+	a := New(4)
+	if _, ok := a.DerivedBytes(); ok {
+		t.Fatal("unmarked tensor reports itself cacheable")
+	}
+	a.InvalidateCache() // no-op, and must not mark
+	if _, ok := a.DerivedBytes(); ok {
+		t.Fatal("InvalidateCache marked an unmarked tensor")
 	}
 	a.MarkCacheable()
-	id1, gen1, ok := a.CacheKey()
-	if !ok || id1 == 0 {
-		t.Fatalf("marked tensor has key id=%d ok=%v", id1, ok)
+	key := DerivedKey{Kind: 1}
+	v1, ok := a.Derive(key, func() (any, int64) { return new(int), 8 })
+	if !ok {
+		t.Fatal("marked tensor refused an operand")
 	}
-	a.MarkCacheable() // idempotent
-	if id2, _, _ := a.CacheKey(); id2 != id1 {
-		t.Fatalf("re-marking changed id %d -> %d", id1, id2)
+	a.MarkCacheable() // idempotent: keeps what it holds
+	if v2, _ := a.Derive(key, func() (any, int64) { return new(int), 8 }); v2 != v1 {
+		t.Fatal("re-marking dropped the tensor's operands")
 	}
-	b.MarkCacheable()
-	if idB, _, _ := b.CacheKey(); idB == id1 {
-		t.Fatal("two tensors share a cache id")
+	// Clones and reshaped views must not inherit the mark: their data
+	// diverges (clone) or aliases without shared invalidation (view).
+	if _, ok := a.Clone().DerivedBytes(); ok {
+		t.Fatal("clone inherited the cacheable mark")
 	}
-	a.InvalidateCache()
-	id3, gen3, _ := a.CacheKey()
-	if id3 != id1 || gen3 != gen1+1 {
-		t.Fatalf("invalidate: id %d->%d gen %d->%d", id1, id3, gen1, gen3)
-	}
-	// Clones and reshaped views must not inherit the identity: their data
-	// diverges (clone) or aliases without shared generation tracking
-	// (view).
-	if _, _, ok := a.Clone().CacheKey(); ok {
-		t.Fatal("clone inherited cache identity")
-	}
-	if _, _, ok := a.Reshape(2, 2).CacheKey(); ok {
-		t.Fatal("reshape view inherited cache identity")
+	if _, ok := a.Reshape(2, 2).DerivedBytes(); ok {
+		t.Fatal("reshape view inherited the cacheable mark")
 	}
 }

@@ -8,6 +8,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -19,21 +20,12 @@ type Tensor struct {
 	shape Shape
 	data  []float32
 
-	// Pack-cache identity. cacheID is 0 for ordinary tensors; a non-zero
-	// value is a process-unique handle assigned by MarkCacheable that
-	// derived-operand caches (packed GEMM panels, FP16 quantized copies,
-	// sampled filters) key on. cacheGen counts in-place mutations: bumping
-	// it via InvalidateCache makes every cached derivation of the old
-	// contents unreachable. Pointer identity alone would be unsound — a
-	// freed tensor's address can be reused — so the ID is handed out from
-	// a monotonic counter and never recycled.
-	cacheID  uint64
-	cacheGen uint64
+	// derived is nil until MarkCacheable; then it points at the current
+	// immutable set of operands derived from data (derived.go). deriveMu
+	// serializes the builders that replace it.
+	derived  atomic.Pointer[derivedSet]
+	deriveMu sync.Mutex
 }
-
-// nextCacheID hands out process-unique tensor cache identities; 0 is the
-// "not cacheable" sentinel, so the counter starts at 1.
-var nextCacheID atomic.Uint64
 
 // New allocates a zero-filled tensor of the given shape.
 func New(dims ...int) *Tensor {
@@ -54,41 +46,6 @@ func FromSlice(data []float32, dims ...int) *Tensor {
 // Scalar returns a 0-d tensor holding v.
 func Scalar(v float32) *Tensor {
 	return &Tensor{shape: NewShape(), data: []float32{v}}
-}
-
-// MarkCacheable assigns t a process-unique cache identity (idempotent)
-// and returns t. Only marked tensors participate in derived-operand
-// caching: constant weights and long-lived calibration inputs should be
-// marked; transient per-execution tensors should not, so they can never
-// pollute the cache. Safe for concurrent use.
-func (t *Tensor) MarkCacheable() *Tensor {
-	if atomic.LoadUint64(&t.cacheID) == 0 {
-		id := nextCacheID.Add(1)
-		atomic.CompareAndSwapUint64(&t.cacheID, 0, id)
-	}
-	return t
-}
-
-// CacheKey returns t's cache identity and generation. ok is false for
-// tensors that were never marked cacheable; callers must then skip the
-// cache entirely.
-func (t *Tensor) CacheKey() (id, gen uint64, ok bool) {
-	id = atomic.LoadUint64(&t.cacheID)
-	if id == 0 {
-		return 0, 0, false
-	}
-	return id, atomic.LoadUint64(&t.cacheGen), true
-}
-
-// InvalidateCache records an in-place mutation of t's contents by
-// advancing its cache generation, so every derivation cached under the
-// previous generation becomes unreachable. Callers that mutate a marked
-// tensor's Data() must call this afterwards (graph.StandardizeWeights
-// does). No-op for unmarked tensors.
-func (t *Tensor) InvalidateCache() {
-	if atomic.LoadUint64(&t.cacheID) != 0 {
-		atomic.AddUint64(&t.cacheGen, 1)
-	}
 }
 
 // Shape returns the tensor's shape. The returned value must not be mutated.

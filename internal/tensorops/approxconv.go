@@ -36,8 +36,8 @@ func Conv2DFilterSampling(x, w *tensor.Tensor, p ConvParams, stride, offset int,
 
 // Conv2DFilterSamplingFused is Conv2DFilterSampling with a fused
 // bias/activation epilogue. The sampled filter positions are dropped from
-// both GEMM operands — the weight block is K-compacted (memoized in the
-// pack cache for weights marked cacheable) and the packer never emits the
+// both GEMM operands — the weight block is K-compacted (once, and kept on
+// the weight, for weights marked cacheable) and the packer never emits the
 // matching patch rows — so a 50% knob multiplies half the K extent.
 func Conv2DFilterSamplingFused(x, w *tensor.Tensor, p ConvParams, stride, offset int, prec Precision, ep Epilogue) *tensor.Tensor {
 	if stride < 2 || stride > 4 {

@@ -85,14 +85,14 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	wo := tensor.ConvOutDim(wd, kw, p.StrideW, p.PadW)
 
 	if samp.stride != 0 {
-		// The weight operand loses the sampled K columns (memoized for
-		// cacheable weights, and cacheable in turn so its FP16
-		// quantization memoizes as well).
+		// The weight operand loses the sampled K columns (kept on a
+		// cacheable weight, and cacheable in turn so its FP16
+		// quantization is kept as well).
 		if samp.keptK(cig*kh*kw) == 0 {
 			// A one-element filter with its element sampled out: the zero
 			// filter, which needs no sampling.
 			w, samp = tensor.New(co, cig, kh, kw), sampSpec{}
-		} else if cw := defaultPackCache.cachedSampledFilter(w, samp); cw != nil {
+		} else if cw := cachedSampledFilter(w, samp); cw != nil {
 			w = cw
 		} else {
 			w = compactSampledFilter(w, samp)
@@ -100,12 +100,12 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	}
 	xd, wdat := x.Data(), w.Data()
 	if prec == FP16 {
-		// Quantized operands come from the pack cache for marked tensors
-		// (constant weights, calibration inputs — quantized once, reused
-		// across thousands of tuning executions) and from pooled scratch
-		// otherwise. The copy of x is the one activation-derived entry the
-		// cache keeps: quantizing marked activations afresh on every call
-		// cost the alexnet2 tuning passes about 8 % of their wall time.
+		// Marked tensors (constant weights, calibration inputs) keep their
+		// quantized copy — built once, reused across thousands of tuning
+		// executions; the others quantize into pooled scratch. The copy of
+		// x is the one activation-derived operand that is kept: quantizing
+		// marked activations afresh on every call cost the alexnet2 tuning
+		// passes about 8 % of their wall time.
 		if q, ok := cachedQuantized(x); ok {
 			xd = q
 		} else {

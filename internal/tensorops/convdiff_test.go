@@ -179,7 +179,7 @@ func TestConvDirectMatchesReference(t *testing.T) {
 								x := randTensor(g, 2, l.ci, h, w)
 								wt := randTensor(g, l.co, l.ci/l.groups, k, k)
 								if (wi+li)%2 == 0 {
-									wt.MarkCacheable() // sampled filters and FP16 weights via the pack cache
+									wt.MarkCacheable() // sampled filters and FP16 weights kept on the weight
 								}
 								eps := diffEpilogues(randTensor(g, l.co))
 								for _, prec := range []Precision{FP32, FP16} {

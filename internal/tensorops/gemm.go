@@ -463,17 +463,17 @@ func gemmSaxpyRow(arow, b, crow []float32, n int, quantB bool) {
 // MatMul multiplies x (n×k) by the transpose-free weight w (k×m), returning
 // an (n×m) tensor. It is the fully-connected / dense operator. With FP16
 // precision the operands and result are quantized through half precision:
-// the input through a pooled scratch copy (or the pack cache for marked
-// tensors), the weight during the GEMM pack step (no separate
-// full-tensor pass).
+// the input through a pooled scratch copy (or the copy a marked tensor
+// keeps), the weight during the GEMM pack step (no separate full-tensor
+// pass).
 func MatMul(x, w *tensor.Tensor, prec Precision) *tensor.Tensor {
 	return MatMulFused(x, w, prec, Epilogue{})
 }
 
 // MatMulFused is MatMul with the bias/activation/FP16-writeback epilogue
 // applied per C row during the GEMM instead of as separate whole-tensor
-// passes, and with w's packed panels served from the pack cache when w
-// is marked cacheable. Bit-identical to the unfused chain.
+// passes, and with w's packed panels built once and kept on w when w is
+// marked cacheable. Bit-identical to the unfused chain.
 func MatMulFused(x, w *tensor.Tensor, prec Precision, ep Epilogue) *tensor.Tensor {
 	n, k := x.Dim(0), x.Elems()/x.Dim(0)
 	if w.Rank() != 2 || w.Dim(0) != k {
@@ -496,7 +496,7 @@ func MatMulFused(x, w *tensor.Tensor, prec Precision, ep Epilogue) *tensor.Tenso
 	out := tensor.New(n, m)
 	re := newRowEpi(ep, false, prec == FP16, true) // bias by column: per output feature
 	if n >= gemmMR {
-		if pre := defaultPackCache.cachedPrepackedB(w, k, m, prec); pre != nil {
+		if pre := cachedPrepackedB(w, k, m, prec); pre != nil {
 			gemmRun(xd, nil, out.Data(), n, k, m, false, pre, re)
 			return out
 		}

@@ -33,111 +33,61 @@ func TestMatMulPrepackedBitIdentical(t *testing.T) {
 	})
 }
 
-// TestPackCacheHitsAndInvalidate drives a private cache instance through
+// TestPackCacheHitsAndInvalidate drives one marked tensor through
 // miss → hit → invalidate → miss and checks the byte accounting.
 func TestPackCacheHitsAndInvalidate(t *testing.T) {
-	c := NewPackCache(1 << 20)
 	g := tensor.NewRNG(3)
 	w := randTensor(g, 8, 8).MarkCacheable()
 
-	q1, ok := c.cachedQuantized(w)
+	q1, ok := cachedQuantized(w)
 	if !ok {
 		t.Fatal("cacheable tensor rejected")
 	}
-	q2, _ := c.cachedQuantized(w)
+	q2, _ := cachedQuantized(w)
 	if &q1[0] != &q2[0] {
 		t.Error("second lookup rebuilt instead of hitting")
 	}
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-	if c.Bytes() != int64(4*w.Elems()) {
-		t.Errorf("bytes = %d, want %d", c.Bytes(), 4*w.Elems())
+	if b, _ := w.DerivedBytes(); b != int64(4*w.Elems()) {
+		t.Errorf("bytes = %d, want %d", b, 4*w.Elems())
 	}
 
-	id, _, _ := w.CacheKey()
-	if dropped := c.Invalidate(id); dropped != 1 {
-		t.Errorf("Invalidate dropped %d entries, want 1", dropped)
-	}
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Errorf("after invalidate: %d entries / %d bytes resident", c.Len(), c.Bytes())
-	}
-
-	// A generation bump (in-place mutation) must miss even without an
-	// invalidation sweep.
-	q3, _ := c.cachedQuantized(w)
+	// An in-place mutation followed by InvalidatePacked must drop the
+	// operand and miss.
 	w.Data()[0] += 1
-	w.InvalidateCache()
-	q4, _ := c.cachedQuantized(w)
-	if &q3[0] == &q4[0] {
-		t.Error("stale entry returned after generation bump")
+	InvalidatePacked(w)
+	if b, _ := w.DerivedBytes(); b != 0 {
+		t.Errorf("after invalidate: %d bytes resident", b)
+	}
+	q3, _ := cachedQuantized(w)
+	if &q3[0] == &q1[0] || q3[0] != tensor.QuantizeFP16(w.Data()[0]) {
+		t.Error("stale operand returned after invalidation")
 	}
 }
 
-// TestPackCacheUncacheableTensor: tensors never marked cacheable must not
-// enter the cache.
+// TestPackCacheUncacheableTensor: tensors never marked cacheable must keep
+// nothing.
 func TestPackCacheUncacheableTensor(t *testing.T) {
-	c := NewPackCache(1 << 20)
 	g := tensor.NewRNG(5)
 	w := randTensor(g, 8, 8)
-	if _, ok := c.cachedQuantized(w); ok {
+	if _, ok := cachedQuantized(w); ok {
 		t.Error("unmarked tensor was cached")
 	}
-	if c.cachedPrepackedB(w, 8, 8, FP32) != nil {
+	if cachedPrepackedB(w, 8, 8, FP32) != nil {
 		t.Error("unmarked tensor produced prepacked panels")
 	}
-	if c.Len() != 0 {
-		t.Errorf("%d entries resident", c.Len())
+	if cachedSampledFilter(randTensor(g, 8, 4, 3, 3), sampSpec{stride: 2}) != nil {
+		t.Error("unmarked tensor produced a sampled filter")
+	}
+	if _, ok := w.DerivedBytes(); ok {
+		t.Error("a lookup marked the tensor")
 	}
 }
 
-// TestPackCacheEviction inserts under a budget that holds exactly two
-// quantized copies and checks LRU order: the least-recently-touched entry
-// goes first, and the byte budget always holds.
-func TestPackCacheEviction(t *testing.T) {
-	g := tensor.NewRNG(7)
-	const elems = 64
-	c := NewPackCache(2 * 4 * elems) // room for exactly two entries
-	ws := make([]*tensor.Tensor, 3)
-	for i := range ws {
-		ws[i] = randTensor(g, elems).MarkCacheable()
-	}
-	c.cachedQuantized(ws[0])
-	c.cachedQuantized(ws[1])
-	c.cachedQuantized(ws[0]) // touch 0 so 1 is LRU
-	c.cachedQuantized(ws[2]) // evicts 1
-	if _, _, ev := c.Stats(); ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-	if c.Bytes() > c.maxBytes {
-		t.Fatalf("resident %d bytes over budget %d", c.Bytes(), c.maxBytes)
-	}
-	hits0, _, _ := c.Stats()
-	c.cachedQuantized(ws[0]) // still resident
-	c.cachedQuantized(ws[1]) // evicted: must rebuild
-	hits1, _, ev := c.Stats()
-	if hits1 != hits0+1 {
-		t.Errorf("hit accounting off: %d -> %d (want one hit for ws[0], a miss for ws[1])", hits0, hits1)
-	}
-	if ev != 2 {
-		t.Errorf("evictions = %d, want 2 (re-inserting ws[1] evicts again)", ev)
-	}
-
-	// An entry larger than the whole budget is returned but never resident.
-	big := randTensor(g, 10*elems).MarkCacheable()
-	if q, ok := c.cachedQuantized(big); !ok || len(q) != big.Elems() {
-		t.Fatal("oversized entry not computed")
-	}
-	if c.Bytes() > c.maxBytes {
-		t.Fatalf("oversized entry resident: %d bytes", c.Bytes())
-	}
-}
-
-// TestPackCacheConcurrent hammers one cache with concurrent lookups and
-// invalidations; run under -race this pins the locking discipline, and the
-// returned slices must always hold the current generation's values.
+// TestPackCacheConcurrent hammers four marked tensors with concurrent
+// lookups and invalidations; run under -race this pins the
+// synchronisation, and whatever interleaving ran, the operands left behind
+// must be those of the tensors' contents.
 func TestPackCacheConcurrent(t *testing.T) {
-	c := NewPackCache(1 << 20)
 	g := tensor.NewRNG(13)
 	tensors := make([]*tensor.Tensor, 4)
 	for i := range tensors {
@@ -152,15 +102,14 @@ func TestPackCacheConcurrent(t *testing.T) {
 				tn := tensors[(w+iter)%len(tensors)]
 				switch {
 				case w%4 == 3 && iter%17 == 0:
-					id, _, _ := tn.CacheKey()
-					c.Invalidate(id)
+					InvalidatePacked(tn)
 				case w%2 == 0:
-					if q, ok := c.cachedQuantized(tn); !ok || len(q) != tn.Elems() {
+					if q, ok := cachedQuantized(tn); !ok || len(q) != tn.Elems() {
 						t.Error("bad quantized lookup")
 						return
 					}
 				default:
-					if p := c.cachedPrepackedB(tn, 32, 32, FP32); p == nil || p.np != 32/gemmNR {
+					if p := cachedPrepackedB(tn, 32, 32, FP32); p == nil || p.np != 32/gemmNR {
 						t.Error("bad prepacked lookup")
 						return
 					}
@@ -169,9 +118,13 @@ func TestPackCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	hits, misses, _ := c.Stats()
-	if hits+misses == 0 {
-		t.Error("no lookups recorded")
+	for _, tn := range tensors {
+		q, _ := cachedQuantized(tn)
+		for i, v := range tn.Data() {
+			if q[i] != tensor.QuantizeFP16(v) {
+				t.Fatalf("quantized copy [%d] = %v, want %v", i, q[i], tensor.QuantizeFP16(v))
+			}
+		}
 	}
 }
 
@@ -281,8 +234,8 @@ func TestMatMulFusedMatchesUnfused(t *testing.T) {
 
 // TestConvColsCacheBitIdentical: a convolution over a cacheable input and
 // weight must match the transient path bit for bit, cold and warm, both
-// precisions, including grouped geometry — and all it may leave in the
-// cache is the FP16 copy of each operand: the packed columns are rebuilt
+// precisions, including grouped geometry — and all it may leave behind is
+// the FP16 copy of each operand: the packed columns are rebuilt
 // from the input on every call, never memoized.
 func TestConvColsCacheBitIdentical(t *testing.T) {
 	g := tensor.NewRNG(53)
@@ -291,35 +244,33 @@ func TestConvColsCacheBitIdentical(t *testing.T) {
 		{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
 		{Groups: 2, PadH: 1, PadW: 1},
 	}
-	shared := defaultPackCache
-	defer func() { defaultPackCache = shared }()
 	for _, p := range cases {
 		x := randTensor(g, 2, 4, 9, 9)
 		w := randTensor(g, 8, 4/p.Norm().Groups, 3, 3)
 		cx, cw := x.Clone().MarkCacheable(), w.Clone().MarkCacheable()
-		defaultPackCache = NewPackCache(1 << 20)
 		for _, prec := range []Precision{FP32, FP16} {
 			want := Conv2D(x, w, p, prec) // transient operands: never cached
 			for pass := 0; pass < 2; pass++ {
 				requireSameBits(t, Conv2D(cx, cw, p, prec), want, "p=%+v prec=%v pass=%d", p, prec, pass)
 			}
 		}
-		c := defaultPackCache
-		if wantBytes := int64(4 * (x.Elems() + w.Elems())); c.Len() != 2 || c.Bytes() != wantBytes {
-			t.Errorf("p=%+v: cache holds %d entries / %d bytes, want the 2 quantized copies / %d bytes",
-				p, c.Len(), c.Bytes(), wantBytes)
+		xb, _ := cx.DerivedBytes()
+		wb, _ := cw.DerivedBytes()
+		if xb != int64(4*x.Elems()) || wb != int64(4*w.Elems()) {
+			t.Errorf("p=%+v: operands hold %d and %d bytes, want their quantized copies only (%d, %d)",
+				p, xb, wb, 4*x.Elems(), 4*w.Elems())
 		}
 	}
 }
 
-// TestSampledFilterCacheReused: the sampled-filter cache must return
+// TestSampledFilterCacheReused: a weight's kept sampled filters must hold
 // SampleFilter's surviving values — the zeroed positions removed, nothing
-// else changed — and key distinct knobs separately.
+// else changed — one per knob.
 func TestSampledFilterCacheReused(t *testing.T) {
 	g := tensor.NewRNG(23)
 	w := randTensor(g, 8, 4, 3, 3).MarkCacheable()
 	fvol := 4 * 3 * 3
-	c := NewPackCache(1 << 20)
+	var wantBytes int64
 	for _, knob := range [][2]int{{2, 0}, {2, 1}, {4, 1}} {
 		samp := sampSpec{stride: knob[0], offset: knob[1]}
 		var want []float32
@@ -328,11 +279,11 @@ func TestSampledFilterCacheReused(t *testing.T) {
 				want = append(want, v)
 			}
 		}
-		got := c.cachedSampledFilter(w, samp)
+		got := cachedSampledFilter(w, samp)
 		if got == nil {
 			t.Fatalf("%+v: no cached filter", samp)
 		}
-		if again := c.cachedSampledFilter(w, samp); got != again {
+		if again := cachedSampledFilter(w, samp); got != again {
 			t.Errorf("%+v: second lookup rebuilt", samp)
 		}
 		gd := got.Data()
@@ -344,8 +295,9 @@ func TestSampledFilterCacheReused(t *testing.T) {
 				t.Fatalf("%+v: [%d] = %v, want %v", samp, i, gd[i], want[i])
 			}
 		}
+		wantBytes += int64(4 * len(want))
 	}
-	if c.Len() != 3 {
-		t.Errorf("%d entries, want 3 (one per knob)", c.Len())
+	if b, _ := w.DerivedBytes(); b != wantBytes {
+		t.Errorf("weight holds %d bytes, want %d (one filter per knob)", b, wantBytes)
 	}
 }
