@@ -88,9 +88,10 @@ bench-exec-smoke:
 # engine against the im2col reference), of the row-epilogue one (every
 # kernel tier against the scalar chain), of the /v1/infer body scanner
 # against encoding/json, of the traceparent header parser, of the
-# install-time coordinator's four upload endpoints and of the tradeoff-curve
-# decoder (round trip and core.CheckCurve), starting from the committed
-# corpora and in-code seeds.
+# install-time coordinator's four upload endpoints, of the tradeoff-curve
+# decoder (round trip and core.CheckCurve) and of the histogram-snapshot
+# decoder behind POST /v1/telemetry, starting from the committed corpora and
+# in-code seeds.
 fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzEpilogueRow -fuzztime 10s
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s
 	$(GO) test ./internal/distrib -run '^$$' -fuzz FuzzCoordinatorUploads -fuzztime 10s
 	$(GO) test ./internal/pareto -run '^$$' -fuzz FuzzUnmarshalCurve -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzQSnapshotJSON -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

@@ -231,18 +231,18 @@ func (e *Edge) reportTelemetry(ctx context.Context) {
 		Latency:  e.telLat.Snapshot(),
 	}
 	if e.span != nil {
-		// Ship the run's completed request spans so GET /v1/stats can
-		// assemble the cross-process trace (bounded: telemetry must stay a
-		// small best-effort payload).
+		// Ship the run's completed spans so GET /v1/stats can assemble the
+		// cross-process trace (bounded: telemetry must stay a small
+		// best-effort payload). The bound keeps the most recent ones:
+		// edge:run ends last, and a trace without its root is headless.
 		tid := e.span.TraceID()
 		for _, rec := range e.Tracer.Records() {
-			if rec.TraceID != tid {
-				continue
+			if rec.TraceID == tid {
+				req.Spans = append(req.Spans, rec)
 			}
-			req.Spans = append(req.Spans, rec)
-			if len(req.Spans) >= maxUploadSpans {
-				break
-			}
+		}
+		if n := len(req.Spans); n > maxUploadSpans {
+			req.Spans = req.Spans[n-maxUploadSpans:]
 		}
 	}
 	_ = e.post(ctx, "/v1/telemetry", req, nil)

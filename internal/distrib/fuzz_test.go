@@ -97,20 +97,33 @@ func FuzzCoordinatorUploads(f *testing.F) {
 			t.Fatalf("POST %s %q: status %d", path, body, rec.Code)
 		}
 
+		// Read the identifiers the way the endpoint does: each request type
+		// has edge_id, only the profiles one has shard, only the validated
+		// one slice — a key the endpoint does not know is not its to refuse.
 		var ids struct {
-			EdgeID int  `json:"edge_id"`
-			Shard  *int `json:"shard"`
-			Slice  *int `json:"slice"`
+			EdgeID int `json:"edge_id"`
 		}
-		if err := json.Unmarshal(body, &ids); err != nil {
-			t.Fatalf("POST %s accepted a body that does not decode: %q", path, body)
+		var shard struct {
+			Shard *int `json:"shard"`
 		}
+		var slice struct {
+			Slice *int `json:"slice"`
+		}
+		err = json.Unmarshal(body, &ids)
 		unit := ids.EdgeID
 		switch {
-		case path == "/v1/profiles" && ids.Shard != nil:
-			unit = *ids.Shard
-		case path == "/v1/validated" && ids.Slice != nil:
-			unit = *ids.Slice
+		case err != nil:
+		case path == "/v1/profiles":
+			if err = json.Unmarshal(body, &shard); shard.Shard != nil {
+				unit = *shard.Shard
+			}
+		case path == "/v1/validated":
+			if err = json.Unmarshal(body, &slice); slice.Slice != nil {
+				unit = *slice.Slice
+			}
+		}
+		if err != nil {
+			t.Fatalf("POST %s accepted a body that does not decode: %q", path, body)
 		}
 		inRange := func(id int) bool { return id >= 0 && id < opts.NEdge }
 		if !inRange(ids.EdgeID) || !inRange(unit) {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/predictor"
 )
 
@@ -163,6 +164,22 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 
 // TestTelemetryRejectsBadEdgeID pins validation on the telemetry upload.
 func TestTelemetryRejectsBadEdgeID(t *testing.T) {
+	srv := telemetryCoordinator(t)
+	resp, err := srv.Client().Post(srv.URL+"/v1/telemetry", "application/json",
+		strings.NewReader(`{"edge_id":7,"requests":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("out-of-range telemetry edge id: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// telemetryCoordinator is a coordinator nothing tunes on, behind a
+// loopback server: enough to exercise the telemetry endpoints.
+func telemetryCoordinator(t *testing.T) *httptest.Server {
+	t.Helper()
 	gp, base := buildProgram(t)
 	coord, err := NewCoordinator(gp, devProfiles(t, gp), core.InstallOptions{
 		Options: core.Options{QoSMin: base - 10},
@@ -173,14 +190,64 @@ func TestTelemetryRejectsBadEdgeID(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Post(srv.URL+"/v1/telemetry", "application/json",
-		strings.NewReader(`{"edge_id":7,"requests":1}`))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestTelemetryRejectsInconsistentSnapshot pins validation of the latency
+// snapshot an edge uploads: negative buckets, or a count its buckets do not
+// add up to, would be merged into the fleet histogram as they are.
+func TestTelemetryRejectsInconsistentSnapshot(t *testing.T) {
+	srv := telemetryCoordinator(t)
+	for _, latency := range []string{
+		`{"counts":{"700":-3},"count":-3,"sum":1,"max":1}`,
+		`{"counts":{"700":2},"count":1000000,"sum":1,"max":1}`,
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/telemetry", "application/json",
+			strings.NewReader(`{"edge_id":0,"requests":1,"latency":`+latency+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("latency %s: status %d, want 400", latency, resp.StatusCode)
+		}
+	}
+}
+
+// TestTelemetryUploadKeepsRunRoot pins which spans survive the upload
+// bound: a run with more request spans than maxUploadSpans (one per HTTP
+// attempt, so any run that polls for a few seconds) must still ship
+// edge:run, which ends last — without it the assembled trace is headless.
+func TestTelemetryUploadKeepsRunRoot(t *testing.T) {
+	srv := telemetryCoordinator(t)
+	e := &Edge{
+		ID: 0, BaseURL: srv.URL, RequestTimeout: 5 * time.Second,
+		Tracer: obs.NewTracer(obs.TracerOptions{IDSeed: 5}),
+		telLat: obs.NewQHist(),
+	}
+	e.span = e.Tracer.Start("edge:run")
+	for i := 0; i < maxUploadSpans+44; i++ {
+		e.span.Child("edge:request").End()
+	}
+	e.span.End()
+	e.reportTelemetry(context.Background())
+
+	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range telemetry edge id: status %d, want 400", resp.StatusCode)
+	defer resp.Body.Close()
+	var fs FleetStats
+	if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
+		t.Fatal(err)
+	}
+	spans := fs.Traces[e.span.TraceID().String()]
+	hasRoot := false
+	for _, rec := range spans {
+		hasRoot = hasRoot || rec.Name == "edge:run"
+	}
+	if !hasRoot {
+		t.Errorf("%d spans of the run's trace reached the coordinator, edge:run not among them", len(spans))
 	}
 }

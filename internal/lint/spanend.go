@@ -16,7 +16,7 @@ import (
 // method on the span or passing it to a function lends it; returning it,
 // storing it, capturing it in a closure or placing it in a context with
 // obs.ContextWithSpan hands it to a new owner, who ends it elsewhere
-// (e.g. RuntimeTuner.Close). Reading an ended span (sp.Duration()) is
+// (e.g. RuntimeTuner.Close). Reading an ended span (sp.TraceID()) is
 // legal and End is idempotent, so the engine's use-after-release and
 // double-release checks are off.
 

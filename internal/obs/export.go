@@ -118,12 +118,7 @@ func Summarize(records []SpanRecord) string {
 		root.Walk(func(n *TreeNode, depth int) {
 			fmt.Fprintf(&b, "%s%s  %.3fms", strings.Repeat("  ", depth), n.Name, float64(n.Dur)/1e6)
 			if len(n.Attrs) > 0 {
-				keys := make([]string, 0, len(n.Attrs))
-				for k := range n.Attrs {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
+				for _, k := range sortedKeys(n.Attrs) {
 					fmt.Fprintf(&b, " %s=%v", k, n.Attrs[k])
 				}
 			}

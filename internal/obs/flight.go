@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -32,10 +31,8 @@ type FlightEntry struct {
 // flightShard is one ring segment. The trailing pad keeps hot shards on
 // separate cache lines.
 type flightShard struct {
-	mu  sync.Mutex
-	buf []FlightEntry
-	n   uint64 // total writes; buf[(n-1)%len(buf)] is the newest entry
-	_   [64]byte
+	ring[FlightEntry]
+	_ [64]byte
 }
 
 // FlightRecorder is a sharded ring buffer of recent spans and events.
@@ -45,26 +42,25 @@ type FlightRecorder struct {
 	seq    atomic.Uint64
 }
 
-// NewFlightRecorder builds a recorder with the given shard count and
-// per-shard capacity (defaults: 8 shards x 128 entries). Memory is
-// fully preallocated: shards*perShard fixed-size entries.
-func NewFlightRecorder(shards, perShard int) *FlightRecorder {
-	if shards <= 0 {
-		shards = 8
-	}
-	if perShard <= 0 {
-		perShard = 128
-	}
+// The process-wide recorder's size: 8 shards x 128 fixed-size entries.
+const (
+	flightShards   = 8
+	flightPerShard = 128
+)
+
+// newFlightRecorder builds a recorder whose memory is fully
+// preallocated: shards*perShard fixed-size entries.
+func newFlightRecorder(shards, perShard int) *FlightRecorder {
 	f := &FlightRecorder{shards: make([]flightShard, shards)}
 	for i := range f.shards {
-		f.shards[i].buf = make([]FlightEntry, perShard)
+		f.shards[i].buf, f.shards[i].max = make([]FlightEntry, 0, perShard), perShard
 	}
 	return f
 }
 
 // defaultFlight is the process-wide always-on recorder: every completed
 // span of every tracer and every runtime event lands here.
-var defaultFlight = NewFlightRecorder(0, 0)
+var defaultFlight = newFlightRecorder(flightShards, flightPerShard)
 
 // Flight returns the process-wide flight recorder.
 func Flight() *FlightRecorder { return defaultFlight }
@@ -74,18 +70,13 @@ func (f *FlightRecorder) record(e FlightEntry) {
 		return
 	}
 	e.Seq = f.seq.Add(1)
-	sh := &f.shards[e.Seq%uint64(len(f.shards))]
-	sh.mu.Lock()
-	sh.buf[sh.n%uint64(len(sh.buf))] = e
-	sh.n++
-	sh.mu.Unlock()
+	f.shards[e.Seq%uint64(len(f.shards))].push(e)
 }
 
-// OnSpanEnd records a completed span (SpanSink; the default recorder is
-// wired into every tracer's finish path). rec.Start must be on the
-// process clock (obs.Now) so span and event entries in one ring are
-// chronologically comparable — Tracer.finish normalizes its
-// tracer-relative starts before calling this.
+// OnSpanEnd records a completed span (SpanSink; NewTracer appends the
+// process-wide recorder to every tracer's sinks). Span records and
+// events are both stamped with obs.Now, so the entries of one ring are
+// chronologically comparable.
 func (f *FlightRecorder) OnSpanEnd(rec SpanRecord) {
 	f.record(FlightEntry{
 		Kind:    "span",
@@ -117,16 +108,7 @@ func (f *FlightRecorder) Entries() []FlightEntry {
 	}
 	var out []FlightEntry
 	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		n := sh.n
-		if limit := uint64(len(sh.buf)); n > limit {
-			n = limit
-		}
-		for j := uint64(0); j < n; j++ {
-			out = append(out, sh.buf[j])
-		}
-		sh.mu.Unlock()
+		out = append(out, f.shards[i].items()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out

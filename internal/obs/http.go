@@ -101,9 +101,6 @@ func HealthzHandler() http.Handler {
 // and tracer in a background goroutine. reg nil means the Default
 // registry; tr nil serves the currently installed tracer at /trace.
 func ServeMetrics(addr string, reg *Registry, tr *Tracer) (*Server, error) {
-	if reg == nil {
-		reg = Default
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

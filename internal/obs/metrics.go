@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -22,19 +23,26 @@ func NewRegistry() *Registry { return &Registry{metrics: make(map[string]any)} }
 // into and the HTTP endpoint serves.
 var Default = NewRegistry()
 
-func lookup[T any](r *Registry, name string, make func() T) T {
-	r.mu.RLock()
-	m, ok := r.metrics[name]
-	r.mu.RUnlock()
-	if !ok {
-		r.mu.Lock()
-		m, ok = r.metrics[name]
-		if !ok {
-			m = make()
-			r.metrics[name] = m
-		}
-		r.mu.Unlock()
+// getOrCreate is the double-checked lookup the registry and every label
+// family share: a read lock on the hit path, the write lock to insert.
+func getOrCreate[V any](mu *sync.RWMutex, m map[string]V, key string, mk func() V) V {
+	mu.RLock()
+	v, ok := m[key]
+	mu.RUnlock()
+	if ok {
+		return v
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	if v, ok = m[key]; !ok {
+		v = mk()
+		m[key] = v
+	}
+	return v
+}
+
+func lookup[T any](r *Registry, name string, mk func() T) T {
+	m := getOrCreate(&r.mu, r.metrics, name, func() any { return mk() })
 	t, ok := m.(T)
 	if !ok {
 		panic(fmt.Sprintf("obs: metric %q already registered with a different type (%T)", name, m))
@@ -70,11 +78,13 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add atomically adds delta (negative deltas decrement — e.g. in-flight
 // request tracking).
-func (g *Gauge) Add(delta float64) {
+func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
+
+// addFloat adds delta to the float64 whose bits are stored in b.
+func addFloat(b *atomic.Uint64, delta float64) {
 	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
+		old := b.Load()
+		if b.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
 			return
 		}
 	}
@@ -91,117 +101,165 @@ func (r *Registry) Gauge(name string) *Gauge {
 // NewGauge returns the named gauge in the Default registry.
 func NewGauge(name string) *Gauge { return Default.Gauge(name) }
 
-// CounterVec is a family of counters keyed by a label value (e.g. kernel
-// invocations by knob kind). Label lookup takes a read lock; the counters
-// themselves are lock-free, so hot paths should cache the *Counter.
-type CounterVec struct {
+// family is a set of metrics of one kind keyed by a label value. Label
+// lookup takes a read lock; the metrics themselves are lock-free, so hot
+// paths should cache what With returns.
+type family[M metric] struct {
 	mu sync.RWMutex
-	m  map[string]*Counter
+	m  map[string]M
+	mk func() M
 }
 
-// With returns (creating if needed) the counter for a label value.
-func (v *CounterVec) With(label string) *Counter {
-	v.mu.RLock()
-	c, ok := v.m[label]
-	v.mu.RUnlock()
-	if ok {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok = v.m[label]; ok {
-		return c
-	}
-	c = &Counter{}
-	v.m[label] = c
-	return c
+func newFamily[M metric](mk func() M) *family[M] {
+	return &family[M]{m: make(map[string]M), mk: mk}
 }
 
-func (v *CounterVec) snapshot() map[string]int64 {
+// With returns (creating if needed) the metric for a label value.
+func (v *family[M]) With(label string) M { return getOrCreate(&v.mu, v.m, label, v.mk) }
+
+// readAll reads every member, ordered by label value.
+func (v *family[M]) readAll() []reading {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := make(map[string]int64, len(v.m))
-	for k, c := range v.m {
-		out[k] = c.Value()
+	out := make([]reading, 0, len(v.m))
+	for _, k := range sortedKeys(v.m) {
+		rd := v.m[k].read()
+		rd.key = k
+		out = append(out, rd)
 	}
 	return out
 }
 
+// CounterVec is a family of counters keyed by a label value (e.g. kernel
+// invocations by knob kind).
+type CounterVec = family[*Counter]
+
 // CounterVec returns (creating if needed) the named counter family.
 func (r *Registry) CounterVec(name string) *CounterVec {
-	return lookup(r, name, func() *CounterVec { return &CounterVec{m: make(map[string]*Counter)} })
+	return lookup(r, name, func() *CounterVec { return newFamily(func() *Counter { return &Counter{} }) })
 }
 
 // NewCounterVec returns the named counter family in the Default registry.
 func NewCounterVec(name string) *CounterVec { return Default.CounterVec(name) }
 
 // GaugeVec is a family of gauges keyed by a label value (e.g. in-flight
-// requests by endpoint). Label lookup takes a read lock; the gauges
-// themselves are lock-free, so hot paths should cache the *Gauge.
-type GaugeVec struct {
-	mu sync.RWMutex
-	m  map[string]*Gauge
-}
-
-// With returns (creating if needed) the gauge for a label value.
-func (v *GaugeVec) With(label string) *Gauge {
-	v.mu.RLock()
-	g, ok := v.m[label]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok = v.m[label]; ok {
-		return g
-	}
-	g = &Gauge{}
-	v.m[label] = g
-	return g
-}
-
-func (v *GaugeVec) snapshot() map[string]float64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]float64, len(v.m))
-	for k, g := range v.m {
-		out[k] = g.Value()
-	}
-	return out
-}
+// requests by endpoint).
+type GaugeVec = family[*Gauge]
 
 // GaugeVec returns (creating if needed) the named gauge family.
 func (r *Registry) GaugeVec(name string) *GaugeVec {
-	return lookup(r, name, func() *GaugeVec { return &GaugeVec{m: make(map[string]*Gauge)} })
+	return lookup(r, name, func() *GaugeVec { return newFamily(func() *Gauge { return &Gauge{} }) })
 }
 
 // NewGaugeVec returns the named gauge family in the Default registry.
 func NewGaugeVec(name string) *GaugeVec { return Default.GaugeVec(name) }
+
+// metricKind says which field of a reading is meaningful.
+type metricKind uint8
+
+const (
+	kindCounter metricKind = iota // reading.n
+	kindGauge                     // reading.f
+	kindQHist                     // reading.h
+)
+
+// reading is one metric's value at an instant; key is the label value of
+// a family member and "" otherwise.
+type reading struct {
+	kind metricKind
+	key  string
+	n    int64
+	f    float64
+	h    *QSnapshot
+}
+
+// metric is what a Counter, a Gauge and a QHistogram have in common.
+type metric interface{ read() reading }
+
+func (c *Counter) read() reading    { return reading{kind: kindCounter, n: c.Value()} }
+func (g *Gauge) read() reading      { return reading{kind: kindGauge, f: g.Value()} }
+func (h *QHistogram) read() reading { return reading{kind: kindQHist, h: h.Snapshot()} }
+
+// metricReadings is one registered name with its readings: exactly one
+// for a plain metric, one per label (possibly none) for a family.
+type metricReadings struct {
+	name   string
+	kind   metricKind
+	family bool
+	series []reading
+}
+
+// readAll reads every metric, ordered by name: the one walk behind the
+// JSON snapshot, both text expositions and the telemetry table.
+func (r *Registry) readAll() []metricReadings {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]metricReadings, 0, len(r.metrics))
+	for _, name := range sortedKeys(r.metrics) {
+		mr := metricReadings{name: name}
+		switch m := r.metrics[name].(type) {
+		case metric:
+			mr.series = []reading{m.read()}
+			mr.kind = mr.series[0].kind
+		case *CounterVec:
+			mr.kind, mr.family, mr.series = kindCounter, true, m.readAll()
+		case *GaugeVec:
+			mr.kind, mr.family, mr.series = kindGauge, true, m.readAll()
+		case *QHistVec:
+			mr.kind, mr.family, mr.series = kindQHist, true, m.readAll()
+		}
+		out = append(out, mr)
+	}
+	return out
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 // Snapshot returns the current value of every metric keyed by name:
 // int64 for counters, float64 for gauges, map[string]... for the vec
 // families and QSummary for quantile histograms — the expvar-style JSON
 // the HTTP endpoint serves.
 func (r *Registry) Snapshot() map[string]any {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]any, len(r.metrics))
-	for name, m := range r.metrics {
-		switch m := m.(type) {
-		case *Counter:
-			out[name] = m.Value()
-		case *Gauge:
-			out[name] = m.Value()
-		case *CounterVec:
-			out[name] = m.snapshot()
-		case *GaugeVec:
-			out[name] = m.snapshot()
-		case *QHistogram:
-			out[name] = m.Snapshot().Summary()
-		case *QHistVec:
-			out[name] = m.snapshot()
+	all := r.readAll()
+	out := make(map[string]any, len(all))
+	for _, mr := range all {
+		switch {
+		case !mr.family:
+			out[mr.name] = mr.series[0].value()
+		case mr.kind == kindCounter:
+			out[mr.name] = byLabel(mr.series, func(rd reading) int64 { return rd.n })
+		case mr.kind == kindGauge:
+			out[mr.name] = byLabel(mr.series, func(rd reading) float64 { return rd.f })
+		default:
+			out[mr.name] = byLabel(mr.series, func(rd reading) QSummary { return rd.h.Summary() })
 		}
+	}
+	return out
+}
+
+// value is the reading in its snapshot form: int64, float64 or QSummary.
+func (rd reading) value() any {
+	switch rd.kind {
+	case kindCounter:
+		return rd.n
+	case kindGauge:
+		return rd.f
+	}
+	return rd.h.Summary()
+}
+
+func byLabel[V any](series []reading, value func(reading) V) map[string]V {
+	out := make(map[string]V, len(series))
+	for _, rd := range series {
+		out[rd.key] = value(rd)
 	}
 	return out
 }

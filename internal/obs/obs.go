@@ -50,10 +50,4 @@ func Active() *Tracer { return global.Load() }
 
 // Start opens a root span on the installed tracer. It returns nil (a
 // valid no-op span) when tracing is disabled.
-func Start(name string) *Span {
-	t := global.Load()
-	if t == nil {
-		return nil
-	}
-	return t.Start(name)
-}
+func Start(name string) *Span { return global.Load().Start(name) }

@@ -76,7 +76,6 @@ func TestNoopPathAllocatesZero(t *testing.T) {
 		child.End()
 		sp.End()
 		c.Inc()
-		_ = sp.Duration()
 		_ = sp.AcquireDetail()
 	})
 	if allocs != 0 {
@@ -139,7 +138,8 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 }
 
 func TestGraphDetailBudget(t *testing.T) {
-	tr := NewTracer(TracerOptions{GraphExecDetail: 2})
+	tr := NewTracer(TracerOptions{})
+	tr.detailBudget.Store(2)
 	sp := tr.Start("root")
 	if !sp.AcquireDetail() || !sp.AcquireDetail() {
 		t.Fatal("first two acquisitions should succeed")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -50,71 +49,47 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 }
 
 func (r *Registry) writeText(w io.Writer, om bool) error {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.metrics))
-	byName := make(map[string]any, len(r.metrics))
-	for name, m := range r.metrics {
-		names = append(names, name)
-		byName[name] = m
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-
 	pw := &promWriter{w: w}
-	ctrSample := func(pn string) string {
-		if om {
-			return pn + "_total"
+	for _, mr := range r.readAll() {
+		pn := promName(mr.name)
+		label := func(rd reading) string {
+			if !mr.family {
+				return ""
+			}
+			return promLabel("key", rd.key)
 		}
-		return pn
-	}
-	for _, name := range names {
-		pn := promName(name)
-		switch m := byName[name].(type) {
-		case *Counter:
-			pw.typ(pn, "counter")
-			pw.line(ctrSample(pn), "", float64(m.Value()))
-		case *Gauge:
-			pw.typ(pn, "gauge")
-			pw.line(pn, "", m.Value())
-		case *CounterVec:
-			pw.typ(pn, "counter")
-			for _, kv := range sortedLabels(m.snapshot()) {
-				pw.line(ctrSample(pn), promLabel("key", kv.k), float64(kv.v))
-			}
-		case *GaugeVec:
-			pw.typ(pn, "gauge")
-			for _, kv := range sortedFloatLabels(m.snapshot()) {
-				pw.line(pn, promLabel("key", kv.k), kv.v)
-			}
-		case *QHistogram:
+		switch mr.kind {
+		case kindCounter:
+			sample := pn
 			if om {
-				s := m.Snapshot()
-				pw.typ(pn, "histogram")
-				pw.qhistOM(pn, s, "")
-				// The tail maximum is its own gauge family: _max is not a
-				// histogram sample suffix the OpenMetrics grammar knows.
-				pw.typ(pn+"_max", "gauge")
-				pw.line(pn+"_max", "", s.Max())
-			} else {
-				pw.typ(pn, "summary")
-				pw.summary(pn, m.Snapshot(), "")
+				sample += "_total"
 			}
-		case *QHistVec:
-			if om {
-				snaps := sortedSnapshotLabels(m.snapshots())
-				pw.typ(pn, "histogram")
-				for _, kv := range snaps {
-					pw.qhistOM(pn, kv.v, promLabel("key", kv.k))
-				}
-				pw.typ(pn+"_max", "gauge")
-				for _, kv := range snaps {
-					pw.line(pn+"_max", promLabel("key", kv.k), kv.v.Max())
-				}
-			} else {
+			pw.typ(pn, "counter")
+			for _, rd := range mr.series {
+				pw.line(sample, float64(rd.n), label(rd))
+			}
+		case kindGauge:
+			pw.typ(pn, "gauge")
+			for _, rd := range mr.series {
+				pw.line(pn, rd.f, label(rd))
+			}
+		case kindQHist:
+			if !om {
 				pw.typ(pn, "summary")
-				for _, kv := range sortedSnapshotLabels(m.snapshots()) {
-					pw.summary(pn, kv.v, promLabel("key", kv.k))
+				for _, rd := range mr.series {
+					pw.summary(pn, rd.h, label(rd))
 				}
+				continue
+			}
+			pw.typ(pn, "histogram")
+			for _, rd := range mr.series {
+				pw.qhistOM(pn, rd.h, label(rd))
+			}
+			// The tail maximum is its own gauge family: _max is not a
+			// histogram sample suffix the OpenMetrics grammar knows.
+			pw.typ(pn+"_max", "gauge")
+			for _, rd := range mr.series {
+				pw.line(pn+"_max", rd.h.Max(), label(rd))
 			}
 		}
 	}
@@ -139,12 +114,24 @@ func (p *promWriter) printf(format string, args ...any) {
 
 func (p *promWriter) typ(name, kind string) { p.printf("# TYPE %s %s\n", name, kind) }
 
-func (p *promWriter) line(name, labels string, v float64) {
-	if labels == "" {
-		p.printf("%s %s\n", name, promFloat(v))
-		return
+// line writes one sample; empty label pairs are skipped.
+func (p *promWriter) line(name string, v float64, labels ...string) {
+	p.sample(name, v, "", labels...)
+}
+
+// sample is line with a suffix after the value (an OpenMetrics exemplar).
+func (p *promWriter) sample(name string, v float64, suffix string, labels ...string) {
+	set := ""
+	for _, l := range labels {
+		if l != "" && set != "" {
+			set += ","
+		}
+		set += l
 	}
-	p.printf("%s{%s} %s\n", name, labels, promFloat(v))
+	if set != "" {
+		name += "{" + set + "}"
+	}
+	p.printf("%s %s%s\n", name, promFloat(v), suffix)
 }
 
 // summary emits one quantile histogram as a classic Prometheus summary
@@ -153,59 +140,36 @@ func (p *promWriter) line(name, labels string, v float64) {
 // OpenMetrics forbids them on summaries anyway. extra, when non-empty,
 // is prepended to each series' label set.
 func (p *promWriter) summary(name string, s *QSnapshot, extra string) {
-	join := joinLabels(extra)
-	sum := s.Summary()
-	p.line(name, join(promLabel("quantile", "0.5")), sum.P50)
-	p.line(name, join(promLabel("quantile", "0.9")), sum.P90)
-	p.line(name, join(promLabel("quantile", "0.99")), sum.P99)
-	p.line(name+"_sum", extra, sum.Sum)
-	p.line(name+"_count", extra, float64(sum.Count))
-	p.line(name+"_max", extra, sum.Max)
+	p.line(name, s.P50(), extra, promLabel("quantile", "0.5"))
+	p.line(name, s.P90(), extra, promLabel("quantile", "0.9"))
+	p.line(name, s.P99(), extra, promLabel("quantile", "0.99"))
+	p.line(name+"_sum", s.sum, extra)
+	p.line(name+"_count", float64(s.count), extra)
+	p.line(name+"_max", s.Max(), extra)
 }
 
 // qhistOM emits one quantile histogram as an OpenMetrics histogram:
 // cumulative _bucket series at the upper bounds of the non-empty
 // log-linear buckets (plus the mandatory +Inf bucket), each carrying
-// its bucket's exemplar when one was recorded — the only sample kind
-// OpenMetrics allows exemplars on. extra, when non-empty, is prepended
-// to each series' label set.
+// its bucket's exemplar (`# {trace_id="..."} value`) when one was
+// recorded — the only sample kind OpenMetrics allows exemplars on.
+// extra, when non-empty, is prepended to each series' label set.
 func (p *promWriter) qhistOM(name string, s *QSnapshot, extra string) {
-	join := joinLabels(extra)
 	var cum int64
-	for i := 0; i < qhistNBuckets-1; i++ {
-		n := s.counts[i]
+	for i := 0; i < qhistNBuckets; i++ {
 		ex, hasEx := s.exemplars[i]
-		if n == 0 && !hasEx {
+		if s.counts[i] == 0 && !hasEx && i < qhistNBuckets-1 {
 			continue
 		}
-		cum += n
-		p.bucketLine(name+"_bucket", join(promLabel("le", promFloat(qhistUpper(i)))), float64(cum), ex, hasEx)
-	}
-	ex, hasEx := s.exemplars[qhistNBuckets-1]
-	p.bucketLine(name+"_bucket", join(promLabel("le", "+Inf")), float64(s.count), ex, hasEx)
-	p.line(name+"_sum", extra, s.sum)
-	p.line(name+"_count", extra, float64(s.count))
-}
-
-// bucketLine is line plus an OpenMetrics exemplar
-// (`# {trace_id="..."} value`) when the bucket has one.
-func (p *promWriter) bucketLine(name, labels string, v float64, ex Exemplar, hasEx bool) {
-	if !hasEx {
-		p.line(name, labels, v)
-		return
-	}
-	p.printf("%s{%s} %s # {trace_id=\"%s\"} %s\n",
-		name, labels, promFloat(v), ex.TraceID.String(), promFloat(ex.Value))
-}
-
-// joinLabels returns a label joiner that prepends extra when non-empty.
-func joinLabels(extra string) func(string) string {
-	return func(q string) string {
-		if extra == "" {
-			return q
+		cum += s.counts[i]
+		suffix := ""
+		if hasEx {
+			suffix = fmt.Sprintf(" # {trace_id=\"%s\"} %s", ex.TraceID, promFloat(ex.Value))
 		}
-		return extra + "," + q
+		p.sample(name+"_bucket", float64(cum), suffix, extra, promLabel("le", promFloat(qhistUpper(i))))
 	}
+	p.line(name+"_sum", s.sum, extra)
+	p.line(name+"_count", float64(s.count), extra)
 }
 
 // promName maps a registry name onto the Prometheus metric charset.
@@ -246,60 +210,4 @@ func promFloat(v float64) string {
 		return "-Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-type labelCount struct {
-	k string
-	v int64
-}
-
-func sortedLabels(m map[string]int64) []labelCount {
-	out := make([]labelCount, 0, len(m))
-	for k, v := range m {
-		out = append(out, labelCount{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
-}
-
-type labelFloat struct {
-	k string
-	v float64
-}
-
-func sortedFloatLabels(m map[string]float64) []labelFloat {
-	out := make([]labelFloat, 0, len(m))
-	for k, v := range m {
-		out = append(out, labelFloat{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
-}
-
-type labelSummary struct {
-	k string
-	v QSummary
-}
-
-func sortedSummaryLabels(m map[string]QSummary) []labelSummary {
-	out := make([]labelSummary, 0, len(m))
-	for k, v := range m {
-		out = append(out, labelSummary{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
-}
-
-type labelSnapshot struct {
-	k string
-	v *QSnapshot
-}
-
-func sortedSnapshotLabels(m map[string]*QSnapshot) []labelSnapshot {
-	out := make([]labelSnapshot, 0, len(m))
-	for k, v := range m {
-		out = append(out, labelSnapshot{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
 }

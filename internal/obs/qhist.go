@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -61,7 +60,6 @@ const (
 // keeps two shards from sharing a cache line.
 type qshard struct {
 	buckets [qhistNBuckets]atomic.Int64
-	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 	maxBits atomic.Uint64 // float64 bits of the largest observation
 	_       [64]byte
@@ -121,18 +119,13 @@ func qhistUpper(i int) float64 {
 	return math.Ldexp(1+float64(sub+1)/qhistSub, e)
 }
 
-// qhistLower returns the lower bound of bucket i.
+// qhistLower returns the lower bound of bucket i: the upper bound of the
+// bucket below it.
 func qhistLower(i int) float64 {
-	switch {
-	case i <= 0:
+	if i <= 0 {
 		return 0
-	case i >= qhistNBuckets-1:
-		return math.Ldexp(1, qhistMaxExp)
 	}
-	i--
-	e := qhistMinExp + i/qhistSub
-	sub := i % qhistSub
-	return math.Ldexp(1+float64(sub)/qhistSub, e)
+	return qhistUpper(i - 1)
 }
 
 // Observe records one value. Safe for concurrent use; zero allocations
@@ -140,14 +133,7 @@ func qhistLower(i int) float64 {
 func (h *QHistogram) Observe(v float64) {
 	s := h.pool.Get().(*qshard)
 	s.buckets[qhistIndex(v)].Add(1)
-	s.count.Add(1)
-	for {
-		old := s.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sumBits.CompareAndSwap(old, next) {
-			break
-		}
-	}
+	addFloat(&s.sumBits, v)
 	for {
 		old := s.maxBits.Load()
 		if v <= math.Float64frombits(old) {
@@ -179,25 +165,20 @@ func (h *QHistogram) ObserveExemplar(v float64, tid TraceID) {
 }
 
 // Count returns the total number of observations.
-func (h *QHistogram) Count() int64 {
-	var n int64
-	for _, s := range *h.shards.Load() {
-		n += s.count.Load()
-	}
-	return n
-}
+func (h *QHistogram) Count() int64 { return h.Snapshot().count }
 
 // Snapshot merges all shards into an immutable point-in-time view.
 func (h *QHistogram) Snapshot() *QSnapshot {
 	snap := &QSnapshot{max: math.Inf(-1)}
 	for _, s := range *h.shards.Load() {
-		snap.count += s.count.Load()
 		snap.sum += math.Float64frombits(s.sumBits.Load())
 		if m := math.Float64frombits(s.maxBits.Load()); m > snap.max {
 			snap.max = m
 		}
 		for i := range s.buckets {
-			snap.counts[i] += s.buckets[i].Load()
+			n := s.buckets[i].Load()
+			snap.counts[i] += n
+			snap.count += n
 		}
 	}
 	if slots := h.ex.Load(); slots != nil {
@@ -272,38 +253,34 @@ func (s *QSnapshot) ExemplarNear(q float64) (Exemplar, bool) {
 // sparse-encoded (index → count) since latency distributions touch only
 // a handful of the 1026 buckets.
 type qsnapshotJSON struct {
-	Counts    map[string]int64    `json:"counts,omitempty"`
-	Count     int64               `json:"count"`
-	Sum       float64             `json:"sum"`
-	Max       float64             `json:"max"`
-	Exemplars map[string]Exemplar `json:"exemplars,omitempty"`
+	Counts    map[int]int64    `json:"counts,omitempty"`
+	Count     int64            `json:"count"`
+	Sum       float64          `json:"sum"`
+	Max       float64          `json:"max"`
+	Exemplars map[int]Exemplar `json:"exemplars,omitempty"`
 }
 
 // MarshalJSON encodes the snapshot for shipping (e.g. per-edge telemetry
 // uploads); the result round-trips through UnmarshalJSON with identical
 // counts, sum, max and quantiles.
 func (s *QSnapshot) MarshalJSON() ([]byte, error) {
-	j := qsnapshotJSON{Count: s.count, Sum: s.sum, Max: s.Max()}
+	j := qsnapshotJSON{Count: s.count, Sum: s.sum, Max: s.Max(), Exemplars: s.exemplars}
 	for i, n := range s.counts {
 		if n != 0 {
 			if j.Counts == nil {
-				j.Counts = make(map[string]int64)
+				j.Counts = make(map[int]int64)
 			}
-			j.Counts[strconv.Itoa(i)] = n
+			j.Counts[i] = n
 		}
-	}
-	for i, e := range s.exemplars {
-		if j.Exemplars == nil {
-			j.Exemplars = make(map[string]Exemplar)
-		}
-		j.Exemplars[strconv.Itoa(i)] = e
 	}
 	return json.Marshal(j)
 }
 
 // UnmarshalJSON decodes a snapshot produced by MarshalJSON. Bucket
 // indices outside the compiled-in layout are folded into the overflow
-// bucket rather than dropped.
+// bucket rather than dropped. Snapshots arrive from other processes
+// (POST /v1/telemetry) and are merged into fleet histograms, so one whose
+// buckets are negative or do not add up to its count is rejected.
 func (s *QSnapshot) UnmarshalJSON(data []byte) error {
 	var j qsnapshotJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -313,28 +290,25 @@ func (s *QSnapshot) UnmarshalJSON(data []byte) error {
 	if j.Count == 0 {
 		s.max = math.Inf(-1) // the empty-snapshot sentinel Merge relies on
 	}
-	for k, n := range j.Counts {
-		i, err := strconv.Atoi(k)
-		if err != nil || i < 0 {
-			return fmt.Errorf("obs: bad qsnapshot bucket index %q", k)
+	var total int64
+	for i, n := range j.Counts {
+		if i < 0 || n < 0 || total+n < total {
+			return fmt.Errorf("obs: bad qsnapshot bucket %d: count %d", i, n)
 		}
-		if i >= qhistNBuckets {
-			i = qhistNBuckets - 1
-		}
-		s.counts[i] += n
+		s.counts[min(i, qhistNBuckets-1)] += n
+		total += n
 	}
-	for k, e := range j.Exemplars {
-		i, err := strconv.Atoi(k)
-		if err != nil || i < 0 {
-			return fmt.Errorf("obs: bad qsnapshot exemplar index %q", k)
-		}
-		if i >= qhistNBuckets {
-			i = qhistNBuckets - 1
+	if total != j.Count {
+		return fmt.Errorf("obs: qsnapshot count %d but its buckets hold %d", j.Count, total)
+	}
+	for i, e := range j.Exemplars {
+		if i < 0 {
+			return fmt.Errorf("obs: bad qsnapshot exemplar index %d", i)
 		}
 		if s.exemplars == nil {
 			s.exemplars = make(map[int]Exemplar)
 		}
-		s.exemplars[i] = e
+		s.exemplars[min(i, qhistNBuckets-1)] = e
 	}
 	return nil
 }
@@ -465,56 +439,12 @@ func (r *Registry) QHistogram(name string) *QHistogram {
 func NewQHistogram(name string) *QHistogram { return Default.QHistogram(name) }
 
 // QHistVec is a family of quantile histograms keyed by a label value
-// (e.g. HTTP endpoint). Label lookup takes a read lock; hot paths should
-// cache the *QHistogram.
-type QHistVec struct {
-	mu sync.RWMutex
-	m  map[string]*QHistogram
-}
-
-// With returns (creating if needed) the histogram for a label value.
-func (v *QHistVec) With(label string) *QHistogram {
-	v.mu.RLock()
-	h, ok := v.m[label]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.m[label]; ok {
-		return h
-	}
-	h = NewQHist()
-	v.m[label] = h
-	return h
-}
-
-func (v *QHistVec) snapshot() map[string]QSummary {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]QSummary, len(v.m))
-	for k, h := range v.m {
-		out[k] = h.Snapshot().Summary()
-	}
-	return out
-}
-
-// snapshots is the exemplar-preserving form of snapshot, for the
-// Prometheus exposition.
-func (v *QHistVec) snapshots() map[string]*QSnapshot {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]*QSnapshot, len(v.m))
-	for k, h := range v.m {
-		out[k] = h.Snapshot()
-	}
-	return out
-}
+// (e.g. HTTP endpoint).
+type QHistVec = family[*QHistogram]
 
 // QHistVec returns (creating if needed) the named histogram family.
 func (r *Registry) QHistVec(name string) *QHistVec {
-	return lookup(r, name, func() *QHistVec { return &QHistVec{m: make(map[string]*QHistogram)} })
+	return lookup(r, name, func() *QHistVec { return newFamily(NewQHist) })
 }
 
 // NewQHistVec returns the named histogram family in the Default registry.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -226,4 +227,76 @@ func TestQHistogramBucketLayout(t *testing.T) {
 	if qhistIndex(1e30) != qhistNBuckets-1 {
 		t.Error("huge values must land in the overflow bucket")
 	}
+}
+
+// FuzzQSnapshotJSON holds the decoder of the one histogram form other
+// processes send us (POST /v1/telemetry, merged into the fleet view) to
+// four properties: it never panics; what it accepts re-marshals to a
+// snapshot that decodes equal; Quantile over it is monotone in q and
+// stays between min(0, Max) and Max; and merging two accepted snapshots
+// keeps Count equal to the sum of the buckets.
+func FuzzQSnapshotJSON(f *testing.F) {
+	h := NewQHist()
+	for i := 1; i <= 64; i++ {
+		h.Observe(float64(i) / 128)
+	}
+	h.ObserveExemplar(0.25, TraceID{1})
+	live, err := json.Marshal(h.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty := `{"count":0,"sum":0,"max":0}`
+	for _, seed := range []string{
+		string(live),
+		empty,
+		`{"counts":{"700":-3},"count":-3,"sum":1,"max":1}`,                        // negative bucket
+		`{"counts":{"700":2},"count":1000000,"sum":1,"max":1}`,                    // count disagrees
+		`{"counts":{"1":9223372036854775807,"2":9223372036854775807},"count":-2}`, // bucket sum overflows
+		`{"counts":{"0":1,"5000":2},"count":3,"sum":-1,"max":-1}`,                 // folded index, negative values
+		`{"counts":{"-1":1},"count":1}`,                                           // negative index
+		`{"counts":{"x":1},"count":1}`,                                            // non-numeric index
+		`{"counts":{"600":1},"count":1,"sum":1,"max":1,"exemplars":{"9999":{"value":1,"trace_id":"00000000000000000000000000000001"}}}`,
+		`[]`,
+	} {
+		f.Add(seed, empty)
+		f.Add(seed, string(live))
+	}
+	sumBuckets := func(s *QSnapshot) (n int64) {
+		for _, c := range s.counts {
+			n += c
+		}
+		return n
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		var sa, sb QSnapshot
+		if json.Unmarshal([]byte(a), &sa) != nil {
+			return
+		}
+		if sa.count < 0 || sumBuckets(&sa) != sa.count {
+			t.Fatalf("accepted %q with count %d over buckets holding %d", a, sa.count, sumBuckets(&sa))
+		}
+		again, err := json.Marshal(&sa)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot re-marshal it: %v", a, err)
+		}
+		var back QSnapshot
+		if err := json.Unmarshal(again, &back); err != nil || !reflect.DeepEqual(&back, &sa) {
+			t.Fatalf("%q re-marshals to %s, which decodes to %+v (err %v)", a, again, back.Summary(), err)
+		}
+		prev, lo := math.Inf(-1), math.Min(0, sa.Max())
+		for q := 0.0; q <= 1; q += 1.0 / 64 {
+			v := sa.Quantile(q)
+			if v < prev || v < lo || v > sa.Max() {
+				t.Fatalf("%q: Quantile(%v) = %v after %v, outside [%v, %v] or not monotone", a, q, v, prev, lo, sa.Max())
+			}
+			prev = v
+		}
+		if json.Unmarshal([]byte(b), &sb) != nil {
+			return
+		}
+		sa.Merge(&sb)
+		if sumBuckets(&sa) != sa.count {
+			t.Fatalf("merge of %q and %q: count %d over buckets holding %d", a, b, sa.count, sumBuckets(&sa))
+		}
+	})
 }

@@ -8,9 +8,10 @@ import (
 	"sync/atomic"
 )
 
-// SpanSink receives every completed span record. Sinks run outside the
-// tracer's lock, after the record is retained/exported; they must be
-// goroutine-safe. The tail sampler is a sink.
+// SpanSink receives every completed span record; the in-memory ring, the
+// JSONL export, the flight recorder and the tail sampler are all sinks.
+// Sinks must be goroutine-safe and treat the record's Attrs and Links as
+// read-only: every sink of a tracer is handed the same ones.
 type SpanSink interface {
 	OnSpanEnd(SpanRecord)
 }
@@ -25,11 +26,6 @@ type TracerOptions struct {
 	// disables retention). Retention is a ring: when full, the oldest
 	// record is overwritten, so a long run keeps the most recent spans.
 	KeepInMemory int
-	// GraphExecDetail is how many graph executions record per-node child
-	// spans before the tracer degrades to one span per execution
-	// (default 16). Tuning runs execute the graph thousands of times;
-	// the budget keeps traces readable and bounded.
-	GraphExecDetail int
 	// IDSeed seeds trace/span ID generation (splitmix64 sequence). Zero
 	// derives a seed from the process start time; fix it for
 	// reproducible IDs in tests and smoke runs.
@@ -38,44 +34,45 @@ type TracerOptions struct {
 	Sinks []SpanSink
 }
 
+// graphExecDetail is how many graph executions per tracer record per-node
+// child spans before degrading to one span per execution: tuning runs
+// execute the graph thousands of times, and traces must stay readable.
+const graphExecDetail = 16
+
 // Tracer records hierarchical spans. All methods are goroutine-safe.
 type Tracer struct {
-	mu      sync.Mutex
-	w       io.Writer
-	records []SpanRecord
-	head    int // ring start: records[head] is the oldest retained span
-	keep    int
-	ids     *IDSource
-	sinks   []SpanSink
+	ids   *IDSource
+	sinks []SpanSink
+	ring  *ringSink  // answers Records and Dropped; nil when retention is off
+	jsonl *jsonlSink // answers Err; nil without a Writer
 
 	nextID       atomic.Int64
 	detailBudget atomic.Int64
-	started      atomic.Int64
-	dropped      atomic.Int64
-	epoch        int64
-	writeErr     error
 }
 
 // NewTracer builds a tracer. A zero TracerOptions gives an in-memory-only
-// tracer suitable for tests and CLI tree summaries.
+// tracer suitable for tests and CLI tree summaries. Completed spans go,
+// in order, to the ring (KeepInMemory), the JSONL export (Writer), the
+// process-wide flight recorder, then o.Sinks.
 func NewTracer(o TracerOptions) *Tracer {
 	if o.KeepInMemory == 0 {
 		o.KeepInMemory = 4096
 	}
-	if o.GraphExecDetail == 0 {
-		o.GraphExecDetail = 16
-	}
 	if o.IDSeed == 0 {
 		o.IDSeed = clockBase.UnixNano()
 	}
-	t := &Tracer{
-		w:     o.Writer,
-		keep:  o.KeepInMemory,
-		ids:   NewIDSource(o.IDSeed),
-		sinks: o.Sinks,
-		epoch: Now(),
+	t := &Tracer{ids: NewIDSource(o.IDSeed)}
+	if o.KeepInMemory > 0 {
+		t.ring = &ringSink{ring[SpanRecord]{max: o.KeepInMemory}}
+		t.sinks = append(t.sinks, t.ring)
 	}
-	t.detailBudget.Store(int64(o.GraphExecDetail))
+	if o.Writer != nil {
+		t.jsonl = &jsonlSink{w: o.Writer}
+		t.sinks = append(t.sinks, t.jsonl)
+	}
+	t.sinks = append(t.sinks, Flight())
+	t.sinks = append(t.sinks, o.Sinks...)
+	t.detailBudget.Store(graphExecDetail)
 	return t
 }
 
@@ -91,7 +88,6 @@ func (t *Tracer) Start(name string) *Span {
 // trace (root span); a non-zero one continues it with parentSID as the
 // parent span (local child or remote continuation).
 func (t *Tracer) newSpan(name string, parent int64, trace TraceID, parentSID SpanID) *Span {
-	t.started.Add(1)
 	if trace.IsZero() {
 		trace = t.ids.TraceID()
 	}
@@ -100,91 +96,71 @@ func (t *Tracer) newSpan(name string, parent int64, trace TraceID, parentSID Spa
 		id:     t.nextID.Add(1),
 		parent: parent,
 		name:   name,
-		start:  Now() - t.epoch,
+		start:  Now(),
 		trace:  trace,
 		sid:    t.ids.SpanID(),
 		psid:   parentSID,
 	}
 }
 
-// AcquireDetail consumes one unit of the per-tracer graph-detail budget,
-// reporting whether fine-grained (per-node) children should be recorded.
-func (t *Tracer) AcquireDetail() bool {
-	if t == nil {
-		return false
-	}
-	return t.detailBudget.Add(-1) >= 0
-}
-
 // Records returns a copy of the retained completed spans, oldest first.
 func (t *Tracer) Records() []SpanRecord {
-	if t == nil {
+	if t == nil || t.ring == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanRecord, len(t.records))
-	n := copy(out, t.records[t.head:])
-	copy(out[n:], t.records[:t.head])
-	return out
+	return t.ring.items()
 }
 
 // Dropped returns how many completed spans have been overwritten because
 // the in-memory retention ring was full.
 func (t *Tracer) Dropped() int64 {
-	if t == nil {
+	if t == nil || t.ring == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	return t.ring.dropped.Load()
 }
 
 // Err returns the first JSONL write error, if any.
 func (t *Tracer) Err() error {
-	if t == nil {
+	if t == nil || t.jsonl == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.writeErr
+	t.jsonl.mu.Lock()
+	defer t.jsonl.mu.Unlock()
+	return t.jsonl.err
 }
 
 func (t *Tracer) finish(rec SpanRecord) {
-	t.mu.Lock()
-	if t.keep > 0 {
-		if len(t.records) < t.keep {
-			t.records = append(t.records, rec)
-		} else {
-			// Ring: overwrite the oldest so a long-lived server retains
-			// the most recent spans, not the first few thousand from boot.
-			t.records[t.head] = rec
-			t.head = (t.head + 1) % t.keep
-			t.dropped.Add(1)
-		}
-	}
-	if t.w != nil {
-		line, err := json.Marshal(rec)
-		if err == nil {
-			line = append(line, '\n')
-			_, err = t.w.Write(line)
-		}
-		if err != nil && t.writeErr == nil {
-			t.writeErr = err
-		}
-	}
-	t.mu.Unlock()
-	// Sinks and the always-on flight recorder run outside the tracer
-	// lock: a sink may take its own locks or call back into obs.
-	// The flight ring is one process-wide timeline whose events are
-	// stamped with Now(), so the span's tracer-relative clock is
-	// normalized onto the process clock before recording; sinks keep
-	// the raw record (self-consistent within one tracer).
-	frec := rec
-	frec.Start += t.epoch
-	frec.End += t.epoch
-	defaultFlight.OnSpanEnd(frec)
 	for _, s := range t.sinks {
 		s.OnSpanEnd(rec)
 	}
+}
+
+// ringSink retains the most recent spans, so a long-lived process shows
+// current activity rather than its first few thousand spans.
+type ringSink struct{ ring[SpanRecord] }
+
+func (s *ringSink) OnSpanEnd(rec SpanRecord) { s.push(rec) }
+
+// jsonlSink writes one JSON line per span. Marshalling happens before
+// the lock is taken, so concurrent span ends serialize only on the
+// write itself; the first error is kept for Tracer.Err.
+type jsonlSink struct {
+	mu  sync.Mutex
+	w   io.Writer
+	err error
+}
+
+func (s *jsonlSink) OnSpanEnd(rec SpanRecord) {
+	line, err := json.Marshal(rec)
+	s.mu.Lock()
+	if err == nil {
+		_, err = s.w.Write(append(line, '\n'))
+	}
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
 }
 
 // Span is one timed, attributed, nestable region of work. A nil *Span is
@@ -202,7 +178,6 @@ type Span struct {
 	links  []TraceID
 	mu     sync.Mutex
 	ended  bool
-	dur    int64
 }
 
 // Child opens a sub-span sharing s's trace ID. On a nil span it returns
@@ -215,29 +190,35 @@ func (s *Span) Child(name string) *Span {
 }
 
 // With attaches an attribute and returns the span for chaining. No-op on
-// nil spans.
+// nil spans and on ended ones: End hands the attribute map to the
+// record, which the sinks then share.
 func (s *Span) With(key string, val any) *Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
+	if !s.ended {
+		if s.attrs == nil {
+			s.attrs = make(map[string]any, 4)
+		}
+		s.attrs[key] = val
 	}
-	s.attrs[key] = val
 	s.mu.Unlock()
 	return s
 }
 
 // Link attaches another trace's ID to this span (OTel-style span link).
 // A coalesced batch span links every member request's trace, tying the
-// shared execution back to each caller. No-op on nil spans or zero IDs.
+// shared execution back to each caller. No-op on nil or ended spans and
+// on zero IDs.
 func (s *Span) Link(tid TraceID) *Span {
 	if s == nil || tid.IsZero() {
 		return s
 	}
 	s.mu.Lock()
-	s.links = append(s.links, tid)
+	if !s.ended {
+		s.links = append(s.links, tid)
+	}
 	s.mu.Unlock()
 	return s
 }
@@ -264,7 +245,7 @@ func (s *Span) AcquireDetail() bool {
 	if s == nil {
 		return false
 	}
-	return s.tr.AcquireDetail()
+	return s.tr.detailBudget.Add(-1) >= 0
 }
 
 // End closes the span, exporting it to the tracer's sinks. Ending twice
@@ -279,60 +260,28 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	end := Now() - s.tr.epoch
-	s.dur = end - s.start
-	var attrs map[string]any
-	if len(s.attrs) > 0 {
-		attrs = make(map[string]any, len(s.attrs))
-		for k, v := range s.attrs {
-			attrs[k] = v
-		}
-	}
-	var links []TraceID
-	if len(s.links) > 0 {
-		links = make([]TraceID, len(s.links))
-		copy(links, s.links)
-	}
-	s.mu.Unlock()
-	s.tr.finish(SpanRecord{
+	end := Now()
+	rec := SpanRecord{
 		ID:           s.id,
 		Parent:       s.parent,
 		Name:         s.name,
 		Start:        s.start,
 		End:          end,
-		Dur:          s.dur,
+		Dur:          end - s.start,
 		TraceID:      s.trace,
 		SpanID:       s.sid,
 		ParentSpanID: s.psid,
-		Links:        links,
-		Attrs:        attrs,
-	})
+		Links:        s.links,
+		Attrs:        s.attrs,
+	}
+	s.mu.Unlock()
+	s.tr.finish(rec)
 }
 
-// Duration returns the span's elapsed nanoseconds: the final duration
-// after End, or the live elapsed time before it. Zero on nil spans.
-func (s *Span) Duration() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.dur
-	}
-	return Now() - s.tr.epoch - s.start
-}
-
-// Name returns the span name ("" on nil spans).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// SpanRecord is the exported form of a completed span. Start/End/Dur are
-// nanoseconds relative to the tracer's creation. ID/Parent are the
+// SpanRecord is the exported form of a completed span. Start and End are
+// process-clock nanoseconds (obs.Now, as flight-recorder events are), Dur
+// their difference; Attrs and Links are shared by every sink: read-only.
+// ID/Parent are the
 // process-local int64 tree used by BuildTree; TraceID/SpanID/
 // ParentSpanID are the propagable identity (hex in JSON) used to stitch
 // cross-process traces.

@@ -24,15 +24,14 @@ type TailSamplerOptions struct {
 	// Floor is the probability of keeping an otherwise-uninteresting
 	// trace (default 0.01; negative disables the floor).
 	Floor float64
-	// MaxPending bounds undecided traces buffered in memory
-	// (default 512); the oldest is evicted when full.
-	MaxPending int
-	// MaxSpansPerTrace bounds the spans buffered per trace (default 64);
-	// excess spans are counted but not retained.
-	MaxSpansPerTrace int
-	// Keep bounds retained kept traces (default 256, ring semantics).
-	Keep int
 }
+
+// The sampler's memory bounds.
+const (
+	samplerMaxPending = 512 // undecided traces; the oldest is evicted when full
+	samplerMaxSpans   = 64  // spans buffered per trace; excess marks it truncated
+	samplerKeep       = 256 // kept traces, ring semantics
+)
 
 // Verdict is what the caller knows about a finished trace.
 type Verdict struct {
@@ -62,15 +61,14 @@ type pendingTrace struct {
 // decides retention at trace completion. All methods are goroutine-safe
 // and nil-safe.
 type TailSampler struct {
-	seed      uint64
-	floorBits uint64
-	opts      TailSamplerOptions
+	seed       uint64
+	floorBits  uint64
+	maxPending int
+	kept       ring[KeptTrace]
 
 	mu      sync.Mutex
 	pending map[TraceID]*pendingTrace
 	order   []TraceID // FIFO arrival order for eviction (may hold stale IDs)
-	kept    []KeptTrace
-	head    int
 	seen    int64
 	nKept   int64
 	evicted int64
@@ -81,19 +79,11 @@ func NewTailSampler(o TailSamplerOptions) *TailSampler {
 	if math.Float64bits(o.Floor) == 0 {
 		o.Floor = 0.01
 	}
-	if o.MaxPending <= 0 {
-		o.MaxPending = 512
-	}
-	if o.MaxSpansPerTrace <= 0 {
-		o.MaxSpansPerTrace = 64
-	}
-	if o.Keep <= 0 {
-		o.Keep = 256
-	}
 	ts := &TailSampler{
-		seed:    uint64(o.Seed),
-		opts:    o,
-		pending: make(map[TraceID]*pendingTrace),
+		seed:       uint64(o.Seed),
+		maxPending: samplerMaxPending,
+		pending:    make(map[TraceID]*pendingTrace),
+		kept:       ring[KeptTrace]{max: samplerKeep},
 	}
 	if o.Floor > 0 {
 		if o.Floor >= 1 {
@@ -120,13 +110,9 @@ func (ts *TailSampler) OnSpanEnd(rec SpanRecord) {
 	if len(rec.Links) == 0 {
 		return
 	}
-	own := ts.pending[rec.TraceID]
+	own := ts.pending[rec.TraceID] // buffer has just made sure it exists
 	for _, tid := range rec.Links {
 		if tid == rec.TraceID || tid.IsZero() {
-			continue
-		}
-		if own == nil {
-			ts.buffer(tid, rec)
 			continue
 		}
 		for _, sub := range own.spans {
@@ -139,17 +125,17 @@ func (ts *TailSampler) OnSpanEnd(rec SpanRecord) {
 func (ts *TailSampler) buffer(tid TraceID, rec SpanRecord) {
 	pt := ts.pending[tid]
 	if pt == nil {
-		if len(ts.pending) >= ts.opts.MaxPending {
+		if len(ts.pending) >= ts.maxPending {
 			ts.evictOldest()
 		}
 		pt = &pendingTrace{}
 		ts.pending[tid] = pt
 		ts.order = append(ts.order, tid)
-		if len(ts.order) > 4*ts.opts.MaxPending {
+		if len(ts.order) > 4*ts.maxPending {
 			ts.compactOrder()
 		}
 	}
-	if len(pt.spans) >= ts.opts.MaxSpansPerTrace {
+	if len(pt.spans) >= samplerMaxSpans {
 		pt.truncated = true
 		return
 	}
@@ -221,12 +207,7 @@ func (ts *TailSampler) Finish(tid TraceID, v Verdict) (kept bool, reason string)
 		kt.Truncated = pt.truncated
 		sort.SliceStable(kt.Spans, func(i, j int) bool { return kt.Spans[i].Start < kt.Spans[j].Start })
 	}
-	if len(ts.kept) < ts.opts.Keep {
-		ts.kept = append(ts.kept, kt)
-	} else {
-		ts.kept[ts.head] = kt
-		ts.head = (ts.head + 1) % ts.opts.Keep
-	}
+	ts.kept.push(kt)
 	ts.nKept++
 	return true, reason
 }
@@ -260,12 +241,7 @@ func (ts *TailSampler) Kept() []KeptTrace {
 	if ts == nil {
 		return nil
 	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]KeptTrace, 0, len(ts.kept))
-	out = append(out, ts.kept[ts.head:]...)
-	out = append(out, ts.kept[:ts.head]...)
-	return out
+	return ts.kept.items()
 }
 
 // Stats returns (finished, kept, evicted-pending) counters.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -152,7 +153,7 @@ func TestIDSourceDeterministic(t *testing.T) {
 // -race. Every dumped line must be valid JSON and entry sequence
 // numbers must be unique.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	fr := NewFlightRecorder(4, 64)
+	fr := newFlightRecorder(4, 64)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -200,7 +201,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 // TestFlightRecorderRetainsRecent checks the per-shard rings keep the
 // most recent entries once full.
 func TestFlightRecorderRetainsRecent(t *testing.T) {
-	fr := NewFlightRecorder(1, 8)
+	fr := newFlightRecorder(1, 8)
 	for i := 0; i < 100; i++ {
 		fr.Event(fmt.Sprintf("e%d", i), "", TraceID{})
 	}
@@ -218,8 +219,7 @@ func TestFlightRecorderRetainsRecent(t *testing.T) {
 // TestFlightTimeBase pins the ring onto a single clock: a span finished
 // through a tracer and an event stamped directly must both land with
 // Start on the process clock (obs.Now), so entries from the two paths
-// are chronologically comparable. Tracers keep spans epoch-relative
-// internally; finish must normalize before handing off to the ring.
+// are chronologically comparable.
 func TestFlightTimeBase(t *testing.T) {
 	t0 := Now()
 	tr := NewTracer(TracerOptions{IDSeed: 99})
@@ -289,7 +289,7 @@ func TestTailSamplerReasons(t *testing.T) {
 // samplerRun drives a fixed workload through a fresh seeded sampler and
 // returns the kept trace IDs in decision order.
 func samplerRun(seed int64) []string {
-	ts := NewTailSampler(TailSamplerOptions{Seed: seed, Floor: 0.25, Keep: 1024})
+	ts := NewTailSampler(TailSamplerOptions{Seed: seed, Floor: 0.25})
 	ids := NewIDSource(99)
 	var kept []string
 	for i := 0; i < 400; i++ {
@@ -372,9 +372,10 @@ func TestTailSamplerLinkCopiesSubtree(t *testing.T) {
 }
 
 // TestTailSamplerBoundedPending checks eviction: undecided traces
-// beyond MaxPending are dropped oldest-first and counted.
+// beyond maxPending are dropped oldest-first and counted.
 func TestTailSamplerBoundedPending(t *testing.T) {
-	ts := NewTailSampler(TailSamplerOptions{Seed: 1, Floor: -1, MaxPending: 8})
+	ts := NewTailSampler(TailSamplerOptions{Seed: 1, Floor: -1})
+	ts.maxPending = 8
 	ids := NewIDSource(5)
 	tids := make([]TraceID, 20)
 	for i := range tids {
@@ -475,4 +476,158 @@ func FuzzParseTraceparent(f *testing.F) {
 			t.Fatalf("round trip of %q: got %+v (ok=%v), want %+v", v, back, ok, sc)
 		}
 	})
+}
+
+// recordingSink keeps what it is handed, in order.
+type recordingSink struct {
+	mu   sync.Mutex
+	recs []SpanRecord
+}
+
+func (s *recordingSink) OnSpanEnd(rec SpanRecord) {
+	s.mu.Lock()
+	s.recs = append(s.recs, rec)
+	s.mu.Unlock()
+}
+
+func (s *recordingSink) records() []SpanRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]SpanRecord(nil), s.recs...)
+}
+
+// TestEverySinkSeesEachSpanOnce runs one tracer with all four kinds of
+// destination — ring, JSONL writer, flight recorder, tail sampler — and
+// holds them to one record: each span arrives at each exactly once, with
+// the same identity and the same process-clock times, and the flight
+// entry's start_ns is the record's Start, not a re-based copy.
+func TestEverySinkSeesEachSpanOnce(t *testing.T) {
+	var buf bytes.Buffer
+	sampler := NewTailSampler(TailSamplerOptions{Seed: 1, Floor: 1})
+	tr := NewTracer(TracerOptions{Writer: &buf, KeepInMemory: 16, IDSeed: 77, Sinks: []SpanSink{sampler}})
+	t0 := Now()
+	root := tr.Start("sinks:root").With("k", 1)
+	child := root.Child("sinks:child")
+	child.End()
+	root.End()
+	t1 := Now()
+	if kept, _ := sampler.Finish(root.TraceID(), Verdict{}); !kept {
+		t.Fatal("Floor=1 sampler dropped the trace")
+	}
+
+	ring := tr.Records()
+	if len(ring) != 2 || ring[0].Name != "sinks:child" || ring[1].Name != "sinks:root" {
+		t.Fatalf("ring holds %v, want child then root", ring)
+	}
+	for _, rec := range ring {
+		if rec.Start < t0 || rec.End > t1 || rec.End < rec.Start {
+			t.Errorf("%s: [%d, %d] outside the process-clock window [%d, %d]", rec.Name, rec.Start, rec.End, t0, t1)
+		}
+	}
+	// Everything but Attrs (JSON turns numbers into float64) must match.
+	same := func(a, b SpanRecord) bool {
+		a.Attrs, b.Attrs = nil, nil
+		return reflect.DeepEqual(a, b)
+	}
+	written, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := sampler.Kept()
+	if len(kept) != 1 {
+		t.Fatalf("sampler kept %d traces, want 1", len(kept))
+	}
+	byStart := []SpanRecord{ring[1], ring[0]} // the sampler orders a kept trace by Start
+	for name, got := range map[string][]SpanRecord{"jsonl": written, "sampler": kept[0].Spans} {
+		want := ring
+		if name == "sampler" {
+			want = byStart
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s received %d spans, want %d", name, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if !same(got[i], want[i]) {
+				t.Errorf("%s span %d = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, rec := range ring {
+		n := 0
+		for _, e := range Flight().Entries() {
+			if e.SpanID != rec.SpanID || e.TraceID != rec.TraceID {
+				continue
+			}
+			n++
+			if e.Start != rec.Start || e.Dur != rec.Dur || e.Name != rec.Name {
+				t.Errorf("flight entry %+v differs from record %+v", e, rec)
+			}
+		}
+		if n != 1 {
+			t.Errorf("%s is in the flight ring %d times, want 1", rec.Name, n)
+		}
+	}
+}
+
+// TestEndHandsOverAttrsAndLinks pins the ownership rule that lets End
+// skip copying: the record takes the span's attribute map and links, so
+// With and Link racing End either land before it or not at all, and
+// after End are no-ops — a delivered record never changes.
+func TestEndHandsOverAttrsAndLinks(t *testing.T) {
+	sink := &recordingSink{}
+	tr := NewTracer(TracerOptions{KeepInMemory: -1, IDSeed: 9, Sinks: []SpanSink{sink}})
+	other := NewIDSource(4).TraceID()
+	const spans, writers = 200, 3
+	for i := 0; i < spans; i++ {
+		sp := tr.Start("race").With("base", i)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := 0; j < 8; j++ {
+					sp.With(fmt.Sprintf("w%d-%d", w, j), j).Link(other)
+				}
+			}(w)
+		}
+		sp.End()
+		wg.Wait()
+	}
+	recs := sink.records()
+	if len(recs) != spans {
+		t.Fatalf("sink received %d records, want %d", len(recs), spans)
+	}
+	// Reading every delivered map after all writers are done is the
+	// check: under -race a write that slipped past End is reported here.
+	for i, rec := range recs {
+		if rec.Attrs["base"] != i {
+			t.Fatalf("record %d: base = %v", i, rec.Attrs["base"])
+		}
+		if len(rec.Attrs) > 1+writers*8 || len(rec.Links) > writers*8 {
+			t.Fatalf("record %d: %d attrs, %d links", i, len(rec.Attrs), len(rec.Links))
+		}
+	}
+
+	sp := tr.Start("after-end").With("a", 1).Link(other)
+	sp.End()
+	sp.With("b", 2).Link(other)
+	last := sink.records()[spans]
+	if len(last.Attrs) != 1 || len(last.Links) != 1 {
+		t.Errorf("With/Link after End changed the delivered record: attrs %v, %d links", last.Attrs, len(last.Links))
+	}
+}
+
+// TestTracedBracketAllocs pins what a traced two-span bracket costs
+// through a ring: the two spans and one attribute map. The parent of the
+// change that removed End's copy of that map read 6 allocations / 960 B.
+func TestTracedBracketAllocs(t *testing.T) {
+	tr := NewTracer(TracerOptions{KeepInMemory: 64, IDSeed: 1})
+	if n := testing.AllocsPerRun(1000, func() {
+		root := tr.Start("req").With("status", 200).With("items", 2).With("config", 3)
+		root.Child("exec").End()
+		root.End()
+	}); n > 4 {
+		t.Errorf("traced two-span bracket allocates %.0f times, want at most 4", n)
+	}
 }

@@ -34,11 +34,7 @@ func (s SpanID) String() string  { return hex.EncodeToString(s[:]) }
 
 // MarshalText renders the ID as lowercase hex, so JSON expositions carry
 // readable trace IDs rather than byte arrays.
-func (t TraceID) MarshalText() ([]byte, error) {
-	buf := make([]byte, 32)
-	hex.Encode(buf, t[:])
-	return buf, nil
-}
+func (t TraceID) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, t[:]), nil }
 
 // UnmarshalText parses 32 hex digits; an empty string is the zero ID.
 func (t *TraceID) UnmarshalText(b []byte) error {
@@ -55,11 +51,7 @@ func (t *TraceID) UnmarshalText(b []byte) error {
 }
 
 // MarshalText renders the ID as lowercase hex.
-func (s SpanID) MarshalText() ([]byte, error) {
-	buf := make([]byte, 16)
-	hex.Encode(buf, s[:])
-	return buf, nil
-}
+func (s SpanID) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, s[:]), nil }
 
 // UnmarshalText parses 16 hex digits; an empty string is the zero ID.
 func (s *SpanID) UnmarshalText(b []byte) error {
@@ -252,11 +244,7 @@ func SpanFromContext(ctx context.Context) *Span {
 // span carried by ctx, if any — and returns ctx carrying the new span.
 // With tracing disabled it returns (ctx, nil) untouched.
 func StartCtx(ctx context.Context, name string) (context.Context, *Span) {
-	t := global.Load()
-	if t == nil {
-		return ctx, nil
-	}
-	return t.StartCtx(ctx, name)
+	return global.Load().StartCtx(ctx, name)
 }
 
 // StartCtx is the per-tracer form of the package-level StartCtx.

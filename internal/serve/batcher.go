@@ -365,6 +365,10 @@ const slowMinSamples = 20
 // thousands of samples does not move between two batches.
 const slowRefreshEvery = 100 * time.Millisecond
 
+// slowQuantile is the running quantile of serve.request_seconds at or
+// above which a finished request is judged slow for the sampler.
+const slowQuantile = 0.9
+
 // refreshSlowThreshold re-derives the tail sampler's "slow" cutoff from
 // the live request-latency quantile, at most once per slowRefreshEvery.
 // Skipped when tracing is off (nothing consumes it); while samples are
@@ -378,7 +382,7 @@ func (s *Server) refreshSlowThreshold(now time.Time) {
 		return
 	}
 	s.slowAt = now
-	s.slowNs.Store(int64(snap.Quantile(s.cfg.SlowQuantile) * 1e9))
+	s.slowNs.Store(int64(snap.Quantile(slowQuantile) * 1e9))
 }
 
 // maxBatchTrace bounds the retained per-batch configuration trace.

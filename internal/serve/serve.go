@@ -122,10 +122,6 @@ type Config struct {
 	// request trace. Register it as a sink on Tracer so it sees the span
 	// records it buffers. Nil disables sampling.
 	Sampler *obs.TailSampler
-	// SlowQuantile is the running quantile of serve.request_seconds
-	// above which a finished request is judged slow for the sampler
-	// (default 0.9).
-	SlowQuantile float64
 	// FlightLog, when set, receives one automatic flight-recorder JSONL
 	// dump on the first drift latch and one on the first non-draining
 	// /healthz 503 (re-armed by a curve swap). The dumps come from
@@ -172,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = DefaultDrainTimeout
-	}
-	if c.SlowQuantile <= 0 || c.SlowQuantile >= 1 {
-		c.SlowQuantile = 0.9
 	}
 	return c
 }
