@@ -64,9 +64,12 @@ test:
 # detector it needs more than the default 10m per-package timeout. The
 # repo benchmark is left out: its smoke test holds the workloads to
 # wall-clock SLOs the race detector's slowdown cannot meet, so its tests
-# run without it (test-benchmark).
+# run without it (test-benchmark). The worker team behaves differently
+# with no helper, one helper and more helpers than this host has cores, so
+# its package runs again at each.
 race:
 	$(GO) test -race -timeout 45m $$($(GO) list ./... | grep -v '^repro/benchmark$$')
+	$(GO) test -race -cpu 1,2,4 ./internal/parallel
 
 test-benchmark:
 	$(GO) test ./benchmark

@@ -23,9 +23,9 @@ import (
 // knobs (the perturbation RNG stream is sequential over the whole batch)
 // or INT8 knobs (activation quantization picks a per-tensor scale over
 // the whole batch, coupling the shards); graphs whose output is the input
-// node itself; and moments when the worker pool is already saturated (an
-// outer parallel loop is running — the shards would serialize inline and
-// only add concatenation overhead).
+// node itself; and moments when the worker team is taken (an outer
+// parallel loop is running — the shards would serialize inline and only
+// add concatenation overhead).
 func (g *Graph) shardable(input *tensor.Tensor, cfg approx.Config) bool {
 	if input.Rank() < 2 || input.Dim(0) < 2 {
 		return false

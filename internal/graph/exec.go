@@ -26,16 +26,16 @@ type ExecOptions struct {
 // panics on a structurally invalid knob assignment (use ValidateConfig to
 // vet configurations from external sources first).
 //
-// Batched inputs are sharded across the parallel worker pool when the
+// Batched inputs are sharded across the parallel worker team when the
 // graph and configuration permit it (see shardable); the sharded result
 // is bit-identical to the serial one, so callers cannot observe which
 // path ran. Traced executions stay serial to keep per-node spans intact.
 func (g *Graph) Execute(input *tensor.Tensor, cfg approx.Config, opts ExecOptions) *tensor.Tensor {
 	sp, opts := g.traced(opts, "full")
-	// Two execution paths, because each wins where it runs: sharding whole
-	// batches across workers beats per-kernel parallelism alone by about
-	// 17 % of the benchmark's exec_fresh goodput, and a batch of one or a
-	// saturated pool has nothing to shard.
+	// Two execution paths, because each wins where it runs: a sharded batch
+	// is one parallel loop instead of one per kernel, each worker streams
+	// its own images through the whole graph, and a batch of one or a team
+	// that is already taken has nothing to shard.
 	var out *tensor.Tensor
 	if opts.Trace == nil && g.shardable(input, cfg) {
 		out = g.executeSharded(input, cfg, opts)

@@ -1,0 +1,69 @@
+package models
+
+import (
+	"fmt"
+	"runtime"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/approx"
+	"repro/internal/graph"
+	"repro/internal/tensor"
+	"repro/internal/tensorops"
+)
+
+// BenchmarkExecuteB1 is one graph.Execute of a single fresh item on each of
+// the repo benchmark's four prepacked zoo models (width 0.25) under its four
+// configurations, at GOMAXPROCS 1 and 2 — the 16 batch-1 cells behind
+// exec_fresh's latency_p50_ms, runnable without the harness. A cell that
+// reads slower at procs=2 than at procs=1 means the second core costs a
+// batch-1 call more in dispatch than it gives back in arithmetic. p50-µs is
+// the median Execute; ns/op is the mean and includes drawing the input, which
+// is also the pause between two calls that a serving process would have.
+//
+//	go test ./internal/models -run '^$' -bench ExecuteB1 -benchtime 200x
+func BenchmarkExecuteB1(b *testing.B) {
+	configs := []struct {
+		name string
+		conv approx.KnobID // knob of every convolution; others run exact FP32
+		all  approx.KnobID // knob of every other approximable op
+	}{
+		{"exact", approx.KnobFP32, approx.KnobFP32},
+		{"fp16", approx.KnobFP16, approx.KnobFP16},
+		{"samp50", approx.SamplingKnob(2, 0, tensorops.FP32), approx.KnobFP32},
+		{"perf50", approx.PerforationKnob(tensorops.PerfRows, 2, 0, tensorops.FP32), approx.KnobFP32},
+	}
+	for _, name := range []string{"lenet", "alexnet2", "resnet18", "mobilenet"} {
+		m := MustBuild(name, Scale{Images: 16, Width: 0.25, Seed: 1}).Model
+		m.Graph.PrepackWeights()
+		ops, classes := m.Graph.ApproxOps(), m.Graph.OpClasses()
+		for _, c := range configs {
+			cfg := approx.Config{}
+			for i, op := range ops {
+				cfg[op] = c.all
+				if classes[i] == approx.OpConv {
+					cfg[op] = c.conv
+				}
+			}
+			for _, procs := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/procs=%d", name, c.name, procs), func(b *testing.B) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					rng := tensor.NewRNG(1)
+					in := tensor.New(m.InputShape(1).Dims()...)
+					took := make([]time.Duration, 0, b.N)
+					m.Graph.Execute(in, cfg, graph.ExecOptions{}) // first-use set-up
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rng.FillNormal(in, 0, 1)
+						t0 := time.Now()
+						m.Graph.Execute(in, cfg, graph.ExecOptions{})
+						took = append(took, time.Since(t0))
+					}
+					sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+					b.ReportMetric(float64(took[len(took)/2])/1e3, "p50-µs")
+				})
+			}
+		}
+	}
+}

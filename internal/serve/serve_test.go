@@ -617,3 +617,40 @@ func TestServeMicroBatchCoalescing(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 }
+
+// TestServeKernelPanicFailsOnlyItsBatch: a kernel that panics inside a
+// parallel loop body — on whichever goroutine of the worker team ran that
+// chunk, which Server.execute's recover does not cover — must fail that batch
+// with a 500 and leave the process, the batcher and the team serving.
+func TestServeKernelPanicFailsOnlyItsBatch(t *testing.T) {
+	gr := testNet(5)
+	s, err := New(testConfig(gr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Poison the last layer, so that both batch shards are well under way
+	// on their goroutines when it is reached: the head panics on a
+	// one-element bias. No batch is in flight while the graph is edited;
+	// every request below is answered before the next edit.
+	var fc *graph.Node
+	for _, n := range gr.Nodes {
+		if n.Name == "fc" {
+			fc = n
+		}
+	}
+	for round := 0; round < 4; round++ {
+		fc.Bias = tensor.New(1)
+		code, body := postJSON(t, ts.URL+"/v1/infer", inferBody(t, 4, 0))
+		if code != http.StatusInternalServerError || !bytes.Contains(body, []byte("execution failed")) {
+			t.Fatalf("round %d, poisoned batch: HTTP %d %s, want 500 execution failed", round, code, body)
+		}
+		fc.Bias = nil
+		if code, body := postJSON(t, ts.URL+"/v1/infer", inferBody(t, 4, 0)); code != http.StatusOK {
+			t.Fatalf("round %d, request after the poisoned batch: HTTP %d %s", round, code, body)
+		}
+	}
+}

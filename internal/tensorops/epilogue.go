@@ -159,7 +159,7 @@ func (e *rowEpi) passes(seg []float32, row int) {
 
 // epiBlock is the unit of parallel dispatch for a bias-less epilogue, which
 // has no per-channel state and so splits the flat data: big enough that a
-// block of the cheapest step (ReLU) outlasts starting a goroutine.
+// block of the cheapest step (ReLU) outlasts handing it to another thread.
 const epiBlock = 16 << 10
 
 // ApplyEpilogue applies bias + activation (+ FP16 re-quantization after
