@@ -66,10 +66,12 @@ test:
 # wall-clock SLOs the race detector's slowdown cannot meet, so its tests
 # run without it (test-benchmark). The worker team behaves differently
 # with no helper, one helper and more helpers than this host has cores, so
-# its package runs again at each.
+# its package runs again at each — and so does the convolution test whose
+# workers each pad input planes into a buffer of their own.
 race:
 	$(GO) test -race -timeout 45m $$($(GO) list ./... | grep -v '^repro/benchmark$$')
 	$(GO) test -race -cpu 1,2,4 ./internal/parallel
+	$(GO) test -race -cpu 1,2,4 -run TestConvPaddedPlanesPerWorker ./internal/tensorops
 
 test-benchmark:
 	$(GO) test ./benchmark

@@ -120,10 +120,9 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, opts
 
 	switch n.Kind {
 	case OpConv:
-		// The bias/activation/quantization epilogue fuses into the GEMM
-		// writeback for the variants whose raw output needs no
-		// post-processing; perforation (interpolates first), PROMISE
-		// (perturbs first) and int8 apply it in a single in-place pass.
+		// The bias/activation/quantization epilogue is fused into the
+		// kernels that compute in the engine; PROMISE (perturbs the raw
+		// output first) and int8 apply it in a single in-place pass.
 		ep := n.fusedEpilogue()
 		var out *tensor.Tensor
 		switch knob.Kind {
@@ -132,7 +131,7 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, opts
 		case approx.KindSampling:
 			return tensorops.Conv2DFilterSamplingFused(x, n.Weight, n.Conv, knob.Stride, knob.Offset, prec, ep)
 		case approx.KindPerforation:
-			out = tensorops.Conv2DPerforated(x, n.Weight, n.Conv, knob.Dir, knob.Stride, knob.Offset, prec)
+			return tensorops.Conv2DPerforatedFused(x, n.Weight, n.Conv, knob.Dir, knob.Stride, knob.Offset, prec, ep)
 		case approx.KindPromise:
 			out = tensorops.Conv2D(x, n.Weight, n.Conv, tensorops.FP32)
 			g.perturb(out, knob.Level, opts)

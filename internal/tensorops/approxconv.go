@@ -103,6 +103,14 @@ func compactSampledFilter(w *tensor.Tensor, samp sampSpec) *tensor.Tensor {
 // nearest-neighbor average of computed elements. Valid strides are 2, 3, 4
 // with offsets 0..stride-1 and two directions, giving the paper's 18 knobs.
 func Conv2DPerforated(x, w *tensor.Tensor, p ConvParams, dir PerfDirection, stride, offset int, prec Precision) *tensor.Tensor {
+	return Conv2DPerforatedFused(x, w, p, dir, stride, offset, prec, Epilogue{})
+}
+
+// Conv2DPerforatedFused is Conv2DPerforated with a fused bias/activation
+// epilogue: applied to each output plane right after its skipped positions
+// are interpolated (the raw outputs feed the interpolation), instead of as a
+// whole-tensor pass afterwards.
+func Conv2DPerforatedFused(x, w *tensor.Tensor, p ConvParams, dir PerfDirection, stride, offset int, prec Precision, ep Epilogue) *tensor.Tensor {
 	if dir != PerfRows && dir != PerfCols {
 		panicShape("Perforated", "direction must be rows or cols")
 	}
@@ -112,5 +120,5 @@ func Conv2DPerforated(x, w *tensor.Tensor, p ConvParams, dir PerfDirection, stri
 	if offset < 0 || offset >= stride {
 		panicShape("Perforated", "offset %d not in [0,%d)", offset, stride)
 	}
-	return convolve(x, w, p, prec, &perfSpec{dir: dir, stride: stride, offset: offset}, sampSpec{}, Epilogue{})
+	return convolve(x, w, p, prec, &perfSpec{dir: dir, stride: stride, offset: offset}, sampSpec{}, ep)
 }

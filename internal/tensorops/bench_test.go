@@ -1,6 +1,7 @@
 package tensorops
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/tensor"
@@ -107,6 +108,23 @@ var benchEpilogue = Epilogue{Act: ActTanh}
 func BenchmarkConv2DExactFresh(b *testing.B) {
 	p := ConvParams{PadH: 1, PadW: 1}
 	benchFresh(b, 8, 8, 32, 3, p, func(x, w *tensor.Tensor) { Conv2DFused(x, w, p, FP32, benchEpilogue) })
+}
+
+// BenchmarkPackRun is the pack routine alone at the K extents of the zoo's
+// 3×3 layers (3, 16, 64 and 128 input channels) and the run lengths of a
+// 4-, 8-, 28- and 32-wide output row, under the CPU's tier and the Go loop:
+// pack time without a profiler. MB/s counts the bytes written.
+func BenchmarkPackRun(b *testing.B) {
+	g := tensor.NewRNG(1)
+	for _, kc := range []int{27, 144, 576, 1152} {
+		for _, run := range []int{1, 2, 7, 8} {
+			offs, src := packCase(g, kc, run)
+			dst := make([]float32, run*kc*gemmNR)
+			b.Run(fmt.Sprintf("kc=%d/run=%d", kc, run), func(b *testing.B) {
+				benchRowTiers(b, len(dst), func() { packRun(dst, src, offs, run) })
+			})
+		}
+	}
 }
 
 func BenchmarkConv2DFP16Fresh(b *testing.B) {
@@ -300,13 +318,13 @@ func BenchmarkAxpy(b *testing.B) {
 }
 
 // TestConv2DFusedFreshAllocs pins the allocation count of the serving-shaped
-// call (fresh input, constant weights): the output tensor (3), the plan and
-// its tables (2), the fused epilogue (1) and the dispatch closure (1);
-// perforation trades the epilogue for its spec and adds the interpolation
-// pass's dispatch (3).
+// call (fresh input, constant weights): the output tensor (3), the plan (1 —
+// its tables, like the padded planes and the packed panels, are pooled), the
+// fused epilogue (1) and the dispatch closure (1); perforation adds its spec
+// (1).
 // A new allocation on this path must be a decision, not drift.
 // AllocsPerRun measures at GOMAXPROCS 1; more workers add one closure per
-// (image, group) dispatch and the goroutines it spawns.
+// (image, group) dispatch.
 func TestConv2DFusedFreshAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the scratch pool allocates more under the race detector")
@@ -322,10 +340,10 @@ func TestConv2DFusedFreshAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"exact", 7, func() { Conv2DFused(x, w, p, FP32, ep) }},
-		{"fp16", 7, func() { Conv2DFused(x, w, p, FP16, ep) }},
-		{"samp50", 7, func() { Conv2DFilterSamplingFused(x, w, p, 2, 0, FP32, ep) }},
-		{"perf50", 10, func() { Conv2DPerforated(x, w, p, PerfRows, 2, 0, FP32) }},
+		{"exact", 6, func() { Conv2DFused(x, w, p, FP32, ep) }},
+		{"fp16", 6, func() { Conv2DFused(x, w, p, FP16, ep) }},
+		{"samp50", 6, func() { Conv2DFilterSamplingFused(x, w, p, 2, 0, FP32, ep) }},
+		{"perf50", 7, func() { Conv2DPerforatedFused(x, w, p, PerfRows, 2, 0, FP32, ep) }},
 	} {
 		tc.run() // fill the scratch pool and the per-weight cache entries
 		if got := testing.AllocsPerRun(50, tc.run); got > tc.max {

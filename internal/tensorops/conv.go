@@ -61,12 +61,13 @@ func (p *perfSpec) skips(i int) bool { return i%p.stride == p.offset }
 
 // convolve is the shared engine: exact convolution over the output elements
 // perf keeps (all of them when perf is nil) and the filter positions samp
-// keeps (all of them for the zero samp). B panels are packed straight from
-// the input (convpack.go); perforation shrinks the GEMM's N and filter
-// sampling its K, so a skipped output or filter element costs nothing. ep
-// is fused into the GEMM writeback when there is no perforation
-// (interpolation needs the raw conv output); perforated callers apply their
-// epilogue afterwards via ApplyEpilogue.
+// keeps (all of them for the zero samp). The call is lowered once
+// (newConvPlan) and B panels are packed from the input planes through its
+// tables (convpack.go); perforation shrinks the GEMM's N and filter sampling
+// its K, so a skipped output or filter element costs nothing. ep is fused
+// into the GEMM writeback, or under perforation — whose interpolation needs
+// the raw output — into the pass that fills the skipped positions
+// (perfSpec.finish).
 func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec, samp sampSpec, ep Epilogue) *tensor.Tensor {
 	p = p.Norm()
 	if x.Rank() != 4 || w.Rank() != 4 {
@@ -128,13 +129,16 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	cog := co / g // output channels per group
 	how := ho * wo
 	pl := newConvPlan(xd, ci, cig, h, wd, kh, kw, ho, wo, p, perf, samp)
+	defer tabPool.Put(pl.tab)
 	wsz := cog * pl.kc // one group's weight block
 
-	// The fused epilogue: a C row is one output channel, so bias indexes
-	// by row.
-	var re *rowEpi
-	if perf == nil {
-		re = newRowEpi(ep, true, prec == FP16, true)
+	// The epilogue of one output channel's plane: a C row is one output
+	// channel, so bias indexes by row. Perforation runs it after it has
+	// filled the plane; the GEMM writeback then has none.
+	re := newRowEpi(ep, true, prec == FP16, true)
+	fused := re
+	if perf != nil {
+		fused = nil
 	}
 
 	// The blocked kernel spreads each (image, group) over the workers
@@ -147,122 +151,98 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	}
 	ncols := pl.ncols()
 	parallel.ForChunked(n*g/grain, func(lo, hi int) {
-		// Perforation multiplies into a compact (cog × kept) block and
-		// scatters it; the skipped outputs are interpolated below.
-		var compact []float32
-		if perf != nil && cog >= gemmMR {
-			compact = tensor.Scratch(cog * ncols)
-			defer tensor.Release(compact)
+		// A worker's own scratch besides the panels it packs: the padded
+		// planes of the (image, group) it is on and, under perforation, the
+		// compact (cog × kept) product the kept outputs are scattered from.
+		var pad, compact []float32
+		if cog >= gemmMR {
+			if pl.ph|pl.pw != 0 {
+				pad = tensor.Scratch(cig * pl.hp * pl.wp)
+				defer tensor.Release(pad)
+			}
+			if perf != nil {
+				compact = tensor.Scratch(cog * ncols)
+				defer tensor.Release(compact)
+			}
 		}
 		for u := lo * grain; u < hi*grain; u++ {
 			img, grp := u/g, u%g
 			wblock := wdat[grp*wsz : (grp+1)*wsz]
 			oblock := od[(img*co+grp*cog)*how : (img*co+(grp+1)*cog)*how]
-			switch {
-			case cog < gemmMR:
-				pl.direct(wblock, oblock, cog, img, grp, re, grp*cog)
-			case perf != nil:
-				for i := range compact {
-					compact[i] = 0
+			if cog < gemmMR {
+				pl.direct(wblock, oblock, cog, img, grp, fused, grp*cog)
+			} else {
+				c := oblock
+				if perf != nil {
+					clear(compact)
+					c = compact
 				}
-				pl.blocked(wblock, compact, cog, img, grp, nil, 0)
-				pl.scatter(oblock, compact, cog)
-			default:
-				pl.blocked(wblock, oblock, cog, img, grp, re, grp*cog)
+				pl.blocked(wblock, pl.planes(pad, img, grp), c, cog, fused, grp*cog)
+			}
+			if perf != nil {
+				perf.finish(pl, oblock, compact, cog, re, grp*cog)
 			}
 		}
 	})
-
-	if perf != nil {
-		interpolatePerforated(out, perf)
-	}
-	if prec == FP16 && re == nil {
-		out.ToFP16()
-	}
 	return out
 }
 
-// interpolatePerforated overwrites the perforated output rows/columns with
-// the nearest-neighbor average of the computed (kept) elements, exactly the
-// semantics of Figurnov et al.'s perforated convolutions: a real
-// implementation never computes the skipped positions; computing then
-// replacing them yields the identical result tensor.
-func interpolatePerforated(out *tensor.Tensor, perf *perfSpec) {
-	n, co, ho, wo := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
-	od := out.Data()
-	skip := perf.skips
+// finish completes the m output planes of one (image, group) under
+// perforation, one plane at a time while it is in cache: the kept outputs
+// are scattered from their row of compact (nil when the direct kernel wrote
+// them in place), the skipped rows or columns interpolated from them, and
+// the epilogue applied to the whole plane — the order of the three
+// whole-tensor passes this replaces, so the same bits.
+func (p *perfSpec) finish(pl *convPlan, out, compact []float32, m int, ep *rowEpi, chan0 int) {
+	how, n := len(out)/m, pl.ncols()
+	for i := 0; i < m; i++ {
+		plane := out[i*how : (i+1)*how]
+		if compact != nil {
+			pl.scatter(plane, compact[i*n:(i+1)*n])
+		}
+		p.interpolate(plane, how/pl.wo, pl.wo)
+		ep.apply(plane, chan0+i)
+	}
+}
 
-	parallel.For(n*co, func(nc int) {
-		base := nc * ho * wo
-		if perf.dir == PerfRows {
-			for y := 0; y < ho; y++ {
-				if !skip(y) {
-					continue
+// interpolate overwrites the perforated rows or columns of one (ho × wo)
+// output plane with the nearest-neighbor average of the computed (kept)
+// elements — Figurnov et al.'s perforated convolution. One in every
+// stride ≥ 2 is skipped, so a skipped index's nearest kept neighbours are
+// beside it; at an edge the one that exists is copied.
+func (p *perfSpec) interpolate(plane []float32, ho, wo int) {
+	if p.dir == PerfRows {
+		for y := p.offset; y < ho; y += p.stride {
+			row := plane[y*wo : (y+1)*wo]
+			switch {
+			case y > 0 && y+1 < ho:
+				a, b := plane[(y-1)*wo:y*wo], plane[(y+1)*wo:(y+2)*wo]
+				for i := range row {
+					row[i] = 0.5 * (a[i] + b[i])
 				}
-				// nearest computed rows above and below
-				up, down := -1, -1
-				for u := y - 1; u >= 0; u-- {
-					if !skip(u) {
-						up = u
-						break
-					}
-				}
-				for d := y + 1; d < ho; d++ {
-					if !skip(d) {
-						down = d
-						break
-					}
-				}
-				row := od[base+y*wo : base+(y+1)*wo]
-				switch {
-				case up >= 0 && down >= 0:
-					a := od[base+up*wo : base+(up+1)*wo]
-					b := od[base+down*wo : base+(down+1)*wo]
-					for i := range row {
-						row[i] = 0.5 * (a[i] + b[i])
-					}
-				case up >= 0:
-					copy(row, od[base+up*wo:base+(up+1)*wo])
-				case down >= 0:
-					copy(row, od[base+down*wo:base+(down+1)*wo])
-				default:
-					for i := range row {
-						row[i] = 0
-					}
-				}
-			}
-		} else {
-			for x := 0; x < wo; x++ {
-				if !skip(x) {
-					continue
-				}
-				left, right := -1, -1
-				for l := x - 1; l >= 0; l-- {
-					if !skip(l) {
-						left = l
-						break
-					}
-				}
-				for r := x + 1; r < wo; r++ {
-					if !skip(r) {
-						right = r
-						break
-					}
-				}
-				for y := 0; y < ho; y++ {
-					idx := base + y*wo + x
-					switch {
-					case left >= 0 && right >= 0:
-						od[idx] = 0.5 * (od[base+y*wo+left] + od[base+y*wo+right])
-					case left >= 0:
-						od[idx] = od[base+y*wo+left]
-					case right >= 0:
-						od[idx] = od[base+y*wo+right]
-					default:
-						od[idx] = 0
-					}
-				}
+			case y > 0:
+				copy(row, plane[(y-1)*wo:y*wo])
+			case y+1 < ho:
+				copy(row, plane[(y+1)*wo:(y+2)*wo])
+			default:
+				clear(row)
 			}
 		}
-	})
+		return
+	}
+	for y := 0; y < ho; y++ {
+		row := plane[y*wo : (y+1)*wo]
+		for x := p.offset; x < wo; x += p.stride {
+			switch {
+			case x > 0 && x+1 < wo:
+				row[x] = 0.5 * (row[x-1] + row[x+1])
+			case x > 0:
+				row[x] = row[x-1]
+			case x+1 < wo:
+				row[x] = row[x+1]
+			default:
+				row[x] = 0
+			}
+		}
+	}
 }

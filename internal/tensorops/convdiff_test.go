@@ -12,9 +12,10 @@ import (
 // The reference convolution engine, retained from before the direct packer:
 // a materialised im2col column matrix multiplied by the naive gemmRef
 // kernel, perforation by computing every output and interpolating over the
-// skipped ones, filter sampling by multiplying with SampleFilter's zeroed
-// weights, and the epilogue as separate whole-tensor passes. The engine
-// must reproduce its output bit for bit.
+// skipped ones (refInterpolate, which searches for the nearest kept row or
+// column on either side), filter sampling by multiplying with SampleFilter's
+// zeroed weights, and the epilogue as separate whole-tensor passes. The
+// engine must reproduce its output bit for bit.
 
 // im2col unrolls the input patches of one (image, group) into cols, a
 // (cig*kh*kw) × (ho*wo) column matrix. Out-of-bounds (padding) elements
@@ -36,6 +37,54 @@ func im2col(xd, cols []float32, img, grp, ci, cig, h, w, kh, kw, ho, wo int, p C
 						}
 						cols[rowBase+oy*wo+ox] = v
 					}
+				}
+			}
+		}
+	}
+}
+
+// refInterpolate overwrites the perforated output rows/columns with the
+// nearest-neighbor average of the computed (kept) elements — Figurnov et
+// al.'s definition, with the nearest kept index on each side searched for
+// rather than assumed adjacent.
+func refInterpolate(out *tensor.Tensor, perf *perfSpec) {
+	n, co, ho, wo := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
+	od := out.Data()
+	// nearest returns the closest kept index below and above i in [0,lim),
+	// -1 where there is none.
+	nearest := func(i, lim int) (lo, hi int) {
+		for lo = i - 1; lo >= 0 && perf.skips(lo); lo-- {
+		}
+		for hi = i + 1; hi < lim && perf.skips(hi); hi++ {
+		}
+		if hi == lim {
+			hi = -1
+		}
+		return lo, hi
+	}
+	mix := func(dst *float32, lo, hi int, at func(int) float32) {
+		switch {
+		case lo >= 0 && hi >= 0:
+			*dst = 0.5 * (at(lo) + at(hi))
+		case lo >= 0:
+			*dst = at(lo)
+		case hi >= 0:
+			*dst = at(hi)
+		default:
+			*dst = 0
+		}
+	}
+	for nc := 0; nc < n*co; nc++ {
+		plane := od[nc*ho*wo : (nc+1)*ho*wo]
+		for y := 0; y < ho; y++ {
+			for x := 0; x < wo; x++ {
+				switch {
+				case perf.dir == PerfRows && perf.skips(y):
+					lo, hi := nearest(y, ho)
+					mix(&plane[y*wo+x], lo, hi, func(r int) float32 { return plane[r*wo+x] })
+				case perf.dir == PerfCols && perf.skips(x):
+					lo, hi := nearest(x, wo)
+					mix(&plane[y*wo+x], lo, hi, func(c int) float32 { return plane[y*wo+c] })
 				}
 			}
 		}
@@ -84,7 +133,7 @@ func refConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKno
 		}
 	}
 	if knob.perf != nil {
-		interpolatePerforated(out, knob.perf)
+		refInterpolate(out, knob.perf)
 	}
 	if prec == FP16 {
 		out.ToFP16()
@@ -96,8 +145,7 @@ func refConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKno
 func engineConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKnob, ep Epilogue) *tensor.Tensor {
 	switch {
 	case knob.perf != nil:
-		out := Conv2DPerforated(x, w, p, knob.perf.dir, knob.perf.stride, knob.perf.offset, prec)
-		return ApplyEpilogue(out, ep, prec)
+		return Conv2DPerforatedFused(x, w, p, knob.perf.dir, knob.perf.stride, knob.perf.offset, prec, ep)
 	case knob.samp.stride != 0:
 		return Conv2DFilterSamplingFused(x, w, p, knob.samp.stride, knob.samp.offset, prec, ep)
 	}
@@ -136,6 +184,19 @@ func requireSameBits(t *testing.T, got, want *tensor.Tensor, format string, args
 		if math.Float32bits(gd[i]) != math.Float32bits(wd[i]) {
 			t.Fatalf(format+": out[%d] = %v (%#x), reference %v (%#x)",
 				append(args, i, gd[i], math.Float32bits(gd[i]), wd[i], math.Float32bits(wd[i]))...)
+		}
+	}
+}
+
+// requireAllKnobs holds the engine to the reference on one shape under both
+// precisions and every knob, the epilogue cycling through eps from rot on.
+func requireAllKnobs(t *testing.T, x, wt *tensor.Tensor, p ConvParams, eps []Epilogue, rot int, label string) {
+	t.Helper()
+	for _, prec := range []Precision{FP32, FP16} {
+		for ki, knob := range allConvKnobs() {
+			ei := (rot + ki) % len(eps)
+			want := refConvolve(x, wt, p, prec, knob, eps[ei])
+			requireSameBits(t, engineConvolve(x, wt, p, prec, knob, eps[ei]), want, "%s %v %v ep=%d", label, prec, knob, ei)
 		}
 	}
 }
@@ -182,14 +243,8 @@ func TestConvDirectMatchesReference(t *testing.T) {
 									wt.MarkCacheable() // sampled filters and FP16 weights kept on the weight
 								}
 								eps := diffEpilogues(randTensor(g, l.co))
+								requireAllKnobs(t, x, wt, p, eps, cases, fmt.Sprintf("stride=%d pad=%d k=%d in=%dx%d layout=%+v", stride, pad, k, h, w, l))
 								for _, prec := range []Precision{FP32, FP16} {
-									for ki, knob := range knobs {
-										ep := eps[(cases+ki)%len(eps)]
-										want := refConvolve(x, wt, p, prec, knob, ep)
-										got := engineConvolve(x, wt, p, prec, knob, ep)
-										requireSameBits(t, got, want, "stride=%d pad=%d k=%d in=%dx%d layout=%+v %v %v ep=%d",
-											stride, pad, k, h, w, l, prec, knob, (cases+ki)%len(eps))
-									}
 									// The cached-columns path: cold build, then hit.
 									cx := x.Clone().MarkCacheable()
 									want := refConvolve(x, wt, p, prec, convKnob{}, eps[1])
@@ -223,6 +278,89 @@ func TestConvDirectMatchesReference(t *testing.T) {
 	})
 }
 
+// TestConvLoweringShapes runs the shapes the lowering tells apart — on top
+// of the square grid above — through every knob, both precisions and every
+// tier: padding 0–3 in either axis alone and together, under 1×1, 3×3, 5×5
+// and non-square filters (k×1 keeps the rows abutting, so the whole output
+// is one span; 1×k does not); output widths 3, 4, 6, 7, 12 and 28 (panels
+// that straddle two rows, pairs that do, long runs); stride 2 in one axis or
+// both (no two columns adjacent: every panel gathers); and groups whose
+// cog ≥ 4 takes the blocked kernel per group.
+func TestConvLoweringShapes(t *testing.T) {
+	type shape struct {
+		h, w, kh, kw   int
+		sh, sw, ph, pw int
+		ci, co, groups int
+	}
+	shapes := []shape{
+		// output width (sw = 1): w + 2·pw − kw + 1
+		{5, 3, 1, 1, 1, 1, 0, 0, 3, 5, 1},   // wo 3, flat span, in place
+		{4, 4, 3, 3, 1, 1, 1, 1, 2, 4, 1},   // wo 4: a row is a panel
+		{5, 6, 3, 3, 1, 1, 1, 1, 3, 6, 1},   // wo 6: every other panel straddles
+		{6, 7, 5, 5, 1, 1, 2, 2, 2, 5, 1},   // wo 7
+		{4, 12, 3, 3, 1, 1, 1, 1, 2, 4, 1},  // wo 12: runs of three
+		{3, 28, 3, 3, 1, 1, 1, 1, 1, 4, 1},  // wo 28: runs of seven
+		{5, 28, 1, 1, 1, 1, 0, 0, 4, 8, 1},  // flat span of 140 columns
+		{6, 6, 1, 1, 1, 1, 1, 1, 3, 4, 1},   // padded 1×1: wp ≠ wo, not flat
+		{5, 5, 3, 3, 1, 1, 3, 3, 2, 4, 1},   // padding wider than the filter reaches
+		{4, 6, 5, 5, 1, 1, 3, 2, 2, 4, 1},   // 5×5, unequal padding
+		{6, 9, 3, 3, 1, 1, 0, 2, 2, 4, 1},   // padded columns only
+		{6, 9, 3, 3, 1, 1, 2, 0, 2, 4, 1},   // padded rows only
+		{7, 8, 1, 3, 1, 1, 0, 1, 3, 4, 1},   // 1×3
+		{7, 8, 3, 1, 1, 1, 1, 0, 3, 4, 1},   // 3×1: rows abut, flat span under padding
+		{8, 7, 5, 2, 1, 1, 2, 1, 2, 5, 1},   // 5×2
+		{9, 10, 3, 3, 2, 1, 1, 1, 2, 4, 1},  // stride 2 down only: runs survive
+		{9, 10, 3, 3, 1, 2, 1, 1, 2, 4, 1},  // stride 2 across only: all gather
+		{9, 11, 3, 3, 2, 2, 1, 1, 3, 7, 1},  // both
+		{8, 8, 1, 1, 2, 2, 0, 0, 4, 8, 1},   // strided 1×1 (resnet's shortcut)
+		{6, 10, 3, 3, 1, 1, 1, 1, 4, 8, 2},  // two groups of cog 4
+		{6, 6, 3, 3, 2, 2, 1, 1, 6, 15, 3},  // three groups of cog 5, strided
+		{5, 12, 1, 1, 1, 1, 0, 0, 8, 16, 4}, // grouped pointwise
+		{1, 9, 1, 3, 1, 1, 0, 1, 2, 4, 1},   // a single output row
+		{9, 1, 3, 1, 1, 1, 1, 0, 2, 4, 1},   // a single output column
+	}
+	withProcs(t, []int{1, 3}, func(t *testing.T) {
+		forEachTier(t, func(t *testing.T) {
+			g := tensor.NewRNG(43)
+			for si, sp := range shapes {
+				p := ConvParams{StrideH: sp.sh, StrideW: sp.sw, PadH: sp.ph, PadW: sp.pw, Groups: sp.groups}
+				x := randTensor(g, 2, sp.ci, sp.h, sp.w)
+				wt := randTensor(g, sp.co, sp.ci/sp.groups, sp.kh, sp.kw)
+				if si%2 == 0 {
+					wt.MarkCacheable()
+				}
+				eps := diffEpilogues(randTensor(g, sp.co))
+				requireAllKnobs(t, x, wt, p, eps, si, fmt.Sprintf("shape %d %+v", si, sp))
+				wt.InvalidateCache()
+			}
+		})
+	})
+}
+
+// TestConvPaddedPlanesPerWorker runs padded convolutions at whatever
+// GOMAXPROCS the test binary was given (`make race` passes -cpu 1,2,4): a
+// batch of eight, where every worker pads the images of its own chunk into
+// its own pooled planes, and a batch of one, where the caller pads and the
+// helpers it hands panel ranges to read the same planes. Under the race
+// detector a plane buffer shared between two workers is a reported race;
+// either way the output must be the reference's.
+func TestConvPaddedPlanesPerWorker(t *testing.T) {
+	g := tensor.NewRNG(47)
+	p := ConvParams{PadH: 1, PadW: 2}
+	wt := randTensor(g, 8, 3, 3, 3)
+	bias := randTensor(g, 8)
+	for _, n := range []int{8, 1} {
+		x := randTensor(g, n, 3, 9, 10)
+		for _, knob := range []convKnob{{}, {samp: sampSpec{2, 1}}, {perf: &perfSpec{dir: PerfCols, stride: 3, offset: 1}}} {
+			ep := Epilogue{Bias: bias, Act: ActReLU}
+			want := refConvolve(x, wt, p, FP32, knob, ep)
+			for rep := 0; rep < 4; rep++ {
+				requireSameBits(t, engineConvolve(x, wt, p, FP32, knob, ep), want, "n=%d %v rep %d", n, knob, rep)
+			}
+		}
+	}
+}
+
 // FuzzConvDirectVsReference draws a convolution — shape, stride, padding,
 // grouping, precision, epilogue, knob, GOMAXPROCS — from the fuzz input and
 // requires the engine, under every kernel tier the CPU has, and the
@@ -237,12 +375,12 @@ func FuzzConvDirectVsReference(f *testing.F) {
 		}
 		pick := func(i, lo, hi int) int { return lo + int(b[i])%(hi-lo+1) }
 		n, cig := pick(0, 1, 3), pick(1, 1, 6)
-		h, w := pick(2, 1, 12), pick(3, 1, 12)
+		h, w := pick(2, 1, 30), pick(3, 1, 30)
 		cog := pick(4, 1, 9)
 		kh, kw := pick(5, 1, 5), pick(6, 1, 5)
 		p := ConvParams{
 			StrideH: pick(7, 1, 3), StrideW: pick(8, 1, 3),
-			PadH: pick(9, 0, 2), PadW: pick(10, 0, 2),
+			PadH: pick(9, 0, 3), PadW: pick(10, 0, 3),
 			Groups: pick(11, 1, 4),
 		}
 		if h+2*p.PadH < kh || w+2*p.PadW < kw {

@@ -1,6 +1,9 @@
 package tensorops
 
 import (
+	"math"
+	"sync"
+
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -8,21 +11,28 @@ import (
 // Implicit im2col. A convolution is the GEMM  out = W · B  where B is the
 // virtual (kvol × ho·wo) patch matrix B[(c,ky,kx)][(oy,ox)] =
 // x[c][oy·sh−ph+ky][ox·sw−pw+kx] (zero outside the input). The engine never
-// materialises B: packPanels writes the blocked kernel's panel layout
-// straight from the NCHW input, and the approximations shrink the matrix
-// being packed rather than the work done on it afterwards —
+// materialises B, and the approximations shrink the matrix being packed
+// rather than the work done on it afterwards: perforation keeps a subset of
+// output rows or columns, so B loses columns (the GEMM's N) — the kept
+// outputs form a rows × cols grid and packed column j stands for output
+// (oy[j / len(ox)], ox[j % len(ox)]); filter sampling drops every stride-th
+// flattened filter position, so B loses rows (the GEMM's K) — the offset
+// table has no entry for them and the weight operand is the matching
+// K-compacted block (compactSampledFilter).
 //
-//   - perforation keeps a subset of output rows or columns, so B loses
-//     columns (the GEMM's N): the kept outputs form a rows × cols grid and
-//     a packed column j stands for output (oy[j / len(ox)], ox[j % len(ox)]);
-//   - filter sampling drops every stride-th flattened filter position, so
-//     B loses rows (the GEMM's K): the packer never emits them and the
-//     weight operand is the matching K-compacted block (compactSampledFilter).
-//
-// Each surviving element is accumulated in the same ascending-l order by
-// the same kernels as before, so outputs are bit-identical to computing
-// everything and discarding (the differential tests pin this against the
-// retained im2col reference).
+// The lowering. Where B[l][j] lives is worked out once per convolve call.
+// The packers read one (image, group)'s planes with the padding stored as
+// zeros around them (convPlan.planes), so no tap is out of bounds, and
+// B[l][j] = planes[base(j) + offs[l]] for every stride, padding,
+// perforation and sampling: base(j) = oy·sh·wp + ox·sw is the patch's first
+// element, offs[l] = c·hp·wp + ky·wp + kx its l-th kept one. Panels whose
+// columns are adjacent in memory are copied a run at a time, four floats per
+// (l, panel) (packRun); the others — strided or column-perforated columns, a
+// panel that straddles two output rows, the ncols mod 4 tail — gather
+// through the same table (packColumns). Every element is still
+// accumulated in ascending-l order by the same kernels, a padding tap as a
+// stored +0, so outputs are bit-identical to computing everything and
+// discarding (convdiff_test.go pins this against the im2col reference).
 
 // sampSpec describes filter sampling: flattened filter position l is
 // dropped when l%stride == offset. The zero value means no sampling.
@@ -54,43 +64,73 @@ func (s *sampCursor) drop() bool {
 	return d
 }
 
-// convPlan is the geometry of one convolve call: what the packer and the
-// in-place small-m kernel need to find the input element behind B[l][j].
+// convPlan is the lowering of one convolve call: the geometry, and the
+// tables that locate the input element behind B[l][j].
 type convPlan struct {
 	xd             []float32 // input in the precision the kernels consume
 	ci, cig, h, w  int
 	kh, kw         int
 	sh, sw, ph, pw int
+	hp, wp         int // plane extent as packed from: h+2·ph, w+2·pw
 	wo             int // full output width (oy·wo+ox addresses the output plane)
 	samp           sampSpec
-	kc             int   // K extent after sampling
-	oy, ox         []int // kept output rows / columns, ascending
-	ix0            []int // ox[c]*sw-pw: the input column under filter column 0 of kept column c
+	kc             int      // K extent after sampling
+	tab            *[]int32 // pooled backing of the three tables
+	oy, ox         []int32  // kept output rows / columns, ascending
+	offs           []int32  // kc ascending plane offsets, sampled-out positions absent
+	// span: packed columns [i·span, (i+1)·span) are adjacent in the planes —
+	// a kept row at unit stride with every column kept, all of ncols when
+	// the rows abut as well (k×1 filters); 0 when no two columns are.
+	span int
 }
 
-// newConvPlan builds the plan, including the kept-output tables (one
-// allocation of a few dozen entries).
+// tabPool recycles plan tables; convolve puts a plan's back when it returns.
+var tabPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// newConvPlan lowers one call.
 func newConvPlan(xd []float32, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams, perf *perfSpec, samp sampSpec) *convPlan {
 	pl := &convPlan{
 		xd: xd, ci: ci, cig: cig, h: h, w: w, kh: kh, kw: kw,
 		sh: p.StrideH, sw: p.StrideW, ph: p.PadH, pw: p.PadW,
+		hp: h + 2*p.PadH, wp: w + 2*p.PadW,
 		wo: wo, samp: samp, kc: samp.keptK(cig * kh * kw),
+		tab: tabPool.Get().(*[]int32),
 	}
-	tab := make([]int, 0, ho+2*wo)
-	keep := func(n int, perforated bool) []int {
+	if cig*pl.hp*pl.wp > math.MaxInt32 {
+		panicShape("Conv2D", "one group's padded input (%d×%d×%d) is beyond int32 offsets", cig, pl.hp, pl.wp)
+	}
+	tab := (*pl.tab)[:0]
+	if need := ho + wo + pl.kc; cap(tab) < need {
+		tab = make([]int32, 0, need)
+	}
+	keep := func(n int, perforated bool) []int32 {
 		start := len(tab)
 		for i := 0; i < n; i++ {
 			if !perforated || !perf.skips(i) {
-				tab = append(tab, i)
+				tab = append(tab, int32(i))
 			}
 		}
 		return tab[start:len(tab):len(tab)]
 	}
 	pl.oy = keep(ho, perf != nil && perf.dir == PerfRows)
 	pl.ox = keep(wo, perf != nil && perf.dir == PerfCols)
-	pl.ix0 = tab[len(tab) : len(tab)+len(pl.ox)]
-	for c, ox := range pl.ox {
-		pl.ix0[c] = ox*pl.sw - pl.pw
+	cur := sampCursor{sampSpec: samp}
+	for ch := 0; ch < cig; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				if !cur.drop() {
+					tab = append(tab, int32((ch*pl.hp+ky)*pl.wp+kx))
+				}
+			}
+		}
+	}
+	pl.offs = tab[len(tab)-pl.kc:]
+	*pl.tab = tab
+	if pl.sw == 1 && len(pl.ox) == wo {
+		pl.span = wo
+		if pl.wp == wo && pl.sh == 1 && len(pl.oy) == ho {
+			pl.span = ho * wo
+		}
 	}
 	return pl
 }
@@ -103,147 +143,109 @@ func (pl *convPlan) chanBase(img, grp int) int {
 	return (img*pl.ci + grp*pl.cig) * pl.h * pl.w
 }
 
-// packPanels writes panels [plo,phi) of (img, grp)'s patch matrix into dst
-// in packRange layout, dst[((jp-plo)*kc+l)*gemmNR+j] = B[l][jp*gemmNR+j],
-// with sampled-out l never emitted. Panels that lie inside one output row
-// are packed a row's run at a time (packRowRun); a panel that straddles
-// two output rows goes element by element.
-func (pl *convPlan) packPanels(dst []float32, img, grp, plo, phi int) {
+// planes returns (img, grp)'s cig input planes as the packers address them,
+// hp × wp each: the input itself when nothing is padded, otherwise pad
+// (cig·hp·wp floats), filled with the planes inside borders of stored zeros.
+func (pl *convPlan) planes(pad []float32, img, grp int) []float32 {
+	h, w, ph, pw, wp := pl.h, pl.w, pl.ph, pl.pw, pl.wp
 	base := pl.chanBase(img, grp)
+	src := pl.xd[base : base+pl.cig*h*w]
+	if pad == nil {
+		return src
+	}
+	d := 0
+	for ch := 0; ch < pl.cig; ch++ {
+		clear(pad[d : d+ph*wp])
+		d += ph * wp
+		for y := 0; y < h; y++ {
+			row := pad[d : d+wp]
+			for i := 0; i < pw; i++ {
+				row[i], row[pw+w+i] = 0, 0
+			}
+			copy(row[pw:pw+w], src[(ch*h+y)*w:])
+			d += wp
+		}
+		clear(pad[d : d+ph*wp])
+		d += ph * wp
+	}
+	return pad
+}
+
+// base is the plane offset of the first element of the patch under kept
+// output position (oy[r], ox[c]).
+func (pl *convPlan) base(r, c int) int {
+	return int(pl.oy[r])*pl.sh*pl.wp + int(pl.ox[c])*pl.sw
+}
+
+// packPanels writes panels [plo,phi) of the patch matrix over planes into
+// dst in packRange layout, dst[((jp-plo)*kc+l)*gemmNR+j] = B[l][jp*gemmNR+j].
+// Panels inside one span of adjacent columns are packed a run at a time,
+// the others one by one through packColumns.
+func (pl *convPlan) packPanels(dst, planes []float32, plo, phi int) {
 	nx := len(pl.ox)
 	psz := pl.kc * gemmNR
-	r, c := plo*gemmNR/nx, plo*gemmNR%nx
 	for jp := plo; jp < phi; {
-		run := 1
+		j := jp * gemmNR
 		d := dst[(jp-plo)*psz:]
-		if c+gemmNR <= nx {
-			if run = (nx - c) / gemmNR; run > phi-jp {
-				run = phi - jp
-			}
-			pl.packRowRun(d, run, base, pl.oy[r]*pl.sh-pl.ph, c)
+		run := 0
+		if pl.span > 0 {
+			run = min((pl.span-j%pl.span)/gemmNR, phi-jp)
+		}
+		if run > 0 {
+			packRun(d, planes[pl.base(j/nx, j%nx):], pl.offs, run)
 		} else {
-			pl.packColumns(d, base, r, c, gemmNR, gemmNR, 1)
+			pl.packColumns(d, planes, j, gemmNR, gemmNR, 1)
+			run = 1
 		}
 		jp += run
-		for c += run * gemmNR; c >= nx; c -= nx {
-			r++
+	}
+}
+
+// packRun packs `run` panels whose 4·run columns are adjacent in src, the
+// first at src[0]: dst[(p·kc+l)·4 : +4] = src[offs[l]+4p : +4], kc =
+// len(offs); offs ascends, so its last entry bounds what is read. The AVX
+// tier runs packRunAVX; the loop is the other tiers and what that is pinned to.
+func packRun(dst, src []float32, offs []int32, run int) {
+	kc := len(offs)
+	dst = dst[:run*kc*gemmNR]
+	src = src[:int(offs[kc-1])+run*gemmNR]
+	if gemmTier == tierAVX {
+		packRunAVX(&dst[0], &src[0], &offs[0], kc, run)
+		return
+	}
+	for p := 0; p < run; p++ {
+		d, s := dst[p*kc*gemmNR:(p+1)*kc*gemmNR], src[p*gemmNR:]
+		for l, o := range offs {
+			*(*[gemmNR]float32)(d[l*gemmNR:]) = *(*[gemmNR]float32)(s[o:])
 		}
 	}
 }
 
-// packTail writes the ncols mod gemmNR columns past the last full panel
-// into dst in prepacked.tail layout (column-major, dst[j*kc+l]).
-func (pl *convPlan) packTail(dst []float32, img, grp int) {
-	n := pl.ncols()
-	j0 := n / gemmNR * gemmNR
+// packColumns is the gather: packed columns j..j+cnt-1, each located on
+// its own, written to dst[l*lstride+q*jstride] — a panel with (4, 1), the
+// column-major tail with (1, kc).
+func (pl *convPlan) packColumns(dst, planes []float32, j, cnt, lstride, jstride int) {
 	nx := len(pl.ox)
-	pl.packColumns(dst, pl.chanBase(img, grp), j0/nx, j0%nx, n-j0, 1, pl.kc)
-}
-
-// packRowRun packs `run` consecutive panels of one output row, starting at
-// kept column c: their patches all begin at input row iy0. The filter walk
-// is the outer loop, so the input row and the sampling decision are found
-// once per filter element; inside, a panel whose first and last inputs are
-// in bounds (kept columns ascend, so all four are) moves them without
-// further tests — as one 16-byte copy when they are adjacent — and a
-// border panel tests each.
-func (pl *convPlan) packRowRun(dst []float32, run, base, iy0, c int) {
-	xd, h, w := pl.xd, pl.h, pl.w
-	psz := pl.kc * gemmNR
-	ix0 := pl.ix0[c : c+run*gemmNR]
-	cur := sampCursor{sampSpec: pl.samp}
-	d := 0
-	for ch := 0; ch < pl.cig; ch++ {
-		cb := base + ch*h*w
-		for ky := 0; ky < pl.kh; ky++ {
-			iy := iy0 + ky
-			var row []float32
-			if uint(iy) < uint(h) {
-				row = xd[cb+iy*w : cb+(iy+1)*w]
-			}
-			for kx := 0; kx < pl.kw; kx++ {
-				if cur.drop() {
-					continue
-				}
-				o := d
-				for p := 0; p < len(ix0); p += gemmNR {
-					q := dst[o : o+gemmNR : o+gemmNR]
-					o += psz
-					x0, x3 := ix0[p]+kx, ix0[p+3]+kx
-					switch {
-					case row == nil:
-						q[0], q[1], q[2], q[3] = 0, 0, 0, 0
-					case x0 < 0 || x3 >= w:
-						for j := range q {
-							if x := ix0[p+j] + kx; uint(x) < uint(w) {
-								q[j] = row[x]
-							} else {
-								q[j] = 0
-							}
-						}
-					case x3-x0 == gemmNR-1:
-						*(*[gemmNR]float32)(q) = *(*[gemmNR]float32)(row[x0:])
-					default:
-						q[0], q[1], q[2], q[3] = row[x0], row[ix0[p+1]+kx], row[ix0[p+2]+kx], row[x3]
-					}
-				}
-				d += gemmNR
-			}
+	for q := 0; q < cnt; q++ {
+		s, d := planes[pl.base((j+q)/nx, (j+q)%nx):], dst[q*jstride:]
+		for l, o := range pl.offs {
+			d[l*lstride] = s[o]
 		}
 	}
 }
 
-// packColumns is the general packer: cnt (≤ gemmNR) consecutive packed
-// columns starting at kept-grid position (r, c), each located on its own,
-// written to dst[l*lstride+j*jstride].
-func (pl *convPlan) packColumns(dst []float32, base, r, c, cnt, lstride, jstride int) {
-	var iy0, ix0 [gemmNR]int
-	for j := 0; j < cnt; j++ {
-		iy0[j] = pl.oy[r]*pl.sh - pl.ph
-		ix0[j] = pl.ix0[c]
-		if c++; c == len(pl.ox) {
-			c = 0
-			r++
+// scatter copies one row of a compact (m × ncols) product to the kept
+// positions of its (ho × wo) output plane.
+func (pl *convPlan) scatter(plane, compact []float32) {
+	nx := len(pl.ox)
+	for r, oy := range pl.oy {
+		srow, drow := compact[r*nx:(r+1)*nx], plane[int(oy)*pl.wo:(int(oy)+1)*pl.wo]
+		if nx == pl.wo {
+			copy(drow, srow)
+			continue
 		}
-	}
-	xd, h, w := pl.xd, pl.h, pl.w
-	cur := sampCursor{sampSpec: pl.samp}
-	d := 0
-	for ch := 0; ch < pl.cig; ch++ {
-		cb := base + ch*h*w
-		for ky := 0; ky < pl.kh; ky++ {
-			for kx := 0; kx < pl.kw; kx++ {
-				if cur.drop() {
-					continue
-				}
-				for j := 0; j < cnt; j++ {
-					var v float32
-					if y, x := iy0[j]+ky, ix0[j]+kx; uint(y) < uint(h) && uint(x) < uint(w) {
-						v = xd[cb+y*w+x]
-					}
-					dst[d+j*jstride] = v
-				}
-				d += lstride
-			}
-		}
-	}
-}
-
-// scatter copies a compact (m × ncols) product to the kept positions of the
-// full (m × how) output block.
-func (pl *convPlan) scatter(out, compact []float32, m int) {
-	nx, n, how := len(pl.ox), pl.ncols(), len(out)/m
-	for i := 0; i < m; i++ {
-		src, dst := compact[i*n:(i+1)*n], out[i*how:(i+1)*how]
-		for r, oy := range pl.oy {
-			srow, drow := src[r*nx:(r+1)*nx], dst[oy*pl.wo:(oy+1)*pl.wo]
-			if nx == pl.wo {
-				copy(drow, srow)
-				continue
-			}
-			for c, ox := range pl.ox {
-				drow[ox] = srow[c]
-			}
+		for c, ox := range pl.ox {
+			drow[ox] = srow[c]
 		}
 	}
 }
@@ -264,25 +266,28 @@ func panelBlock(kc int) int {
 	return max(packBlockFloats/(kc*gemmNR)&^1, 2)
 }
 
-// blocked computes c = a · B for one (img, grp): a is the (m × kc) weight
-// block with m ≥ gemmMR, B the patch matrix, c the zeroed (m × ncols)
-// result. One dispatch over panel ranges replaces pack-barrier-multiply:
-// each worker packs a block of its panels, multiplies all of A against it
-// and applies ep to every finished row segment (C row i is output channel
-// chan0+i). The unit past the last full panel is the ncols mod gemmNR tail.
-func (pl *convPlan) blocked(a, c []float32, m, img, grp int, ep *rowEpi, chan0 int) {
+// blocked computes c = a · B for one (image, group): a is the (m × kc)
+// weight block with m ≥ gemmMR, B the patch matrix over planes, c the zeroed
+// (m × ncols) result. One dispatch over panel ranges replaces
+// pack-barrier-multiply: each worker packs a block of its panels, multiplies
+// all of A against it and applies ep to every finished row segment (C row i
+// is output channel chan0+i). The unit past the last full panel is the
+// ncols mod gemmNR tail. Ranges are cut between panel pairs, and blocks
+// inside a range are even (panelBlock), so only the last pair of the call
+// can be a single panel for the half-rate 4×4 tile.
+func (pl *convPlan) blocked(a, planes, c []float32, m int, ep *rowEpi, chan0 int) {
 	units := (pl.ncols() + gemmNR - 1) / gemmNR
 	if parallel.Serial() {
-		pl.blockedRange(a, c, m, img, grp, ep, chan0, 0, units)
+		pl.blockedRange(a, planes, c, m, ep, chan0, 0, units)
 		return
 	}
-	parallel.ForChunked(units, func(lo, hi int) {
-		pl.blockedRange(a, c, m, img, grp, ep, chan0, lo, hi)
+	parallel.ForChunked((units+1)/2, func(lo, hi int) {
+		pl.blockedRange(a, planes, c, m, ep, chan0, 2*lo, min(2*hi, units))
 	})
 }
 
-// blockedRange is one worker's share of blocked: units [lo,hi).
-func (pl *convPlan) blockedRange(a, c []float32, m, img, grp int, ep *rowEpi, chan0, lo, hi int) {
+// blockedRange is one worker's share of blocked: units [lo,hi), lo even.
+func (pl *convPlan) blockedRange(a, planes, c []float32, m int, ep *rowEpi, chan0, lo, hi int) {
 	n, kc := pl.ncols(), pl.kc
 	np := n / gemmNR
 	psz := kc * gemmNR
@@ -298,7 +303,7 @@ func (pl *convPlan) blockedRange(a, c []float32, m, img, grp int, ep *rowEpi, ch
 			b1 = phi
 		}
 		panels := buf[:(b1-b0)*psz]
-		pl.packPanels(panels, img, grp, b0, b1)
+		pl.packPanels(panels, planes, b0, b1)
 		for i0 := 0; i0 < m; i0 += gemmMR {
 			rows := m - i0
 			if rows > gemmMR {
@@ -312,7 +317,7 @@ func (pl *convPlan) blockedRange(a, c []float32, m, img, grp int, ep *rowEpi, ch
 	}
 	if hi > np {
 		tail := buf[:(n-np*gemmNR)*kc]
-		pl.packTail(tail, img, grp)
+		pl.packColumns(tail, planes, np*gemmNR, n-np*gemmNR, 1, kc)
 		for i := 0; i < m; i++ {
 			crow := c[i*n : (i+1)*n]
 			gemmTailRowPre(a[i*kc:(i+1)*kc], tail, crow, n, np*gemmNR)
@@ -364,6 +369,7 @@ func (pl *convPlan) direct(a, out []float32, m, img, grp int, ep *rowEpi, chan0 
 						hi = wo
 					}
 					for _, oy := range pl.oy {
+						oy := int(oy)
 						iy := oy*pl.sh - pl.ph + ky
 						if uint(iy) >= uint(h) {
 							continue
@@ -372,8 +378,8 @@ func (pl *convPlan) direct(a, out []float32, m, img, grp int, ep *rowEpi, chan0 
 						dst := crow[oy*wo : (oy+1)*wo]
 						switch {
 						case len(pl.ox) != wo:
-							for c, ox := range pl.ox {
-								if ix := pl.ix0[c] + kx; uint(ix) < uint(w) {
+							for _, ox := range pl.ox {
+								if ix := int(ox)*sw + off; uint(ix) < uint(w) {
 									dst[ox] += av * src[ix]
 								}
 							}

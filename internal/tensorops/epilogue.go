@@ -11,10 +11,11 @@ import (
 // GEMM completes it, while the row is still hot in cache, as the chain
 // quantize-writeback, add bias, quantize, activate, quantize per element;
 // each quantization runs only under FP16. One function, rowEpi.apply, runs
-// that chain for every caller: the fused GEMM writeback, ApplyEpilogue for
-// the kernels that cannot fuse, and the standalone BiasAdd/ReLU/
-// ClippedReLU/Tanh operators. Under tierAVX it is a single pass of
-// epilogueRowAVX; rowEpi.passes is the scalar chain it is pinned to.
+// that chain for every caller: the fused GEMM writeback, perforation's pass
+// over each finished plane, ApplyEpilogue for the kernels that cannot fuse,
+// and the standalone BiasAdd/ReLU/ClippedReLU/Tanh operators. Under tierAVX
+// it is one pass of epilogueRowAVX; rowEpi.passes is the scalar chain it is
+// pinned to.
 
 // ActKind selects the activation applied by an Epilogue.
 type ActKind int
@@ -164,11 +165,11 @@ const epiBlock = 16 << 10
 
 // ApplyEpilogue applies bias + activation (+ FP16 re-quantization after
 // each step) to out in place, in a single pass without clones. It serves
-// the kernel variants whose epilogue cannot fuse into the GEMM writeback
-// (perforated convolution interpolates the raw output first; PROMISE
-// perturbs it) and the standalone operators in ops.go. Under FP16 a kernel's
-// output must already carry its own writeback quantization (convolve's FP16
-// paths guarantee this).
+// the kernel variants whose epilogue cannot fuse into the engine (PROMISE
+// perturbs the raw output first; int8 computes outside it) and the
+// standalone operators in ops.go. Under FP16 a kernel's output must already
+// carry its own writeback quantization (convolve's FP16 paths guarantee
+// this).
 func ApplyEpilogue(out *tensor.Tensor, ep Epilogue, prec Precision) *tensor.Tensor {
 	e := newRowEpi(ep, out.Rank() == 4, prec == FP16, false)
 	if e == nil {

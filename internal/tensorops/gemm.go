@@ -27,8 +27,9 @@
 // from two adjacent panels (gemm_avx_amd64.s) where the processor has AVX
 // and the OS saves YMM state; the SSE2 4×4 kernel (gemm_amd64.s) on every
 // other amd64, and for an odd last panel under AVX; the pure Go microKernel4
-// everywhere else. The AVX tier also covers the rest of a layer
-// (rowops_avx_amd64.s): the bias/activation/FP16 epilogue of a C row in one
+// everywhere else. The AVX tier also covers the rest of a layer: the copy
+// that packs a convolution's panels (pack_avx_amd64.s), and in
+// rowops_avx_amd64.s the bias/activation/FP16 epilogue of a C row in one
 // pass, tanh32 four float64 lanes at a time, and the axpy under the
 // depthwise and small-batch dense kernels; the other tiers run the scalar Go
 // those transcribe. tensor.QuantizeFP16Slice has a vector tier of its own
@@ -41,11 +42,11 @@
 // blocked GEMM under each tier against the naive triple loop
 // (gemm_test.go), the vector tanh against tanh32 over all 2^32 inputs
 // (tanh_vector_test.go), the epilogue and axpy kernels against the scalar
-// chain (rowops_test.go, table and fuzz), the fused epilogues against the
-// standalone operators (panelcache_test.go), and the direct-pack
-// convolution with its N- and K-shrinking against im2col + reference GEMM
-// computing everything (convdiff_test.go, table and fuzz, again under each
-// tier).
+// chain (rowops_test.go, table and fuzz), the pack routine against its
+// definition (pack_test.go), the fused epilogues against the standalone
+// operators (panelcache_test.go), and the lowered convolution with its N-
+// and K-shrinking against im2col + reference GEMM computing everything
+// (convdiff_test.go, tables and fuzz, again under each tier).
 package tensorops
 
 import (
@@ -192,12 +193,17 @@ func gemmRun(a, b, c []float32, m, k, n int, quantB bool, pre *prepacked, ep *ro
 	}
 }
 
-// gemmSaxpyRows runs gemmSaxpyRow over C rows [lo,hi), applying the
-// fused epilogue to each completed row.
+// gemmSaxpyRows runs gemmSaxpyRow over C rows [lo,hi) — with quantB, through
+// one pooled buffer for the quantized B row — and applies ep to each.
 func gemmSaxpyRows(lo, hi int, a, b, c []float32, k, n int, quantB bool, ep *rowEpi) {
+	var qrow []float32
+	if quantB {
+		qrow = tensor.Scratch(n)
+		defer tensor.Release(qrow)
+	}
 	for i := lo; i < hi; i++ {
 		crow := c[i*n : (i+1)*n]
-		gemmSaxpyRow(a[i*k:(i+1)*k], b, crow, n, quantB)
+		gemmSaxpyRow(a[i*k:(i+1)*k], b, crow, n, qrow)
 		ep.apply(crow, i)
 	}
 }
@@ -441,22 +447,21 @@ func gemmTailRow(arow, b, crow []float32, n, j0 int, quantB bool) {
 // gemmSaxpyRow computes one C row by streaming whole B rows (the shape of
 // the pre-blocking kernel), used when m < gemmMR and packing B would cost
 // as much as the multiply itself. Each crow[j] accumulates in ascending-l
-// order, so the result is bit-identical to the packed path's. With quantB
-// each B element is quantized on access.
-func gemmSaxpyRow(arow, b, crow []float32, n int, quantB bool) {
+// order, so the result is bit-identical to the packed path's. A non-nil
+// qrow (n floats) selects FP16: each B row is quantized into it on access,
+// eight at a time where the CPU has F16C, and multiplied from there.
+func gemmSaxpyRow(arow, b, crow []float32, n int, qrow []float32) {
 	for l, av := range arow {
 		// sparsity fast path: exactly-zero activations contribute nothing
 		if av == 0 {
 			continue
 		}
 		brow := b[l*n : (l+1)*n]
-		if quantB {
-			for j, bv := range brow {
-				crow[j] += av * tensor.QuantizeFP16(bv)
-			}
-		} else {
-			axpy(crow, brow, av)
+		if qrow != nil {
+			tensor.QuantizeFP16Slice(qrow, brow)
+			brow = qrow
 		}
+		axpy(crow, brow, av)
 	}
 }
 

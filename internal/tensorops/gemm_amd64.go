@@ -16,6 +16,13 @@ func microKernel4SSE(a0, a1, a2, a3, panel, c0, c1, c2, c3 *float32, kc int)
 //go:noescape
 func gemmRows4AVX(a, panels, c *float32, kc, ldc, pairs int)
 
+// packRunAVX is the pack routine in pack_avx_amd64.s: dst[(p*kc+l)*4 : +4] =
+// src[offs[l]+4p : +4] for p < run, l < kc. It checks no bound (packRun
+// does); kc and run must be positive.
+//
+//go:noescape
+func packRunAVX(dst, src *float32, offs *int32, kc, run int)
+
 // bestTier is the CPU's choice: AVX where the probe found it, otherwise
 // SSE2, which every amd64 has.
 func bestTier() kernelTier {

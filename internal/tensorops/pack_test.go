@@ -1,0 +1,66 @@
+package tensorops
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// packCase draws what one packRun call sees: kc ascending offsets the way a
+// plan's table ascends (steps of 1 inside a filter row, jumps between rows
+// and channels), and a source cut to exactly the extent the routine may
+// read — one float shorter and packRun's own slicing panics. Every source
+// element is its index, so a misplaced copy names where it read.
+func packCase(g *tensor.RNG, kc, run int) (offs []int32, src []float32) {
+	offs = make([]int32, kc)
+	o := g.Intn(4)
+	for l := range offs {
+		offs[l] = int32(o)
+		o += 1 + g.Intn(2)*g.Intn(40)
+	}
+	src = make([]float32, int(offs[kc-1])+run*gemmNR)
+	for i := range src {
+		src[i] = float32(i)
+	}
+	return offs, src
+}
+
+// TestPackRunTiersMatch pins every tier of packRun — the AVX routine, which
+// checks no bounds, and the Go loop — to the definition dst[(p·kc+l)·4+j] =
+// src[offs[l]+4p+j], over random (kc, run, offsets): odd and even kc and
+// run exercise the pair loop, its odd-l step and the single-panel loop. dst
+// sits between guard words that must survive.
+func TestPackRunTiersMatch(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(61)
+		const guard = 8
+		for iter := 0; iter < 400; iter++ {
+			kc, run := 1+g.Intn(40), 1+g.Intn(9)
+			if iter%10 == 0 {
+				kc = []int{27, 144, 576, 1152}[iter/10%4]
+			}
+			offs, src := packCase(g, kc, run)
+			buf := make([]float32, 2*guard+run*kc*gemmNR)
+			for i := range buf {
+				buf[i] = float32(math.NaN())
+			}
+			dst := buf[guard : len(buf)-guard : len(buf)-guard]
+			packRun(dst, src, offs, run)
+			for i, v := range buf {
+				in := i >= guard && i < len(buf)-guard
+				if !in {
+					if !math.IsNaN(float64(v)) {
+						t.Fatalf("kc=%d run=%d: guard word %d overwritten with %v", kc, run, i-guard, v)
+					}
+					continue
+				}
+				d := i - guard
+				p, l, j := d/(kc*gemmNR), d/gemmNR%kc, d%gemmNR
+				if want := float32(int(offs[l]) + p*gemmNR + j); v != want {
+					t.Fatalf("kc=%d run=%d: dst[panel %d][l %d][%d] = %v, want src[%v]", kc, run, p, l, j, v, want)
+				}
+			}
+		}
+	})
+}

@@ -196,6 +196,77 @@ func TestConv2DFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestConv2DPerforatedFusedMatchesUnfused pins perforation's fused tail —
+// scatter, interpolation and epilogue one output plane at a time — against
+// the standalone chain: the bare perforated convolution followed by the
+// whole-tensor operators. Rows and columns, strides 2–4 at every offset,
+// both precisions, the blocked kernel (cog 8) and the direct one (cog 2),
+// on an odd-sized output so that a skipped row or column also falls last.
+func TestConv2DPerforatedFusedMatchesUnfused(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(37)
+		for _, groups := range []int{1, 4} {
+			p := ConvParams{PadH: 1, PadW: 1, Groups: groups}
+			x := randTensor(g, 2, 4, 9, 11)
+			w := randTensor(g, 8, 4/groups, 3, 3)
+			bias := randTensor(g, w.Dim(0))
+			for _, prec := range []Precision{FP32, FP16} {
+				for _, dir := range []PerfDirection{PerfRows, PerfCols} {
+					for stride := 2; stride <= 4; stride++ {
+						for off := 0; off < stride; off++ {
+							for _, tc := range fusedCases {
+								ep := tc.ep
+								if tc.name != "none" && tc.name != "relu" {
+									ep.Bias = bias
+								}
+								want := unfusedChain(Conv2DPerforated(x, w, p, dir, stride, off, prec), ep, prec)
+								got := Conv2DPerforatedFused(x, w, p, dir, stride, off, prec, ep)
+								requireSameBits(t, got, want, "groups=%d %v %v stride=%d off=%d %s", groups, prec, dir, stride, off, tc.name)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestMatMulFP16SmallBatchMatchesReference pins the dense layer on a batch
+// of one to three — too few rows to pack for, so B rows are streamed and
+// under FP16 quantized a row at a time — against the quantized operands
+// through the naive kernel and the standalone chain, for a weight that
+// keeps its panels (which this batch does not use) and one that does not.
+func TestMatMulFP16SmallBatchMatchesReference(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(31)
+		for _, shape := range [][2]int{{5, 7}, {19, 8}, {33, 130}} {
+			k, m := shape[0], shape[1]
+			for n := 1; n < gemmMR; n++ {
+				x := randTensor(g, n, k)
+				x.Data()[g.Intn(n*k)] = 0 // the zero skip
+				w := randTensor(g, k, m)
+				bias := randTensor(g, m)
+				ref := tensor.New(n, m)
+				gemmRef(x.CloneFP16().Data(), w.CloneFP16().Data(), ref.Data(), n, k, m)
+				ref.ToFP16()
+				for _, cacheable := range []bool{false, true} {
+					if cacheable {
+						w.MarkCacheable()
+					}
+					for _, tc := range fusedCases {
+						ep := tc.ep
+						if tc.name != "none" && tc.name != "relu" {
+							ep.Bias = bias
+						}
+						want := unfusedChain(ref.Clone(), ep, FP16)
+						requireSameBits(t, MatMulFused(x, w, FP16, ep), want, "n=%d k=%d m=%d cacheable=%v %s", n, k, m, cacheable, tc.name)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestMatMulFusedMatchesUnfused is the dense-layer analogue.
 func TestMatMulFusedMatchesUnfused(t *testing.T) {
 	g := tensor.NewRNG(19)
