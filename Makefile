@@ -108,8 +108,10 @@ fuzz-smoke:
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that
-# tolerates zero transport failures, then SIGTERM and require a clean
-# graceful drain (exit 0).
+# tolerates zero transport failures, require /metrics to count the burst
+# under its route (a non-zero http_server_seconds series keyed
+# `POST /v1/infer`, so a rename cannot drop it silently), then SIGTERM
+# and require a clean graceful drain (exit 0).
 serve-smoke:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/approxserve ./cmd/approxserve || exit 1; \
@@ -125,6 +127,9 @@ serve-smoke:
 	url="http://$$(cat $$tmp/ready)"; \
 	if ! $$tmp/loadgen -url $$url -n 32 -c 4 -items 2 -seed 7 -max-errors 0; then \
 		echo "serve-smoke: loadgen burst failed"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
+	fi; \
+	if ! curl -sf "$$url/metrics?format=prom" | grep -qE '^http_server_seconds_count\{key="POST /v1/infer"\} [1-9]'; then \
+		echo "serve-smoke: /metrics has no non-zero http_server_seconds series for POST /v1/infer"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
 	fi; \
 	kill -TERM $$pid; \
 	if ! wait $$pid; then \

@@ -22,7 +22,8 @@ package main
 
 import (
 	"flag"
-	"log"
+	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -41,34 +42,46 @@ import (
 	"repro/internal/tensorops"
 )
 
-func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		benchmark  = flag.String("benchmark", "lenet", "zoo benchmark to serve; one of: "+strings.Join(models.Names(), ", "))
-		modelJSON  = flag.String("model-json", "", "serve a model compiled from this JSON spec instead of a zoo benchmark")
-		width      = flag.Float64("width", 0.25, "channel-width multiplier for zoo benchmarks")
-		seed       = flag.Int64("seed", 1, "seed for weights, tuner and executor RNG")
-		curvePath  = flag.String("curve", "", "tradeoff-curve JSON (approxtune output); empty builds a built-in ladder")
-		policyName = flag.String("policy", "enforce", "runtime policy: enforce | average")
-		slo        = flag.Duration("slo", 50*time.Millisecond, "per-request latency SLO")
-		execBudget = flag.Duration("exec-budget", 0, "per-batch execution budget for the tuner (0 = calibrate from measured baseline executions)")
-		window     = flag.Int("window", serve.DefaultWindow, "tuner control window, in batch executions")
-		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max items coalesced into one execution")
-		maxQueue   = flag.Int("max-queue", serve.DefaultMaxQueue, "admission queue bound, in requests (backpressure beyond)")
-		linger     = flag.Duration("linger", serve.DefaultLinger, "longest a batch is held open for requests whose bodies have already reached the server (queued requests join at once; nothing else is waited for)")
-		drain      = flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-drain bound on shutdown")
-		readyFile  = flag.String("ready-file", "", "write the bound address to this file once serving")
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-		traceReqs  = flag.Bool("trace-requests", true, "request-scoped tracing: per-request spans, traceparent propagation, tail sampling, histogram exemplars")
-		traceSeed  = flag.Int64("trace-seed", 0, "seed for trace IDs and tail-sampling floor decisions (0 = clock-derived)")
-		flightPath = flag.String("flight", "", "append flight-recorder dumps (drift latch, health 503) to this file as JSONL")
-		slowAfter  = flag.Int("slow-after", 0, "with -slow-factor: inject the slowdown after this many batches")
-		slowFactor = flag.Float64("slow-factor", 0, "inject an artificial batch slowdown of this factor (>1) — chaos/smoke hook")
+// run is the command: 0 after a clean drain, 2 on a usage error, 1 on any
+// other.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("approxserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr       = fs.String("addr", ":8080", "listen address")
+		benchmark  = fs.String("benchmark", "lenet", "zoo benchmark to serve; one of: "+strings.Join(models.Names(), ", "))
+		modelJSON  = fs.String("model-json", "", "serve a model compiled from this JSON spec instead of a zoo benchmark")
+		width      = fs.Float64("width", 0.25, "channel-width multiplier for zoo benchmarks")
+		seed       = fs.Int64("seed", 1, "seed for weights, tuner and executor RNG")
+		curvePath  = fs.String("curve", "", "tradeoff-curve JSON (approxtune output); empty builds a built-in ladder")
+		policyName = fs.String("policy", "enforce", "runtime policy: enforce | average")
+		slo        = fs.Duration("slo", 50*time.Millisecond, "per-request latency SLO")
+		execBudget = fs.Duration("exec-budget", 0, "per-batch execution budget for the tuner (0 = calibrate from measured baseline executions)")
+		window     = fs.Int("window", serve.DefaultWindow, "tuner control window, in batch executions")
+		maxBatch   = fs.Int("max-batch", serve.DefaultMaxBatch, "max items coalesced into one execution")
+		maxQueue   = fs.Int("max-queue", serve.DefaultMaxQueue, "admission queue bound, in requests (backpressure beyond)")
+		linger     = fs.Duration("linger", serve.DefaultLinger, "longest a batch is held open for requests whose bodies have already reached the server (queued requests join at once; nothing else is waited for)")
+		drain      = fs.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-drain bound on shutdown")
+		readyFile  = fs.String("ready-file", "", "write the bound address to this file once serving")
+
+		traceReqs  = fs.Bool("trace-requests", true, "request-scoped tracing: per-request spans, traceparent propagation, tail sampling, histogram exemplars")
+		traceSeed  = fs.Int64("trace-seed", 0, "seed for trace IDs and tail-sampling floor decisions (0 = clock-derived)")
+		flightPath = fs.String("flight", "", "append flight-recorder dumps (drift latch, health 503) to this file as JSONL")
+		slowAfter  = fs.Int("slow-after", 0, "with -slow-factor: inject the slowdown after this many batches")
+		slowFactor = fs.Float64("slow-factor", 0, "inject an artificial batch slowdown of this factor (>1) — chaos/smoke hook")
 	)
-	oc := obs.RegisterFlags(nil)
-	flag.Parse()
-	if err := oc.Activate(os.Stderr); err != nil {
-		log.Fatalf("approxserve: %v", err)
+	oc := obs.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "approxserve: %v\n", err)
+		return 1
+	}
+	if err := oc.Activate(stderr); err != nil {
+		return fail(err)
 	}
 	defer oc.Close()
 	logger := oc.Log
@@ -79,23 +92,23 @@ func main() {
 	case "average":
 		policy = core.PolicyAverage
 	default:
-		log.Fatalf("approxserve: unknown policy %q (want enforce or average)", *policyName)
+		return fail(fmt.Errorf("unknown policy %q (want enforce or average)", *policyName))
 	}
 
 	g, itemDims, program, baselineQoS, err := buildModel(*benchmark, *modelJSON, *width, *seed)
 	if err != nil {
-		log.Fatalf("approxserve: %v", err)
+		return fail(err)
 	}
 
 	var curve *pareto.Curve
 	if *curvePath != "" {
 		data, err := os.ReadFile(*curvePath)
 		if err != nil {
-			log.Fatalf("approxserve: %v", err)
+			return fail(err)
 		}
 		curve, err = pareto.UnmarshalCurve(data)
 		if err != nil {
-			log.Fatalf("approxserve: %s: %v", *curvePath, err)
+			return fail(fmt.Errorf("%s: %w", *curvePath, err))
 		}
 	} else {
 		curve = ladderCurve(g, program, baselineQoS)
@@ -137,44 +150,47 @@ func main() {
 	if *flightPath != "" {
 		f, err := os.OpenFile(*flightPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			log.Fatalf("approxserve: %v", err)
+			return fail(err)
 		}
 		defer f.Close()
 		cfg.FlightLog = f
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
-		log.Fatalf("approxserve: %v", err)
+		return fail(err)
 	}
+	// SIGQUIT dumps the flight recorder to stderr and keeps serving (the
+	// classic "what is this process doing right now" probe); SIGINT and
+	// SIGTERM drain gracefully. Caught from before the ready file exists.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
+	defer signal.Stop(sigc)
 	if err := srv.Start(*addr); err != nil {
-		log.Fatalf("approxserve: %v", err)
+		_ = srv.Close()
+		return fail(err)
 	}
 	logger.Infof("approxserve: serving %s on %s (SLO %v, window %d, max batch %d, %d curve points, %s kernels)\n",
 		program, srv.Addr(), *slo, *window, *maxBatch, curve.Len(), tensorops.KernelTier())
 	if *readyFile != "" {
 		if err := os.WriteFile(*readyFile, []byte(srv.Addr()), 0o644); err != nil {
-			log.Fatalf("approxserve: %v", err)
+			_ = srv.Close()
+			return fail(err)
 		}
 	}
 
-	// SIGQUIT dumps the flight recorder to stderr and keeps serving (the
-	// classic "what is this process doing right now" probe); SIGINT and
-	// SIGTERM drain gracefully.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
 	var sig os.Signal
 	for sig = range sigc {
 		if sig != syscall.SIGQUIT {
 			break
 		}
 		logger.Infof("approxserve: SIGQUIT received; dumping flight recorder\n")
-		if err := obs.Flight().Dump(os.Stderr); err != nil {
+		if err := obs.Flight().Dump(stderr); err != nil {
 			logger.Infof("approxserve: flight dump: %v\n", err)
 		}
 	}
 	logger.Infof("approxserve: %v received; draining\n", sig)
 	if err := srv.Close(); err != nil {
-		log.Fatalf("approxserve: drain: %v", err)
+		return fail(fmt.Errorf("drain: %w", err))
 	}
 	st := srv.Stats()
 	logger.Infof("approxserve: drained cleanly: %d served, %d rejected, %d expired, %d batches, %d switches\n",
@@ -183,6 +199,7 @@ func main() {
 		seen, keptN, evicted := sampler.Stats()
 		logger.Infof("approxserve: tail sampler: %d traces seen, %d kept, %d evicted undecided\n", seen, keptN, evicted)
 	}
+	return 0
 }
 
 // buildModel constructs the served graph from a zoo benchmark or a JSON

@@ -25,11 +25,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"net"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -43,38 +42,42 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	var (
-		benchmark = flag.String("benchmark", "lenet", "one of: "+strings.Join(models.Names(), ", "))
-		devName   = flag.String("device", "gpu", "target device: gpu or cpu")
-		objective = flag.String("objective", "time", "optimize: time or energy")
-		edges     = flag.Int("edges", 8, "simulated edge devices for distributed tuning")
-		loss      = flag.Float64("max-qos-loss", 1.0, "acceptable accuracy loss (pp)")
-		images    = flag.Int("images", 64, "dataset size")
-		width     = flag.Float64("width", 0.25, "channel-width multiplier")
-		iters     = flag.Int("iters", 3000, "search iteration cap")
-		out       = flag.String("o", "", "write the final curve JSON to this file (default stdout)")
-		seed      = flag.Int64("seed", 1, "seed")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		httpMode   = flag.Bool("http", false, "run the distributed phase over a loopback HTTP coordinator + edge fleet")
-		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "HTTP mode: edge liveness lease before work is reassigned")
-		reqTimeout = flag.Duration("req-timeout", 10*time.Second, "HTTP mode: per-request timeout on the edge client")
-		retries    = flag.Int("retries", 4, "HTTP mode: retries per request (exponential backoff)")
+// run is the command: 0 on success, 2 on a usage error, 1 on any other.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("installtune", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		benchmark = fs.String("benchmark", "lenet", "one of: "+strings.Join(models.Names(), ", "))
+		devName   = fs.String("device", "gpu", "target device: gpu or cpu")
+		objective = fs.String("objective", "time", "optimize: time or energy")
+		edges     = fs.Int("edges", 8, "simulated edge devices for distributed tuning")
+		loss      = fs.Float64("max-qos-loss", 1.0, "acceptable accuracy loss (pp)")
+		images    = fs.Int("images", 64, "dataset size")
+		width     = fs.Float64("width", 0.25, "channel-width multiplier")
+		iters     = fs.Int("iters", 3000, "search iteration cap")
+		out       = fs.String("o", "", "write the final curve JSON to this file (default stdout)")
+		seed      = fs.Int64("seed", 1, "seed")
+
+		httpMode   = fs.Bool("http", false, "run the distributed phase over a loopback HTTP coordinator + edge fleet")
+		leaseTTL   = fs.Duration("lease-ttl", 30*time.Second, "HTTP mode: edge liveness lease before work is reassigned")
+		reqTimeout = fs.Duration("req-timeout", 10*time.Second, "HTTP mode: per-request timeout on the edge client")
+		retries    = fs.Int("retries", 4, "HTTP mode: retries per request (exponential backoff)")
 	)
-	oc := obs.RegisterFlags(nil)
-	flag.Parse()
-	if err := oc.Activate(os.Stderr); err != nil {
-		log.Fatalf("installtune: %v", err)
+	oc := obs.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "installtune: %v\n", err)
+		return 1
+	}
+	if err := oc.Activate(stderr); err != nil {
+		return fail(err)
 	}
 	defer oc.Close()
 	logger := oc.Log
-
-	b := models.MustBuild(*benchmark, models.Scale{Images: *images, Width: *width, Seed: *seed})
-	calib, test := b.Dataset.Split()
-	app, err := approxtuner.NewCNNApp(b.Model.Graph, calib.Images, calib.Labels, test.Images, test.Labels)
-	if err != nil {
-		log.Fatalf("installtune: %v", err)
-	}
 
 	var dev *approxtuner.Device
 	switch strings.ToLower(*devName) {
@@ -83,7 +86,16 @@ func main() {
 	case "cpu":
 		dev = approxtuner.TX2CPU()
 	default:
-		log.Fatalf("installtune: unknown device %q", *devName)
+		return fail(fmt.Errorf("unknown device %q", *devName))
+	}
+	b, err := models.Build(*benchmark, models.Scale{Images: *images, Width: *width, Seed: *seed})
+	if err != nil {
+		return fail(err)
+	}
+	calib, test := b.Dataset.Split()
+	app, err := approxtuner.NewCNNApp(b.Model.Graph, calib.Images, calib.Labels, test.Images, test.Labels)
+	if err != nil {
+		return fail(err)
 	}
 
 	spec := approxtuner.TuneSpec{
@@ -96,7 +108,7 @@ func main() {
 	logger.Infof("development-time tuning (hardware-independent knobs)...\n")
 	devRes, err := app.TuneDevelopmentTime(spec)
 	if err != nil {
-		log.Fatalf("installtune: %v", err)
+		return fail(err)
 	}
 	logger.Infof("shipped curve: %d points\n", devRes.Curve.Len())
 	logger.Verbosef("development-time search: %d iterations, %d candidates, α=%.3f\n",
@@ -109,7 +121,7 @@ func main() {
 	var curve *approxtuner.Curve
 	if *httpMode {
 		if devRes.Profiles == nil {
-			log.Fatalf("installtune: -http needs development-time profiles (predictive path)")
+			return fail(errors.New("-http needs development-time profiles (predictive path)"))
 		}
 		opts := app.InstallOptionsFor(dev, spec, obj, *edges)
 		opts.LeaseTTL = *leaseTTL
@@ -119,7 +131,7 @@ func main() {
 			dev.Name, obj, *edges, *leaseTTL)
 		curve, err = runDistributed(app, devRes, dev, opts, logger)
 		if err != nil {
-			log.Fatalf("installtune: %v", err)
+			return fail(err)
 		}
 		logger.Infof("final curve: %d points\n", curve.Len())
 	} else {
@@ -127,7 +139,7 @@ func main() {
 			dev.Name, obj, *edges)
 		inst, err := app.TuneInstallTime(devRes, dev, spec, obj, *edges)
 		if err != nil {
-			log.Fatalf("installtune: %v", err)
+			return fail(err)
 		}
 		curve = inst.Curve
 		logger.Infof(
@@ -144,16 +156,17 @@ func main() {
 
 	data, err := approxtuner.SaveCurve(curve)
 	if err != nil {
-		log.Fatalf("installtune: %v", err)
+		return fail(err)
 	}
 	if *out == "" {
-		fmt.Println(string(data))
-		return
+		fmt.Fprintln(stdout, string(data))
+		return 0
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		log.Fatalf("installtune: %v", err)
+		return fail(err)
 	}
 	logger.Infof("curve written to %s\n", *out)
+	return 0
 }
 
 // runDistributed executes the install-time distributed phase over a real
@@ -165,14 +178,12 @@ func runDistributed(app *approxtuner.App, devRes *approxtuner.Result, dev *appro
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := obs.Listen("127.0.0.1:0", coord.Handler())
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
-	baseURL := "http://" + ln.Addr().String()
+	baseURL := "http://" + srv.Addr
 
 	ctx := context.Background()
 	errs := make([]error, opts.NEdge)
@@ -204,15 +215,9 @@ func runDistributed(app *approxtuner.App, devRes *approxtuner.Result, dev *appro
 // per-edge and fleet-total summary. Telemetry display is best-effort:
 // a failed fetch only logs a warning.
 func logFleetStats(baseURL string, logger *obs.Logger) {
-	cl := &http.Client{Timeout: 5 * time.Second}
-	resp, err := cl.Get(baseURL + "/v1/stats")
-	if err != nil {
-		logger.Errorf("fleet stats: %v\n", err)
-		return
-	}
-	defer resp.Body.Close()
 	var fs distrib.FleetStats
-	if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
+	cl := &http.Client{Timeout: 5 * time.Second}
+	if err := obs.GetJSON(context.Background(), cl, baseURL+"/v1/stats", &fs); err != nil {
 		logger.Errorf("fleet stats: %v\n", err)
 		return
 	}

@@ -38,9 +38,9 @@ package distrib
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -76,12 +76,8 @@ type Coordinator struct {
 	final     *pareto.Curve
 	edgeTel   map[int]edgeTelemetryReq // edgeID → end-of-run client telemetry
 
-	// stats mirrors the HTTP middleware telemetry for this coordinator
-	// instance (httpmw.go); it has its own lock.
-	stats httpStats
-
 	// Server-side trace capture: when a request arrives with a W3C
-	// traceparent header, the middleware opens a coord:<path> span under
+	// traceparent header, traced opens a coord:<path> span under
 	// the caller's trace so GET /v1/stats can assemble the cross-process
 	// trace. The tracer is private to this coordinator and retains the
 	// most recent maxCoordSpans records.
@@ -162,9 +158,8 @@ type registerResp struct {
 
 type profilesReq struct {
 	EdgeID int `json:"edge_id"`
-	// Shard is the profile shard the payload covers; nil means the edge's
-	// own shard (wire compatibility with fault-oblivious clients).
-	Shard    *int            `json:"shard,omitempty"`
+	// Shard is the profile shard the payload covers. Required.
+	Shard    *int            `json:"shard"`
 	Attempt  int             `json:"attempt,omitempty"`
 	Profiles json.RawMessage `json:"profiles"`
 }
@@ -181,9 +176,8 @@ type assignmentsResp struct {
 
 type validatedReq struct {
 	EdgeID int `json:"edge_id"`
-	// Slice is the shortlist slice the points validate; nil means the
-	// edge's own slice.
-	Slice   *int           `json:"slice,omitempty"`
+	// Slice is the shortlist slice the points validate. Required.
+	Slice   *int           `json:"slice"`
 	Attempt int            `json:"attempt,omitempty"`
 	Points  []pareto.Point `json:"points"`
 }
@@ -196,33 +190,51 @@ type curveResp struct {
 	Revalidate *int `json:"revalidate,omitempty"`
 }
 
-// Handler returns the coordinator's HTTP API. Every protocol endpoint
-// runs behind the telemetry middleware (httpmw.go); the handler also
-// serves the fleet stats at GET /v1/stats, the process metric registry
-// at /metrics (JSON or Prometheus text, content-negotiated) and a
-// liveness probe at /healthz, so a coordinator is scrapeable without a
-// separate -metrics-addr endpoint.
+// Handler returns the coordinator's HTTP API: the protocol endpoints, the
+// fleet stats at GET /v1/stats, the process metric registry at /metrics
+// (JSON or Prometheus text, content-negotiated) and a liveness probe at
+// /healthz, so a coordinator is scrapeable without a separate
+// -metrics-addr endpoint. Every route is counted by obs.Route and
+// continues an inbound trace (traced).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/register", c.instrument("/v1/register", c.handleRegister))
-	mux.HandleFunc("POST /v1/profiles", c.instrument("/v1/profiles", c.handleProfiles))
-	mux.HandleFunc("GET /v1/assignments", c.instrument("/v1/assignments", c.handleAssignments))
-	mux.HandleFunc("POST /v1/validated", c.instrument("/v1/validated", c.handleValidated))
-	mux.HandleFunc("GET /v1/curve", c.instrument("/v1/curve", c.handleCurve))
-	mux.HandleFunc("POST /v1/telemetry", c.instrument("/v1/telemetry", c.handleTelemetry))
-	mux.HandleFunc("GET /v1/stats", c.handleStats)
-	mux.Handle("GET /metrics", obs.MetricsHandler(nil))
-	mux.Handle("GET /healthz", obs.HealthzHandler())
+	for _, rt := range []struct {
+		pattern string
+		h       http.Handler
+	}{
+		{"POST /v1/register", http.HandlerFunc(c.handleRegister)},
+		{"POST /v1/profiles", http.HandlerFunc(c.handleProfiles)},
+		{"GET /v1/assignments", http.HandlerFunc(c.handleAssignments)},
+		{"POST /v1/validated", http.HandlerFunc(c.handleValidated)},
+		{"GET /v1/curve", http.HandlerFunc(c.handleCurve)},
+		{"POST /v1/telemetry", http.HandlerFunc(c.handleTelemetry)},
+		{"GET /v1/stats", http.HandlerFunc(c.handleStats)},
+		{"GET /metrics", obs.MetricsHandler(nil)},
+		{"GET /healthz", obs.HealthzHandler()},
+	} {
+		mux.Handle(rt.pattern, obs.Route(rt.pattern, c.traced(rt.pattern, rt.h)))
+	}
 	return mux
+}
+
+// traced continues the caller's trace, when the request carries a W3C
+// traceparent, in a coord:<path> span that ends with the handler and
+// records the status it answered.
+func (c *Coordinator) traced(pattern string, h http.Handler) http.Handler {
+	_, path, _ := strings.Cut(pattern, " ")
+	name := "coord:" + path
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if sc := obs.Extract(r.Header); sc.Valid() {
+			sp := c.tracer.StartRemote(sc, name)
+			defer func() { sp.With("status", obs.StatusOf(w)).End() }()
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerReq
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.EdgeID < 0 || req.EdgeID >= c.opts.NEdge {
-		http.Error(w, fmt.Sprintf("edge id %d out of range [0,%d)", req.EdgeID, c.opts.NEdge), http.StatusBadRequest)
+	if !obs.ReadJSON(w, r, &req) || !c.inFleet(w, "edge id", &req.EdgeID) {
 		return
 	}
 	c.mu.Lock()
@@ -253,7 +265,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch := st.epoch
 	c.mu.Unlock()
-	writeJSON(w, registerResp{
+	obs.ReplyJSON(w, http.StatusOK, registerResp{
 		Seed:        c.opts.Seed,
 		NEdge:       c.opts.NEdge,
 		AllowFP16:   c.opts.Policy.AllowFP16,
@@ -266,27 +278,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	var req profilesReq
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.EdgeID < 0 || req.EdgeID >= c.opts.NEdge {
-		http.Error(w, fmt.Sprintf("edge id %d out of range [0,%d)", req.EdgeID, c.opts.NEdge), http.StatusBadRequest)
-		return
-	}
-	shard := req.EdgeID
-	if req.Shard != nil {
-		shard = *req.Shard
-	}
-	if shard < 0 || shard >= c.opts.NEdge {
-		http.Error(w, fmt.Sprintf("shard %d out of range [0,%d)", shard, c.opts.NEdge), http.StatusBadRequest)
+	if !obs.ReadJSON(w, r, &req) || !c.inFleet(w, "edge id", &req.EdgeID) || !c.inFleet(w, "shard", req.Shard) {
 		return
 	}
 	profs, err := predictor.UnmarshalProfiles(req.Profiles)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		obs.ReplyError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if shards := c.applyProfiles(req, shard, profs); shards != nil {
+	if shards := c.applyProfiles(req, profs); shards != nil {
 		c.search(shards)
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -296,7 +296,8 @@ func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 // absorbed). The upload that completes the set — there is exactly one,
 // since a filled shard is never written again — gets the shards back in
 // unit order and owes the fleet the search.
-func (c *Coordinator) applyProfiles(req profilesReq, shard int, profs *predictor.Profiles) []*predictor.Profiles {
+func (c *Coordinator) applyProfiles(req profilesReq, profs *predictor.Profiles) []*predictor.Profiles {
+	shard := *req.Shard
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(req.EdgeID)
@@ -359,7 +360,7 @@ func (c *Coordinator) search(shards []*predictor.Profiles) {
 }
 
 func (c *Coordinator) handleAssignments(w http.ResponseWriter, r *http.Request) {
-	edgeID, ok := edgeParam(w, r, c.opts.NEdge)
+	edgeID, ok := c.edgeParam(w, r)
 	if !ok {
 		return
 	}
@@ -367,7 +368,7 @@ func (c *Coordinator) handleAssignments(w http.ResponseWriter, r *http.Request) 
 	defer c.mu.Unlock()
 	c.touchLocked(edgeID)
 	if c.searchErr != nil {
-		http.Error(w, c.searchErr.Error(), http.StatusInternalServerError)
+		obs.ReplyError(w, http.StatusInternalServerError, c.searchErr.Error())
 		return
 	}
 	if !c.searched {
@@ -382,29 +383,18 @@ func (c *Coordinator) handleAssignments(w http.ResponseWriter, r *http.Request) 
 			resp.Reprofile = &shard
 			mReassignedShards.Inc()
 		}
-		writeJSON(w, resp)
+		obs.ReplyJSON(w, http.StatusOK, resp)
 		return
 	}
-	writeJSON(w, assignmentsResp{Ready: true, Shortlist: c.shortlist})
+	obs.ReplyJSON(w, http.StatusOK, assignmentsResp{Ready: true, Shortlist: c.shortlist})
 }
 
 func (c *Coordinator) handleValidated(w http.ResponseWriter, r *http.Request) {
 	var req validatedReq
-	if !decode(w, r, &req) {
+	if !obs.ReadJSON(w, r, &req) || !c.inFleet(w, "edge id", &req.EdgeID) || !c.inFleet(w, "slice", req.Slice) {
 		return
 	}
-	if req.EdgeID < 0 || req.EdgeID >= c.opts.NEdge {
-		http.Error(w, fmt.Sprintf("edge id %d out of range [0,%d)", req.EdgeID, c.opts.NEdge), http.StatusBadRequest)
-		return
-	}
-	slice := req.EdgeID
-	if req.Slice != nil {
-		slice = *req.Slice
-	}
-	if slice < 0 || slice >= c.opts.NEdge {
-		http.Error(w, fmt.Sprintf("slice %d out of range [0,%d)", slice, c.opts.NEdge), http.StatusBadRequest)
-		return
-	}
+	slice := *req.Slice
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(req.EdgeID)
@@ -435,41 +425,31 @@ func (c *Coordinator) handleValidated(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleCurve(w http.ResponseWriter, r *http.Request) {
-	// The edge parameter is optional (wire compatibility): without it the
-	// response still reports curve readiness, but the caller's lease is
-	// not renewed and no orphaned work can be offered to it.
+	edgeID, ok := c.edgeParam(w, r)
+	if !ok {
+		return
+	}
 	var resp curveResp
 	c.mu.Lock()
-	if s := r.URL.Query().Get("edge"); s != "" {
-		edgeID, err := strconv.Atoi(s)
-		if err != nil || edgeID < 0 || edgeID >= c.opts.NEdge {
-			c.mu.Unlock()
-			http.Error(w, fmt.Sprintf("bad edge query parameter %q", s), http.StatusBadRequest)
-			return
-		}
-		c.touchLocked(edgeID)
-		if c.final == nil && c.searched && c.searchErr == nil {
-			if slice, ok := c.orphanSliceLocked(edgeID); ok {
-				c.valWork[slice].owner = edgeID
-				resp.Revalidate = &slice
-				mReassignedSlices.Inc()
-			}
+	c.touchLocked(edgeID)
+	if c.final == nil && c.searched && c.searchErr == nil {
+		if slice, ok := c.orphanSliceLocked(edgeID); ok {
+			c.valWork[slice].owner = edgeID
+			resp.Revalidate = &slice
+			mReassignedSlices.Inc()
 		}
 	}
 	final := c.final
 	c.mu.Unlock()
-	if final == nil {
-		writeJSON(w, resp)
-		return
+	if final != nil {
+		data, err := final.Marshal()
+		if err != nil {
+			obs.ReplyError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		resp.Ready, resp.Curve = true, data
 	}
-	data, err := final.Marshal()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	resp.Ready = true
-	resp.Curve = data
-	writeJSON(w, resp)
+	obs.ReplyJSON(w, http.StatusOK, resp)
 }
 
 // FinalCurve returns the final tradeoff curve once all slices reported, or
@@ -583,34 +563,29 @@ func tokenKey(endpoint string, edge, unit, attempt int) string {
 	return fmt.Sprintf("%s/%d/%d/%d", endpoint, edge, unit, attempt)
 }
 
-// edgeParam parses and range-checks the "edge" query parameter, writing a
-// 400 response on malformed, negative, or out-of-range values.
-func edgeParam(w http.ResponseWriter, r *http.Request, nEdge int) (int, bool) {
+// inFleet checks that a request names one of the fleet's units — an edge,
+// a profile shard or a validation slice — answering 400 when id is
+// missing or out of range.
+func (c *Coordinator) inFleet(w http.ResponseWriter, what string, id *int) bool {
+	switch {
+	case id == nil:
+		obs.ReplyError(w, http.StatusBadRequest, what+" missing")
+	case *id < 0 || *id >= c.opts.NEdge:
+		obs.ReplyError(w, http.StatusBadRequest, fmt.Sprintf("%s %d out of range [0,%d)", what, *id, c.opts.NEdge))
+	default:
+		return true
+	}
+	return false
+}
+
+// edgeParam reads the required "edge" query parameter, answering 400
+// unless it names an edge of the fleet.
+func (c *Coordinator) edgeParam(w http.ResponseWriter, r *http.Request) (int, bool) {
 	s := r.URL.Query().Get("edge")
 	id, err := strconv.Atoi(s)
-	if err != nil || id < 0 || id >= nEdge {
-		http.Error(w, fmt.Sprintf("bad edge query parameter %q", s), http.StatusBadRequest)
+	if err != nil {
+		obs.ReplyError(w, http.StatusBadRequest, fmt.Sprintf("bad edge query parameter %q", s))
 		return 0, false
 	}
-	return id, true
-}
-
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	return id, c.inFleet(w, "edge", &id)
 }

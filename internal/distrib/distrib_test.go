@@ -161,9 +161,9 @@ func TestRegisterRejectsBadEdgeID(t *testing.T) {
 }
 
 // TestHandlersRejectBogusIdentifiers pins the protocol-validation fixes:
-// out-of-range edge/shard/slice IDs on the upload endpoints and
-// malformed or negative edge query parameters on the poll endpoints must
-// be rejected, never silently counted toward convergence.
+// missing or out-of-range edge/shard/slice IDs on the upload endpoints and
+// missing, malformed or negative edge query parameters on the poll
+// endpoints must be rejected, never silently counted toward convergence.
 func TestHandlersRejectBogusIdentifiers(t *testing.T) {
 	gp, base := buildProgram(t)
 	coord, err := NewCoordinator(gp, devProfiles(t, gp), core.InstallOptions{
@@ -208,13 +208,16 @@ func TestHandlersRejectBogusIdentifiers(t *testing.T) {
 		{"profiles edge out of range", post("/v1/profiles", `{"edge_id":7,"profiles":`+string(profs)+`}`)},
 		{"profiles negative edge", post("/v1/profiles", `{"edge_id":-1,"profiles":`+string(profs)+`}`)},
 		{"profiles shard out of range", post("/v1/profiles", `{"edge_id":0,"shard":5,"profiles":`+string(profs)+`}`)},
-		{"validated edge out of range", post("/v1/validated", `{"edge_id":9,"points":[]}`)},
+		{"profiles missing shard", post("/v1/profiles", `{"edge_id":0,"profiles":`+string(profs)+`}`)},
+		{"validated edge out of range", post("/v1/validated", `{"edge_id":9,"slice":0,"points":[]}`)},
 		{"validated slice out of range", post("/v1/validated", `{"edge_id":0,"slice":-2,"points":[]}`)},
+		{"validated missing slice", post("/v1/validated", `{"edge_id":0,"points":[]}`)},
 		{"assignments missing edge", get("/v1/assignments")},
 		{"assignments malformed edge", get("/v1/assignments?edge=12abc")},
 		{"assignments negative edge", get("/v1/assignments?edge=-1")},
 		{"assignments out-of-range edge", get("/v1/assignments?edge=2")},
 		{"curve malformed edge", get("/v1/curve?edge=x")},
+		{"curve missing edge", get("/v1/curve")},
 	}
 	for _, tc := range cases {
 		if tc.code != 400 {
@@ -375,7 +378,7 @@ func TestSearchRunsOutsideTheLock(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return post(srv.Client(), "/v1/profiles", profilesReq{EdgeID: e, Attempt: 2, Profiles: payload})
+		return post(srv.Client(), "/v1/profiles", profilesReq{EdgeID: e, Shard: &e, Attempt: 2, Profiles: payload})
 	}
 	edgeClient := &http.Client{Timeout: opts.RequestTimeout}
 	poll := func(e int, path string, out any) {
@@ -431,7 +434,8 @@ func TestSearchRunsOutsideTheLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := post(edgeClient, "/v1/validated", validatedReq{EdgeID: 0, Attempt: 3, Points: pts}); err != nil {
+	slice := 0
+	if err := post(edgeClient, "/v1/validated", validatedReq{EdgeID: 0, Slice: &slice, Attempt: 3, Points: pts}); err != nil {
 		t.Fatal(err)
 	}
 	var cr curveResp

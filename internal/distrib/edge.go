@@ -27,11 +27,8 @@ type Edge struct {
 	BaseURL string
 	Program core.Program // shardable program (same binary as the server's)
 	Device  *device.Device
-	// Client overrides the built-in HTTP client; it should carry its own
-	// timeout. When nil a client with a per-request deadline is built.
-	Client *http.Client
-	// Transport, when Client is nil, is installed in the built-in client —
-	// the hook the fault-injection harness uses.
+	// Transport, when set, carries the edge's requests — the hook the
+	// fault-injection harness uses.
 	Transport http.RoundTripper
 	// PollInterval paces the assignment/curve polling loops (default 20ms).
 	PollInterval time.Duration
@@ -83,9 +80,6 @@ func NewEdge(id int, baseURL string, p core.Program, dev *device.Device, opts co
 }
 
 func (e *Edge) client() *http.Client {
-	if e.Client != nil {
-		return e.Client
-	}
 	if e.httpc == nil {
 		// Client-level timeout is a backstop; the per-request context
 		// deadline in doOnce is the operative bound.
@@ -231,26 +225,19 @@ func (e *Edge) reportTelemetry(ctx context.Context) {
 		Latency:  e.telLat.Snapshot(),
 	}
 	if e.span != nil {
-		// Ship the run's completed spans so GET /v1/stats can assemble the
-		// cross-process trace (bounded: telemetry must stay a small
-		// best-effort payload). The bound keeps the most recent ones:
-		// edge:run ends last, and a trace without its root is headless.
+		// Ship the run's newest completed spans so GET /v1/stats can
+		// assemble the cross-process trace (bounded: telemetry must stay a
+		// small best-effort payload).
 		tid := e.span.TraceID()
 		for _, rec := range e.Tracer.Records() {
 			if rec.TraceID == tid {
 				req.Spans = append(req.Spans, rec)
 			}
 		}
-		if n := len(req.Spans); n > maxUploadSpans {
-			req.Spans = req.Spans[n-maxUploadSpans:]
-		}
+		req.Spans = newestSpans(req.Spans)
 	}
 	_ = e.post(ctx, "/v1/telemetry", req, nil)
 }
-
-// maxUploadSpans bounds the span records attached to one telemetry
-// upload.
-const maxUploadSpans = 256
 
 // profileAndUpload runs protocol step 1 for one unit — this edge's own, or
 // a dead edge's it was offered — and uploads the profiles.
@@ -366,13 +353,13 @@ func (e *Edge) doOnce(ctx context.Context, method, path string, body []byte, out
 		return &retryableError{fmt.Errorf("distrib: %s %s: %w", method, path, err)}
 	}
 	defer r.Body.Close()
-	if r.StatusCode >= 500 {
-		msg, _ := io.ReadAll(io.LimitReader(r.Body, 1024))
-		return &retryableError{fmt.Errorf("distrib: %s %s: %s: %s", method, path, r.Status, msg)}
-	}
 	if r.StatusCode >= 300 {
 		msg, _ := io.ReadAll(io.LimitReader(r.Body, 1024))
-		return fmt.Errorf("distrib: %s %s: %s: %s", method, path, r.Status, msg)
+		err := fmt.Errorf("distrib: %s %s: %s: %s", method, path, r.Status, msg)
+		if r.StatusCode >= 500 {
+			return &retryableError{err}
+		}
+		return err
 	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, r.Body)

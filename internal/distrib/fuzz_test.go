@@ -19,7 +19,7 @@ import (
 // completes the set and starts a search). Whatever arrives, a handler must
 // not panic, must answer 2xx or 400, and may record a registration, shard,
 // slice or telemetry entry only for a body that decodes with every
-// identifier in range — a refused body leaves no state behind. An accepted
+// identifier present and in range — a refused body leaves no state behind. An accepted
 // telemetry upload must also leave GET /v1/stats able to render.
 func FuzzCoordinatorUploads(f *testing.F) {
 	gp, base := buildProgram(f)
@@ -51,18 +51,19 @@ func FuzzCoordinatorUploads(f *testing.F) {
 		{`{"edge_id":0,"attempt":1}`, `{"edge_id":2}`, `{"edge_id":-1}`, `{"edge_id":"0"}`, ``},
 		{
 			`{"edge_id":1,"shard":0,"attempt":2,"profiles":` + string(profs) + `}`,
-			`{"edge_id":7,"profiles":` + string(profs) + `}`,
-			`{"edge_id":-1,"profiles":` + string(profs) + `}`,
+			`{"edge_id":7,"shard":0,"profiles":` + string(profs) + `}`,
+			`{"edge_id":-1,"shard":1,"profiles":` + string(profs) + `}`,
 			`{"edge_id":0,"shard":5,"profiles":` + string(profs) + `}`,
-			`{"edge_id":0,"profiles":{"delta_q":[{"op":0,"knob":9999,"dq":-1}]}}`,
-			`{"edge_id":0,"profiles":{"base_out":{"dims":[2,2],"data":"AAAA"}}}`,
-			`{"edge_id":0}`,
+			`{"edge_id":0,"shard":0,"profiles":{"delta_q":[{"op":0,"knob":9999,"dq":-1}]}}`,
+			`{"edge_id":0,"shard":1,"profiles":{"base_out":{"dims":[2,2],"data":"AAAA"}}}`,
+			`{"edge_id":0,"profiles":` + string(profs) + `}`,
 		},
 		{
 			`{"edge_id":0,"slice":1,"attempt":3,"points":` + string(points) + `}`,
-			`{"edge_id":9,"points":[]}`,
+			`{"edge_id":9,"slice":0,"points":[]}`,
 			`{"edge_id":0,"slice":-2,"points":[]}`,
-			`{"edge_id":0,"points":{}}`,
+			`{"edge_id":0,"slice":0,"points":{}}`,
+			`{"edge_id":1,"points":[]}`,
 		},
 		{
 			`{"edge_id":1,"requests":12,"retries":1,"timeouts":0}`,
@@ -99,7 +100,8 @@ func FuzzCoordinatorUploads(f *testing.F) {
 
 		// Read the identifiers the way the endpoint does: each request type
 		// has edge_id, only the profiles one has shard, only the validated
-		// one slice — a key the endpoint does not know is not its to refuse.
+		// one slice, and those two are required — a key the endpoint does
+		// not know is not its to refuse.
 		var ids struct {
 			EdgeID int `json:"edge_id"`
 		}
@@ -114,10 +116,12 @@ func FuzzCoordinatorUploads(f *testing.F) {
 		switch {
 		case err != nil:
 		case path == "/v1/profiles":
+			unit = -1 // no shard named: never in range
 			if err = json.Unmarshal(body, &shard); shard.Shard != nil {
 				unit = *shard.Shard
 			}
 		case path == "/v1/validated":
+			unit = -1
 			if err = json.Unmarshal(body, &slice); slice.Slice != nil {
 				unit = *slice.Slice
 			}

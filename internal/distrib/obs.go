@@ -16,12 +16,3 @@ var (
 	mRedundantUploads = obs.NewCounter("distrib.redundant_uploads")
 	mFaultsInjected   = obs.NewCounter("distrib.faults_injected")
 )
-
-// HTTP middleware telemetry (httpmw.go): per-endpoint response counts by
-// status class, in-flight request gauges, and latency quantile
-// histograms, each keyed by endpoint path.
-var (
-	mHTTPResponses = obs.NewCounterVec("distrib.http_responses")
-	gHTTPInflight  = obs.NewGaugeVec("distrib.http_inflight")
-	mHTTPLatency   = obs.NewQHistVec("distrib.http_latency_seconds")
-)

@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -27,8 +28,8 @@ var telemetryLineRe = regexp.MustCompile(`^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:
 // criterion: a loopback fleet behind a lossy transport converges, every
 // edge's end-of-run client telemetry (requests, retries, latency) lands
 // in GET /v1/stats with correct totals, and the coordinator's own
-// /metrics endpoint serves valid Prometheus text that includes the
-// middleware's per-endpoint series.
+// /metrics endpoint counts every protocol route (obs.Route) and serves
+// valid Prometheus text.
 func TestFleetTelemetryAggregation(t *testing.T) {
 	gp, base := buildProgram(t)
 	profs := devProfiles(t, gp)
@@ -128,17 +129,29 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 	if fs.EdgeLatency.Count != wantLat {
 		t.Errorf("merged fleet latency count %d != per-edge sum %d", fs.EdgeLatency.Count, wantLat)
 	}
-	for _, path := range []string{"/v1/register", "/v1/profiles", "/v1/curve", "/v1/telemetry"} {
-		ep, ok := fs.Endpoints[path]
-		if !ok {
-			t.Errorf("/v1/stats missing endpoint %s", path)
-			continue
+	// The process-wide route families may hold other tests' requests too,
+	// so each route is checked for consistency, not for this run's counts.
+	var routes struct {
+		Seconds   map[string]obs.QSummary `json:"http.server_seconds"`
+		Responses map[string]int64        `json:"http.responses"`
+		InFlight  map[string]float64      `json:"http.in_flight"`
+	}
+	if err := json.Unmarshal(get("/metrics"), &routes); err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	for _, pattern := range []string{"POST /v1/register", "POST /v1/profiles", "GET /v1/curve", "POST /v1/telemetry"} {
+		var responses int64
+		for class := 1; class <= 5; class++ {
+			responses += routes.Responses[fmt.Sprintf("%s %dxx", pattern, class)]
 		}
-		if ep.Requests <= 0 || ep.Latency.Count != ep.Requests {
-			t.Errorf("endpoint %s: requests=%d latency.count=%d", path, ep.Requests, ep.Latency.Count)
+		if n := routes.Seconds[pattern].Count; n <= 0 || n != responses {
+			t.Errorf("route %s: latency count %d, responses %d", pattern, n, responses)
 		}
-		if ep.ByClass["2xx"] <= 0 {
-			t.Errorf("endpoint %s has no 2xx responses: %v", path, ep.ByClass)
+		if routes.Responses[pattern+" 2xx"] <= 0 {
+			t.Errorf("route %s has no 2xx responses", pattern)
+		}
+		if f := routes.InFlight[pattern]; f != 0 {
+			t.Errorf("route %s: %v requests in flight after the run", pattern, f)
 		}
 	}
 
@@ -151,7 +164,7 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"distrib_http_latency_seconds", "distrib_http_responses", "distrib_client_retries",
+		`http_server_seconds_count{key="POST /v1/profiles"}`, `http_responses{key="GET /v1/curve 2xx"}`, "distrib_client_retries",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("coordinator /metrics missing %s", want)
@@ -249,5 +262,49 @@ func TestTelemetryUploadKeepsRunRoot(t *testing.T) {
 	}
 	if !hasRoot {
 		t.Errorf("%d spans of the run's trace reached the coordinator, edge:run not among them", len(spans))
+	}
+}
+
+// TestTelemetryKeepsNewestSpans pins the coordinator's own bound on
+// uploaded spans: an edge that sends more than maxUploadSpans records —
+// whatever its client does — has only the newest of them kept, so the run
+// root, which ends last, survives and the oldest are gone.
+func TestTelemetryKeepsNewestSpans(t *testing.T) {
+	srv := telemetryCoordinator(t)
+	tid := obs.TraceID{15: 1}
+	req := edgeTelemetryReq{EdgeID: 0}
+	for i := 0; i < 300; i++ {
+		req.Spans = append(req.Spans, obs.SpanRecord{
+			TraceID: tid, ID: int64(i + 1), Name: fmt.Sprintf("edge:request#%d", i), Start: int64(i),
+		})
+	}
+	req.Spans[299].Name = "edge:run"
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/v1/telemetry", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("telemetry upload: status %d", resp.StatusCode)
+	}
+	resp, err = srv.Client().Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fs FleetStats
+	if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
+		t.Fatal(err)
+	}
+	spans := fs.Traces[tid.String()]
+	if len(spans) != maxUploadSpans {
+		t.Fatalf("coordinator kept %d of 300 uploaded spans, want %d", len(spans), maxUploadSpans)
+	}
+	if spans[0].Name != "edge:request#44" || spans[len(spans)-1].Name != "edge:run" {
+		t.Errorf("kept spans run %q … %q, want the newest: edge:request#44 … edge:run", spans[0].Name, spans[len(spans)-1].Name)
 	}
 }

@@ -16,7 +16,6 @@ import (
 // Serving telemetry. Queue and latency state lands on /metrics (JSON or
 // Prometheus text); per-server counts live in Server.stats for /statz.
 var (
-	mRequests      = obs.NewCounter("serve.requests")
 	mRejectedFull  = obs.NewCounter("serve.rejected_full")
 	mRejectedDrain = obs.NewCounter("serve.rejected_draining")
 	mExpired       = obs.NewCounter("serve.deadline_expired")
@@ -27,14 +26,12 @@ var (
 	mLingerExpired = obs.NewCounter("serve.linger_expired")
 
 	gQueueDepth  = obs.NewGauge("serve.queue_depth")
-	gInFlight    = obs.NewGauge("serve.in_flight")
 	gRecalNeeded = obs.NewGauge("serve.recalibration_needed")
 
 	qRequest    = obs.NewQHistogram("serve.request_seconds")
 	qQueueWait  = obs.NewQHistogram("serve.queue_wait_seconds")
 	qExec       = obs.NewQHistogram("serve.exec_seconds")
 	qBatchItems = obs.NewQHistogram("serve.batch_items")
-	qEndpoint   = obs.NewQHistVec("serve.http_seconds")
 	qConfigExec = obs.NewQHistVec("serve.config_exec_seconds")
 	// qItemsExec is the batch execution time by item count (at most
 	// MaxBatch label values): the process's own measured t(items) curve.

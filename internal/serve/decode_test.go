@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func checkDecodeMatchesEncodingJSON(t *testing.T, body []byte) {
 	if math.Float64bits(got.DeadlineMs) != math.Float64bits(want.DeadlineMs) {
 		t.Fatalf("deadline_ms %v, encoding/json %v\nbody: %q", got.DeadlineMs, want.DeadlineMs, body)
 	}
-	if !sameInts(got.Input.Dims, want.Input.Dims) || (got.Input.Dims == nil) != (want.Input.Dims == nil) {
+	if !slices.Equal(got.Input.Dims, want.Input.Dims) || (got.Input.Dims == nil) != (want.Input.Dims == nil) {
 		t.Fatalf("dims %v, encoding/json %v\nbody: %q", got.Input.Dims, want.Input.Dims, body)
 	}
 	if len(got.Input.Data) != len(want.Input.Data) || (got.Input.Data == nil) != (want.Input.Data == nil) {

@@ -148,9 +148,9 @@ func RunLoad(ctx context.Context, lc LoadConfig) (*LoadReport, error) {
 		return nil, fmt.Errorf("loadgen: missing server URL")
 	}
 	client := &http.Client{Timeout: lc.Timeout}
-	spec, err := fetchSpec(ctx, client, lc.URL)
-	if err != nil {
-		return nil, err
+	var spec SpecResponse
+	if err := obs.GetJSON(ctx, client, lc.URL+"/v1/spec", &spec); err != nil {
+		return nil, fmt.Errorf("loadgen: spec fetch: %w", err)
 	}
 	slo := lc.SLO
 	if slo <= 0 {
@@ -283,7 +283,8 @@ func RunLoad(ctx context.Context, lc LoadConfig) (*LoadReport, error) {
 		okTraces = okTraces[:lc.SlowestK]
 	}
 	rep.SlowestTraces = okTraces
-	if st, err := fetchStatz(ctx, client, lc.URL); err == nil {
+	var st StatzBody
+	if obs.GetJSON(ctx, client, lc.URL+"/statz", &st) == nil {
 		rep.ConfigSwitches = st.Switches
 		rep.CurveSwaps = st.CurveSwaps
 		rep.Batches = st.Batches
@@ -374,43 +375,6 @@ func quantileMs(sorted []float64, q float64) float64 {
 		i = n - 1
 	}
 	return sorted[i]
-}
-
-func fetchSpec(ctx context.Context, client *http.Client, base string) (*SpecResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/spec", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: spec fetch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: spec fetch: HTTP %d", resp.StatusCode)
-	}
-	var spec SpecResponse
-	if err := json.NewDecoder(resp.Body).Decode(&spec); err != nil {
-		return nil, err
-	}
-	return &spec, nil
-}
-
-func fetchStatz(ctx context.Context, client *http.Client, base string) (*StatzBody, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/statz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var st StatzBody
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // postInfer fires one inference request and returns the status, the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -161,7 +162,7 @@ func TestServeBasicInfer(t *testing.T) {
 	if err := json.NewDecoder(specResp.Body).Decode(&spec); err != nil {
 		t.Fatal(err)
 	}
-	if spec.Program != "serve-test" || !sameInts(spec.ItemDims, testItemDims) || spec.Points != 4 {
+	if spec.Program != "serve-test" || !slices.Equal(spec.ItemDims, testItemDims) || spec.Points != 4 {
 		t.Errorf("spec = %+v", spec)
 	}
 }
@@ -652,5 +653,44 @@ func TestServeKernelPanicFailsOnlyItsBatch(t *testing.T) {
 		if code, body := postJSON(t, ts.URL+"/v1/infer", inferBody(t, 4, 0)); code != http.StatusOK {
 			t.Fatalf("round %d, request after the poisoned batch: HTTP %d %s", round, code, body)
 		}
+	}
+}
+
+// TestServeInferAllocs pins what one POST /v1/infer costs the process
+// through Handler() — handler, batcher and tuner together, tracing off:
+// 69 allocations before obs.Route, whose status writer is the one more.
+func TestServeInferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes sync.Pool's hit rate")
+	}
+	s, err := New(testConfig(testNet(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	body := inferBody(t, 1, 0)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/infer", rd)
+	w := &discardWriter{header: http.Header{}}
+	if n := testing.AllocsPerRun(400, func() {
+		rd.Reset(body)
+		h.ServeHTTP(w, req)
+	}); n > 70 || w.status != 0 {
+		t.Errorf("POST /v1/infer allocates %.0f times (status %d), want at most 70", n, w.status)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only a non-200 status.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(code int) {
+	if code != http.StatusOK {
+		w.status = code
 	}
 }
