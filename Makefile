@@ -94,9 +94,10 @@ bench-exec-smoke:
 # kernel tier against the scalar chain), of the /v1/infer body scanner
 # against encoding/json, of the traceparent header parser, of the
 # install-time coordinator's four upload endpoints, of the tradeoff-curve
-# decoder (round trip and core.CheckCurve) and of the histogram-snapshot
-# decoder behind POST /v1/telemetry, starting from the committed corpora and
-# in-code seeds.
+# decoder (round trip and core.CheckCurve), of the histogram-snapshot
+# decoder behind POST /v1/telemetry and of the curve-bundle loader
+# (round trip and core.CheckCurve on both slots), starting from the
+# committed corpora and in-code seeds.
 fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzEpilogueRow -fuzztime 10s
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/distrib -run '^$$' -fuzz FuzzCoordinatorUploads -fuzztime 10s
 	$(GO) test ./internal/pareto -run '^$$' -fuzz FuzzUnmarshalCurve -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzQSnapshotJSON -fuzztime 10s
+	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzArtifactLoad -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

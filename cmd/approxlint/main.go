@@ -1,10 +1,8 @@
-// Command approxlint runs the project's static-analysis suite: ten
+// Command approxlint runs the project's static-analysis suite: five
 // go/ast+go/types analyzers over the source tree — seeded-RNG determinism,
-// tensor-kernel aliasing, shared-map lock discipline, HTTP client defaults,
-// metric naming, detached contexts, module-wide lock ordering,
-// map-iteration determinism, and the two path-sensitive rules built on
-// internal/lint/flow (obs-span and scratch-pool lifecycle) — plus, with
-// -ir, the domain-level validators over the system's data: the
+// HTTP client defaults, metric naming, and the two path-sensitive rules
+// built on internal/lint/flow (obs-span and scratch-pool lifecycle) — plus,
+// with -ir, the domain-level validators over the system's data: the
 // approximation-knob registry against the modeled devices and the dataflow
 // graphs of the model zoo.
 //

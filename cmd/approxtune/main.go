@@ -16,8 +16,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	approxtuner "repro"
@@ -25,33 +26,35 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	var (
-		benchmark = flag.String("benchmark", "lenet", "one of: "+strings.Join(models.Names(), ", "))
-		loss      = flag.Float64("max-qos-loss", 1.0, "acceptable accuracy loss in percentage points")
-		model     = flag.String("model", "pi2", "QoS prediction model: pi1, pi2, or empirical")
-		images    = flag.Int("images", 64, "dataset size (split 50/50 calibration/test)")
-		width     = flag.Float64("width", 0.25, "channel-width multiplier")
-		iters     = flag.Int("iters", 4000, "search iteration cap")
-		out       = flag.String("o", "", "write the shipped curve JSON to this file (default stdout)")
-		seed      = flag.Int64("seed", 1, "seed")
-	)
-	oc := obs.RegisterFlags(nil)
-	flag.Parse()
-	if err := oc.Activate(os.Stderr); err != nil {
-		log.Fatalf("approxtune: %v", err)
-	}
-	defer oc.Close()
-	logger := oc.Log
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	b := models.MustBuild(*benchmark, models.Scale{Images: *images, Width: *width, Seed: *seed})
-	calib, test := b.Dataset.Split()
-	app, err := approxtuner.NewCNNApp(b.Model.Graph, calib.Images, calib.Labels, test.Images, test.Labels)
-	if err != nil {
-		log.Fatalf("approxtune: %v", err)
+// run is the command: 0 on success, 2 on a usage error (an unknown flag,
+// benchmark or model), 1 on any other.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("approxtune", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		benchmark = fs.String("benchmark", "lenet", "one of: "+strings.Join(models.Names(), ", "))
+		loss      = fs.Float64("max-qos-loss", 1.0, "acceptable accuracy loss in percentage points")
+		model     = fs.String("model", "pi2", "QoS prediction model: pi1, pi2, or empirical")
+		images    = fs.Int("images", 64, "dataset size (split 50/50 calibration/test)")
+		width     = fs.Float64("width", 0.25, "channel-width multiplier")
+		iters     = fs.Int("iters", 4000, "search iteration cap")
+		out       = fs.String("o", "", "write the shipped curve JSON to this file (default stdout)")
+		seed      = fs.Int64("seed", 1, "seed")
+	)
+	oc := obs.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	logger.Infof("benchmark %s: %d layers, baseline accuracy %.2f%%\n",
-		*benchmark, b.Model.Graph.LayerCount(), app.BaselineQoS)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "approxtune: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "approxtune: %v\n", err)
+		return 1
+	}
 
 	spec := approxtuner.TuneSpec{
 		MaxQoSLoss: *loss,
@@ -66,12 +69,33 @@ func main() {
 	case "empirical":
 		spec.Empirical = true
 	default:
-		log.Fatalf("approxtune: unknown model %q", *model)
+		return usage("unknown model %q", *model)
 	}
+	if !slices.Contains(models.Names(), *benchmark) {
+		return usage("unknown benchmark %q", *benchmark)
+	}
+
+	if err := oc.Activate(stderr); err != nil {
+		return fail(err)
+	}
+	defer oc.Close()
+	logger := oc.Log
+
+	b, err := models.Build(*benchmark, models.Scale{Images: *images, Width: *width, Seed: *seed})
+	if err != nil {
+		return fail(err)
+	}
+	calib, test := b.Dataset.Split()
+	app, err := approxtuner.NewCNNApp(b.Model.Graph, calib.Images, calib.Labels, test.Images, test.Labels)
+	if err != nil {
+		return fail(err)
+	}
+	logger.Infof("benchmark %s: %d layers, baseline accuracy %.2f%%\n",
+		*benchmark, b.Model.Graph.LayerCount(), app.BaselineQoS)
 
 	res, err := app.TuneDevelopmentTime(spec)
 	if err != nil {
-		log.Fatalf("approxtune: %v", err)
+		return fail(err)
 	}
 	st := res.Stats
 	logger.Infof("tuning done: %d iterations, %d candidates, %d validated, α=%.3f, total %v\n",
@@ -84,16 +108,17 @@ func main() {
 
 	data, err := approxtuner.SaveCurve(res.Curve)
 	if err != nil {
-		log.Fatalf("approxtune: %v", err)
+		return fail(err)
 	}
 	if *out == "" {
-		fmt.Println(string(data))
-		return
+		fmt.Fprintln(stdout, string(data))
+		return 0
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		log.Fatalf("approxtune: %v", err)
+		return fail(err)
 	}
 	logger.Infof("curve written to %s\n", *out)
+	return 0
 }
 
 func bestDescription(app *approxtuner.App, res *approxtuner.Result) string {

@@ -12,28 +12,43 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/models"
 	"repro/internal/tensorops"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: 0 on success, 2 on a usage error (an unknown flag,
+// benchmark or experiment).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exps       = flag.String("exp", "all", "comma-separated experiments, or 'all': table1, fig2, fp16, cpu, table3, firstlayer, fig3, table4, curvesize, fig4, fig5, fig6, fig7, pruning, ablations")
-		benchmarks = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all ten)")
-		images     = flag.Int("images", 0, "dataset size per benchmark (default 64)")
-		width      = flag.Float64("width", 0, "channel-width multiplier (default 0.25)")
-		heavyWidth = flag.Float64("heavy-width", 0, "width for resnet50/vgg16_imagenet (default 0.125)")
-		inSize     = flag.Int("imagenet-size", 0, "mini-ImageNet resolution (default 48)")
-		maxIters   = flag.Int("iters", 0, "predictive search iteration cap (default 4000)")
-		empIters   = flag.Int("emp-iters", 0, "empirical search iteration cap (default 300)")
-		seed       = flag.Int64("seed", 0, "experiment seed (default 1)")
+		exps       = fs.String("exp", "all", "comma-separated experiments, or 'all': table1, fig2, fp16, cpu, table3, firstlayer, fig3, table4, curvesize, fig4, fig5, fig6, fig7, pruning, ablations")
+		benchmarks = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all ten)")
+		images     = fs.Int("images", 0, "dataset size per benchmark (default 64)")
+		width      = fs.Float64("width", 0, "channel-width multiplier (default 0.25)")
+		heavyWidth = fs.Float64("heavy-width", 0, "width for resnet50/vgg16_imagenet (default 0.125)")
+		inSize     = fs.Int("imagenet-size", 0, "mini-ImageNet resolution (default 48)")
+		maxIters   = fs.Int("iters", 0, "predictive search iteration cap (default 4000)")
+		empIters   = fs.Int("emp-iters", 0, "empirical search iteration cap (default 300)")
+		seed       = fs.Int64("seed", 0, "experiment seed (default 1)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "benchtab: "+format+"\n", a...)
+		return 2
+	}
 
 	cfg := bench.Config{
 		Images:       *images,
@@ -46,6 +61,11 @@ func main() {
 	}
 	if *benchmarks != "" {
 		cfg.Benchmarks = strings.Split(*benchmarks, ",")
+		for _, b := range cfg.Benchmarks {
+			if !slices.Contains(models.Names(), b) {
+				return usage("unknown benchmark %q", b)
+			}
+		}
 	}
 	s := bench.NewSession(cfg)
 
@@ -82,49 +102,42 @@ func main() {
 		{"offset", func() *bench.Report { return bench.OffsetAblation(s, smallBench) }},
 		{"policies", func() *bench.Report { return bench.RuntimePolicies(s, smallBench) }},
 	}
-	ablations := map[string]bool{
-		"predictor_accuracy": true, "alpha": true, "epsilon": true,
-		"technique": true, "offset": true, "policies": true,
-	}
+	ablations := []string{"predictor_accuracy", "alpha", "epsilon", "technique", "offset", "policies"}
 
 	want := map[string]bool{}
-	runAblations := false
 	for _, e := range strings.Split(*exps, ",") {
-		e = strings.TrimSpace(e)
-		switch e {
+		switch e = strings.TrimSpace(e); e {
+		case "":
 		case "all":
 			for _, r := range all {
 				want[r.name] = true
 			}
 		case "ablations":
-			runAblations = true
-		case "":
+			for _, name := range ablations {
+				want[name] = true
+			}
 		default:
+			if !slices.ContainsFunc(all, func(r runner) bool { return r.name == e }) {
+				return usage("unknown experiment %q", e)
+			}
 			want[e] = true
 		}
 	}
-	if runAblations {
-		for name := range ablations {
-			want[name] = true
-		}
+	if len(want) == 0 {
+		return usage("no experiment matched %q", *exps)
 	}
 
 	// Times below depend on which kernels ran; two hosts' numbers are not
 	// comparable without this line.
-	fmt.Printf("benchtab: %s/%s, GOMAXPROCS %d, %s kernels\n\n", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), tensorops.KernelTier())
-	ran := 0
+	fmt.Fprintf(stdout, "benchtab: %s/%s, GOMAXPROCS %d, %s kernels\n\n", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), tensorops.KernelTier())
 	for _, r := range all {
 		if !want[r.name] {
 			continue
 		}
 		start := time.Now()
 		report := r.run()
-		fmt.Println(report.String())
-		fmt.Printf("  [%s completed in %v]\n\n", r.name, time.Since(start).Round(time.Millisecond))
-		ran++
+		fmt.Fprintln(stdout, report.String())
+		fmt.Fprintf(stdout, "  [%s completed in %v]\n\n", r.name, time.Since(start).Round(time.Millisecond))
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "benchtab: no experiment matched %q\n", *exps)
-		os.Exit(2)
-	}
+	return 0
 }

@@ -25,8 +25,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"time"
 
@@ -34,31 +35,48 @@ import (
 	"repro/internal/serve"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: 0 on success, 2 on a usage error (an unknown flag or
+// a -url that is not an http or https URL), 1 on any other — including
+// more failed requests than -max-errors allows.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		url       = flag.String("url", "http://127.0.0.1:8080", "approxserve base URL")
-		open      = flag.Bool("open", false, "open-loop Poisson arrivals instead of the closed loop")
-		conc      = flag.Int("c", 4, "closed-loop concurrency (workers)")
-		rps       = flag.Float64("rps", 100, "open-loop arrival rate, requests/second")
-		n         = flag.Int("n", 100, "total requests")
-		items     = flag.Int("items", 1, "items per request (batch axis)")
-		seed      = flag.Int64("seed", 1, "seed for inputs and arrival gaps")
-		slo       = flag.Duration("slo", 0, "SLO threshold for the attainment report (0 = use the server's)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
-		jsonOut   = flag.String("json", "", "write the report as JSON to this file (\"-\" for stdout)")
-		maxErrors = flag.Int("max-errors", -1, "exit non-zero when failed requests exceed this (-1 disables the gate)")
-		slowest   = flag.Int("slowest", 3, "report trace IDs of this many slowest requests (traceparent response header)")
-		verify    = flag.String("verify-flight", "", "after the run, fetch /debug/flight and require this event plus a span from a reported trace (smoke-test gate)")
+		target    = fs.String("url", "http://127.0.0.1:8080", "approxserve base URL")
+		open      = fs.Bool("open", false, "open-loop Poisson arrivals instead of the closed loop")
+		conc      = fs.Int("c", 4, "closed-loop concurrency (workers)")
+		rps       = fs.Float64("rps", 100, "open-loop arrival rate, requests/second")
+		n         = fs.Int("n", 100, "total requests")
+		items     = fs.Int("items", 1, "items per request (batch axis)")
+		seed      = fs.Int64("seed", 1, "seed for inputs and arrival gaps")
+		slo       = fs.Duration("slo", 0, "SLO threshold for the attainment report (0 = use the server's)")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
+		jsonOut   = fs.String("json", "", "write the report as JSON to this file (\"-\" for stdout)")
+		maxErrors = fs.Int("max-errors", -1, "exit non-zero when failed requests exceed this (-1 disables the gate)")
+		slowest   = fs.Int("slowest", 3, "report trace IDs of this many slowest requests (traceparent response header)")
+		verify    = fs.String("verify-flight", "", "after the run, fetch /debug/flight and require this event plus a span from a reported trace (smoke-test gate)")
 	)
-	oc := obs.RegisterFlags(nil)
-	flag.Parse()
-	if err := oc.Activate(os.Stderr); err != nil {
-		log.Fatalf("loadgen: %v", err)
+	oc := obs.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if u, err := url.Parse(*target); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		fmt.Fprintf(stderr, "loadgen: -url %q is not an http or https URL\n", *target)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "loadgen: %v\n", err)
+		return 1
+	}
+	if err := oc.Activate(stderr); err != nil {
+		return fail(err)
 	}
 	defer oc.Close()
 
 	rep, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		URL:             *url,
+		URL:             *target,
 		OpenLoop:        *open,
 		Concurrency:     *conc,
 		RPS:             *rps,
@@ -70,31 +88,32 @@ func main() {
 		SlowestK:        *slowest,
 	})
 	if err != nil {
-		log.Fatalf("loadgen: %v", err)
+		return fail(err)
 	}
-	fmt.Println(rep)
+	fmt.Fprintln(stdout, rep)
 
 	if *verify != "" {
 		client := &http.Client{Timeout: *timeout}
-		if err := serve.VerifyFlight(context.Background(), client, *url, *verify, rep.TraceIDs()); err != nil {
-			log.Fatalf("loadgen: %v", err)
+		if err := serve.VerifyFlight(context.Background(), client, *target, *verify, rep.TraceIDs()); err != nil {
+			return fail(err)
 		}
-		fmt.Printf("flight verified: event %q present and dump links a reported trace\n", *verify)
+		fmt.Fprintf(stdout, "flight verified: event %q present and dump links a reported trace\n", *verify)
 	}
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			log.Fatalf("loadgen: %v", err)
+			return fail(err)
 		}
 		data = append(data, '\n')
 		if *jsonOut == "-" {
-			os.Stdout.Write(data)
+			stdout.Write(data)
 		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			log.Fatalf("loadgen: %v", err)
+			return fail(err)
 		}
 	}
 	if *maxErrors >= 0 && rep.Failed > *maxErrors {
-		log.Fatalf("loadgen: %d failed requests exceed -max-errors %d", rep.Failed, *maxErrors)
+		return fail(fmt.Errorf("%d failed requests exceed -max-errors %d", rep.Failed, *maxErrors))
 	}
+	return 0
 }

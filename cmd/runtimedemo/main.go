@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	runtimedemo -benchmark resnet18 -policy average
+//	runtimedemo -benchmark resnet18
 //
 // With -inject-slowdown N the second half of the ladder additionally
 // runs N× slower than the shipped curve predicts (an unmodeled fault);
@@ -20,8 +20,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -29,18 +30,31 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: 0 on success, 2 on a usage error (an unknown flag or
+// benchmark), 1 on any other.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("runtimedemo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchmark = flag.String("benchmark", "resnet18", "one of: "+strings.Join(models.Names(), ", "))
-		images    = flag.Int("images", 64, "dataset size")
-		width     = flag.Float64("width", 0.25, "channel-width multiplier")
-		seed      = flag.Int64("seed", 1, "seed")
-		slowdown  = flag.Float64("inject-slowdown", 1, "inject an unmodeled execution-time slowdown of this factor over the second half of the DVFS ladder (1 = none)")
+		benchmark = fs.String("benchmark", "resnet18", "one of: "+strings.Join(models.Names(), ", "))
+		images    = fs.Int("images", 64, "dataset size")
+		width     = fs.Float64("width", 0.25, "channel-width multiplier")
+		seed      = fs.Int64("seed", 1, "seed")
+		slowdown  = fs.Float64("inject-slowdown", 1, "inject an unmodeled execution-time slowdown of this factor over the second half of the DVFS ladder (1 = none)")
 	)
-	oc := obs.RegisterFlags(nil)
-	flag.Parse()
-	if err := oc.Activate(os.Stderr); err != nil {
-		log.Fatalf("runtimedemo: %v", err)
+	oc := obs.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !slices.Contains(models.Names(), *benchmark) {
+		fmt.Fprintf(stderr, "runtimedemo: unknown benchmark %q\n", *benchmark)
+		return 2
+	}
+	if err := oc.Activate(stderr); err != nil {
+		fmt.Fprintf(stderr, "runtimedemo: %v\n", err)
+		return 1
 	}
 	defer oc.Close()
 
@@ -51,29 +65,20 @@ func main() {
 		Seed:          *seed,
 		FaultSlowdown: *slowdown,
 	})
-	known := false
-	for _, n := range models.Names() {
-		if n == *benchmark {
-			known = true
-		}
-	}
-	if !known {
-		log.Fatalf("runtimedemo: unknown benchmark %q", *benchmark)
-	}
-
 	rows, health := bench.RunFig6Health(s, *benchmark)
-	fmt.Printf("%-10s %-12s %-12s %-10s %-8s\n", "freq(MHz)", "base-time", "adapt-time", "accuracy", "switches")
+	fmt.Fprintf(stdout, "%-10s %-12s %-12s %-10s %-8s\n", "freq(MHz)", "base-time", "adapt-time", "accuracy", "switches")
 	for _, r := range rows {
-		fmt.Printf("%-10.0f %-12.2f %-12.2f %-10.2f %-8d\n",
+		fmt.Fprintf(stdout, "%-10.0f %-12.2f %-12.2f %-10.2f %-8d\n",
 			r.FreqMHz, r.BaselineNormTime, r.AdaptedNormTime, r.AdaptedAccuracy, r.ConfigSwitches)
 	}
 	last := rows[len(rows)-1]
-	fmt.Printf("\nat %.0f MHz: baseline would slow %.2fx; adaptation holds %.2fx at %.2f pp accuracy cost\n",
+	fmt.Fprintf(stdout, "\nat %.0f MHz: baseline would slow %.2fx; adaptation holds %.2fx at %.2f pp accuracy cost\n",
 		last.FreqMHz, last.BaselineNormTime, last.AdaptedNormTime,
 		last.BaselineAccuracy-last.AdaptedAccuracy)
 
-	fmt.Printf("\n%s", health)
+	fmt.Fprintf(stdout, "\n%s", health)
 	if health.RecalibrationNeeded {
-		fmt.Printf("the shipped curve no longer matches observed behavior; re-run install-time calibration\n")
+		fmt.Fprintf(stdout, "the shipped curve no longer matches observed behavior; re-run install-time calibration\n")
 	}
+	return 0
 }

@@ -10,11 +10,11 @@ import (
 
 const (
 	// DESIGN.md describes the system as it is, one section per subsystem.
-	// It grew 67 → 77.5 KB over PRs 16–20 by telling subsystems in PR
-	// order; 72 KB is its size once observability was merged into one
-	// section (PR 21), so a new section has to pay for itself by replacing
-	// history somewhere else.
-	designMaxBytes = 72 << 10
+	// It reached 77.5 KB by telling subsystems in the order they were
+	// built; 60 KiB is its size once static analysis came down to its
+	// rules table and the kernel engine to one section, so a new section
+	// has to pay for itself by replacing history somewhere else.
+	designMaxBytes = 60 << 10
 
 	// A CHANGES.md entry tells the next session what is done, not how it
 	// was measured (that is EXPERIMENTS.md's job): PRs 17–20 wrote 2–4 KB

@@ -12,14 +12,9 @@ func AllAnalyzers() []Analyzer {
 	return []Analyzer{
 		DetRand{},
 		SpanEnd{},
-		TensorAlias{},
-		LockGuard{},
 		HTTPDefault{},
 		MetricName{},
 		PoolAudit{},
-		LockOrder{},
-		CtxFlow{},
-		MapOrder{},
 	}
 }
 

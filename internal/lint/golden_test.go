@@ -15,11 +15,7 @@ func TestRepositoryIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root, []string{"./..."})
+	pkgs, err := testLoader(t).LoadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,15 @@
 // small pluggable Analyzer interface, position-accurate diagnostics and
 // comment-directive suppression.
 //
-// The engine exists because ApproxTuner's correctness guarantees hinge on
-// invariants the Go type system cannot see: tuning must be reproducible
-// (seeded RNG only), tensor kernels must not silently mutate their inputs,
-// trace spans must be closed on every path, and shared maps in the
-// concurrent packages must be written under a lock. Each of those rules is
-// one Analyzer in this package, and only rules no other gate owns live
-// here (go vet, gofmt and the module file have their own); the suite runs
-// inside `go test` as TestRepositoryIsLintClean, and cmd/approxlint runs
-// it from the command line.
+// The engine exists because some of ApproxTuner's guarantees hinge on
+// invariants neither the Go type system nor any test can see: tuning must
+// be reproducible (seeded RNG only), trace spans and scratch buffers must
+// be released on every path, HTTP clients must carry a timeout, and metric
+// names must be literals. Each of those rules is one Analyzer in this
+// package, and only rules no other gate owns live here (go vet, gofmt, the
+// race detector and the digest pins have their own); the suite runs inside
+// `go test` as TestRepositoryIsLintClean, and cmd/approxlint runs it from
+// the command line.
 //
 // A diagnostic can be suppressed with a comment on the flagged line or on
 // the line directly above it:
@@ -68,17 +68,6 @@ type Analyzer interface {
 	Run(pass *Pass)
 }
 
-// ModuleAnalyzer is an Analyzer that needs the whole module at once —
-// e.g. lockorder, whose deadlock cycles span functions in different
-// packages. The runner calls RunModule exactly once per run, after the
-// per-package phase, with one Pass per package in deterministic
-// (load-order) sequence; Run is still invoked per package and is
-// typically a no-op.
-type ModuleAnalyzer interface {
-	Analyzer
-	RunModule(passes []*Pass)
-}
-
 // Pass carries one type-checked package through an analyzer.
 type Pass struct {
 	Fset *token.FileSet
@@ -123,11 +112,11 @@ func NewRunner() *Runner {
 }
 
 // Run analyzes every package and returns the surviving (unsuppressed)
-// diagnostics sorted by file position. The per-package analyzer phase
-// fans out over GOMAXPROCS goroutines: each package collects into its own
-// slice and results are merged in package order; module-wide analyzers
-// then run once, serially; the final sort is total (position, analyzer,
-// message), so the output is byte-identical at any processor count.
+// diagnostics sorted by file position. Packages fan out over GOMAXPROCS
+// goroutines: each package collects into its own slice, results are
+// merged in package order, and the final sort is total (position,
+// analyzer, message), so the output is byte-identical at any processor
+// count.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	workers := min(runtime.GOMAXPROCS(0), len(pkgs))
 
@@ -153,25 +142,7 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	}
 	wg.Wait()
 
-	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
-	}
-
-	// Module-wide phase: one call per module analyzer over every package.
-	for _, a := range r.Analyzers {
-		ma, ok := a.(ModuleAnalyzer)
-		if !ok {
-			continue
-		}
-		passes := make([]*Pass, len(pkgs))
-		for i, pkg := range pkgs {
-			passes[i] = &Pass{Fset: pkg.Fset, Pkg: pkg, analyzer: a.Name(), diags: &diags}
-		}
-		ma.RunModule(passes)
-	}
-
-	diags = applySuppressions(pkgs, diags, r.names())
+	diags := applySuppressions(pkgs, slices.Concat(perPkg...), r.names())
 	slices.SortFunc(diags, func(a, b Diagnostic) int {
 		return cmp.Or(
 			strings.Compare(a.Pos.Filename, b.Pos.Filename),

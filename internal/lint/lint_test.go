@@ -8,8 +8,27 @@ import (
 	"regexp"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var (
+	sharedOnce   sync.Once
+	sharedLoader *Loader
+	sharedErr    error
+)
+
+// testLoader is the one Loader of this test binary. A Loader caches every
+// package it imports, so the standard library is type-checked from source
+// once here rather than once per load.
+func testLoader(t *testing.T) *Loader {
+	t.Helper()
+	sharedOnce.Do(func() { sharedLoader, sharedErr = NewLoader(".") })
+	if sharedErr != nil {
+		t.Fatal(sharedErr)
+	}
+	return sharedLoader
+}
 
 // loadFixture loads one testdata/src fixture directory as an analysis unit.
 func loadFixture(t *testing.T, rel string) []*Package {
@@ -18,7 +37,7 @@ func loadFixture(t *testing.T, rel string) []*Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := Load(dir, []string{dir})
+	pkgs, err := testLoader(t).LoadDir(dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", rel, err)
 	}
@@ -53,24 +72,16 @@ func wantMarkers(t *testing.T, pkgs []*Package) map[string]bool {
 	return want
 }
 
+// ruleFixtures are the testdata/src packages with // want markers, one per
+// analyzer.
+var ruleFixtures = []string{"detrand", "spanfix", "httpdefault", "metricname", "poolaudit"}
+
 // TestAnalyzersOnFixtures runs the full suite over each fixture package and
 // compares the findings against the // want markers: every marker must
 // produce a finding, every finding must be marked.
 func TestAnalyzersOnFixtures(t *testing.T) {
-	fixtures := []string{
-		"detrand",
-		"spanfix",
-		"internal/tensorops",
-		"internal/parallel",
-		"httpdefault",
-		"metricname",
-		"poolaudit",
-		"lockorder",
-		"internal/distrib",
-		"maporder",
-	}
-	for _, fx := range fixtures {
-		t.Run(strings.ReplaceAll(fx, "/", "_"), func(t *testing.T) {
+	for _, fx := range ruleFixtures {
+		t.Run(fx, func(t *testing.T) {
 			pkgs := loadFixture(t, fx)
 			want := wantMarkers(t, pkgs)
 			if len(want) == 0 {
@@ -178,7 +189,7 @@ func TestTwoLeaksAtOneReturn(t *testing.T) {
 // findings must not depend on it.
 func TestParallelDeterminism(t *testing.T) {
 	var pkgs []*Package
-	for _, fx := range []string{"poolaudit", "lockorder", "maporder", "internal/distrib", "spanfix", "metricname"} {
+	for _, fx := range ruleFixtures {
 		pkgs = append(pkgs, loadFixture(t, fx)...)
 	}
 	render := func(procs int) string {
@@ -219,11 +230,10 @@ func TestDiagnosticFormat(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry checks the suite covers the ten project rules and
+// TestAnalyzerRegistry checks the suite covers the five project rules and
 // that names resolve.
 func TestAnalyzerRegistry(t *testing.T) {
-	names := []string{"detrand", "spanend", "tensoralias", "lockguard", "httpdefault", "metricname",
-		"poolaudit", "lockorder", "ctxflow", "maporder"}
+	names := []string{"detrand", "spanend", "httpdefault", "metricname", "poolaudit"}
 	all := AllAnalyzers()
 	if len(all) != len(names) {
 		t.Fatalf("suite has %d analyzers, want %d", len(all), len(names))

@@ -1,7 +1,7 @@
 // Package lostcancel is not a lint fixture: it is what `make vet-selftest`
-// runs `go vet` over. Uncalled context cancel functions used to be a
-// ctxflow rule; `go vet`'s lostcancel pass owns them now, and the selftest
-// fails unless vet still reports the two marked lines.
+// runs `go vet` over. Uncalled context cancel functions are `go vet`'s
+// lostcancel pass to find, and the selftest fails unless vet still reports
+// the two marked lines.
 package lostcancel
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -141,15 +142,33 @@ func refConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKno
 	return unfusedChain(out, ep, prec)
 }
 
-// engineConvolve runs the same case through the public entry points.
-func engineConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKnob, ep Epilogue) *tensor.Tensor {
+// engineConvolve runs the same case through the public entry points and
+// requires the input, the filter and the bias to come back bit for bit as
+// they went in, whichever tier ran.
+func engineConvolve(t *testing.T, x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKnob, ep Epilogue) *tensor.Tensor {
+	t.Helper()
+	operands := []*tensor.Tensor{x, w, ep.Bias}
+	before := make([][]float32, len(operands))
+	for i, op := range operands {
+		if op != nil {
+			before[i] = slices.Clone(op.Data())
+		}
+	}
+	var out *tensor.Tensor
 	switch {
 	case knob.perf != nil:
-		return Conv2DPerforatedFused(x, w, p, knob.perf.dir, knob.perf.stride, knob.perf.offset, prec, ep)
+		out = Conv2DPerforatedFused(x, w, p, knob.perf.dir, knob.perf.stride, knob.perf.offset, prec, ep)
 	case knob.samp.stride != 0:
-		return Conv2DFilterSamplingFused(x, w, p, knob.samp.stride, knob.samp.offset, prec, ep)
+		out = Conv2DFilterSamplingFused(x, w, p, knob.samp.stride, knob.samp.offset, prec, ep)
+	default:
+		out = Conv2DFused(x, w, p, prec, ep)
 	}
-	return Conv2DFused(x, w, p, prec, ep)
+	for i, op := range operands {
+		if op != nil {
+			requireSameSlice(t, op.Data(), before[i], "%v %v: %s written", prec, knob, []string{"input", "filter", "bias"}[i])
+		}
+	}
+	return out
 }
 
 // allConvKnobs is exact + the paper's 18 perforation + 9 sampling knobs.
@@ -196,7 +215,7 @@ func requireAllKnobs(t *testing.T, x, wt *tensor.Tensor, p ConvParams, eps []Epi
 		for ki, knob := range allConvKnobs() {
 			ei := (rot + ki) % len(eps)
 			want := refConvolve(x, wt, p, prec, knob, eps[ei])
-			requireSameBits(t, engineConvolve(x, wt, p, prec, knob, eps[ei]), want, "%s %v %v ep=%d", label, prec, knob, ei)
+			requireSameBits(t, engineConvolve(t, x, wt, p, prec, knob, eps[ei]), want, "%s %v %v ep=%d", label, prec, knob, ei)
 		}
 	}
 }
@@ -270,7 +289,7 @@ func TestConvDirectMatchesReference(t *testing.T) {
 				for _, prec := range []Precision{FP32, FP16} {
 					for _, knob := range knobs {
 						want := refConvolve(x, wt, p, prec, knob, Epilogue{})
-						requireSameBits(t, engineConvolve(x, wt, p, prec, knob, Epilogue{}), want, "tiny %v %v %v", hw, prec, knob)
+						requireSameBits(t, engineConvolve(t, x, wt, p, prec, knob, Epilogue{}), want, "tiny %v %v %v", hw, prec, knob)
 					}
 				}
 			}
@@ -355,7 +374,7 @@ func TestConvPaddedPlanesPerWorker(t *testing.T) {
 			ep := Epilogue{Bias: bias, Act: ActReLU}
 			want := refConvolve(x, wt, p, FP32, knob, ep)
 			for rep := 0; rep < 4; rep++ {
-				requireSameBits(t, engineConvolve(x, wt, p, FP32, knob, ep), want, "n=%d %v rep %d", n, knob, rep)
+				requireSameBits(t, engineConvolve(t, x, wt, p, FP32, knob, ep), want, "n=%d %v rep %d", n, knob, rep)
 			}
 		}
 	}
@@ -405,7 +424,7 @@ func FuzzConvDirectVsReference(f *testing.F) {
 		defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
 		for tier := tierPortable; tier <= bestTier(); tier++ {
 			gemmTier = tier
-			got := engineConvolve(x, wt, p, prec, knob, ep)
+			got := engineConvolve(t, x, wt, p, prec, knob, ep)
 			requireSameBits(t, got, want, "tier=%v n=%d cig=%d cog=%d in=%dx%d k=%dx%d %+v %v %v", tier, n, cig, cog, h, w, kh, kw, p, prec, knob)
 		}
 	})

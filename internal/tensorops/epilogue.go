@@ -121,7 +121,6 @@ func (e *rowEpi) passes(seg []float32, row int) {
 		if e.flags&epiBiasRow != 0 {
 			bv := e.bias[row]
 			for j := range seg {
-				//lint:ignore tensoralias seg IS the output segment — the epilogue rewrites the conv/matmul result in place; no input tensor aliases it
 				seg[j] += bv
 			}
 		} else {

@@ -3,6 +3,7 @@ package tensorops
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -59,6 +60,17 @@ func forEachTier(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
+// requireSameSlice fails unless got and want hold the same float32 bit
+// patterns: an operand a kernel only reads comes back as it went in.
+func requireSameSlice(t *testing.T, got, want []float32, format string, args ...any) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf(format+": [%d] = %v, was %v", append(args, i, got[i], want[i])...)
+		}
+	}
+}
+
 func TestGemmMatchesReferenceExactly(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		g := tensor.NewRNG(11)
@@ -69,9 +81,12 @@ func TestGemmMatchesReferenceExactly(t *testing.T) {
 					b := make([]float32, k*n)
 					fillNormal(g, a)
 					fillNormal(g, b)
+					a0, b0 := slices.Clone(a), slices.Clone(b)
 					got := make([]float32, m*n)
 					want := make([]float32, m*n)
 					Gemm(a, b, got, m, k, n)
+					requireSameSlice(t, a, a0, "m=%d k=%d n=%d: A written", m, k, n)
+					requireSameSlice(t, b, b0, "m=%d k=%d n=%d: B written", m, k, n)
 					gemmRef(a, b, want, m, k, n)
 					for i := range want {
 						if got[i] != want[i] {

@@ -21,7 +21,6 @@ func tanhSlice(dst, src []float32) {
 		}
 	}
 	for i := done; i < len(src); i++ {
-		//lint:ignore tensoralias dst IS the output; an in-place call passes the same slice as src on purpose
 		dst[i] = tanh32(src[i])
 	}
 }
@@ -35,7 +34,6 @@ func axpy(dst, src []float32, a float32) {
 		return
 	}
 	for j, sv := range src {
-		//lint:ignore tensoralias dst IS the accumulator row of the output tensor, never an input
 		dst[j] += a * sv
 	}
 }

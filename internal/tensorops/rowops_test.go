@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -87,7 +88,9 @@ func checkEpilogueRow(t *testing.T, vals, bias []float32, biasKind int, act ActK
 		buf[i] = guard
 	}
 	copy(buf[off:], vals)
+	bias0 := slices.Clone(bias)
 	e.apply(buf[off:off+n], row)
+	requireSameSlice(t, bias, bias0, "%s: bias written", desc)
 	for i, got := range buf {
 		j := i - off
 		if j < 0 || j >= n {
