@@ -96,7 +96,8 @@ bench-exec-smoke:
 # install-time coordinator's four upload endpoints, of the tradeoff-curve
 # decoder (round trip and core.CheckCurve), of the histogram-snapshot
 # decoder behind POST /v1/telemetry and of the curve-bundle loader
-# (round trip and core.CheckCurve on both slots), starting from the
+# (round trip and core.CheckCurve on both slots) and of max pooling
+# (every kernel tier against the reference loop), starting from the
 # committed corpora and in-code seeds.
 fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
@@ -107,6 +108,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pareto -run '^$$' -fuzz FuzzUnmarshalCurve -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzQSnapshotJSON -fuzztime 10s
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzArtifactLoad -fuzztime 10s
+	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzMaxPool -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

@@ -13,44 +13,42 @@ import (
 	"repro/internal/tensorops"
 )
 
-// BenchmarkExecuteB1 is one graph.Execute of a single fresh item on each of
-// the repo benchmark's four prepacked zoo models (width 0.25) under its four
-// configurations, at GOMAXPROCS 1 and 2 — the 16 batch-1 cells behind
-// exec_fresh's latency_p50_ms, runnable without the harness. A cell that
-// reads slower at procs=2 than at procs=1 means the second core costs a
-// batch-1 call more in dispatch than it gives back in arithmetic. p50-µs is
-// the median Execute; ns/op is the mean and includes drawing the input, which
-// is also the pause between two calls that a serving process would have.
-//
-//	go test ./internal/models -run '^$' -bench ExecuteB1 -benchtime 200x
-func BenchmarkExecuteB1(b *testing.B) {
-	configs := []struct {
-		name string
-		conv approx.KnobID // knob of every convolution; others run exact FP32
-		all  approx.KnobID // knob of every other approximable op
-	}{
-		{"exact", approx.KnobFP32, approx.KnobFP32},
-		{"fp16", approx.KnobFP16, approx.KnobFP16},
-		{"samp50", approx.SamplingKnob(2, 0, tensorops.FP32), approx.KnobFP32},
-		{"perf50", approx.PerforationKnob(tensorops.PerfRows, 2, 0, tensorops.FP32), approx.KnobFP32},
-	}
+// benchConfigs are the repo benchmark's four exec_fresh configurations.
+var benchConfigs = []struct {
+	name string
+	conv approx.KnobID // knob of every convolution; others run exact FP32
+	all  approx.KnobID // knob of every other approximable op
+}{
+	{"exact", approx.KnobFP32, approx.KnobFP32},
+	{"fp16", approx.KnobFP16, approx.KnobFP16},
+	{"samp50", approx.SamplingKnob(2, 0, tensorops.FP32), approx.KnobFP32},
+	{"perf50", approx.PerforationKnob(tensorops.PerfRows, 2, 0, tensorops.FP32), approx.KnobFP32},
+}
+
+// benchExecute runs one sub-benchmark per model, which builds and prepacks
+// that model (width 0.25) only when the -bench pattern selects it, so a
+// one-model -cpuprofile holds that model's work alone. Under it, cell runs
+// each configuration: graph.Execute on a fresh batch of the given size, the
+// median call reported as p50-µs and as items/s. ns/op is the mean and
+// includes drawing the input, which is also the pause between two calls
+// that a serving process would have.
+func benchExecute(b *testing.B, batch int, cell func(b *testing.B, name string, run func(b *testing.B))) {
 	for _, name := range []string{"lenet", "alexnet2", "resnet18", "mobilenet"} {
-		m := MustBuild(name, Scale{Images: 16, Width: 0.25, Seed: 1}).Model
-		m.Graph.PrepackWeights()
-		ops, classes := m.Graph.ApproxOps(), m.Graph.OpClasses()
-		for _, c := range configs {
-			cfg := approx.Config{}
-			for i, op := range ops {
-				cfg[op] = c.all
-				if classes[i] == approx.OpConv {
-					cfg[op] = c.conv
+		b.Run(name, func(b *testing.B) {
+			m := MustBuild(name, Scale{Images: 16, Width: 0.25, Seed: 1}).Model
+			m.Graph.PrepackWeights()
+			ops, classes := m.Graph.ApproxOps(), m.Graph.OpClasses()
+			for _, c := range benchConfigs {
+				cfg := approx.Config{}
+				for i, op := range ops {
+					cfg[op] = c.all
+					if classes[i] == approx.OpConv {
+						cfg[op] = c.conv
+					}
 				}
-			}
-			for _, procs := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%s/%s/procs=%d", name, c.name, procs), func(b *testing.B) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				cell(b, c.name, func(b *testing.B) {
 					rng := tensor.NewRNG(1)
-					in := tensor.New(m.InputShape(1).Dims()...)
+					in := tensor.New(m.InputShape(batch).Dims()...)
 					took := make([]time.Duration, 0, b.N)
 					m.Graph.Execute(in, cfg, graph.ExecOptions{}) // first-use set-up
 					b.ResetTimer()
@@ -61,9 +59,42 @@ func BenchmarkExecuteB1(b *testing.B) {
 						took = append(took, time.Since(t0))
 					}
 					sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
-					b.ReportMetric(float64(took[len(took)/2])/1e3, "p50-µs")
+					p50 := took[len(took)/2]
+					b.ReportMetric(float64(p50)/1e3, "p50-µs")
+					b.ReportMetric(float64(batch)/p50.Seconds(), "items/s")
 				})
 			}
-		}
+		})
 	}
+}
+
+// BenchmarkExecuteB1 is one graph.Execute of a single fresh item on each of
+// the repo benchmark's four prepacked zoo models under its four
+// configurations, at GOMAXPROCS 1 and 2 — the 16 batch-1 cells behind
+// exec_fresh's latency_p50_ms, runnable without the harness. A cell that
+// reads slower at procs=2 than at procs=1 means the second core costs a
+// batch-1 call more in dispatch than it gives back in arithmetic.
+//
+//	go test ./internal/models -run '^$' -bench ExecuteB1 -benchtime 200x
+func BenchmarkExecuteB1(b *testing.B) {
+	benchExecute(b, 1, func(b *testing.B, name string, run func(b *testing.B)) {
+		for _, procs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/procs=%d", name, procs), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				run(b)
+			})
+		}
+	})
+}
+
+// BenchmarkExecuteB16 is the batch-16 grid behind exec_fresh's
+// goodput_per_s (the geometric mean of its 16 items/s readings), at the
+// -cpu setting. Anchor a model name: -bench matches each level as a
+// substring, and "lenet" alone also selects mobilenet.
+//
+//	go test ./internal/models -run '^$' -bench 'ExecuteB16/^lenet$' -benchtime 100x -cpuprofile cpu.out
+func BenchmarkExecuteB16(b *testing.B) {
+	benchExecute(b, 16, func(b *testing.B, name string, run func(b *testing.B)) {
+		b.Run(name, run)
+	})
 }

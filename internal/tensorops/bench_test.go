@@ -309,6 +309,32 @@ func BenchmarkEpilogueRow(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxPool is lenet's two 2×2, stride-2 max pools at batch 16 and
+// width 0.25 — output rows of 14 windows (two eight-lane blocks) and of 7
+// (two four-lane blocks) — under each tier the CPU has. MB/s counts the
+// input read. Compare the tiers at -cpu 1,2.
+func BenchmarkMaxPool(b *testing.B) {
+	g := tensor.NewRNG(8)
+	p := PoolParams{KH: 2, KW: 2}
+	for _, dims := range [][]int{{16, 8, 28, 28}, {16, 16, 14, 14}} {
+		x := randTensor(g, dims...)
+		for _, tier := range []kernelTier{tierAVX, tierSSE2, tierPortable} {
+			if tier > bestTier() {
+				continue
+			}
+			b.Run(fmt.Sprintf("%dx%dx%dx%d/%v", dims[0], dims[1], dims[2], dims[3], tier), func(b *testing.B) {
+				defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
+				gemmTier = tier
+				b.SetBytes(int64(4 * x.Elems()))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MaxPool(x, p, FP32)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkAxpy(b *testing.B) {
 	row, src := benchRow(1024)
 	benchRowTiers(b, len(row), func() {

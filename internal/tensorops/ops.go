@@ -61,12 +61,12 @@ func (p PoolParams) Norm() PoolParams {
 
 // MaxPool computes max pooling over (N,C,H,W).
 func MaxPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
-	return pool(x, p, prec, false, 1)
+	return poolSampled(x, p, prec, false, 1, 1)
 }
 
 // AvgPool computes average pooling over (N,C,H,W).
 func AvgPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
-	return pool(x, p, prec, true, 1)
+	return poolSampled(x, p, prec, true, 1, 1)
 }
 
 // MaxPoolSampled and AvgPoolSampled apply the reduction-sampling
@@ -74,7 +74,8 @@ func AvgPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
 // inputs. ratioNum/ratioDen gives the kept fraction — the paper's three
 // knobs are 1/2 (50%), 2/5 (40%) and 1/4 (25%). Averages are computed over
 // the sampled subset (the "appropriate constant" rescaling); max is taken
-// over the subset.
+// over the subset. Padding is skipped, and a window none of whose kept taps
+// is inside the input gives 0.
 func MaxPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec Precision) *tensor.Tensor {
 	return poolSampled(x, p, prec, false, ratioNum, ratioDen)
 }
@@ -84,9 +85,10 @@ func AvgPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec
 	return poolSampled(x, p, prec, true, ratioNum, ratioDen)
 }
 
-func pool(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, _ int) *tensor.Tensor {
-	return poolSampled(x, p, prec, avg, 1, 1)
-}
+// poolTap is a kept window position: rows and columns from the window's
+// top left, and off, its distance in the input from the top-left element.
+// pool_avx_amd64.s reads off through go_asm.h.
+type poolTap struct{ ky, kx, off int }
 
 func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, den int) *tensor.Tensor {
 	p = p.Norm()
@@ -108,73 +110,106 @@ func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, 
 	out := tensor.New(n, c, ho, wo)
 	od := out.Data()
 	// The window's kept taps, found once: tap k = ky·KW+kx survives
-	// sampling when (k·num) mod den < num. off is the tap's distance from
-	// the window's top-left input element.
-	type tap struct{ ky, kx, off int }
-	kept := make([]tap, 0, p.KH*p.KW)
+	// sampling when (k·num) mod den < num, so tap 0 always does.
+	taps := make([]poolTap, 0, p.KH*p.KW)
 	for k := 0; k < p.KH*p.KW; k++ {
 		if (k*num)%den < num {
-			kept = append(kept, tap{k / p.KW, k % p.KW, k/p.KW*w + k%p.KW})
+			taps = append(taps, poolTap{k / p.KW, k % p.KW, k/p.KW*w + k%p.KW})
 		}
 	}
+	// Windows of output rows [rlo, rhi) and columns [clo, chi) lie inside
+	// the input: that block is reduced in one call with no bound tests, the
+	// windows around it one at a time.
+	sh, sw, ph, pw := p.StrideH, p.StrideW, p.PadH, p.PadW
+	rlo, rhi := poolInterior(h, p.KH, sh, ph, ho)
+	clo, chi := poolInterior(w, p.KW, sw, pw, wo)
 	parallel.For(n*c, func(nc int) {
-		inBase := nc * h * w
-		outBase := nc * ho * wo
+		in := xd[nc*h*w : (nc+1)*h*w]
+		o := od[nc*ho*wo : (nc+1)*ho*wo]
 		for oy := 0; oy < ho; oy++ {
-			iy0 := oy*p.StrideH - p.PadH
-			rowInside := iy0 >= 0 && iy0+p.KH <= h
-			for ox := 0; ox < wo; ox++ {
-				ix0 := ox*p.StrideW - p.PadW
-				origin := inBase + iy0*w + ix0
-				var acc float64
-				count := 0
-				best := float32(math.Inf(-1))
-				switch {
-				case !rowInside || ix0 < 0 || ix0+p.KW > w:
-					// A border window tests each tap against the input.
-					for _, t := range kept {
-						if uint(iy0+t.ky) >= uint(h) || uint(ix0+t.kx) >= uint(w) {
-							continue
-						}
-						v := xd[origin+t.off]
-						if avg {
-							acc += float64(v)
-							count++
-						} else if v > best {
-							best = v
-						}
-					}
-				case avg:
-					for _, t := range kept {
-						acc += float64(xd[origin+t.off])
-					}
-					count = len(kept)
-				default:
-					for _, t := range kept {
-						if v := xd[origin+t.off]; v > best {
-							best = v
-						}
-					}
-				}
-				var r float32
-				if avg {
-					if count > 0 {
-						r = float32(acc / float64(count))
-					}
-				} else {
-					if math.IsInf(float64(best), -1) {
-						best = 0 // window entirely skipped or padded
-					}
-					r = best
-				}
-				od[outBase+oy*wo+ox] = r
+			a, b := 0, 0 // the row's windows left to the block
+			if oy >= rlo && oy < rhi {
+				a, b = clo, chi
+			}
+			iy0 := oy*sh - ph
+			for ox := 0; ox < a; ox++ {
+				o[oy*wo+ox] = poolWindow(in, h, w, iy0, ox*sw-pw, taps, avg)
+			}
+			for ox := b; ox < wo; ox++ {
+				o[oy*wo+ox] = poolWindow(in, h, w, iy0, ox*sw-pw, taps, avg)
+			}
+		}
+		if rlo < rhi && clo < chi {
+			dst, src := o[rlo*wo+clo:], in[(rlo*sh-ph)*w+clo*sw-pw:]
+			if avg {
+				avgRows(dst, src, taps, chi-clo, sw, rhi-rlo, wo, sh*w)
+			} else {
+				maxRows(dst, src, taps, chi-clo, sw, rhi-rlo, wo, sh*w)
 			}
 		}
 	})
-	if prec == FP16 {
+	// A maximum is one of the quantized inputs or 0, so only averages need
+	// rounding back to half precision.
+	if prec == FP16 && avg {
 		out.ToFP16()
 	}
 	return out
+}
+
+// poolWindow reduces a window with taps outside the input, which are
+// skipped: the max or float64 mean of the kept taps inside, or 0 when there
+// is none.
+func poolWindow(in []float32, h, w, iy0, ix0 int, taps []poolTap, avg bool) float32 {
+	var acc float64
+	count := 0
+	best := float32(math.Inf(-1))
+	for _, t := range taps {
+		iy, ix := iy0+t.ky, ix0+t.kx
+		if uint(iy) >= uint(h) || uint(ix) >= uint(w) {
+			continue
+		}
+		v := in[iy*w+ix]
+		count++
+		if avg {
+			acc += float64(v)
+		} else if v > best {
+			best = v
+		}
+	}
+	switch {
+	case count == 0:
+		return 0
+	case avg:
+		return float32(acc / float64(count))
+	}
+	return best
+}
+
+// poolInterior returns the output positions [lo, hi) along one axis whose
+// windows lie inside the input: extent in, window k, stride s, padding p,
+// out positions.
+func poolInterior(in, k, s, p, out int) (lo, hi int) {
+	lo = min((p+s-1)/s, out)
+	hi = lo
+	if last := in - k + p; last >= 0 {
+		hi = max(lo, min(last/s+1, out))
+	}
+	return lo, hi
+}
+
+// avgRows is maxRows's counterpart for average pooling: each output is the
+// float64 mean of its kept taps.
+func avgRows(dst, src []float32, taps []poolTap, n, stride, rows, dstRow, srcRow int) {
+	for r := 0; r < rows; r++ {
+		d, s := dst[r*dstRow:r*dstRow+n], src[r*srcRow:]
+		for j := range d {
+			var acc float64
+			for _, t := range taps {
+				acc += float64(s[j*stride+t.off])
+			}
+			d[j] = float32(acc / float64(len(taps)))
+		}
+	}
 }
 
 // BatchNormParams holds per-channel inference-time normalization state.

@@ -1,6 +1,7 @@
 package tensorops
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -153,29 +154,185 @@ func refPool(x *tensor.Tensor, p PoolParams, avg bool, num, den int) *tensor.Ten
 	return out
 }
 
+// refPoolPrec is refPool under a precision: FP16 pools the quantized input
+// and rounds an average back to half precision.
+func refPoolPrec(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, den int) *tensor.Tensor {
+	if prec == FP32 {
+		return refPool(x, p, avg, num, den)
+	}
+	xq := x.Clone()
+	xq.ToFP16()
+	out := refPool(xq, p, avg, num, den)
+	out.ToFP16()
+	return out
+}
+
+var poolRatios = [][2]int{{1, 1}, {1, 2}, {2, 5}, {1, 4}, {3, 4}}
+
+// TestPoolMatchesReferenceLoop: under every tier, both precisions and all
+// sampling ratios, over windows, strides and paddings whose interior rows
+// run from none to 17 windows (below, at and across the eight-lane vector).
 func TestPoolMatchesReferenceLoop(t *testing.T) {
-	g := tensor.NewRNG(21)
-	ratios := [][2]int{{1, 1}, {1, 2}, {2, 5}, {1, 4}, {3, 4}}
-	for _, k := range [][2]int{{2, 2}, {3, 3}, {2, 3}, {5, 1}} {
-		for _, stride := range []int{1, 2, 3} {
-			for _, pad := range []int{0, 1, 2} {
-				p := PoolParams{KH: k[0], KW: k[1], StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
-				for _, hw := range [][2]int{{5, 5}, {7, 4}, {9, 11}} {
-					if hw[0]+2*pad < k[0] || hw[1]+2*pad < k[1] {
-						continue
-					}
-					x := randTensor(g, 2, 3, hw[0], hw[1])
-					for _, r := range ratios {
-						for _, avg := range []bool{false, true} {
-							got := poolSampled(x, p, FP32, avg, r[0], r[1])
-							requireSameBits(t, got, refPool(x, p, avg, r[0], r[1]),
-								"pool %+v in=%v avg=%v ratio=%d/%d", p, hw, avg, r[0], r[1])
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(21)
+		for _, k := range [][2]int{{2, 2}, {3, 3}, {2, 3}, {5, 1}, {1, 4}} {
+			for _, stride := range []int{1, 2, 3} {
+				for _, pad := range []int{0, 1, 2} {
+					p := PoolParams{KH: k[0], KW: k[1], StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+					for _, hw := range [][2]int{{5, 5}, {7, 4}, {9, 11}, {4, 18}, {3, 35}} {
+						if hw[0]+2*pad < k[0] || hw[1]+2*pad < k[1] {
+							continue
+						}
+						x := randTensor(g, 2, 3, hw[0], hw[1])
+						x0 := x.Clone()
+						for _, r := range poolRatios {
+							for _, avg := range []bool{false, true} {
+								for _, prec := range []Precision{FP32, FP16} {
+									got := poolSampled(x, p, prec, avg, r[0], r[1])
+									requireSameBits(t, got, refPoolPrec(x, p, prec, avg, r[0], r[1]),
+										"pool %+v in=%v avg=%v ratio=%d/%d %v", p, hw, avg, r[0], r[1], prec)
+									requireSameBits(t, x, x0, "pool %+v in=%v: input written", p, hw)
+								}
+							}
 						}
 					}
 				}
 			}
 		}
+	})
+}
+
+// TestMaxPoolSpecialValues: windows holding NaNs, infinities and signed
+// zeros, each at every position of rows of 1, 3, 4, 7, 8, 9 and 17 windows
+// — one at a time, four lanes alone and overlapped, eight lanes alone and
+// overlapped — as 2×2 windows at stride 2 and 4×1 windows at stride 1,
+// under both precisions and every tier. The fold keeps the first of equal zeros and never picks a
+// NaN, so an all-NaN window gives −Inf; only a window with no tap inside
+// the input gives 0.
+func TestMaxPoolSpecialValues(t *testing.T) {
+	nan, inf, negz := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	cases := []struct {
+		name string
+		taps [4]float32 // in (ky, kx) order
+		want float32
+	}{
+		{"NaN first", [4]float32{nan, 1, -2, 0.5}, 1},
+		{"NaN last", [4]float32{1, -2, 0.5, nan}, 1},
+		{"all NaN", [4]float32{nan, nan, nan, nan}, -inf},
+		{"all -Inf", [4]float32{-inf, -inf, -inf, -inf}, -inf},
+		{"+0 then -0", [4]float32{0, negz, -1, -3}, 0},
+		{"-0 then +0", [4]float32{negz, 0, -1, -3}, negz},
+		{"+Inf past NaN", [4]float32{-inf, nan, inf, 1}, inf},
 	}
+	// check compares out with want bit for bit; name(j) labels output j.
+	check := func(t *testing.T, out *tensor.Tensor, want []float32, name func(j int) string, desc string) {
+		t.Helper()
+		for j, v := range out.Data() {
+			if math.Float32bits(v) != math.Float32bits(want[j]) {
+				t.Fatalf("%s: output %d (%s) = %v, want %v", desc, j, name(j), v, want[j])
+			}
+		}
+	}
+	forEachTier(t, func(t *testing.T) {
+		for _, prec := range []Precision{FP32, FP16} {
+			for _, wo := range []int{1, 3, 4, 7, 8, 9, 17} {
+				for shift := range cases {
+					at := func(j int) int { return (j + shift) % len(cases) }
+					x2 := tensor.New(1, 1, 2, 2*wo) // window j: columns 2j, 2j+1
+					x4 := tensor.New(1, 1, 4, wo)   // window j: column j
+					want := make([]float32, wo)
+					for j := range want {
+						tp := cases[at(j)].taps
+						x2.Set(tp[0], 0, 0, 0, 2*j)
+						x2.Set(tp[1], 0, 0, 0, 2*j+1)
+						x2.Set(tp[2], 0, 0, 1, 2*j)
+						x2.Set(tp[3], 0, 0, 1, 2*j+1)
+						for ky, v := range tp {
+							x4.Set(v, 0, 0, ky, j)
+						}
+						want[j] = cases[at(j)].want
+					}
+					name := func(j int) string { return cases[at(j)].name }
+					desc := fmt.Sprintf("%v wo=%d shift=%d", prec, wo, shift)
+					check(t, MaxPool(x2, PoolParams{KH: 2, KW: 2}, prec), want, name, "2×2/2 "+desc)
+					check(t, MaxPool(x4, PoolParams{KH: 4, KW: 1, StrideH: 1, StrideW: 1}, prec), want, name, "4×1/1 "+desc)
+				}
+			}
+			// One element padded by one. With 1×1 windows the eight around it
+			// hold padding only; every 2×2 window holds the element and
+			// padding, so the border path's rule shows.
+			for _, v := range []float32{nan, -inf, negz} {
+				x := tensor.FromSlice([]float32{v}, 1, 1, 1, 1)
+				only := v
+				if v != v {
+					only = -inf
+				}
+				ring := make([]float32, 9)
+				ring[4] = only
+				name := func(j int) string {
+					if j == 4 {
+						return "the element"
+					}
+					return "padding only"
+				}
+				desc := fmt.Sprintf("%v padding around %v", prec, v)
+				check(t, MaxPool(x, PoolParams{KH: 1, KW: 1, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, prec), ring, name, "1×1 "+desc)
+				check(t, MaxPool(x, PoolParams{KH: 2, KW: 2, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, prec),
+					[]float32{only, only, only, only}, func(int) string { return "the element and padding" }, "2×2 "+desc)
+			}
+		}
+	})
+}
+
+// poolSpecials are the bit patterns FuzzMaxPool decodes the bytes below
+// len(poolSpecials) to: both zeros, both infinities, quiet NaNs of both
+// signs and a signalling NaN with a payload.
+var poolSpecials = []uint32{0, 1 << 31, 0x7f800000, 0xff800000, 0x7fc00000, 0xffc00000, 0x7f800001}
+
+// FuzzMaxPool draws a max pool from ctl — window 1–4 × 1–4, strides 1–3,
+// padding 0–2, one of five sampling ratios, 1–3 planes of 1–40 × 1–40, either
+// precision — and its input from vals, cycled: a byte below
+// len(poolSpecials) is that special value, any other b is int8(b)/8, so
+// NaNs, infinities, signed zeros and ties all occur. poolSampled under every
+// tier the CPU has must equal refPool bit for bit and leave its input as it
+// was. The committed corpus holds output widths 1, 7, 8, 9, 15, 16 and 17 and
+// NaN and −0 inputs.
+func FuzzMaxPool(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ctl, vals []byte) {
+		if len(ctl) < 11 || len(vals) == 0 {
+			t.Skip()
+		}
+		pick := func(i, lo, hi int) int { return lo + int(ctl[i])%(hi-lo+1) }
+		p := PoolParams{
+			KH: pick(0, 1, 4), KW: pick(1, 1, 4),
+			StrideH: pick(2, 1, 3), StrideW: pick(3, 1, 3),
+			PadH: pick(4, 0, 2), PadW: pick(5, 0, 2),
+		}
+		r := poolRatios[pick(6, 0, len(poolRatios)-1)]
+		h, w := pick(7, 1, 40), pick(8, 1, 40)
+		prec := Precision(pick(9, 0, 1))
+		if h+2*p.PadH < p.KH || w+2*p.PadW < p.KW {
+			t.Skip() // no output position
+		}
+		x := tensor.New(1, pick(10, 1, 3), h, w)
+		xd := x.Data()
+		for i := range xd {
+			if b := vals[i%len(vals)]; int(b) < len(poolSpecials) {
+				xd[i] = math.Float32frombits(poolSpecials[b])
+			} else {
+				xd[i] = float32(int8(b)) / 8
+			}
+		}
+		x0 := x.Clone()
+		want := refPoolPrec(x, p, prec, false, r[0], r[1])
+		defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
+		for tier := tierPortable; tier <= bestTier(); tier++ {
+			gemmTier = tier
+			got := poolSampled(x, p, prec, false, r[0], r[1])
+			requireSameBits(t, got, want, "tier=%v %+v in=%dx%d ratio=%d/%d %v", tier, p, h, w, r[0], r[1], prec)
+			requireSameBits(t, x, x0, "tier=%v: input written", tier)
+		}
+	})
 }
 
 func TestPoolSampledSubset(t *testing.T) {

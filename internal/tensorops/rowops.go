@@ -1,9 +1,12 @@
 package tensorops
 
-// Row kernels with a vector tier: the slice forms of tanh32 and of the
-// streaming kernels' d[j] += a·s[j]. Under tierAVX the bulk of a slice goes
-// through rowops_avx_amd64.s; the scalar loops below are the reference the
-// assembly transcribes, the sse2/portable tiers, and the remainder.
+import "math"
+
+// Row kernels with a vector tier: the slice forms of tanh32, of the
+// streaming kernels' d[j] += a·s[j] and of max pooling's fold. Under tierAVX
+// the bulk of a slice goes through rowops_avx_amd64.s or pool_avx_amd64.s;
+// the scalar loops below are the reference the assembly transcribes, the
+// sse2/portable tiers, and the remainder.
 
 // rowVec is the shortest slice the eight-lane kernels take: they cover a
 // ragged end with a last vector that overlaps the one before it.
@@ -35,5 +38,32 @@ func axpy(dst, src []float32, a float32) {
 	}
 	for j, sv := range src {
 		dst[j] += a * sv
+	}
+}
+
+// maxRows sets dst[r·dstRow+j], for r < rows and j < n, to the max-pool
+// fold of src[r·srcRow+j·stride+t.off] over taps, which must be non-empty
+// and ascending in off: best starts at −Inf and takes a tap only when it is
+// greater, so a NaN never wins and of +0 and −0 the first stays. rows and n
+// must be positive. Under tierAVX, rows of at least four outputs at stride 2
+// (every max pool in the zoo) go through pool_avx_amd64.s.
+func maxRows(dst, src []float32, taps []poolTap, n, stride, rows, dstRow, srcRow int) {
+	dst = dst[:(rows-1)*dstRow+n]
+	src = src[:(rows-1)*srcRow+(n-1)*stride+taps[len(taps)-1].off+1]
+	if gemmTier == tierAVX && stride == 2 && n >= 4 {
+		poolMaxAVX(&dst[0], &src[0], &taps[0], len(taps), n, rows, dstRow, srcRow)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d, s := dst[r*dstRow:r*dstRow+n], src[r*srcRow:]
+		for j := range d {
+			best := float32(math.Inf(-1))
+			for _, t := range taps {
+				if v := s[j*stride+t.off]; v > best {
+					best = v
+				}
+			}
+			d[j] = best
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package tensorops
 
-// The kernels in rowops_avx_amd64.s. None checks a bound: the callers in
-// rowops.go and epilogue.go slice first.
+// The kernels in rowops_avx_amd64.s and pool_avx_amd64.s. None checks a
+// bound: the callers in rowops.go and epilogue.go slice first.
 
 //go:noescape
 func tanh4AVX(dst, src *float32, groups int)
@@ -11,3 +11,6 @@ func epilogueRowAVX(p *float32, n int, bias *float32, flags int, clip float32)
 
 //go:noescape
 func axpyAVX(dst, src *float32, n int, a float32)
+
+//go:noescape
+func poolMaxAVX(dst, src *float32, taps *poolTap, ntaps, n, rows, dstRow, srcRow int)

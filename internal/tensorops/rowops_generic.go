@@ -9,3 +9,5 @@ func tanh4AVX(dst, src *float32, groups int) {}
 func epilogueRowAVX(p *float32, n int, bias *float32, flags int, clip float32) {}
 
 func axpyAVX(dst, src *float32, n int, a float32) {}
+
+func poolMaxAVX(dst, src *float32, taps *poolTap, ntaps, n, rows, dstRow, srcRow int) {}

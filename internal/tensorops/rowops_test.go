@@ -245,6 +245,87 @@ func TestStandaloneOpsMatchScalarChain(t *testing.T) {
 	})
 }
 
+// TestMaxRowsMatchesScalar holds maxRows under every tier to the scalar
+// fold: one and three rows of 1…33 windows at strides 1–3 over tap sets
+// from one tap to a sampled 3×3, with NaNs, infinities and signed zeros
+// planted. The source is cut out of a buffer filled with +Inf, which would
+// win any maximum it entered, so a read past either end shows; the output
+// rows have gaps between them, and nothing outside the rows is written.
+func TestMaxRowsMatchesScalar(t *testing.T) {
+	const guard = float32(-777.25)
+	inf := float32(math.Inf(1))
+	specials := []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 0, -inf, inf}
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(53)
+		for _, offs := range [][]int{{0}, {0, 1}, {0, 1, 9, 10}, {0, 2, 8, 14, 16}, {0, 1, 2, 3}} {
+			taps := make([]poolTap, len(offs))
+			for i, off := range offs {
+				taps[i].off = off
+			}
+			for stride := 1; stride <= 3; stride++ {
+				for _, rows := range []int{1, 3} {
+					for n := 1; n <= 33; n++ {
+						dstRow, srcRow := n+3, 2*n+5
+						need := (rows-1)*srcRow + (n-1)*stride + offs[len(offs)-1] + 1
+						buf := make([]float32, need+32)
+						for i := range buf {
+							buf[i] = inf
+						}
+						src := buf[16 : 16+need]
+						fillNormal(g, src)
+						for i := 0; i < need; i += 5 {
+							src[i] = specials[(i/5+n)%len(specials)]
+						}
+						dst := make([]float32, rows*dstRow+16)
+						for i := range dst {
+							dst[i] = guard
+						}
+						maxRows(dst[8:], src, taps, n, stride, rows, dstRow, srcRow)
+						for i, got := range dst {
+							r, j := (i-8)/dstRow, (i-8)%dstRow
+							if i < 8 || r >= rows || j >= n {
+								if got != guard {
+									t.Fatalf("offs=%v stride=%d rows=%d n=%d: wrote outside the rows at %d", offs, stride, rows, n, i-8)
+								}
+								continue
+							}
+							want := float32(math.Inf(-1))
+							for _, off := range offs {
+								if v := src[r*srcRow+j*stride+off]; v > want {
+									want = v
+								}
+							}
+							if math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("offs=%v stride=%d rows=%d n=%d: row %d [%d] = %v, scalar fold %v", offs, stride, rows, n, r, j, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestPoolMaxAVXShortRow: maxRows never hands the kernel a row of fewer
+// than four outputs, and if called with one the kernel writes nothing rather
+// than a four-lane block past the row's end.
+func TestPoolMaxAVXShortRow(t *testing.T) {
+	if bestTier() < tierAVX {
+		t.Skip("no avx kernel tier on this CPU/architecture")
+	}
+	src := make([]float32, 16)
+	taps := []poolTap{{}}
+	for n := 1; n < 4; n++ {
+		dst := []float32{-1, -1, -1, -1}
+		poolMaxAVX(&dst[0], &src[0], &taps[0], len(taps), n, 2, 0, 8)
+		for i, v := range dst {
+			if v != -1 {
+				t.Fatalf("n=%d: dst[%d] = %v, want it untouched", n, i, v)
+			}
+		}
+	}
+}
+
 // TestAxpyMatchesScalar: lengths 0…33 at misaligned starts, with zeros,
 // infinities and a NaN among the operands, against the scalar statement;
 // nothing outside dst is written.
