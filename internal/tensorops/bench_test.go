@@ -152,8 +152,8 @@ func BenchmarkConv2DPointwiseFresh(b *testing.B) {
 	benchFresh(b, 32, 64, 16, 1, p, func(x, w *tensor.Tensor) { Conv2DFused(x, w, p, FP32, benchEpilogue) })
 }
 
-// BenchmarkConv2DDepthwiseFresh is one filter per channel: the small-m
-// kernel that reads input rows in place.
+// BenchmarkConv2DDepthwiseFresh is one filter per channel: the small-group
+// kernel that sums taps over the padded planes.
 func BenchmarkConv2DDepthwiseFresh(b *testing.B) {
 	p := ConvParams{Groups: 32, PadH: 1, PadW: 1}
 	benchFresh(b, 32, 32, 16, 3, p, func(x, w *tensor.Tensor) { Conv2DFused(x, w, p, FP32, benchEpilogue) })
@@ -211,20 +211,6 @@ func BenchmarkConv2DGrouped(b *testing.B) {
 	wt := tensor.New(32, 4, 3, 3)
 	g.FillHe(wt, 4*9)
 	p := ConvParams{Groups: 4, PadH: 1, PadW: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv2D(x, wt, p, FP32)
-	}
-}
-
-func BenchmarkConv2DDepthwise(b *testing.B) {
-	g := tensor.NewRNG(6)
-	x := tensor.New(4, 32, 32, 32)
-	g.FillNormal(x, 0, 1)
-	wt := tensor.New(32, 1, 3, 3)
-	g.FillHe(wt, 9)
-	p := ConvParams{Groups: 32, PadH: 1, PadW: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -335,6 +321,37 @@ func BenchmarkMaxPool(b *testing.B) {
 	}
 }
 
+// BenchmarkDepthwise is MobileNet's depthwise layers at width 0.25 and batch
+// 16 — 3×3 filters, padding 1, one filter per channel, bias and clipped ReLU
+// fused — named channels × input side × stride, under each tier the CPU
+// has. Output sides are 32, 16, 16, 8, 4, 2 and 2: the last two take the
+// scalar loop on every tier. Compare the tiers at -cpu 1,2.
+func BenchmarkDepthwise(b *testing.B) {
+	g := tensor.NewRNG(9)
+	for _, s := range []struct{ c, hw, stride int }{
+		{8, 32, 1}, {16, 32, 2}, {32, 16, 1}, {64, 8, 1}, {128, 4, 1}, {128, 4, 2}, {256, 2, 1},
+	} {
+		x := randTensor(g, 16, s.c, s.hw, s.hw)
+		w := randTensor(g, s.c, 1, 3, 3).MarkCacheable()
+		p := ConvParams{StrideH: s.stride, StrideW: s.stride, PadH: 1, PadW: 1, Groups: s.c}
+		ep := Epilogue{Bias: randTensor(g, s.c), Act: ActClippedReLU, Clip: 6}
+		for _, tier := range []kernelTier{tierAVX, tierSSE2, tierPortable} {
+			if tier > bestTier() {
+				continue
+			}
+			b.Run(fmt.Sprintf("%dx%dx%d-s%d/%v", s.c, s.hw, s.hw, s.stride, tier), func(b *testing.B) {
+				defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
+				gemmTier = tier
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Conv2DFused(x, w, p, FP32, ep)
+				}
+			})
+		}
+		InvalidatePacked(w)
+	}
+}
+
 func BenchmarkAxpy(b *testing.B) {
 	row, src := benchRow(1024)
 	benchRowTiers(b, len(row), func() {
@@ -361,6 +378,13 @@ func TestConv2DFusedFreshAllocs(t *testing.T) {
 	defer InvalidatePacked(w)
 	p := ConvParams{PadH: 1, PadW: 1}
 	ep := Epilogue{Bias: randTensor(g, 8), Act: ActReLU}
+	// A depthwise layer takes direct, whose tap table is pooled with the
+	// plan's other tables.
+	dx := randTensor(g, 1, 32, 16, 16)
+	dw := randTensor(g, 32, 1, 3, 3).MarkCacheable()
+	defer InvalidatePacked(dw)
+	dp := ConvParams{PadH: 1, PadW: 1, Groups: 32}
+	dep := Epilogue{Bias: randTensor(g, 32), Act: ActClippedReLU, Clip: 6}
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -370,6 +394,9 @@ func TestConv2DFusedFreshAllocs(t *testing.T) {
 		{"fp16", 6, func() { Conv2DFused(x, w, p, FP16, ep) }},
 		{"samp50", 6, func() { Conv2DFilterSamplingFused(x, w, p, 2, 0, FP32, ep) }},
 		{"perf50", 7, func() { Conv2DPerforatedFused(x, w, p, PerfRows, 2, 0, FP32, ep) }},
+		{"depthwise/exact", 6, func() { Conv2DFused(dx, dw, dp, FP32, dep) }},
+		{"depthwise/samp50", 6, func() { Conv2DFilterSamplingFused(dx, dw, dp, 2, 0, FP32, dep) }},
+		{"depthwise/perf50", 7, func() { Conv2DPerforatedFused(dx, dw, dp, PerfRows, 2, 0, FP32, dep) }},
 	} {
 		tc.run() // fill the scratch pool and the per-weight cache entries
 		if got := testing.AllocsPerRun(50, tc.run); got > tc.max {

@@ -130,6 +130,9 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 	how := ho * wo
 	pl := newConvPlan(xd, ci, cig, h, wd, kh, kw, ho, wo, p, perf, samp)
 	defer tabPool.Put(pl.tab)
+	if cog < gemmMR {
+		pl.lowerTaps(wdat, co)
+	}
 	wsz := cog * pl.kc // one group's weight block
 
 	// The epilogue of one output channel's plane: a C row is one output
@@ -143,8 +146,8 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 
 	// The blocked kernel spreads each (image, group) over the workers
 	// itself, so whole images are dispatched; groups with too few rows to
-	// amortize packing (depthwise has cog == 1) stream their input rows in
-	// place, one (image, group) per unit of dispatch.
+	// amortize packing (depthwise has cog == 1) are summed tap by tap from
+	// the planes (direct), one (image, group) per unit of dispatch.
 	grain := g
 	if cog < gemmMR {
 		grain = 1
@@ -155,29 +158,28 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 		// planes of the (image, group) it is on and, under perforation, the
 		// compact (cog × kept) product the kept outputs are scattered from.
 		var pad, compact []float32
-		if cog >= gemmMR {
-			if pl.ph|pl.pw != 0 {
-				pad = tensor.Scratch(cig * pl.hp * pl.wp)
-				defer tensor.Release(pad)
-			}
-			if perf != nil {
-				compact = tensor.Scratch(cog * ncols)
-				defer tensor.Release(compact)
-			}
+		if pl.ph|pl.pw != 0 {
+			pad = tensor.Scratch(cig * pl.hp * pl.wp)
+			pl.zeroBorders(pad)
+			defer tensor.Release(pad)
+		}
+		if perf != nil && cog >= gemmMR {
+			compact = tensor.Scratch(cog * ncols)
+			defer tensor.Release(compact)
 		}
 		for u := lo * grain; u < hi*grain; u++ {
 			img, grp := u/g, u%g
-			wblock := wdat[grp*wsz : (grp+1)*wsz]
 			oblock := od[(img*co+grp*cog)*how : (img*co+(grp+1)*cog)*how]
+			planes := pl.planes(pad, img, grp)
 			if cog < gemmMR {
-				pl.direct(wblock, oblock, cog, img, grp, fused, grp*cog)
+				pl.direct(planes, oblock, cog, fused, grp*cog)
 			} else {
 				c := oblock
 				if perf != nil {
 					clear(compact)
 					c = compact
 				}
-				pl.blocked(wblock, pl.planes(pad, img, grp), c, cog, fused, grp*cog)
+				pl.blocked(wdat[grp*wsz:(grp+1)*wsz], planes, c, cog, fused, grp*cog)
 			}
 			if perf != nil {
 				perf.finish(pl, oblock, compact, cog, re, grp*cog)

@@ -303,8 +303,9 @@ func TestConvDirectMatchesReference(t *testing.T) {
 // and non-square filters (k×1 keeps the rows abutting, so the whole output
 // is one span; 1×k does not); output widths 3, 4, 6, 7, 12 and 28 (panels
 // that straddle two rows, pairs that do, long runs); stride 2 in one axis or
-// both (no two columns adjacent: every panel gathers); and groups whose
-// cog ≥ 4 takes the blocked kernel per group.
+// both (no two columns adjacent: every panel gathers); groups whose
+// cog ≥ 4 takes the blocked kernel per group; and MobileNet's depthwise
+// layers, which take direct.
 func TestConvLoweringShapes(t *testing.T) {
 	type shape struct {
 		h, w, kh, kw   int
@@ -338,6 +339,16 @@ func TestConvLoweringShapes(t *testing.T) {
 		{1, 9, 1, 3, 1, 1, 0, 1, 2, 4, 1},   // a single output row
 		{9, 1, 3, 1, 1, 1, 1, 0, 2, 4, 1},   // a single output column
 	}
+	// MobileNet's depthwise layers — 3×3, pad 1, Groups == ci — at stride 1
+	// and 2 and output widths that take the AVX kernel's four- and eight-lane
+	// blocks and ragged ends, and a 2-wide plane's joined rows; odd widths
+	// with two filters per channel.
+	for _, wo := range []int{2, 4, 7, 8, 9, 16, 17, 32} {
+		co := 3 + 3*(wo%2)
+		shapes = append(shapes,
+			shape{3, wo, 3, 3, 1, 1, 1, 1, 3, co, 3},
+			shape{4, 2 * wo, 3, 3, 2, 2, 1, 1, 3, co, 3})
+	}
 	withProcs(t, []int{1, 3}, func(t *testing.T) {
 		forEachTier(t, func(t *testing.T) {
 			g := tensor.NewRNG(43)
@@ -365,19 +376,86 @@ func TestConvLoweringShapes(t *testing.T) {
 // either way the output must be the reference's.
 func TestConvPaddedPlanesPerWorker(t *testing.T) {
 	g := tensor.NewRNG(47)
-	p := ConvParams{PadH: 1, PadW: 2}
-	wt := randTensor(g, 8, 3, 3, 3)
-	bias := randTensor(g, 8)
-	for _, n := range []int{8, 1} {
-		x := randTensor(g, n, 3, 9, 10)
-		for _, knob := range []convKnob{{}, {samp: sampSpec{2, 1}}, {perf: &perfSpec{dir: PerfCols, stride: 3, offset: 1}}} {
-			ep := Epilogue{Bias: bias, Act: ActReLU}
-			want := refConvolve(x, wt, p, FP32, knob, ep)
-			for rep := 0; rep < 4; rep++ {
-				requireSameBits(t, engineConvolve(t, x, wt, p, FP32, knob, ep), want, "n=%d %v rep %d", n, knob, rep)
+	for _, groups := range []int{1, 3} { // blocked, and direct (depthwise)
+		p := ConvParams{PadH: 1, PadW: 2, Groups: groups}
+		co := 8
+		if groups > 1 {
+			co = groups
+		}
+		wt := randTensor(g, co, 3/groups, 3, 3)
+		bias := randTensor(g, co)
+		for _, n := range []int{8, 1} {
+			x := randTensor(g, n, 3, 9, 10)
+			for _, knob := range []convKnob{{}, {samp: sampSpec{2, 1}}, {perf: &perfSpec{dir: PerfCols, stride: 3, offset: 1}}} {
+				ep := Epilogue{Bias: bias, Act: ActReLU}
+				want := refConvolve(x, wt, p, FP32, knob, ep)
+				for rep := 0; rep < 4; rep++ {
+					requireSameBits(t, engineConvolve(t, x, wt, p, FP32, knob, ep), want, "groups=%d n=%d %v rep %d", groups, n, knob, rep)
+				}
 			}
 		}
 	}
+}
+
+// TestConvSmallGroupSpecialValues holds the engine to the reference where
+// non-finite values and signed zeros meet the padding: ±Inf and NaN weights,
+// ±Inf and NaN inputs, inputs that are all −0 and a filter channel of zeros,
+// at cog 1 and 2 (direct) and 4 (blocked), stride 1 and 2, under both
+// precisions, several knobs and every tier. The reference multiplies a
+// padding tap as a stored +0, so an infinite or NaN weight gives NaN at the
+// border. Each case plants one kind of value only: where NaNs of two payloads
+// meet in a sum, which survives is the compiler's choice of operand order in
+// the reference. A zero weight against a non-finite input runs at cog 1 and
+// 2 only: the reference and direct skip that term, the blocked tile
+// multiplies it.
+func TestConvSmallGroupSpecialValues(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	every := func(d []float32, k int, v ...float32) {
+		for i := 0; i < len(d); i += k {
+			d[i] = v[i/k%len(v)]
+		}
+	}
+	cases := []struct {
+		name       string
+		directOnly bool
+		plant      func(x, w []float32, kvol int)
+	}{
+		{"inf-weights", false, func(x, w []float32, kvol int) { every(w, 5, inf, -inf) }},
+		{"nan-weights", false, func(x, w []float32, kvol int) { every(w, 7, nan) }},
+		{"inf-inputs", false, func(x, w []float32, kvol int) { every(x, 9, inf, -inf) }},
+		{"nan-inputs", false, func(x, w []float32, kvol int) { every(x, 11, nan) }},
+		{"negzero-inputs", false, func(x, w []float32, kvol int) { every(x, 1, float32(math.Copysign(0, -1))) }},
+		{"zero-channel", false, func(x, w []float32, kvol int) { clear(w[kvol : 2*kvol]) }},
+		{"zero-weights-inf-inputs", true, func(x, w []float32, kvol int) { every(x, 9, inf, -inf); every(w, 4, 0) }},
+	}
+	knobs := []convKnob{{}, {samp: sampSpec{2, 0}}, {perf: &perfSpec{dir: PerfRows, stride: 2, offset: 0}}, {perf: &perfSpec{dir: PerfCols, stride: 3, offset: 1}}}
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(61)
+		for _, tc := range cases {
+			for _, cog := range []int{1, 2, 4} {
+				if tc.directOnly && cog >= gemmMR {
+					continue
+				}
+				for _, stride := range []int{1, 2} {
+					for _, hw := range [][2]int{{11, 12}, {3, 4}} {
+						p := ConvParams{StrideH: stride, StrideW: stride, PadH: 1, PadW: 1, Groups: 4}
+						x := randTensor(g, 2, 4, hw[0], hw[1])
+						wt := randTensor(g, 4*cog, 1, 3, 3)
+						tc.plant(x.Data(), wt.Data(), 9)
+						eps := diffEpilogues(randTensor(g, 4*cog))
+						for _, prec := range []Precision{FP32, FP16} {
+							for ki, knob := range knobs {
+								ep := eps[ki%len(eps)]
+								want := refConvolve(x, wt, p, prec, knob, ep)
+								requireSameBits(t, engineConvolve(t, x, wt, p, prec, knob, ep), want,
+									"%s cog=%d stride=%d in=%v %v %v", tc.name, cog, stride, hw, prec, knob)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // FuzzConvDirectVsReference draws a convolution — shape, stride, padding,

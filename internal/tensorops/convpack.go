@@ -64,42 +64,60 @@ func (s *sampCursor) drop() bool {
 	return d
 }
 
-// convPlan is the lowering of one convolve call: the geometry, and the
-// tables that locate the input element behind B[l][j].
+// convPlan is the lowering of one convolve call: the geometry, the tables
+// that locate the input element behind B[l][j], and for direct each output
+// channel's taps.
 type convPlan struct {
 	xd             []float32 // input in the precision the kernels consume
 	ci, cig, h, w  int
-	kh, kw         int
 	sh, sw, ph, pw int
-	hp, wp         int // plane extent as packed from: h+2·ph, w+2·pw
-	wo             int // full output width (oy·wo+ox addresses the output plane)
-	samp           sampSpec
-	kc             int      // K extent after sampling
-	tab            *[]int32 // pooled backing of the three tables
-	oy, ox         []int32  // kept output rows / columns, ascending
-	offs           []int32  // kc ascending plane offsets, sampled-out positions absent
+	hp, wp         int       // plane extent as packed from: h+2·ph, w+2·pw
+	wo             int       // full output width (oy·wo+ox addresses the output plane)
+	kc             int       // K extent after sampling
+	tab            *convTabs // pooled backing of the tables
+	oy, ox         []int32   // kept output rows / columns, ascending
+	offs           []int32   // kc ascending plane offsets, sampled-out positions absent
 	// span: packed columns [i·span, (i+1)·span) are adjacent in the planes —
 	// a kept row at unit stride with every column kept, all of ncols when
 	// the rows abut as well (k×1 filters); 0 when no two columns are.
 	span int
+	// taps[tapAt[c]:tapAt[c+1]] are output channel c's terms for direct
+	// (lowerTaps); empty when the blocked kernel runs.
+	taps  []convTap
+	tapAt []int32
+}
+
+// convTap is one term of a small-group output: the plane offset of its
+// input element from the patch's first, and the weight that multiplies it.
+// window_avx_amd64.s reads both through go_asm.h.
+type convTap struct {
+	off int32
+	w   float32
+}
+
+// convTabs is the pooled backing of a plan's tables.
+type convTabs struct {
+	idx  []int32 // oy, ox and offs
+	taps []convTap
+	at   []int32
 }
 
 // tabPool recycles plan tables; convolve puts a plan's back when it returns.
-var tabPool = sync.Pool{New: func() any { return new([]int32) }}
+var tabPool = sync.Pool{New: func() any { return new(convTabs) }}
 
 // newConvPlan lowers one call.
 func newConvPlan(xd []float32, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams, perf *perfSpec, samp sampSpec) *convPlan {
 	pl := &convPlan{
-		xd: xd, ci: ci, cig: cig, h: h, w: w, kh: kh, kw: kw,
+		xd: xd, ci: ci, cig: cig, h: h, w: w,
 		sh: p.StrideH, sw: p.StrideW, ph: p.PadH, pw: p.PadW,
 		hp: h + 2*p.PadH, wp: w + 2*p.PadW,
-		wo: wo, samp: samp, kc: samp.keptK(cig * kh * kw),
-		tab: tabPool.Get().(*[]int32),
+		wo: wo, kc: samp.keptK(cig * kh * kw),
+		tab: tabPool.Get().(*convTabs),
 	}
 	if cig*pl.hp*pl.wp > math.MaxInt32 {
 		panicShape("Conv2D", "one group's padded input (%d×%d×%d) is beyond int32 offsets", cig, pl.hp, pl.wp)
 	}
-	tab := (*pl.tab)[:0]
+	tab := pl.tab.idx[:0]
 	if need := ho + wo + pl.kc; cap(tab) < need {
 		tab = make([]int32, 0, need)
 	}
@@ -125,7 +143,7 @@ func newConvPlan(xd []float32, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams, 
 		}
 	}
 	pl.offs = tab[len(tab)-pl.kc:]
-	*pl.tab = tab
+	pl.tab.idx = tab
 	if pl.sw == 1 && len(pl.ox) == wo {
 		pl.span = wo
 		if pl.wp == wo && pl.sh == 1 && len(pl.oy) == ho {
@@ -145,30 +163,38 @@ func (pl *convPlan) chanBase(img, grp int) int {
 
 // planes returns (img, grp)'s cig input planes as the packers address them,
 // hp × wp each: the input itself when nothing is padded, otherwise pad
-// (cig·hp·wp floats), filled with the planes inside borders of stored zeros.
+// (cig·hp·wp floats, its borders zeroed once by zeroBorders) with the planes
+// copied inside them.
 func (pl *convPlan) planes(pad []float32, img, grp int) []float32 {
-	h, w, ph, pw, wp := pl.h, pl.w, pl.ph, pl.pw, pl.wp
+	h, w, wp := pl.h, pl.w, pl.wp
 	base := pl.chanBase(img, grp)
 	src := pl.xd[base : base+pl.cig*h*w]
 	if pad == nil {
 		return src
 	}
-	d := 0
 	for ch := 0; ch < pl.cig; ch++ {
-		clear(pad[d : d+ph*wp])
-		d += ph * wp
 		for y := 0; y < h; y++ {
-			row := pad[d : d+wp]
-			for i := 0; i < pw; i++ {
-				row[i], row[pw+w+i] = 0, 0
-			}
-			copy(row[pw:pw+w], src[(ch*h+y)*w:])
-			d += wp
+			d := (ch*pl.hp+pl.ph+y)*wp + pl.pw
+			copy(pad[d:d+w], src[(ch*h+y)*w:])
 		}
-		clear(pad[d : d+ph*wp])
-		d += ph * wp
 	}
 	return pad
+}
+
+// zeroBorders stores +0 around each of pad's cig planes. planes never
+// writes there, so a worker does it once for all the (image, group)s it
+// pads into the same buffer.
+func (pl *convPlan) zeroBorders(pad []float32) {
+	h, w, ph, pw, wp := pl.h, pl.w, pl.ph, pl.pw, pl.wp
+	for d := 0; d < len(pad); d += pl.hp * wp {
+		clear(pad[d : d+ph*wp])
+		for y := ph; y < ph+h; y++ {
+			row := pad[d+y*wp : d+(y+1)*wp]
+			clear(row[:pw])
+			clear(row[pw+w:])
+		}
+		clear(pad[d+(ph+h)*wp : d+pl.hp*wp])
+	}
 }
 
 // base is the plane offset of the first element of the patch under kept
@@ -327,74 +353,79 @@ func (pl *convPlan) blockedRange(a, planes, c []float32, m int, ep *rowEpi, chan
 	tensor.Release(buf)
 }
 
-// direct computes the m < gemmMR output channels of one (img, grp) — the
-// depthwise shape, where packing B would cost as much as the multiply —
-// by streaming input rows in place: out[i][oy][ox] += a[i][l]·x[…] for
-// each surviving l in ascending order, the accumulation order of the
-// saxpy kernel it replaces. Padding positions are never visited (their
-// ±0 addends left a +0-initialised accumulator unchanged) and neither
-// are perforated outputs. out is the zeroed full (m × ho·wo) block.
-func (pl *convPlan) direct(a, out []float32, m, img, grp int, ep *rowEpi, chan0 int) {
-	base := pl.chanBase(img, grp)
-	xd, h, w, wo, how := pl.xd, pl.h, pl.w, pl.wo, len(out)/m
-	for i := 0; i < m; i++ {
-		arow := a[i*pl.kc : (i+1)*pl.kc]
-		crow := out[i*how : (i+1)*how]
-		cur := sampCursor{sampSpec: pl.samp}
-		ai := 0
-		for ch := 0; ch < pl.cig; ch++ {
-			cb := base + ch*h*w
-			for ky := 0; ky < pl.kh; ky++ {
-				for kx := 0; kx < pl.kw; kx++ {
-					if cur.drop() {
-						continue
-					}
-					av := arow[ai]
-					ai++
-					// sparsity fast path: exactly-zero weights contribute nothing
-					if av == 0 {
-						continue
-					}
-					// With every column kept, output columns [lo,hi) are the
-					// ones whose input column ox*sw+off lies inside the row.
-					off, sw := kx-pl.pw, pl.sw
-					lo, hi := 0, 0
-					if off < 0 {
-						lo = (sw - 1 - off) / sw
-					}
-					if w > off {
-						hi = (w-1-off)/sw + 1
-					}
-					if hi > wo {
-						hi = wo
-					}
-					for _, oy := range pl.oy {
-						oy := int(oy)
-						iy := oy*pl.sh - pl.ph + ky
-						if uint(iy) >= uint(h) {
-							continue
-						}
-						src := xd[cb+iy*w : cb+(iy+1)*w]
-						dst := crow[oy*wo : (oy+1)*wo]
-						switch {
-						case len(pl.ox) != wo:
-							for _, ox := range pl.ox {
-								if ix := int(ox)*sw + off; uint(ix) < uint(w) {
-									dst[ox] += av * src[ix]
-								}
-							}
-						case lo >= hi:
-						case sw == 1:
-							axpy(dst[lo:hi], src[lo+off:], av)
-						default:
-							for ox := lo; ox < hi; ox++ {
-								dst[ox] += av * src[ox*sw+off]
-							}
-						}
-					}
-				}
+// lowerTaps builds direct's table from wd, the co × kc weights in the
+// precision the kernels consume: each output channel's kept filter
+// positions whose weight is not zero, in ascending l, as (offs[l], weight).
+// A zero weight's term is left out, as the reference GEMM skips it.
+func (pl *convPlan) lowerTaps(wd []float32, co int) {
+	taps, at := pl.tab.taps[:0], pl.tab.at[:0]
+	if cap(taps) < co*pl.kc {
+		taps = make([]convTap, 0, co*pl.kc)
+	}
+	if cap(at) < co+1 {
+		at = make([]int32, 0, co+1)
+	}
+	for c := 0; c < co; c++ {
+		at = append(at, int32(len(taps)))
+		for l, w := range wd[c*pl.kc : (c+1)*pl.kc] {
+			if w != 0 {
+				taps = append(taps, convTap{pl.offs[l], w})
 			}
 		}
-		ep.apply(crow, chan0+i)
+	}
+	pl.taps, pl.tapAt = taps, append(at, int32(len(taps)))
+	pl.tab.taps, pl.tab.at = pl.taps, pl.tapAt
+}
+
+// direct computes the m < gemmMR output channels chan0… of one (image,
+// group) — the depthwise shape, where packing B would cost as much as the
+// multiply — from the padded planes the packers read: each kept output is
+// the sum from +0 of its channel's taps, w·planes[base + off] in ascending
+// l, stored once into out, the full (m × ho·wo) block. A padding tap is a
+// stored +0 multiplied in place, as in blocked. Perforated outputs are left
+// for perfSpec.finish. Kept rows go to depthwiseRows a run at a time, as
+// many as lie one step apart; a perforated column is a run one output wide.
+//
+// Rows too short for the AVX kernel (wo < 4) are joined when every output is
+// kept and sh == sw: output (oy, ox) then has base sw·(oy·wp + ox), so the
+// plane is one row of (ho−1)·wp + wo outputs over the planes, wp − wo of
+// them junk after each row but the last. That row is summed into flat and
+// the real outputs copied out.
+func (pl *convPlan) direct(planes, out []float32, m int, ep *rowEpi, chan0 int) {
+	how, wo, sw, srcRow := len(out)/m, pl.wo, pl.sw, pl.sh*pl.wp
+	var flat [64]float32
+	nf := (len(pl.oy)-1)*pl.wp + wo
+	joined := gemmTier == tierAVX && wo < 4 && nf >= 4 && nf <= len(flat) &&
+		pl.sh == sw && sw <= 2 && len(pl.oy)*wo == how && len(pl.ox) == wo
+	for i := 0; i < m; i++ {
+		plane := out[i*how : (i+1)*how]
+		taps := pl.taps[pl.tapAt[chan0+i]:pl.tapAt[chan0+i+1]]
+		if joined {
+			depthwiseRows(flat[:nf], planes, taps, nf, sw, 1, 0, 0)
+			for oy := range len(pl.oy) {
+				copy(plane[oy*wo:(oy+1)*wo], flat[oy*pl.wp:])
+			}
+			ep.apply(plane, chan0+i)
+			continue
+		}
+		for r := 0; r < len(pl.oy); {
+			oy, e, step := int(pl.oy[r]), r+1, 1
+			if e < len(pl.oy) {
+				step = int(pl.oy[e]) - oy
+			}
+			for e < len(pl.oy) && int(pl.oy[e]-pl.oy[e-1]) == step {
+				e++
+			}
+			d, s := plane[oy*wo:], planes[oy*srcRow:]
+			if len(pl.ox) == wo {
+				depthwiseRows(d, s, taps, wo, sw, e-r, step*wo, step*srcRow)
+			} else {
+				for _, ox := range pl.ox {
+					depthwiseRows(d[ox:], s[int(ox)*sw:], taps, 1, sw, e-r, step*wo, step*srcRow)
+				}
+			}
+			r = e
+		}
+		ep.apply(plane, chan0+i)
 	}
 }

@@ -30,23 +30,24 @@
 // everywhere else. The AVX tier also covers the rest of a layer: the copy
 // that packs a convolution's panels (pack_avx_amd64.s), in
 // rowops_avx_amd64.s the bias/activation/FP16 epilogue of a C row in one
-// pass, tanh32 four float64 lanes at a time, and the axpy under the
-// depthwise and small-batch dense kernels, and max pooling's fold over a
-// plane's interior windows at stride 2 (pool_avx_amd64.s); the other tiers run the
-// scalar Go those transcribe. tensor.QuantizeFP16Slice has a vector tier of
-// its own when F16C is present as well. KernelTier reports the choice. No
-// kernel uses a fused multiply-add: its single rounding differs from the
-// separate product and sum of the scalar reference, and every pin below is
-// bit-for-bit.
+// pass, tanh32 four float64 lanes at a time and the axpy under the
+// small-batch dense kernel, and in window_avx_amd64.s the depthwise
+// convolution's rows of tap sums and max pooling's fold over a plane's
+// interior windows at stride 2; the other tiers run the scalar Go those
+// transcribe. tensor.QuantizeFP16Slice has a vector tier of its own when
+// F16C is present as well. KernelTier reports the choice. No kernel uses a
+// fused multiply-add: its single rounding differs from the separate product
+// and sum of the scalar reference, and every pin below is bit-for-bit.
 //
 // Every fast path is pinned bit-identical to a retained reference: the
 // blocked GEMM under each tier against the naive triple loop
 // (gemm_test.go), the vector tanh against tanh32 over all 2^32 inputs
 // (tanh_vector_test.go), the epilogue and axpy kernels against the scalar
-// chain (rowops_test.go, table and fuzz), max pooling against the
-// reference loop (ops_test.go, special-value table and fuzz), the pack
-// routine against its definition (pack_test.go), the fused epilogues
-// against the standalone operators (panelcache_test.go), and the lowered
+// chain (rowops_test.go, table and fuzz), the depthwise rows against their
+// scalar loop (rowops_test.go), max pooling against the reference loop
+// (ops_test.go, special-value table and fuzz), the pack routine against its
+// definition (pack_test.go), the fused epilogues against the standalone
+// operators (panelcache_test.go), and the lowered
 // convolution with its N- and K-shrinking against im2col + reference GEMM
 // computing everything (convdiff_test.go, tables and fuzz, again under each
 // tier).
@@ -96,7 +97,7 @@ type kernelTier int
 const (
 	tierPortable kernelTier = iota // pure Go microKernel4, every architecture
 	tierSSE2                       // 4×4 tile, gemm_amd64.s, every amd64
-	tierAVX                        // 4×8 tile over panel pairs, gemm_avx_amd64.s; row kernels, rowops_avx_amd64.s and pool_avx_amd64.s
+	tierAVX                        // 4×8 tile over panel pairs, gemm_avx_amd64.s; row kernels, rowops_avx_amd64.s and window_avx_amd64.s
 )
 
 // gemmTier is the tier gemmRowBlock and the row kernels run, chosen once
@@ -111,9 +112,10 @@ func (t kernelTier) String() string {
 // KernelTier names the kernels this process runs, so that speed numbers
 // from two hosts are never compared without it: "avx" is the 4×8 GEMM tile
 // plus the vector row kernels (four-lane tanh32, the one-pass FP32 epilogue,
-// axpy, the max-pool fold); "avx+f16c" adds the F16C round trip, in
-// QuantizeFP16Slice and inside the FP16 epilogue pass; "sse2" is the 4×4
-// assembly tile and "portable" the Go one, both over scalar row loops.
+// axpy, the depthwise tap sum, the max-pool fold); "avx+f16c" adds the F16C
+// round trip, in QuantizeFP16Slice and inside the FP16 epilogue pass; "sse2"
+// is the 4×4 assembly tile and "portable" the Go one, both over scalar row
+// loops.
 func KernelTier() string {
 	if gemmTier == tierAVX && cpu.F16C {
 		return "avx+f16c"

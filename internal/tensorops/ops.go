@@ -87,7 +87,7 @@ func AvgPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec
 
 // poolTap is a kept window position: rows and columns from the window's
 // top left, and off, its distance in the input from the top-left element.
-// pool_avx_amd64.s reads off through go_asm.h.
+// window_avx_amd64.s reads off through go_asm.h.
 type poolTap struct{ ky, kx, off int }
 
 func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, den int) *tensor.Tensor {

@@ -1,6 +1,6 @@
 package tensorops
 
-// The kernels in rowops_avx_amd64.s and pool_avx_amd64.s. None checks a
+// The kernels in rowops_avx_amd64.s and window_avx_amd64.s. None checks a
 // bound: the callers in rowops.go and epilogue.go slice first.
 
 //go:noescape
@@ -14,3 +14,6 @@ func axpyAVX(dst, src *float32, n int, a float32)
 
 //go:noescape
 func poolMaxAVX(dst, src *float32, taps *poolTap, ntaps, n, rows, dstRow, srcRow int)
+
+//go:noescape
+func depthwiseRowsAVX(dst, src *float32, taps *convTap, ntaps, n, stride, rows, dstRow, srcRow int)

@@ -326,6 +326,106 @@ func TestPoolMaxAVXShortRow(t *testing.T) {
 	}
 }
 
+// TestDepthwiseRowsMatchScalar holds depthwiseRows under every tier to the
+// scalar sum: one and three rows of 4…40 outputs at strides 1 and 2, over tap
+// sets from one tap to a whole 3×3 window and sampled subsets of it, at
+// unaligned bases, with signed zeros and either NaN or infinities among the
+// inputs and the weights — never both, so one NaN payload at most arises:
+// where two meet, which survives is the compiler's choice of operand order
+// in a scalar loop. Only elements inside a window hold inputs; every other
+// element of the source buffer is +Inf, which turns any output it enters
+// into ±Inf or NaN, so a read outside the windows shows. The output rows
+// have gaps between them, and nothing outside the rows is written.
+func TestDepthwiseRowsMatchScalar(t *testing.T) {
+	const guard = float32(-777.25)
+	inf, negz := float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	specialSets := [][]float32{{float32(math.NaN()), negz, 0}, {negz, 0, -inf, inf}}
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(59)
+		for _, set := range [][]int{{4}, {0, 1}, {1, 3, 5, 7}, {0, 2, 4, 6, 8}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
+			for stride := 1; stride <= 2; stride++ {
+				for _, rows := range []int{1, 3} {
+					for n := 4; n <= 40; n++ {
+						specials := specialSets[n%2]
+						wp := n*stride + 2 // a padded plane's row: 3×3 windows over n outputs
+						taps := make([]convTap, len(set))
+						for i, k := range set {
+							taps[i] = convTap{int32(k/3*wp + k%3), float32(g.NormFloat64())}
+						}
+						if n%3 == 0 {
+							taps[n%len(taps)].w = specials[n%len(specials)]
+						}
+						dstRow, srcRow := n+3, stride*wp
+						need := (rows-1)*srcRow + (n-1)*stride + int(taps[len(taps)-1].off) + 1
+						buf := make([]float32, need+32)
+						for i := range buf {
+							buf[i] = inf
+						}
+						src := buf[16+n%4 : 16+n%4+need]
+						for r := 0; r < rows; r++ {
+							for j := 0; j < n; j++ {
+								for _, tp := range taps {
+									i := r*srcRow + j*stride + int(tp.off)
+									src[i] = float32(g.NormFloat64())
+									if i%7 == 0 {
+										src[i] = specials[(i/7+n)%len(specials)]
+									}
+								}
+							}
+						}
+						dst := make([]float32, rows*dstRow+16)
+						for i := range dst {
+							dst[i] = guard
+						}
+						off := 8 + (n+1)%4
+						depthwiseRows(dst[off:], src, taps, n, stride, rows, dstRow, srcRow)
+						desc := fmt.Sprintf("taps=%v stride=%d rows=%d n=%d", set, stride, rows, n)
+						for i, got := range dst {
+							r, j := (i-off)/dstRow, (i-off)%dstRow
+							if i < off || r >= rows || j >= n {
+								if got != guard {
+									t.Fatalf("%s: wrote outside the rows at %d", desc, i-off)
+								}
+								continue
+							}
+							var want float32
+							for _, tp := range taps {
+								want += tp.w * src[r*srcRow+j*stride+int(tp.off)]
+							}
+							if math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("%s: row %d [%d] = %v (%#08x), scalar sum %v (%#08x)",
+									desc, r, j, got, math.Float32bits(got), want, math.Float32bits(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestDepthwiseRowsAVXShortRow: depthwiseRows never hands the kernel a row
+// of fewer than four outputs, and if called with one the kernel writes
+// nothing rather than a four-lane block past the row's end.
+func TestDepthwiseRowsAVXShortRow(t *testing.T) {
+	if bestTier() < tierAVX {
+		t.Skip("no avx kernel tier on this CPU/architecture")
+	}
+	src := make([]float32, 32)
+	taps := []convTap{{0, 1}}
+	for stride := 1; stride <= 2; stride++ {
+		for n := 1; n < 4; n++ {
+			dst := []float32{-1, -1, -1, -1}
+			depthwiseRowsAVX(&dst[0], &src[0], &taps[0], len(taps), n, stride, 2, 0, 8)
+			for i, v := range dst {
+				if v != -1 {
+					t.Fatalf("stride=%d n=%d: dst[%d] = %v, want it untouched", stride, n, i, v)
+				}
+			}
+		}
+	}
+}
+
 // TestAxpyMatchesScalar: lengths 0…33 at misaligned starts, with zeros,
 // infinities and a NaN among the operands, against the scalar statement;
 // nothing outside dst is written.
