@@ -31,17 +31,31 @@ vet-selftest:
 		echo "$$out" | grep -q "bad.go:$$l:" || { echo "vet-selftest: go vet misses the lost cancel planted at bad.go:$$l"; exit 1; }; \
 	done
 
-# Every assembly kernel is pinned bit-identical to a scalar reference that
-# rounds the product and the sum separately; one fused multiply-add breaks
-# all of those pins at once.
+# Every kernel is pinned bit-identical to a scalar reference that rounds the
+# product and the sum separately; one fused multiply-add breaks all of those
+# pins at once. The assembly must not contain one, and neither may the arm64
+# build of tensorops' Go code, where the compiler fuses x*y + z unless a
+# conversion rounds the product first: float32(x*y) + z. FMA_ARM64 reads an
+# objdump listing and prints each FMA in a non-test tensorops function; it
+# exits 0 only if it printed one.
 FMA_RE = VFN?M(ADD|SUB)
+FMA_ARM64 = awk '/^TEXT /{ fn = $$2; own = fn ~ /^repro\/internal\/tensorops\./ && $$3 !~ /_test\.go$$/ } own && /\tFN?M(ADD|SUB)/ { print fn, $$1, $$4; n++ } END { exit n == 0 }'
 
 no-fma:
 	@! grep -rnE '$(FMA_RE)' --include='*.s' internal/
+	@tmp=$$(mktemp -d); \
+	GOARCH=arm64 $(GO) test -c -o $$tmp/tensorops.test ./internal/tensorops && \
+	$(GO) tool objdump -s '^repro/internal/tensorops\.' $$tmp/tensorops.test > $$tmp/dis.txt; \
+	st=$$?; \
+	if [ $$st -eq 0 ] && $(FMA_ARM64) < $$tmp/dis.txt; then \
+		echo "no-fma: fused multiply-adds in the arm64 build of tensorops; round the product: float32(x*y) + z"; st=1; \
+	fi; \
+	rm -rf $$tmp; exit $$st
 
-# The guard must be able to fail: the same pattern over a planted instruction.
+# The guards must be able to fail: the same patterns over planted instructions.
 no-fma-selftest:
 	@printf '\tVFMADD231PD Y1, Y2, Y3\n' | grep -qE '$(FMA_RE)' || { echo "no-fma: the pattern misses a planted VFMADD231PD"; exit 1; }
+	@printf 'TEXT repro/internal/tensorops.microKernel4(SB) gemm.go\n  gemm.go:1\t0x0\t1f010040\tFMADDS F1, F0, F2, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDS"; exit 1; }
 
 # The domain validators over the knob registry and the model-zoo graphs
 # (cmd/approxlint -ir). The source analyzers need no target of their own:

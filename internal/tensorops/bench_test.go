@@ -304,7 +304,7 @@ func BenchmarkMaxPool(b *testing.B) {
 	p := PoolParams{KH: 2, KW: 2}
 	for _, dims := range [][]int{{16, 8, 28, 28}, {16, 16, 14, 14}} {
 		x := randTensor(g, dims...)
-		for _, tier := range []kernelTier{tierAVX, tierSSE2, tierPortable} {
+		for _, tier := range []kernelTier{tierAVX, tierPortable} {
 			if tier > bestTier() {
 				continue
 			}
@@ -335,7 +335,7 @@ func BenchmarkDepthwise(b *testing.B) {
 		w := randTensor(g, s.c, 1, 3, 3).MarkCacheable()
 		p := ConvParams{StrideH: s.stride, StrideW: s.stride, PadH: 1, PadW: 1, Groups: s.c}
 		ep := Epilogue{Bias: randTensor(g, s.c), Act: ActClippedReLU, Clip: 6}
-		for _, tier := range []kernelTier{tierAVX, tierSSE2, tierPortable} {
+		for _, tier := range []kernelTier{tierAVX, tierPortable} {
 			if tier > bestTier() {
 				continue
 			}

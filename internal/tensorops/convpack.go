@@ -285,7 +285,7 @@ const packBlockFloats = 16 << 10
 // panelBlock is how many panels of K extent kc a worker packs and multiplies
 // at a time: what fits packBlockFloats, rounded down to an even count and
 // never less than one pair. The AVX kernel takes panels two at a time and an
-// odd one left over runs through the 4×4 tile at half its rate — with
+// odd one left over runs four lanes wide at half that rate — with
 // kc = 576 or 1152 (7 and 3 to the budget) that was every seventh or third
 // panel, and past kc = 2048 (one to the budget) every panel.
 func panelBlock(kc int) int {
@@ -300,7 +300,7 @@ func panelBlock(kc int) int {
 // is output channel chan0+i). The unit past the last full panel is the
 // ncols mod gemmNR tail. Ranges are cut between panel pairs, and blocks
 // inside a range are even (panelBlock), so only the last pair of the call
-// can be a single panel for the half-rate 4×4 tile.
+// can be a single panel for the half-rate four-lane step.
 func (pl *convPlan) blocked(a, planes, c []float32, m int, ep *rowEpi, chan0 int) {
 	units := (pl.ncols() + gemmNR - 1) / gemmNR
 	if parallel.Serial() {
@@ -346,7 +346,7 @@ func (pl *convPlan) blockedRange(a, planes, c []float32, m int, ep *rowEpi, chan
 		pl.packColumns(tail, planes, np*gemmNR, n-np*gemmNR, 1, kc)
 		for i := 0; i < m; i++ {
 			crow := c[i*n : (i+1)*n]
-			gemmTailRowPre(a[i*kc:(i+1)*kc], tail, crow, n, np*gemmNR)
+			gemmTail(a[i*kc:(i+1)*kc], tail, crow, n, np*gemmNR)
 			ep.apply(crow[np*gemmNR:], chan0+i)
 		}
 	}

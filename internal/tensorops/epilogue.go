@@ -111,7 +111,7 @@ func (e *rowEpi) apply(seg []float32, row int) {
 }
 
 // passes is the chain in scalar Go, one pass over the segment per step: the
-// reference epilogueRowAVX transcribes, the sse2/portable tiers, and what
+// reference epilogueRowAVX transcribes, the portable tier, and what
 // runs on segments shorter than a vector.
 func (e *rowEpi) passes(seg []float32, row int) {
 	if e.flags&epiQuantIn != 0 {

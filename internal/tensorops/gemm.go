@@ -21,23 +21,25 @@
 // factors of §3.4; EXPERIMENTS.md sets the measured speedups beside the
 // modeled ones.
 //
-// Kernel tiers. The full-block GEMM micro-kernel exists three times and the
-// CPU picks one at start-up (internal/cpu: CPUID + XGETBV, no flag,
-// environment variable or build tag): an AVX kernel computing a 4×8 tile
-// from two adjacent panels (gemm_avx_amd64.s) where the processor has AVX
-// and the OS saves YMM state; the SSE2 4×4 kernel (gemm_amd64.s) on every
-// other amd64, and for an odd last panel under AVX; the pure Go microKernel4
-// everywhere else. The AVX tier also covers the rest of a layer: the copy
-// that packs a convolution's panels (pack_avx_amd64.s), in
-// rowops_avx_amd64.s the bias/activation/FP16 epilogue of a C row in one
-// pass, tanh32 four float64 lanes at a time and the axpy under the
-// small-batch dense kernel, and in window_avx_amd64.s the depthwise
-// convolution's rows of tap sums and max pooling's fold over a plane's
-// interior windows at stride 2; the other tiers run the scalar Go those
-// transcribe. tensor.QuantizeFP16Slice has a vector tier of its own when
+// Kernel tiers. The full-block GEMM micro-kernel exists twice and the CPU
+// picks one at start-up (internal/cpu: CPUID + XGETBV, no flag, environment
+// variable or build tag): where the processor has AVX and the OS saves YMM
+// state, an AVX kernel computing a 4×8 tile from each pair of adjacent
+// panels and a 4×4 tile from an odd last one (gemm_avx_amd64.s); everywhere
+// else, amd64 without AVX included, the pure Go microKernel4. The AVX tier
+// also covers the rest of a layer: the copy that packs a convolution's
+// panels (pack_avx_amd64.s), in rowops_avx_amd64.s the bias/activation/FP16
+// epilogue of a C row in one pass, tanh32 four float64 lanes at a time and
+// the axpy under the small-batch dense kernel, and in window_avx_amd64.s the
+// depthwise convolution's rows of tap sums and max pooling's fold over a
+// plane's interior windows at stride 2; the portable tier runs the scalar Go
+// those transcribe. tensor.QuantizeFP16Slice has a vector tier of its own when
 // F16C is present as well. KernelTier reports the choice. No kernel uses a
 // fused multiply-add: its single rounding differs from the separate product
-// and sum of the scalar reference, and every pin below is bit-for-bit.
+// and sum of the scalar reference, and every pin below is bit-for-bit. The
+// scalar kernels write float32(x*y) + z, because Go may fuse x*y + z where
+// the target has the instruction (arm64) unless a conversion rounds the
+// product first.
 //
 // Every fast path is pinned bit-identical to a retained reference: the
 // blocked GEMM under each tier against the naive triple loop
@@ -76,8 +78,8 @@ func (p Precision) String() string {
 	return "fp32"
 }
 
-// GEMM engine geometry. B is packed once per call into row-panels of
-// gemmNR contiguous columns; the inner kernel computes a gemmMR×gemmNR
+// GEMM engine geometry. B is packed (prepacked) into row-panels of gemmNR
+// contiguous columns; the inner kernel computes a gemmMR×gemmNR
 // micro-tile of C with every output element accumulating in a register
 // over the full K extent, in ascending-l order. That order is exactly the
 // reference triple loop's, so for a zeroed C the blocked kernel is
@@ -96,7 +98,6 @@ type kernelTier int
 // Ascending: a CPU that runs a tier runs every tier below it.
 const (
 	tierPortable kernelTier = iota // pure Go microKernel4, every architecture
-	tierSSE2                       // 4×4 tile, gemm_amd64.s, every amd64
 	tierAVX                        // 4×8 tile over panel pairs, gemm_avx_amd64.s; row kernels, rowops_avx_amd64.s and window_avx_amd64.s
 )
 
@@ -106,16 +107,15 @@ const (
 var gemmTier = bestTier()
 
 func (t kernelTier) String() string {
-	return [...]string{"portable", "sse2", "avx"}[t]
+	return [...]string{"portable", "avx"}[t]
 }
 
 // KernelTier names the kernels this process runs, so that speed numbers
 // from two hosts are never compared without it: "avx" is the 4×8 GEMM tile
 // plus the vector row kernels (four-lane tanh32, the one-pass FP32 epilogue,
 // axpy, the depthwise tap sum, the max-pool fold); "avx+f16c" adds the F16C
-// round trip, in QuantizeFP16Slice and inside the FP16 epilogue pass; "sse2"
-// is the 4×4 assembly tile and "portable" the Go one, both over scalar row
-// loops.
+// round trip, in QuantizeFP16Slice and inside the FP16 epilogue pass;
+// "portable" is the Go tile over scalar row loops.
 func KernelTier() string {
 	if gemmTier == tierAVX && cpu.F16C {
 		return "avx+f16c"
@@ -127,28 +127,21 @@ func KernelTier() string {
 // C must be zeroed by the caller if pure assignment is wanted; Gemm
 // accumulates into C.
 func Gemm(a, b, c []float32, m, k, n int) {
-	gemmEngine(a, b, c, m, k, n, false)
+	gemmFresh(a, b, c, m, k, n, false, nil)
 }
 
-// gemmEngine is the per-call kernel entry: pack B (quantizing when
-// quantB is set — fusing the former full-tensor quantizedCopy pass into
-// the pack step), multiply, no epilogue.
-func gemmEngine(a, b, c []float32, m, k, n int, quantB bool) {
-	gemmRun(a, b, c, m, k, n, quantB, nil, nil)
-}
-
-// gemmRun is the shared blocked kernel. pre, when non-nil, supplies B
-// already packed (and quantized) — b may then be nil, and the caller
-// must have checked m >= gemmMR, since the small-m saxpy path streams
-// raw B. ep, when non-nil, is applied to each C row as it completes;
+// gemmFresh multiplies by a B that no operand keeps packed. On fewer rows
+// than the tile (a dense layer on a batch of one to three) packing would
+// cost as much as the multiply, so B rows are streamed saxpy style;
+// otherwise B is packed into pooled scratch by the builder a marked weight
+// uses, quantized through FP16 when quantB is set, and the blocked kernel
+// runs over it. ep, when non-nil, is applied to each C row as it completes;
 // that requires a zeroed C (assignment semantics).
-func gemmRun(a, b, c []float32, m, k, n int, quantB bool, pre *prepacked, ep *rowEpi) {
+func gemmFresh(a, b, c []float32, m, k, n int, quantB bool, ep *rowEpi) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return
 	}
-	if pre == nil && m < gemmMR {
-		// Too few rows to amortize packing (a dense layer on a batch of
-		// one to three): stream B rows directly, saxpy style.
+	if m < gemmMR {
 		if parallel.Serial() {
 			gemmSaxpyRows(0, m, a, b, c, k, n, quantB, ep)
 		} else {
@@ -158,44 +151,23 @@ func gemmRun(a, b, c []float32, m, k, n int, quantB bool, pre *prepacked, ep *ro
 		}
 		return
 	}
-	np := n / gemmNR // number of full B panels
-	if pre == nil && np == 0 {
-		// Too narrow for a panel: plain per-element accumulation.
-		if parallel.Serial() {
-			gemmTailRows(0, m, a, b, c, k, n, quantB, ep)
-		} else {
-			parallel.ForChunked(m, func(lo, hi int) {
-				gemmTailRows(lo, hi, a, b, c, k, n, quantB, ep)
-			})
-		}
-		return
-	}
-	var packed, tail []float32
-	fresh := pre == nil
-	if fresh {
-		packed = tensor.Scratch(np * k * gemmNR)
-	} else {
-		packed, tail = pre.panels, pre.tail
-	}
+	buf := tensor.Scratch(k * n)
+	gemmRun(a, c, m, k, n, buildPrepacked(buf, b, k, n, quantB), ep)
+	tensor.Release(buf)
+}
+
+// gemmRun is the blocked kernel: C (m×n) += A (m×k) · B with B in packed
+// form, m ≥ gemmMR and k, n positive, in parallel over row blocks. ep is as
+// in gemmFresh. pre travels by value so that a pooled one does not escape.
+func gemmRun(a, c []float32, m, k, n int, pre prepacked, ep *rowEpi) {
 	nBlocks := (m + gemmMR - 1) / gemmMR
 	if parallel.Serial() {
-		if fresh {
-			packRange(0, np, b, packed, k, n, quantB)
-		}
-		gemmBlockRange(0, nBlocks, a, b, c, packed, tail, m, k, n, np, quantB, ep)
-	} else {
-		if fresh {
-			parallel.ForChunked(np, func(plo, phi int) {
-				packRange(plo, phi, b, packed, k, n, quantB)
-			})
-		}
-		parallel.ForChunked(nBlocks, func(blo, bhi int) {
-			gemmBlockRange(blo, bhi, a, b, c, packed, tail, m, k, n, np, quantB, ep)
-		})
+		gemmBlockRange(0, nBlocks, a, c, pre, m, k, n, ep)
+		return
 	}
-	if fresh {
-		tensor.Release(packed)
-	}
+	parallel.ForChunked(nBlocks, func(blo, bhi int) {
+		gemmBlockRange(blo, bhi, a, c, pre, m, k, n, ep)
+	})
 }
 
 // gemmSaxpyRows runs gemmSaxpyRow over C rows [lo,hi) — with quantB, through
@@ -213,61 +185,37 @@ func gemmSaxpyRows(lo, hi int, a, b, c []float32, k, n int, quantB bool, ep *row
 	}
 }
 
-// gemmTailRows runs gemmTailRow over whole C rows [lo,hi), applying the
-// fused epilogue to each completed row.
-func gemmTailRows(lo, hi int, a, b, c []float32, k, n int, quantB bool, ep *rowEpi) {
-	for i := lo; i < hi; i++ {
-		crow := c[i*n : (i+1)*n]
-		gemmTailRow(a[i*k:(i+1)*k], b, crow, n, 0, quantB)
-		ep.apply(crow, i)
-	}
-}
-
 // gemmBlockRange computes the row blocks [blo,bhi) of the blocked kernel:
-// full gemmMR-row blocks go through the 4×4 micro-tile, remainder rows
-// through the 1×4 edge kernel, and the sub-panel tail columns through the
-// strided tail kernel — or, when tail is non-nil (prepacked operand),
-// through the contiguous pre-gathered tail columns. The fused epilogue
-// runs on each row right after its tail completes, while the row is hot.
-func gemmBlockRange(blo, bhi int, a, b, c, packed, tail []float32, m, k, n, np int, quantB bool, ep *rowEpi) {
-	jTail := np * gemmNR
+// full gemmMR-row blocks through the 4-row kernels, remainder rows through
+// the 1×4 edge kernel, then each row's tail columns. The fused epilogue runs
+// on each row right after its tail completes, while the row is hot.
+func gemmBlockRange(blo, bhi int, a, c []float32, pre prepacked, m, k, n int, ep *rowEpi) {
 	for ib := blo; ib < bhi; ib++ {
 		i0 := ib * gemmMR
-		rows := m - i0
-		if rows > gemmMR {
-			rows = gemmMR
-		}
-		gemmRowBlock(a, c, packed, i0, rows, k, n, 0, np)
-		for r := 0; r < rows; r++ {
-			arow := a[(i0+r)*k : (i0+r+1)*k]
-			crow := c[(i0+r)*n : (i0+r+1)*n]
-			if tail != nil {
-				gemmTailRowPre(arow, tail, crow, n, jTail)
-			} else {
-				gemmTailRow(arow, b, crow, n, jTail, quantB)
-			}
-			ep.apply(crow, i0+r)
+		rows := min(m-i0, gemmMR)
+		gemmRowBlock(a, c, pre.panels, i0, rows, k, n, 0, pre.np)
+		for i := i0; i < i0+rows; i++ {
+			crow := c[i*n : (i+1)*n]
+			gemmTail(a[i*k:(i+1)*k], pre.tail, crow, n, pre.np*gemmNR)
+			ep.apply(crow, i)
 		}
 	}
 }
 
 // gemmRowBlock accumulates the `rows` (≤ gemmMR) rows of C starting at row
 // i0 against np consecutive packed panels, into C columns j0 onward (ldc is
-// C's row stride). A full block goes through the widest tier the CPU has:
-// the AVX kernel takes the panels two at a time and leaves an odd last one
-// to the 4×4 micro-tile; remainder rows take the 1×4 edge kernel.
+// C's row stride). A full block goes through the AVX kernel, which takes
+// every panel, or through the Go 4×4 tile one panel at a time; remainder
+// rows take the 1×4 edge kernel.
 func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
-	if k == 0 {
+	if k == 0 || np == 0 {
+		return
+	}
+	if rows == gemmMR && gemmTier == tierAVX {
+		gemmPanelsAVX(a, c, panels, i0, k, ldc, j0, np)
 		return
 	}
 	if rows == gemmMR {
-		jp := 0
-		if gemmTier == tierAVX {
-			jp = panelPairsAVX(a, c, panels, i0, k, ldc, j0, np)
-		}
-		if jp == np {
-			return
-		}
 		a0 := a[i0*k : (i0+1)*k]
 		a1 := a[(i0+1)*k : (i0+2)*k]
 		a2 := a[(i0+2)*k : (i0+3)*k]
@@ -276,10 +224,10 @@ func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
 		c1 := c[(i0+1)*ldc+j0 : (i0+2)*ldc]
 		c2 := c[(i0+2)*ldc+j0 : (i0+3)*ldc]
 		c3 := c[(i0+3)*ldc+j0 : (i0+4)*ldc]
-		for ; jp < np; jp++ {
+		for jp := 0; jp < np; jp++ {
 			panel := panels[jp*k*gemmNR : (jp+1)*k*gemmNR]
 			j := jp * gemmNR
-			microTile4(a0, a1, a2, a3, panel,
+			microKernel4(a0, a1, a2, a3, panel,
 				c0[j:j+gemmNR], c1[j:j+gemmNR], c2[j:j+gemmNR], c3[j:j+gemmNR])
 		}
 		return
@@ -294,19 +242,19 @@ func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
 	}
 }
 
-// gemmTailRowPre is gemmTailRow over a prepacked tail: the tail columns
-// are stored contiguously column-major (tail[(j-j0)*k+l] = B[l][j],
-// already quantized for FP16), so the inner product reads a forward
-// stream. Accumulation order (ascending l, zero-skip on A) is identical
-// to gemmTailRow's, so the result is bit-equal.
-func gemmTailRowPre(arow, tail, crow []float32, n, j0 int) {
+// gemmTail accumulates crow[j] += Σ_l arow[l]·B[l][j] for the tail columns
+// j in [j0,n), at most gemmNR-1 of them, stored contiguously column-major
+// (tail[(j-j0)*k+l] = B[l][j], already quantized for FP16) so the inner
+// product reads a forward stream: ascending l, skipping exactly-zero
+// activations as the reference does.
+func gemmTail(arow, tail, crow []float32, n, j0 int) {
 	k := len(arow)
 	for j := j0; j < n; j++ {
 		col := tail[(j-j0)*k : (j-j0+1)*k]
 		var s float32
 		for l, av := range arow {
 			if av != 0 {
-				s += av * col[l]
+				s += float32(av * col[l])
 			}
 		}
 		crow[j] += s
@@ -345,12 +293,12 @@ func packRange(plo, phi int, b, packed []float32, k, n int, quantB bool) {
 // over the full K extent with all sixteen outputs held in scalar
 // accumulators. The a slices are the four A rows (equal length k); panel is
 // the packed B panel (k×gemmNR); c0..c3 are the four gemmNR-wide C row
-// segments. It is the portable implementation behind microTile4 — on amd64
-// the assembly kernels run instead, computing the same operation sequence
-// per output element. No tier tests for zero A elements: an accumulator
-// that starts at +0 is never −0, so a ±0 product leaves it unchanged and
-// skipping one is not observable on finite operands; since filter sampling
-// compacts K instead of zeroing it, there is also nothing left to skip.
+// segments. It is the portable tier's tile — under AVX the assembly kernel
+// runs instead, computing the same operation sequence per output element.
+// No tier tests for zero A elements: an accumulator that starts at +0 is
+// never −0, so a ±0 product leaves it unchanged and skipping one is not
+// observable on finite operands; since filter sampling compacts K instead of
+// zeroing it, there is also nothing left to skip.
 func microKernel4(a0, a1, a2, a3, panel []float32, c0, c1, c2, c3 []float32) {
 	kc := len(a0)
 	a1 = a1[:kc]
@@ -366,22 +314,22 @@ func microKernel4(a0, a1, a2, a3, panel []float32, c0, c1, c2, c3 []float32) {
 		pi := l * gemmNR
 		p := panel[pi : pi+gemmNR]
 		b0, b1, b2, b3 := p[0], p[1], p[2], p[3]
-		s00 += v0 * b0
-		s01 += v0 * b1
-		s02 += v0 * b2
-		s03 += v0 * b3
-		s10 += v1 * b0
-		s11 += v1 * b1
-		s12 += v1 * b2
-		s13 += v1 * b3
-		s20 += v2 * b0
-		s21 += v2 * b1
-		s22 += v2 * b2
-		s23 += v2 * b3
-		s30 += v3 * b0
-		s31 += v3 * b1
-		s32 += v3 * b2
-		s33 += v3 * b3
+		s00 += float32(v0 * b0)
+		s01 += float32(v0 * b1)
+		s02 += float32(v0 * b2)
+		s03 += float32(v0 * b3)
+		s10 += float32(v1 * b0)
+		s11 += float32(v1 * b1)
+		s12 += float32(v1 * b2)
+		s13 += float32(v1 * b3)
+		s20 += float32(v2 * b0)
+		s21 += float32(v2 * b1)
+		s22 += float32(v2 * b2)
+		s23 += float32(v2 * b3)
+		s30 += float32(v3 * b0)
+		s31 += float32(v3 * b1)
+		s32 += float32(v3 * b2)
+		s33 += float32(v3 * b3)
 	}
 	c0[0] += s00
 	c0[1] += s01
@@ -415,38 +363,15 @@ func microKernel1(arow, panel []float32, crow []float32) {
 		}
 		pi := l * gemmNR
 		p := panel[pi : pi+gemmNR]
-		s0 += v * p[0]
-		s1 += v * p[1]
-		s2 += v * p[2]
-		s3 += v * p[3]
+		s0 += float32(v * p[0])
+		s1 += float32(v * p[1])
+		s2 += float32(v * p[2])
+		s3 += float32(v * p[3])
 	}
 	crow[0] += s0
 	crow[1] += s1
 	crow[2] += s2
 	crow[3] += s3
-}
-
-// gemmTailRow accumulates crow[j] += Σ_l arow[l]·B[l][j] for the unpacked
-// tail columns j in [j0,n) — at most gemmNR-1 of them, read with stride n
-// straight from B. With quantB each B element is quantized on access,
-// which matches the packed path's pack-time quantization bit for bit.
-func gemmTailRow(arow, b, crow []float32, n, j0 int, quantB bool) {
-	for j := j0; j < n; j++ {
-		var s float32
-		bi := j
-		for _, av := range arow {
-			// sparsity fast path: exactly-zero activations contribute nothing
-			if av != 0 {
-				bv := b[bi]
-				if quantB {
-					bv = tensor.QuantizeFP16(bv)
-				}
-				s += av * bv
-			}
-			bi += n
-		}
-		crow[j] += s
-	}
 }
 
 // gemmSaxpyRow computes one C row by streaming whole B rows (the shape of
@@ -507,11 +432,11 @@ func MatMulFused(x, w *tensor.Tensor, prec Precision, ep Epilogue) *tensor.Tenso
 	re := newRowEpi(ep, false, prec == FP16, true) // bias by column: per output feature
 	if n >= gemmMR {
 		if pre := cachedPrepackedB(w, k, m, prec); pre != nil {
-			gemmRun(xd, nil, out.Data(), n, k, m, false, pre, re)
+			gemmRun(xd, out.Data(), n, k, m, *pre, re)
 			return out
 		}
 	}
-	gemmRun(xd, w.Data(), out.Data(), n, k, m, prec == FP16, nil, re)
+	gemmFresh(xd, w.Data(), out.Data(), n, k, m, prec == FP16, re)
 	return out
 }
 

@@ -1,18 +1,19 @@
-// AVX GEMM kernel: four rows of A against consecutive pairs of packed
-// gemmNR = 4 panels, a 4×8 tile of C per pair. The panel layout is the SSE2
-// kernel's; row l of the tile's B operand is row l of the first panel in the
-// low half of a YMM register and row l of the second in the high half.
+// AVX GEMM kernel: four rows of A against consecutive packed gemmNR = 4
+// panels, a 4×8 tile of C per pair of panels and a 4×4 tile for an odd last
+// one. In a pair, row l of the tile's B operand is row l of the first panel
+// in the low half of a YMM register and row l of the second in the high half;
+// the odd panel runs the same step on XMM registers.
 //
-// Bit-identity rests on three things, the same three as gemm_amd64.s: each
-// C element accumulates in its own lane, over the full K extent, in
-// ascending l; the product and the sum are separate VMULPS and VADDPS, each
-// rounding to float32 — never a fused multiply-add, whose single rounding
-// differs from the scalar reference (`make ci` greps for it); and C += acc
-// happens once at the end. VEX-encoded throughout, VZEROUPPER before RET.
+// Bit-identity with the scalar reference rests on three things: each C
+// element accumulates in its own lane, over the full K extent, in ascending
+// l; the product and the sum are separate VMULPS and VADDPS, each rounding to
+// float32 — never a fused multiply-add, whose single rounding differs from
+// the scalar reference (`make ci` greps for it); and C += acc happens once at
+// the end. VEX-encoded throughout, VZEROUPPER before RET.
 
 #include "textflag.h"
 
-// One l step: B row l from both panels at byte offset off, then
+// One l step of a pair: B row l from both panels at byte offset off, then
 // acc_r += a_r[l+dl] * B for the four rows.
 #define STEP(off, dl) \
 	VMOVUPS      off(R12), X8          \
@@ -30,25 +31,41 @@
 	VMULPS       Y8, Y12, Y12          \
 	VADDPS       Y12, Y3, Y3
 
-// func gemmRows4AVX(a, panels, c *float32, kc, ldc, pairs int)
+// One l step of the odd panel: STEP on its four lanes.
+#define STEP1 \
+	VMOVUPS      (R12), X8          \
+	VBROADCASTSS (R8)(DX*4), X9     \
+	VMULPS       X8, X9, X9         \
+	VADDPS       X9, X0, X0         \
+	VBROADCASTSS (R9)(DX*4), X10    \
+	VMULPS       X8, X10, X10       \
+	VADDPS       X10, X1, X1        \
+	VBROADCASTSS (R10)(DX*4), X11   \
+	VMULPS       X8, X11, X11       \
+	VADDPS       X11, X2, X2        \
+	VBROADCASTSS (R11)(DX*4), X12   \
+	VMULPS       X8, X12, X12       \
+	VADDPS       X12, X3, X3
+
+// func gemmRows4AVX(a, panels, c *float32, kc, ldc, np int)
 //
-// a points at A[i0][0] (rows kc floats apart), panels at the first of
-// 2·pairs adjacent panels (kc·4 floats each), c at C[i0][j] (rows ldc floats
-// apart). kc and pairs must be positive.
+// a points at A[i0][0] (rows kc floats apart), panels at the first of np
+// adjacent panels (kc·4 floats each), c at C[i0][j] (rows ldc floats apart).
+// kc and np must be positive.
 //
 // Register plan:
-//   R8..R11  A row pointers       Y0..Y3   accumulator rows of the 4×8 tile
+//   R8..R11  A row pointers       Y0..Y3   accumulator rows of the tile
 //   R12,R13  panel cursors        Y8       B row {first panel, second panel}
 //   DX       l                    Y9..Y12  broadcast A element, then product
 //   SI       kc   R15  kc &^ 1    DI       C tile, BX  ldc in bytes
-//   CX       pairs left
+//   CX       panels left
 TEXT ·gemmRows4AVX(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), R8
 	MOVQ panels+8(FP), R12
 	MOVQ c+16(FP), DI
 	MOVQ kc+24(FP), SI
 	MOVQ ldc+32(FP), BX
-	MOVQ pairs+40(FP), CX
+	MOVQ np+40(FP), CX
 	LEAQ (R8)(SI*4), R9
 	LEAQ (R9)(SI*4), R10
 	LEAQ (R10)(SI*4), R11
@@ -57,6 +74,7 @@ TEXT ·gemmRows4AVX(SB), NOSPLIT, $0-48
 	SHLQ $4, R14             // bytes in one panel
 	MOVQ SI, R15
 	ANDQ $-2, R15
+	JMP  next
 
 pair:
 	LEAQ   (R12)(R14*1), R13
@@ -104,7 +122,45 @@ writeback:
 
 	MOVQ R13, R12            // the second panel's end is the next pair's start
 	ADDQ $32, DI
-	DECQ CX
-	JNZ  pair
+	SUBQ $2, CX
+
+next:
+	CMPQ  CX, $2
+	JGE   pair
+	TESTQ CX, CX
+	JZ    done
+
+	// The odd last panel, one l at a time, into a 4×4 tile.
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	XORQ   DX, DX
+
+loop1:
+	STEP1
+	ADDQ $16, R12
+	INCQ DX
+	CMPQ DX, SI
+	JLT  loop1
+
+	MOVQ    DI, AX
+	VMOVUPS (AX), X8
+	VADDPS  X0, X8, X8
+	VMOVUPS X8, (AX)
+	ADDQ    BX, AX
+	VMOVUPS (AX), X9
+	VADDPS  X1, X9, X9
+	VMOVUPS X9, (AX)
+	ADDQ    BX, AX
+	VMOVUPS (AX), X10
+	VADDPS  X2, X10, X10
+	VMOVUPS X10, (AX)
+	ADDQ    BX, AX
+	VMOVUPS (AX), X11
+	VADDPS  X3, X11, X11
+	VMOVUPS X11, (AX)
+
+done:
 	VZEROUPPER
 	RET

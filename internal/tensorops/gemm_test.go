@@ -13,7 +13,8 @@ import (
 // the per-element zero skip) the blocked engine is pinned against. Each
 // output element accumulates left-to-right over l, the exact order the
 // micro-kernels preserve, so for a zeroed C the blocked kernel must be
-// bit-identical.
+// bit-identical. The product is rounded on its own, as every kernel rounds
+// it, wherever the compiler could fuse it into the sum.
 func gemmRef(a, b, c []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
@@ -25,7 +26,7 @@ func gemmRef(a, b, c []float32, m, k, n int) {
 			}
 			brow := b[l*n : (l+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -42,13 +43,13 @@ func fillNormal(g *tensor.RNG, d []float32) {
 // rows, N tail columns, sub-panel matrices).
 var gemmShapes = []int{1, 3, 7, 17, 64, 129}
 
-// forEachTier runs fn once per kernel tier — AVX, SSE2, portable — as a
-// subtest named after the tier, with the dispatch variable swapped for its
+// forEachTier runs fn once per kernel tier — AVX, portable — as a subtest
+// named after the tier, with the dispatch variable swapped for its
 // duration. A tier this CPU or architecture lacks is skipped with a message.
 // Every tier is held to the same reference, so they are bit-identical to
 // each other as well.
 func forEachTier(t *testing.T, fn func(t *testing.T)) {
-	for _, tier := range []kernelTier{tierAVX, tierSSE2, tierPortable} {
+	for _, tier := range []kernelTier{tierAVX, tierPortable} {
 		t.Run(tier.String(), func(t *testing.T) {
 			if tier > bestTier() {
 				t.Skipf("no %v kernel tier on this CPU/architecture", tier)
@@ -161,9 +162,9 @@ func TestGemmAccumulatesIntoNonZeroC(t *testing.T) {
 }
 
 func TestGemmEngineQuantBMatchesQuantizedReference(t *testing.T) {
-	// Pack-time FP16 quantization of B must equal the former separate
-	// quantizedCopy pass bit for bit, on both the packed panels and the
-	// strided tail columns.
+	// Pack-time FP16 quantization of B must equal quantizing B first, bit
+	// for bit, in the panels and in the packed tail columns: n = 3 is all
+	// tail, n = 7 one panel and a tail.
 	g := tensor.NewRNG(14)
 	for _, n := range []int{3, 7, 16, 129} {
 		m, k := 13, 37
@@ -177,49 +178,12 @@ func TestGemmEngineQuantBMatchesQuantizedReference(t *testing.T) {
 		}
 		got := make([]float32, m*n)
 		want := make([]float32, m*n)
-		gemmEngine(a, b, got, m, k, n, true)
+		gemmFresh(a, b, got, m, k, n, true, nil)
 		gemmRef(a, bq, want, m, k, n)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d: C[%d] = %v, reference %v", n, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-func TestPortableMicroKernelsMatchReference(t *testing.T) {
-	// On amd64 Gemm dispatches to the SSE2 micro-kernel, so the portable
-	// Go micro-kernels are exercised directly here: a 4×4 tile via
-	// microKernel4 and a 1×4 row via microKernel1 against the reference.
-	g := tensor.NewRNG(18)
-	k := 33
-	a := make([]float32, gemmMR*k)
-	b := make([]float32, k*gemmNR)
-	fillNormal(g, a)
-	fillNormal(g, b)
-	for i := 0; i < gemmMR; i++ { // sprinkle zeros to hit the skip paths
-		a[i*k+5] = 0
-		a[i*k+17] = 0
-	}
-	packed := make([]float32, k*gemmNR)
-	packRange(0, 1, b, packed, k, gemmNR, false)
-	want := make([]float32, gemmMR*gemmNR)
-	gemmRef(a, b, want, gemmMR, k, gemmNR)
-
-	got := make([]float32, gemmMR*gemmNR)
-	microKernel4(a[:k], a[k:2*k], a[2*k:3*k], a[3*k:4*k], packed,
-		got[0:4], got[4:8], got[8:12], got[12:16])
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("microKernel4: C[%d] = %v, reference %v", i, got[i], want[i])
-		}
-	}
-
-	got1 := make([]float32, gemmNR)
-	microKernel1(a[:k], packed, got1)
-	for i := range got1 {
-		if got1[i] != want[i] {
-			t.Fatalf("microKernel1: C[%d] = %v, reference %v", i, got1[i], want[i])
 		}
 	}
 }
@@ -258,42 +222,60 @@ func TestKernelTierNamesTheDispatch(t *testing.T) {
 // through both parities of its two-step unrolled loop, and A, the panels and
 // the C row segments starting at addresses that are not 32-byte aligned,
 // with C's row stride odd. Guard values around each C segment catch a store
-// outside it.
+// outside it. A second pattern plants special values where the last panel's
+// columns read them: an all-zero A column, −0, NaN and +Inf in A, and NaN,
+// ±Inf and −0 in B. The zeros of A sit where B is finite, because the
+// reference skips a zero activation and the tile multiplies it.
 func TestGemmRowBlockPanelCountsAndOffsets(t *testing.T) {
 	const guard = float32(-777.25)
+	nan, inf, negz := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
 	forEachTier(t, func(t *testing.T) {
 		g := tensor.NewRNG(19)
 		shifted := func(n, off int) []float32 { return make([]float32, n+off)[off:] }
 		for _, k := range []int{0, 1, 2, 5, 32, 33} {
 			for np := 1; np <= 7; np++ {
 				for _, off := range []int{0, 1, 3, 5} {
-					n := np * gemmNR
-					a, b := shifted(gemmMR*k, off), make([]float32, k*n)
-					fillNormal(g, a)
-					fillNormal(g, b)
-					packed := shifted(np*k*gemmNR, off)
-					packRange(0, np, b, packed, k, n, false)
-					want := make([]float32, gemmMR*n)
-					gemmRef(a, b, want, gemmMR, k, n)
-
-					j0, ldc := off, n+2*off+1
-					c := shifted(gemmMR*ldc, off)
-					for i := range c {
-						c[i] = guard
-					}
-					for r := 0; r < gemmMR; r++ {
-						clear(c[r*ldc+j0 : r*ldc+j0+n])
-					}
-					gemmRowBlock(a, c, packed, 0, gemmMR, k, ldc, j0, np)
-					for i, v := range c {
-						r, j := i/ldc, i%ldc-j0
-						switch {
-						case j < 0 || j >= n:
-							if v != guard {
-								t.Fatalf("k=%d np=%d off=%d: wrote outside the tile at C[%d][%d]", k, np, off, r, j)
+					for _, special := range []bool{false, true} {
+						if special && k < 5 {
+							continue
+						}
+						n := np * gemmNR
+						a, b := shifted(gemmMR*k, off), make([]float32, k*n)
+						fillNormal(g, a)
+						fillNormal(g, b)
+						if special {
+							for r := 0; r < gemmMR; r++ {
+								a[r*k] = 0 // l = 0: an all-zero column
 							}
-						case math.Float32bits(v) != math.Float32bits(want[r*n+j]):
-							t.Fatalf("k=%d np=%d off=%d: C[%d][%d] = %v, reference %v", k, np, off, r, j, v, want[r*n+j])
+							a[1*k+1], a[2*k+2], a[3*k+3] = negz, nan, inf
+							last := b[5*n-gemmNR : 5*n] // l = 4, the last panel's columns
+							last[0], last[1], last[2], last[3] = nan, inf, -inf, negz
+						}
+						packed := shifted(np*k*gemmNR, off)
+						packRange(0, np, b, packed, k, n, false)
+						want := make([]float32, gemmMR*n)
+						gemmRef(a, b, want, gemmMR, k, n)
+
+						j0, ldc := off, n+2*off+1
+						c := shifted(gemmMR*ldc, off)
+						for i := range c {
+							c[i] = guard
+						}
+						for r := 0; r < gemmMR; r++ {
+							clear(c[r*ldc+j0 : r*ldc+j0+n])
+						}
+						gemmRowBlock(a, c, packed, 0, gemmMR, k, ldc, j0, np)
+						for i, v := range c {
+							r, j := i/ldc, i%ldc-j0
+							switch {
+							case j < 0 || j >= n:
+								if v != guard {
+									t.Fatalf("k=%d np=%d off=%d special=%v: wrote outside the tile at C[%d][%d]", k, np, off, special, r, j)
+								}
+							case math.Float32bits(v) != math.Float32bits(want[r*n+j]):
+								t.Fatalf("k=%d np=%d off=%d special=%v: C[%d][%d] = %v (%#08x), reference %v (%#08x)", k, np, off, special, r, j,
+									v, math.Float32bits(v), want[r*n+j], math.Float32bits(want[r*n+j]))
+							}
 						}
 					}
 				}
@@ -360,7 +342,7 @@ func naiveConv32(x, w *tensor.Tensor, p ConvParams) *tensor.Tensor {
 								if ix < 0 || ix >= wd {
 									continue
 								}
-								acc += x.At(img, ic, iy, ix) * w.At(oc, c, ky, kx)
+								acc += float32(x.At(img, ic, iy, ix) * w.At(oc, c, ky, kx))
 							}
 						}
 					}

@@ -242,7 +242,7 @@ func BatchNorm(x *tensor.Tensor, bp BatchNormParams, prec Precision) *tensor.Ten
 	for ch := 0; ch < c; ch++ {
 		s := g[ch] / float32(math.Sqrt(float64(v[ch]+eps)))
 		scale[ch] = s
-		shift[ch] = b[ch] - s*m[ch]
+		shift[ch] = b[ch] - float32(s*m[ch])
 	}
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < c; ch++ {
@@ -250,7 +250,7 @@ func BatchNorm(x *tensor.Tensor, bp BatchNormParams, prec Precision) *tensor.Ten
 			s, sh := scale[ch], shift[ch]
 			seg := od[base : base+spatial]
 			for i := range seg {
-				seg[i] = seg[i]*s + sh
+				seg[i] = float32(seg[i]*s) + sh
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package tensorops
 
-import "repro/internal/tensor"
+import (
+	"repro/internal/parallel"
+	"repro/internal/tensor"
+)
 
 // Pack-once operands. The tuning phases re-execute one tensor graph
 // thousands of times across candidate configurations, so the per-call
@@ -59,57 +62,53 @@ func cachedSampledFilter(w *tensor.Tensor, samp sampSpec) *tensor.Tensor {
 	return sw
 }
 
-// prepacked is a B operand readied for the blocked GEMM once: the full
-// panels in packRange layout plus the tail columns (n mod gemmNR of
-// them) stored contiguously column-major, so the tail kernel reads a
-// forward stream instead of striding through B. For FP16 the stored
-// values are quantized; the GEMM then runs them as-is.
+// prepacked is a B operand in the one form the blocked GEMM reads: the full
+// panels in packRange layout plus the tail columns (n mod gemmNR of them)
+// stored contiguously column-major, so the tail kernel reads a forward
+// stream instead of striding through B. For FP16 the stored values are
+// quantized; the GEMM then runs them as-is. A marked weight keeps one
+// (cachedPrepackedB); any other B is packed into pooled scratch per call
+// (gemmFresh).
 type prepacked struct {
 	panels []float32 // np*k*gemmNR, packed[(jp*k+l)*gemmNR+j]
 	tail   []float32 // (n-np*gemmNR)*k, tail[(j-jTail)*k+l] = B[l][j]
 	np     int
 }
 
-// buildPrepacked packs b (k×n row-major) into panels + contiguous tail.
-// quantB quantizes every element through FP16 during the copy, exactly
-// like the per-call pack pass it replaces.
-func buildPrepacked(b []float32, k, n int, quantB bool) *prepacked {
+// buildPrepacked packs b (k×n row-major) into dst, which holds k·n floats:
+// the panels, in parallel over them, then the contiguous tail. quantB
+// quantizes every element through FP16 during the copy.
+func buildPrepacked(dst, b []float32, k, n int, quantB bool) prepacked {
 	np := n / gemmNR
-	p := &prepacked{np: np}
-	if np > 0 {
-		p.panels = make([]float32, np*k*gemmNR)
-		packRange(0, np, b, p.panels, k, n, quantB)
-	}
 	jTail := np * gemmNR
-	if n > jTail {
-		p.tail = make([]float32, (n-jTail)*k)
-		for j := jTail; j < n; j++ {
-			col := p.tail[(j-jTail)*k : (j-jTail+1)*k]
-			for l := 0; l < k; l++ {
-				v := b[l*n+j]
-				if quantB {
-					v = tensor.QuantizeFP16(v)
-				}
-				col[l] = v
+	panels, tail := dst[:jTail*k], dst[jTail*k:k*n]
+	if parallel.Serial() {
+		packRange(0, np, b, panels, k, n, quantB)
+	} else {
+		parallel.ForChunked(np, func(plo, phi int) {
+			packRange(plo, phi, b, panels, k, n, quantB)
+		})
+	}
+	for j := jTail; j < n; j++ {
+		col := tail[(j-jTail)*k : (j-jTail+1)*k]
+		for l := range col {
+			v := b[l*n+j]
+			if quantB {
+				v = tensor.QuantizeFP16(v)
 			}
+			col[l] = v
 		}
 	}
-	return p
+	return prepacked{panels: panels, tail: tail, np: np}
 }
-
-func (p *prepacked) bytes() int64 { return int64(4 * (len(p.panels) + len(p.tail))) }
 
 // cachedPrepackedB returns w's data (k×n) prepacked for the blocked GEMM
 // under the given precision, kept on w when w is cacheable. Returns nil
-// when it is not, or when the shape has no full panel (np == 0) — the
-// per-call engine handles those directly.
+// when it is not.
 func cachedPrepackedB(w *tensor.Tensor, k, n int, prec Precision) *prepacked {
-	if n < gemmNR {
-		return nil
-	}
 	v, _ := w.Derive(tensor.DerivedKey{Kind: packPanels, P0: int(prec)}, func() (any, int64) {
-		p := buildPrepacked(w.Data(), k, n, prec == FP16)
-		return p, p.bytes()
+		p := buildPrepacked(make([]float32, k*n), w.Data(), k, n, prec == FP16)
+		return &p, int64(4 * k * n)
 	})
 	p, _ := v.(*prepacked)
 	return p

@@ -6,8 +6,8 @@ import "math"
 // streaming kernels' d[j] += a·s[j], of the small-group convolution's dot
 // product and of max pooling's fold. Under tierAVX the bulk of a slice goes
 // through rowops_avx_amd64.s or window_avx_amd64.s; the scalar loops below
-// are the reference the assembly transcribes, the sse2/portable tiers, and
-// the remainder.
+// are the reference the assembly transcribes, the portable tier, and the
+// remainder.
 
 // rowVec is the shortest slice the eight-lane kernels take: they cover a
 // ragged end with a last vector that overlaps the one before it.
@@ -38,7 +38,7 @@ func axpy(dst, src []float32, a float32) {
 		return
 	}
 	for j, sv := range src {
-		dst[j] += a * sv
+		dst[j] += float32(a * sv)
 	}
 }
 
@@ -46,7 +46,7 @@ func axpy(dst, src []float32, a float32) {
 // from +0 of t.w·src[r·srcRow+j·stride+t.off] over taps in order, each
 // product and sum rounding to float32; taps must ascend in off, and rows and
 // n be positive. The loop is the small-group convolution's reference and
-// its sse2/portable tiers; under tierAVX, rows of at least four outputs at
+// its portable tier; under tierAVX, rows of at least four outputs at
 // stride 1 or 2 go through window_avx_amd64.s.
 func depthwiseRows(dst, src []float32, taps []convTap, n, stride, rows, dstRow, srcRow int) {
 	dst = dst[:(rows-1)*dstRow+n]
@@ -64,17 +64,17 @@ func depthwiseRows(dst, src []float32, taps []convTap, n, stride, rows, dstRow, 
 			sj := s[j*stride:]
 			for _, t := range taps {
 				o := int(t.off)
-				a0 += t.w * sj[o]
-				a1 += t.w * sj[o+stride]
-				a2 += t.w * sj[o+2*stride]
-				a3 += t.w * sj[o+3*stride]
+				a0 += float32(t.w * sj[o])
+				a1 += float32(t.w * sj[o+stride])
+				a2 += float32(t.w * sj[o+2*stride])
+				a3 += float32(t.w * sj[o+3*stride])
 			}
 			d[j], d[j+1], d[j+2], d[j+3] = a0, a1, a2, a3
 		}
 		for ; j < n; j++ {
 			var acc float32
 			for _, t := range taps {
-				acc += t.w * s[j*stride+int(t.off)]
+				acc += float32(t.w * s[j*stride+int(t.off)])
 			}
 			d[j] = acc
 		}

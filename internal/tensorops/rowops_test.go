@@ -390,7 +390,7 @@ func TestDepthwiseRowsMatchScalar(t *testing.T) {
 							}
 							var want float32
 							for _, tp := range taps {
-								want += tp.w * src[r*srcRow+j*stride+int(tp.off)]
+								want += float32(tp.w * src[r*srcRow+j*stride+int(tp.off)])
 							}
 							if math.Float32bits(got) != math.Float32bits(want) {
 								t.Fatalf("%s: row %d [%d] = %v (%#08x), scalar sum %v (%#08x)",
@@ -459,7 +459,7 @@ func TestAxpyMatchesScalar(t *testing.T) {
 						continue
 					}
 					want := init[j]
-					want += a * src[j]
+					want += float32(a * src[j])
 					if math.Float32bits(got) != math.Float32bits(want) {
 						t.Fatalf("n=%d off=%d: dst[%d] = %v, scalar %v", n, off, j, got, want)
 					}
