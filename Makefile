@@ -35,20 +35,26 @@ vet-selftest:
 # product and the sum separately; one fused multiply-add breaks all of those
 # pins at once. The assembly must not contain one, and neither may the arm64
 # build of tensorops' Go code, where the compiler fuses x*y + z unless a
-# conversion rounds the product first: float32(x*y) + z. FMA_ARM64 reads an
-# objdump listing and prints each FMA in a non-test tensorops function; it
-# exits 0 only if it printed one.
+# conversion rounds the product first: float32(x*y) + z. The same holds for
+# the Go code whose floats feed the kernels or the digests — the tensors'
+# random fills and reductions, the datasets, the model zoo's weights, the
+# graph's weight rewrites and the predictor —
+# or an arm64 run would not reproduce amd64's outputs. FMA_ARM64 reads the
+# objdump listings and prints each FMA in a non-test function of those
+# packages; it exits 0 only if it printed one.
 FMA_RE = VFN?M(ADD|SUB)
-FMA_ARM64 = awk '/^TEXT /{ fn = $$2; own = fn ~ /^repro\/internal\/tensorops\./ && $$3 !~ /_test\.go$$/ } own && /\tFN?M(ADD|SUB)/ { print fn, $$1, $$4; n++ } END { exit n == 0 }'
+FMA_PKGS = tensorops tensor datasets models graph predictor
+FMA_ARM64 = awk '/^TEXT /{ fn = $$2; own = fn ~ /^repro\/internal\/(tensorops|tensor|datasets|models|graph|predictor)\./ && $$3 !~ /_test\.go$$/ } own && /\tFN?M(ADD|SUB)/ { print fn, $$1, $$4; n++ } END { exit n == 0 }'
 
 no-fma:
 	@! grep -rnE '$(FMA_RE)' --include='*.s' internal/
-	@tmp=$$(mktemp -d); \
-	GOARCH=arm64 $(GO) test -c -o $$tmp/tensorops.test ./internal/tensorops && \
-	$(GO) tool objdump -s '^repro/internal/tensorops\.' $$tmp/tensorops.test > $$tmp/dis.txt; \
-	st=$$?; \
+	@tmp=$$(mktemp -d); st=0; \
+	for p in $(FMA_PKGS); do \
+		GOARCH=arm64 $(GO) test -c -o $$tmp/$$p.test ./internal/$$p && \
+		$(GO) tool objdump -s "^repro/internal/$$p\." $$tmp/$$p.test >> $$tmp/dis.txt || { st=1; break; }; \
+	done; \
 	if [ $$st -eq 0 ] && $(FMA_ARM64) < $$tmp/dis.txt; then \
-		echo "no-fma: fused multiply-adds in the arm64 build of tensorops; round the product: float32(x*y) + z"; st=1; \
+		echo "no-fma: fused multiply-adds in the arm64 build; round the product: float32(x*y) + z"; st=1; \
 	fi; \
 	rm -rf $$tmp; exit $$st
 
@@ -56,6 +62,7 @@ no-fma:
 no-fma-selftest:
 	@printf '\tVFMADD231PD Y1, Y2, Y3\n' | grep -qE '$(FMA_RE)' || { echo "no-fma: the pattern misses a planted VFMADD231PD"; exit 1; }
 	@printf 'TEXT repro/internal/tensorops.microKernel4(SB) gemm.go\n  gemm.go:1\t0x0\t1f010040\tFMADDS F1, F0, F2, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDS"; exit 1; }
+	@printf 'TEXT repro/internal/graph.scaleOutputChannel(SB) exec.go\n  exec.go:1\t0x0\t1f010040\tFMADDS F1, F0, F2, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDS outside tensorops"; exit 1; }
 
 # The domain validators over the knob registry and the model-zoo graphs
 # (cmd/approxlint -ir). The source analyzers need no target of their own:

@@ -96,11 +96,11 @@ func Generate(s Spec) *Dataset {
 				cy:  rng.Float64() * float64(s.H),
 				sx:  1.5 + rng.Float64()*float64(s.W)/3,
 				sy:  1.5 + rng.Float64()*float64(s.H)/3,
-				amp: 0.4 + rng.Float64()*0.6,
+				amp: 0.4 + float64(rng.Float64()*0.6),
 			}
 		}
 		for c := 0; c < s.C; c++ {
-			gain := 0.6 + rng.Float64()*0.8
+			gain := 0.6 + float64(rng.Float64()*0.8)
 			cbase := base + c*s.H*s.W
 			for y := 0; y < s.H; y++ {
 				for x := 0; x < s.W; x++ {
@@ -108,9 +108,9 @@ func Generate(s Spec) *Dataset {
 					for _, b := range bumps {
 						dx := (float64(x) - b.cx) / b.sx
 						dy := (float64(y) - b.cy) / b.sy
-						v += b.amp * math.Exp(-(dx*dx+dy*dy)/2)
+						v += float64(b.amp * math.Exp(-(float64(dx*dx)+float64(dy*dy))/2))
 					}
-					v = v*gain + rng.NormFloat64()*s.NoiseStd
+					v = float64(v*gain) + float64(rng.NormFloat64()*s.NoiseStd)
 					if v < 0 {
 						v = 0
 					} else if v > 1 {

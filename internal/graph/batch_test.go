@@ -30,32 +30,43 @@ func outDigest(t *tensor.Tensor) [32]byte {
 // TestExecuteShardedBitIdentical pins the batch-parallel contract: for
 // every shardable configuration, Execute (which may split the batch across
 // workers) must produce the same sha256 over the output bits as the serial
-// single-shard path.
+// single-shard path. The narrow net's second convolution has a 2×2 output,
+// fewer columns than a GEMM panel pair, so the images of a shard share one
+// GEMM N: how many there are, and where an image's columns land, changes
+// with the shard, and the bits must not.
 func TestExecuteShardedBitIdentical(t *testing.T) {
 	rng := tensor.NewRNG(31)
-	gr := tinyNet(rng)
+	gr, narrow := tinyNet(rng), narrowNet(rng)
 	in := tensor.New(11, 1, 8, 8) // odd batch: uneven final shard
 	rng.FillNormal(in, 0, 1)
+	narrowIn := tensor.New(11, 1, 4, 4)
+	rng.FillNormal(narrowIn, 0, 1)
 	convOp := gr.ApproxOps()[0]
 	fcOp := gr.ApproxOps()[4]
+	narrowConv := narrow.ApproxOps()[2]
 
 	cases := []struct {
 		name string
+		gr   *Graph
+		in   *tensor.Tensor
 		cfg  approx.Config
 	}{
-		{"baseline", nil},
-		{"fp16-conv", approx.Config{convOp: approx.KnobFP16}},
-		{"fp16-fc", approx.Config{fcOp: approx.KnobFP16}},
-		{"sampling", approx.Config{convOp: approx.SamplingKnob(2, 0, tensorops.FP32)}},
-		{"perforation", approx.Config{convOp: approx.PerforationKnob(tensorops.PerfRows, 2, 0, tensorops.FP16)}},
+		{"baseline", gr, in, nil},
+		{"fp16-conv", gr, in, approx.Config{convOp: approx.KnobFP16}},
+		{"fp16-fc", gr, in, approx.Config{fcOp: approx.KnobFP16}},
+		{"sampling", gr, in, approx.Config{convOp: approx.SamplingKnob(2, 0, tensorops.FP32)}},
+		{"perforation", gr, in, approx.Config{convOp: approx.PerforationKnob(tensorops.PerfRows, 2, 0, tensorops.FP16)}},
+		{"narrow-baseline", narrow, narrowIn, nil},
+		{"narrow-perforation-rows", narrow, narrowIn, approx.Config{narrowConv: approx.PerforationKnob(tensorops.PerfRows, 2, 1, tensorops.FP32)}},
+		{"narrow-perforation-cols", narrow, narrowIn, approx.Config{narrowConv: approx.PerforationKnob(tensorops.PerfCols, 3, 0, tensorops.FP16)}},
 	}
 	for _, tc := range cases {
-		serial := gr.executeOnce(in, tc.cfg, ExecOptions{})
+		serial := tc.gr.executeOnce(tc.in, tc.cfg, ExecOptions{})
 		// Force multiple shard counts regardless of the host's core count:
 		// 3 workers gives uneven shards [0,4) [4,8) [8,11), 11 gives
 		// single-image shards.
 		for _, workers := range []int{2, 3, 11} {
-			sharded := gr.executeShardedWorkers(in, tc.cfg, ExecOptions{}, workers)
+			sharded := tc.gr.executeShardedWorkers(tc.in, tc.cfg, ExecOptions{}, workers)
 			if !serial.Shape().Equal(sharded.Shape()) {
 				t.Fatalf("%s workers=%d: shape %v vs %v", tc.name, workers, sharded.Shape(), serial.Shape())
 			}
@@ -64,10 +75,31 @@ func TestExecuteShardedBitIdentical(t *testing.T) {
 			}
 		}
 		// And the public entry point (whichever path it picks) agrees too.
-		if outDigest(gr.Execute(in, tc.cfg, ExecOptions{})) != outDigest(serial) {
+		if outDigest(tc.gr.Execute(tc.in, tc.cfg, ExecOptions{})) != outDigest(serial) {
 			t.Errorf("%s: Execute differs from serial", tc.name)
 		}
 	}
+}
+
+// narrowNet is tinyNet on a 4×4 input: its second convolution, eight
+// channels over a 2×2 output, is narrower than a GEMM panel pair.
+func narrowNet(g *tensor.RNG) *Graph {
+	gr := New("narrow")
+	w1 := tensor.New(4, 1, 3, 3)
+	g.FillHe(w1, 9)
+	c1 := gr.ConvAct(gr.InputID(), w1, nil, tensorops.ConvParams{PadH: 1, PadW: 1}, ActReLU, 0, "conv1")
+	p1 := gr.MaxPool(c1, tensorops.PoolParams{KH: 2, KW: 2})
+	w2 := tensor.New(8, 4, 3, 3)
+	g.FillHe(w2, 36)
+	b2 := tensor.New(8)
+	g.FillNormal(b2, 0, 0.1)
+	c2 := gr.ConvAct(p1, w2, b2, tensorops.ConvParams{PadH: 1, PadW: 1}, ActTanh, 0, "conv2")
+	fl := gr.Flatten(c2)
+	wf := tensor.New(8*2*2, 10)
+	g.FillXavier(wf, 32, 10)
+	fc := gr.MatMul(fl, wf, nil, "fc")
+	gr.Softmax(fc)
+	return gr
 }
 
 // TestShardableExclusions: the configurations whose semantics couple batch

@@ -102,7 +102,7 @@ func (g *Graph) Costs(in tensor.Shape) ([]NodeCost, error) {
 			cig := n.Weight.Dim(1)
 			kh, kw := n.Weight.Dim(2), n.Weight.Dim(3)
 			_ = p
-			macs := outElems * float64(cig*kh*kw)
+			macs := float64(outElems * float64(cig*kh*kw))
 			c.Nc = 2 * macs
 			c.Nm = inElems + float64(n.Weight.Elems()) + outElems
 			if n.Bias != nil {
@@ -114,7 +114,7 @@ func (g *Graph) Costs(in tensor.Shape) ([]NodeCost, error) {
 			}
 		case OpMatMul:
 			k := float64(n.Weight.Dim(0))
-			c.Nc = 2 * outElems * k
+			c.Nc = float64(2 * outElems * k)
 			c.Nm = inElems + float64(n.Weight.Elems()) + outElems
 			if n.Bias != nil {
 				c.Nc += outElems

@@ -346,7 +346,7 @@ func standardizeNode(n *Node, raw *tensor.Tensor) {
 				seg := d[(img*channels+c)*sp : (img*channels+c+1)*sp]
 				for _, v := range seg {
 					mean[c] += float64(v)
-					m2[c] += float64(v) * float64(v)
+					m2[c] += float64(float64(v) * float64(v))
 					count[c]++
 				}
 			}
@@ -357,14 +357,14 @@ func standardizeNode(n *Node, raw *tensor.Tensor) {
 			row := d[img*channels : (img+1)*channels]
 			for c, v := range row {
 				mean[c] += float64(v)
-				m2[c] += float64(v) * float64(v)
+				m2[c] += float64(float64(v) * float64(v))
 				count[c]++
 			}
 		}
 	}
 	for c := 0; c < channels; c++ {
 		mean[c] /= count[c]
-		variance := m2[c]/count[c] - mean[c]*mean[c]
+		variance := m2[c]/count[c] - float64(mean[c]*mean[c])
 		std := math.Sqrt(math.Max(variance, 1e-6))
 		if std < 1e-3 {
 			std = 1e-3
@@ -398,7 +398,7 @@ func scaleOutputChannel(n *Node, c int, scale, shift float32) {
 		}
 	}
 	bd := n.Bias.Data()
-	bd[c] = bd[c]*scale + shift
+	bd[c] = float32(bd[c]*scale) + shift
 }
 
 // ValidateConfig checks that every knob in cfg is applicable to the node

@@ -101,7 +101,7 @@ func smoothFilters(w *tensor.Tensor) {
 	d := w.Data()
 	if kh >= 3 || kw >= 3 {
 		tmp := make([]float32, kh*kw)
-		blur1 := func(a, b, c float32) float32 { return 0.25*a + 0.5*b + 0.25*c }
+		blur1 := func(a, b, c float32) float32 { return float32(0.25*a) + float32(0.5*b) + float32(0.25*c) }
 		for fp := 0; fp < 2*co*ci; fp++ { // two smoothing passes per plane
 			f := fp % (co * ci)
 			plane := d[f*kh*kw : (f+1)*kh*kw]
@@ -143,7 +143,7 @@ func smoothFilters(w *tensor.Tensor) {
 				cur := d[base+c*plane : base+(c+1)*plane]
 				prev := d[base+(c-1)*plane : base+c*plane]
 				for i := range cur {
-					cur[i] = 0.75*cur[i] + 0.25*prev[i]
+					cur[i] = float32(0.75*cur[i]) + float32(0.25*prev[i])
 				}
 			}
 		}

@@ -225,7 +225,7 @@ func (q *QoSPredictor) predict2(cfg approx.Config, alpha float64) float64 {
 		if knob == approx.KnobFP32 {
 			continue
 		}
-		s += alpha * q.Profiles.DeltaQ[Key{op, knob}]
+		s += float64(alpha * q.Profiles.DeltaQ[Key{op, knob}])
 	}
 	return s
 }
@@ -253,8 +253,8 @@ func (q *QoSPredictor) Calibrate(samples []Sample) float64 {
 		for _, s := range samples {
 			sum := q.predict2(s.Cfg, 1) - q.Profiles.BaseQoS
 			y := s.QoS - q.Profiles.BaseQoS
-			num += sum * y
-			den += sum * sum
+			num += float64(sum * y)
+			den += float64(sum * sum)
 		}
 		if den > 1e-12 {
 			q.Alpha = num / den
@@ -272,7 +272,7 @@ func (q *QoSPredictor) Calibrate(samples []Sample) float64 {
 				var sse float64
 				for _, s := range samples {
 					d := q.predict1(s.Cfg, a) - s.QoS
-					sse += d * d
+					sse += float64(d * d)
 				}
 				if sse < bestErr {
 					bestErr, bestA = sse, a

@@ -38,14 +38,14 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // FillUniform fills t with uniform values in [lo,hi).
 func (g *RNG) FillUniform(t *Tensor, lo, hi float32) {
 	for i := range t.data {
-		t.data[i] = lo + float32(g.r.Float64())*(hi-lo)
+		t.data[i] = lo + float32(float32(g.r.Float64())*(hi-lo))
 	}
 }
 
 // FillNormal fills t with N(mean, std^2) values.
 func (g *RNG) FillNormal(t *Tensor, mean, std float32) {
 	for i := range t.data {
-		t.data[i] = mean + float32(g.r.NormFloat64())*std
+		t.data[i] = mean + float32(float32(g.r.NormFloat64())*std)
 	}
 }
 

@@ -133,7 +133,7 @@ func (t *Tensor) AddScaled(k float32, o *Tensor) {
 		panic(fmt.Sprintf("tensor: AddScaled size mismatch %d vs %d", len(t.data), len(o.data)))
 	}
 	for i, v := range o.data {
-		t.data[i] += k * v
+		t.data[i] += float32(k * v)
 	}
 }
 
@@ -179,7 +179,7 @@ func MSE(t, o *Tensor) float64 {
 	var s float64
 	for i := range t.data {
 		d := float64(t.data[i]) - float64(o.data[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(t.data))
 }

@@ -127,6 +127,57 @@ func BenchmarkPackRun(b *testing.B) {
 	}
 }
 
+// BenchmarkPerforationCost is what one perforation knob costs against the
+// exact layer it replaces, layer by layer: alexnet2's six 3×3 convolutions
+// and MobileNet's 4×4 and 2×2 pointwise ones at width 0.25 — named
+// input channels → output channels × side — at batch 16 and 1, with
+// constant (cacheable) weights, a fresh input and the model's fused bias
+// and activation (tanh, clipped ReLU).
+// Each shape runs `exact`, then rows and cols at strides 2, 3 and 4
+// (offset 0); every knob reports ns/op and x-exact, its time over the
+// exact run's. Run with -cpu 1 for single-core cost.
+func BenchmarkPerforationCost(b *testing.B) {
+	g := tensor.NewRNG(5)
+	for _, s := range []struct {
+		ci, co, hw, k int
+		act           ActKind
+	}{
+		{3, 8, 32, 3, ActTanh}, {8, 8, 32, 3, ActTanh}, {8, 16, 16, 3, ActTanh},
+		{16, 16, 16, 3, ActTanh}, {16, 32, 8, 3, ActTanh}, {32, 32, 8, 3, ActTanh},
+		{128, 128, 4, 1, ActClippedReLU}, {128, 256, 2, 1, ActClippedReLU}, {256, 256, 2, 1, ActClippedReLU},
+	} {
+		p := ConvParams{PadH: s.k / 2, PadW: s.k / 2}
+		w := randTensor(g, s.co, s.ci, s.k, s.k).MarkCacheable()
+		ep := Epilogue{Bias: randTensor(g, s.co), Act: s.act, Clip: 6}
+		for _, n := range []int{16, 1} {
+			x := randTensor(g, n, s.ci, s.hw, s.hw)
+			var exact float64
+			run := func(name string, conv func()) {
+				b.Run(fmt.Sprintf("%d-%dx%d/b%d/%s", s.ci, s.co, s.hw, n, name), func(b *testing.B) {
+					conv()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						conv()
+					}
+					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+					if name == "exact" {
+						exact = ns
+					}
+					b.ReportMetric(ns/exact, "x-exact")
+				})
+			}
+			run("exact", func() { Conv2DFused(x, w, p, FP32, ep) })
+			for _, dir := range []PerfDirection{PerfRows, PerfCols} {
+				for stride := 2; stride <= 4; stride++ {
+					run(fmt.Sprintf("%vs-%d", dir, stride), func() { Conv2DPerforatedFused(x, w, p, dir, stride, 0, FP32, ep) })
+				}
+			}
+		}
+		InvalidatePacked(w)
+	}
+}
+
 func BenchmarkConv2DFP16Fresh(b *testing.B) {
 	p := ConvParams{PadH: 1, PadW: 1}
 	benchFresh(b, 8, 8, 32, 3, p, func(x, w *tensor.Tensor) { Conv2DFused(x, w, p, FP16, benchEpilogue) })
@@ -385,6 +436,12 @@ func TestConv2DFusedFreshAllocs(t *testing.T) {
 	defer InvalidatePacked(dw)
 	dp := ConvParams{PadH: 1, PadW: 1, Groups: 32}
 	dep := Epilogue{Bias: randTensor(g, 32), Act: ActClippedReLU, Clip: 6}
+	// MobileNet's last pointwise layer on a batch of eight: 2×2 outputs,
+	// whose images share one GEMM N.
+	nx := randTensor(g, 8, 64, 2, 2)
+	nw := randTensor(g, 64, 64, 1, 1).MarkCacheable()
+	defer InvalidatePacked(nw)
+	nep := Epilogue{Bias: randTensor(g, 64), Act: ActClippedReLU, Clip: 6}
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -397,6 +454,7 @@ func TestConv2DFusedFreshAllocs(t *testing.T) {
 		{"depthwise/exact", 6, func() { Conv2DFused(dx, dw, dp, FP32, dep) }},
 		{"depthwise/samp50", 6, func() { Conv2DFilterSamplingFused(dx, dw, dp, 2, 0, FP32, dep) }},
 		{"depthwise/perf50", 7, func() { Conv2DPerforatedFused(dx, dw, dp, PerfRows, 2, 0, FP32, dep) }},
+		{"2x2-b8/perf50", 7, func() { Conv2DPerforatedFused(nx, nw, ConvParams{}, PerfRows, 2, 0, FP32, nep) }},
 	} {
 		tc.run() // fill the scratch pool and the per-weight cache entries
 		if got := testing.AllocsPerRun(50, tc.run); got > tc.max {

@@ -110,6 +110,24 @@ func (k convKnob) String() string {
 
 // refConvolve is the reference engine described above.
 func refConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKnob, ep Epilogue) *tensor.Tensor {
+	return refConvolveWith(gemmRef, x, w, p, prec, knob, ep)
+}
+
+// gemmRefEvery is gemmRef multiplying every term, a zero A element
+// included: the blocked kernels' rule, where 0 · ±Inf is NaN.
+func gemmRefEvery(a, b, c []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		crow := c[i*n : (i+1)*n]
+		for l, av := range a[i*k : (i+1)*k] {
+			for j, bv := range b[l*n : (l+1)*n] {
+				crow[j] += float32(av * bv)
+			}
+		}
+	}
+}
+
+// refConvolveWith is refConvolve over the given reference GEMM.
+func refConvolveWith(gemm func(a, b, c []float32, m, k, n int), x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKnob, ep Epilogue) *tensor.Tensor {
 	p = p.Norm()
 	if knob.samp.stride != 0 {
 		w = SampleFilter(w, knob.samp.stride, knob.samp.offset)
@@ -129,7 +147,7 @@ func refConvolve(x, w *tensor.Tensor, p ConvParams, prec Precision, knob convKno
 	for img := 0; img < n; img++ {
 		for grp := 0; grp < g; grp++ {
 			im2col(x.Data(), cols, img, grp, ci, cig, h, wd, kh, kw, ho, wo, p)
-			gemmRef(w.Data()[grp*cog*kvol:(grp+1)*cog*kvol], cols,
+			gemm(w.Data()[grp*cog*kvol:(grp+1)*cog*kvol], cols,
 				out.Data()[(img*co+grp*cog)*how:(img*co+(grp+1)*cog)*how], cog, kvol, how)
 		}
 	}
@@ -314,30 +332,33 @@ func TestConvLoweringShapes(t *testing.T) {
 	}
 	shapes := []shape{
 		// output width (sw = 1): w + 2·pw − kw + 1
-		{5, 3, 1, 1, 1, 1, 0, 0, 3, 5, 1},   // wo 3, flat span, in place
-		{4, 4, 3, 3, 1, 1, 1, 1, 2, 4, 1},   // wo 4: a row is a panel
-		{5, 6, 3, 3, 1, 1, 1, 1, 3, 6, 1},   // wo 6: every other panel straddles
-		{6, 7, 5, 5, 1, 1, 2, 2, 2, 5, 1},   // wo 7
-		{4, 12, 3, 3, 1, 1, 1, 1, 2, 4, 1},  // wo 12: runs of three
-		{3, 28, 3, 3, 1, 1, 1, 1, 1, 4, 1},  // wo 28: runs of seven
-		{5, 28, 1, 1, 1, 1, 0, 0, 4, 8, 1},  // flat span of 140 columns
-		{6, 6, 1, 1, 1, 1, 1, 1, 3, 4, 1},   // padded 1×1: wp ≠ wo, not flat
-		{5, 5, 3, 3, 1, 1, 3, 3, 2, 4, 1},   // padding wider than the filter reaches
-		{4, 6, 5, 5, 1, 1, 3, 2, 2, 4, 1},   // 5×5, unequal padding
-		{6, 9, 3, 3, 1, 1, 0, 2, 2, 4, 1},   // padded columns only
-		{6, 9, 3, 3, 1, 1, 2, 0, 2, 4, 1},   // padded rows only
-		{7, 8, 1, 3, 1, 1, 0, 1, 3, 4, 1},   // 1×3
-		{7, 8, 3, 1, 1, 1, 1, 0, 3, 4, 1},   // 3×1: rows abut, flat span under padding
-		{8, 7, 5, 2, 1, 1, 2, 1, 2, 5, 1},   // 5×2
-		{9, 10, 3, 3, 2, 1, 1, 1, 2, 4, 1},  // stride 2 down only: runs survive
-		{9, 10, 3, 3, 1, 2, 1, 1, 2, 4, 1},  // stride 2 across only: all gather
-		{9, 11, 3, 3, 2, 2, 1, 1, 3, 7, 1},  // both
-		{8, 8, 1, 1, 2, 2, 0, 0, 4, 8, 1},   // strided 1×1 (resnet's shortcut)
-		{6, 10, 3, 3, 1, 1, 1, 1, 4, 8, 2},  // two groups of cog 4
-		{6, 6, 3, 3, 2, 2, 1, 1, 6, 15, 3},  // three groups of cog 5, strided
-		{5, 12, 1, 1, 1, 1, 0, 0, 8, 16, 4}, // grouped pointwise
-		{1, 9, 1, 3, 1, 1, 0, 1, 2, 4, 1},   // a single output row
-		{9, 1, 3, 1, 1, 1, 1, 0, 2, 4, 1},   // a single output column
+		{5, 3, 1, 1, 1, 1, 0, 0, 3, 5, 1},    // wo 3, flat span, in place
+		{4, 4, 3, 3, 1, 1, 1, 1, 2, 4, 1},    // wo 4: a row is a panel
+		{5, 6, 3, 3, 1, 1, 1, 1, 3, 6, 1},    // wo 6: every other panel straddles
+		{6, 7, 5, 5, 1, 1, 2, 2, 2, 5, 1},    // wo 7
+		{4, 12, 3, 3, 1, 1, 1, 1, 2, 4, 1},   // wo 12: runs of three
+		{3, 28, 3, 3, 1, 1, 1, 1, 1, 4, 1},   // wo 28: runs of seven
+		{5, 28, 1, 1, 1, 1, 0, 0, 4, 8, 1},   // flat span of 140 columns
+		{6, 6, 1, 1, 1, 1, 1, 1, 3, 4, 1},    // padded 1×1: wp ≠ wo, not flat
+		{5, 5, 3, 3, 1, 1, 3, 3, 2, 4, 1},    // padding wider than the filter reaches
+		{4, 6, 5, 5, 1, 1, 3, 2, 2, 4, 1},    // 5×5, unequal padding
+		{6, 9, 3, 3, 1, 1, 0, 2, 2, 4, 1},    // padded columns only
+		{6, 9, 3, 3, 1, 1, 2, 0, 2, 4, 1},    // padded rows only
+		{7, 8, 1, 3, 1, 1, 0, 1, 3, 4, 1},    // 1×3
+		{7, 8, 3, 1, 1, 1, 1, 0, 3, 4, 1},    // 3×1: rows abut, flat span under padding
+		{8, 7, 5, 2, 1, 1, 2, 1, 2, 5, 1},    // 5×2
+		{9, 10, 3, 3, 2, 1, 1, 1, 2, 4, 1},   // stride 2 down only: runs survive
+		{9, 10, 3, 3, 1, 2, 1, 1, 2, 4, 1},   // stride 2 across only: all gather
+		{9, 11, 3, 3, 2, 2, 1, 1, 3, 7, 1},   // both
+		{8, 8, 1, 1, 2, 2, 0, 0, 4, 8, 1},    // strided 1×1 (resnet's shortcut)
+		{6, 10, 3, 3, 1, 1, 1, 1, 4, 8, 2},   // two groups of cog 4
+		{6, 6, 3, 3, 2, 2, 1, 1, 6, 15, 3},   // three groups of cog 5, strided
+		{5, 12, 1, 1, 1, 1, 0, 0, 8, 16, 4},  // grouped pointwise
+		{6, 8, 3, 3, 1, 1, 1, 1, 3, 8, 1},    // wo 8: a kept row is one panel pair
+		{5, 16, 3, 3, 1, 1, 1, 1, 2, 5, 1},   // wo 16: two pairs a row, a remainder row
+		{3, 16, 3, 3, 1, 1, 1, 1, 230, 4, 1}, // kc 2070: blocks of one pair cut rows in two
+		{1, 9, 1, 3, 1, 1, 0, 1, 2, 4, 1},    // a single output row
+		{9, 1, 3, 1, 1, 1, 1, 0, 2, 4, 1},    // a single output column
 	}
 	// MobileNet's depthwise layers — 3×3, pad 1, Groups == ci — at stride 1
 	// and 2 and output widths that take the AVX kernel's four- and eight-lane
@@ -405,9 +426,14 @@ func TestConvPaddedPlanesPerWorker(t *testing.T) {
 // padding tap as a stored +0, so an infinite or NaN weight gives NaN at the
 // border. Each case plants one kind of value only: where NaNs of two payloads
 // meet in a sum, which survives is the compiler's choice of operand order in
-// the reference. A zero weight against a non-finite input runs at cog 1 and
-// 2 only: the reference and direct skip that term, the blocked tile
-// multiplies it.
+// the reference. At cog 4 the two images share one GEMM N wherever a knob
+// leaves fewer than eight outputs (the 3×4 input), and column perforation
+// packs its panels with the vector permute (the 11×12 one). A zero weight
+// against a non-finite input is checked twice: at cog 1 and 2 against the
+// reference that skips the term, as direct does, and at cog 4 against one
+// that multiplies every term, as every blocked kernel does — in a tail
+// column as in a panel column, so that the NaN does not depend on where the
+// output lands.
 func TestConvSmallGroupSpecialValues(t *testing.T) {
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	every := func(d []float32, k int, v ...float32) {
@@ -415,27 +441,28 @@ func TestConvSmallGroupSpecialValues(t *testing.T) {
 			d[i] = v[i/k%len(v)]
 		}
 	}
+	zeroWeightsInfInputs := func(x, w []float32, kvol int) { every(x, 9, inf, -inf); every(w, 4, 0) }
+	direct, all := []int{1, 2}, []int{1, 2, 4}
 	cases := []struct {
-		name       string
-		directOnly bool
-		plant      func(x, w []float32, kvol int)
+		name  string
+		cogs  []int
+		every bool // the reference multiplies every term
+		plant func(x, w []float32, kvol int)
 	}{
-		{"inf-weights", false, func(x, w []float32, kvol int) { every(w, 5, inf, -inf) }},
-		{"nan-weights", false, func(x, w []float32, kvol int) { every(w, 7, nan) }},
-		{"inf-inputs", false, func(x, w []float32, kvol int) { every(x, 9, inf, -inf) }},
-		{"nan-inputs", false, func(x, w []float32, kvol int) { every(x, 11, nan) }},
-		{"negzero-inputs", false, func(x, w []float32, kvol int) { every(x, 1, float32(math.Copysign(0, -1))) }},
-		{"zero-channel", false, func(x, w []float32, kvol int) { clear(w[kvol : 2*kvol]) }},
-		{"zero-weights-inf-inputs", true, func(x, w []float32, kvol int) { every(x, 9, inf, -inf); every(w, 4, 0) }},
+		{"inf-weights", all, false, func(x, w []float32, kvol int) { every(w, 5, inf, -inf) }},
+		{"nan-weights", all, false, func(x, w []float32, kvol int) { every(w, 7, nan) }},
+		{"inf-inputs", all, false, func(x, w []float32, kvol int) { every(x, 9, inf, -inf) }},
+		{"nan-inputs", all, false, func(x, w []float32, kvol int) { every(x, 11, nan) }},
+		{"negzero-inputs", all, false, func(x, w []float32, kvol int) { every(x, 1, float32(math.Copysign(0, -1))) }},
+		{"zero-channel", all, false, func(x, w []float32, kvol int) { clear(w[kvol : 2*kvol]) }},
+		{"zero-weights-inf-inputs", direct, false, zeroWeightsInfInputs},
+		{"zero-weights-inf-inputs-every-term", []int{4}, true, zeroWeightsInfInputs},
 	}
 	knobs := []convKnob{{}, {samp: sampSpec{2, 0}}, {perf: &perfSpec{dir: PerfRows, stride: 2, offset: 0}}, {perf: &perfSpec{dir: PerfCols, stride: 3, offset: 1}}}
 	forEachTier(t, func(t *testing.T) {
 		g := tensor.NewRNG(61)
 		for _, tc := range cases {
-			for _, cog := range []int{1, 2, 4} {
-				if tc.directOnly && cog >= gemmMR {
-					continue
-				}
+			for _, cog := range tc.cogs {
 				for _, stride := range []int{1, 2} {
 					for _, hw := range [][2]int{{11, 12}, {3, 4}} {
 						p := ConvParams{StrideH: stride, StrideW: stride, PadH: 1, PadW: 1, Groups: 4}
@@ -445,8 +472,15 @@ func TestConvSmallGroupSpecialValues(t *testing.T) {
 						eps := diffEpilogues(randTensor(g, 4*cog))
 						for _, prec := range []Precision{FP32, FP16} {
 							for ki, knob := range knobs {
+								gemm := gemmRef
+								if tc.every {
+									if knob.samp.stride != 0 {
+										continue // the reference samples by zeroing weights, the engine drops the terms
+									}
+									gemm = gemmRefEvery
+								}
 								ep := eps[ki%len(eps)]
-								want := refConvolve(x, wt, p, prec, knob, ep)
+								want := refConvolveWith(gemm, x, wt, p, prec, knob, ep)
 								requireSameBits(t, engineConvolve(t, x, wt, p, prec, knob, ep), want,
 									"%s cog=%d stride=%d in=%v %v %v", tc.name, cog, stride, hw, prec, knob)
 							}
@@ -455,6 +489,36 @@ func TestConvSmallGroupSpecialValues(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+// TestConvNarrowGrids runs the outputs narrower than a panel pair — 2×2
+// (MobileNet's last pointwise layers), 1×3 and 3×1 — at batch 1, where
+// each image's few columns are one zero-padded panel, and 2, 3, 8 and 16,
+// where the images share one GEMM N, through every knob (both perforation
+// directions, strides 2–4, every offset), both precisions, every tier and
+// one and three workers. Seven output channels leave three rows for the
+// remainder kernel; the 3×3 filters read padding.
+func TestConvNarrowGrids(t *testing.T) {
+	withProcs(t, []int{1, 3}, func(t *testing.T) {
+		forEachTier(t, func(t *testing.T) {
+			g := tensor.NewRNG(71)
+			for _, out := range [][2]int{{2, 2}, {1, 3}, {3, 1}} {
+				for ki, k := range []int{1, 3} {
+					p := ConvParams{PadH: k / 2, PadW: k / 2}
+					wt := randTensor(g, 7, 5, k, k)
+					if ki == 0 {
+						wt.MarkCacheable()
+					}
+					eps := diffEpilogues(randTensor(g, 7))
+					for ni, n := range []int{1, 2, 3, 8, 16} {
+						x := randTensor(g, n, 5, out[0], out[1])
+						requireAllKnobs(t, x, wt, p, eps, ni, fmt.Sprintf("out=%v k=%d n=%d", out, k, n))
+					}
+					wt.InvalidateCache()
+				}
+			}
+		})
 	})
 }
 

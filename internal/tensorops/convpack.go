@@ -23,16 +23,26 @@ import (
 // The lowering. Where B[l][j] lives is worked out once per convolve call.
 // The packers read one (image, group)'s planes with the padding stored as
 // zeros around them (convPlan.planes), so no tap is out of bounds, and
-// B[l][j] = planes[base(j) + offs[l]] for every stride, padding,
-// perforation and sampling: base(j) = oy·sh·wp + ox·sw is the patch's first
+// B[l][j] = planes[cols[j] + offs[l]] for every stride, padding,
+// perforation and sampling: cols[j] = oy·sh·wp + ox·sw is the patch's first
 // element, offs[l] = c·hp·wp + ky·wp + kx its l-th kept one. Panels whose
 // columns are adjacent in memory are copied a run at a time, four floats per
-// (l, panel) (packRun); the others — strided or column-perforated columns, a
-// panel that straddles two output rows, the ncols mod 4 tail — gather
-// through the same table (packColumns). Every element is still
-// accumulated in ascending-l order by the same kernels, a padding tap as a
-// stored +0, so outputs are bit-identical to computing everything and
-// discarding (convdiff_test.go pins this against the im2col reference).
+// (l, panel) (packRun); a panel whose columns lie in two windows of four
+// floats — strided or column-perforated columns, most panels that straddle
+// two output rows — is one vector permute and blend per l on the AVX tier
+// (packQuad); the rest gather through the same table, four columns per l.
+// The last ncols mod 4 columns are a panel of their own whose other lanes
+// are +0 (packTail). Every element is still accumulated in ascending-l order
+// by the same kernels, a padding tap as a stored +0, so outputs are
+// bit-identical to computing everything and discarding (convdiff_test.go
+// pins this against the im2col reference).
+//
+// A kept grid narrower than a panel pair would leave each image's GEMM with
+// one four-lane panel or only the tail. When the call has more than one
+// image, its images then share one N instead: column j is image j / per's
+// output j mod per, the planes of consecutive images lie pstride apart, and
+// the product is one (m × images·per) block whose rows are filled out to
+// each image's planes (convolve).
 
 // sampSpec describes filter sampling: flattened filter position l is
 // dropped when l%stride == offset. The zero value means no sampling.
@@ -77,6 +87,14 @@ type convPlan struct {
 	tab            *convTabs // pooled backing of the tables
 	oy, ox         []int32   // kept output rows / columns, ascending
 	offs           []int32   // kc ascending plane offsets, sampled-out positions absent
+	perf           *perfSpec // nil when every output is computed
+	// imgs images share one GEMM N (1 unless a kept grid is narrower than
+	// a panel pair); per is one image's kept outputs, pstride the distance
+	// between consecutive images' planes as planes returns them.
+	imgs, per, pstride int
+	cols               []int32    // cols[j]: plane offset of packed column j's patch, j < imgs·per
+	steps              []fillStep // one per output of a plane, when fillSteps fills it
+	colSteps           []colStep  // a row's, when fillCols fills it
 	// span: packed columns [i·span, (i+1)·span) are adjacent in the planes —
 	// a kept row at unit stride with every column kept, all of ncols when
 	// the rows abut as well (k×1 filters); 0 when no two columns are.
@@ -97,28 +115,37 @@ type convTap struct {
 
 // convTabs is the pooled backing of a plan's tables.
 type convTabs struct {
-	idx  []int32 // oy, ox and offs
-	taps []convTap
-	at   []int32
+	idx      []int32 // oy, ox, offs and cols
+	taps     []convTap
+	at       []int32
+	steps    []fillStep
+	colSteps []colStep
 }
 
 // tabPool recycles plan tables; convolve puts a plan's back when it returns.
 var tabPool = sync.Pool{New: func() any { return new(convTabs) }}
 
-// newConvPlan lowers one call.
-func newConvPlan(xd []float32, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams, perf *perfSpec, samp sampSpec) *convPlan {
+// newConvPlan lowers one call over n images whose groups have cog output
+// channels each.
+func newConvPlan(xd []float32, n, ci, cig, cog, h, w, kh, kw, ho, wo int, p ConvParams, perf *perfSpec, samp sampSpec) *convPlan {
 	pl := &convPlan{
 		xd: xd, ci: ci, cig: cig, h: h, w: w,
 		sh: p.StrideH, sw: p.StrideW, ph: p.PadH, pw: p.PadW,
 		hp: h + 2*p.PadH, wp: w + 2*p.PadW,
 		wo: wo, kc: samp.keptK(cig * kh * kw),
+		perf: perf, imgs: 1,
 		tab: tabPool.Get().(*convTabs),
 	}
-	if cig*pl.hp*pl.wp > math.MaxInt32 {
+	psize := cig * pl.hp * pl.wp // one (image, group)'s planes
+	if psize > math.MaxInt32 {
 		panicShape("Conv2D", "one group's padded input (%d×%d×%d) is beyond int32 offsets", cig, pl.hp, pl.wp)
 	}
+	pl.pstride = ci * h * w
+	if pl.ph|pl.pw != 0 {
+		pl.pstride = psize
+	}
 	tab := pl.tab.idx[:0]
-	if need := ho + wo + pl.kc; cap(tab) < need {
+	if need := ho + wo + pl.kc + ho*wo; cap(tab) < need {
 		tab = make([]int32, 0, need)
 	}
 	keep := func(n int, perforated bool) []int32 {
@@ -132,6 +159,10 @@ func newConvPlan(xd []float32, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams, 
 	}
 	pl.oy = keep(ho, perf != nil && perf.dir == PerfRows)
 	pl.ox = keep(wo, perf != nil && perf.dir == PerfCols)
+	pl.per = len(pl.oy) * len(pl.ox)
+	if cog >= gemmMR && n > 1 && pl.per < 2*gemmNR && (n-1)*pl.pstride <= math.MaxInt32-psize {
+		pl.imgs = n
+	}
 	cur := sampCursor{sampSpec: samp}
 	for ch := 0; ch < cig; ch++ {
 		for ky := 0; ky < kh; ky++ {
@@ -142,8 +173,29 @@ func newConvPlan(xd []float32, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams, 
 			}
 		}
 	}
-	pl.offs = tab[len(tab)-pl.kc:]
+	pl.offs = tab[len(tab)-pl.kc : len(tab) : len(tab)]
+	start := len(tab)
+	if cog >= gemmMR {
+		for img := 0; img < pl.imgs; img++ {
+			for _, oy := range pl.oy {
+				row := img*pl.pstride + int(oy)*pl.sh*pl.wp
+				for _, ox := range pl.ox {
+					tab = append(tab, int32(row+int(ox)*pl.sw))
+				}
+			}
+		}
+	}
+	pl.cols = tab[start:]
 	pl.tab.idx = tab
+	switch {
+	case perf == nil:
+	case pl.imgs > 1 || wo < rowVec:
+		pl.steps = perf.fillTable(pl.tab.steps[:0], ho, wo, len(pl.ox))
+		pl.tab.steps = pl.steps
+	case perf.dir == PerfCols:
+		pl.colSteps = perf.colTable(pl.tab.colSteps[:0], wo, len(pl.ox))
+		pl.tab.colSteps = pl.colSteps
+	}
 	if pl.sw == 1 && len(pl.ox) == wo {
 		pl.span = wo
 		if pl.wp == wo && pl.sh == 1 && len(pl.oy) == ho {
@@ -153,35 +205,39 @@ func newConvPlan(xd []float32, ci, cig, h, w, kh, kw, ho, wo int, p ConvParams, 
 	return pl
 }
 
-// ncols is the N extent of the packed matrix: the kept output positions.
-func (pl *convPlan) ncols() int { return len(pl.oy) * len(pl.ox) }
+// ncols is the N extent of the packed matrix: the kept output positions of
+// the images that share it.
+func (pl *convPlan) ncols() int { return pl.imgs * pl.per }
 
 // chanBase is the offset of input channel 0 of (img, grp) in xd.
 func (pl *convPlan) chanBase(img, grp int) int {
 	return (img*pl.ci + grp*pl.cig) * pl.h * pl.w
 }
 
-// planes returns (img, grp)'s cig input planes as the packers address them,
-// hp × wp each: the input itself when nothing is padded, otherwise pad
-// (cig·hp·wp floats, its borders zeroed once by zeroBorders) with the planes
-// copied inside them.
+// planes returns the cig input planes of group grp of images img… (imgs of
+// them, pstride apart) as the packers address them, hp × wp each: the input
+// itself when nothing is padded, otherwise pad (imgs·cig·hp·wp floats, its
+// borders zeroed once by zeroBorders) with the planes copied inside them.
 func (pl *convPlan) planes(pad []float32, img, grp int) []float32 {
 	h, w, wp := pl.h, pl.w, pl.wp
 	base := pl.chanBase(img, grp)
-	src := pl.xd[base : base+pl.cig*h*w]
 	if pad == nil {
-		return src
+		return pl.xd[base : base+(pl.imgs-1)*pl.pstride+pl.cig*h*w]
 	}
-	for ch := 0; ch < pl.cig; ch++ {
-		for y := 0; y < h; y++ {
-			d := (ch*pl.hp+pl.ph+y)*wp + pl.pw
-			copy(pad[d:d+w], src[(ch*h+y)*w:])
+	for i := 0; i < pl.imgs; i++ {
+		src := pl.xd[base+i*pl.ci*h*w : base+i*pl.ci*h*w+pl.cig*h*w]
+		dst := pad[i*pl.pstride:]
+		for ch := 0; ch < pl.cig; ch++ {
+			for y := 0; y < h; y++ {
+				d := (ch*pl.hp+pl.ph+y)*wp + pl.pw
+				copy(dst[d:d+w], src[(ch*h+y)*w:])
+			}
 		}
 	}
 	return pad
 }
 
-// zeroBorders stores +0 around each of pad's cig planes. planes never
+// zeroBorders stores +0 around each of pad's planes. planes never
 // writes there, so a worker does it once for all the (image, group)s it
 // pads into the same buffer.
 func (pl *convPlan) zeroBorders(pad []float32) {
@@ -197,18 +253,11 @@ func (pl *convPlan) zeroBorders(pad []float32) {
 	}
 }
 
-// base is the plane offset of the first element of the patch under kept
-// output position (oy[r], ox[c]).
-func (pl *convPlan) base(r, c int) int {
-	return int(pl.oy[r])*pl.sh*pl.wp + int(pl.ox[c])*pl.sw
-}
-
 // packPanels writes panels [plo,phi) of the patch matrix over planes into
 // dst in packRange layout, dst[((jp-plo)*kc+l)*gemmNR+j] = B[l][jp*gemmNR+j].
 // Panels inside one span of adjacent columns are packed a run at a time,
-// the others one by one through packColumns.
+// the others one by one through packQuad.
 func (pl *convPlan) packPanels(dst, planes []float32, plo, phi int) {
-	nx := len(pl.ox)
 	psz := pl.kc * gemmNR
 	for jp := plo; jp < phi; {
 		j := jp * gemmNR
@@ -218,9 +267,9 @@ func (pl *convPlan) packPanels(dst, planes []float32, plo, phi int) {
 			run = min((pl.span-j%pl.span)/gemmNR, phi-jp)
 		}
 		if run > 0 {
-			packRun(d, planes[pl.base(j/nx, j%nx):], pl.offs, run)
+			packRun(d, planes[pl.cols[j]:], pl.offs, run)
 		} else {
-			pl.packColumns(d, planes, j, gemmNR, gemmNR, 1)
+			packQuad(d, planes, pl.offs, (*[gemmNR]int32)(pl.cols[j:]))
 			run = 1
 		}
 		jp += run
@@ -247,31 +296,55 @@ func packRun(dst, src []float32, offs []int32, run int) {
 	}
 }
 
-// packColumns is the gather: packed columns j..j+cnt-1, each located on
-// its own, written to dst[l*lstride+q*jstride] — a panel with (4, 1), the
-// column-major tail with (1, kc).
-func (pl *convPlan) packColumns(dst, planes []float32, j, cnt, lstride, jstride int) {
-	nx := len(pl.ox)
-	for q := 0; q < cnt; q++ {
-		s, d := planes[pl.base((j+q)/nx, (j+q)%nx):], dst[q*jstride:]
-		for l, o := range pl.offs {
-			d[l*lstride] = s[o]
+// packQuad packs one panel whose columns start at src[b[0]] … src[b[3]],
+// ascending: dst[l·4+q] = src[b[q]+offs[l]]. Under tierAVX, when every
+// column lies in the four floats from b[0] or the four up to b[3], each l is
+// two four-float loads, a permute of each and a blend (packQuadAVX); the
+// gather below is the other tiers, the other panels and what that is pinned
+// to.
+func packQuad(dst, src []float32, offs []int32, b *[gemmNR]int32) {
+	kc := len(offs)
+	dst = dst[:kc*gemmNR]
+	if gemmTier == tierAVX {
+		if ctrl, ok := quadWindows(b); ok {
+			src = src[:int(b[3])+int(offs[kc-1])+1]
+			packQuadAVX(&dst[0], &src[b[0]], &src[b[3]-3], &offs[0], kc, &ctrl)
+			return
 		}
+	}
+	s0, s1, s2, s3 := src[b[0]:], src[b[1]:], src[b[2]:], src[b[3]:]
+	for l, o := range offs {
+		d := (*[gemmNR]float32)(dst[l*gemmNR:])
+		d[0], d[1], d[2], d[3] = s0[o], s1[o], s2[o], s3[o]
 	}
 }
 
-// scatter copies one row of a compact (m × ncols) product to the kept
-// positions of its (ho × wo) output plane.
-func (pl *convPlan) scatter(plane, compact []float32) {
-	nx := len(pl.ox)
-	for r, oy := range pl.oy {
-		srow, drow := compact[r*nx:(r+1)*nx], plane[int(oy)*pl.wo:(int(oy)+1)*pl.wo]
-		if nx == pl.wo {
-			copy(drow, srow)
-			continue
+// quadWindows is packQuadAVX's lane control for columns b: lane q takes
+// element ctrl[q]&3 of the window at b[0], or of the window at b[3]−3 when
+// its sign bit is set. ok is false when a column lies in neither.
+func quadWindows(b *[gemmNR]int32) (ctrl [gemmNR]int32, ok bool) {
+	for q, c := range b {
+		switch {
+		case c-b[0] < gemmNR:
+			ctrl[q] = c - b[0]
+		case b[3]-c < gemmNR:
+			ctrl[q] = c - (b[3] - 3) | math.MinInt32
+		default:
+			return ctrl, false
 		}
-		for c, ox := range pl.ox {
-			drow[ox] = srow[c]
+	}
+	return ctrl, true
+}
+
+// packTail packs the last t < gemmNR packed columns, from j, into one panel
+// whose other lanes are +0, for the tile to multiply like any other.
+func (pl *convPlan) packTail(dst, planes []float32, j, t int) {
+	dst = dst[:pl.kc*gemmNR]
+	clear(dst)
+	for q := 0; q < t; q++ {
+		s := planes[pl.cols[j+q]:]
+		for l, o := range pl.offs {
+			dst[l*gemmNR+q] = s[o]
 		}
 	}
 }
@@ -292,63 +365,64 @@ func panelBlock(kc int) int {
 	return max(packBlockFloats/(kc*gemmNR)&^1, 2)
 }
 
-// blocked computes c = a · B for one (image, group): a is the (m × kc)
-// weight block with m ≥ gemmMR, B the patch matrix over planes, c the zeroed
-// (m × ncols) result. One dispatch over panel ranges replaces
-// pack-barrier-multiply: each worker packs a block of its panels, multiplies
-// all of A against it and applies ep to every finished row segment (C row i
-// is output channel chan0+i). The unit past the last full panel is the
-// ncols mod gemmNR tail. Ranges are cut between panel pairs, and blocks
-// inside a range are even (panelBlock), so only the last pair of the call
-// can be a single panel for the half-rate four-lane step.
-func (pl *convPlan) blocked(a, planes, c []float32, m int, ep *rowEpi, chan0 int) {
+// blocked computes c = a · B for one (image, group), or for all the images
+// that share N: a is the (m × kc) weight block with m ≥ gemmMR, B the patch
+// matrix over planes, c the zeroed (m × ncols) result whose rows lie ldc
+// apart. One dispatch over panel ranges replaces pack-barrier-multiply: each
+// worker packs a block of its panels, multiplies all of A against it and
+// applies ep to every finished row segment (C row i is output channel
+// chan0+i). The unit past the last full panel is the ncols mod gemmNR tail.
+// Ranges are cut between panel pairs, and blocks inside a range are even
+// (panelBlock), so only the last pair of the call can be a single panel for
+// the half-rate four-lane step.
+func (pl *convPlan) blocked(a, planes, c []float32, m, ldc int, ep *rowEpi, chan0 int) {
 	units := (pl.ncols() + gemmNR - 1) / gemmNR
 	if parallel.Serial() {
-		pl.blockedRange(a, planes, c, m, ep, chan0, 0, units)
+		pl.blockedRange(a, planes, c, m, ldc, ep, chan0, 0, units)
 		return
 	}
 	parallel.ForChunked((units+1)/2, func(lo, hi int) {
-		pl.blockedRange(a, planes, c, m, ep, chan0, 2*lo, min(2*hi, units))
+		pl.blockedRange(a, planes, c, m, ldc, ep, chan0, 2*lo, min(2*hi, units))
 	})
 }
 
 // blockedRange is one worker's share of blocked: units [lo,hi), lo even.
-func (pl *convPlan) blockedRange(a, planes, c []float32, m int, ep *rowEpi, chan0, lo, hi int) {
+func (pl *convPlan) blockedRange(a, planes, c []float32, m, ldc int, ep *rowEpi, chan0, lo, hi int) {
 	n, kc := pl.ncols(), pl.kc
 	np := n / gemmNR
 	psz := kc * gemmNR
 	blk := min(panelBlock(kc), hi-lo)
 	buf := tensor.Scratch(blk * psz) // ≥ one panel, which also holds the tail
-	phi := hi
-	if phi > np {
-		phi = np
-	}
-	for b0 := lo; b0 < phi; b0 += blk {
-		b1 := b0 + blk
-		if b1 > phi {
-			b1 = phi
-		}
+	for b0, phi := lo, min(hi, np); b0 < phi; b0 += blk {
+		b1 := min(b0+blk, phi)
 		panels := buf[:(b1-b0)*psz]
 		pl.packPanels(panels, planes, b0, b1)
 		for i0 := 0; i0 < m; i0 += gemmMR {
-			rows := m - i0
-			if rows > gemmMR {
-				rows = gemmMR
-			}
-			gemmRowBlock(a, c, panels, i0, rows, kc, n, b0*gemmNR, b1-b0)
+			gemmRowBlock(a, c, panels, i0, min(m-i0, gemmMR), kc, ldc, b0*gemmNR, b1-b0)
 		}
 		for i := 0; i < m; i++ {
-			ep.apply(c[i*n+b0*gemmNR:i*n+b1*gemmNR], chan0+i)
+			ep.apply(c[i*ldc+b0*gemmNR:i*ldc+b1*gemmNR], chan0+i)
 		}
 	}
 	if hi > np {
-		tail := buf[:(n-np*gemmNR)*kc]
-		pl.packColumns(tail, planes, np*gemmNR, n-np*gemmNR, 1, kc)
-		for i := 0; i < m; i++ {
-			crow := c[i*n : (i+1)*n]
-			gemmTail(a[i*kc:(i+1)*kc], tail, crow, n, np*gemmNR)
-			ep.apply(crow[np*gemmNR:], chan0+i)
+		// The tail panel goes through the same kernels into rows of gemmNR
+		// scratch, from which its real columns are copied: the sum starts
+		// at +0 and is never −0, so the copy is what adding it to the
+		// zeroed C would store.
+		j0, t := np*gemmNR, n-np*gemmNR
+		panel := buf[:psz]
+		pl.packTail(panel, planes, j0, t)
+		ct := tensor.Scratch(m * gemmNR)
+		clear(ct)
+		for i0 := 0; i0 < m; i0 += gemmMR {
+			gemmRowBlock(a, ct, panel, i0, min(m-i0, gemmMR), kc, gemmNR, 0, 1)
 		}
+		for i := 0; i < m; i++ {
+			crow := c[i*ldc+j0 : i*ldc+n]
+			copy(crow, ct[i*gemmNR:])
+			ep.apply(crow, chan0+i)
+		}
+		tensor.Release(ct)
 	}
 	tensor.Release(buf)
 }
@@ -382,9 +456,10 @@ func (pl *convPlan) lowerTaps(wd []float32, co int) {
 // multiply — from the padded planes the packers read: each kept output is
 // the sum from +0 of its channel's taps, w·planes[base + off] in ascending
 // l, stored once into out, the full (m × ho·wo) block. A padding tap is a
-// stored +0 multiplied in place, as in blocked. Perforated outputs are left
-// for perfSpec.finish. Kept rows go to depthwiseRows a run at a time, as
-// many as lie one step apart; a perforated column is a run one output wide.
+// stored +0 multiplied in place, as in blocked. Under perforation the kept
+// outputs are packed at the front of each plane, as blocked leaves them, for
+// finish. Kept rows go to depthwiseRows a run at a time, as many as lie one
+// step apart; a perforated column is a run one output wide.
 //
 // Rows too short for the AVX kernel (wo < 4) are joined when every output is
 // kept and sh == sw: output (oy, ox) then has base sw·(oy·wp + ox), so the
@@ -392,7 +467,7 @@ func (pl *convPlan) lowerTaps(wd []float32, co int) {
 // them junk after each row but the last. That row is summed into flat and
 // the real outputs copied out.
 func (pl *convPlan) direct(planes, out []float32, m int, ep *rowEpi, chan0 int) {
-	how, wo, sw, srcRow := len(out)/m, pl.wo, pl.sw, pl.sh*pl.wp
+	how, wo, nx, sw, srcRow := len(out)/m, pl.wo, len(pl.ox), pl.sw, pl.sh*pl.wp
 	var flat [64]float32
 	nf := (len(pl.oy)-1)*pl.wp + wo
 	joined := gemmTier == tierAVX && wo < 4 && nf >= 4 && nf <= len(flat) &&
@@ -416,12 +491,12 @@ func (pl *convPlan) direct(planes, out []float32, m int, ep *rowEpi, chan0 int) 
 			for e < len(pl.oy) && int(pl.oy[e]-pl.oy[e-1]) == step {
 				e++
 			}
-			d, s := plane[oy*wo:], planes[oy*srcRow:]
-			if len(pl.ox) == wo {
-				depthwiseRows(d, s, taps, wo, sw, e-r, step*wo, step*srcRow)
+			d, s := plane[r*nx:], planes[oy*srcRow:]
+			if nx == wo {
+				depthwiseRows(d, s, taps, wo, sw, e-r, wo, step*srcRow)
 			} else {
-				for _, ox := range pl.ox {
-					depthwiseRows(d[ox:], s[int(ox)*sw:], taps, 1, sw, e-r, step*wo, step*srcRow)
+				for c, ox := range pl.ox {
+					depthwiseRows(d[c:], s[int(ox)*sw:], taps, 1, sw, e-r, nx, step*srcRow)
 				}
 			}
 			r = e

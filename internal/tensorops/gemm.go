@@ -10,10 +10,15 @@
 // same: perforation packs and multiplies only the kept output rows/columns
 // (the GEMM's N shrinks) and interpolates the rest, and filter sampling
 // drops the sampled filter positions from both operands (the GEMM's K
-// shrinks) — see convpack.go. Reduction sampling likewise visits only the
-// sampled window elements. FP16, PROMISE and int8 remain emulation: values
-// are quantized or perturbed through their target format and computed in
-// float32, so they add passes rather than save any. The FP16 pass is one
+// shrinks) — see convpack.go. What perforation adds must cost less than
+// what it skips: strided kept columns are packed by a vector permute, not
+// gathered one float at a time; images that keep fewer outputs than a panel
+// pair share one GEMM N; and one pass per plane moves the kept outputs and
+// fills the skipped ones before the epilogue (convPlan.finish). Reduction
+// sampling likewise visits only the sampled window elements. FP16, PROMISE
+// and int8 remain emulation: values are quantized or perturbed through their
+// target format and computed in float32, so they add passes rather than save
+// any. The FP16 pass is one
 // F16C round trip per eight floats where the CPU has it, which brings an
 // all-FP16 execution to within about a tenth of the exact one but not below
 // it. For those — and for energy everywhere — the time impact is modeled
@@ -27,10 +32,11 @@
 // state, an AVX kernel computing a 4×8 tile from each pair of adjacent
 // panels and a 4×4 tile from an odd last one (gemm_avx_amd64.s); everywhere
 // else, amd64 without AVX included, the pure Go microKernel4. The AVX tier
-// also covers the rest of a layer: the copy that packs a convolution's
+// also covers the rest of a layer: the copies that pack a convolution's
 // panels (pack_avx_amd64.s), in rowops_avx_amd64.s the bias/activation/FP16
-// epilogue of a C row in one pass, tanh32 four float64 lanes at a time and
-// the axpy under the small-batch dense kernel, and in window_avx_amd64.s the
+// epilogue of a C row in one pass, tanh32 four float64 lanes at a time, the
+// axpy under the small-batch dense kernel and the fill of perforated rows
+// and columns, and in window_avx_amd64.s the
 // depthwise convolution's rows of tap sums and max pooling's fold over a
 // plane's interior windows at stride 2; the portable tier runs the scalar Go
 // those transcribe. tensor.QuantizeFP16Slice has a vector tier of its own when
@@ -39,16 +45,22 @@
 // and sum of the scalar reference, and every pin below is bit-for-bit. The
 // scalar kernels write float32(x*y) + z, because Go may fuse x*y + z where
 // the target has the instruction (arm64) unless a conversion rounds the
-// product first.
+// product first. A row of C keeps one rule for a zero term in every column,
+// the tail's included (a +0-padded panel through the same kernels), so an
+// output's bits do not depend on where it lands in N: a full block of four
+// rows multiplies every term, a zero weight or activation included; the
+// remainder rows, the small-group sums and the streaming kernel under four
+// rows skip a zero, as the reference GEMM does.
 //
 // Every fast path is pinned bit-identical to a retained reference: the
 // blocked GEMM under each tier against the naive triple loop
 // (gemm_test.go), the vector tanh against tanh32 over all 2^32 inputs
 // (tanh_vector_test.go), the epilogue and axpy kernels against the scalar
-// chain (rowops_test.go, table and fuzz), the depthwise rows against their
-// scalar loop (rowops_test.go), max pooling against the reference loop
-// (ops_test.go, special-value table and fuzz), the pack routine against its
-// definition (pack_test.go), the fused epilogues against the standalone
+// chain (rowops_test.go, table and fuzz), the depthwise rows, the
+// perforated-row average and the column expansion against their scalar
+// loops (rowops_test.go), max pooling against the reference loop
+// (ops_test.go, special-value table and fuzz), the pack routines against
+// their definition (pack_test.go), the fused epilogues against the standalone
 // operators (panelcache_test.go), and the lowered
 // convolution with its N- and K-shrinking against im2col + reference GEMM
 // computing everything (convdiff_test.go, tables and fuzz, again under each
@@ -151,7 +163,7 @@ func gemmFresh(a, b, c []float32, m, k, n int, quantB bool, ep *rowEpi) {
 		}
 		return
 	}
-	buf := tensor.Scratch(k * n)
+	buf := tensor.Scratch(prepackedLen(k, n))
 	gemmRun(a, c, m, k, n, buildPrepacked(buf, b, k, n, quantB), ep)
 	tensor.Release(buf)
 }
@@ -187,17 +199,30 @@ func gemmSaxpyRows(lo, hi int, a, b, c []float32, k, n int, quantB bool, ep *row
 
 // gemmBlockRange computes the row blocks [blo,bhi) of the blocked kernel:
 // full gemmMR-row blocks through the 4-row kernels, remainder rows through
-// the 1×4 edge kernel, then each row's tail columns. The fused epilogue runs
-// on each row right after its tail completes, while the row is hot.
+// the 1×4 edge kernel, the padded tail panel included. The fused epilogue
+// runs on each row of a block once the block is complete, while it is hot.
 func gemmBlockRange(blo, bhi int, a, c []float32, pre prepacked, m, k, n int, ep *rowEpi) {
+	j0 := pre.np * gemmNR
 	for ib := blo; ib < bhi; ib++ {
 		i0 := ib * gemmMR
 		rows := min(m-i0, gemmMR)
 		gemmRowBlock(a, c, pre.panels, i0, rows, k, n, 0, pre.np)
+		if j0 < n {
+			// The tail panel goes through the same kernels into a tile of
+			// scratch, whose real columns are added to C: the sum starts at
+			// +0 and is never −0, so the tile holds exactly the sum the
+			// kernel would have added.
+			var ct [gemmMR * gemmNR]float32
+			gemmRowBlock(a[i0*k:], ct[:], pre.panels[j0*k:], 0, rows, k, gemmNR, 0, 1)
+			for r := 0; r < rows; r++ {
+				crow := c[(i0+r)*n+j0 : (i0+r+1)*n]
+				for q := range crow {
+					crow[q] += ct[r*gemmNR+q]
+				}
+			}
+		}
 		for i := i0; i < i0+rows; i++ {
-			crow := c[i*n : (i+1)*n]
-			gemmTail(a[i*k:(i+1)*k], pre.tail, crow, n, pre.np*gemmNR)
-			ep.apply(crow, i)
+			ep.apply(c[i*n:(i+1)*n], i)
 		}
 	}
 }
@@ -239,25 +264,6 @@ func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
 			j := jp * gemmNR
 			microKernel1(arow, panels[jp*k*gemmNR:(jp+1)*k*gemmNR], crow[j:j+gemmNR])
 		}
-	}
-}
-
-// gemmTail accumulates crow[j] += Σ_l arow[l]·B[l][j] for the tail columns
-// j in [j0,n), at most gemmNR-1 of them, stored contiguously column-major
-// (tail[(j-j0)*k+l] = B[l][j], already quantized for FP16) so the inner
-// product reads a forward stream: ascending l, skipping exactly-zero
-// activations as the reference does.
-func gemmTail(arow, tail, crow []float32, n, j0 int) {
-	k := len(arow)
-	for j := j0; j < n; j++ {
-		col := tail[(j-j0)*k : (j-j0+1)*k]
-		var s float32
-		for l, av := range arow {
-			if av != 0 {
-				s += float32(av * col[l])
-			}
-		}
-		crow[j] += s
 	}
 }
 

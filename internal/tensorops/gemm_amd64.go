@@ -16,6 +16,13 @@ func gemmRows4AVX(a, panels, c *float32, kc, ldc, np int)
 //go:noescape
 func packRunAVX(dst, src *float32, offs *int32, kc, run int)
 
+// packQuadAVX is the other pack routine there: dst[l*4+q] = w[offs[l] +
+// ctrl[q]&3] for l < kc, w being lo, or hi where ctrl[q] is negative. It
+// checks no bound (packQuad does); kc must be positive.
+//
+//go:noescape
+func packQuadAVX(dst, lo, hi *float32, offs *int32, kc int, ctrl *[gemmNR]int32)
+
 // bestTier is the CPU's choice: AVX where the probe found it, otherwise the
 // portable Go kernels, as on every other architecture.
 func bestTier() kernelTier {

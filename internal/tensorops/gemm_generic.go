@@ -10,5 +10,7 @@ func bestTier() kernelTier { return tierPortable }
 // gemmPanelsAVX is never reached: gemmTier is tierPortable here.
 func gemmPanelsAVX(a, c, panels []float32, i0, k, ldc, j0, np int) {}
 
-// packRunAVX is never reached either: packRun's Go loop runs.
+// packRunAVX and packQuadAVX are never reached either: the Go loops run.
 func packRunAVX(dst, src *float32, offs *int32, kc, run int) {}
+
+func packQuadAVX(dst, lo, hi *float32, offs *int32, kc int, ctrl *[gemmNR]int32) {}

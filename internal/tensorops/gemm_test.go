@@ -284,6 +284,50 @@ func TestGemmRowBlockPanelCountsAndOffsets(t *testing.T) {
 	})
 }
 
+// TestGemmZeroTermRulePerRow: a zero A element against ±Inf in B follows
+// its row's kernel in every column, panel and tail alike. The rows of full
+// four-row blocks multiply every term (gemmRefEvery: NaN); the remainder
+// rows of m = 6 and 7 skip it, as gemmRef and the streaming kernel under
+// four rows do. Every second row has a zero against a B row of infinities;
+// N runs from all tail to panels with a tail of one to three.
+func TestGemmZeroTermRulePerRow(t *testing.T) {
+	inf := float32(math.Inf(1))
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(23)
+		for _, m := range []int{6, 7, 8} {
+			for _, n := range []int{3, 6, 9, 11} {
+				k := 7
+				a, b := make([]float32, m*k), make([]float32, k*n)
+				fillNormal(g, a)
+				fillNormal(g, b)
+				for i := 0; i < m; i += 2 {
+					a[i*k+2] = 0
+				}
+				for j := 0; j < n; j++ {
+					b[2*n+j] = inf
+					if j%2 == 1 {
+						b[2*n+j] = -inf
+					}
+				}
+				want, got := make([]float32, m*n), make([]float32, m*n)
+				for i := 0; i < m; i++ {
+					ref := gemmRefEvery
+					if i >= m&^(gemmMR-1) {
+						ref = gemmRef
+					}
+					ref(a[i*k:(i+1)*k], b, want[i*n:(i+1)*n], 1, k, n)
+				}
+				Gemm(a, b, got, m, k, n)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("m=%d n=%d: C[%d][%d] = %v, per-row reference %v", m, n, i/n, i%n, got[i], want[i])
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestPanelBlockLeavesNoOddPanelMidRange pins the block size blockedRange
 // steps by: always even, so that walking any unit range the way
 // blockedRange does hands panelPairsAVX every panel except, at most, the

@@ -64,3 +64,64 @@ func TestPackRunTiersMatch(t *testing.T) {
 		}
 	})
 }
+
+// TestPackQuadTiersMatch pins every tier of packQuad — the AVX permute and
+// blend over two four-float windows, which checks no bounds, and the
+// gather — to the definition dst[l·4+q] = src[b[q]+offs[l]]: columns one,
+// two or three floats apart inside one window (a stride-2 or -3
+// convolution, column perforation), split between the window at b[0] and
+// the one ending at b[3] (a panel that straddles two output rows or two
+// images), and spread too far for either (the gather on every tier), over
+// random kc and offsets. The source ends at the last float read, and dst
+// sits between guard words that must survive.
+func TestPackQuadTiersMatch(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(67)
+		const guard = 8
+		vector := 0
+		for iter := 0; iter < 600; iter++ {
+			kc := 1 + g.Intn(40)
+			if iter%10 == 0 {
+				kc = []int{27, 144, 576, 1152}[iter/10%4]
+			}
+			var b [gemmNR]int32
+			b[0] = int32(g.Intn(5))
+			for q := 1; q < gemmNR; q++ {
+				step := 1 + g.Intn(3) // inside a window
+				if g.Intn(4) == 0 {
+					step += g.Intn(60) // a jump to another row or image
+				}
+				b[q] = b[q-1] + int32(step)
+			}
+			if _, ok := quadWindows(&b); ok {
+				vector++
+			}
+			offs, _ := packCase(g, kc, 1)
+			src := make([]float32, int(b[3])+int(offs[kc-1])+1)
+			for i := range src {
+				src[i] = float32(i)
+			}
+			buf := make([]float32, 2*guard+kc*gemmNR)
+			for i := range buf {
+				buf[i] = float32(math.NaN())
+			}
+			dst := buf[guard : len(buf)-guard : len(buf)-guard]
+			packQuad(dst, src, offs, &b)
+			for i, v := range buf {
+				if i < guard || i >= len(buf)-guard {
+					if !math.IsNaN(float64(v)) {
+						t.Fatalf("kc=%d b=%v: guard word %d overwritten with %v", kc, b, i-guard, v)
+					}
+					continue
+				}
+				l, q := (i-guard)/gemmNR, (i-guard)%gemmNR
+				if want := float32(int(b[q]) + int(offs[l])); v != want {
+					t.Fatalf("kc=%d b=%v: dst[l %d][%d] = %v, want src[%v]", kc, b, l, q, v, want)
+				}
+			}
+		}
+		if vector < 100 {
+			t.Fatalf("only %d of 600 cases fit the two windows", vector)
+		}
+	})
+}

@@ -62,26 +62,29 @@ func cachedSampledFilter(w *tensor.Tensor, samp sampSpec) *tensor.Tensor {
 	return sw
 }
 
-// prepacked is a B operand in the one form the blocked GEMM reads: the full
-// panels in packRange layout plus the tail columns (n mod gemmNR of them)
-// stored contiguously column-major, so the tail kernel reads a forward
-// stream instead of striding through B. For FP16 the stored values are
-// quantized; the GEMM then runs them as-is. A marked weight keeps one
-// (cachedPrepackedB); any other B is packed into pooled scratch per call
-// (gemmFresh).
+// prepacked is a B operand in the one form the blocked GEMM reads: packRange
+// panels of gemmNR columns, the last n mod gemmNR columns as one more panel
+// whose other lanes are +0, so that every column goes through the same
+// kernels. For FP16 the stored values are quantized; the GEMM then runs them
+// as-is. A marked weight keeps one (cachedPrepackedB); any other B is packed
+// into pooled scratch per call (gemmFresh).
 type prepacked struct {
-	panels []float32 // np*k*gemmNR, packed[(jp*k+l)*gemmNR+j]
-	tail   []float32 // (n-np*gemmNR)*k, tail[(j-jTail)*k+l] = B[l][j]
-	np     int
+	panels []float32 // prepackedLen(k, n) floats, packed[(jp*k+l)*gemmNR+j]
+	np     int       // full panels; the padded one, if any, follows them
 }
 
-// buildPrepacked packs b (k×n row-major) into dst, which holds k·n floats:
-// the panels, in parallel over them, then the contiguous tail. quantB
-// quantizes every element through FP16 during the copy.
+// prepackedLen is the floats a k×n B takes packed: n rounded up to a panel.
+func prepackedLen(k, n int) int {
+	return k * ((n + gemmNR - 1) / gemmNR * gemmNR)
+}
+
+// buildPrepacked packs b (k×n row-major) into dst, which holds
+// prepackedLen(k, n) floats: the full panels, in parallel over them, then
+// the padded one. quantB quantizes every element through FP16 during the
+// copy.
 func buildPrepacked(dst, b []float32, k, n int, quantB bool) prepacked {
 	np := n / gemmNR
-	jTail := np * gemmNR
-	panels, tail := dst[:jTail*k], dst[jTail*k:k*n]
+	panels := dst[:prepackedLen(k, n)]
 	if parallel.Serial() {
 		packRange(0, np, b, panels, k, n, quantB)
 	} else {
@@ -89,17 +92,20 @@ func buildPrepacked(dst, b []float32, k, n int, quantB bool) prepacked {
 			packRange(plo, phi, b, panels, k, n, quantB)
 		})
 	}
-	for j := jTail; j < n; j++ {
-		col := tail[(j-jTail)*k : (j-jTail+1)*k]
-		for l := range col {
-			v := b[l*n+j]
-			if quantB {
-				v = tensor.QuantizeFP16(v)
+	if j0 := np * gemmNR; j0 < n {
+		tail := panels[j0*k:]
+		clear(tail)
+		for l := 0; l < k; l++ {
+			for j := j0; j < n; j++ {
+				v := b[l*n+j]
+				if quantB {
+					v = tensor.QuantizeFP16(v)
+				}
+				tail[l*gemmNR+j-j0] = v
 			}
-			col[l] = v
 		}
 	}
-	return prepacked{panels: panels, tail: tail, np: np}
+	return prepacked{panels: panels, np: np}
 }
 
 // cachedPrepackedB returns w's data (k×n) prepacked for the blocked GEMM
@@ -107,8 +113,8 @@ func buildPrepacked(dst, b []float32, k, n int, quantB bool) prepacked {
 // when it is not.
 func cachedPrepackedB(w *tensor.Tensor, k, n int, prec Precision) *prepacked {
 	v, _ := w.Derive(tensor.DerivedKey{Kind: packPanels, P0: int(prec)}, func() (any, int64) {
-		p := buildPrepacked(make([]float32, k*n), w.Data(), k, n, prec == FP16)
-		return &p, int64(4 * k * n)
+		p := buildPrepacked(make([]float32, prepackedLen(k, n)), w.Data(), k, n, prec == FP16)
+		return &p, int64(4 * len(p.panels))
 	})
 	p, _ := v.(*prepacked)
 	return p

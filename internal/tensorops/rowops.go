@@ -3,8 +3,8 @@ package tensorops
 import "math"
 
 // Row kernels with a vector tier: the slice forms of tanh32, of the
-// streaming kernels' d[j] += a·s[j], of the small-group convolution's dot
-// product and of max pooling's fold. Under tierAVX the bulk of a slice goes
+// streaming kernels' d[j] += a·s[j], of perforation's average of two rows,
+// of the small-group convolution's dot product and of max pooling's fold. Under tierAVX the bulk of a slice goes
 // through rowops_avx_amd64.s or window_avx_amd64.s; the scalar loops below
 // are the reference the assembly transcribes, the portable tier, and the
 // remainder.
@@ -39,6 +39,21 @@ func axpy(dst, src []float32, a float32) {
 	}
 	for j, sv := range src {
 		dst[j] += float32(a * sv)
+	}
+}
+
+// interpRows sets dst[i] = 0.5·(a[i]+b[i]), the sum and the product each
+// rounding to float32 — a skipped row between two kept ones; dst must not
+// overlap a or b, which must be at least as long. Under tierAVX rows of at
+// least rowVec go through interpRowsAVX.
+func interpRows(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if gemmTier == tierAVX && len(dst) >= rowVec {
+		interpRowsAVX(&dst[0], &a[0], &b[0], len(dst))
+		return
+	}
+	for i := range dst {
+		dst[i] = 0.5 * (a[i] + b[i])
 	}
 }
 

@@ -13,6 +13,12 @@ func epilogueRowAVX(p *float32, n int, bias *float32, flags int, clip float32)
 func axpyAVX(dst, src *float32, n int, a float32)
 
 //go:noescape
+func interpRowsAVX(dst, a, b *float32, n int)
+
+//go:noescape
+func expandColsAVX(row, kept *float32, steps *colStep, n int)
+
+//go:noescape
 func poolMaxAVX(dst, src *float32, taps *poolTap, ntaps, n, rows, dstRow, srcRow int)
 
 //go:noescape

@@ -1,9 +1,11 @@
 // AVX row kernels: what a layer does to a C row besides the GEMM — tanh32
 // four float64 lanes at a time, the fused bias/activation/FP16 epilogue
-// eight float32 lanes at a time, and the axpy under the streaming kernels.
+// eight float32 lanes at a time, the axpy under the streaming kernels and
+// the average that fills a perforated row.
 //
 // Each is a lane-for-lane transcription of scalar Go that stays in the tree
-// (tanh32 in mathfast.go, rowEpi.passes in epilogue.go, axpy in rowops.go):
+// (tanh32 in mathfast.go, rowEpi.passes in epilogue.go, axpy and interpRows in
+// rowops.go):
 // the same operations on the same operands in the same order, every one
 // rounding on its own — separate VMULPx and VADDPx, never a fused
 // multiply-add (`make ci` greps for it), a real VDIVPD where the scalar code
@@ -285,5 +287,79 @@ axpyloop:
 
 axpylast:
 	VMOVUPS Y15, (R8)
+	VZEROUPPER
+	RET
+
+DATA interpHalf<>+0(SB)/4, $0x3f000000 // 0.5
+GLOBL interpHalf<>(SB), RODATA|NOPTR, $4
+
+// func interpRowsAVX(dst, a, b *float32, n int)
+//
+// dst[j] = 0.5*(a[j]+b[j]) for j < n, n ≥ 8: the sum rounds (VADDPS, a
+// first), then the product (VMULPS), as the scalar statement does. dst must
+// overlap neither source, so the last eight, computed first and stored
+// last, may overlap the block before them.
+TEXT ·interpRowsAVX(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         b+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS interpHalf<>(SB), Y2
+	LEAQ         -32(DI)(CX*4), R8
+	VMOVUPS      -32(SI)(CX*4), Y15
+	VADDPS       -32(DX)(CX*4), Y15, Y15
+	VMULPS       Y2, Y15, Y15
+	DECQ         CX
+	SHRQ         $3, CX
+	JZ           interplast
+
+interploop:
+	VMOVUPS (SI), Y0
+	VADDPS  (DX), Y0, Y0
+	VMULPS  Y2, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     interploop
+
+interplast:
+	VMOVUPS Y15, (R8)
+	VZEROUPPER
+	RET
+
+// func expandColsAVX(row, kept *float32, steps *colStep, n int)
+//
+// The n ≥ 1 full steps of expandCols, last first: for step g, the window
+// kept[w:w+4] permuted by a (the value, or the left neighbour) and by b
+// (the right neighbour), A + B (VADDPS, A first) times 0.5 (VMULPS), and
+// that blended in where avg is set — so a kept value is copied, never
+// recomputed — stored to row[4g:4g+4]. The window is loaded before the
+// store, which may overlap it.
+TEXT ·expandColsAVX(SB), NOSPLIT, $0-32
+	MOVQ         row+0(FP), DI
+	MOVQ         kept+8(FP), SI
+	MOVQ         steps+16(FP), BX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS interpHalf<>(SB), X5
+
+expandloop:
+	DECQ      CX
+	MOVQ      CX, DX
+	IMULQ     $colStep__size, DX
+	MOVLQSX   colStep_w(BX)(DX*1), AX
+	VMOVUPS   (SI)(AX*4), X0
+	VPERMILPS colStep_a(BX)(DX*1), X0, X1
+	VPERMILPS colStep_b(BX)(DX*1), X0, X2
+	VADDPS    X2, X1, X3
+	VMULPS    X5, X3, X3
+	VMOVUPS   colStep_avg(BX)(DX*1), X4
+	VBLENDVPS X4, X3, X1, X1
+	MOVQ      CX, AX
+	SHLQ      $4, AX
+	VMOVUPS   X1, (DI)(AX*1)
+	TESTQ     CX, CX
+	JNZ       expandloop
 	VZEROUPPER
 	RET

@@ -468,3 +468,109 @@ func TestAxpyMatchesScalar(t *testing.T) {
 		}
 	})
 }
+
+// TestInterpRowsMatchesScalar: lengths 0…33 at misaligned starts, with
+// zeros of both signs, infinities, a NaN and values whose sum overflows
+// among the operands, against the scalar statement 0.5·(a+b); nothing
+// outside dst is written.
+func TestInterpRowsMatchesScalar(t *testing.T) {
+	const guard = float32(-777.25)
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(53)
+		for n := 0; n <= 33; n++ {
+			for off := 0; off < 4; off++ {
+				a, b := make([]float32, n+off)[off:], make([]float32, n+2)[:n]
+				fillNormal(g, a)
+				fillNormal(g, b)
+				if n > 6 {
+					a[0], b[0] = float32(math.Copysign(0, -1)), float32(math.Copysign(0, -1))
+					a[1], b[2] = float32(math.Inf(1)), float32(math.NaN())
+					a[n-1], b[n-1] = math.MaxFloat32, math.MaxFloat32
+					a[3], b[3] = float32(math.Inf(1)), float32(math.Inf(-1))
+				}
+				buf := make([]float32, off+n+9)
+				for i := range buf {
+					buf[i] = guard
+				}
+				interpRows(buf[off:off+n], a, b)
+				for i, got := range buf {
+					j := i - off
+					if j < 0 || j >= n {
+						if got != guard {
+							t.Fatalf("n=%d off=%d: wrote outside dst at %d", n, off, j)
+						}
+						continue
+					}
+					if want := 0.5 * (a[j] + b[j]); math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("n=%d off=%d: dst[%d] = %v, scalar %v", n, off, j, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestExpandColsMatchesDefinition holds expandCols — the AVX steps and the
+// loop — to the definition of a column-perforated row, at every stride and
+// offset and row widths 4…21 (full and ragged last steps), in place (the
+// kept values at the row's front, as the blocked kernel leaves them) and
+// from a separate row. Kept values include MaxFloat32, which a copy keeps
+// and 0.5·(v+v) would turn into +Inf, −0, ±Inf and a NaN.
+func TestExpandColsMatchesDefinition(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		g := tensor.NewRNG(59)
+		for stride := 2; stride <= 4; stride++ {
+			for off := 0; off < stride; off++ {
+				p := &perfSpec{dir: PerfCols, stride: stride, offset: off}
+				for wo := 4; wo <= 21; wo++ {
+					var kx []int // kept columns
+					for x := 0; x < wo; x++ {
+						if !p.skips(x) {
+							kx = append(kx, x)
+						}
+					}
+					nk := len(kx)
+					if nk < gemmNR {
+						continue
+					}
+					steps := p.colTable(nil, wo, nk)
+					kept := make([]float32, nk)
+					fillNormal(g, kept)
+					kept[0], kept[nk-1] = math.MaxFloat32, math.MaxFloat32
+					if nk > 5 {
+						kept[1], kept[2], kept[3] = float32(math.Copysign(0, -1)), float32(math.Inf(-1)), float32(math.NaN())
+					}
+					want := make([]float32, wo)
+					for c, x := range kx {
+						want[x] = kept[c]
+					}
+					for x := 0; x < wo; x++ {
+						switch {
+						case !p.skips(x):
+						case x > 0 && x+1 < wo:
+							want[x] = 0.5 * (want[x-1] + want[x+1])
+						case x > 0:
+							want[x] = want[x-1]
+						default:
+							want[x] = want[x+1]
+						}
+					}
+					for _, inPlace := range []bool{false, true} {
+						row := make([]float32, wo)
+						src := slices.Clone(kept)
+						if inPlace {
+							copy(row, kept)
+							src = row[:nk]
+						}
+						expandCols(row, src, steps)
+						for x := range want {
+							if math.Float32bits(row[x]) != math.Float32bits(want[x]) {
+								t.Fatalf("stride=%d off=%d wo=%d in place=%v: row[%d] = %v, want %v", stride, off, wo, inPlace, x, row[x], want[x])
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
