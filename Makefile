@@ -38,13 +38,14 @@ vet-selftest:
 # conversion rounds the product first: float32(x*y) + z. The same holds for
 # the Go code whose floats feed the kernels or the digests — the tensors'
 # random fills and reductions, the datasets, the model zoo's weights, the
-# graph's weight rewrites and the predictor —
-# or an arm64 run would not reproduce amd64's outputs. FMA_ARM64 reads the
+# graph's weight rewrites, the predictor, the runtime controller's drift
+# detectors and the tradeoff curves' distances — or an arm64 run would not
+# reproduce amd64's outputs. FMA_ARM64 reads the
 # objdump listings and prints each FMA in a non-test function of those
 # packages; it exits 0 only if it printed one.
 FMA_RE = VFN?M(ADD|SUB)
-FMA_PKGS = tensorops tensor datasets models graph predictor
-FMA_ARM64 = awk '/^TEXT /{ fn = $$2; own = fn ~ /^repro\/internal\/(tensorops|tensor|datasets|models|graph|predictor)\./ && $$3 !~ /_test\.go$$/ } own && /\tFN?M(ADD|SUB)/ { print fn, $$1, $$4; n++ } END { exit n == 0 }'
+FMA_PKGS = tensorops tensor datasets models graph predictor core pareto
+FMA_ARM64 = awk '/^TEXT /{ fn = $$2; own = fn ~ /^repro\/internal\/(tensorops|tensor|datasets|models|graph|predictor|core|pareto)\./ && $$3 !~ /_test\.go$$/ } own && /\tFN?M(ADD|SUB)/ { print fn, $$1, $$4; n++ } END { exit n == 0 }'
 
 no-fma:
 	@! grep -rnE '$(FMA_RE)' --include='*.s' internal/
@@ -130,6 +131,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzQSnapshotJSON -fuzztime 10s
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzArtifactLoad -fuzztime 10s
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzMaxPool -fuzztime 10s
+	$(GO) test ./internal/models -run '^$$' -fuzz FuzzModelFromJSON -fuzztime 10s
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that

@@ -108,9 +108,10 @@ func TestFacadeInstallAndRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.RecordInvocation(target * 1.5)
-	if rt.CurrentPoint().Perf < 1 {
-		t.Errorf("runtime picked Perf %v", rt.CurrentPoint().Perf)
+	_, idx := rt.Acquire()
+	rt.RecordInvocationAt(idx, target*1.5)
+	if pt, _ := rt.Acquire(); pt.Perf < 1 {
+		t.Errorf("runtime picked Perf %v", pt.Perf)
 	}
 }
 

@@ -111,9 +111,11 @@ func main() {
 	}
 	gpu.SetFrequencyMHz(852)
 	for i := 0; i < 6; i++ {
-		rt.RecordInvocation(gpu.Time(costs, rt.Current()))
+		pt, idx := rt.Acquire()
+		rt.RecordInvocationAt(idx, gpu.Time(costs, pt.Config))
 	}
+	active, _ := rt.Acquire()
 	fmt.Printf("runtime at 852 MHz: %d config switches, active %s\n",
-		rt.Switches(), approxtuner.DescribeConfig(rt.Current()))
+		rt.Switches(), approxtuner.DescribeConfig(active.Config))
 	rt.Close()
 }

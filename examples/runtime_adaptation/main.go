@@ -52,12 +52,13 @@ func main() {
 		// each invocation.
 		var last float64
 		for i := 0; i < 6; i++ {
-			bt := gpu.Time(costs, rt.Current())
-			rt.RecordInvocation(bt)
-			last = bt
+			pt, idx := rt.Acquire()
+			last = gpu.Time(costs, pt.Config)
+			rt.RecordInvocationAt(idx, last)
 		}
+		active, _ := rt.Acquire()
 		fmt.Printf("%-10.0f %-12.2e %-12.2f %-22s\n",
-			f, last, last/target, approxtuner.DescribeConfig(rt.Current()))
+			f, last, last/target, approxtuner.DescribeConfig(active.Config))
 	}
 	fmt.Printf("\nconfiguration switches: %d (switching cost is negligible —\n", rt.Switches())
 	fmt.Println("knob settings are just numeric parameters of the tensor ops)")

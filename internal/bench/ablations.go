@@ -261,57 +261,29 @@ func RuntimePolicies(s *Session, name string) *Report {
 		Title:  fmt.Sprintf("Runtime Policy 1 vs Policy 2 (%s)", name),
 		Header: []string{"Policy", "avg norm time", "deadline misses", "avg accuracy"},
 	}
-	e := s.Entry(name)
-	qosMin := s.CalibBaseline(name) - 3
-	gpu := device.NewTX2GPU()
-	costs := e.prog.Costs()
-	devRes := s.DevTune(name, 3, predictor.Pi2, true)
-	inst, err := core.RefineCurve(e.prog, devRes.Curve, core.InstallOptions{
-		Options: s.tuneOptions(qosMin, predictor.Pi2, core.KnobPolicy{AllowFP16: true}),
-		Device:  gpu,
-	})
-	if err != nil {
-		panic(err)
-	}
-	gpu.SetFrequencyMHz(device.Freqs[0])
-	target := gpu.Time(costs, nil)
-	accCache := map[string]float64{}
-	nOps := len(e.bench.Model.Graph.Nodes)
-
+	d := newDVFSRuntime(s, name)
 	for _, pol := range []core.Policy{core.PolicyEnforce, core.PolicyAverage} {
-		rt, err := core.NewRuntimeTuner(inst.Curve, pol, target, 1, s.cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
+		rt := d.tuner(pol, s.cfg.Seed)
 		defer rt.Close()
-		gpu.SetFrequencyMHz(675) // the paper's worked mid-ladder point
+		d.gpu.SetFrequencyMHz(675) // the paper's worked mid-ladder point
 		const batches = 60
 		var sumTime, sumAcc float64
 		misses := 0
 		for b := 0; b < batches; b++ {
-			pt := rt.CurrentPoint()
-			bt := gpu.Time(costs, pt.Config)
+			bt, acc := d.invoke(rt, 1)
 			sumTime += bt
-			if bt > target*1.02 {
+			if bt > d.target*1.02 {
 				misses++
 			}
-			key := pt.Config.Key(nOps)
-			acc, ok := accCache[key]
-			if !ok {
-				acc = e.prog.Score(core.Test, e.prog.Run(pt.Config, core.Test, nil))
-				accCache[key] = acc
-			}
 			sumAcc += acc
-			rt.RecordInvocation(bt)
 		}
 		r.Rows = append(r.Rows, []string{
-			pol.String(), f2(sumTime / float64(batches) / target),
+			pol.String(), f2(sumTime / float64(batches) / d.target),
 			fmt.Sprint(misses), f2(sumAcc / float64(batches)),
 		})
-		r.AddMeasure("avg_norm_time_"+pol.String(), sumTime/float64(batches)/target)
+		r.AddMeasure("avg_norm_time_"+pol.String(), sumTime/float64(batches)/d.target)
 		r.AddMeasure("misses_"+pol.String(), float64(misses))
 	}
-	gpu.SetFrequencyMHz(device.Freqs[0])
 	r.Notes = append(r.Notes, "policy 1 suits deadlines (fewer misses); policy 2 matches average throughput with less QoS loss")
 	return r
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/graph"
 	"repro/internal/pareto"
 	"repro/internal/predictor"
 )
@@ -169,49 +170,16 @@ func RunFig6(s *Session, name string) []Fig6Row {
 // recalibration signal (the DVFS ladder itself is modeled by the device
 // and stays fault-free).
 func RunFig6Health(s *Session, name string) ([]Fig6Row, core.RuntimeHealth) {
-	e := s.Entry(name)
-	qosMin := s.CalibBaseline(name) - 3
-	gpu := device.NewTX2GPU()
-	costs := e.prog.Costs()
-
-	// Install-time refined curve (time objective) feeds the runtime.
-	devRes := s.DevTune(name, 3, predictor.Pi2, true)
-	inst, err := core.RefineCurve(e.prog, devRes.Curve, core.InstallOptions{
-		Options: s.tuneOptions(qosMin, predictor.Pi2, core.KnobPolicy{AllowFP16: true}),
-		Device:  gpu,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: %s fig6 refine: %v", name, err))
-	}
-
-	gpu.SetFrequencyMHz(device.Freqs[0])
-	target := gpu.Time(costs, nil) // baseline batch time at max frequency
-	rt, err := core.NewRuntimeTuner(inst.Curve, core.PolicyAverage, target, 1, s.cfg.Seed)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %s fig6 runtime: %v", name, err))
-	}
+	d := newDVFSRuntime(s, name)
+	rt := d.tuner(core.PolicyAverage, s.cfg.Seed)
 	defer rt.Close()
-
-	// Cache test accuracy per distinct configuration.
-	accCache := map[string]float64{}
-	nOps := len(e.bench.Model.Graph.Nodes)
-	accOf := func(pt pareto.Point) float64 {
-		key := pt.Config.Key(nOps)
-		if v, ok := accCache[key]; ok {
-			return v
-		}
-		out := e.prog.Run(pt.Config, core.Test, nil)
-		v := e.prog.Score(core.Test, out)
-		accCache[key] = v
-		return v
-	}
-	baseAcc := e.prog.Score(core.Test, e.prog.BaselineOut(core.Test))
+	baseAcc := d.e.prog.Score(core.Test, d.e.prog.BaselineOut(core.Test))
 
 	const batches = 24
 	var rows []Fig6Row
 	for fi, f := range device.Freqs {
-		gpu.SetFrequencyMHz(f)
-		baseTime := gpu.Time(costs, nil)
+		d.gpu.SetFrequencyMHz(f)
+		baseTime := d.gpu.Time(d.costs, nil)
 		// Injected fault: an unmodeled slowdown over the second half of
 		// the ladder (cache pollution, thermal throttling beyond DVFS, a
 		// co-scheduled tenant — anything calibration never saw).
@@ -222,20 +190,78 @@ func RunFig6Health(s *Session, name string) ([]Fig6Row, core.RuntimeHealth) {
 		var sumTime, sumAcc float64
 		startSwitches := rt.Switches()
 		for b := 0; b < batches; b++ {
-			pt := rt.CurrentPoint()
-			bt := gpu.Time(costs, pt.Config) * fault
+			bt, acc := d.invoke(rt, fault)
 			sumTime += bt
-			sumAcc += accOf(pt)
-			rt.RecordInvocation(bt)
+			sumAcc += acc
 		}
 		rows = append(rows, Fig6Row{
 			FreqMHz:          f,
-			BaselineNormTime: baseTime / target,
-			AdaptedNormTime:  sumTime / float64(batches) / target,
+			BaselineNormTime: baseTime / d.target,
+			AdaptedNormTime:  sumTime / float64(batches) / d.target,
 			AdaptedAccuracy:  sumAcc / float64(batches),
 			BaselineAccuracy: baseAcc,
 			ConfigSwitches:   rt.Switches() - startSwitches,
 		})
 	}
 	return rows, rt.Health()
+}
+
+// dvfsRuntime is the simulated-DVFS setup that Fig. 6 and the runtime
+// policy comparison share: the install-time refined curve (time
+// objective, ΔQoS 3) on the TX2 GPU model, the baseline batch time at
+// the highest frequency as the target, and a per-configuration cache of
+// test accuracy.
+type dvfsRuntime struct {
+	e      *entry
+	gpu    *device.Device
+	costs  []graph.NodeCost
+	curve  *pareto.Curve
+	target float64
+	nOps   int
+	acc    map[string]float64
+}
+
+func newDVFSRuntime(s *Session, name string) *dvfsRuntime {
+	e := s.Entry(name)
+	d := &dvfsRuntime{e: e, gpu: device.NewTX2GPU(), costs: e.prog.Costs(),
+		nOps: len(e.bench.Model.Graph.Nodes), acc: map[string]float64{}}
+	qosMin := s.CalibBaseline(name) - 3
+	devRes := s.DevTune(name, 3, predictor.Pi2, true)
+	inst, err := core.RefineCurve(e.prog, devRes.Curve, core.InstallOptions{
+		Options: s.tuneOptions(qosMin, predictor.Pi2, core.KnobPolicy{AllowFP16: true}),
+		Device:  d.gpu,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s runtime curve: %v", name, err))
+	}
+	d.curve = inst.Curve
+	d.gpu.SetFrequencyMHz(device.Freqs[0])
+	d.target = d.gpu.Time(d.costs, nil)
+	return d
+}
+
+// tuner builds a runtime controller over the refined curve with a
+// one-batch window.
+func (d *dvfsRuntime) tuner(policy core.Policy, seed int64) *core.RuntimeTuner {
+	rt, err := core.NewRuntimeTuner(d.curve, policy, d.target, 1, seed)
+	if err != nil {
+		panic(fmt.Sprintf("bench: runtime tuner: %v", err))
+	}
+	return rt
+}
+
+// invoke runs one batch under the configuration rt hands out at the
+// current frequency, its time scaled by fault, reports the time back to
+// rt, and returns it with the configuration's test accuracy.
+func (d *dvfsRuntime) invoke(rt *core.RuntimeTuner, fault float64) (batchTime, accuracy float64) {
+	pt, idx := rt.Acquire()
+	batchTime = d.gpu.Time(d.costs, pt.Config) * fault
+	key := pt.Config.Key(d.nOps)
+	accuracy, ok := d.acc[key]
+	if !ok {
+		accuracy = d.e.prog.Score(core.Test, d.e.prog.Run(pt.Config, core.Test, nil))
+		d.acc[key] = accuracy
+	}
+	rt.RecordInvocationAt(idx, batchTime)
+	return batchTime, accuracy
 }

@@ -291,7 +291,8 @@ func TestRuntimePolicy2MixMatchesPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	below, above, p1, p2 := rt.MixProbabilities(1.3)
+	lo, hi, p1 := rt.bracket(1.3)
+	below, above, p2 := curve.Points[lo], curve.Points[hi], 1-p1
 	if below.Perf != 1.2 || above.Perf != 1.5 {
 		t.Fatalf("bracket = %v..%v", below.Perf, above.Perf)
 	}
@@ -314,22 +315,22 @@ func TestRuntimeTunerRespondsToSlowdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.CurrentPoint().Perf != 1.0 {
-		t.Fatalf("initial point should be the exact one, got %v", rt.CurrentPoint().Perf)
+	if activePoint(rt).Perf != 1.0 {
+		t.Fatalf("initial point should be the exact one, got %v", activePoint(rt).Perf)
 	}
 	// System slows down 1.5×: invocations take 0.15 s under the baseline.
-	rt.RecordInvocation(0.15)
-	rt.RecordInvocation(0.15)
-	if rt.CurrentPoint().Perf < 1.5 {
-		t.Errorf("tuner should escalate to ≥1.5 speedup, got %v", rt.CurrentPoint().Perf)
+	recordActive(rt, 0.15)
+	recordActive(rt, 0.15)
+	if activePoint(rt).Perf < 1.5 {
+		t.Errorf("tuner should escalate to ≥1.5 speedup, got %v", activePoint(rt).Perf)
 	}
 	// System recovers: with the 1.9 config, invocations now take
 	// 0.1/1.9 s — window average drops and the tuner should relax.
-	fast := 0.1 / rt.CurrentPoint().Perf
-	rt.RecordInvocation(fast)
-	rt.RecordInvocation(fast)
-	if rt.CurrentPoint().Perf > 1.1 {
-		t.Errorf("tuner should relax after recovery, still at %v", rt.CurrentPoint().Perf)
+	fast := 0.1 / activePoint(rt).Perf
+	recordActive(rt, fast)
+	recordActive(rt, fast)
+	if activePoint(rt).Perf > 1.1 {
+		t.Errorf("tuner should relax after recovery, still at %v", activePoint(rt).Perf)
 	}
 	if rt.Switches() < 2 {
 		t.Errorf("expected at least 2 switches, got %d", rt.Switches())
@@ -345,16 +346,16 @@ func TestRuntimeTunerEnforceUnreachableTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.RecordInvocation(1.0) // 10× slowdown: nothing reaches it
-	if rt.CurrentPoint().Perf != 1.5 {
-		t.Errorf("should degrade to the fastest available point, got %v", rt.CurrentPoint().Perf)
+	recordActive(rt, 1.0) // 10× slowdown: nothing reaches it
+	if activePoint(rt).Perf != 1.5 {
+		t.Errorf("should degrade to the fastest available point, got %v", activePoint(rt).Perf)
 	}
 }
 
 // TestRuntimeTunerConcurrentUse exercises the documented concurrency
 // contract under the race detector: a monitor goroutine feeding
-// RecordInvocation while worker goroutines read Current/CurrentPoint/
-// Switches and one closes the tuner at the end.
+// RecordInvocationAt while worker goroutines Acquire and read Switches,
+// and one closes the tuner at the end.
 func TestRuntimeTunerConcurrentUse(t *testing.T) {
 	curve := pareto.NewCurve("x", 90, []pareto.Point{
 		{QoS: 90, Perf: 1.0, Config: approx.Config{}},
@@ -373,9 +374,9 @@ func TestRuntimeTunerConcurrentUse(t *testing.T) {
 		for i := 0; i < n; i++ {
 			// Alternate slow and fast invocations so switches happen.
 			if i%2 == 0 {
-				rt.RecordInvocation(0.15)
+				recordActive(rt, 0.15)
 			} else {
-				rt.RecordInvocation(0.05)
+				recordActive(rt, 0.05)
 			}
 		}
 	}()
@@ -383,8 +384,7 @@ func TestRuntimeTunerConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				_ = rt.Current()
-				if pt := rt.CurrentPoint(); pt.Perf < 1.0 || pt.Perf > 1.9 {
+				if pt, _ := rt.Acquire(); pt.Perf < 1.0 || pt.Perf > 1.9 {
 					t.Errorf("current point off the curve: %v", pt.Perf)
 					return
 				}

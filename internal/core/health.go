@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/pareto"
 )
 
 // Drift-detection parameters for the runtime health monitor. The
@@ -37,8 +35,8 @@ var (
 	mRtDriftAlarms = obs.NewCounter("runtime.drift_alarms")
 )
 
-// configHealth is the per-configuration monitor state, keyed by the
-// configuration's index on the tradeoff curve.
+// configHealth is the per-configuration monitor state, indexed by the
+// configuration's position on the tradeoff curve.
 type configHealth struct {
 	hist        *obs.QHistogram // latency distribution for this config only
 	invocations int64
@@ -138,26 +136,10 @@ func (h RuntimeHealth) String() string {
 // healthFor returns (creating on first use) the monitor state for the
 // curve configuration at index idx. Caller holds rt.mu.
 func (rt *RuntimeTuner) healthFor(idx int) *configHealth {
-	if rt.health == nil {
-		rt.health = make(map[int]*configHealth)
+	if rt.health[idx] == nil {
+		rt.health[idx] = &configHealth{hist: obs.NewQHist()}
 	}
-	ch := rt.health[idx]
-	if ch == nil {
-		ch = &configHealth{hist: obs.NewQHist()}
-		rt.health[idx] = ch
-	}
-	return ch
-}
-
-// indexOf locates pt on the curve by configuration identity. Caller
-// holds rt.mu.
-func (rt *RuntimeTuner) indexOf(pt pareto.Point) int {
-	for i, p := range rt.curve.Points {
-		if sameConfig(p.Config, pt.Config) {
-			return i
-		}
-	}
-	return 0
+	return rt.health[idx]
 }
 
 // observeHealth feeds one invocation's execution time into the health
@@ -178,7 +160,7 @@ func (rt *RuntimeTuner) observeHealth(idx int, execTime float64) {
 	if ch.timeSamples == 0 {
 		ch.timeEwma = ratio
 	} else {
-		ch.timeEwma = driftAlpha*ratio + (1-driftAlpha)*ch.timeEwma
+		ch.timeEwma = float64(driftAlpha*ratio) + float64((1-driftAlpha)*ch.timeEwma)
 	}
 	ch.timeSamples++
 	drifting := ch.timeSamples >= driftWarmup &&
@@ -198,14 +180,14 @@ func (rt *RuntimeTuner) observeHealth(idx int, execTime float64) {
 func (rt *RuntimeTuner) RecordQoS(qos float64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ch := rt.healthFor(rt.curIdx)
+	ch := rt.healthFor(rt.idx)
 	if ch.qosSamples == 0 {
 		ch.qosEwma = qos
 	} else {
-		ch.qosEwma = driftAlpha*qos + (1-driftAlpha)*ch.qosEwma
+		ch.qosEwma = float64(driftAlpha*qos) + float64((1-driftAlpha)*ch.qosEwma)
 	}
 	ch.qosSamples++
-	predicted := rt.curve.Points[rt.curIdx].QoS
+	predicted := rt.curve.Points[rt.idx].QoS
 	drifting := ch.qosSamples >= driftWarmup && predicted-ch.qosEwma > qosDriftTolerance
 	if drifting && !ch.qosDrifting {
 		rt.raiseAlarm(ch)
@@ -221,7 +203,7 @@ func (rt *RuntimeTuner) raiseAlarm(ch *configHealth) {
 	rt.recalibrate = true
 	mRtDriftAlarms.Inc()
 	obs.Flight().Event("runtime.drift_alarm",
-		fmt.Sprintf("config=%d alarms=%d invocation=%d", rt.curIdx, rt.driftAlarms, rt.invocations), obs.TraceID{})
+		fmt.Sprintf("config=%d alarms=%d invocation=%d", rt.idx, rt.driftAlarms, rt.invocations), obs.TraceID{})
 }
 
 // DriftAlarms counts detector transitions into the drifting state over
@@ -259,14 +241,8 @@ func (rt *RuntimeTuner) Health() RuntimeHealth {
 		RecalibrationNeeded: rt.recalibrate,
 	}
 	overall := obs.NewQHist().Snapshot()
-	idxs := make([]int, 0, len(rt.health))
-	for idx := range rt.health {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		ch := rt.health[idx]
-		if ch.invocations == 0 && ch.qosSamples == 0 {
+	for idx, ch := range rt.health {
+		if ch == nil {
 			continue
 		}
 		pt := rt.curve.Points[idx]

@@ -29,8 +29,8 @@ func TestRuntimeHealthNoFaultNoAlarms(t *testing.T) {
 	}
 	defer rt.Close()
 	for i := 0; i < 60; i++ {
-		pt := rt.CurrentPoint()
-		rt.RecordInvocation(0.1 / pt.Perf) // exactly as predicted
+		pt, idx := rt.Acquire()
+		rt.RecordInvocationAt(idx, 0.1/pt.Perf) // exactly as predicted
 	}
 	h := rt.Health()
 	if h.DriftAlarms != 0 {
@@ -73,7 +73,7 @@ func TestRuntimeHealthDetectsSlowdownDrift(t *testing.T) {
 	}
 	defer rt.Close()
 	for i := 0; i < 20; i++ {
-		rt.RecordInvocation(0.1 / rt.CurrentPoint().Perf)
+		recordActive(rt, 0.1/activePoint(rt).Perf)
 	}
 	if rt.Health().DriftAlarms != 0 {
 		t.Fatalf("alarms before the fault: %d", rt.Health().DriftAlarms)
@@ -81,7 +81,7 @@ func TestRuntimeHealthDetectsSlowdownDrift(t *testing.T) {
 	// Fault injection: the machine is now 2x slower than calibration
 	// assumed, whichever configuration runs.
 	for i := 0; i < 40; i++ {
-		rt.RecordInvocation(2 * 0.1 / rt.CurrentPoint().Perf)
+		recordActive(rt, 2*0.1/activePoint(rt).Perf)
 	}
 	h := rt.Health()
 	if h.DriftAlarms < 1 {
@@ -157,7 +157,7 @@ func TestRuntimeTunerCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.RecordInvocation(0.1)
+	recordActive(rt, 0.1)
 	rt.Close()
 	rt.Close()
 	rt.Close()

@@ -60,10 +60,10 @@ func (g *PowerGovernor) Step() StepReport {
 		}
 	}
 	g.dev.SetFrequencyMHz(chosen)
-	pt := g.rt.CurrentPoint()
+	pt, idx := g.rt.Acquire()
 	t := g.dev.Time(g.costs, pt.Config)
 	_, _, sys := g.dev.Rails()
-	g.rt.RecordInvocation(t)
+	g.rt.RecordInvocationAt(idx, t)
 	return StepReport{
 		FreqMHz: chosen,
 		SysW:    sys,

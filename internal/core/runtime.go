@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
-	"repro/internal/approx"
 	"repro/internal/obs"
 	"repro/internal/pareto"
 	"repro/internal/tensor"
@@ -43,7 +43,8 @@ func (p Policy) String() string {
 }
 
 // DefaultHysteresis is the relative deadband around the active
-// configuration's speedup inside which the controller holds its choice.
+// configuration's speedup inside which a window evaluation holds the
+// current choice.
 // Without it, measurement noise around a curve point's exact Perf (or a
 // required speedup landing between two equal-cost neighbors) makes the
 // per-window re-selection ping-pong between adjacent configurations even
@@ -68,9 +69,10 @@ type SwitchEvent struct {
 // performance target under changing system conditions. It consumes the
 // final tradeoff curve shipped with the binary; switching configurations
 // is just switching numerical parameters of the tensor ops, so the
-// overhead is negligible (§5). A tuner is safe for concurrent use: the
-// monitor thread may feed RecordInvocation while worker threads read
-// Current/CurrentPoint.
+// overhead is negligible (§5). Its only selection state is the active
+// configuration's index on the curve. A tuner is safe for concurrent
+// use: executors Acquire a configuration, run it, and report the
+// measured time with RecordInvocationAt under the index they acquired.
 type RuntimeTuner struct {
 	curve      *pareto.Curve
 	policy     Policy
@@ -78,27 +80,23 @@ type RuntimeTuner struct {
 	window     int     // sliding window length (invocations)
 	rng        *tensor.RNG
 
-	mu      sync.Mutex
-	times   []float64 // current window's invocation times (tumbling)
-	current pareto.Point
-	curIdx  int // index of current on the curve
+	mu    sync.Mutex
+	idx   int       // active configuration's position on the curve
+	times []float64 // current window's invocation times (tumbling)
 	// requiredPerf is the speedup (relative to the exact baseline) the
 	// tuner currently believes is needed to hold the target.
 	requiredPerf float64
-	// hysteresis is the relative deadband around current.Perf inside
-	// which a window evaluation keeps the active configuration.
-	hysteresis  float64
-	switches    int
-	invocations int
-	curveSwaps  int
-	trace       []SwitchEvent
-	span        *obs.Span
-	closed      bool
+	switches     int
+	invocations  int
+	curveSwaps   int
+	trace        []SwitchEvent
+	span         *obs.Span
+	closed       bool
 
 	// Health-monitor state (health.go): per-configuration latency
-	// histograms and drift detectors, plus the latched recalibration
-	// signal.
-	health      map[int]*configHealth
+	// histograms and drift detectors indexed by curve position, plus the
+	// latched recalibration signal.
+	health      []*configHealth
 	driftAlarms int
 	recalibrate bool
 }
@@ -121,13 +119,12 @@ func NewRuntimeTuner(curve *pareto.Curve, policy Policy, targetTime float64, win
 		window:       window,
 		rng:          tensor.NewRNG(seed),
 		requiredPerf: 1,
-		hysteresis:   DefaultHysteresis,
+		health:       make([]*configHealth, curve.Len()),
 		span: obs.Start("phase:runtime").
 			With("program", curve.Program).With("policy", policy.String()).
 			With("target_time", targetTime).With("window", window),
 	}
-	rt.current = rt.pick(1)
-	rt.curIdx = rt.indexOf(rt.current)
+	rt.idx = rt.pick(1)
 	return rt, nil
 }
 
@@ -147,22 +144,6 @@ func (rt *RuntimeTuner) Close() {
 		With("drift_alarms", rt.driftAlarms).End()
 }
 
-// Current returns the configuration to use for the next invocation. Under
-// PolicyAverage this may alternate probabilistically between the two
-// bracketing points.
-func (rt *RuntimeTuner) Current() approx.Config {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.current.Config
-}
-
-// CurrentPoint returns the active tradeoff point.
-func (rt *RuntimeTuner) CurrentPoint() pareto.Point {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.current
-}
-
 // Switches counts configuration changes so far.
 func (rt *RuntimeTuner) Switches() int {
 	rt.mu.Lock()
@@ -178,14 +159,14 @@ func (rt *RuntimeTuner) CurveSwaps() int {
 }
 
 // Acquire returns the configuration to execute next together with its
-// curve index. Executors that may report measurements after the
-// controller has moved on (concurrent workers, queued batches) must
-// remember the index and feed it back through RecordInvocationAt so the
-// sample is attributed to the configuration that actually ran it.
+// curve index. The caller keeps the index and feeds it back through
+// RecordInvocationAt, so the measurement is attributed to the
+// configuration that actually ran even if the controller has moved on
+// meanwhile (concurrent workers, queued batches).
 func (rt *RuntimeTuner) Acquire() (pareto.Point, int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.current, rt.curIdx
+	return rt.curve.Points[rt.idx], rt.idx
 }
 
 // SwitchTrace returns the retained configuration-switch history (oldest
@@ -196,31 +177,9 @@ func (rt *RuntimeTuner) SwitchTrace() []SwitchEvent {
 	return append([]SwitchEvent(nil), rt.trace...)
 }
 
-// SetHysteresis adjusts the relative deadband around the active
-// configuration's speedup inside which window evaluations hold the
-// current choice (default DefaultHysteresis). Non-finite or negative
-// values are ignored.
-func (rt *RuntimeTuner) SetHysteresis(h float64) {
-	if math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.hysteresis = h
-}
-
-// RecordInvocation feeds one invocation's measured execution time to the
-// system monitor, attributed to the currently active configuration. Use
-// RecordInvocationAt when the executing goroutine acquired its
-// configuration earlier (and the controller may have switched since).
-func (rt *RuntimeTuner) RecordInvocation(execTime float64) {
-	rt.RecordInvocationAt(-1, execTime)
-}
-
 // RecordInvocationAt feeds one invocation's measured execution time to
 // the system monitor, attributed to the configuration at curve index idx
-// (as returned by Acquire when the invocation started; idx < 0 means the
-// currently active configuration).
+// (as returned by Acquire when the invocation started).
 //
 // The control window is a tumbling window over the *active*
 // configuration only: samples accumulate until the window fills, the
@@ -231,8 +190,10 @@ func (rt *RuntimeTuner) RecordInvocation(execTime float64) {
 // systemSlowdown = avg·Perf/target, which is only meaningful when every
 // sample in the average ran under the configuration whose Perf scales
 // it. Samples attributed to a configuration other than the active one
-// (stale executors reporting after a switch) still feed the per-config
-// health monitor but stay out of the control window for the same reason.
+// (stale executors reporting after a switch) still feed that
+// configuration's health monitor but stay out of the control window for
+// the same reason; an index outside the curve (acquired from a curve
+// since swapped out) is stale too and feeds neither.
 func (rt *RuntimeTuner) RecordInvocationAt(idx int, execTime float64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -241,14 +202,11 @@ func (rt *RuntimeTuner) RecordInvocationAt(idx int, execTime float64) {
 	if execTime > rt.targetTime {
 		mRtMisses.Inc()
 	}
-	if idx < 0 || idx >= rt.curve.Len() {
-		idx = rt.curIdx
+	if idx < 0 || idx >= len(rt.curve.Points) {
+		return
 	}
 	rt.observeHealth(idx, execTime)
-	if idx != rt.curIdx {
-		// Stale attribution: the sample ran under a configuration the
-		// controller has already left. It must not enter the window —
-		// its magnitude reflects a different Perf scale.
+	if idx != rt.idx {
 		return
 	}
 	rt.times = append(rt.times, execTime)
@@ -262,47 +220,49 @@ func (rt *RuntimeTuner) RecordInvocationAt(idx int, execTime float64) {
 	avg /= float64(len(rt.times))
 	rt.times = rt.times[:0] // tumbling window: evaluate once, restart empty
 
-	// The observed average ran under the current configuration, whose
-	// speedup is current.Perf; the slowdown attributable to the system is
-	// therefore avg·Perf relative to the baseline target.
-	systemSlowdown := avg * rt.current.Perf / rt.targetTime
-	rt.requiredPerf = systemSlowdown
+	// The observed average ran under the active configuration, whose
+	// speedup is perf; the slowdown attributable to the system is
+	// therefore avg·perf relative to the baseline target.
+	perf := rt.curve.Points[rt.idx].Perf
+	rt.requiredPerf = avg * perf / rt.targetTime
 	gRtRequired.Set(rt.requiredPerf)
 	// Hysteresis deadband: when the required speedup is within the band
 	// around what the active configuration already delivers, hold it —
 	// re-picking here only ping-pongs between equal-cost neighbors.
-	if math.Abs(systemSlowdown-rt.current.Perf) <= rt.hysteresis*rt.current.Perf {
+	if math.Abs(rt.requiredPerf-perf) <= DefaultHysteresis*perf {
 		return
 	}
-	next := rt.pick(rt.requiredPerf)
-	// curve points are discrete entries; a switch is a change of identity, not of magnitude
-	if next.Perf != rt.current.Perf || !sameConfig(next.Config, rt.current.Config) {
+	if next := rt.pick(rt.requiredPerf); next != rt.idx {
 		rt.switchTo(next)
 	}
 }
 
 // switchTo installs a new active configuration, recording the switch in
 // the counters and the bounded trace. Caller holds rt.mu.
-func (rt *RuntimeTuner) switchTo(next pareto.Point) {
-	from := rt.curIdx
+func (rt *RuntimeTuner) switchTo(next int) {
 	rt.switches++
 	mRtSwitches.Inc()
-	rt.current = next
-	rt.curIdx = rt.indexOf(next)
-	rt.trace = append(rt.trace, SwitchEvent{Invocation: rt.invocations, From: from, To: rt.curIdx})
+	obs.Flight().Event("runtime.config_switch",
+		fmt.Sprintf("from=%d to=%d invocation=%d", rt.idx, next, rt.invocations), obs.TraceID{})
+	rt.logSwitch(rt.idx, next)
+}
+
+// logSwitch makes next the active index and appends the change to the
+// bounded switch trace. Caller holds rt.mu.
+func (rt *RuntimeTuner) logSwitch(from, next int) {
+	rt.idx = next
+	rt.trace = append(rt.trace, SwitchEvent{Invocation: rt.invocations, From: from, To: next})
 	if len(rt.trace) > maxSwitchTrace {
 		rt.trace = rt.trace[len(rt.trace)-maxSwitchTrace:]
 	}
-	obs.Flight().Event("runtime.config_switch",
-		fmt.Sprintf("from=%d to=%d invocation=%d", from, rt.curIdx, rt.invocations), obs.TraceID{})
 }
 
 // SwapCurve hot-swaps the tradeoff curve the controller selects from —
 // the recalibration path: when drift detection reports the shipped curve
 // no longer matches the machine, install-time tuning re-runs and the
 // fresh curve is installed here without restarting the serving process.
-// The per-configuration health state is reset (it is keyed by curve
-// index, which is meaningless across curves), the control window is
+// The per-configuration health state is reset (it is indexed by curve
+// position, which is meaningless across curves), the control window is
 // cleared, the latched recalibration signal is released, and selection
 // restarts from the last required speedup on the new curve. Lifetime
 // counters (invocations, switches, drift alarms) are preserved.
@@ -313,100 +273,55 @@ func (rt *RuntimeTuner) SwapCurve(curve *pareto.Curve) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.curve = curve
-	rt.health = nil
+	rt.health = make([]*configHealth, curve.Len())
 	rt.times = rt.times[:0]
 	rt.recalibrate = false
 	rt.curveSwaps++
-	from := rt.curIdx
-	rt.current = rt.pick(rt.requiredPerf)
-	rt.curIdx = rt.indexOf(rt.current)
-	rt.trace = append(rt.trace, SwitchEvent{Invocation: rt.invocations, From: -1 - from, To: rt.curIdx})
-	if len(rt.trace) > maxSwitchTrace {
-		rt.trace = rt.trace[len(rt.trace)-maxSwitchTrace:]
-	}
+	rt.logSwitch(-1-rt.idx, rt.pick(rt.requiredPerf))
 	obs.Flight().Event("runtime.curve_swap",
-		fmt.Sprintf("swap=%d to=%d invocation=%d", rt.curveSwaps, rt.curIdx, rt.invocations), obs.TraceID{})
+		fmt.Sprintf("swap=%d to=%d invocation=%d", rt.curveSwaps, rt.idx, rt.invocations), obs.TraceID{})
 	return nil
 }
 
-func sameConfig(a, b approx.Config) bool {
-	if len(a) != len(b) {
-		return false
+// pick returns the curve index achieving the required speedup under the
+// active policy: Policy 1 the first point that reaches it (the fastest
+// when none does), Policy 2 one of the bracketing pair drawn with the
+// mixing weight. Caller holds rt.mu.
+func (rt *RuntimeTuner) pick(required float64) int {
+	lo, hi, p1 := rt.bracket(required)
+	switch {
+	case rt.policy == PolicyEnforce:
+		return hi
+	case p1 >= 1:
+		return lo
+	case p1 <= 0:
+		return hi
+	case rt.rng.Float64() < p1:
+		return lo
 	}
-	for k, v := range a {
-		if b.Knob(k) != v {
-			return false
-		}
-	}
-	return true
+	return hi
 }
 
-// pick selects a tradeoff point achieving the required speedup under the
-// active policy.
-func (rt *RuntimeTuner) pick(required float64) pareto.Point {
-	switch rt.policy {
-	case PolicyEnforce:
-		if pt, ok := rt.curve.AtLeastPerf(required); ok {
-			return pt
-		}
-		// Nothing reaches the target; degrade as gracefully as possible.
-		return rt.curve.Points[rt.curve.Len()-1]
-	default: // PolicyAverage
-		below, above, _ := rt.curve.Bracket(required)
-		// bracket endpoints coincide only when they are the same stored curve entry
-		if below.Perf == above.Perf {
-			return below
-		}
-		// p1·Perf1 + p2·Perf2 = PerfT with p1 + p2 = 1. When the target
-		// falls outside [below.Perf, above.Perf] (endpoint extrapolation,
-		// or a hand-built curve whose points defeat the bracket search)
-		// the raw p1 leaves [0,1]: return the endpoint deterministically
-		// instead of drawing a nonsense probability.
-		p1 := mixWeight(below.Perf, above.Perf, required)
-		if p1 >= 1 {
-			return below
-		}
-		if p1 <= 0 {
-			return above
-		}
-		if rt.rng.Float64() < p1 {
-			return below
-		}
-		return above
-	}
-}
-
-// mixWeight computes the Policy-2 probability of the slower bracket
-// point, clamped into [0,1]: required at or below the slow endpoint
-// returns 1 (always the slow point), at or above the fast endpoint 0
-// (always the fast point). NaN inputs clamp to 1, the conservative
-// (least-approximate) endpoint.
-func mixWeight(belowPerf, abovePerf, required float64) float64 {
-	p1 := (abovePerf - required) / (abovePerf - belowPerf)
-	if !(p1 < 1) { // also catches NaN
-		return 1
-	}
-	if p1 < 0 {
-		return 0
-	}
-	return p1
-}
-
-// MixProbabilities exposes the Policy-2 mixing weights for a target
-// speedup — (p1 for the slower point, p2 for the faster point) — mainly
-// for testing and for the worked example in §5 (PerfT = 1.3 with points
-// 1.2 and 1.5 gives 2/3 and 1/3). The weights are always valid
-// probabilities: a target outside the curve's Perf range clamps to the
-// nearest endpoint ((1,0) at or below the slowest point, (0,1) at or
-// above the fastest).
-func (rt *RuntimeTuner) MixProbabilities(required float64) (below, above pareto.Point, p1, p2 float64) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	below, above, _ = rt.curve.Bracket(required)
+// bracket locates a required speedup on the curve with one binary search
+// (O(log |PS|), §5): hi is the first point whose Perf reaches it (the
+// last point when none does) and lo its slower neighbor (hi itself at
+// either end of the curve). p1 is Policy 2's probability of the slower
+// point, so that p1·Perf_lo + (1-p1)·Perf_hi = required (§5's worked
+// example: 1.3 between 1.2 and 1.5 gives 2/3). It is clamped into
+// [0,1] so an endpoint is chosen without a draw: 1 when lo and hi share
+// a Perf and for NaN (the conservative, least-approximate end), 0 when
+// required is at or beyond the faster point. Caller holds rt.mu.
+func (rt *RuntimeTuner) bracket(required float64) (lo, hi int, p1 float64) {
+	pts := rt.curve.Points
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].Perf >= required })
+	lo, hi = max(i-1, 0), min(i, len(pts)-1)
 	// bracket endpoints coincide only when they are the same stored curve entry
-	if below.Perf == above.Perf {
-		return below, above, 1, 0
+	if pts[lo].Perf == pts[hi].Perf {
+		return lo, hi, 1
 	}
-	p1 = mixWeight(below.Perf, above.Perf, required)
-	return below, above, p1, 1 - p1
+	p1 = (pts[hi].Perf - required) / (pts[hi].Perf - pts[lo].Perf)
+	if !(p1 < 1) { // also catches NaN
+		return lo, hi, 1
+	}
+	return lo, hi, max(p1, 0)
 }

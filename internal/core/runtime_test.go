@@ -2,11 +2,25 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/approx"
 	"repro/internal/pareto"
 )
+
+// activePoint returns the configuration rt hands out next.
+func activePoint(rt *RuntimeTuner) pareto.Point {
+	pt, _ := rt.Acquire()
+	return pt
+}
+
+// recordActive reports one invocation of execTime under the
+// configuration rt hands out now.
+func recordActive(rt *RuntimeTuner, execTime float64) {
+	_, idx := rt.Acquire()
+	rt.RecordInvocationAt(idx, execTime)
+}
 
 func runtimeTestCurve() *pareto.Curve {
 	return pareto.NewCurve("rt-test", 90, []pareto.Point{
@@ -30,10 +44,10 @@ func TestRuntimeTunerOneSwitchPerWindow(t *testing.T) {
 	defer rt.Close()
 	// Warm steady state, then a persistent 1.5x step change.
 	for i := 0; i < 2*window; i++ {
-		rt.RecordInvocation(0.1 / rt.CurrentPoint().Perf)
+		recordActive(rt, 0.1/activePoint(rt).Perf)
 	}
 	for i := 0; i < 6*window; i++ {
-		rt.RecordInvocation(1.5 * 0.1 / rt.CurrentPoint().Perf)
+		recordActive(rt, 1.5*0.1/activePoint(rt).Perf)
 	}
 	trace := rt.SwitchTrace()
 	if len(trace) == 0 {
@@ -71,7 +85,7 @@ func TestRuntimeTunerWindowClearedOnSwitch(t *testing.T) {
 	}
 	defer rt.Close()
 	for i := 0; i < window; i++ {
-		rt.RecordInvocation(0.2) // 2x overload under the baseline config
+		recordActive(rt, 0.2) // 2x overload under the baseline config
 	}
 	if rt.Switches() != 1 {
 		t.Fatalf("full overloaded window produced %d switches, want 1", rt.Switches())
@@ -84,7 +98,7 @@ func TestRuntimeTunerWindowClearedOnSwitch(t *testing.T) {
 	}
 	// One fresh sample under the new config: the window must hold exactly
 	// that sample, not a mix.
-	rt.RecordInvocation(0.05)
+	recordActive(rt, 0.05)
 	rt.mu.Lock()
 	times := append([]float64(nil), rt.times...)
 	rt.mu.Unlock()
@@ -105,8 +119,8 @@ func TestRuntimeTunerStaleAttribution(t *testing.T) {
 	defer rt.Close()
 	_, startIdx := rt.Acquire()
 	// Fill a window with overload so the controller switches away.
-	rt.RecordInvocation(0.2)
-	rt.RecordInvocation(0.2)
+	recordActive(rt, 0.2)
+	recordActive(rt, 0.2)
 	_, nowIdx := rt.Acquire()
 	if nowIdx == startIdx {
 		t.Fatal("overload did not switch configurations; test needs a switch")
@@ -148,22 +162,22 @@ func TestRuntimeTunerHysteresisHoldsNeighbors(t *testing.T) {
 	}
 	defer rt.Close()
 	// Drive to the 1.4 point, then oscillate required within ±3% of it.
-	rt.RecordInvocation(0.14) // required 1.4 exactly → switch to the 1.4 point
-	if rt.CurrentPoint().Perf != 1.4 {
-		t.Fatalf("setup: expected the 1.4 point, got %v", rt.CurrentPoint().Perf)
+	recordActive(rt, 0.14) // required 1.4 exactly → switch to the 1.4 point
+	if activePoint(rt).Perf != 1.4 {
+		t.Fatalf("setup: expected the 1.4 point, got %v", activePoint(rt).Perf)
 	}
 	base := rt.Switches()
 	for i := 0; i < 50; i++ {
 		jitter := 1.0 + 0.03*float64(1-2*(i%2)) // ±3%, inside the 5% band
 		// required = exec·Perf/target = 1.4·jitter: within the deadband
 		// around the active point's own 1.4.
-		rt.RecordInvocation(0.1 * jitter)
+		recordActive(rt, 0.1*jitter)
 	}
 	if got := rt.Switches() - base; got != 0 {
 		t.Errorf("in-band noise produced %d switches, want 0 (hysteresis)", got)
 	}
 	// Out-of-band pressure still moves the controller.
-	rt.RecordInvocation(0.2)
+	recordActive(rt, 0.2)
 	if got := rt.Switches() - base; got == 0 {
 		t.Error("out-of-band overload must still switch")
 	}
@@ -187,35 +201,39 @@ func TestMixProbabilitiesClamped(t *testing.T) {
 		{1.9, 1.9},  // exactly max Perf
 		{7.5, 1.9},  // above max Perf
 	}
+	pts := rt.curve.Points
 	for _, tc := range cases {
-		below, above, p1, p2 := rt.MixProbabilities(tc.required)
-		if p1 < 0 || p1 > 1 || p2 < 0 || p2 > 1 {
-			t.Errorf("required %v: probabilities (%v,%v) leave [0,1]", tc.required, p1, p2)
+		lo, hi, p1 := rt.bracket(tc.required)
+		if p1 < 0 || p1 > 1 {
+			t.Errorf("required %v: probability %v leaves [0,1]", tc.required, p1)
 		}
-		if math.Abs(p1+p2-1) > 1e-12 {
-			t.Errorf("required %v: p1+p2 = %v", tc.required, p1+p2)
-		}
-		got := below.Perf
+		got := pts[lo].Perf
 		if p1 < 0.5 {
-			got = above.Perf
+			got = pts[hi].Perf
 		}
 		if got != tc.wantPerf {
 			t.Errorf("required %v: deterministic endpoint Perf %v, want %v", tc.required, got, tc.wantPerf)
 		}
 		// pick must agree and not consume randomness on endpoints.
 		for i := 0; i < 8; i++ {
-			if pt := rt.pick(tc.required); pt.Perf != tc.wantPerf {
-				t.Errorf("required %v: pick draw %d landed on %v, want deterministic %v", tc.required, i, pt.Perf, tc.wantPerf)
+			if perf := pts[rt.pick(tc.required)].Perf; perf != tc.wantPerf {
+				t.Errorf("required %v: pick draw %d landed on %v, want deterministic %v", tc.required, i, perf, tc.wantPerf)
 			}
 		}
 	}
 	// A mid-bracket target still mixes to the paper's weights.
-	if _, _, p1, _ := rt.MixProbabilities(1.65); math.Abs(p1-0.5) > 1e-9 {
+	if _, _, p1 := rt.bracket(1.65); math.Abs(p1-0.5) > 1e-9 {
 		t.Errorf("mid-bracket 1.65 between 1.4/1.9: p1 = %v, want 0.5", p1)
 	}
-	// mixWeight clamps even with a degenerate (unsorted-style) bracket.
-	if w := mixWeight(1.4, 1.9, math.NaN()); w != 1 {
-		t.Errorf("NaN target mixWeight = %v, want conservative 1", w)
+	// A NaN weight (here from a corrupt curve with an infinite Perf)
+	// clamps to the conservative endpoint.
+	corrupt, err := NewRuntimeTuner(&pareto.Curve{Points: []pareto.Point{{Perf: 1}, {Perf: math.Inf(1)}}}, PolicyAverage, 0.1, 1, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corrupt.Close()
+	if lo, _, p1 := corrupt.bracket(5); lo != 0 || p1 != 1 {
+		t.Errorf("NaN mix weight: bracket(5) = (%d, %v), want the slower point with weight 1", lo, p1)
 	}
 }
 
@@ -231,7 +249,7 @@ func TestSwapCurveResetsHealth(t *testing.T) {
 	defer rt.Close()
 	// Drift hard so the recalibration signal latches.
 	for i := 0; i < 20; i++ {
-		rt.RecordInvocation(3 * 0.1 / rt.CurrentPoint().Perf)
+		recordActive(rt, 3*0.1/activePoint(rt).Perf)
 	}
 	if !rt.RecalibrationNeeded() {
 		t.Fatal("setup: 3x slowdown did not latch recalibration")
@@ -260,19 +278,12 @@ func TestSwapCurveResetsHealth(t *testing.T) {
 		t.Errorf("lifetime invocation count changed across swap: %d vs %d", h.Invocations, invBefore)
 	}
 	// The active point must come off the new curve.
-	pt := rt.CurrentPoint()
-	found := false
-	for _, p := range fresh.Points {
-		if sameConfig(p.Config, pt.Config) {
-			found = true
-		}
-	}
-	if !found {
+	if pt, idx := rt.Acquire(); !reflect.DeepEqual(pt, fresh.Points[idx]) {
 		t.Errorf("active point %v is not on the swapped curve", pt.Perf)
 	}
 	// And the tuner keeps controlling on the new curve.
 	for i := 0; i < 4; i++ {
-		rt.RecordInvocation(0.1 / rt.CurrentPoint().Perf)
+		recordActive(rt, 0.1/activePoint(rt).Perf)
 	}
 	if got := rt.Health().Invocations; got != invBefore+4 {
 		t.Errorf("post-swap invocations = %d, want %d", got, invBefore+4)

@@ -38,7 +38,7 @@ func StrictlyDominated(s, o Point) bool {
 // Dist is the Euclidean distance between two points in the tradeoff space.
 func Dist(a, b Point) float64 {
 	dq, dp := a.QoS-b.QoS, a.Perf-b.Perf
-	return math.Sqrt(dq*dq + dp*dp)
+	return math.Sqrt(float64(dq*dq) + float64(dp*dp))
 }
 
 // Set computes the Pareto set PS(S) of Eq. 1: the points not strictly
@@ -180,37 +180,6 @@ func (c *Curve) Best(minQoS float64) (Point, bool) {
 		}
 	}
 	return Point{}, false
-}
-
-// AtLeastPerf returns the lowest-Perf point with Perf ≥ target using
-// binary search (runtime Policy 1, §5: O(log |PS|)). The boolean is false
-// when no point reaches the target.
-func (c *Curve) AtLeastPerf(target float64) (Point, bool) {
-	i := sort.Search(len(c.Points), func(i int) bool { return c.Points[i].Perf >= target })
-	if i == len(c.Points) {
-		return Point{}, false
-	}
-	return c.Points[i], true
-}
-
-// Bracket returns the neighboring points below and above a Perf target
-// (runtime Policy 2, §5). ok is false when the curve is empty. If the
-// target falls outside the curve's range both returns are the nearest
-// endpoint.
-func (c *Curve) Bracket(target float64) (below, above Point, ok bool) {
-	if len(c.Points) == 0 {
-		return Point{}, Point{}, false
-	}
-	i := sort.Search(len(c.Points), func(i int) bool { return c.Points[i].Perf >= target })
-	switch i {
-	case 0:
-		return c.Points[0], c.Points[0], true
-	case len(c.Points):
-		last := c.Points[len(c.Points)-1]
-		return last, last, true
-	default:
-		return c.Points[i-1], c.Points[i], true
-	}
 }
 
 // Marshal serializes the curve to JSON for shipping with the binary.

@@ -173,34 +173,6 @@ func TestCurveBestAndSearch(t *testing.T) {
 	if _, ok := c.Best(95); ok {
 		t.Error("no point has QoS ≥ 95")
 	}
-	p, ok := c.AtLeastPerf(1.5)
-	if !ok || p.Perf != 1.9 {
-		t.Fatalf("AtLeastPerf(1.5) = %+v, want Perf 1.9", p)
-	}
-	if _, ok := c.AtLeastPerf(3.0); ok {
-		t.Error("no point reaches Perf 3.0")
-	}
-}
-
-func TestCurveBracket(t *testing.T) {
-	points := pts([2]float64{90, 1.0}, [2]float64{85, 1.5}, [2]float64{80, 2.0})
-	c := NewCurve("bench", 90, points)
-	lo, hi, ok := c.Bracket(1.3)
-	if !ok || lo.Perf != 1.0 || hi.Perf != 1.5 {
-		t.Fatalf("Bracket(1.3) = %v..%v", lo.Perf, hi.Perf)
-	}
-	lo, hi, _ = c.Bracket(0.5)
-	if lo.Perf != 1.0 || hi.Perf != 1.0 {
-		t.Error("below-range bracket should clamp to first point")
-	}
-	lo, hi, _ = c.Bracket(9)
-	if lo.Perf != 2.0 || hi.Perf != 2.0 {
-		t.Error("above-range bracket should clamp to last point")
-	}
-	empty := &Curve{}
-	if _, _, ok := empty.Bracket(1); ok {
-		t.Error("empty curve cannot bracket")
-	}
 }
 
 func TestCurveSerializationRoundTrip(t *testing.T) {
