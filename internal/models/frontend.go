@@ -2,6 +2,7 @@ package models
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -120,7 +121,23 @@ func FromSpec(spec ModelSpec) (*Model, error) {
 	if err := buildLayers(b, spec.Layers); err != nil {
 		return nil, err
 	}
+	if errs := b.g.ValidateDeep(tensor.NewShape(1, in.Channels, in.Height, in.Width)); len(errs) > 0 {
+		return nil, fmt.Errorf("models: compiled graph is invalid: %w", errors.Join(errs...))
+	}
 	return b.finish(in.Channels, in.Height, in.Width, spec.Classes), nil
+}
+
+// spatialLayers are the layer types that need an (N,C,H,W) activation.
+var spatialLayers = map[string]bool{"conv": true, "maxpool": true, "avgpool": true, "global_avg_pool": true, "residual": true}
+
+// flat reports whether the builder's current activation is (N,K): the
+// output of a flatten, a dense layer, a global pool or a softmax.
+func (b *builder) flat() bool {
+	switch b.g.Nodes[b.last].Kind {
+	case graph.OpFlatten, graph.OpMatMul, graph.OpReduce, graph.OpSoftmax:
+		return true
+	}
+	return false
 }
 
 func buildLayers(b *builder, layers []LayerSpec) error {
@@ -133,10 +150,19 @@ func buildLayers(b *builder, layers []LayerSpec) error {
 }
 
 func buildLayer(b *builder, l LayerSpec) error {
+	if spatialLayers[l.Type] && b.flat() {
+		return fmt.Errorf("%s needs an (N,C,H,W) input, but an earlier layer flattened it", l.Type)
+	}
+	if l.Stride < 0 || l.Pad < 0 || l.Groups < 0 {
+		return fmt.Errorf("negative stride, pad or groups")
+	}
 	switch l.Type {
 	case "conv":
 		if l.Filters <= 0 || l.Kernel <= 0 {
 			return fmt.Errorf("conv needs positive filters and kernel")
+		}
+		if l.Kernel > b.h+2*l.Pad || l.Kernel > b.w+2*l.Pad {
+			return fmt.Errorf("kernel %d exceeds the %dx%d input padded by %d", l.Kernel, b.h, b.w, l.Pad)
 		}
 		act, err := parseActivation(l.Activation)
 		if err != nil {
@@ -157,8 +183,8 @@ func buildLayer(b *builder, l LayerSpec) error {
 			if l.Groups == l.Filters {
 				groups = b.c // depthwise after width scaling
 				out = b.c
-			} else if b.c%groups != 0 {
-				return fmt.Errorf("groups %d do not divide input channels %d", groups, b.c)
+			} else if b.c%groups != 0 || out%groups != 0 {
+				return fmt.Errorf("groups %d do not divide channels %d→%d", groups, b.c, out)
 			}
 		}
 		b.convFrom(b.last, out, l.Kernel, stride, l.Pad, act, groups)
@@ -178,6 +204,9 @@ func buildLayer(b *builder, l LayerSpec) error {
 	case "maxpool", "avgpool":
 		if l.Kernel <= 0 {
 			return fmt.Errorf("%s needs a positive kernel", l.Type)
+		}
+		if l.Kernel > b.h || l.Kernel > b.w {
+			return fmt.Errorf("%s kernel %d exceeds the %dx%d input", l.Type, l.Kernel, b.h, b.w)
 		}
 		stride := l.Stride
 		if stride == 0 {
@@ -202,6 +231,9 @@ func buildLayer(b *builder, l LayerSpec) error {
 		inID, inC, inH, inW := b.last, b.c, b.h, b.w
 		if err := buildLayers(b, l.Layers); err != nil {
 			return err
+		}
+		if b.flat() {
+			return fmt.Errorf("residual branch must end in an (N,C,H,W) activation")
 		}
 		mainID, outC, outH, outW := b.last, b.c, b.h, b.w
 		short := inID

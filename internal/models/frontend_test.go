@@ -164,6 +164,15 @@ func TestFromJSONErrors(t *testing.T) {
 		{"bad act", `{"name":"x","input":{"channels":1,"height":4,"width":4},"classes":2,"layers":[{"type":"conv","filters":4,"kernel":3,"activation":"swish"}]}`, "unknown activation"},
 		{"conv no kernel", `{"name":"x","input":{"channels":1,"height":4,"width":4},"classes":2,"layers":[{"type":"conv","filters":4}]}`, "positive filters and kernel"},
 		{"empty residual", `{"name":"x","input":{"channels":1,"height":4,"width":4},"classes":2,"layers":[{"type":"residual"}]}`, "nested layers"},
+		{"kernel beyond input", `{"name":"x","input":{"channels":1,"height":2,"width":2},"classes":2,"layers":[{"type":"conv","filters":4,"kernel":5}]}`, "exceeds"},
+		{"pool beyond input", `{"name":"x","input":{"channels":1,"height":4,"width":4},"classes":2,"layers":[{"type":"maxpool","kernel":5}]}`, "exceeds"},
+		{"negative pad", `{"name":"x","input":{"channels":1,"height":8,"width":8},"classes":2,"layers":[{"type":"conv","filters":4,"kernel":3,"pad":-2}]}`, "negative"},
+		{"negative stride", `{"name":"x","input":{"channels":1,"height":8,"width":8},"classes":2,"layers":[{"type":"avgpool","kernel":3,"stride":-2}]}`, "negative"},
+		{"negative groups", `{"name":"x","input":{"channels":4,"height":8,"width":8},"classes":2,"layers":[{"type":"conv","filters":6,"kernel":3,"groups":-4}]}`, "negative"},
+		{"groups split filters", `{"name":"x","input":{"channels":4,"height":8,"width":8},"classes":2,"layers":[{"type":"conv","filters":6,"kernel":3,"groups":4}]}`, "do not divide"},
+		{"conv after flatten", `{"name":"x","input":{"channels":1,"height":8,"width":8},"classes":2,"layers":[{"type":"flatten"},{"type":"conv","filters":3,"kernel":1}]}`, "flattened"},
+		{"pool after dense", `{"name":"x","input":{"channels":1,"height":8,"width":8},"classes":2,"layers":[{"type":"dense","units":3},{"type":"global_avg_pool"}]}`, "flattened"},
+		{"flat residual", `{"name":"x","input":{"channels":1,"height":8,"width":8},"classes":2,"layers":[{"type":"residual","layers":[{"type":"dense","units":3}]}]}`, "residual branch"},
 	}
 	for _, c := range cases {
 		_, err := FromJSON([]byte(c.spec))
