@@ -39,13 +39,15 @@ vet-selftest:
 # the Go code whose floats feed the kernels or the digests — the tensors'
 # random fills and reductions, the datasets, the model zoo's weights, the
 # graph's weight rewrites, the predictor, the runtime controller's drift
-# detectors and the tradeoff curves' distances — or an arm64 run would not
-# reproduce amd64's outputs. FMA_ARM64 reads the
+# detectors and the tradeoff curves' distances, the QoS metrics, the
+# PROMISE noise model, the device cost models, the autotuner's scores, the
+# knob tables, the Canny benchmark's filters and the experiment tables — or
+# an arm64 run would not reproduce amd64's outputs. FMA_ARM64 reads the
 # objdump listings and prints each FMA in a non-test function of those
 # packages; it exits 0 only if it printed one.
 FMA_RE = VFN?M(ADD|SUB)
-FMA_PKGS = tensorops tensor datasets models graph predictor core pareto
-FMA_ARM64 = awk '/^TEXT /{ fn = $$2; own = fn ~ /^repro\/internal\/(tensorops|tensor|datasets|models|graph|predictor|core|pareto)\./ && $$3 !~ /_test\.go$$/ } own && /\tFN?M(ADD|SUB)/ { print fn, $$1, $$4; n++ } END { exit n == 0 }'
+FMA_PKGS = tensorops tensor datasets models graph predictor core pareto qos promise device autotuner approx canny bench
+FMA_ARM64 = awk '/^TEXT /{ fn = $$2; own = fn ~ /^repro\/internal\/(tensorops|tensor|datasets|models|graph|predictor|core|pareto|qos|promise|device|autotuner|approx|canny|bench)\./ && $$3 !~ /_test\.go$$/ } own && /\tFN?M(ADD|SUB)/ { print fn, $$1, $$4; n++ } END { exit n == 0 }'
 
 no-fma:
 	@! grep -rnE '$(FMA_RE)' --include='*.s' internal/
@@ -64,6 +66,7 @@ no-fma-selftest:
 	@printf '\tVFMADD231PD Y1, Y2, Y3\n' | grep -qE '$(FMA_RE)' || { echo "no-fma: the pattern misses a planted VFMADD231PD"; exit 1; }
 	@printf 'TEXT repro/internal/tensorops.microKernel4(SB) gemm.go\n  gemm.go:1\t0x0\t1f010040\tFMADDS F1, F0, F2, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDS"; exit 1; }
 	@printf 'TEXT repro/internal/graph.scaleOutputChannel(SB) exec.go\n  exec.go:1\t0x0\t1f010040\tFMADDS F1, F0, F2, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDS outside tensorops"; exit 1; }
+	@printf 'TEXT repro/internal/device.(*Device).Energy(SB) device.go\n  device.go:1\t0x0\t1f420c00\tFMADDD F2, F3, F0, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDD in a cost model"; exit 1; }
 
 # The domain validators over the knob registry and the model-zoo graphs
 # (cmd/approxlint -ir). The source analyzers need no target of their own:

@@ -1,8 +1,6 @@
-// Command approxlint runs the project's static-analysis suite: five
+// Command approxlint runs the project's static-analysis suite: three
 // go/ast+go/types analyzers over the source tree — seeded-RNG determinism,
-// HTTP client defaults, metric naming, and the two path-sensitive rules
-// built on internal/lint/flow (obs-span and scratch-pool lifecycle) — plus,
-// with -ir, the domain-level validators over the system's data: the
+// HTTP client defaults and metric naming — plus, with -ir, the domain-level validators over the system's data: the
 // approximation-knob registry against the modeled devices and the dataflow
 // graphs of the model zoo.
 //

@@ -239,7 +239,7 @@ func (t *Tuner) reportWith(tech int, cfg approx.Config, fb Feedback) {
 func (t *Tuner) fitness(fb Feedback) float64 {
 	fit := fb.Perf
 	if fb.QoS < t.opts.QoSMin {
-		fit -= (t.opts.QoSMin - fb.QoS) * t.opts.QoSPenalty
+		fit -= float64((t.opts.QoSMin - fb.QoS) * t.opts.QoSPenalty)
 	}
 	return fit
 }

@@ -132,7 +132,7 @@ func (b *bandit) pick(rng *tensor.RNG) int {
 			score = b.wins[i]/b.trials[i] + math.Sqrt(2*math.Log(b.total+1)/b.trials[i])
 		}
 		// random tie-break keeps the ensemble diverse
-		score += rng.Float64() * 1e-9
+		score += float64(rng.Float64() * 1e-9)
 		if score > bestScore {
 			best, bestScore = i, score
 		}

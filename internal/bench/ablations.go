@@ -59,7 +59,7 @@ func PredictorAccuracy(s *Session, name string, nSamples int) *Report {
 		for i, sm := range eval {
 			preds[i] = qp.Predict(sm.cfg)
 			d := preds[i] - sm.real
-			sse += d * d
+			sse += float64(d * d)
 		}
 		for i := 0; i < len(eval); i++ {
 			for j := i + 1; j < len(eval); j++ {
@@ -114,7 +114,7 @@ func AlphaCalibration(s *Session, name string, nSamples int) *Report {
 		var sse float64
 		for _, sm := range samples[half:] {
 			d := qp.Predict(sm.Cfg) - sm.QoS
-			sse += d * d
+			sse += float64(d * d)
 		}
 		return qp.Alpha, math.Sqrt(sse / float64(len(samples)-half))
 	}

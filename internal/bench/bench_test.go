@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // quickSession returns a session shared within a test (sessions cache
@@ -86,6 +88,21 @@ func TestCurveSize(t *testing.T) {
 	r := CurveSize(s)
 	if r.Measures["curve_reduction_geomean"] < 1 {
 		t.Errorf("curve reduction %v below 1", r.Measures["curve_reduction_geomean"])
+	}
+}
+
+func TestCurveSizeRowEmptyCurve(t *testing.T) {
+	st := core.Stats{RawConfigs: 4000, Candidates: 293}
+	row, _, ok := curveSizeRow("alexnet2", st, 0)
+	if ok {
+		t.Error("an empty curve counts as a reduction")
+	}
+	if got := strings.Join(row, " "); got != "alexnet2 4000 293 0 empty" {
+		t.Errorf("empty-curve row = %q", got)
+	}
+	row, red, ok := curveSizeRow("alexnet2", st, 4)
+	if !ok || red != 293.0/4 || row[4] != "73.2x" {
+		t.Errorf("4-point row = %q, reduction %v, ok %v", row, red, ok)
 	}
 }
 

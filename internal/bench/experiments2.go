@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/predictor"
 )
@@ -98,7 +99,9 @@ func (s *Session) profileTime(name string) time.Duration {
 }
 
 // CurveSize regenerates the §7.3 curve-size discussion: raw configurations
-// generated by autotuning versus the ≤ MaxConfigs shipped.
+// generated by autotuning versus the ≤ MaxConfigs shipped. A benchmark that
+// ships no point has no reduction: its row reads "empty" and the geomean
+// leaves it out.
 func CurveSize(s *Session) *Report {
 	r := &Report{
 		Name:   "curvesize",
@@ -108,21 +111,24 @@ func CurveSize(s *Session) *Report {
 	var reductions []float64
 	for _, name := range s.Cfg().names() {
 		res := s.DevTune(name, 3, predictor.Pi2, true)
-		shipped := res.Curve.Len()
-		if shipped == 0 {
-			shipped = 1
+		row, red, ok := curveSizeRow(name, res.Stats, res.Curve.Len())
+		if ok {
+			reductions = append(reductions, red)
 		}
-		red := float64(res.Stats.Candidates) / float64(shipped)
-		reductions = append(reductions, red)
-		r.Rows = append(r.Rows, []string{
-			name,
-			fmt.Sprint(res.Stats.RawConfigs),
-			fmt.Sprint(res.Stats.Candidates),
-			fmt.Sprint(res.Curve.Len()),
-			f1(red) + "x",
-		})
+		r.Rows = append(r.Rows, row)
 	}
 	r.AddMeasure("curve_reduction_geomean", Geomean(reductions))
 	r.Notes = append(r.Notes, "paper: on average 4360 configurations reduced 87x to ≤50 shipped")
 	return r
+}
+
+// curveSizeRow is one benchmark's CurveSize row and its candidates-to-shipped
+// reduction; ok is false when the curve shipped no point.
+func curveSizeRow(name string, st core.Stats, shipped int) (row []string, red float64, ok bool) {
+	reduction := "empty"
+	if shipped > 0 {
+		red, ok = float64(st.Candidates)/float64(shipped), true
+		reduction = f1(red) + "x"
+	}
+	return []string{name, fmt.Sprint(st.RawConfigs), fmt.Sprint(st.Candidates), fmt.Sprint(shipped), reduction}, red, ok
 }

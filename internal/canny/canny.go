@@ -65,12 +65,13 @@ func Pipeline(channels int, lo, hi float32) *graph.Graph {
 
 func fillGaussian(w *tensor.Tensor, sigma float64) {
 	k := w.Dim(2)
-	c := float64(k-1) / 2
+	c := float64(float64(k-1) / 2) // rounded, or arm64 fuses its ·0.5 into y−c
 	var sum float64
 	d := w.Data()
 	for y := 0; y < k; y++ {
 		for x := 0; x < k; x++ {
-			v := math.Exp(-((float64(y)-c)*(float64(y)-c) + (float64(x)-c)*(float64(x)-c)) / (2 * sigma * sigma))
+			dy, dx := float64(y)-c, float64(x)-c
+			v := math.Exp(-(float64(dy*dy) + float64(dx*dx)) / (2 * sigma * sigma))
 			d[y*k+x] = float32(v)
 			sum += v
 		}

@@ -147,7 +147,7 @@ func (d *Device) NodeTime(c graph.NodeCost, id approx.KnobID) float64 {
 		return base / promise.ThroughputGain(k.Level)
 	}
 	rc, rm := approx.CostFactors(id)
-	comp := d.computeOPS * d.freqScale()
+	comp := float64(d.computeOPS * d.freqScale())
 	if k.Prec == tensorops.FP16 && d.hasFP16 {
 		comp *= 2 // double-rate half precision
 	}
@@ -180,11 +180,11 @@ func (d *Device) NodeEnergy(c graph.NodeCost, id approx.KnobID) float64 {
 	if k.Kind == approx.KindPromise {
 		// Energy advantage of the analog array over digital execution.
 		baseT := c.Nc/d.computeOPS + c.Nm/d.memOPS + d.launchOver
-		baseE := (d.unitLeakW+d.unitDynW)*baseT + dramEnergy(c.Nm)
+		baseE := float64((d.unitLeakW+d.unitDynW)*baseT) + dramEnergy(c.Nm)
 		return baseE / promise.EnergyReduction(k.Level)
 	}
 	_, rm := approx.CostFactors(id)
-	return d.unitPower()*t + dramEnergy(c.Nm/rm)
+	return float64(d.unitPower()*t) + dramEnergy(c.Nm/rm)
 }
 
 // Energy returns the modeled energy of a whole invocation under cfg,
@@ -198,19 +198,19 @@ func (d *Device) Energy(costs []graph.NodeCost, cfg approx.Config) float64 {
 		}
 		e += d.NodeEnergy(c, cfg.Knob(c.ID))
 	}
-	e += (d.ddrW*0.3 + d.sysBaseW) * d.Time(costs, cfg) // static rails
+	e += float64((float64(d.ddrW*0.3) + d.sysBaseW) * d.Time(costs, cfg)) // static rails
 	return e
 }
 
 // dramEnergy charges ~20 pJ per 4-byte element moved, a typical LPDDR4
 // figure.
-func dramEnergy(elems float64) float64 { return 20e-12 * elems }
+func dramEnergy(elems float64) float64 { return float64(20e-12 * elems) }
 
 // unitPower is the unit's power draw while busy at the current frequency.
 // Dynamic power scales ≈ f·V² ≈ f^2 over the DVFS range.
 func (d *Device) unitPower() float64 {
 	s := d.freqScale()
-	return d.unitLeakW + d.unitDynW*math.Pow(s, 2.0)
+	return d.unitLeakW + float64(d.unitDynW*math.Pow(s, 2.0))
 }
 
 // Rails reports the instantaneous busy-state power of the GPU/CPU, DDR and

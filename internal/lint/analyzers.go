@@ -11,10 +11,8 @@ import (
 func AllAnalyzers() []Analyzer {
 	return []Analyzer{
 		DetRand{},
-		SpanEnd{},
 		HTTPDefault{},
 		MetricName{},
-		PoolAudit{},
 	}
 }
 

@@ -5,9 +5,8 @@
 //
 // The engine exists because some of ApproxTuner's guarantees hinge on
 // invariants neither the Go type system nor any test can see: tuning must
-// be reproducible (seeded RNG only), trace spans and scratch buffers must
-// be released on every path, HTTP clients must carry a timeout, and metric
-// names must be literals. Each of those rules is one Analyzer in this
+// be reproducible (seeded RNG only), HTTP clients must carry a timeout, and
+// metric names must be literals. Each of those rules is one Analyzer in this
 // package, and only rules no other gate owns live here (go vet, gofmt, the
 // race detector and the digest pins have their own); the suite runs inside
 // `go test` as TestRepositoryIsLintClean, and cmd/approxlint runs it from
@@ -42,12 +41,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-
-	// Anchor, when set, is where the finding's cause sits: a //lint:ignore
-	// there covers it as one at Pos does. The flow-sensitive analyzers
-	// report a leak where the path ends — many lines from the acquisition,
-	// which is the stable line to annotate.
-	Anchor token.Position
 }
 
 func (d Diagnostic) String() string {
@@ -79,17 +72,10 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfAt(pos, token.NoPos, format, args...)
-}
-
-// ReportfAt records a diagnostic at pos anchored at its cause (see
-// Diagnostic.Anchor).
-func (p *Pass) ReportfAt(pos, anchor token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.analyzer,
 		Message:  fmt.Sprintf(format, args...),
-		Anchor:   p.Fset.Position(anchor),
 	})
 }
 
@@ -208,7 +194,7 @@ func (d *ignoreDirective) covers(analyzer string) bool {
 }
 
 // applySuppressions drops diagnostics covered by a directive on the same
-// line or the line directly above — theirs or their anchor's — and adds
+// line or the line directly above, and adds
 // findings for malformed or unused directives so suppressions cannot rot
 // silently.
 func applySuppressions(pkgs []*Package, diags []Diagnostic, known map[string]bool) []Diagnostic {
@@ -232,13 +218,11 @@ func applySuppressions(pkgs []*Package, diags []Diagnostic, known map[string]boo
 	var kept []Diagnostic
 	for _, diag := range diags {
 		suppressed := false
-		for _, at := range []token.Position{diag.Pos, diag.Anchor} {
-			for _, line := range []int{at.Line, at.Line - 1} {
-				for _, d := range byLine[at.Filename][line] {
-					if d.covers(diag.Analyzer) && d.reason != "" {
-						d.used = true
-						suppressed = true
-					}
+		for _, line := range []int{diag.Pos.Line, diag.Pos.Line - 1} {
+			for _, d := range byLine[diag.Pos.Filename][line] {
+				if d.covers(diag.Analyzer) && d.reason != "" {
+					d.used = true
+					suppressed = true
 				}
 			}
 		}

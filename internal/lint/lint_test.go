@@ -74,7 +74,7 @@ func wantMarkers(t *testing.T, pkgs []*Package) map[string]bool {
 
 // ruleFixtures are the testdata/src packages with // want markers, one per
 // analyzer.
-var ruleFixtures = []string{"detrand", "spanfix", "httpdefault", "metricname", "poolaudit"}
+var ruleFixtures = []string{"detrand", "httpdefault", "metricname"}
 
 // TestAnalyzersOnFixtures runs the full suite over each fixture package and
 // compares the findings against the // want markers: every marker must
@@ -135,55 +135,6 @@ func TestDirectiveFindings(t *testing.T) {
 	}
 }
 
-// TestFlowIgnoreInteraction pins the flow-analyzer suppression contract:
-// a reasoned //lint:ignore on the ACQUIRE line suppresses the
-// path-dependent leak diagnostic reported at the (distant) leak site; a
-// reason-less directive suppresses nothing and is itself a finding.
-func TestFlowIgnoreInteraction(t *testing.T) {
-	pkgs := loadFixture(t, "flowignore")
-	diags := NewRunner().Run(pkgs)
-
-	var pool, malformed []Diagnostic
-	for _, d := range diags {
-		switch {
-		case d.Analyzer == "poolaudit":
-			pool = append(pool, d)
-		case d.Analyzer == "lintdirective" && strings.Contains(d.Message, "malformed"):
-			malformed = append(malformed, d)
-		}
-	}
-	if len(pool) != 1 {
-		t.Fatalf("got %d poolaudit findings, want exactly 1 (the malformed-directive leak): %v", len(pool), pool)
-	}
-	if len(malformed) != 1 {
-		t.Fatalf("got %d malformed-directive findings, want 1: %v", len(malformed), malformed)
-	}
-	// The surviving leak must be the one under the reason-less directive,
-	// i.e. strictly after the malformed directive's own line.
-	if pool[0].Pos.Line <= malformed[0].Pos.Line {
-		t.Errorf("surviving poolaudit finding at line %d is not below the malformed directive at line %d — the reasoned suppression leaked through",
-			pool[0].Pos.Line, malformed[0].Pos.Line)
-	}
-}
-
-// TestTwoLeaksAtOneReturn pins the resource engine's de-duplication key:
-// findings are distinct when their formatted messages are, so two buffers
-// leaking at the same return are both reported.
-func TestTwoLeaksAtOneReturn(t *testing.T) {
-	diags := NewRunner().Run(loadFixture(t, "leakpair"))
-	if len(diags) != 2 {
-		t.Fatalf("got %d findings, want one per leaked buffer: %v", len(diags), diags)
-	}
-	if diags[0].Pos != diags[1].Pos {
-		t.Errorf("findings at %v and %v, want both at the early return", diags[0].Pos, diags[1].Pos)
-	}
-	for i, name := range []string{`"a"`, `"b"`} {
-		if !strings.Contains(diags[i].Message, "scratch buffer "+name) {
-			t.Errorf("finding %d = %q, want the leak of %s", i, diags[i].Message, name)
-		}
-	}
-}
-
 // TestParallelDeterminism pins byte-identical output at every processor
 // count over a multi-package load: Run fans out over GOMAXPROCS, and the
 // findings must not depend on it.
@@ -230,10 +181,10 @@ func TestDiagnosticFormat(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry checks the suite covers the five project rules and
+// TestAnalyzerRegistry checks the suite covers the three project rules and
 // that names resolve.
 func TestAnalyzerRegistry(t *testing.T) {
-	names := []string{"detrand", "spanend", "httpdefault", "metricname", "poolaudit"}
+	names := []string{"detrand", "httpdefault", "metricname"}
 	all := AllAnalyzers()
 	if len(all) != len(names) {
 		t.Fatalf("suite has %d analyzers, want %d", len(all), len(names))

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -113,6 +114,9 @@ func FromSpec(spec ModelSpec) (*Model, error) {
 	if width == 0 {
 		width = 1
 	}
+	if n := specBytes(spec.Layers, in, width); n > maxSpecBytes {
+		return nil, fmt.Errorf("models: spec needs about %.0f MiB of weights and activations, limit %d MiB", n/(1<<20), maxSpecBytes>>20)
+	}
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 1
@@ -125,6 +129,78 @@ func FromSpec(spec ModelSpec) (*Model, error) {
 		return nil, fmt.Errorf("models: compiled graph is invalid: %w", errors.Join(errs...))
 	}
 	return b.finish(in.Channels, in.Height, in.Width, spec.Classes), nil
+}
+
+// maxSpecBytes bounds what compiling an untrusted spec may allocate: the
+// float32 weights plus the activations of the probe batch finish runs.
+// It is checked from the spec alone, before any tensor exists.
+const maxSpecBytes = 64 << 20
+
+// specBytes estimates maxSpecBytes' quantity for layers applied to an in
+// input at the given width multiplier, following buildLayer's shapes in
+// float64, so no spec overflows it, with every product rounded before it
+// is summed, so arm64 reaches amd64's verdict. No layer counts negative, so an invalid
+// one, which buildLayer rejects only after building the layers before it,
+// cannot hide their size.
+func specBytes(layers []LayerSpec, in InputSpec, width float64) float64 {
+	g := &specGeom{ch: (&builder{width: width}).ch, c: float64(in.Channels), h: float64(in.Height), w: float64(in.Width)}
+	params, acts := g.estimate(layers)
+	return 4 * (params + float64(probeImages*acts))
+}
+
+// specGeom is the activation geometry specBytes tracks, with the builder's
+// width scaling.
+type specGeom struct {
+	ch      func(int) int
+	c, h, w float64
+}
+
+// estimate walks layers over g, which it updates, and returns their weight
+// and bias count and the elements of one image's activations.
+func (g *specGeom) estimate(layers []LayerSpec) (params, acts float64) {
+	out := func(n float64, k, s, p int) float64 {
+		return max(math.Floor((n+2*float64(p)-float64(k))/float64(max(s, 1)))+1, 0)
+	}
+	for _, l := range layers {
+		switch l.Type {
+		case "conv":
+			cout, cin := float64(g.ch(l.Filters)), g.c
+			if l.Groups > 1 && l.Groups == l.Filters {
+				cout, cin = g.c, 1
+			} else if l.Groups > 1 {
+				cin = g.c / float64(l.Groups)
+			}
+			k := float64(l.Kernel)
+			params += float64(cout*cin*k*k) + cout
+			pad := 2 * float64(max(l.Pad, 0))
+			acts += float64(g.c * (g.h + pad) * (g.w + pad)) // padded planes
+			g.c, g.h, g.w = cout, out(g.h, l.Kernel, l.Stride, l.Pad), out(g.w, l.Kernel, l.Stride, l.Pad)
+		case "dense":
+			units := max(l.Units, 0)
+			if units > 16 {
+				units = g.ch(units)
+			}
+			params += float64(g.c*g.h*g.w*float64(units)) + float64(units)
+			g.c, g.h, g.w = float64(units), 1, 1
+		case "maxpool", "avgpool":
+			s := l.Stride
+			if s <= 0 {
+				s = l.Kernel
+			}
+			g.h, g.w = out(g.h, l.Kernel, s, 0), out(g.w, l.Kernel, s, 0)
+		case "global_avg_pool":
+			g.h, g.w = 1, 1
+		case "flatten":
+			g.c, g.h, g.w = g.c*g.h*g.w, 1, 1
+		case "residual":
+			inC := g.c
+			p, a := g.estimate(l.Layers)
+			params += p + float64(inC*g.c) + g.c // the projection shortcut
+			acts += a + float64(2*g.c*g.h*g.w)
+		}
+		acts += float64(g.c * g.h * g.w)
+	}
+	return params, acts
 }
 
 // spatialLayers are the layer types that need an (N,C,H,W) activation.

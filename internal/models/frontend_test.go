@@ -1,6 +1,7 @@
 package models
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -179,6 +180,27 @@ func TestFromJSONErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error = %v, want containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+func TestFromJSONRejectsOversizedSpec(t *testing.T) {
+	// 4096 filters of 3×3×4096 are 604 MB of weights: rejected before any
+	// tensor is allocated, and before buildLayer sees the bad dense layer.
+	spec := `{"name":"x","input":{"channels":4096,"height":8,"width":8},"classes":2,"layers":[
+		{"type":"conv","filters":4096,"kernel":3,"pad":1},{"type":"dense","units":-1}]}`
+	_, err := FromJSON([]byte(spec))
+	if err == nil || !strings.Contains(err.Error(), "limit 64 MiB") {
+		t.Fatalf("error = %v, want the size limit", err)
+	}
+	if n := specBytes([]LayerSpec{{Type: "conv", Filters: 4096, Kernel: 3, Pad: 1}}, InputSpec{4096, 8, 8}, 1); n < 604e6 {
+		t.Errorf("estimate %.0f bytes, want at least the weights' 604e6", n)
+	}
+	var tiny ModelSpec
+	if err := json.Unmarshal([]byte(tinyVGGSpec), &tiny); err != nil {
+		t.Fatal(err)
+	}
+	if n := specBytes(tiny.Layers, tiny.Input, tiny.WidthMult); n <= 0 || n > maxSpecBytes/16 {
+		t.Errorf("tiny_vgg estimated at %.0f bytes", n)
 	}
 }
 

@@ -191,6 +191,9 @@ func (b *builder) softmax() {
 	b.last = b.g.Softmax(b.last)
 }
 
+// probeImages is the batch finish executes to standardize the weights.
+const probeImages = 8
+
 func (b *builder) finish(c, h, w, classes int) *Model {
 	if err := b.g.Validate(); err != nil {
 		panic("models: " + err.Error())
@@ -198,7 +201,7 @@ func (b *builder) finish(c, h, w, classes int) *Model {
 	// Fold probe-batch normalization statistics into the weights (the
 	// inference-time equivalent of trained batch norm); without this, deep
 	// randomly-initialized stacks produce degenerate logits.
-	probe := datasets.Generate(datasets.Spec{Name: "probe", N: 8, C: c, H: h, W: w, Classes: 1, Seed: 424242})
+	probe := datasets.Generate(datasets.Spec{Name: "probe", N: probeImages, C: c, H: h, W: w, Classes: 1, Seed: 424242})
 	b.g.StandardizeWeights(probe.Images)
 	return &Model{Graph: b.g, C: c, H: h, W: w, Classes: classes}
 }

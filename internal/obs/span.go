@@ -84,6 +84,14 @@ func (t *Tracer) Start(name string) *Span {
 	return t.newSpan(name, 0, TraceID{}, SpanID{})
 }
 
+// openSpans counts the spans begun and not yet ended, on every tracer.
+var openSpans atomic.Int64
+
+// OpenSpans returns how many spans have been started and not ended. The
+// test binaries that open spans require it to be zero when they exit
+// (internal/leakcheck).
+func OpenSpans() int64 { return openSpans.Load() }
+
 // newSpan is the single span constructor: a zero trace ID mints a fresh
 // trace (root span); a non-zero one continues it with parentSID as the
 // parent span (local child or remote continuation).
@@ -91,6 +99,7 @@ func (t *Tracer) newSpan(name string, parent int64, trace TraceID, parentSID Spa
 	if trace.IsZero() {
 		trace = t.ids.TraceID()
 	}
+	openSpans.Add(1)
 	return &Span{
 		tr:     t,
 		id:     t.nextID.Add(1),
@@ -249,7 +258,7 @@ func (s *Span) AcquireDetail() bool {
 }
 
 // End closes the span, exporting it to the tracer's sinks. Ending twice
-// is a no-op.
+// is a no-op, and counts once in OpenSpans.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -260,6 +269,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
+	openSpans.Add(-1)
 	end := Now()
 	rec := SpanRecord{
 		ID:           s.id,

@@ -631,3 +631,36 @@ func TestTracedBracketAllocs(t *testing.T) {
 		t.Errorf("traced two-span bracket allocates %.0f times, want at most 4", n)
 	}
 }
+
+// TestOpenSpansCountsEveryStart pins the count leakcheck reads: every
+// constructor counts its span once, the first End uncounts it, a second
+// End and a nil span do nothing.
+func TestOpenSpansCountsEveryStart(t *testing.T) {
+	before := OpenSpans()
+	open := func(want int64) {
+		t.Helper()
+		if got := OpenSpans() - before; got != want {
+			t.Fatalf("%d spans open, want %d", got, want)
+		}
+	}
+	tr := NewTracer(TracerOptions{IDSeed: 3})
+	root := tr.Start("root")
+	child := root.Child("child")
+	ctx, fromCtx := tr.StartCtx(context.Background(), "ctx")
+	_, nested := tr.StartCtx(ctx, "nested")
+	remote := tr.StartRemote(root.Context(), "remote")
+	open(5)
+	for _, sp := range []*Span{nested, fromCtx, remote, child, root} {
+		sp.End()
+		sp.End()
+	}
+	open(0)
+
+	var none *Span
+	none.Child("x").End()
+	none.End()
+	var off *Tracer
+	_, sp := off.StartCtx(context.Background(), "off")
+	sp.End()
+	open(0)
+}

@@ -106,7 +106,8 @@ func Perturb(out *tensor.Tensor, level int, rng *tensor.RNG) {
 	}
 	var sum float64
 	for _, v := range d {
-		sum += float64(v) * float64(v)
+		x := float64(v)
+		sum += float64(x * x)
 	}
 	rms := math.Sqrt(sum / float64(len(d)))
 	// guards division by an exactly-zero RMS (all-zero output tensor)

@@ -37,7 +37,6 @@ type InferResponse struct {
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 	start := time.Now()
-	//lint:ignore spanend finishRequest ends the request span once latency and status are known
 	sp := s.startRequestSpan(w, r)
 	var sw0, al0 int
 	if sp != nil {

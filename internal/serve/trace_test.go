@@ -266,7 +266,6 @@ func requestBracket(tb testing.TB, traced bool) func() {
 	w := httptest.NewRecorder()
 	r := httptest.NewRequest(http.MethodPost, "/v1/infer", nil)
 	return func() {
-		//lint:ignore spanend finishRequest ends the span
 		sp := s.startRequestSpan(w, r)
 		s.finishRequest(sp, 3*time.Millisecond, http.StatusOK, 0, 0)
 	}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -16,8 +17,12 @@ import (
 //
 // Contract: Scratch returns a buffer of exactly the requested length whose
 // contents are UNSPECIFIED — callers must fully overwrite it before
-// reading. Release returns a buffer to its class; the caller must not
-// retain any reference afterwards. Both are goroutine-safe.
+// reading. Release(&buf) returns the buffer to its class and sets buf to
+// nil, so a second Release of the same variable does nothing and a read
+// through it panics; the caller must not retain another reference. Both
+// are goroutine-safe. Outstanding counts the buffers handed out and not
+// yet released; the test binaries that run kernels require it to be zero
+// when they exit (internal/leakcheck).
 
 // Pool telemetry: hits (buffer served from an arena), misses (fresh
 // allocation), and the bytes of allocation the hits avoided.
@@ -36,6 +41,12 @@ const (
 )
 
 var scratchArenas [maxPoolClass + 1]sync.Pool
+
+// outstanding is Scratch's non-nil buffers less the ones Released.
+var outstanding atomic.Int64
+
+// Outstanding returns how many Scratch buffers have not been Released.
+func Outstanding() int64 { return outstanding.Load() }
 
 // headerPool recycles the *[]float32 headers the arenas store, so a
 // Scratch/Release round-trip is allocation-free in steady state (boxing a
@@ -61,13 +72,14 @@ func poolClass(n int) int {
 }
 
 // Scratch returns a length-n float32 buffer with unspecified contents,
-// drawn from the pool when possible.
+// drawn from the pool when possible; nil when n ≤ 0.
 func Scratch(n int) []float32 {
+	if n <= 0 {
+		return nil
+	}
+	outstanding.Add(1)
 	c := poolClass(n)
 	if c < 0 {
-		if n <= 0 {
-			return nil
-		}
 		mPoolMisses.Inc()
 		return make([]float32, n)
 	}
@@ -84,10 +96,16 @@ func Scratch(n int) []float32 {
 	return make([]float32, n, 1<<c)
 }
 
-// Release returns a buffer obtained from Scratch to its arena. Buffers
-// outside the pooled capacity range (including nil) are dropped for the
-// garbage collector.
-func Release(buf []float32) {
+// Release returns the buffer *p obtained from Scratch to its arena and sets
+// *p to nil; a nil *p is left alone. Buffers outside the pooled capacity
+// range are dropped for the garbage collector.
+func Release(p *[]float32) {
+	buf := *p
+	if buf == nil {
+		return
+	}
+	*p = nil
+	outstanding.Add(-1)
 	c := cap(buf)
 	if c < 1<<minPoolClass || c > 1<<maxPoolClass || c&(c-1) != 0 {
 		return

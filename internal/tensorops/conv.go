@@ -154,14 +154,14 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 			xd = q
 		} else {
 			xq := quantizedScratch(xd)
-			defer tensor.Release(xq)
+			defer tensor.Release(&xq)
 			xd = xq
 		}
 		if q, ok := cachedQuantized(w); ok {
 			wdat = q
 		} else {
 			wq := quantizedScratch(wdat)
-			defer tensor.Release(wq)
+			defer tensor.Release(&wq)
 			wdat = wq
 		}
 	}
@@ -208,14 +208,14 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 		if pl.ph|pl.pw != 0 {
 			pad = tensor.Scratch(imgs * cig * pl.hp * pl.wp)
 			pl.zeroBorders(pad)
-			defer tensor.Release(pad)
+			defer tensor.Release(&pad)
 		}
 		if imgs > 1 {
 			shared = tensor.Scratch(cog * ncols)
-			defer tensor.Release(shared)
+			defer tensor.Release(&shared)
 			if perf != nil {
 				full = tensor.Scratch(cog * imgs * how)
-				defer tensor.Release(full)
+				defer tensor.Release(&full)
 			}
 		}
 		for u := lo * grain; u < hi*grain; u++ {

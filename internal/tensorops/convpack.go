@@ -422,9 +422,9 @@ func (pl *convPlan) blockedRange(a, planes, c []float32, m, ldc int, ep *rowEpi,
 			copy(crow, ct[i*gemmNR:])
 			ep.apply(crow, chan0+i)
 		}
-		tensor.Release(ct)
+		tensor.Release(&ct)
 	}
-	tensor.Release(buf)
+	tensor.Release(&buf)
 }
 
 // lowerTaps builds direct's table from wd, the co × kc weights in the

@@ -165,7 +165,7 @@ func gemmFresh(a, b, c []float32, m, k, n int, quantB bool, ep *rowEpi) {
 	}
 	buf := tensor.Scratch(prepackedLen(k, n))
 	gemmRun(a, c, m, k, n, buildPrepacked(buf, b, k, n, quantB), ep)
-	tensor.Release(buf)
+	tensor.Release(&buf)
 }
 
 // gemmRun is the blocked kernel: C (m×n) += A (m×k) · B with B in packed
@@ -188,7 +188,7 @@ func gemmSaxpyRows(lo, hi int, a, b, c []float32, k, n int, quantB bool, ep *row
 	var qrow []float32
 	if quantB {
 		qrow = tensor.Scratch(n)
-		defer tensor.Release(qrow)
+		defer tensor.Release(&qrow)
 	}
 	for i := lo; i < hi; i++ {
 		crow := c[i*n : (i+1)*n]
@@ -430,7 +430,7 @@ func MatMulFused(x, w *tensor.Tensor, prec Precision, ep Epilogue) *tensor.Tenso
 			xd = q
 		} else {
 			xq := quantizedScratch(xd)
-			defer tensor.Release(xq)
+			defer tensor.Release(&xq)
 			xd = xq
 		}
 	}

@@ -104,7 +104,7 @@ func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, 
 	xd := x.Data()
 	if prec == FP16 {
 		q := quantizedScratch(xd)
-		defer tensor.Release(q)
+		defer tensor.Release(&q)
 		xd = q
 	}
 	out := tensor.New(n, c, ho, wo)
@@ -320,7 +320,7 @@ func Reduce(x *tensor.Tensor, kind ReduceKind, num, den int, prec Precision) *te
 	xd := x.Data()
 	if prec == FP16 {
 		q := quantizedScratch(xd)
-		defer tensor.Release(q)
+		defer tensor.Release(&q)
 		xd = q
 	}
 	out := tensor.New(n, c)
