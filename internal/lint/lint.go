@@ -194,9 +194,8 @@ func (d *ignoreDirective) covers(analyzer string) bool {
 }
 
 // applySuppressions drops diagnostics covered by a directive on the same
-// line or the line directly above, and adds
-// findings for malformed or unused directives so suppressions cannot rot
-// silently.
+// line or the line directly above, and adds findings for malformed or
+// unused directives so suppressions cannot rot silently.
 func applySuppressions(pkgs []*Package, diags []Diagnostic, known map[string]bool) []Diagnostic {
 	// filename -> line -> directives on that line
 	byLine := make(map[string]map[int][]*ignoreDirective)

@@ -137,11 +137,11 @@ func FromSpec(spec ModelSpec) (*Model, error) {
 const maxSpecBytes = 64 << 20
 
 // specBytes estimates maxSpecBytes' quantity for layers applied to an in
-// input at the given width multiplier, following buildLayer's shapes in
-// float64, so no spec overflows it, with every product rounded before it
-// is summed, so arm64 reaches amd64's verdict. No layer counts negative, so an invalid
-// one, which buildLayer rejects only after building the layers before it,
-// cannot hide their size.
+// input at the given width multiplier, following buildLayer's shapes. It
+// counts in float64, so no spec overflows it, and rounds every product
+// before summing it, so arm64 reaches amd64's verdict. No layer counts
+// negative: an invalid one, which buildLayer rejects only after building
+// the layers before it, cannot hide their size.
 func specBytes(layers []LayerSpec, in InputSpec, width float64) float64 {
 	g := &specGeom{ch: (&builder{width: width}).ch, c: float64(in.Channels), h: float64(in.Height), w: float64(in.Width)}
 	params, acts := g.estimate(layers)
