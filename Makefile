@@ -92,11 +92,14 @@ test:
 # run without it (test-benchmark). The worker team behaves differently
 # with no helper, one helper and more helpers than this host has cores, so
 # its package runs again at each — and so does the convolution test whose
-# workers each pad input planes into a buffer of their own.
+# workers each pad input planes into a buffer of their own, and the test
+# that runs one graph from four goroutines, whose executions hand their
+# activations back to one shared pool.
 race:
 	$(GO) test -race -timeout 45m $$($(GO) list ./... | grep -v '^repro/benchmark$$')
 	$(GO) test -race -cpu 1,2,4 ./internal/parallel
 	$(GO) test -race -cpu 1,2,4 -run TestConvPaddedPlanesPerWorker ./internal/tensorops
+	$(GO) test -race -cpu 1,2,4 -run TestExecuteConcurrent ./internal/models
 
 test-benchmark:
 	$(GO) test ./benchmark

@@ -23,14 +23,19 @@ import (
 // knobs (the perturbation RNG stream is sequential over the whole batch)
 // or INT8 knobs (activation quantization picks a per-tensor scale over
 // the whole batch, coupling the shards); graphs whose output is the input
-// node itself; and moments when the worker team is taken (an outer
-// parallel loop is running — the shards would serialize inline and only
-// add concatenation overhead).
+// node itself or a view of it (a shard's output is recycled once copied,
+// and that one is the caller's input); and moments when the worker team
+// is taken (an outer parallel loop is running — the shards would
+// serialize inline and only add concatenation overhead).
 func (g *Graph) shardable(input *tensor.Tensor, cfg approx.Config) bool {
 	if input.Rank() < 2 || input.Dim(0) < 2 {
 		return false
 	}
-	if g.Nodes[g.Output].Kind == OpInput {
+	out := g.Output
+	for g.Nodes[out].Kind == OpFlatten {
+		out = g.Nodes[out].Inputs[0]
+	}
+	if g.Nodes[out].Kind == OpInput {
 		return false
 	}
 	if parallel.Available() == 0 {
@@ -45,17 +50,13 @@ func (g *Graph) shardable(input *tensor.Tensor, cfg approx.Config) bool {
 	return true
 }
 
-// executeSharded splits the batch into contiguous shards (one per worker,
-// mirroring parallel.ForChunked's partition), runs the full graph on each
-// shard concurrently, and concatenates the shard outputs in batch order
-// into a fresh tensor.
-func (g *Graph) executeSharded(input *tensor.Tensor, cfg approx.Config, opts ExecOptions) *tensor.Tensor {
-	return g.executeShardedWorkers(input, cfg, opts, parallel.Workers())
-}
-
-// executeShardedWorkers is executeSharded with an explicit shard-count
-// target, so the shard/concatenate path is exercisable (and its
-// bit-identity pinnable) regardless of the host's core count.
+// executeShardedWorkers splits the batch into contiguous shards (one per
+// worker, mirroring parallel.ForChunked's partition), runs the full graph on
+// each shard concurrently, and concatenates the shard outputs in batch order
+// into a pooled tensor; each shard's output goes back to the pool once it is
+// copied. The shard-count target is explicit so the shard/concatenate path
+// is exercisable (and its bit-identity pinnable) regardless of the host's
+// core count; Execute passes parallel.Workers().
 func (g *Graph) executeShardedWorkers(input *tensor.Tensor, cfg approx.Config, opts ExecOptions, workers int) *tensor.Tensor {
 	n := input.Dim(0)
 	if workers > n {
@@ -85,10 +86,11 @@ func (g *Graph) executeShardedWorkers(input *tensor.Tensor, cfg approx.Config, o
 	first := outs[0]
 	per := first.Elems() / first.Dim(0)
 	odims := append([]int{n}, first.Shape().Dims()[1:]...)
-	out := tensor.New(odims...)
+	out := tensor.NewPooled(odims...)
 	od := out.Data()
 	for ci, so := range outs {
 		copy(od[ci*chunk*per:], so.Data())
+		tensor.Recycle(so)
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/promise"
 	"repro/internal/tensor"
 	"repro/internal/tensorops"
@@ -38,7 +39,7 @@ func (g *Graph) Execute(input *tensor.Tensor, cfg approx.Config, opts ExecOption
 	// that is already taken has nothing to shard.
 	var out *tensor.Tensor
 	if opts.Trace == nil && g.shardable(input, cfg) {
-		out = g.executeSharded(input, cfg, opts)
+		out = g.executeShardedWorkers(input, cfg, opts, parallel.Workers())
 	} else {
 		out = g.executeOnce(input, cfg, opts)
 	}
@@ -49,15 +50,16 @@ func (g *Graph) Execute(input *tensor.Tensor, cfg approx.Config, opts ExecOption
 // executeOnce is the single-goroutine full run behind Execute and behind
 // each of its shards.
 func (g *Graph) executeOnce(input *tensor.Tensor, cfg approx.Config, opts ExecOptions) *tensor.Tensor {
-	return g.sweep(input, nil, 0, cfg, opts)[g.Output]
+	return g.sweep(input, nil, 0, cfg, opts, true)[g.Output]
 }
 
 // ExecuteAll runs the program and returns every node's value (indexed by
 // node ID). The per-node values let profile collection re-execute only the
-// suffix of the graph affected by approximating a single operator.
+// suffix of the graph affected by approximating a single operator. It
+// recycles nothing: every value it returns is the caller's.
 func (g *Graph) ExecuteAll(input *tensor.Tensor, cfg approx.Config, opts ExecOptions) []*tensor.Tensor {
 	sp, opts := g.traced(opts, "all")
-	vals := g.sweep(input, nil, 0, cfg, opts)
+	vals := g.sweep(input, nil, 0, cfg, opts, false)
 	sp.End()
 	return vals
 }
@@ -73,7 +75,7 @@ func (g *Graph) ExecuteFrom(base []*tensor.Tensor, from int, cfg approx.Config, 
 	}
 	sp, opts := g.traced(opts, "suffix")
 	opts.Trace.With("from", from)
-	out := g.sweep(nil, base, from, cfg, opts)[g.Output]
+	out := g.sweep(nil, base, from, cfg, opts, true)[g.Output]
 	sp.End()
 	return out
 }
@@ -92,10 +94,18 @@ func (g *Graph) traced(opts ExecOptions, mode string) (*obs.Span, ExecOptions) {
 
 // sweep is the one node loop: over a private copy of base (nil for a full
 // run, whose input nodes take input) it executes every operator with
-// ID ≥ from in order and returns all the values.
-func (g *Graph) sweep(input *tensor.Tensor, base []*tensor.Tensor, from int, cfg approx.Config, opts ExecOptions) []*tensor.Tensor {
+// ID ≥ from in order and returns all the values. With recycle set, each
+// value this sweep computed goes back to the tensor pool right after the
+// last node reading it has run (liveness), and later outputs are drawn
+// from that memory; the program input, base's values and the output are
+// never handed back, and a recycled value's entry in the result is nil.
+func (g *Graph) sweep(input *tensor.Tensor, base []*tensor.Tensor, from int, cfg approx.Config, opts ExecOptions, recycle bool) []*tensor.Tensor {
 	vals := make([]*tensor.Tensor, len(g.Nodes))
 	copy(vals, base)
+	var owner, last []int32
+	if recycle {
+		owner, last = g.liveness()
+	}
 	for _, n := range g.Nodes {
 		if n.Kind == OpInput {
 			if base == nil {
@@ -103,9 +113,53 @@ func (g *Graph) sweep(input *tensor.Tensor, base []*tensor.Tensor, from int, cfg
 			}
 		} else if n.ID >= from {
 			vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), opts)
+			if recycle {
+				// A buffer dies at its last reader, or at its producer
+				// when nothing reads it.
+				for _, id := range n.Inputs {
+					g.recycleDead(vals, last, owner[id], n.ID, from)
+				}
+				g.recycleDead(vals, last, owner[n.ID], n.ID, from)
+			}
 		}
 	}
 	return vals
+}
+
+// recycleDead hands buffer o back to the pool if node at was its last
+// reader and this sweep computed it, then marks it handed back so a node
+// reading it twice cannot return it twice, and drops the value.
+func (g *Graph) recycleDead(vals []*tensor.Tensor, last []int32, o int32, at, from int) {
+	if int(last[o]) != at || int(o) < from || g.Nodes[o].Kind == OpInput {
+		return
+	}
+	last[o] = -1
+	tensor.Recycle(vals[o])
+	vals[o] = nil
+}
+
+// liveness derives buffer lifetimes from the topology alone. owner[i] is
+// the node whose buffer holds node i's value: i itself, or for a Flatten
+// (a view of its input) its input's owner. last[o] is the ID of the last
+// node that reads buffer o through any of its views, or −1 for the
+// output's buffer, which outlives the sweep.
+func (g *Graph) liveness() (owner, last []int32) {
+	buf := make([]int32, 2*len(g.Nodes))
+	owner, last = buf[:len(g.Nodes)], buf[len(g.Nodes):]
+	for _, n := range g.Nodes {
+		o := int32(n.ID)
+		if n.Kind == OpFlatten {
+			o = owner[n.Inputs[0]]
+		}
+		owner[n.ID] = o
+		// Nodes run in ascending ID, so the latest assignment is the max.
+		last[o] = int32(n.ID)
+		for _, id := range n.Inputs {
+			last[owner[id]] = int32(n.ID)
+		}
+	}
+	last[owner[g.Output]] = -1
+	return owner, last
 }
 
 func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, opts ExecOptions) *tensor.Tensor {

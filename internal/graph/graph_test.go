@@ -335,3 +335,77 @@ func TestExecuteAllBaselineOutputs(t *testing.T) {
 		}
 	}
 }
+
+// TestLivenessFollowsFlattenViews pins the buffer lifetimes sweep recycles
+// by: a Flatten is a view, so it and its input share one owner, whose last
+// reader is the last reader of either; a node reading one buffer twice
+// counts once; the output's buffer, reached through a Flatten here, is
+// never handed back.
+func TestLivenessFollowsFlattenViews(t *testing.T) {
+	rng := tensor.NewRNG(17)
+	gr := New("views")
+	w := tensor.New(2, 1, 3, 3)
+	rng.FillHe(w, 9)
+	c := gr.ConvAct(gr.InputID(), w, nil, tensorops.ConvParams{PadH: 1, PadW: 1}, ActReLU, 0, "conv")
+	sq := gr.Mul(c, c)
+	fl := gr.Flatten(sq)
+	sm := gr.Softmax(fl)
+	sum := gr.Add(sm, fl)
+	out := gr.Flatten(sum)
+
+	owner, last := gr.liveness()
+	for id, want := range map[int]int{c: c, sq: sq, fl: sq, sm: sm, sum: sum, out: sum} {
+		if int(owner[id]) != want {
+			t.Errorf("owner[%d] = %d, want %d", id, owner[id], want)
+		}
+	}
+	for o, want := range map[int]int{c: sq, sq: sum, sm: sum, sum: -1} {
+		if int(last[o]) != want {
+			t.Errorf("last[%d] = %d, want %d", o, last[o], want)
+		}
+	}
+
+	in := tensor.New(2, 1, 4, 4)
+	rng.FillNormal(in, 0, 1)
+	want := gr.ExecuteAll(in, nil, ExecOptions{})[gr.Output]
+	for call := 0; call < 3; call++ {
+		if got := gr.Execute(in, nil, ExecOptions{}); !tensor.Equal(got, want, 0) {
+			t.Fatalf("call %d: Execute differs from ExecuteAll's output", call)
+		}
+	}
+}
+
+// TestExecuteKeepsCallerBuffers: sweep never recycles the program input,
+// a value ExecuteFrom was handed in base, or the output — here a view of
+// the input on one graph, and a Flatten of a base value on another.
+func TestExecuteKeepsCallerBuffers(t *testing.T) {
+	rng := tensor.NewRNG(18)
+	id := New("identity")
+	id.Flatten(id.InputID())
+	in := tensor.New(4, 1, 8, 8)
+	rng.FillNormal(in, 0, 1)
+	keep := in.Clone()
+	for call := 0; call < 3; call++ {
+		out := id.Execute(in, nil, ExecOptions{})
+		if !tensor.Equal(in, keep, 0) || !tensor.Equal(out.Reshape(4, 1, 8, 8), keep, 0) {
+			t.Fatalf("call %d: identity graph changed or lost its input", call)
+		}
+	}
+
+	gr := tinyNet(rng)
+	base := gr.ExecuteAll(in, nil, ExecOptions{})
+	kept := make([]*tensor.Tensor, len(base))
+	for i, v := range base {
+		kept[i] = v.Clone()
+	}
+	fc := gr.ApproxOps()[len(gr.ApproxOps())-1] // reads the Flatten of a base value
+	for call := 0; call < 3; call++ {
+		gr.ExecuteFrom(base, fc, approx.Config{fc: approx.KnobFP16}, ExecOptions{})
+		gr.Execute(in, nil, ExecOptions{})
+	}
+	for i, v := range base {
+		if !tensor.Equal(v, kept[i], 0) {
+			t.Fatalf("base value %d (%s) changed", i, gr.Nodes[i].Kind)
+		}
+	}
+}

@@ -25,6 +25,31 @@ var benchConfigs = []struct {
 	{"perf50", approx.PerforationKnob(tensorops.PerfRows, 2, 0, tensorops.FP32), approx.KnobFP32},
 }
 
+// benchModels are the repo benchmark's four zoo models, built at its scale.
+var benchModels = []string{"lenet", "alexnet2", "resnet18", "mobilenet"}
+
+// buildBench builds and prepacks one of benchModels at the repo benchmark's
+// scale (width 0.25).
+func buildBench(name string) *Model {
+	m := MustBuild(name, Scale{Images: 16, Width: 0.25, Seed: 1}).Model
+	m.Graph.PrepackWeights()
+	return m
+}
+
+// benchConfig is configuration i of benchConfigs on g.
+func benchConfig(g *graph.Graph, i int) approx.Config {
+	c := benchConfigs[i]
+	cfg := approx.Config{}
+	classes := g.OpClasses()
+	for j, op := range g.ApproxOps() {
+		cfg[op] = c.all
+		if classes[j] == approx.OpConv {
+			cfg[op] = c.conv
+		}
+	}
+	return cfg
+}
+
 // benchExecute runs one sub-benchmark per model, which builds and prepacks
 // that model (width 0.25) only when the -bench pattern selects it, so a
 // one-model -cpuprofile holds that model's work alone. Under it, cell runs
@@ -33,19 +58,11 @@ var benchConfigs = []struct {
 // includes drawing the input, which is also the pause between two calls
 // that a serving process would have.
 func benchExecute(b *testing.B, batch int, cell func(b *testing.B, name string, run func(b *testing.B))) {
-	for _, name := range []string{"lenet", "alexnet2", "resnet18", "mobilenet"} {
+	for _, name := range benchModels {
 		b.Run(name, func(b *testing.B) {
-			m := MustBuild(name, Scale{Images: 16, Width: 0.25, Seed: 1}).Model
-			m.Graph.PrepackWeights()
-			ops, classes := m.Graph.ApproxOps(), m.Graph.OpClasses()
-			for _, c := range benchConfigs {
-				cfg := approx.Config{}
-				for i, op := range ops {
-					cfg[op] = c.all
-					if classes[i] == approx.OpConv {
-						cfg[op] = c.conv
-					}
-				}
+			m := buildBench(name)
+			for i, c := range benchConfigs {
+				cfg := benchConfig(m.Graph, i)
 				cell(b, c.name, func(b *testing.B) {
 					rng := tensor.NewRNG(1)
 					in := tensor.New(m.InputShape(batch).Dims()...)

@@ -658,7 +658,7 @@ func TestServeKernelPanicFailsOnlyItsBatch(t *testing.T) {
 
 // TestServeInferAllocs pins what one POST /v1/infer costs the process
 // through Handler() — handler, batcher and tuner together, tracing off:
-// 69 allocations before obs.Route, whose status writer is the one more.
+// 65 allocations before obs.Route, whose status writer is the one more.
 func TestServeInferAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes sync.Pool's hit rate")
@@ -676,8 +676,8 @@ func TestServeInferAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(400, func() {
 		rd.Reset(body)
 		h.ServeHTTP(w, req)
-	}); n > 70 || w.status != 0 {
-		t.Errorf("POST /v1/infer allocates %.0f times (status %d), want at most 70", n, w.status)
+	}); n > 66 || w.status != 0 {
+		t.Errorf("POST /v1/infer allocates %.0f times (status %d), want at most 66", n, w.status)
 	}
 }
 

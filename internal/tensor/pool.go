@@ -23,6 +23,11 @@ import (
 // are goroutine-safe. Outstanding counts the buffers handed out and not
 // yet released; the test binaries that run kernels require it to be zero
 // when they exit (internal/leakcheck).
+//
+// Kernel outputs come from the same classes (NewPooled, ClonePooled), and
+// graph execution hands each intermediate one back with Recycle after its
+// last reader. An output nobody recycles is simply collected, so neither
+// counts toward Outstanding.
 
 // Pool telemetry: hits (buffer served from an arena), misses (fresh
 // allocation), and the bytes of allocation the hits avoided.
@@ -78,22 +83,8 @@ func Scratch(n int) []float32 {
 		return nil
 	}
 	outstanding.Add(1)
-	c := poolClass(n)
-	if c < 0 {
-		mPoolMisses.Inc()
-		return make([]float32, n)
-	}
-	if v := scratchArenas[c].Get(); v != nil {
-		h := v.(*[]float32)
-		buf := *h
-		*h = nil // don't pin the buffer from the header pool
-		headerPool.Put(h)
-		mPoolHits.Inc()
-		mPoolBytesSaved.Add(int64(4 * n))
-		return buf[:n]
-	}
-	mPoolMisses.Inc()
-	return make([]float32, n, 1<<c)
+	buf, _ := draw(n)
+	return buf
 }
 
 // Release returns the buffer *p obtained from Scratch to its arena and sets
@@ -106,6 +97,72 @@ func Release(p *[]float32) {
 	}
 	*p = nil
 	outstanding.Add(-1)
+	put(buf)
+}
+
+// NewPooled is New with the buffer drawn from the pool's size classes: a
+// zero-filled tensor whose capacity is a power of two. Kernels allocate
+// their outputs this way, so a graph execution can hand an activation back
+// (Recycle) once its last reader has run and serve a later output from it.
+// Long-lived tensors (weights, datasets) use New and keep exact sizes.
+func NewPooled(dims ...int) *Tensor {
+	return newPooled(NewShape(dims...))
+}
+
+// NewPooledLike is NewPooled with t's shape.
+func NewPooledLike(t *Tensor) *Tensor { return newPooled(t.shape) }
+
+func newPooled(s Shape) *Tensor {
+	buf, hit := draw(s.Elems())
+	if hit {
+		clear(buf)
+	}
+	return &Tensor{shape: s, data: buf}
+}
+
+// ClonePooled is Clone into a buffer drawn like NewPooled's.
+func (t *Tensor) ClonePooled() *Tensor {
+	buf, _ := draw(len(t.data))
+	copy(buf, t.data)
+	return &Tensor{shape: t.shape, data: buf}
+}
+
+// Recycle returns t's buffer to its size class and leaves t with no data.
+// The caller must hold the only live reference to the buffer: no view of t
+// (Reshape, FromSlice over its data) may be read afterwards. It does not
+// allocate and does not touch Outstanding, which counts Scratch buffers
+// only.
+func Recycle(t *Tensor) {
+	buf := t.data
+	t.data = nil
+	put(buf)
+}
+
+// draw returns a length-n buffer with unspecified contents — from its size
+// class's arena when hit, else freshly allocated (and so zeroed) with the
+// class's capacity, or with exactly n outside the pooled range.
+func draw(n int) (buf []float32, hit bool) {
+	c := poolClass(n)
+	if c < 0 {
+		mPoolMisses.Inc()
+		return make([]float32, n), false
+	}
+	if v := scratchArenas[c].Get(); v != nil {
+		h := v.(*[]float32)
+		buf = *h
+		*h = nil // don't pin the buffer from the header pool
+		headerPool.Put(h)
+		mPoolHits.Inc()
+		mPoolBytesSaved.Add(int64(4 * n))
+		return buf[:n], true
+	}
+	mPoolMisses.Inc()
+	return make([]float32, n, 1<<c), false
+}
+
+// put files buf under its capacity's class; a buffer whose capacity is not
+// a pooled power of two is left to the garbage collector.
+func put(buf []float32) {
 	c := cap(buf)
 	if c < 1<<minPoolClass || c > 1<<maxPoolClass || c&(c-1) != 0 {
 		return

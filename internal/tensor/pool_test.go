@@ -119,3 +119,56 @@ func TestPoolClassBounds(t *testing.T) {
 		t.Fatalf("max request got class %d, want %d", c, maxPoolClass)
 	}
 }
+
+// TestRecycleAllocFreeAndUncounted: Recycle hands a pooled tensor's buffer
+// back without allocating and without touching Outstanding, which counts
+// Scratch buffers only.
+func TestRecycleAllocFreeAndUncounted(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	before := Outstanding()
+	x := NewPooled(1 << 10)
+	shape := x.shape
+	Recycle(x) // warm the class and the header pool
+	if x.Data() != nil {
+		t.Fatal("Recycle left the tensor holding its buffer")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		x.data, _ = draw(shape.Elems())
+		Recycle(x)
+	}); allocs != 0 {
+		t.Fatalf("Recycle allocates %.1f times per round trip, want 0", allocs)
+	}
+	if Outstanding() != before {
+		t.Fatalf("Outstanding moved %d -> %d", before, Outstanding())
+	}
+}
+
+// TestPooledTensorsStartClean: a recycled buffer comes back zeroed through
+// NewPooled and NewPooledLike and as an exact copy through ClonePooled,
+// whatever it last held.
+func TestPooledTensorsStartClean(t *testing.T) {
+	src := New(3, 100)
+	NewRNG(1).FillNormal(src, 0, 1)
+	for try := 0; try < 4; try++ {
+		dirty := NewPooled(300)
+		dirty.Fill(7)
+		Recycle(dirty)
+		z := NewPooled(3, 100)
+		if z.Rank() != 2 || z.Elems() != 300 || cap(z.Data())&(cap(z.Data())-1) != 0 {
+			t.Fatalf("NewPooled(3, 100): shape %v, cap %d", z.Shape(), cap(z.Data()))
+		}
+		like := NewPooledLike(src)
+		for i := range z.Data() {
+			if z.Data()[i] != 0 || like.Data()[i] != 0 {
+				t.Fatalf("pooled tensor element %d not zero", i)
+			}
+		}
+		Recycle(z)
+		Recycle(like)
+		if c := src.ClonePooled(); !Equal(c, src, 0) || !c.Shape().Equal(src.Shape()) {
+			t.Fatal("ClonePooled is not a copy")
+		}
+	}
+}

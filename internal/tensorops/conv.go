@@ -166,7 +166,7 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 		}
 	}
 
-	out := tensor.New(n, co, ho, wo)
+	out := tensor.NewPooled(n, co, ho, wo)
 	od := out.Data()
 
 	cog := co / g // output channels per group

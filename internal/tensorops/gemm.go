@@ -434,7 +434,7 @@ func MatMulFused(x, w *tensor.Tensor, prec Precision, ep Epilogue) *tensor.Tenso
 			xd = xq
 		}
 	}
-	out := tensor.New(n, m)
+	out := tensor.NewPooled(n, m)
 	re := newRowEpi(ep, false, prec == FP16, true) // bias by column: per output feature
 	if n >= gemmMR {
 		if pre := cachedPrepackedB(w, k, m, prec); pre != nil {

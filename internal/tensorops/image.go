@@ -15,7 +15,7 @@ import (
 
 // Abs applies |x| elementwise.
 func Abs(x *tensor.Tensor, prec Precision) *tensor.Tensor {
-	out := x.Clone()
+	out := x.ClonePooled()
 	d := out.Data()
 	for i, v := range d {
 		if v < 0 {
@@ -30,7 +30,7 @@ func Abs(x *tensor.Tensor, prec Precision) *tensor.Tensor {
 
 // Sqrt applies √max(x,0) elementwise.
 func Sqrt(x *tensor.Tensor, prec Precision) *tensor.Tensor {
-	out := x.Clone()
+	out := x.ClonePooled()
 	d := out.Data()
 	for i, v := range d {
 		if v <= 0 {
@@ -50,10 +50,10 @@ func Mul(a, b *tensor.Tensor, prec Precision) *tensor.Tensor {
 	if a.Elems() != b.Elems() {
 		panicShape("Mul", "size mismatch %d vs %d", a.Elems(), b.Elems())
 	}
-	out := a.Clone()
-	d, bd := out.Data(), b.Data()
+	out := tensor.NewPooledLike(a)
+	d, ad, bd := out.Data(), a.Data(), b.Data()
 	for i := range d {
-		d[i] *= bd[i]
+		d[i] = ad[i] * bd[i]
 	}
 	if prec == FP16 {
 		out.ToFP16()
@@ -69,7 +69,7 @@ func NonMaxSuppress(mag, gx, gy *tensor.Tensor, prec Precision) *tensor.Tensor {
 		panicShape("NMS", "need 4-D magnitude, got %v", mag.Shape())
 	}
 	n, c, h, w := mag.Dim(0), mag.Dim(1), mag.Dim(2), mag.Dim(3)
-	out := tensor.New(n, c, h, w)
+	out := tensor.NewPooled(n, c, h, w)
 	md, xd, yd, od := mag.Data(), gx.Data(), gy.Data(), out.Data()
 	parallel.For(n*c, func(nc int) {
 		base := nc * h * w
@@ -123,7 +123,7 @@ func Hysteresis(mag *tensor.Tensor, lo, hi float32, prec Precision) *tensor.Tens
 		panicShape("Hysteresis", "need 4-D magnitude, got %v", mag.Shape())
 	}
 	n, c, h, w := mag.Dim(0), mag.Dim(1), mag.Dim(2), mag.Dim(3)
-	out := tensor.New(n, c, h, w)
+	out := tensor.NewPooled(n, c, h, w)
 	md, od := mag.Data(), out.Data()
 	parallel.For(n*c, func(nc int) {
 		base := nc * h * w

@@ -15,7 +15,7 @@ import (
 // QuantizeInt8 snaps every element of a copy of t onto the symmetric
 // int8 grid scale·[-127, 127] with scale = maxAbs/127.
 func QuantizeInt8(t *tensor.Tensor) *tensor.Tensor {
-	out := t.Clone()
+	out := t.ClonePooled()
 	d := out.Data()
 	var maxAbs float32
 	for _, v := range d {
@@ -46,10 +46,16 @@ func QuantizeInt8(t *tensor.Tensor) *tensor.Tensor {
 
 // Conv2DInt8 computes a convolution with int8-quantized input and weights.
 func Conv2DInt8(x, w *tensor.Tensor, p ConvParams) *tensor.Tensor {
-	return convolve(QuantizeInt8(x), QuantizeInt8(w), p, FP32, nil, sampSpec{}, Epilogue{})
+	xq, wq := QuantizeInt8(x), QuantizeInt8(w)
+	defer tensor.Recycle(xq)
+	defer tensor.Recycle(wq)
+	return convolve(xq, wq, p, FP32, nil, sampSpec{}, Epilogue{})
 }
 
 // MatMulInt8 computes a dense layer with int8-quantized operands.
 func MatMulInt8(x, w *tensor.Tensor) *tensor.Tensor {
-	return MatMul(QuantizeInt8(x), QuantizeInt8(w), FP32)
+	xq, wq := QuantizeInt8(x), QuantizeInt8(w)
+	defer tensor.Recycle(xq)
+	defer tensor.Recycle(wq)
+	return MatMul(xq, wq, FP32)
 }

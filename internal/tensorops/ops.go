@@ -9,32 +9,38 @@ import (
 
 // ReLU applies max(0,x) elementwise.
 func ReLU(x *tensor.Tensor, prec Precision) *tensor.Tensor {
-	return ApplyEpilogue(x.Clone(), Epilogue{Act: ActReLU}, prec)
+	return ApplyEpilogue(x.ClonePooled(), Epilogue{Act: ActReLU}, prec)
 }
 
 // ClippedReLU applies min(max(0,x),clip) elementwise (ReLU6 with clip=6,
 // used by MobileNet).
 func ClippedReLU(x *tensor.Tensor, clip float32, prec Precision) *tensor.Tensor {
-	return ApplyEpilogue(x.Clone(), Epilogue{Act: ActClippedReLU, Clip: clip}, prec)
+	return ApplyEpilogue(x.ClonePooled(), Epilogue{Act: ActClippedReLU, Clip: clip}, prec)
 }
 
 // Tanh applies tanh elementwise (tanh32 — the float32-targeted kernel
 // shared with the fused epilogues).
 func Tanh(x *tensor.Tensor, prec Precision) *tensor.Tensor {
-	return ApplyEpilogue(x.Clone(), Epilogue{Act: ActTanh}, prec)
+	return ApplyEpilogue(x.ClonePooled(), Epilogue{Act: ActTanh}, prec)
 }
 
 // BiasAdd adds a per-channel bias b (length C) to a (N,C,H,W) or (N,C)
 // tensor.
 func BiasAdd(x, b *tensor.Tensor, prec Precision) *tensor.Tensor {
-	return ApplyEpilogue(x.Clone(), Epilogue{Bias: b}, prec)
+	return ApplyEpilogue(x.ClonePooled(), Epilogue{Bias: b}, prec)
 }
 
 // Add returns the elementwise sum of two equal-shaped tensors (residual
 // connections).
 func Add(a, b *tensor.Tensor, prec Precision) *tensor.Tensor {
-	out := a.Clone()
-	out.Add(b)
+	if a.Elems() != b.Elems() {
+		panicShape("Add", "size mismatch %d vs %d", a.Elems(), b.Elems())
+	}
+	out := tensor.NewPooledLike(a)
+	d, ad, bd := out.Data(), a.Data(), b.Data()
+	for i := range d {
+		d[i] = ad[i] + bd[i]
+	}
 	if prec == FP16 {
 		out.ToFP16()
 	}
@@ -107,7 +113,7 @@ func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, 
 		defer tensor.Release(&q)
 		xd = q
 	}
-	out := tensor.New(n, c, ho, wo)
+	out := tensor.NewPooled(n, c, ho, wo)
 	od := out.Data()
 	// The window's kept taps, found once: tap k = ky·KW+kx survives
 	// sampling when (k·num) mod den < num, so tap 0 always does.
@@ -234,7 +240,7 @@ func BatchNorm(x *tensor.Tensor, bp BatchNormParams, prec Precision) *tensor.Ten
 	}
 	n := x.Dim(0)
 	spatial := x.Dim(2) * x.Dim(3)
-	out := x.Clone()
+	out := x.ClonePooled()
 	od := out.Data()
 	g, b, m, v := bp.Gamma.Data(), bp.Beta.Data(), bp.Mean.Data(), bp.Var.Data()
 	scale := make([]float32, c)
@@ -268,7 +274,7 @@ func Softmax(x *tensor.Tensor, prec Precision) *tensor.Tensor {
 		panicShape("Softmax", "need 2-D logits, got %v", x.Shape())
 	}
 	n, k := x.Dim(0), x.Dim(1)
-	out := x.Clone()
+	out := x.ClonePooled()
 	od := out.Data()
 	for r := 0; r < n; r++ {
 		row := od[r*k : (r+1)*k]
@@ -323,7 +329,7 @@ func Reduce(x *tensor.Tensor, kind ReduceKind, num, den int, prec Precision) *te
 		defer tensor.Release(&q)
 		xd = q
 	}
-	out := tensor.New(n, c)
+	out := tensor.NewPooled(n, c)
 	od := out.Data()
 	keep := func(i int) bool { return (i*num)%den < num }
 	parallel.For(n*c, func(nc int) {
