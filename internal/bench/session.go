@@ -191,7 +191,7 @@ func (s *Session) Profiles(name string) *predictor.Profiles {
 		pol := core.KnobPolicy{AllowFP16: true}
 		sp := obs.Start("bench:profiles").With("benchmark", name)
 		watch := core.NewStopwatch()
-		e.profiles = core.CollectProfilesSpan(e.prog, nil, func(op int) []approx.KnobID {
+		e.profiles = core.CollectProfiles(e.prog, nil, func(op int) []approx.KnobID {
 			return core.KnobsFor(e.prog, op, pol)
 		}, tensor.NewRNG(s.cfg.Seed+11), sp)
 		e.profTime = watch.Total()

@@ -15,8 +15,8 @@ import (
 
 func TestPipelineStructure(t *testing.T) {
 	g := Pipeline(3, 0.08, 0.2)
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if errs := g.ValidateDeep(tensor.NewShape(1, 3, 16, 16)); len(errs) != 0 {
+		t.Fatalf("ValidateDeep: %v", errs)
 	}
 	// 4 convolutions: grayscale, gaussian, sobel x, sobel y.
 	convs := 0

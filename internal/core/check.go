@@ -137,13 +137,17 @@ func deviceNames(devs []*device.Device) string {
 }
 
 // CheckCurve validates a tradeoff curve: points sorted by increasing Perf,
-// finite QoS/Perf values, and configurations resolving to registered
-// knobs. In strict mode it additionally rejects strictly dominated points
+// finite QoS/Perf values, positive speedups, and configurations resolving
+// to registered knobs; a nil curve is refused like an empty one. In strict
+// mode it additionally rejects strictly dominated points
 // — the invariant of install-time-refined curves PS(S*). Development-time
 // curves are checked relaxed: PSε deliberately retains predicted-dominated
 // points because a dominated prediction may win once measured on the
 // device (§2.2).
 func CheckCurve(c *pareto.Curve, strict bool) []error {
+	if c == nil {
+		return []error{fmt.Errorf("core: no tradeoff curve")}
+	}
 	var errs []error
 	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("core: curve %q: "+format, append([]any{c.Program}, args...)...))
@@ -155,6 +159,8 @@ func CheckCurve(c *pareto.Curve, strict bool) []error {
 	for i, p := range c.Points {
 		if math.IsNaN(p.QoS) || math.IsInf(p.QoS, 0) || math.IsNaN(p.Perf) || math.IsInf(p.Perf, 0) {
 			report("point %d has non-finite QoS/Perf (%v, %v)", i, p.QoS, p.Perf)
+		} else if p.Perf <= 0 {
+			report("point %d has non-positive Perf %v", i, p.Perf)
 		}
 		if i > 0 && p.Perf < c.Points[i-1].Perf {
 			report("points not sorted by Perf at index %d (%v after %v)", i, p.Perf, c.Points[i-1].Perf)

@@ -51,7 +51,7 @@ func TestCollectProfiles(t *testing.T) {
 	gp, _ := buildTestProgram(t)
 	profiles := CollectProfiles(gp, nil, func(op int) []approx.KnobID {
 		return KnobsFor(gp, op, KnobPolicy{AllowFP16: true})
-	}, nil)
+	}, nil, nil)
 	if profiles.BaseQoS <= 0 {
 		t.Fatalf("baseline QoS = %v", profiles.BaseQoS)
 	}

@@ -124,7 +124,7 @@ func PredictiveTune(p Program, o Options) (*Result, error) {
 	profiles := o.Profiles
 	if profiles == nil {
 		psp := root.Child("profile")
-		profiles = CollectProfilesSpan(p, nil, func(op int) []approx.KnobID {
+		profiles = CollectProfiles(p, nil, func(op int) []approx.KnobID {
 			return KnobsFor(p, op, o.Policy)
 		}, rng.Split(1), psp)
 		psp.End()

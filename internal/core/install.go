@@ -297,7 +297,7 @@ func ProfileShard(p Program, o InstallOptions, unit int, sp *obs.Span) (*predict
 		}
 		return hw
 	}
-	return CollectProfilesSpan(local, nil, hwKnobs, tensor.NewRNG(o.Seed+200+int64(unit)), sp), nil
+	return CollectProfiles(local, nil, hwKnobs, tensor.NewRNG(o.Seed+200+int64(unit)), sp), nil
 }
 
 // SearchShortlist is step 2, the server's: merge the edges' shard profiles

@@ -21,16 +21,11 @@ var mProfileEntries = obs.NewCounter("core.profile_entries")
 //
 // ops may restrict collection to a subset of the program's operations
 // (nil means all); knobsOf maps an op to the knob candidates to profile.
-// The supplied rng seeds PROMISE noise reproducibly.
-func CollectProfiles(p Program, ops []int, knobsOf func(op int) []approx.KnobID, rng *tensor.RNG) *predictor.Profiles {
-	return CollectProfilesSpan(p, ops, knobsOf, rng, nil)
-}
-
-// CollectProfilesSpan is CollectProfiles with tracing: when parent is a
-// live span, each profiled op gets a child span (and the profiling
-// executions themselves record graph spans while the tracer's detail
-// budget lasts).
-func CollectProfilesSpan(p Program, ops []int, knobsOf func(op int) []approx.KnobID, rng *tensor.RNG, parent *obs.Span) *predictor.Profiles {
+// The supplied rng seeds PROMISE noise reproducibly. When parent is a live
+// span, each profiled op gets a child span (and the profiling executions
+// themselves record graph spans while the tracer's detail budget lasts);
+// nil traces nothing.
+func CollectProfiles(p Program, ops []int, knobsOf func(op int) []approx.KnobID, rng *tensor.RNG, parent *obs.Span) *predictor.Profiles {
 	if ops == nil {
 		ops = p.Ops()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -104,10 +105,11 @@ type RuntimeTuner struct {
 // NewRuntimeTuner builds a runtime controller. targetTime is the
 // per-invocation time to maintain (typically the baseline configuration's
 // time at the highest frequency); window is the sliding-window size in
-// invocations (§6.4 uses one batch).
+// invocations (§6.4 uses one batch). The curve must pass CheckCurve's
+// relaxed invariants.
 func NewRuntimeTuner(curve *pareto.Curve, policy Policy, targetTime float64, window int, seed int64) (*RuntimeTuner, error) {
-	if curve == nil || curve.Len() == 0 {
-		return nil, fmt.Errorf("core: runtime tuner needs a non-empty tradeoff curve")
+	if err := errors.Join(CheckCurve(curve, false)...); err != nil {
+		return nil, err
 	}
 	if targetTime <= 0 || window <= 0 {
 		return nil, fmt.Errorf("core: bad runtime target %v / window %d", targetTime, window)
@@ -265,10 +267,11 @@ func (rt *RuntimeTuner) logSwitch(from, next int) {
 // position, which is meaningless across curves), the control window is
 // cleared, the latched recalibration signal is released, and selection
 // restarts from the last required speedup on the new curve. Lifetime
-// counters (invocations, switches, drift alarms) are preserved.
+// counters (invocations, switches, drift alarms) are preserved. A curve
+// CheckCurve refuses leaves the tuner as it was.
 func (rt *RuntimeTuner) SwapCurve(curve *pareto.Curve) error {
-	if curve == nil || curve.Len() == 0 {
-		return fmt.Errorf("core: curve swap needs a non-empty tradeoff curve")
+	if err := errors.Join(CheckCurve(curve, false)...); err != nil {
+		return err
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

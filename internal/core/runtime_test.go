@@ -225,13 +225,13 @@ func TestMixProbabilitiesClamped(t *testing.T) {
 	if _, _, p1 := rt.bracket(1.65); math.Abs(p1-0.5) > 1e-9 {
 		t.Errorf("mid-bracket 1.65 between 1.4/1.9: p1 = %v, want 0.5", p1)
 	}
-	// A NaN weight (here from a corrupt curve with an infinite Perf)
-	// clamps to the conservative endpoint.
-	corrupt, err := NewRuntimeTuner(&pareto.Curve{Points: []pareto.Point{{Perf: 1}, {Perf: math.Inf(1)}}}, PolicyAverage, 0.1, 1, 11)
-	if err != nil {
-		t.Fatal(err)
+	// A curve with an infinite Perf is refused; were one installed, the
+	// NaN weight it yields clamps to the conservative endpoint.
+	inf := &pareto.Curve{Points: []pareto.Point{{Perf: 1}, {Perf: math.Inf(1)}}}
+	if _, err := NewRuntimeTuner(inf, PolicyAverage, 0.1, 1, 11); err == nil {
+		t.Error("NewRuntimeTuner accepted a curve with an infinite Perf")
 	}
-	defer corrupt.Close()
+	corrupt := &RuntimeTuner{curve: inf, policy: PolicyAverage}
 	if lo, _, p1 := corrupt.bracket(5); lo != 0 || p1 != 1 {
 		t.Errorf("NaN mix weight: bracket(5) = (%d, %v), want the slower point with weight 1", lo, p1)
 	}

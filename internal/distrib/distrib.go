@@ -66,13 +66,11 @@ type Coordinator struct {
 	started   time.Time                   // first registration; anchors no-show expiry
 	edges     map[int]*edgeLease          // edgeID → liveness lease
 	seen      map[string]bool             // applied idempotency tokens
-	profWork  map[int]*workItem           // shardID → profile-collection work
-	valWork   map[int]*workItem           // sliceID → validation work (exists once searched)
-	shards    map[int]*predictor.Profiles // shardID → uploaded profiles
+	prof      *phase[*predictor.Profiles] // step 2: one profile shard per unit
+	val       *phase[[]pareto.Point]      // step 3: one validated slice per unit
 	shortlist []pareto.Point
 	searchErr error
 	searched  bool
-	validated map[int][]pareto.Point // sliceID → local Pareto set
 	final     *pareto.Curve
 	edgeTel   map[int]edgeTelemetryReq // edgeID → end-of-run client telemetry
 
@@ -91,11 +89,48 @@ type edgeLease struct {
 	expired bool // lease expiry already observed (metric fires once)
 }
 
-// workItem is one reassignable unit of edge work: a profile shard or a
-// validation slice. owner is the edge currently responsible for it.
-type workItem struct {
-	owner int
-	done  bool
+// phase is the work-unit table of one edge step — profile shards or
+// validation slices. Unit u starts owned by edge u; a lease expiry hands
+// it to another edge (orphan), and its first result is kept (put).
+type phase[T any] struct {
+	owner  []int
+	done   []bool
+	result []T
+	left   int // units not yet done
+}
+
+func newPhase[T any](n int) *phase[T] {
+	p := &phase[T]{owner: make([]int, n), done: make([]bool, n), result: make([]T, n), left: n}
+	for u := range p.owner {
+		p.owner[u] = u
+	}
+	return p
+}
+
+// put records v as unit u's result unless the unit already has one —
+// first write wins — and reports whether it completed the step. Exactly
+// one put completes it, since a done unit is never written again.
+func (p *phase[T]) put(u int, v T) bool {
+	if p.done[u] {
+		mRedundantUploads.Inc()
+		return false
+	}
+	p.done[u], p.result[u] = true, v
+	p.left--
+	return p.left == 0
+}
+
+// orphan hands the polling edge the lowest unfinished unit whose owner is
+// that edge or dead. The poller owning the unit means an earlier offer to
+// it went unanswered (it only polls between work); it is offered again.
+func (p *phase[T]) orphan(poller int, dead func(owner int) bool) (int, bool) {
+	for u, owner := range p.owner {
+		if !p.done[u] && (owner == poller || dead(owner)) {
+			p.owner[u] = poller
+			return u, true
+		}
+	}
+	return 0, false
 }
 
 // NewCoordinator builds a coordinator for a fleet of opts.NEdge devices.
@@ -108,17 +143,15 @@ func NewCoordinator(p core.Program, devProfiles *predictor.Profiles, opts core.I
 		return nil, err
 	}
 	return &Coordinator{
-		prog:      p,
-		devProfs:  devProfiles,
-		opts:      opts,
-		edges:     make(map[int]*edgeLease),
-		seen:      make(map[string]bool),
-		profWork:  make(map[int]*workItem),
-		valWork:   make(map[int]*workItem),
-		shards:    make(map[int]*predictor.Profiles),
-		validated: make(map[int][]pareto.Point),
-		edgeTel:   make(map[int]edgeTelemetryReq),
-		tracer:    obs.NewTracer(obs.TracerOptions{KeepInMemory: maxCoordSpans, IDSeed: opts.Seed}),
+		prog:     p,
+		devProfs: devProfiles,
+		opts:     opts,
+		edges:    make(map[int]*edgeLease),
+		seen:     make(map[string]bool),
+		prof:     newPhase[*predictor.Profiles](opts.NEdge),
+		val:      newPhase[[]pareto.Point](opts.NEdge),
+		edgeTel:  make(map[int]edgeTelemetryReq),
+		tracer:   obs.NewTracer(obs.TracerOptions{KeepInMemory: maxCoordSpans, IDSeed: opts.Seed}),
 	}, nil
 }
 
@@ -260,9 +293,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		mReRegistrations.Inc()
 	}
 	st.expires = now.Add(c.opts.LeaseTTL)
-	if c.profWork[req.EdgeID] == nil {
-		c.profWork[req.EdgeID] = &workItem{owner: req.EdgeID}
-	}
 	epoch := st.epoch
 	c.mu.Unlock()
 	obs.ReplyJSON(w, http.StatusOK, registerResp{
@@ -286,49 +316,30 @@ func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		obs.ReplyError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if shards := c.applyProfiles(req, profs); shards != nil {
-		c.search(shards)
+	c.mu.Lock()
+	complete := upload(c, c.prof, "profiles", req.EdgeID, *req.Shard, req.Attempt, profs)
+	c.mu.Unlock()
+	if complete {
+		// The completing upload owes the fleet the search. The shards are
+		// never written again, so it reads them without the lock.
+		c.search(c.prof.result)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// applyProfiles records one profile upload (first write wins, duplicates
-// absorbed). The upload that completes the set — there is exactly one,
-// since a filled shard is never written again — gets the shards back in
-// unit order and owes the fleet the search.
-func (c *Coordinator) applyProfiles(req profilesReq, profs *predictor.Profiles) []*predictor.Profiles {
-	shard := *req.Shard
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touchLocked(req.EdgeID)
-	key := tokenKey("profiles", req.EdgeID, shard, req.Attempt)
+// upload applies one edge's result v for unit u of step p: a retried or
+// duplicated request (same attempt token) is absorbed, and a unit that is
+// already done keeps its first result. It reports whether v completed the
+// step. Callers hold c.mu.
+func upload[T any](c *Coordinator, p *phase[T], endpoint string, edgeID, u, attempt int, v T) bool {
+	c.touchLocked(edgeID)
+	key := tokenKey(endpoint, edgeID, u, attempt)
 	if c.seen[key] {
-		// Duplicate delivery of an already-applied upload (retry after a
-		// lost response, or a duplicated request on the wire).
 		mDupRequests.Inc()
-		return nil
+		return false
 	}
 	c.seen[key] = true
-	if _, ok := c.shards[shard]; ok {
-		// The shard was already filled — by this edge's earlier attempt or
-		// by a reassignment race. First write wins.
-		mRedundantUploads.Inc()
-		return nil
-	}
-	c.shards[shard] = profs
-	if wi := c.profWork[shard]; wi != nil {
-		wi.done = true
-	} else {
-		c.profWork[shard] = &workItem{owner: req.EdgeID, done: true}
-	}
-	if !c.allShardsLocked() {
-		return nil
-	}
-	ordered := make([]*predictor.Profiles, c.opts.NEdge)
-	for s := range ordered {
-		ordered[s] = c.shards[s]
-	}
-	return ordered
+	return p.put(u, v)
 }
 
 // search runs the server-side step and publishes its outcome. It runs
@@ -352,11 +363,6 @@ func (c *Coordinator) search(shards []*predictor.Profiles) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.shortlist, c.searchErr, c.searched = shortlist, err, true
-	if err == nil {
-		for s := 0; s < c.opts.NEdge; s++ {
-			c.valWork[s] = &workItem{owner: s}
-		}
-	}
 }
 
 func (c *Coordinator) handleAssignments(w http.ResponseWriter, r *http.Request) {
@@ -373,13 +379,7 @@ func (c *Coordinator) handleAssignments(w http.ResponseWriter, r *http.Request) 
 	}
 	if !c.searched {
 		resp := assignmentsResp{Ready: false}
-		if shard, ok := c.orphanShardLocked(edgeID); ok {
-			wi := c.profWork[shard]
-			if wi == nil {
-				wi = &workItem{}
-				c.profWork[shard] = wi
-			}
-			wi.owner = edgeID
+		if shard, ok := c.prof.orphan(edgeID, c.deadNowLocked()); ok {
 			resp.Reprofile = &shard
 			mReassignedShards.Inc()
 		}
@@ -394,32 +394,10 @@ func (c *Coordinator) handleValidated(w http.ResponseWriter, r *http.Request) {
 	if !obs.ReadJSON(w, r, &req) || !c.inFleet(w, "edge id", &req.EdgeID) || !c.inFleet(w, "slice", req.Slice) {
 		return
 	}
-	slice := *req.Slice
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.touchLocked(req.EdgeID)
-	key := tokenKey("validated", req.EdgeID, slice, req.Attempt)
-	if c.seen[key] {
-		mDupRequests.Inc()
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	c.seen[key] = true
-	if _, ok := c.validated[slice]; ok {
-		mRedundantUploads.Inc()
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	c.validated[slice] = req.Points
-	if wi := c.valWork[slice]; wi != nil {
-		wi.done = true
-	}
-	if c.final == nil && c.allSlicesLocked() {
-		sets := make([][]pareto.Point, c.opts.NEdge)
-		for s := range sets {
-			sets[s] = c.validated[s]
-		}
-		c.final = core.FinalCurve(c.prog, c.devProfs.BaseQoS, sets, c.opts)
+	if upload(c, c.val, "validated", req.EdgeID, *req.Slice, req.Attempt, req.Points) {
+		c.final = core.FinalCurve(c.prog, c.devProfs.BaseQoS, c.val.result, c.opts)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -433,8 +411,7 @@ func (c *Coordinator) handleCurve(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.touchLocked(edgeID)
 	if c.final == nil && c.searched && c.searchErr == nil {
-		if slice, ok := c.orphanSliceLocked(edgeID); ok {
-			c.valWork[slice].owner = edgeID
+		if slice, ok := c.val.orphan(edgeID, c.deadNowLocked()); ok {
 			resp.Revalidate = &slice
 			mReassignedSlices.Inc()
 		}
@@ -476,6 +453,13 @@ func (c *Coordinator) touchLocked(edgeID int) {
 	}
 }
 
+// deadNowLocked is deadLocked at one reading of the clock, for one orphan
+// scan. Callers hold c.mu while the scan runs.
+func (c *Coordinator) deadNowLocked() func(owner int) bool {
+	now := c.now()
+	return func(owner int) bool { return c.deadLocked(owner, now) }
+}
+
 // deadLocked reports whether the owner of a work unit can be declared
 // dead: its lease expired, or it never registered and the fleet has been
 // running for longer than one lease. Callers hold c.mu.
@@ -492,70 +476,6 @@ func (c *Coordinator) deadLocked(owner int, now time.Time) bool {
 		return true
 	}
 	return false
-}
-
-// orphanShardLocked finds the lowest-numbered profile shard whose owner
-// is dead and whose profiles have not arrived, to reassign to the polling
-// edge. Callers hold c.mu.
-func (c *Coordinator) orphanShardLocked(pollingEdge int) (int, bool) {
-	now := c.now()
-	for s := 0; s < c.opts.NEdge; s++ {
-		if _, ok := c.shards[s]; ok {
-			continue
-		}
-		wi := c.profWork[s]
-		owner := s
-		if wi != nil {
-			owner = wi.owner
-		}
-		// The polling edge owning the unit means a previous offer to it
-		// went unanswered (it only polls between work); offer it again.
-		if owner == pollingEdge || c.deadLocked(owner, now) {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-// orphanSliceLocked finds the lowest-numbered validation slice whose
-// owner is dead and whose points have not arrived. Callers hold c.mu.
-func (c *Coordinator) orphanSliceLocked(pollingEdge int) (int, bool) {
-	now := c.now()
-	for s := 0; s < c.opts.NEdge; s++ {
-		if _, ok := c.validated[s]; ok {
-			continue
-		}
-		wi := c.valWork[s]
-		if wi == nil {
-			continue
-		}
-		if wi.owner == pollingEdge || c.deadLocked(wi.owner, now) {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-// allShardsLocked reports whether every profile shard 0..NEdge-1 has a
-// non-nil upload. Callers hold c.mu.
-func (c *Coordinator) allShardsLocked() bool {
-	for s := 0; s < c.opts.NEdge; s++ {
-		if c.shards[s] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// allSlicesLocked reports whether every validation slice 0..NEdge-1 has
-// reported (possibly with an empty point set). Callers hold c.mu.
-func (c *Coordinator) allSlicesLocked() bool {
-	for s := 0; s < c.opts.NEdge; s++ {
-		if _, ok := c.validated[s]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // tokenKey builds the idempotency-token key for one applied operation.

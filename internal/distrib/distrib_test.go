@@ -43,7 +43,7 @@ func devProfiles(t testing.TB, gp *core.GraphProgram) *predictor.Profiles {
 	pol := core.KnobPolicy{AllowFP16: true}
 	return core.CollectProfiles(gp, nil, func(op int) []approx.KnobID {
 		return core.KnobsFor(gp, op, pol)
-	}, tensor.NewRNG(7))
+	}, tensor.NewRNG(7), nil)
 }
 
 func TestFullProtocolOverHTTP(t *testing.T) {
@@ -229,8 +229,8 @@ func TestHandlersRejectBogusIdentifiers(t *testing.T) {
 		t.Fatal("bogus uploads produced a final curve")
 	}
 	coord.mu.Lock()
-	if len(coord.shards) != 0 || len(coord.validated) != 0 {
-		t.Errorf("bogus uploads leaked state: %d shards, %d validated", len(coord.shards), len(coord.validated))
+	if n := coord.opts.NEdge; coord.prof.left != n || coord.val.left != n {
+		t.Errorf("bogus uploads leaked state: %d shards, %d validated", n-coord.prof.left, n-coord.val.left)
 	}
 	coord.mu.Unlock()
 }

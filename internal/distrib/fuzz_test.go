@@ -87,10 +87,10 @@ func FuzzCoordinatorUploads(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 
-		recorded := len(coord.edges) + len(coord.shards) + len(coord.validated) + len(coord.edgeTel)
+		recorded := len(coord.edges) + doneUnits(t, coord.prof) + doneUnits(t, coord.val) + len(coord.edgeTel)
 		switch {
 		case rec.Code == http.StatusBadRequest:
-			if recorded != 0 || len(coord.profWork) != 0 || len(coord.seen) != 0 {
+			if recorded != 0 || reassigned(coord.prof) || reassigned(coord.val) || len(coord.seen) != 0 {
 				t.Fatalf("POST %s %q was refused but left state behind", path, body)
 			}
 			return
@@ -137,11 +137,11 @@ func FuzzCoordinatorUploads(f *testing.F) {
 		var ok bool
 		switch path {
 		case "/v1/register":
-			ok = coord.edges[ids.EdgeID] != nil && coord.profWork[ids.EdgeID] != nil && !coord.profWork[ids.EdgeID].done
+			ok = coord.edges[ids.EdgeID] != nil && !coord.prof.done[ids.EdgeID]
 		case "/v1/profiles":
-			ok = coord.shards[unit] != nil && coord.profWork[unit].done
+			ok = coord.prof.done[unit] && coord.prof.result[unit] != nil
 		case "/v1/validated":
-			_, ok = coord.validated[unit]
+			ok = coord.val.done[unit]
 		case "/v1/telemetry":
 			_, ok = coord.edgeTel[ids.EdgeID]
 			stats := httptest.NewRecorder()
@@ -152,4 +152,29 @@ func FuzzCoordinatorUploads(f *testing.F) {
 			t.Fatalf("POST %s %q: accepted, but the coordinator holds %d entries (searched %v)", path, body, recorded, coord.searched)
 		}
 	})
+}
+
+// doneUnits counts a step's finished units, checking that the table's
+// count of units left agrees with its done flags.
+func doneUnits[T any](t *testing.T, p *phase[T]) int {
+	n := 0
+	for _, d := range p.done {
+		if d {
+			n++
+		}
+	}
+	if n+p.left != len(p.done) {
+		t.Fatalf("%d of %d units done, but %d left", n, len(p.done), p.left)
+	}
+	return n
+}
+
+// reassigned reports whether any unit of a step left its first owner.
+func reassigned[T any](p *phase[T]) bool {
+	for u, owner := range p.owner {
+		if owner != u {
+			return true
+		}
+	}
+	return false
 }

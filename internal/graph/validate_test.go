@@ -40,10 +40,11 @@ func TestValidateDeepCycle(t *testing.T) {
 	gr := New("cyclic")
 	a := gr.ReLU(gr.InputID())
 	b := gr.Tanh(a)
-	// Introduce a back edge a ← b: a cycle independent of ID order.
+	// Introduce a back edge a ← b: the cycle a → b → a must take an edge
+	// against ID order.
 	gr.Nodes[a].Inputs[0] = b
 	errs := gr.ValidateDeep(tensor.NewShape(1, 1, 4, 4))
-	if !hasErr(errs, "cycle") {
+	if !hasErr(errs, "breaks topological order") {
 		t.Fatalf("cycle not reported: %v", errs)
 	}
 }

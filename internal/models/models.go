@@ -16,8 +16,10 @@
 package models
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/datasets"
@@ -195,8 +197,8 @@ func (b *builder) softmax() {
 const probeImages = 8
 
 func (b *builder) finish(c, h, w, classes int) *Model {
-	if err := b.g.Validate(); err != nil {
-		panic("models: " + err.Error())
+	if errs := b.g.ValidateDeep(tensor.NewShape(1, c, h, w)); len(errs) > 0 {
+		panic("models: " + errors.Join(errs...).Error())
 	}
 	// Fold probe-batch normalization statistics into the weights (the
 	// inference-time equivalent of trained batch norm); without this, deep
@@ -500,9 +502,10 @@ func Prune(m *Model, fraction float64) float64 {
 		for i, v := range d {
 			mags[i] = math.Abs(float64(v))
 		}
-		thr := quickselect(mags, k)
+		slices.Sort(mags)
+		thr := mags[k-1]
 		for i, v := range d {
-			if math.Abs(float64(v)) <= thr && zeroedCount(d, i) {
+			if math.Abs(float64(v)) <= thr {
 				d[i] = 0
 				zeroed++
 			}
@@ -514,47 +517,4 @@ func Prune(m *Model, fraction float64) float64 {
 		return 0
 	}
 	return float64(zeroed) / float64(total)
-}
-
-// zeroedCount is a helper that always returns true; it exists to keep the
-// pruning loop readable while counting in one place.
-func zeroedCount([]float32, int) bool { return true }
-
-// quickselect returns the k-th smallest value (0-based k-1 semantics: the
-// largest of the k smallest).
-func quickselect(v []float64, k int) float64 {
-	if k <= 0 {
-		return -1
-	}
-	if k >= len(v) {
-		k = len(v)
-	}
-	lo, hi := 0, len(v)-1
-	target := k - 1
-	for lo < hi {
-		p := partition(v, lo, hi)
-		switch {
-		case p == target:
-			return v[p]
-		case p < target:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-	return v[target]
-}
-
-func partition(v []float64, lo, hi int) int {
-	pivot := v[(lo+hi)/2]
-	v[(lo+hi)/2], v[hi] = v[hi], v[(lo+hi)/2]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if v[j] < pivot {
-			v[i], v[j] = v[j], v[i]
-			i++
-		}
-	}
-	v[i], v[hi] = v[hi], v[i]
-	return i
 }

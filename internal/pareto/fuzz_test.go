@@ -14,7 +14,7 @@ import (
 // shipped curve and behind POST /v1/curve. Whatever arrives it must not
 // panic, and a curve it accepts must (a) survive Marshal → UnmarshalCurve
 // unchanged and (b) pass core.CheckCurve's relaxed invariants — sorted by
-// Perf, finite, registered knobs — unless it is empty, which CheckCurve
+// Perf, finite, positive, registered knobs — unless it is empty, which CheckCurve
 // refuses; the strict check may refuse more but must not panic either.
 func FuzzUnmarshalCurve(f *testing.F) {
 	shipped, err := os.ReadFile("testdata/lenet_curve.json") // approxtune -benchmark lenet -images 32 -iters 300 -seed 1
@@ -38,6 +38,7 @@ func FuzzUnmarshalCurve(f *testing.F) {
 		`{"points":[{"qos":1,"perf":2,"config":{"x":0}}]}`,
 		`{"points":[{"qos":1,"perf":2,"config":{"0":99999}}]}`,
 		`{"points":[{"qos":1,"perf":1e999}]}`,
+		`{"points":[{"perf":0}]}`, `{"points":[{"perf":-1}]}`,
 		`{"points":[{"perf":2},{"perf":1},{"perf":2,"config":{"-1":1,"01":0,"1":1}}]}`,
 	} {
 		f.Add([]byte(s))

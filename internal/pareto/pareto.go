@@ -189,11 +189,17 @@ func (c *Curve) Marshal() ([]byte, error) {
 
 // UnmarshalCurve restores a shipped curve, re-sorting defensively; points
 // of equal Perf keep their shipped order, so a curve survives a round trip
-// unchanged (FuzzUnmarshalCurve).
+// unchanged (FuzzUnmarshalCurve). A point whose speedup is not positive is
+// refused: a runtime tuner would divide its time budget by it.
 func UnmarshalCurve(data []byte) (*Curve, error) {
 	var c Curve
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("pareto: bad curve: %w", err)
+	}
+	for i, p := range c.Points {
+		if !(p.Perf > 0) {
+			return nil, fmt.Errorf("pareto: bad curve: point %d has non-positive perf %v", i, p.Perf)
+		}
 	}
 	sort.SliceStable(c.Points, func(i, j int) bool { return c.Points[i].Perf < c.Points[j].Perf })
 	return &c, nil

@@ -47,11 +47,9 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		obs.ReplyError(w, http.StatusBadRequest, fmt.Sprintf("bad curve: %v", err))
 		return
 	}
-	for i, pt := range curve.Points {
-		if err := s.cfg.Graph.ValidateConfig(pt.Config); err != nil {
-			obs.ReplyError(w, http.StatusUnprocessableEntity, fmt.Sprintf("curve point %d: %v", i, err))
-			return
-		}
+	if err := runnable(s.cfg.Graph, curve); err != nil {
+		obs.ReplyError(w, http.StatusUnprocessableEntity, err.Error())
+		return
 	}
 	if err := s.tuner.SwapCurve(curve); err != nil {
 		obs.ReplyError(w, http.StatusUnprocessableEntity, err.Error())

@@ -203,6 +203,16 @@ type Server struct {
 	stats stats
 }
 
+// runnable checks that g can run every configuration on curve c.
+func runnable(g *graph.Graph, c *pareto.Curve) error {
+	for i, pt := range c.Points {
+		if err := g.ValidateConfig(pt.Config); err != nil {
+			return fmt.Errorf("curve point %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // New validates the configuration, builds the tuner and starts the
 // batcher. The server accepts work immediately through Handler; Start
 // additionally binds a listener.
@@ -220,10 +230,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SLO <= 0 {
 		return nil, fmt.Errorf("serve: missing latency SLO")
 	}
-	for i, pt := range cfg.Curve.Points {
-		if err := cfg.Graph.ValidateConfig(pt.Config); err != nil {
-			return nil, fmt.Errorf("serve: curve point %d: %w", i, err)
-		}
+	if err := runnable(cfg.Graph, cfg.Curve); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	rt, err := core.NewRuntimeTuner(cfg.Curve, cfg.Policy, cfg.ExecBudget.Seconds(), cfg.Window, cfg.Seed)
 	if err != nil {

@@ -460,6 +460,58 @@ func getJSON(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
+// TestCurveSwapRejectsBadCurves posts curves the server must refuse to
+// POST /v1/curve: a body that is not a curve, or a point with a speedup
+// that is not positive, answers 400; a curve the graph cannot run, or one
+// with no points, answers 422. A refusal installs nothing: the swap count
+// stays 0 and the tuner keeps its active point.
+func TestCurveSwapRejectsBadCurves(t *testing.T) {
+	gr := testNet(7)
+	s, err := New(testConfig(gr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// A sampling knob on the dense head: registered, but not for a matmul.
+	var head int
+	classes := gr.OpClasses()
+	for i, op := range gr.ApproxOps() {
+		if classes[i] != approx.OpConv {
+			head = op
+		}
+	}
+	unrunnable, err := pareto.NewCurve("serve-test", 90, []pareto.Point{
+		{QoS: 90, Perf: 1, Config: approx.Config{head: approx.SamplingKnob(2, 0, tensorops.FP16)}},
+	}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, before := s.Tuner().Acquire()
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"malformed", `{"points":[`, http.StatusBadRequest},
+		{"zero perf", `{"program":"serve-test","points":[{"qos":90,"perf":0}]}`, http.StatusBadRequest},
+		{"negative perf", `{"program":"serve-test","points":[{"qos":90,"perf":1},{"qos":91,"perf":-1}]}`, http.StatusBadRequest},
+		{"unrunnable knob", string(unrunnable), http.StatusUnprocessableEntity},
+		{"no points", `{"program":"serve-test","points":[]}`, http.StatusUnprocessableEntity},
+	} {
+		if code, body := postJSON(t, ts.URL+"/v1/curve", []byte(tc.body)); code != tc.code {
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, code, body, tc.code)
+		}
+		if n := s.Tuner().CurveSwaps(); n != 0 {
+			t.Fatalf("%s: curve swaps = %d after a refusal, want 0", tc.name, n)
+		}
+		if _, idx := s.Tuner().Acquire(); idx != before {
+			t.Errorf("%s: active index %d after a refusal, want %d", tc.name, idx, before)
+		}
+	}
+}
+
 // TestServeConcurrentRace exercises the full serve path under the race
 // detector: concurrent clients (mixed item counts), live curve swaps,
 // health and stats polls, and a drain racing in-flight requests. Every
