@@ -1,13 +1,13 @@
 # Tier-1 verification gate: everything `make ci` runs must stay green.
-# CI = formatting check + vet (and its self-test) + FMA guard + IR lint +
-# build + smokes + race-enabled tests (the source lint suite runs inside
+# CI = formatting check + vet (and its self-test) + FMA guard + build +
+# smokes + race-enabled tests (the source rules, source_test.go, run inside
 # them) + the repo benchmark's own tests.
 
 GO ?= go
 
-.PHONY: ci fmt-check vet vet-selftest no-fma no-fma-selftest lint build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
+.PHONY: ci fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
 
-ci: fmt-check vet vet-selftest no-fma no-fma-selftest lint build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
+ci: fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -19,9 +19,9 @@ vet:
 	$(GO) vet ./...
 
 # Uncalled context cancel functions are go vet's to find (lostcancel), not
-# the project linter's, so that hand-over must be able to fail: vet over a
+# the source rules', so that hand-over must be able to fail: vet over a
 # package with a lost cancel planted on each marked line must report both.
-LOSTCANCEL = internal/lint/testdata/src/lostcancel
+LOSTCANCEL = testdata/lostcancel
 
 vet-selftest:
 	@out=$$($(GO) vet ./$(LOSTCANCEL) 2>&1); \
@@ -67,12 +67,6 @@ no-fma-selftest:
 	@printf 'TEXT repro/internal/tensorops.microKernel4(SB) gemm.go\n  gemm.go:1\t0x0\t1f010040\tFMADDS F1, F0, F2, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDS"; exit 1; }
 	@printf 'TEXT repro/internal/graph.scaleOutputChannel(SB) exec.go\n  exec.go:1\t0x0\t1f010040\tFMADDS F1, F0, F2, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDS outside tensorops"; exit 1; }
 	@printf 'TEXT repro/internal/device.(*Device).Energy(SB) device.go\n  device.go:1\t0x0\t1f420c00\tFMADDD F2, F3, F0, F0\n' | $(FMA_ARM64) > /dev/null || { echo "no-fma: the arm64 check misses a planted FMADDD in a cost model"; exit 1; }
-
-# The domain validators over the knob registry and the model-zoo graphs
-# (cmd/approxlint -ir). The source analyzers need no target of their own:
-# TestRepositoryIsLintClean runs them over the tree inside `go test`.
-lint:
-	$(GO) run ./cmd/approxlint -ir
 
 build:
 	$(GO) build ./...

@@ -10,11 +10,12 @@ import (
 	"repro/internal/promise"
 )
 
-// This file is the domain-level static checker behind `approxlint -ir`:
-// where the go/ast analyzers validate the source, these functions validate
+// This file is the domain-level static checker: these functions validate
 // the system's data — the knob registry, the per-class knob sets, and
 // shipped tradeoff curves — so an incomplete error model or a malformed
 // curve is caught at program load rather than mid-tuning.
+// TestCheckKnobRegistryClean runs CheckKnobRegistry against both TX2
+// models.
 
 // CheckKnobRegistry validates the full knob registry against the given
 // devices: every registered knob must have well-formed parameters, a

@@ -41,6 +41,9 @@ func (g *Graph) inferNode(n *Node, shapes []tensor.Shape, in tensor.Shape) (tens
 			return tensor.Shape{}, fmt.Errorf("graph %q: conv %q input rank %d", g.Name, n.Name, x.Rank())
 		}
 		p := n.Conv.Norm()
+		if x.Dim(1) != n.Weight.Dim(1)*p.Groups {
+			return tensor.Shape{}, fmt.Errorf("graph %q: conv %q input channels %d vs weight %v in %d group(s)", g.Name, n.Name, x.Dim(1), n.Weight.Shape(), p.Groups)
+		}
 		ho := tensor.ConvOutDim(x.Dim(2), n.Weight.Dim(2), p.StrideH, p.PadH)
 		wo := tensor.ConvOutDim(x.Dim(3), n.Weight.Dim(3), p.StrideW, p.PadW)
 		return tensor.NewShape(x.Dim(0), n.Weight.Dim(0), ho, wo), nil

@@ -8,9 +8,9 @@ import (
 
 // ValidateDeep runs the full static validation of a graph against a
 // program input shape and returns every problem found (empty slice when
-// the graph is well formed). It collects all findings so `approxlint -ir`,
-// the model builders and program-load checks can report a complete picture
-// at once. It checks:
+// the graph is well formed). It collects all findings so the model
+// builders and program-load checks can report a complete picture at once.
+// It checks:
 //
 //   - node IDs matching slice positions and a valid output node;
 //   - dangling edges: inputs referencing node IDs outside the graph;

@@ -61,6 +61,16 @@ func TestValidateDeepShapeMismatch(t *testing.T) {
 	}
 }
 
+func TestValidateDeepConvChannelMismatch(t *testing.T) {
+	gr := New("channels")
+	// The filter reads 2 input channels; the program input has 3.
+	gr.Conv(gr.InputID(), tensor.New(4, 2, 3, 3), nil, tensorops.ConvParams{PadH: 1, PadW: 1}, "conv")
+	errs := gr.ValidateDeep(tensor.NewShape(1, 3, 8, 8))
+	if !hasErr(errs, "input channels 3") {
+		t.Fatalf("channel mismatch not reported: %v", errs)
+	}
+}
+
 func TestValidateDeepOperandSizeMismatch(t *testing.T) {
 	gr := New("addmismatch")
 	a := gr.ReLU(gr.InputID())

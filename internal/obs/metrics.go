@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -41,8 +42,36 @@ func getOrCreate[V any](mu *sync.RWMutex, m map[string]V, key string, mk func() 
 	return v
 }
 
+// validMetricName reports whether name is dotted snake_case
+// ("subsystem.metric_name"): two or more dot-separated parts, each a
+// lowercase letter followed by lowercase letters, digits or underscores.
+// The exposition, the summary table and grep all key on the name, and
+// promName maps exactly this shape onto Prometheus' charset.
+func validMetricName(name string) bool {
+	parts := strings.Split(name, ".")
+	for _, p := range parts {
+		if p == "" || p[0] < 'a' || p[0] > 'z' {
+			return false
+		}
+		for _, c := range p {
+			if !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_') {
+				return false
+			}
+		}
+	}
+	return len(parts) >= 2
+}
+
+// lookup returns the named metric, creating it with mk on first use. It
+// panics on a malformed name (checked only on creation, so the hit path
+// pays nothing) and on a name already registered with another type.
 func lookup[T any](r *Registry, name string, mk func() T) T {
-	m := getOrCreate(&r.mu, r.metrics, name, func() any { return mk() })
+	m := getOrCreate(&r.mu, r.metrics, name, func() any {
+		if !validMetricName(name) {
+			panic(fmt.Sprintf("obs: metric name %q is not dotted snake_case (want \"subsystem.metric_name\")", name))
+		}
+		return mk()
+	})
 	t, ok := m.(T)
 	if !ok {
 		panic(fmt.Sprintf("obs: metric %q already registered with a different type (%T)", name, m))

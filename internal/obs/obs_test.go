@@ -88,10 +88,10 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 	tr := NewTracer(TracerOptions{Writer: &buf, KeepInMemory: 100000})
 	install(t, tr)
 	reg := NewRegistry()
-	ctr := reg.Counter("c")
-	g := reg.Gauge("g")
-	h := reg.QHistogram("h")
-	vec := reg.CounterVec("v")
+	ctr := reg.Counter("test.c")
+	g := reg.Gauge("test.g")
+	h := reg.QHistogram("test.h")
+	vec := reg.CounterVec("test.v")
 
 	const workers, iters = 8, 200
 	var wg sync.WaitGroup
@@ -128,12 +128,46 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 		t.Fatalf("got %d spans, want %d", len(records), 2*workers*iters)
 	}
 	snap := reg.Snapshot()
-	if snap["c"].(int64) != workers*iters {
-		t.Fatalf("snapshot counter = %v", snap["c"])
+	if snap["test.c"].(int64) != workers*iters {
+		t.Fatalf("snapshot counter = %v", snap["test.c"])
 	}
-	byLabel := snap["v"].(map[string]int64)
+	byLabel := snap["test.v"].(map[string]int64)
 	if byLabel["w0"]+byLabel["w1"] != workers*iters {
 		t.Fatalf("vec snapshot = %v", byLabel)
+	}
+}
+
+// TestRegistryRefusesMalformedNames pins the name check where a name is
+// decided: every constructor panics on a name that is not dotted
+// snake_case, so a name passed to a registry held in a variable, which the
+// source rules cannot tell from any other receiver, is still checked.
+func TestRegistryRefusesMalformedNames(t *testing.T) {
+	reg := NewRegistry()
+	ctors := map[string]func(string){
+		"Counter":    func(n string) { reg.Counter(n) },
+		"Gauge":      func(n string) { reg.Gauge(n) },
+		"CounterVec": func(n string) { reg.CounterVec(n) },
+		"GaugeVec":   func(n string) { reg.GaugeVec(n) },
+		"QHistogram": func(n string) { reg.QHistogram(n) },
+		"QHistVec":   func(n string) { reg.QHistVec(n) },
+	}
+	for ctor, mk := range ctors {
+		for _, bad := range []string{"latency-seconds", "requests", "Tuner.QueueDepth", "tuner.", ""} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%q) registered a malformed name", ctor, bad)
+					}
+				}()
+				mk(bad)
+			}()
+		}
+		good := "tuner." + strings.ToLower(ctor)
+		mk(good)
+		mk(good) // the hit path
+	}
+	if n := len(reg.Snapshot()); n != len(ctors) {
+		t.Errorf("registry holds %d metrics, want the %d well-formed ones", n, len(ctors))
 	}
 }
 
@@ -189,7 +223,7 @@ func TestLoggerLevels(t *testing.T) {
 
 func TestServeMetricsEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("kernels").Add(42)
+	reg.Counter("graph.kernels").Add(42)
 	tr := NewTracer(TracerOptions{})
 	tr.Start("phase:devtime").End()
 	srv, err := ServeMetrics("127.0.0.1:0", reg, tr)
@@ -214,7 +248,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/metrics")), &snap); err != nil {
 		t.Fatalf("metrics JSON: %v", err)
 	}
-	if snap["kernels"].(float64) != 42 {
+	if snap["graph.kernels"].(float64) != 42 {
 		t.Fatalf("metrics = %v", snap)
 	}
 	if !strings.Contains(get("/trace"), "phase:devtime") {

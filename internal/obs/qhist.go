@@ -227,28 +227,6 @@ func (s *QSnapshot) Merge(o *QSnapshot) {
 	}
 }
 
-// ExemplarNear returns an exemplar representative of the q-quantile: the
-// exemplar of the bucket holding the quantile's rank, or the nearest
-// bucket (within one octave) that has one. ok is false when no exemplar
-// is close enough.
-func (s *QSnapshot) ExemplarNear(q float64) (Exemplar, bool) {
-	if len(s.exemplars) == 0 || s.count == 0 {
-		return Exemplar{}, false
-	}
-	target := qhistIndex(s.Quantile(q))
-	for d := 0; d <= qhistSub; d++ {
-		if e, ok := s.exemplars[target+d]; ok {
-			return e, true
-		}
-		if d > 0 {
-			if e, ok := s.exemplars[target-d]; ok {
-				return e, true
-			}
-		}
-	}
-	return Exemplar{}, false
-}
-
 // qsnapshotJSON is the wire form of a QSnapshot: the bucket array is
 // sparse-encoded (index → count) since latency distributions touch only
 // a handful of the 1026 buckets.

@@ -10,7 +10,7 @@ import (
 )
 
 // splitmix64 is a tiny deterministic generator so the tests stay seeded
-// without math/rand (banned by the detrand analyzer).
+// without math/rand (banned by the detrand rule, source_test.go).
 type splitmix64 uint64
 
 func (s *splitmix64) next() uint64 {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -217,48 +216,6 @@ func (g *IDSource) SpanID() SpanID {
 		binary.BigEndian.PutUint64(id[:], g.next())
 	}
 	return id
-}
-
-// spanCtxKey keys the active span in a context.Context.
-type spanCtxKey struct{}
-
-// ContextWithSpan returns ctx carrying s. A nil span returns ctx
-// unchanged, keeping the disabled-tracing path allocation-free.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
-}
-
-// StartCtx opens a span on the installed tracer — as a child of the
-// span carried by ctx, if any — and returns ctx carrying the new span.
-// With tracing disabled it returns (ctx, nil) untouched.
-func StartCtx(ctx context.Context, name string) (context.Context, *Span) {
-	return global.Load().StartCtx(ctx, name)
-}
-
-// StartCtx is the per-tracer form of the package-level StartCtx.
-func (t *Tracer) StartCtx(ctx context.Context, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	var sp *Span
-	if parent := SpanFromContext(ctx); parent != nil && parent.tr == t {
-		sp = parent.Child(name)
-	} else {
-		sp = t.Start(name)
-	}
-	return ContextWithSpan(ctx, sp), sp
 }
 
 // StartRemote opens a root span that continues the trace described by
