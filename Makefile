@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke trace
+.PHONY: ci fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke examples trace
 
-ci: fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke race test-benchmark
+ci: fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke examples race test-benchmark
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -199,6 +199,17 @@ trace-smoke:
 	fi; \
 	rm -rf $$tmp; \
 	echo "trace-smoke: OK"
+
+# The examples no other target runs, each to a zero exit (≈ 15 s together):
+# canny_pipeline drives Abs, Sqrt, NMS and Hysteresis through the graph's
+# node loop, distributed_tuning install-time tuning over edge profiles,
+# model_from_json the JSON model front end and the dual-curve bundle, and
+# runtime_adaptation the runtime tuner. `make trace` runs quickstart.
+examples:
+	$(GO) run ./examples/canny_pipeline
+	$(GO) run ./examples/distributed_tuning
+	$(GO) run ./examples/model_from_json
+	$(GO) run ./examples/runtime_adaptation
 
 # One-iteration smoke run of every benchmark in the module.
 bench-smoke:

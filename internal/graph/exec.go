@@ -99,12 +99,15 @@ func (g *Graph) traced(opts ExecOptions, mode string) (*obs.Span, ExecOptions) {
 // last node reading it has run (liveness), and later outputs are drawn
 // from that memory; the program input, base's values and the output are
 // never handed back, and a recycled value's entry in the result is nil.
+//
+// A recycling sweep also moves a convolution's tanh past the max pool that
+// is its only reader, when it runs both (tanhPastPool).
 func (g *Graph) sweep(input *tensor.Tensor, base []*tensor.Tensor, from int, cfg approx.Config, opts ExecOptions, recycle bool) []*tensor.Tensor {
 	vals := make([]*tensor.Tensor, len(g.Nodes))
 	copy(vals, base)
-	var owner, last []int32
+	var owner, last, pool []int32
 	if recycle {
-		owner, last = g.liveness()
+		owner, last, pool = g.liveness()
 	}
 	for _, n := range g.Nodes {
 		if n.Kind == OpInput {
@@ -112,7 +115,7 @@ func (g *Graph) sweep(input *tensor.Tensor, base []*tensor.Tensor, from int, cfg
 				vals[n.ID] = input
 			}
 		} else if n.ID >= from {
-			vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), opts)
+			vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), g.tanhPastPool(n, pool, cfg, from), opts)
 			if recycle {
 				// A buffer dies at its last reader, or at its producer
 				// when nothing reads it.
@@ -142,10 +145,13 @@ func (g *Graph) recycleDead(vals []*tensor.Tensor, last []int32, o int32, at, fr
 // the node whose buffer holds node i's value: i itself, or for a Flatten
 // (a view of its input) its input's owner. last[o] is the ID of the last
 // node that reads buffer o through any of its views, or −1 for the
-// output's buffer, which outlives the sweep.
-func (g *Graph) liveness() (owner, last []int32) {
-	buf := make([]int32, 2*len(g.Nodes))
-	owner, last = buf[:len(g.Nodes)], buf[len(g.Nodes):]
+// output's buffer, which outlives the sweep. pool[i] is the max pool that
+// is the only reader of node i, a convolution with a fused tanh that is not
+// the output, and −1 for every other node.
+func (g *Graph) liveness() (owner, last, pool []int32) {
+	nn := len(g.Nodes)
+	buf := make([]int32, 3*nn)
+	owner, last, pool = buf[:nn], buf[nn:2*nn], buf[2*nn:]
 	for _, n := range g.Nodes {
 		o := int32(n.ID)
 		if n.Kind == OpFlatten {
@@ -154,15 +160,68 @@ func (g *Graph) liveness() (owner, last []int32) {
 		owner[n.ID] = o
 		// Nodes run in ascending ID, so the latest assignment is the max.
 		last[o] = int32(n.ID)
+		pool[n.ID] = -1
 		for _, id := range n.Inputs {
 			last[owner[id]] = int32(n.ID)
+			// −1 until a first reader, that reader if it is a max pool,
+			// then −2 for good.
+			if pool[id] == -1 && n.Kind == OpMaxPool {
+				pool[id] = int32(n.ID)
+			} else {
+				pool[id] = -2
+			}
 		}
 	}
 	last[owner[g.Output]] = -1
-	return owner, last
+	for i, n := range g.Nodes {
+		if pool[i] < 0 || n.Kind != OpConv || n.Act != ActTanh || i == g.Output {
+			pool[i] = -1
+		}
+	}
+	return owner, last, pool
 }
 
-func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, opts ExecOptions) *tensor.Tensor {
+// tanhMove tells execNode one half of a tanh moved past a max pool: on the
+// convolution, run its epilogue without the tanh; on the pool, apply tanh
+// and then, when prec is FP16, the convolution's last half-precision round
+// to the pooled values.
+type tanhMove struct {
+	on   bool
+	prec tensorops.Precision
+}
+
+// tanhPastPool decides the move for node n, a convolution or the max pool
+// reading it, from liveness's pool table (nil in a sweep that recycles
+// nothing, which moves nothing either): the pool must be the
+// convolution's only reader, the sweep must run both (from ≤ the
+// convolution), and the knobs must not pair an FP32 convolution with an
+// FP16 pool, whose input round would then fall on the pre-activation
+// values instead of tanh's.
+// Taking the maximum first keeps every bit (tensorops.MaxPoolSampledTanh)
+// and saves the tanh of every element the pool drops.
+func (g *Graph) tanhPastPool(n *Node, pool []int32, cfg approx.Config, from int) tanhMove {
+	if pool == nil {
+		return tanhMove{}
+	}
+	conv := n.ID
+	if n.Kind == OpMaxPool {
+		conv = n.Inputs[0]
+	}
+	p := pool[conv]
+	if p < 0 || conv < from {
+		return tanhMove{}
+	}
+	prec := approx.MustLookup(cfg.Knob(conv)).Prec
+	if prec == tensorops.FP32 && approx.MustLookup(cfg.Knob(int(p))).Prec == tensorops.FP16 {
+		return tanhMove{}
+	}
+	if n.Kind == OpMaxPool {
+		mTanhMoves.Inc()
+	}
+	return tanhMove{on: true, prec: prec}
+}
+
+func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, mv tanhMove, opts ExecOptions) *tensor.Tensor {
 	knob := approx.MustLookup(kid)
 	observeNode(knob)
 	if opts.Trace != nil {
@@ -178,6 +237,9 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, opts
 		// kernels that compute in the engine; PROMISE (perturbs the raw
 		// output first) and int8 apply it in a single in-place pass.
 		ep := n.fusedEpilogue()
+		if mv.on {
+			ep.Act = tensorops.ActNone
+		}
 		var out *tensor.Tensor
 		switch knob.Kind {
 		case approx.KindBaseline, approx.KindFP16:
@@ -225,7 +287,10 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, opts
 		default:
 			panicKnob(n, knob)
 		}
-		if n.Kind == OpMaxPool {
+		switch {
+		case mv.on:
+			return tensorops.MaxPoolSampledTanh(x, n.Pool, num, den, prec, mv.prec)
+		case n.Kind == OpMaxPool:
 			return tensorops.MaxPoolSampled(x, n.Pool, num, den, prec)
 		}
 		return tensorops.AvgPoolSampled(x, n.Pool, num, den, prec)
@@ -370,7 +435,7 @@ func (g *Graph) StandardizeWeights(probe *tensor.Tensor) {
 			// quantized copies must never serve another execution.
 			n.InvalidateWeight()
 		}
-		vals[n.ID] = g.execNode(n, vals, approx.KnobFP32, ExecOptions{})
+		vals[n.ID] = g.execNode(n, vals, approx.KnobFP32, tanhMove{}, ExecOptions{})
 	}
 }
 

@@ -343,7 +343,7 @@ func TestLivenessFollowsFlattenViews(t *testing.T) {
 	sum := gr.Add(sm, fl)
 	out := gr.Flatten(sum)
 
-	owner, last := gr.liveness()
+	owner, last, _ := gr.liveness()
 	for id, want := range map[int]int{c: c, sq: sq, fl: sq, sm: sm, sum: sum, out: sum} {
 		if int(owner[id]) != want {
 			t.Errorf("owner[%d] = %d, want %d", id, owner[id], want)

@@ -14,6 +14,9 @@ var (
 	mOpsExact  = obs.NewCounter("graph.ops_exact")
 	mOpsApprox = obs.NewCounter("graph.ops_approximated")
 	mExecs     = obs.NewCounter("graph.executions")
+	// mTanhMoves counts max pools that applied their input convolution's
+	// tanh to the pooled values (tanhPastPool).
+	mTanhMoves = obs.NewCounter("graph.tanh_past_pool")
 
 	// kindCounters caches the per-knob-kind counters so the hot path
 	// avoids the CounterVec map lookup.

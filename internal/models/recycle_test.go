@@ -159,3 +159,28 @@ func TestExecuteBytesPerCall(t *testing.T) {
 	}
 	t.Logf("%d B per call", best)
 }
+
+// TestExecuteAllocs pins the heap allocations of one exact batch-1 Execute
+// of each zoo model at GOMAXPROCS 1, where no loop hands a closure to the
+// worker team: tensor headers and shapes, the per-call convolution tables,
+// the value slice and liveness table. Moving a tanh past a max pool must
+// not add one.
+func TestExecuteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := map[string]float64{"lenet": 39, "alexnet2": 57, "resnet18": 154, "mobilenet": 152}
+	for _, name := range benchModels {
+		m := buildBench(name)
+		cfg := benchConfig(m.Graph, 0)
+		in := tensor.New(m.InputShape(1).Dims()...)
+		tensor.NewRNG(5).FillNormal(in, 0, 1)
+		got := testing.AllocsPerRun(20, func() {
+			tensor.Recycle(m.Graph.Execute(in, cfg, graph.ExecOptions{}))
+		})
+		if got != want[name] {
+			t.Errorf("%s: %v allocations per Execute, want %v", name, got, want[name])
+		}
+	}
+}

@@ -266,10 +266,23 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 // perforation, one plane at a time while it is in cache: fill, then ep over
 // the whole plane — the order of the three whole-tensor passes this
 // replaces, so the same bits. src holds the kept outputs in packed order,
-// plane i's first (the kernels write them there, ldc = ho·wo).
+// plane i's first (the kernels write them there, ldc = ho·wo). The planes
+// are split over the team when it is free — at batch one the (image,
+// group) loop around this runs on the caller alone.
 func (pl *convPlan) finish(out, src []float32, m int, ep *rowEpi, chan0 int) {
+	if parallel.Available() == 0 {
+		pl.finishPlanes(0, m, out, src, m, ep, chan0)
+		return
+	}
+	parallel.ForChunked(m, func(lo, hi int) {
+		pl.finishPlanes(lo, hi, out, src, m, ep, chan0)
+	})
+}
+
+// finishPlanes is finish over planes [lo,hi).
+func (pl *convPlan) finishPlanes(lo, hi int, out, src []float32, m int, ep *rowEpi, chan0 int) {
 	how := len(out) / m
-	for i := 0; i < m; i++ {
+	for i := lo; i < hi; i++ {
 		plane := out[i*how : (i+1)*how]
 		kept := src[i*how : i*how+pl.per]
 		switch {

@@ -67,12 +67,12 @@ func (p PoolParams) Norm() PoolParams {
 
 // MaxPool computes max pooling over (N,C,H,W).
 func MaxPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
-	return poolSampled(x, p, prec, false, 1, 1)
+	return poolSampled(x, p, prec, false, 1, 1, rowEpi{})
 }
 
 // AvgPool computes average pooling over (N,C,H,W).
 func AvgPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
-	return poolSampled(x, p, prec, true, 1, 1)
+	return poolSampled(x, p, prec, true, 1, 1, rowEpi{})
 }
 
 // MaxPoolSampled and AvgPoolSampled apply the reduction-sampling
@@ -83,12 +83,31 @@ func AvgPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
 // over the subset. Padding is skipped, and a window none of whose kept taps
 // is inside the input gives 0.
 func MaxPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec Precision) *tensor.Tensor {
-	return poolSampled(x, p, prec, false, ratioNum, ratioDen)
+	return poolSampled(x, p, prec, false, ratioNum, ratioDen, rowEpi{})
+}
+
+// MaxPoolSampledTanh is MaxPoolSampled followed by tanh32 and, when
+// tanhPrec is FP16, a round to half precision: the last steps of the
+// epilogue of a tanh convolution whose output only this pool reads, moved
+// past it so that they run on a quarter of the elements under a 2×2,
+// stride-2 window. For x the convolution's output without those steps, it
+// returns the bits MaxPoolSampled returns on the full output, because
+// tanh32 and the FP16 round never decrease and send only ±0 to zero, and
+// the pool keeps the first of equal maxima (tanh_vector_test.go pins both
+// properties). That does not hold when prec is FP16 and tanhPrec FP32: the
+// pool's input round would fall on the pre-activation values, not on
+// tanh's.
+func MaxPoolSampledTanh(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec, tanhPrec Precision) *tensor.Tensor {
+	post := rowEpi{flags: epiTanh}
+	if tanhPrec == FP16 {
+		post.flags |= epiQuant
+	}
+	return poolSampled(x, p, prec, false, ratioNum, ratioDen, post)
 }
 
 // AvgPoolSampled — see MaxPoolSampled.
 func AvgPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec Precision) *tensor.Tensor {
-	return poolSampled(x, p, prec, true, ratioNum, ratioDen)
+	return poolSampled(x, p, prec, true, ratioNum, ratioDen, rowEpi{})
 }
 
 // poolTap is a kept window position: rows and columns from the window's
@@ -96,7 +115,9 @@ func AvgPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec
 // window_avx_amd64.s reads off through go_asm.h.
 type poolTap struct{ ky, kx, off int }
 
-func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, den int) *tensor.Tensor {
+// poolSampled reduces every window of x, then applies post, when it has a
+// step, to each pooled plane (activatePooled).
+func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, den int, post rowEpi) *tensor.Tensor {
 	p = p.Norm()
 	if x.Rank() != 4 {
 		panicShape("Pool", "need 4-D input, got %v", x.Shape())
@@ -153,6 +174,9 @@ func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, 
 				maxRows(dst, src, taps, chi-clo, sw, rhi-rlo, wo, sh*w)
 			}
 		}
+		if post.flags != 0 {
+			activatePooled(post, o, in, h, w, wo, p, taps)
+		}
 	})
 	// A maximum is one of the quantized inputs or 0, so only averages need
 	// rounding back to half precision.
@@ -189,6 +213,45 @@ func poolWindow(in []float32, h, w, iy0, ix0 int, taps []poolTap, avg bool) floa
 		return float32(acc / float64(count))
 	}
 	return best
+}
+
+// activatePooled applies post to o, a plane of maxima over the (h × w)
+// plane in. Taking the maximum before a nondecreasing activation gives the
+// bits of taking it after, save for a maximum of −Inf: it comes from an
+// −Inf tap, which tanh sends to −1 as it would have before the pool, or from
+// a window whose every kept tap is NaN, where the pool over activated values
+// returns its −Inf start. Only the window tells which, so such a window is
+// scanned again, and its output is marked NaN, which the activation keeps,
+// until −Inf is put back.
+func activatePooled(post rowEpi, o, in []float32, h, w, wo int, p PoolParams, taps []poolTap) {
+	negInf := float32(math.Inf(-1))
+	marked := false
+	for i, v := range o {
+		if v != negInf {
+			continue
+		}
+		iy0, ix0 := i/wo*p.StrideH-p.PadH, i%wo*p.StrideW-p.PadW
+		allNaN := true
+		for _, t := range taps {
+			iy, ix := iy0+t.ky, ix0+t.kx
+			if uint(iy) < uint(h) && uint(ix) < uint(w) && in[iy*w+ix] == negInf {
+				allNaN = false
+				break
+			}
+		}
+		if allNaN {
+			o[i] = float32(math.NaN())
+			marked = true
+		}
+	}
+	post.apply(o, 0)
+	if marked {
+		for i, v := range o {
+			if v != v {
+				o[i] = negInf
+			}
+		}
+	}
 }
 
 // poolInterior returns the output positions [lo, hi) along one axis whose

@@ -188,7 +188,7 @@ func TestPoolMatchesReferenceLoop(t *testing.T) {
 						for _, r := range poolRatios {
 							for _, avg := range []bool{false, true} {
 								for _, prec := range []Precision{FP32, FP16} {
-									got := poolSampled(x, p, prec, avg, r[0], r[1])
+									got := poolSampled(x, p, prec, avg, r[0], r[1], rowEpi{})
 									requireSameBits(t, got, refPoolPrec(x, p, prec, avg, r[0], r[1]),
 										"pool %+v in=%v avg=%v ratio=%d/%d %v", p, hw, avg, r[0], r[1], prec)
 									requireSameBits(t, x, x0, "pool %+v in=%v: input written", p, hw)
@@ -295,7 +295,8 @@ var poolSpecials = []uint32{0, 1 << 31, 0x7f800000, 0xff800000, 0x7fc00000, 0xff
 // len(poolSpecials) is that special value, any other b is int8(b)/8, so
 // NaNs, infinities, signed zeros and ties all occur. poolSampled under every
 // tier the CPU has must equal refPool bit for bit and leave its input as it
-// was. The committed corpus holds output widths 1, 7, 8, 9, 15, 16 and 17 and
+// was, and so must MaxPoolSampledTanh over x against the pool of tanh(x),
+// at each precision pair it is exact for. The committed corpus holds output widths 1, 7, 8, 9, 15, 16 and 17 and
 // NaN and −0 inputs.
 func FuzzMaxPool(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ctl, vals []byte) {
@@ -328,9 +329,18 @@ func FuzzMaxPool(f *testing.F) {
 		defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
 		for tier := tierPortable; tier <= bestTier(); tier++ {
 			gemmTier = tier
-			got := poolSampled(x, p, prec, false, r[0], r[1])
+			got := poolSampled(x, p, prec, false, r[0], r[1], rowEpi{})
 			requireSameBits(t, got, want, "tier=%v %+v in=%dx%d ratio=%d/%d %v", tier, p, h, w, r[0], r[1], prec)
 			requireSameBits(t, x, x0, "tier=%v: input written", tier)
+			// Tanh after the pool against tanh before it; the inputs are
+			// all half-precision values, as an FP16 convolution's are.
+			for _, tanhPrec := range []Precision{prec, FP16} {
+				act := Tanh(x, tanhPrec)
+				got := MaxPoolSampledTanh(x, p, r[0], r[1], prec, tanhPrec)
+				requireSameBits(t, got, refPoolPrec(act, p, prec, false, r[0], r[1]),
+					"tier=%v %+v in=%dx%d ratio=%d/%d pool %v tanh %v", tier, p, h, w, r[0], r[1], prec, tanhPrec)
+				requireSameBits(t, x, x0, "tier=%v: input written", tier)
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/tensor"
 )
 
 // requireVectorTier skips unless this CPU runs the AVX row kernels.
@@ -17,15 +18,30 @@ func requireVectorTier(t *testing.T) {
 }
 
 // checkTanhChunk runs the bit patterns in src through tanhSlice and compares
-// every element with the scalar tanh32, by bits.
-func checkTanhChunk(t *testing.T, dst, src []float32) bool {
+// every element with the scalar tanh32, by bits. It also holds tanh32 to
+// what moving it past a max pool rests on (MaxPoolSampledTanh): it returns
+// ±0 only for ±0, and it never decreases — checked between neighbours in
+// src, and between prev, the input before src[0], and src[0] (a NaN prev
+// checks nothing).
+func checkTanhChunk(t *testing.T, dst, src []float32, prev float32) bool {
 	tanhSlice(dst, src)
+	prevY := tanh32(prev)
 	for i, v := range src {
-		if want := tanh32(v); math.Float32bits(dst[i]) != math.Float32bits(want) {
+		want := tanh32(v)
+		if math.Float32bits(dst[i]) != math.Float32bits(want) {
 			t.Errorf("tanhSlice(%#08x=%v) = %#08x, scalar tanh32 %#08x",
 				math.Float32bits(v), v, math.Float32bits(dst[i]), math.Float32bits(want))
 			return false
 		}
+		if want == 0 && v != 0 {
+			t.Errorf("tanh32(%#08x=%v) = %v", math.Float32bits(v), v, want)
+			return false
+		}
+		if prev < v && prevY > want || prev > v && prevY < want {
+			t.Errorf("tanh32 decreases: tanh32(%v) = %v, tanh32(%v) = %v", prev, prevY, v, want)
+			return false
+		}
+		prev, prevY = v, want
 	}
 	return true
 }
@@ -35,7 +51,9 @@ func checkTanhChunk(t *testing.T, dst, src []float32) bool {
 // payload, ±Inf, the subnormals and both sides of the 9.015 saturation edge
 // are covered by construction — or, under -short and the race detector,
 // every exponent × a prime mantissa stride plus the neighbourhood of each
-// binade edge and of the saturation edge.
+// binade edge and of the saturation edge. The full sweep visits the
+// patterns of each sign in order of magnitude, so it also checks that
+// tanh32 never decreases anywhere.
 func TestTanhSliceVectorMatchesScalar(t *testing.T) {
 	requireVectorTier(t)
 	const chunk = 1 << 16
@@ -43,7 +61,7 @@ func TestTanhSliceVectorMatchesScalar(t *testing.T) {
 		src := make([]float32, 0, chunk)
 		dst := make([]float32, chunk)
 		flush := func() {
-			checkTanhChunk(t, dst[:len(src)], src)
+			checkTanhChunk(t, dst[:len(src)], src, float32(math.NaN()))
 			src = src[:0]
 		}
 		add := func(u uint32) {
@@ -80,13 +98,35 @@ func TestTanhSliceVectorMatchesScalar(t *testing.T) {
 				for i := range src {
 					src[i] = math.Float32frombits(uint32(base) + uint32(i))
 				}
-				if !checkTanhChunk(t, dst, src) {
+				// The pattern before a chunk; a NaN at either sign's start.
+				if !checkTanhChunk(t, dst, src, math.Float32frombits(uint32(base)-1)) {
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestTanhFP16NeverDecreases: under an FP16 convolution, the tanh moved
+// past a max pool is tanh32 followed by the round to half precision, applied
+// to half-precision values. Over all 65 536 halves h, that must never
+// decrease, and must be nonzero for every nonzero h.
+func TestTanhFP16NeverDecreases(t *testing.T) {
+	for _, sign := range []uint16{0, 0x8000} {
+		var prevY float32
+		for m := uint16(0); m <= 0x7c00; m++ { // ±0 up to ±Inf, by magnitude
+			h := tensor.F16ToF32(sign | m)
+			y := tensor.QuantizeFP16(tanh32(h))
+			if y == 0 && m != 0 {
+				t.Fatalf("FP16(tanh32(%v)) = %v", h, y)
+			}
+			if m > 0 && (sign == 0 && y < prevY || sign != 0 && y > prevY) {
+				t.Fatalf("FP16(tanh32) decreases at the half %#04x = %v: %v after %v", sign|m, h, y, prevY)
+			}
+			prevY = y
+		}
+	}
 }
 
 // TestTanhSliceTailsAndAliasing covers what the sweep's long aligned chunks
