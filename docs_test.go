@@ -1,7 +1,11 @@
 package approxtuner
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -59,4 +63,107 @@ func TestDocsStayWithinTheirCaps(t *testing.T) {
 		}
 	}
 	check()
+}
+
+// docSymbolRe finds `pkg.Name` inside a backticked span: pkg is a lower-case
+// identifier not glued to a path or another selector, Name is exported (a
+// metric name such as `serve.batch_items` is lower-case throughout), and a
+// trailing `*` makes Name a prefix.
+var docSymbolRe = regexp.MustCompile(`(?:^|[^\w./-])([a-z][a-z0-9]*)\.([A-Z]\w*)(\*?)`)
+
+// TestDocsNameDeclaredSymbols holds README.md and DESIGN.md to the code: a
+// backticked `pkg.Name` whose pkg is a directory under internal/ or cmd/
+// must name a top-level declaration of that package, so a deleted or
+// renamed symbol cannot live on in the docs.
+func TestDocsNameDeclaredSymbols(t *testing.T) {
+	decls := map[string]map[string]bool{}
+	for _, root := range []string{"internal", "cmd"} {
+		dirs, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			if d.IsDir() {
+				decls[d.Name()] = packageDecls(t, filepath.Join(root, d.Name()))
+			}
+		}
+	}
+	span := regexp.MustCompile("`[^`\n]+`")
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, s := range span.FindAllString(line, -1) {
+				for _, m := range docSymbolRe.FindAllStringSubmatch(s, -1) {
+					names, ok := decls[m[1]]
+					if !ok {
+						continue
+					}
+					checked++
+					if declared(names, m[2], m[3] == "*") {
+						continue
+					}
+					t.Errorf("%s:%d: %s names %s.%s%s, which package %s does not declare", doc, i+1, s, m[1], m[2], m[3], m[1])
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no backticked pkg.Name found in README.md or DESIGN.md: the pattern no longer matches the docs")
+	}
+}
+
+// packageDecls returns the names of the top-level declarations of the
+// non-test files in dir, methods included.
+func packageDecls(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// declared reports whether name is among names, or, as a prefix, begins one.
+func declared(names map[string]bool, name string, prefix bool) bool {
+	if !prefix {
+		return names[name]
+	}
+	for n := range names {
+		if strings.HasPrefix(n, name) {
+			return true
+		}
+	}
+	return false
 }

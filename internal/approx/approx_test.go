@@ -142,7 +142,7 @@ func TestSearchSpaceSize(t *testing.T) {
 }
 
 func TestConfigBasics(t *testing.T) {
-	c := NewBaseline(3)
+	c := Config{0: KnobFP32, 1: KnobFP32, 2: KnobFP32}
 	if c.Knob(0) != KnobFP32 || c.Knob(99) != KnobFP32 {
 		t.Fatal("baseline/default knob should be FP32")
 	}

@@ -12,15 +12,6 @@ import (
 // Operations absent from the map run exactly (knob 0).
 type Config map[int]KnobID
 
-// NewBaseline returns a configuration mapping all n ops to FP32.
-func NewBaseline(n int) Config {
-	c := make(Config, n)
-	for i := 0; i < n; i++ {
-		c[i] = KnobFP32
-	}
-	return c
-}
-
 // Knob returns the knob for op i (FP32 when unset).
 func (c Config) Knob(i int) KnobID {
 	if k, ok := c[i]; ok {

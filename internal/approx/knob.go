@@ -34,12 +34,6 @@ const (
 	KindPerforation
 	KindReduceSampling
 	KindPromise
-	// KindInt8 is an extension beyond the paper's five techniques
-	// (§2.3 notes the system "is extensible to a wide range of software
-	// and hardware approximations"): symmetric per-tensor 8-bit integer
-	// quantization of convolution/matmul operands. Hardware-independent
-	// semantics, like FP16.
-	KindInt8
 )
 
 func (k Kind) String() string {
@@ -56,8 +50,6 @@ func (k Kind) String() string {
 		return "red_samp"
 	case KindPromise:
 		return "promise"
-	case KindInt8:
-		return "int8"
 	default:
 		return "unknown"
 	}
@@ -98,10 +90,6 @@ const (
 	redFP32Base  KnobID = 70 // 3 knobs: 70..72
 	redFP16Base  KnobID = 80 // 3 knobs: 80..82
 	promiseBase  KnobID = 90 // 7 knobs: 90..96 (P1..P7)
-
-	// KnobInt8 is the INT8-quantization extension knob (not part of the
-	// paper's default knob sets; opt in via core.KnobPolicy.IncludeInt8).
-	KnobInt8 KnobID = 110
 )
 
 var registry = buildRegistry()
@@ -150,9 +138,6 @@ func buildRegistry() map[KnobID]Knob {
 	for lvl := 1; lvl <= 7; lvl++ {
 		add(Knob{ID: promiseBase + KnobID(lvl-1), Kind: KindPromise, Prec: tensorops.FP32, Level: lvl})
 	}
-
-	// INT8 quantization extension.
-	add(Knob{ID: KnobInt8, Kind: KindInt8, Prec: tensorops.FP32})
 	return r
 }
 
@@ -266,8 +251,6 @@ func (k Knob) Name() string {
 		return fmt.Sprintf("red-%d/%d%s", k.RatioNum, k.RatioDen, suffix)
 	case KindPromise:
 		return fmt.Sprintf("promise-P%d", k.Level)
-	case KindInt8:
-		return "int8"
 	default:
 		return "unknown"
 	}
@@ -308,8 +291,6 @@ func (k Knob) Group() string {
 		}
 	case KindPromise:
 		return fmt.Sprintf("P%d", k.Level)
-	case KindInt8:
-		return "INT8"
 	default:
 		return "unknown"
 	}

@@ -110,8 +110,6 @@ func (k Knob) Factors() (rc, rm float64) {
 		// throughput vs digital accelerators. Model a mid-range constant:
 		// voltage level changes energy, not throughput, to first order.
 		rc, rm = 2.4, 2.4
-	case KindInt8:
-		rm = 4 // one byte per element instead of four
 	}
 	return rc, rm
 }

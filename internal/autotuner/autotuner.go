@@ -47,11 +47,6 @@ type Options struct {
 	StallLimit int     // stop after this many non-improving iterations (paper: 1K)
 	QoSMin     float64 // the QoS constraint the fitness penalizes against
 	Seed       int64
-	// QoSPenalty scales how hard sub-threshold QoS hurts fitness. The
-	// default of 10 makes even small threshold violations cost more than
-	// any realistic speedup, steering the search back into feasibility
-	// (final filtering happens at QoS validation regardless).
-	QoSPenalty float64
 	// Techniques restricts the ensemble to the named techniques ("random",
 	// "greedy-mutate", "hill-climb", "evolution", "anneal"); empty means
 	// the full ensemble. Used by the ensemble-vs-single ablation.
@@ -64,9 +59,6 @@ func (o Options) norm() Options {
 	}
 	if o.StallLimit == 0 {
 		o.StallLimit = 1000
-	}
-	if o.QoSPenalty == 0 {
-		o.QoSPenalty = 10.0
 	}
 	return o
 }
@@ -234,12 +226,18 @@ func (t *Tuner) reportWith(tech int, cfg approx.Config, fb Feedback) {
 	t.addElite(cfg, fit)
 }
 
+// qosPenalty scales how hard sub-threshold QoS hurts fitness: 10 makes
+// even small threshold violations cost more than any realistic speedup,
+// steering the search back into feasibility (final filtering happens at
+// QoS validation regardless).
+const qosPenalty = 10
+
 // fitness maximizes Perf subject to the QoS constraint, with a linear
 // penalty for shortfall so the search can climb back into feasibility.
 func (t *Tuner) fitness(fb Feedback) float64 {
 	fit := fb.Perf
 	if fb.QoS < t.opts.QoSMin {
-		fit -= float64((t.opts.QoSMin - fb.QoS) * t.opts.QoSPenalty)
+		fit -= float64((t.opts.QoSMin - fb.QoS) * qosPenalty)
 	}
 	return fit
 }

@@ -110,14 +110,14 @@ func TestTunerRespectsIterationCap(t *testing.T) {
 
 func TestFitnessPenalizesQoSViolation(t *testing.T) {
 	p := testProblem(1, 2)
-	tuner := New(p, Options{QoSMin: 90, QoSPenalty: 2, Seed: 4})
+	tuner := New(p, Options{QoSMin: 90, Seed: 4})
 	ok := tuner.fitness(Feedback{QoS: 91, Perf: 1.5})
 	bad := tuner.fitness(Feedback{QoS: 88, Perf: 1.5})
 	if ok != 1.5 {
 		t.Errorf("feasible fitness = %v, want 1.5", ok)
 	}
-	if math.Abs(bad-(1.5-4)) > 1e-9 {
-		t.Errorf("infeasible fitness = %v, want -2.5", bad)
+	if math.Abs(bad-(1.5-2*qosPenalty)) > 1e-9 {
+		t.Errorf("infeasible fitness = %v, want -18.5", bad)
 	}
 }
 

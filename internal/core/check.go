@@ -20,19 +20,24 @@ import (
 // CheckKnobRegistry validates the full knob registry against the given
 // devices: every registered knob must have well-formed parameters, a
 // usable error model, positive finite performance factors, and at least
-// one device able to execute it; and every knob id handed out by the
-// per-class knob sets must resolve in the registry. A nil/empty device
-// list checks everything but device support.
+// one device able to execute it; every knob id handed out by the
+// per-class knob sets must resolve in the registry; and every registered
+// knob must be handed out to some op class. A nil/empty device list checks
+// everything but device support.
 func CheckKnobRegistry(devs ...*device.Device) []error {
-	errs := CheckKnobs(approx.All(), devs)
+	all := approx.All()
+	errs := CheckKnobs(all, devs)
 
 	// Per-class knob-set completeness: KnobsFor must only hand out ids the
-	// registry can resolve, and every class must include the baseline.
+	// registry can resolve, every class must include the baseline, and no
+	// registered knob may be left out of every class's set.
+	offered := make(map[approx.KnobID]bool)
 	for _, class := range []approx.OpClass{approx.OpOther, approx.OpConv, approx.OpMatMul, approx.OpReduce} {
 		for _, hw := range []bool{false, true} {
 			ids := approx.KnobsFor(class, hw)
 			hasBaseline := false
 			for _, id := range ids {
+				offered[id] = true
 				if _, ok := approx.Lookup(id); !ok {
 					errs = append(errs, fmt.Errorf("core: KnobsFor(%s, hw=%v) lists unregistered knob id %d", class, hw, id))
 				}
@@ -43,6 +48,11 @@ func CheckKnobRegistry(devs ...*device.Device) []error {
 			if !hasBaseline {
 				errs = append(errs, fmt.Errorf("core: KnobsFor(%s, hw=%v) omits the FP32 baseline", class, hw))
 			}
+		}
+	}
+	for _, k := range all {
+		if !offered[k.ID] {
+			errs = append(errs, fmt.Errorf("core: knob %d (%s) is offered to no op class by KnobsFor", k.ID, k.Kind))
 		}
 	}
 	return errs
@@ -72,7 +82,7 @@ func checkKnob(k approx.Knob, devs []*device.Device) []error {
 
 	// Parameter well-formedness per kind.
 	switch k.Kind {
-	case approx.KindBaseline, approx.KindFP16, approx.KindInt8:
+	case approx.KindBaseline, approx.KindFP16:
 		// No parameters.
 	case approx.KindSampling, approx.KindPerforation:
 		if k.Stride < 2 || k.Stride > 4 {

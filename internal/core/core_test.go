@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/device"
-	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/pareto"
 	"repro/internal/predictor"
@@ -442,125 +441,6 @@ func TestPi1RejectedForVariableShapes(t *testing.T) {
 type variableShapeProgram struct{ *GraphProgram }
 
 func (v *variableShapeProgram) FixedOutputShape() bool { return false }
-
-func TestPowerGovernorRespectsCap(t *testing.T) {
-	curve := pareto.NewCurve("x", 90, []pareto.Point{
-		{QoS: 90, Perf: 1.0, Config: approx.Config{}},
-		{QoS: 88, Perf: 1.6, Config: approx.Config{1: approx.KnobFP16}},
-		{QoS: 86, Perf: 2.4, Config: approx.Config{1: approx.SamplingKnob(2, 0, tensorops.FP16)}},
-	})
-	gpu := device.NewTX2GPU()
-	costs := []graph.NodeCost{{ID: 1, Nc: 2e8, Nm: 4e6}}
-	gpu.SetFrequencyMHz(device.Freqs[0])
-	target := gpu.Time(costs, nil)
-	rt, err := NewRuntimeTuner(curve, PolicyEnforce, target, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gov, err := NewPowerGovernor(gpu, rt, costs, 9.0, device.Freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastRep StepReport
-	for i := 0; i < 10; i++ {
-		lastRep = gov.Step()
-		if lastRep.SysW > 9.0+1e-9 {
-			t.Fatalf("step %d: system power %v exceeds the 9 W cap", i, lastRep.SysW)
-		}
-	}
-	// The cap forces a lower frequency; the tuner should have escalated to
-	// a faster configuration to compensate.
-	if lastRep.FreqMHz >= device.Freqs[0] {
-		t.Error("cap of 9 W should have forced a frequency below maximum")
-	}
-	if lastRep.Point.Perf <= 1.0 {
-		t.Errorf("runtime tuner should compensate with approximation, still at %vx", lastRep.Point.Perf)
-	}
-	// Raising the cap back returns to full frequency.
-	gov.SetCap(100)
-	rep := gov.Step()
-	if rep.FreqMHz != device.Freqs[0] {
-		t.Errorf("generous cap should allow max frequency, got %v", rep.FreqMHz)
-	}
-}
-
-func TestPowerGovernorValidation(t *testing.T) {
-	gpu := device.NewTX2GPU()
-	curve := pareto.NewCurve("x", 90, []pareto.Point{{QoS: 90, Perf: 1, Config: approx.Config{}}})
-	rt, _ := NewRuntimeTuner(curve, PolicyEnforce, 1, 1, 1)
-	if _, err := NewPowerGovernor(nil, rt, nil, 5, device.Freqs); err == nil {
-		t.Error("nil device must be rejected")
-	}
-	if _, err := NewPowerGovernor(gpu, rt, nil, -1, device.Freqs); err == nil {
-		t.Error("negative cap must be rejected")
-	}
-	if _, err := NewPowerGovernor(gpu, rt, nil, 5, nil); err == nil {
-		t.Error("empty ladder must be rejected")
-	}
-	// OverCap is reported when even the floor exceeds an absurd cap.
-	gov, err := NewPowerGovernor(gpu, rt, []graph.NodeCost{{ID: 0, Nc: 1e6, Nm: 1e4}}, 0.5, device.Freqs)
-	_ = err
-	if gov == nil {
-		t.Fatal("governor should build")
-	}
-	rep := gov.Step()
-	if !rep.OverCap {
-		t.Error("0.5 W cap is unreachable; OverCap should be true")
-	}
-}
-
-func TestInt8ExtensionKnob(t *testing.T) {
-	gp, b := buildTestProgram(t)
-	convOp := gp.Ops()[0]
-	// The extension knob is opt-in: absent by default, present with the
-	// policy flag, and only on conv/matmul classes.
-	def := KnobsFor(gp, convOp, KnobPolicy{AllowFP16: true})
-	ext := KnobsFor(gp, convOp, KnobPolicy{AllowFP16: true, IncludeInt8: true})
-	if len(ext) != len(def)+1 {
-		t.Fatalf("IncludeInt8 should add exactly one knob: %d vs %d", len(ext), len(def))
-	}
-	found := false
-	for _, id := range ext {
-		if id == approx.KnobInt8 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("INT8 knob missing from extended set")
-	}
-	// Pool ops never get it.
-	for _, op := range gp.Ops() {
-		if gp.OpClass(op) == approx.OpReduce {
-			for _, id := range KnobsFor(gp, op, KnobPolicy{AllowFP16: true, IncludeInt8: true}) {
-				if id == approx.KnobInt8 {
-					t.Fatal("INT8 knob leaked onto a reduction op")
-				}
-			}
-		}
-	}
-	// End-to-end: tuning with the extension enabled produces a valid curve
-	// whose configs execute.
-	o := fastOpts(b.BaselineAcc-10, predictor.Pi2)
-	o.Policy.IncludeInt8 = true
-	res, err := PredictiveTune(gp, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Curve.Len() == 0 {
-		t.Fatal("empty curve with INT8 enabled")
-	}
-	for _, pt := range res.Curve.Points {
-		if err := gp.Graph.ValidateConfig(pt.Config); err != nil {
-			t.Fatalf("invalid shipped config: %v", err)
-		}
-	}
-	// Direct execution under the INT8 knob works and perturbs the output.
-	out := gp.Run(approx.Config{convOp: approx.KnobInt8}, Calib, nil)
-	base := gp.BaselineOut(Calib)
-	if out.Shape().Equal(base.Shape()) == false {
-		t.Fatal("INT8 execution changed output shape")
-	}
-}
 
 // TestEmpiricalTuneWorkerInvariant pins the determinism contract of the
 // parallel tuning loop: the curve is a pure function of (seed, EvalBatch).

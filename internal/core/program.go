@@ -268,9 +268,6 @@ type KnobPolicy struct {
 	// FP32 and FP16 curves since FP16 hardware availability is unknown at
 	// development time.
 	AllowFP16 bool
-	// IncludeInt8 adds the INT8-quantization extension knob to
-	// convolutions and dense layers (not part of the paper's knob space).
-	IncludeInt8 bool
 	// Filter, when set, further restricts the space to knobs it accepts
 	// (the baseline FP32 knob is always kept). Used by ablation studies,
 	// e.g. offset-0-only sampling/perforation.
@@ -281,11 +278,6 @@ type KnobPolicy struct {
 // the policy.
 func KnobsFor(p Program, op int, pol KnobPolicy) []approx.KnobID {
 	ids := approx.KnobsFor(p.OpClass(op), pol.IncludeHardware)
-	if pol.IncludeInt8 {
-		if cl := p.OpClass(op); cl == approx.OpConv || cl == approx.OpMatMul {
-			ids = append(append([]approx.KnobID{}, ids...), approx.KnobInt8)
-		}
-	}
 	out := make([]approx.KnobID, 0, len(ids))
 	for _, id := range ids {
 		k := approx.MustLookup(id)

@@ -151,9 +151,6 @@ func (d *Device) NodeTime(c graph.NodeCost, id approx.KnobID) float64 {
 	if k.Prec == tensorops.FP16 && d.hasFP16 {
 		comp *= 2 // double-rate half precision
 	}
-	if k.Kind == approx.KindInt8 {
-		comp *= 2 // packed 8-bit dot products (dp4a-style)
-	}
 	return c.Nc/rc/comp + c.Nm/rm/d.memOPS + d.launchOver
 }
 

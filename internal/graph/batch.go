@@ -20,13 +20,11 @@ import (
 
 // shardable reports whether this (input, cfg) execution may split across
 // batch shards. Excluded: sub-batch inputs; configurations with PROMISE
-// knobs (the perturbation RNG stream is sequential over the whole batch)
-// or INT8 knobs (activation quantization picks a per-tensor scale over
-// the whole batch, coupling the shards); graphs whose output is the input
-// node itself or a view of it (a shard's output is recycled once copied,
-// and that one is the caller's input); and moments when the worker team
-// is taken (an outer parallel loop is running — the shards would
-// serialize inline and only add concatenation overhead).
+// knobs (the perturbation RNG stream is sequential over the whole batch);
+// graphs whose output is the input node itself or a view of it (a shard's
+// output is recycled once copied, and that one is the caller's input); and
+// moments when the worker team is taken (an outer parallel loop is running
+// — the shards would serialize inline and only add concatenation overhead).
 func (g *Graph) shardable(input *tensor.Tensor, cfg approx.Config) bool {
 	if input.Rank() < 2 || input.Dim(0) < 2 {
 		return false
@@ -42,8 +40,7 @@ func (g *Graph) shardable(input *tensor.Tensor, cfg approx.Config) bool {
 		return false
 	}
 	for _, n := range g.Nodes {
-		switch approx.MustLookup(cfg.Knob(n.ID)).Kind {
-		case approx.KindPromise, approx.KindInt8:
+		if approx.MustLookup(cfg.Knob(n.ID)).Kind == approx.KindPromise {
 			return false
 		}
 	}

@@ -103,8 +103,8 @@ func narrowNet(g *tensor.RNG) *Graph {
 }
 
 // TestShardableExclusions: the configurations whose semantics couple batch
-// elements (PROMISE's sequential noise stream, INT8's whole-tensor
-// activation scale) and degenerate inputs must refuse to shard.
+// elements (PROMISE's sequential noise stream) and degenerate inputs must
+// refuse to shard.
 func TestShardableExclusions(t *testing.T) {
 	rng := tensor.NewRNG(37)
 	gr := tinyNet(rng)
@@ -123,9 +123,6 @@ func TestShardableExclusions(t *testing.T) {
 	}
 	if gr.shardable(in, approx.Config{convOp: approx.PromiseKnob(4)}) {
 		t.Error("PROMISE config sharded (RNG stream is batch-sequential)")
-	}
-	if gr.shardable(in, approx.Config{convOp: approx.KnobInt8}) {
-		t.Error("INT8 config sharded (activation scale couples the batch)")
 	}
 }
 

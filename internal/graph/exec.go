@@ -234,8 +234,8 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, mv t
 	switch n.Kind {
 	case OpConv:
 		// The bias/activation/quantization epilogue is fused into the
-		// kernels that compute in the engine; PROMISE (perturbs the raw
-		// output first) and int8 apply it in a single in-place pass.
+		// kernels that compute in the engine; PROMISE perturbs the raw
+		// output first, then applies it in a single in-place pass.
 		ep := n.fusedEpilogue()
 		if mv.on {
 			ep.Act = tensorops.ActNone
@@ -252,9 +252,6 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, mv t
 			out = tensorops.Conv2D(x, n.Weight, n.Conv, tensorops.FP32)
 			g.perturb(out, knob.Level, opts)
 			prec = tensorops.FP32
-		case approx.KindInt8:
-			out = tensorops.Conv2DInt8(x, n.Weight, n.Conv)
-			prec = tensorops.FP32
 		default:
 			panicKnob(n, knob)
 		}
@@ -269,9 +266,6 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, mv t
 		case approx.KindPromise:
 			out = tensorops.MatMul(tensorops.Flatten(x), n.Weight, tensorops.FP32)
 			g.perturb(out, knob.Level, opts)
-			prec = tensorops.FP32
-		case approx.KindInt8:
-			out = tensorops.MatMulInt8(tensorops.Flatten(x), n.Weight)
 			prec = tensorops.FP32
 		default:
 			panicKnob(n, knob)
@@ -532,16 +526,11 @@ func (g *Graph) ValidateConfig(cfg approx.Config) error {
 			return fmt.Errorf("graph %q: unknown knob %d on op %d", g.Name, kid, op)
 		}
 		n := g.Nodes[op]
-		class := n.Kind.Class()
 		ok = false
-		if knob.Kind == approx.KindInt8 {
-			ok = class == approx.OpConv || class == approx.OpMatMul
-		} else {
-			for _, valid := range approx.KnobsFor(class, true) {
-				if valid == kid {
-					ok = true
-					break
-				}
+		for _, valid := range approx.KnobsFor(n.Kind.Class(), true) {
+			if valid == kid {
+				ok = true
+				break
 			}
 		}
 		if !ok {

@@ -20,7 +20,7 @@ var (
 
 	// kindCounters caches the per-knob-kind counters so the hot path
 	// avoids the CounterVec map lookup.
-	kindCounters [int(approx.KindInt8) + 1]*obs.Counter
+	kindCounters [int(approx.KindPromise) + 1]*obs.Counter
 )
 
 func init() {

@@ -274,10 +274,3 @@ func help() {
 		idle = time.Now()
 	}
 }
-
-// Map runs fn over [0,n) and collects the results in order.
-func Map[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = fn(i) })
-	return out
-}

@@ -111,15 +111,6 @@ func TestForChunkedPartition(t *testing.T) {
 	}
 }
 
-func TestMapOrdering(t *testing.T) {
-	got := Map(10, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 // TestForChunkedRunsWithDrainedTokenPool keeps its name from the token pool
 // this team replaced: with the slot taken (the state every nested loop
 // observes) ForChunked must run inline — covering all indices, never

@@ -123,20 +123,3 @@ func Perturb(out *tensor.Tensor, level int, rng *tensor.RNG) {
 	levelCounters[level].Inc()
 	hSigma.Observe(sigma)
 }
-
-// Banks and BankKB describe the accelerator's memory organization
-// (Table 2 of the paper: 256 banks × 16 KB at 1 GHz). They bound the
-// operator sizes that fit on the accelerator in a single pass; larger
-// operators are tiled, which the timing model folds into throughputGain.
-const (
-	Banks       = 256
-	BankKB      = 16
-	FrequencyHz = 1_000_000_000
-)
-
-// FitsWeights reports whether an operator with the given weight-element
-// count fits in PROMISE's on-chip banks in one pass (2 bytes per element,
-// as the array computes on 8–16 bit operands).
-func FitsWeights(weightElems int) bool {
-	return weightElems*2 <= Banks*BankKB*1024
-}

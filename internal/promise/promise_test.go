@@ -115,12 +115,3 @@ func TestPerturbZeroTensorDoesNotNaN(t *testing.T) {
 		}
 	}
 }
-
-func TestFitsWeights(t *testing.T) {
-	if !FitsWeights(1000) {
-		t.Error("small operator should fit")
-	}
-	if FitsWeights(Banks * BankKB * 1024) { // 2 bytes/elem → this is 2× capacity
-		t.Error("oversized operator should not fit")
-	}
-}

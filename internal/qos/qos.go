@@ -86,7 +86,3 @@ func (n NegMSE) Name() string { return "neg_mse" }
 func (n NegMSE) Score(out *tensor.Tensor) float64 {
 	return -tensor.MSE(out, n.Gold)
 }
-
-// Delta returns the QoS degradation of score relative to a baseline score,
-// in the paper's ΔQoS convention (positive = loss).
-func Delta(baseline, score float64) float64 { return baseline - score }

@@ -78,9 +78,3 @@ func TestNegMSE(t *testing.T) {
 		t.Errorf("NegMSE = %v, want -1", got)
 	}
 }
-
-func TestDelta(t *testing.T) {
-	if Delta(90, 88.5) != 1.5 {
-		t.Error("Delta should be baseline - score")
-	}
-}

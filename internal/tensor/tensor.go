@@ -96,9 +96,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Zero resets every element to zero.
-func (t *Tensor) Zero() { t.Fill(0) }
-
 // Add accumulates o into t elementwise. Shapes must have equal element counts.
 func (t *Tensor) Add(o *Tensor) {
 	if len(o.data) != len(t.data) {

@@ -164,11 +164,10 @@ const epiBlock = 16 << 10
 
 // ApplyEpilogue applies bias + activation (+ FP16 re-quantization after
 // each step) to out in place, in a single pass without clones. It serves
-// the kernel variants whose epilogue cannot fuse into the engine (PROMISE
-// perturbs the raw output first; int8 computes outside it) and the
-// standalone operators in ops.go. Under FP16 a kernel's output must already
-// carry its own writeback quantization (convolve's FP16 paths guarantee
-// this).
+// the kernel variant whose epilogue cannot fuse into the engine (PROMISE
+// perturbs the raw output first) and the standalone operators in ops.go.
+// Under FP16 a kernel's output must already carry its own writeback
+// quantization (convolve's FP16 paths guarantee this).
 func ApplyEpilogue(out *tensor.Tensor, ep Epilogue, prec Precision) *tensor.Tensor {
 	e := newRowEpi(ep, out.Rank() == 4, prec == FP16, false)
 	if e == nil {

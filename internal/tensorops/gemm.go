@@ -15,8 +15,8 @@
 // gathered one float at a time; images that keep fewer outputs than a panel
 // pair share one GEMM N; and one pass per plane moves the kept outputs and
 // fills the skipped ones before the epilogue (convPlan.finish). Reduction
-// sampling likewise visits only the sampled window elements. FP16, PROMISE
-// and int8 remain emulation: values are quantized or perturbed through their
+// sampling likewise visits only the sampled window elements. FP16 and
+// PROMISE remain emulation: values are quantized or perturbed through their
 // target format and computed in float32, so they add passes rather than save
 // any. The FP16 pass is one
 // F16C round trip per eight floats where the CPU has it, which brings an
