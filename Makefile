@@ -92,7 +92,7 @@ test:
 race:
 	$(GO) test -race -timeout 45m $$($(GO) list ./... | grep -v '^repro/benchmark$$')
 	$(GO) test -race -cpu 1,2,4 ./internal/parallel
-	$(GO) test -race -cpu 1,2,4 -run TestConvPaddedPlanesPerWorker ./internal/tensorops
+	$(GO) test -race -cpu 1,2,4 -run 'TestConvPaddedPlanesPerWorker|TestConvLoweringFirstUse' ./internal/tensorops
 	$(GO) test -race -cpu 1,2,4 -run TestExecuteConcurrent ./internal/models
 
 test-benchmark:

@@ -329,3 +329,33 @@ func TestCompositeSetThresholds(t *testing.T) {
 		t.Errorf("impossible threshold should be infeasible, margin %v", got)
 	}
 }
+
+// TestPipelineStoresEveryElement: the stencils behind the pipeline's pooled
+// outputs (the gradient product, non-maximum suppression and hysteresis,
+// which leave most pixels at 0) must store every element, since pooled
+// buffers arrive uncleared: with every drawn buffer filled with a NaN
+// pattern (tensor.PoisonDraws), the exact and the all-FP16 pipeline return
+// the bits they return without it.
+func TestPipelineStoresEveryElement(t *testing.T) {
+	g := Pipeline(3, 0.08, 0.2)
+	in := tensor.New(2, 3, 24, 24)
+	tensor.NewRNG(9).FillNormal(in, 0.5, 0.3)
+	for i := range in.Data()[:len(in.Data())/2] {
+		in.Data()[i] = 0 // a flat region: zero gradients
+	}
+	half := approx.Config{}
+	for _, n := range g.Nodes[1:] {
+		half[n.ID] = approx.KnobFP16
+	}
+	for _, cfg := range []approx.Config{nil, half} {
+		want := g.Execute(in, cfg, graph.ExecOptions{})
+		prev := tensor.PoisonDraws(true)
+		got := g.Execute(in, cfg, graph.ExecOptions{})
+		tensor.PoisonDraws(prev)
+		for i, v := range want.Data() {
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("fp16=%v: element %d is %v poisoned, %v clean", cfg != nil, i, got.Data()[i], v)
+			}
+		}
+	}
+}

@@ -83,7 +83,7 @@ func (g *Graph) executeShardedWorkers(input *tensor.Tensor, cfg approx.Config, o
 	first := outs[0]
 	per := first.Elems() / first.Dim(0)
 	odims := append([]int{n}, first.Shape().Dims()[1:]...)
-	out := tensor.NewPooled(odims...)
+	out := tensor.NewPooled(odims...) // the shards' copies store every element
 	od := out.Data()
 	for ci, so := range outs {
 		copy(od[ci*chunk*per:], so.Data())

@@ -115,7 +115,9 @@ func (g *Graph) sweep(input *tensor.Tensor, base []*tensor.Tensor, from int, cfg
 				vals[n.ID] = input
 			}
 		} else if n.ID >= from {
-			vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), g.tanhPastPool(n, pool, cfg, from), opts)
+			mv := g.tanhPastPool(n, pool, cfg, from)
+			mv.halfIn = g.halfInput(n, cfg, from)
+			vals[n.ID] = g.execNode(n, vals, cfg.Knob(n.ID), mv, opts)
 			if recycle {
 				// A buffer dies at its last reader, or at its producer
 				// when nothing reads it.
@@ -184,10 +186,25 @@ func (g *Graph) liveness() (owner, last, pool []int32) {
 // tanhMove tells execNode one half of a tanh moved past a max pool: on the
 // convolution, run its epilogue without the tanh; on the pool, apply tanh
 // and then, when prec is FP16, the convolution's last half-precision round
-// to the pooled values.
+// to the pooled values. halfIn tells a max pool that its input is already
+// in half precision (halfInput).
 type tanhMove struct {
-	on   bool
-	prec tensorops.Precision
+	on     bool
+	prec   tensorops.Precision
+	halfIn bool
+}
+
+// halfInput reports whether n is a max pool whose input is the output of an
+// FP16 convolution this sweep computed (ID ≥ from, so under cfg's knob, not
+// whatever knob computed a base value): every such output ends in a
+// half-precision round, with or without its tanh, so an FP16 pool need not
+// round it again.
+func (g *Graph) halfInput(n *Node, cfg approx.Config, from int) bool {
+	if n.Kind != OpMaxPool {
+		return false
+	}
+	c := g.Nodes[n.Inputs[0]]
+	return c.Kind == OpConv && c.ID >= from && approx.MustLookup(cfg.Knob(c.ID)).Prec == tensorops.FP16
 }
 
 // tanhPastPool decides the move for node n, a convolution or the max pool
@@ -284,6 +301,8 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, mv t
 		switch {
 		case mv.on:
 			return tensorops.MaxPoolSampledTanh(x, n.Pool, num, den, prec, mv.prec)
+		case n.Kind == OpMaxPool && mv.halfIn && prec == tensorops.FP16:
+			return tensorops.MaxPoolSampledHalf(x, n.Pool, num, den)
 		case n.Kind == OpMaxPool:
 			return tensorops.MaxPoolSampled(x, n.Pool, num, den, prec)
 		}

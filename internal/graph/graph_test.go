@@ -399,3 +399,41 @@ func TestExecuteKeepsCallerBuffers(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidateWeightDropsLowering: a convolution's weight keeps what was
+// derived from it, the depthwise tap table — weights baked in — among
+// them. Rewriting the weight in place and calling InvalidateWeight, as
+// StandardizeWeights and models.Prune do, must make the next Execute use
+// the new values, under every knob kind: each output must equal that of a
+// graph over an unmarked copy of the rewritten weight, which keeps nothing.
+func TestInvalidateWeightDropsLowering(t *testing.T) {
+	rng := tensor.NewRNG(31)
+	build := func(w *tensor.Tensor) *Graph {
+		g := New("depthwise")
+		g.Conv(g.InputID(), w, nil, tensorops.ConvParams{PadH: 1, PadW: 1, Groups: 8}, "dw")
+		return g
+	}
+	w := tensor.New(8, 1, 3, 3)
+	rng.FillNormal(w, 0, 1)
+	g := build(w)
+	g.PrepackWeights()
+	in := tensor.New(2, 8, 10, 10)
+	rng.FillNormal(in, 0, 1)
+	cfgs := []approx.Config{nil, {1: approx.KnobFP16},
+		{1: approx.SamplingKnob(2, 0, tensorops.FP32)},
+		{1: approx.PerforationKnob(tensorops.PerfRows, 2, 1, tensorops.FP16)}}
+	for _, cfg := range cfgs {
+		g.Execute(in, cfg, ExecOptions{}) // builds and keeps the lowering
+	}
+	for i, v := range w.Data() {
+		w.Data()[i] = -2*v + 0.25
+	}
+	g.Nodes[1].InvalidateWeight()
+	fresh := build(w.Clone())
+	for i, cfg := range cfgs {
+		got, want := g.Execute(in, cfg, ExecOptions{}), fresh.Execute(in, cfg, ExecOptions{})
+		if !tensor.Equal(got, want, 0) {
+			t.Errorf("config %d: Execute after InvalidateWeight differs from the rewritten weight's output", i)
+		}
+	}
+}

@@ -728,8 +728,8 @@ func TestServeInferAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(400, func() {
 		rd.Reset(body)
 		h.ServeHTTP(w, req)
-	}); n > 66 || w.status != 0 {
-		t.Errorf("POST /v1/infer allocates %.0f times (status %d), want at most 66", n, w.status)
+	}); n > 64 || w.status != 0 {
+		t.Errorf("POST /v1/infer allocates %.0f times (status %d), want at most 64", n, w.status)
 	}
 }
 

@@ -32,11 +32,11 @@ var (
 // maxDerivedBytes: a larger operand is built and returned but not kept.
 const maxDerivedBytes = 128 << 20
 
-// DerivedKey names one operand derived from a tensor's contents. Kind and
-// the two parameters mean what the deriving package says they mean.
+// DerivedKey names one operand derived from a tensor's contents or shape.
+// Kind and the parameters mean what the deriving package says they mean.
 type DerivedKey struct {
-	Kind   uint8
-	P0, P1 int
+	Kind           uint8
+	P0, P1, P2, P3 int
 }
 
 type derivedEntry struct {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -83,7 +84,7 @@ func Scratch(n int) []float32 {
 		return nil
 	}
 	outstanding.Add(1)
-	buf, _ := draw(n)
+	buf := draw(n)
 	return buf
 }
 
@@ -100,9 +101,11 @@ func Release(p *[]float32) {
 	put(buf)
 }
 
-// NewPooled is New with the buffer drawn from the pool's size classes: a
-// zero-filled tensor whose capacity is a power of two. Kernels allocate
-// their outputs this way, so a graph execution can hand an activation back
+// NewPooled is New with the buffer drawn from the pool's size classes,
+// whose capacity is a power of two and whose contents are UNSPECIFIED, as
+// Scratch's are: the caller must store every element (or clear what it
+// leaves unwritten) before the tensor is read. Kernels allocate their
+// outputs this way, so a graph execution can hand an activation back
 // (Recycle) once its last reader has run and serve a later output from it.
 // Long-lived tensors (weights, datasets) use New and keep exact sizes.
 func NewPooled(dims ...int) *Tensor {
@@ -113,16 +116,13 @@ func NewPooled(dims ...int) *Tensor {
 func NewPooledLike(t *Tensor) *Tensor { return newPooled(t.shape) }
 
 func newPooled(s Shape) *Tensor {
-	buf, hit := draw(s.Elems())
-	if hit {
-		clear(buf)
-	}
+	buf := draw(s.Elems())
 	return &Tensor{shape: s, data: buf}
 }
 
 // ClonePooled is Clone into a buffer drawn like NewPooled's.
 func (t *Tensor) ClonePooled() *Tensor {
-	buf, _ := draw(len(t.data))
+	buf := draw(len(t.data))
 	copy(buf, t.data)
 	return &Tensor{shape: t.shape, data: buf}
 }
@@ -138,26 +138,50 @@ func Recycle(t *Tensor) {
 	put(buf)
 }
 
+// poisoned makes draw fill every buffer it hands out with PoisonBits
+// (PoisonDraws).
+var poisoned atomic.Bool
+
+// PoisonBits is the quiet NaN PoisonDraws fills drawn buffers with.
+const PoisonBits = 0x7fc0dead
+
+// PoisonDraws makes every buffer Scratch, NewPooled, NewPooledLike and
+// ClonePooled hand out arrive filled with PoisonBits while on is set — a
+// test hook: a kernel that reads an element of its output or scratch before
+// storing it then computes NaN, which its caller's bits show. It returns
+// the previous setting.
+func PoisonDraws(on bool) bool { return poisoned.Swap(on) }
+
 // draw returns a length-n buffer with unspecified contents — from its size
-// class's arena when hit, else freshly allocated (and so zeroed) with the
-// class's capacity, or with exactly n outside the pooled range.
-func draw(n int) (buf []float32, hit bool) {
+// class's arena, else freshly allocated with the class's capacity, or with
+// exactly n outside the pooled range.
+func draw(n int) []float32 {
+	buf := drawClass(n)
+	if poisoned.Load() {
+		for i := range buf {
+			buf[i] = math.Float32frombits(PoisonBits)
+		}
+	}
+	return buf
+}
+
+func drawClass(n int) []float32 {
 	c := poolClass(n)
 	if c < 0 {
 		mPoolMisses.Inc()
-		return make([]float32, n), false
+		return make([]float32, n)
 	}
 	if v := scratchArenas[c].Get(); v != nil {
 		h := v.(*[]float32)
-		buf = *h
+		buf := *h
 		*h = nil // don't pin the buffer from the header pool
 		headerPool.Put(h)
 		mPoolHits.Inc()
 		mPoolBytesSaved.Add(int64(4 * n))
-		return buf[:n], true
+		return buf[:n]
 	}
 	mPoolMisses.Inc()
-	return make([]float32, n, 1<<c), false
+	return make([]float32, n, 1<<c)
 }
 
 // put files buf under its capacity's class; a buffer whose capacity is not

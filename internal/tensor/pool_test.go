@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestScratchLengthAndClass(t *testing.T) {
 	for _, n := range []int{1, 7, 63, 64, 65, 1000, 4096, 100000} {
@@ -135,7 +138,7 @@ func TestRecycleAllocFreeAndUncounted(t *testing.T) {
 		t.Fatal("Recycle left the tensor holding its buffer")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		x.data, _ = draw(shape.Elems())
+		x.data = draw(shape.Elems())
 		Recycle(x)
 	}); allocs != 0 {
 		t.Fatalf("Recycle allocates %.1f times per round trip, want 0", allocs)
@@ -145,10 +148,12 @@ func TestRecycleAllocFreeAndUncounted(t *testing.T) {
 	}
 }
 
-// TestPooledTensorsStartClean: a recycled buffer comes back zeroed through
-// NewPooled and NewPooledLike and as an exact copy through ClonePooled,
-// whatever it last held.
-func TestPooledTensorsStartClean(t *testing.T) {
+// TestPooledTensorsPoisonedAndCopied: NewPooled and NewPooledLike hand out
+// a power-of-two buffer of the asked shape whose contents are the caller's
+// to store — under PoisonDraws every element arrives as PoisonBits, whatever
+// the buffer last held, as Scratch's do — and ClonePooled is an exact copy.
+func TestPooledTensorsPoisonedAndCopied(t *testing.T) {
+	defer PoisonDraws(PoisonDraws(true))
 	src := New(3, 100)
 	NewRNG(1).FillNormal(src, 0, 1)
 	for try := 0; try < 4; try++ {
@@ -160,11 +165,18 @@ func TestPooledTensorsStartClean(t *testing.T) {
 			t.Fatalf("NewPooled(3, 100): shape %v, cap %d", z.Shape(), cap(z.Data()))
 		}
 		like := NewPooledLike(src)
+		if !like.Shape().Equal(src.Shape()) {
+			t.Fatalf("NewPooledLike: shape %v, want %v", like.Shape(), src.Shape())
+		}
+		s := Scratch(300)
 		for i := range z.Data() {
-			if z.Data()[i] != 0 || like.Data()[i] != 0 {
-				t.Fatalf("pooled tensor element %d not zero", i)
+			for _, v := range []float32{z.Data()[i], like.Data()[i], s[i]} {
+				if math.Float32bits(v) != PoisonBits {
+					t.Fatalf("element %d of a drawn buffer is %#08x, not the poison", i, math.Float32bits(v))
+				}
 			}
 		}
+		Release(&s)
 		Recycle(z)
 		Recycle(like)
 		if c := src.ClonePooled(); !Equal(c, src, 0) || !c.Shape().Equal(src.Shape()) {

@@ -403,19 +403,28 @@ func BenchmarkDepthwise(b *testing.B) {
 	}
 }
 
-func BenchmarkAxpy(b *testing.B) {
-	row, src := benchRow(1024)
-	benchRowTiers(b, len(row), func() {
-		clear(row) // keeps the sums finite over b.N calls
-		axpy(row, src, 0.5)
+// BenchmarkGemmRow times lenet's 784×64 dense layer at batch 1 — one A
+// row against its prepacked panels — per tier; MB/s counts the row's
+// floats.
+func BenchmarkGemmRow(b *testing.B) {
+	const k, n = 784, 64
+	g := tensor.NewRNG(3)
+	a, w := make([]float32, k), make([]float32, k*n)
+	fillNormal(g, a)
+	fillNormal(g, w)
+	packed := make([]float32, prepackedLen(k, n))
+	packRange(0, n/gemmNR, w, packed, k, n, false)
+	c := make([]float32, n)
+	benchRowTiers(b, k, func() {
+		gemmRowBlock(a, c, packed, 0, 1, k, n, 0, n/gemmNR)
 	})
 }
 
 // TestConv2DFusedFreshAllocs pins the allocation count of the serving-shaped
-// call (fresh input, constant weights): the output tensor (3), the plan (1 —
-// its tables, like the padded planes and the packed panels, are pooled), the
-// fused epilogue (1) and the dispatch closure (1); perforation adds its spec
-// (1).
+// call (fresh input, constant weights): the output tensor (3), the fused
+// epilogue (1) and the dispatch closure (1); perforation adds its spec (1).
+// The lowering is kept on the weight and the padded planes and packed
+// panels are pooled, so none of them allocates.
 // A new allocation on this path must be a decision, not drift.
 // AllocsPerRun measures at GOMAXPROCS 1; more workers add one closure per
 // (image, group) dispatch.
@@ -429,8 +438,8 @@ func TestConv2DFusedFreshAllocs(t *testing.T) {
 	defer InvalidatePacked(w)
 	p := ConvParams{PadH: 1, PadW: 1}
 	ep := Epilogue{Bias: randTensor(g, 8), Act: ActReLU}
-	// A depthwise layer takes direct, whose tap table is pooled with the
-	// plan's other tables.
+	// A depthwise layer takes direct, whose tap table the weight keeps
+	// beside the plan.
 	dx := randTensor(g, 1, 32, 16, 16)
 	dw := randTensor(g, 32, 1, 3, 3).MarkCacheable()
 	defer InvalidatePacked(dw)
@@ -447,14 +456,14 @@ func TestConv2DFusedFreshAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"exact", 6, func() { Conv2DFused(x, w, p, FP32, ep) }},
-		{"fp16", 6, func() { Conv2DFused(x, w, p, FP16, ep) }},
-		{"samp50", 6, func() { Conv2DFilterSamplingFused(x, w, p, 2, 0, FP32, ep) }},
-		{"perf50", 7, func() { Conv2DPerforatedFused(x, w, p, PerfRows, 2, 0, FP32, ep) }},
-		{"depthwise/exact", 6, func() { Conv2DFused(dx, dw, dp, FP32, dep) }},
-		{"depthwise/samp50", 6, func() { Conv2DFilterSamplingFused(dx, dw, dp, 2, 0, FP32, dep) }},
-		{"depthwise/perf50", 7, func() { Conv2DPerforatedFused(dx, dw, dp, PerfRows, 2, 0, FP32, dep) }},
-		{"2x2-b8/perf50", 7, func() { Conv2DPerforatedFused(nx, nw, ConvParams{}, PerfRows, 2, 0, FP32, nep) }},
+		{"exact", 5, func() { Conv2DFused(x, w, p, FP32, ep) }},
+		{"fp16", 5, func() { Conv2DFused(x, w, p, FP16, ep) }},
+		{"samp50", 5, func() { Conv2DFilterSamplingFused(x, w, p, 2, 0, FP32, ep) }},
+		{"perf50", 6, func() { Conv2DPerforatedFused(x, w, p, PerfRows, 2, 0, FP32, ep) }},
+		{"depthwise/exact", 5, func() { Conv2DFused(dx, dw, dp, FP32, dep) }},
+		{"depthwise/samp50", 5, func() { Conv2DFilterSamplingFused(dx, dw, dp, 2, 0, FP32, dep) }},
+		{"depthwise/perf50", 6, func() { Conv2DPerforatedFused(dx, dw, dp, PerfRows, 2, 0, FP32, dep) }},
+		{"2x2-b8/perf50", 6, func() { Conv2DPerforatedFused(nx, nw, ConvParams{}, PerfRows, 2, 0, FP32, nep) }},
 	} {
 		tc.run() // fill the scratch pool and the per-weight cache entries
 		if got := testing.AllocsPerRun(50, tc.run); got > tc.max {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -413,6 +414,61 @@ func TestConvPaddedPlanesPerWorker(t *testing.T) {
 				for rep := 0; rep < 4; rep++ {
 					requireSameBits(t, engineConvolve(t, x, wt, p, FP32, knob, ep), want, "groups=%d n=%d %v rep %d", groups, n, knob, rep)
 				}
+			}
+		}
+	}
+}
+
+// TestConvLoweringFirstUse: a marked weight keeps its layer's lowering —
+// the plan, and for small groups the tap table — built by whichever call
+// asks first. Eight goroutines race to that first use at two batch sizes
+// (batch 3 of a 2×3 grid makes the blocked layer's images share one N, so
+// its plan is not the per-image one), under three knobs and both
+// precisions, for a blocked and a depthwise layer; every call must return
+// the bits of the same call on an unmarked copy, which keeps nothing.
+// `make race` runs it at -cpu 1,2,4.
+func TestConvLoweringFirstUse(t *testing.T) {
+	g := tensor.NewRNG(83)
+	for _, tc := range []struct{ co, ci, groups int }{{8, 4, 1}, {6, 6, 6}} {
+		p := ConvParams{PadH: 1, PadW: 1, Groups: tc.groups}
+		wt := randTensor(g, tc.co, tc.ci/tc.groups, 3, 3)
+		ep := Epilogue{Bias: randTensor(g, tc.co), Act: ActTanh}
+		xs := []*tensor.Tensor{randTensor(g, 1, tc.ci, 2, 3), randTensor(g, 3, tc.ci, 2, 3)}
+		for _, knob := range []convKnob{{}, {samp: sampSpec{2, 1}}, {perf: &perfSpec{dir: PerfCols, stride: 2, offset: 0}}} {
+			for _, prec := range []Precision{FP32, FP16} {
+				var want []*tensor.Tensor
+				for _, x := range xs {
+					want = append(want, engineConvolve(t, x, wt, p, prec, knob, ep))
+				}
+				cw := wt.Clone().MarkCacheable()
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for gr := 0; gr < 8; gr++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						for i := range xs {
+							i = (i + gr) % len(xs)
+							var got *tensor.Tensor
+							switch {
+							case knob.perf != nil:
+								got = Conv2DPerforatedFused(xs[i], cw, p, knob.perf.dir, knob.perf.stride, knob.perf.offset, prec, ep)
+							case knob.samp.stride != 0:
+								got = Conv2DFilterSamplingFused(xs[i], cw, p, knob.samp.stride, knob.samp.offset, prec, ep)
+							default:
+								got = Conv2DFused(xs[i], cw, p, prec, ep)
+							}
+							if !slices.EqualFunc(got.Data(), want[i].Data(), func(a, b float32) bool {
+								return math.Float32bits(a) == math.Float32bits(b)
+							}) {
+								t.Errorf("groups=%d %v %v batch %d: goroutine %d differs from the unmarked weight", tc.groups, knob, prec, xs[i].Dim(0), gr)
+							}
+						}
+					}()
+				}
+				close(start)
+				wg.Wait()
 			}
 		}
 	}

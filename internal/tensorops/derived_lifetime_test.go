@@ -30,8 +30,9 @@ func settledPackBytes() float64 {
 }
 
 // TestInvalidatePackedFreesSampledFilterFP16: an FP16 filter-sampled
-// convolution keeps the compacted filter and that filter's FP16 copy;
-// invalidating the weight must give back both at once.
+// convolution keeps the compacted filter, that filter's FP16 copy and the
+// knob's lowering; invalidating the weight must give back all of them at
+// once.
 func TestInvalidatePackedFreesSampledFilterFP16(t *testing.T) {
 	g := tensor.NewRNG(61)
 	x := tensor.New(2, 4, 9, 9)
@@ -42,8 +43,8 @@ func TestInvalidatePackedFreesSampledFilterFP16(t *testing.T) {
 	p := tensorops.ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	tensorops.Conv2DFilterSamplingFused(x, w, p, 2, 0, tensorops.FP16, tensorops.Epilogue{})
 	gauge := obs.Default.Gauge("tensorops.pack_cache.bytes")
-	if held := gauge.Value() - start; held != float64(2*4*w.Elems()/2) {
-		t.Fatalf("the convolution kept %v bytes, want the half-size filter and its FP16 copy (%d)", held, 4*w.Elems())
+	if held := gauge.Value() - start; held <= float64(2*4*w.Elems()/2) {
+		t.Fatalf("the convolution kept %v bytes, want the half-size filter and its FP16 copy (%d) and a lowering", held, 4*w.Elems())
 	}
 	tensorops.InvalidatePacked(w)
 	if left := gauge.Value() - start; left != 0 {

@@ -9,6 +9,12 @@ import "repro/internal/cpu"
 //go:noescape
 func gemmRows4AVX(a, panels, c *float32, kc, ldc, np int)
 
+// gemmRow1AVX is the one-row kernel there: one row of A (kc floats) against
+// np adjacent panels, into the C row at c. kc and np must be positive.
+//
+//go:noescape
+func gemmRow1AVX(a, panels, c *float32, kc, np int)
+
 // packRunAVX is the pack routine in pack_avx_amd64.s: dst[(p*kc+l)*4 : +4] =
 // src[offs[l]+4p : +4] for p < run, l < kc. It checks no bound (packRun
 // does); kc and run must be positive.
@@ -39,4 +45,12 @@ func gemmPanelsAVX(a, c, panels []float32, i0, k, ldc, j0, np int) {
 	pb := panels[:np*k*gemmNR]
 	cb := c[i0*ldc+j0 : (i0+gemmMR-1)*ldc+j0+np*gemmNR]
 	gemmRows4AVX(&ab[0], &pb[0], &cb[0], k, ldc, np)
+}
+
+// gemmRowAVX runs the one-row kernel over all np panels, into crow's first
+// np·gemmNR floats, with the bounds checks the assembly does not make.
+func gemmRowAVX(arow, crow, panels []float32, k, np int) {
+	pb := panels[:np*k*gemmNR]
+	cb := crow[:np*gemmNR]
+	gemmRow1AVX(&arow[:k][0], &pb[0], &cb[0], k, np)
 }

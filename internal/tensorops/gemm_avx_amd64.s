@@ -8,7 +8,7 @@
 // element accumulates in its own lane, over the full K extent, in ascending
 // l; the product and the sum are separate VMULPS and VADDPS, each rounding to
 // float32 — never a fused multiply-add, whose single rounding differs from
-// the scalar reference (`make ci` greps for it); and C += acc happens once at
+// the scalar reference (`make ci` greps for it); and C = acc is stored once at
 // the end. VEX-encoded throughout, VZEROUPPER before RET.
 
 #include "textflag.h"
@@ -104,21 +104,13 @@ odd:
 
 writeback:
 	MOVQ    DI, AX
-	VMOVUPS (AX), Y8
-	VADDPS  Y0, Y8, Y8
-	VMOVUPS Y8, (AX)
+	VMOVUPS Y0, (AX)
 	ADDQ    BX, AX
-	VMOVUPS (AX), Y9
-	VADDPS  Y1, Y9, Y9
-	VMOVUPS Y9, (AX)
+	VMOVUPS Y1, (AX)
 	ADDQ    BX, AX
-	VMOVUPS (AX), Y10
-	VADDPS  Y2, Y10, Y10
-	VMOVUPS Y10, (AX)
+	VMOVUPS Y2, (AX)
 	ADDQ    BX, AX
-	VMOVUPS (AX), Y11
-	VADDPS  Y3, Y11, Y11
-	VMOVUPS Y11, (AX)
+	VMOVUPS Y3, (AX)
 
 	MOVQ R13, R12            // the second panel's end is the next pair's start
 	ADDQ $32, DI
@@ -145,22 +137,179 @@ loop1:
 	JLT  loop1
 
 	MOVQ    DI, AX
-	VMOVUPS (AX), X8
-	VADDPS  X0, X8, X8
-	VMOVUPS X8, (AX)
+	VMOVUPS X0, (AX)
 	ADDQ    BX, AX
-	VMOVUPS (AX), X9
-	VADDPS  X1, X9, X9
-	VMOVUPS X9, (AX)
+	VMOVUPS X1, (AX)
 	ADDQ    BX, AX
-	VMOVUPS (AX), X10
-	VADDPS  X2, X10, X10
-	VMOVUPS X10, (AX)
+	VMOVUPS X2, (AX)
 	ADDQ    BX, AX
-	VMOVUPS (AX), X11
-	VADDPS  X3, X11, X11
-	VMOVUPS X11, (AX)
+	VMOVUPS X3, (AX)
 
 done:
+	VZEROUPPER
+	RET
+
+// One l step of one pair of the one-row kernel: B row l of the pair's two
+// panels (cursor P, the second panel R14 bytes on) times the broadcast A
+// element in Y15, added into accumulator ACC; XT/YT is scratch.
+#define ROW1(P, XT, YT, ACC) \
+	VMOVUPS     P, XT                 \
+	VINSERTF128 $1, P(R14*1), YT, YT  \
+	VMULPS      YT, Y15, YT           \
+	VADDPS      YT, ACC, ACC
+
+// func gemmRow1AVX(a, panels, c *float32, kc, np int)
+//
+// One row of A against np adjacent packed panels, into the C row at c: the
+// row kernel under four rows. Four panel pairs are in flight at a time (a
+// 1×32 strip in Y0..Y3), then one pair, then an odd last panel on XMM. An
+// l whose A element is ±0 is skipped for every column, as the reference
+// skips it; otherwise each lane's product and sum round on their own, in
+// ascending l, and C = acc is stored once per strip. kc and np must be
+// positive.
+//
+// Register plan:
+//   SI  A row        DX  l             CX  kc          R15 kc &^ 1
+//   DI  C strip      BX  panels left   R14 bytes in one panel
+//   R12 strip's first panel
+//   R8..R11  cursors of the strip's pairs (first panel of each)
+//   Y15 broadcast A element              Y8..Y11 B rows, then products
+TEXT ·gemmRow1AVX(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ panels+8(FP), R12
+	MOVQ c+16(FP), DI
+	MOVQ kc+24(FP), CX
+	MOVQ np+32(FP), BX
+	MOVQ CX, R14
+	SHLQ $4, R14
+	MOVQ CX, R15
+	ANDQ $-2, R15
+	JMP  next8
+
+strip8:
+	MOVQ   R12, R8
+	LEAQ   (R8)(R14*2), R9
+	LEAQ   (R9)(R14*2), R10
+	LEAQ   (R10)(R14*2), R11
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ   DX, DX
+	CMPQ   DX, R15
+	JGE    odd8
+
+loop8:
+	MOVL         (SI)(DX*4), AX
+	ANDL         $0x7fffffff, AX
+	JZ           skip8a
+	VBROADCASTSS (SI)(DX*4), Y15
+	ROW1((R8), X8, Y8, Y0)
+	ROW1((R9), X9, Y9, Y1)
+	ROW1((R10), X10, Y10, Y2)
+	ROW1((R11), X11, Y11, Y3)
+
+skip8a:
+	MOVL         4(SI)(DX*4), AX
+	ANDL         $0x7fffffff, AX
+	JZ           skip8b
+	VBROADCASTSS 4(SI)(DX*4), Y15
+	ROW1(16(R8), X8, Y8, Y0)
+	ROW1(16(R9), X9, Y9, Y1)
+	ROW1(16(R10), X10, Y10, Y2)
+	ROW1(16(R11), X11, Y11, Y3)
+
+skip8b:
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $2, DX
+	CMPQ DX, R15
+	JLT  loop8
+
+odd8:
+	CMPQ         DX, CX
+	JGE          done8
+	MOVL         (SI)(DX*4), AX
+	ANDL         $0x7fffffff, AX
+	JZ           skip8c
+	VBROADCASTSS (SI)(DX*4), Y15
+	ROW1((R8), X8, Y8, Y0)
+	ROW1((R9), X9, Y9, Y1)
+	ROW1((R10), X10, Y10, Y2)
+	ROW1((R11), X11, Y11, Y3)
+
+skip8c:
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $16, R10
+	ADDQ $16, R11
+
+done8:
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (R11)(R14*1), R12 // past the strip's last panel
+	SUBQ    $8, BX
+
+next8:
+	CMPQ BX, $8
+	JGE  strip8
+	JMP  next2
+
+strip2:
+	MOVQ   R12, R8
+	VXORPS Y0, Y0, Y0
+	XORQ   DX, DX
+
+loop2:
+	MOVL         (SI)(DX*4), AX
+	ANDL         $0x7fffffff, AX
+	JZ           skip2
+	VBROADCASTSS (SI)(DX*4), Y15
+	ROW1((R8), X8, Y8, Y0)
+
+skip2:
+	ADDQ $16, R8
+	INCQ DX
+	CMPQ DX, CX
+	JLT  loop2
+
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	LEAQ    (R8)(R14*1), R12
+	SUBQ    $2, BX
+
+next2:
+	CMPQ  BX, $2
+	JGE   strip2
+	TESTQ BX, BX
+	JZ    row1done
+
+	// The odd last panel on XMM.
+	VXORPS X0, X0, X0
+	XORQ   DX, DX
+
+loop1:
+	MOVL         (SI)(DX*4), AX
+	ANDL         $0x7fffffff, AX
+	JZ           skip1
+	VBROADCASTSS (SI)(DX*4), X15
+	VMOVUPS      (R12), X8
+	VMULPS       X8, X15, X8
+	VADDPS       X8, X0, X0
+
+skip1:
+	ADDQ $16, R12
+	INCQ DX
+	CMPQ DX, CX
+	JLT  loop1
+	VMOVUPS X0, (DI)
+
+row1done:
 	VZEROUPPER
 	RET

@@ -7,8 +7,11 @@ package tensorops
 
 func bestTier() kernelTier { return tierPortable }
 
-// gemmPanelsAVX is never reached: gemmTier is tierPortable here.
+// gemmPanelsAVX and gemmRowAVX are never reached: gemmTier is tierPortable
+// here.
 func gemmPanelsAVX(a, c, panels []float32, i0, k, ldc, j0, np int) {}
+
+func gemmRowAVX(arow, crow, panels []float32, k, np int) {}
 
 // packRunAVX and packQuadAVX are never reached either: the Go loops run.
 func packRunAVX(dst, src *float32, offs *int32, kc, run int) {}

@@ -286,15 +286,15 @@ func TestGemmRowBlockPanelCountsAndOffsets(t *testing.T) {
 
 // TestGemmZeroTermRulePerRow: a zero A element against ±Inf in B follows
 // its row's kernel in every column, panel and tail alike. The rows of full
-// four-row blocks multiply every term (gemmRefEvery: NaN); the remainder
-// rows of m = 6 and 7 skip it, as gemmRef and the streaming kernel under
-// four rows do. Every second row has a zero against a B row of infinities;
+// four-row blocks multiply every term (gemmRefEvery: NaN); the rows of
+// m = 1–3 and the remainder rows of m = 6 and 7 skip it, as gemmRef and the
+// row kernel do. Every second row has a zero against a B row of infinities;
 // N runs from all tail to panels with a tail of one to three.
 func TestGemmZeroTermRulePerRow(t *testing.T) {
 	inf := float32(math.Inf(1))
 	forEachTier(t, func(t *testing.T) {
 		g := tensor.NewRNG(23)
-		for _, m := range []int{6, 7, 8} {
+		for _, m := range []int{1, 2, 3, 6, 7, 8} {
 			for _, n := range []int{3, 6, 9, 11} {
 				k := 7
 				a, b := make([]float32, m*k), make([]float32, k*n)

@@ -50,7 +50,7 @@ func Mul(a, b *tensor.Tensor, prec Precision) *tensor.Tensor {
 	if a.Elems() != b.Elems() {
 		panicShape("Mul", "size mismatch %d vs %d", a.Elems(), b.Elems())
 	}
-	out := tensor.NewPooledLike(a)
+	out := tensor.NewPooledLike(a) // every element stored below
 	d, ad, bd := out.Data(), a.Data(), b.Data()
 	for i := range d {
 		d[i] = ad[i] * bd[i]
@@ -83,6 +83,7 @@ func NonMaxSuppress(mag, gx, gy *tensor.Tensor, prec Precision) *tensor.Tensor {
 			for x := 0; x < w; x++ {
 				i := base + y*w + x
 				m := md[i]
+				od[i] = 0
 				// exactly-zero magnitude pixels have no gradient to suppress
 				if m == 0 {
 					continue
@@ -137,6 +138,7 @@ func Hysteresis(mag *tensor.Tensor, lo, hi float32, prec Precision) *tensor.Tens
 			for x := 0; x < w; x++ {
 				i := base + y*w + x
 				m := md[i]
+				od[i] = 0
 				switch {
 				case m > hi:
 					od[i] = 1

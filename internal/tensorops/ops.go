@@ -36,7 +36,7 @@ func Add(a, b *tensor.Tensor, prec Precision) *tensor.Tensor {
 	if a.Elems() != b.Elems() {
 		panicShape("Add", "size mismatch %d vs %d", a.Elems(), b.Elems())
 	}
-	out := tensor.NewPooledLike(a)
+	out := tensor.NewPooledLike(a) // every element stored below
 	d, ad, bd := out.Data(), a.Data(), b.Data()
 	for i := range d {
 		d[i] = ad[i] + bd[i]
@@ -67,12 +67,12 @@ func (p PoolParams) Norm() PoolParams {
 
 // MaxPool computes max pooling over (N,C,H,W).
 func MaxPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
-	return poolSampled(x, p, prec, false, 1, 1, rowEpi{})
+	return poolSampled(x, p, prec, false, 1, 1, rowEpi{}, false)
 }
 
 // AvgPool computes average pooling over (N,C,H,W).
 func AvgPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
-	return poolSampled(x, p, prec, true, 1, 1, rowEpi{})
+	return poolSampled(x, p, prec, true, 1, 1, rowEpi{}, false)
 }
 
 // MaxPoolSampled and AvgPoolSampled apply the reduction-sampling
@@ -83,7 +83,15 @@ func AvgPool(x *tensor.Tensor, p PoolParams, prec Precision) *tensor.Tensor {
 // over the subset. Padding is skipped, and a window none of whose kept taps
 // is inside the input gives 0.
 func MaxPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec Precision) *tensor.Tensor {
-	return poolSampled(x, p, prec, false, ratioNum, ratioDen, rowEpi{})
+	return poolSampled(x, p, prec, false, ratioNum, ratioDen, rowEpi{}, false)
+}
+
+// MaxPoolSampledHalf is MaxPoolSampled at FP16 over an x that already
+// holds half-precision values — the output of an FP16 convolution, whose
+// epilogue ends in a round. Rounding such a value again returns its bits,
+// so the pool skips the copy of its input that MaxPoolSampled rounds.
+func MaxPoolSampledHalf(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int) *tensor.Tensor {
+	return poolSampled(x, p, FP16, false, ratioNum, ratioDen, rowEpi{}, true)
 }
 
 // MaxPoolSampledTanh is MaxPoolSampled followed by tanh32 and, when
@@ -96,18 +104,20 @@ func MaxPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec
 // the pool keeps the first of equal maxima (tanh_vector_test.go pins both
 // properties). That does not hold when prec is FP16 and tanhPrec FP32: the
 // pool's input round would fall on the pre-activation values, not on
-// tanh's.
+// tanh's. So when prec is FP16 the convolution was FP16 as well, and x —
+// its output less the tanh, still ending in its rounds — holds half values:
+// the pool does not round them again (MaxPoolSampledHalf).
 func MaxPoolSampledTanh(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec, tanhPrec Precision) *tensor.Tensor {
 	post := rowEpi{flags: epiTanh}
 	if tanhPrec == FP16 {
 		post.flags |= epiQuant
 	}
-	return poolSampled(x, p, prec, false, ratioNum, ratioDen, post)
+	return poolSampled(x, p, prec, false, ratioNum, ratioDen, post, prec == FP16)
 }
 
 // AvgPoolSampled — see MaxPoolSampled.
 func AvgPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec Precision) *tensor.Tensor {
-	return poolSampled(x, p, prec, true, ratioNum, ratioDen, rowEpi{})
+	return poolSampled(x, p, prec, true, ratioNum, ratioDen, rowEpi{}, false)
 }
 
 // poolTap is a kept window position: rows and columns from the window's
@@ -116,8 +126,9 @@ func AvgPoolSampled(x *tensor.Tensor, p PoolParams, ratioNum, ratioDen int, prec
 type poolTap struct{ ky, kx, off int }
 
 // poolSampled reduces every window of x, then applies post, when it has a
-// step, to each pooled plane (activatePooled).
-func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, den int, post rowEpi) *tensor.Tensor {
+// step, to each pooled plane (activatePooled). Under FP16 it reduces x
+// rounded to half precision, unless halfIn says x holds half values already.
+func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, den int, post rowEpi, halfIn bool) *tensor.Tensor {
 	p = p.Norm()
 	if x.Rank() != 4 {
 		panicShape("Pool", "need 4-D input, got %v", x.Shape())
@@ -129,12 +140,12 @@ func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, 
 	ho := tensor.ConvOutDim(h, p.KH, p.StrideH, p.PadH)
 	wo := tensor.ConvOutDim(w, p.KW, p.StrideW, p.PadW)
 	xd := x.Data()
-	if prec == FP16 {
+	if prec == FP16 && !halfIn {
 		q := quantizedScratch(xd)
 		defer tensor.Release(&q)
 		xd = q
 	}
-	out := tensor.NewPooled(n, c, ho, wo)
+	out := tensor.NewPooled(n, c, ho, wo) // every window stored below
 	od := out.Data()
 	// The window's kept taps, found once: tap k = ky·KW+kx survives
 	// sampling when (k·num) mod den < num, so tap 0 always does.
@@ -410,19 +421,21 @@ func Reduce(x *tensor.Tensor, kind ReduceKind, num, den int, prec Precision) *te
 				best = v
 			}
 		}
+		var r float32 // an unknown kind or an empty window gives 0
 		switch kind {
 		case ReduceSum:
 			// Rescale the sampled sum back to full-population scale.
-			od[nc] = float32(acc * float64(spatial) / float64(max(count, 1)))
+			r = float32(acc * float64(spatial) / float64(max(count, 1)))
 		case ReduceMean:
 			if count > 0 {
-				od[nc] = float32(acc / float64(count))
+				r = float32(acc / float64(count))
 			}
 		case ReduceMax:
 			if count > 0 {
-				od[nc] = best
+				r = best
 			}
 		}
+		od[nc] = r
 	})
 	if prec == FP16 {
 		out.ToFP16()

@@ -188,7 +188,7 @@ func TestPoolMatchesReferenceLoop(t *testing.T) {
 						for _, r := range poolRatios {
 							for _, avg := range []bool{false, true} {
 								for _, prec := range []Precision{FP32, FP16} {
-									got := poolSampled(x, p, prec, avg, r[0], r[1], rowEpi{})
+									got := poolSampled(x, p, prec, avg, r[0], r[1], rowEpi{}, false)
 									requireSameBits(t, got, refPoolPrec(x, p, prec, avg, r[0], r[1]),
 										"pool %+v in=%v avg=%v ratio=%d/%d %v", p, hw, avg, r[0], r[1], prec)
 									requireSameBits(t, x, x0, "pool %+v in=%v: input written", p, hw)
@@ -329,7 +329,7 @@ func FuzzMaxPool(f *testing.F) {
 		defer func(prev kernelTier) { gemmTier = prev }(gemmTier)
 		for tier := tierPortable; tier <= bestTier(); tier++ {
 			gemmTier = tier
-			got := poolSampled(x, p, prec, false, r[0], r[1], rowEpi{})
+			got := poolSampled(x, p, prec, false, r[0], r[1], rowEpi{}, false)
 			requireSameBits(t, got, want, "tier=%v %+v in=%dx%d ratio=%d/%d %v", tier, p, h, w, r[0], r[1], prec)
 			requireSameBits(t, x, x0, "tier=%v: input written", tier)
 			// Tanh after the pool against tanh before it; the inputs are
@@ -503,4 +503,37 @@ func TestFP16VariantsQuantizeOutput(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMaxPoolHalfInputSkipsRound: over every half-precision value — NaNs,
+// ±0, ±Inf and the subnormals included — an FP16 max pool that skips its
+// input round (MaxPoolSampledHalf, and MaxPoolSampledTanh at FP16) returns
+// the bits of the one that rounds, on every tier, for two geometries and
+// every sampling ratio. One plane holds the values in order, so that the
+// NaNs fill whole windows; the other shuffles them.
+func TestMaxPoolHalfInputSkipsRound(t *testing.T) {
+	x := tensor.New(2, 1, 256, 256)
+	xd := x.Data()
+	for h := range 1 << 16 {
+		xd[h] = tensor.F16ToF32(uint16(h))
+		xd[1<<16+h] = xd[h]
+	}
+	g := tensor.NewRNG(71)
+	mixed := xd[1<<16:]
+	for i := len(mixed) - 1; i > 0; i-- {
+		j := g.Intn(i + 1)
+		mixed[i], mixed[j] = mixed[j], mixed[i]
+	}
+	x0 := x.Clone()
+	forEachTier(t, func(t *testing.T) {
+		for _, p := range []PoolParams{{KH: 2, KW: 2}, {KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}} {
+			for _, r := range poolRatios {
+				want := poolSampled(x, p, FP16, false, r[0], r[1], rowEpi{}, false)
+				requireSameBits(t, MaxPoolSampledHalf(x, p, r[0], r[1]), want, "%+v ratio %v", p, r)
+				want = poolSampled(x, p, FP16, false, r[0], r[1], rowEpi{flags: epiTanh | epiQuant}, false)
+				requireSameBits(t, MaxPoolSampledTanh(x, p, r[0], r[1], FP16, FP16), want, "%+v ratio %v tanh", p, r)
+				requireSameBits(t, x, x0, "%+v: input written", p)
+			}
+		}
+	})
 }

@@ -2,9 +2,9 @@ package tensorops
 
 import "math"
 
-// Row kernels with a vector tier: the slice forms of tanh32, of the
-// streaming kernels' d[j] += a·s[j], of perforation's average of two rows,
-// of the small-group convolution's dot product and of max pooling's fold. Under tierAVX the bulk of a slice goes
+// Row kernels with a vector tier: the slice forms of tanh32, of
+// perforation's average of two rows, of the small-group convolution's dot
+// product and of max pooling's fold. Under tierAVX the bulk of a slice goes
 // through rowops_avx_amd64.s or window_avx_amd64.s; the scalar loops below
 // are the reference the assembly transcribes, the portable tier, and the
 // remainder.
@@ -26,19 +26,6 @@ func tanhSlice(dst, src []float32) {
 	}
 	for i := done; i < len(src); i++ {
 		dst[i] = tanh32(src[i])
-	}
-}
-
-// axpy adds a·src[j] to dst[j], product and sum each rounding to float32,
-// for every j < len(dst); src must be at least as long and not overlap dst.
-func axpy(dst, src []float32, a float32) {
-	src = src[:len(dst)]
-	if gemmTier == tierAVX && len(dst) >= rowVec {
-		axpyAVX(&dst[0], &src[0], len(dst), a)
-		return
-	}
-	for j, sv := range src {
-		dst[j] += float32(a * sv)
 	}
 }
 

@@ -10,9 +10,6 @@ func tanh4AVX(dst, src *float32, groups int)
 func epilogueRowAVX(p *float32, n int, bias *float32, flags int, clip float32)
 
 //go:noescape
-func axpyAVX(dst, src *float32, n int, a float32)
-
-//go:noescape
 func interpRowsAVX(dst, a, b *float32, n int)
 
 //go:noescape

@@ -8,8 +8,6 @@ func tanh4AVX(dst, src *float32, groups int) {}
 
 func epilogueRowAVX(p *float32, n int, bias *float32, flags int, clip float32) {}
 
-func axpyAVX(dst, src *float32, n int, a float32) {}
-
 func interpRowsAVX(dst, a, b *float32, n int) {}
 
 func expandColsAVX(row, kept *float32, steps *colStep, n int) {}

@@ -426,42 +426,59 @@ func TestDepthwiseRowsAVXShortRow(t *testing.T) {
 	}
 }
 
-// TestAxpyMatchesScalar: lengths 0…33 at misaligned starts, with zeros,
-// infinities and a NaN among the operands, against the scalar statement;
-// nothing outside dst is written.
-func TestAxpyMatchesScalar(t *testing.T) {
+// TestGemmRowMatchesReference drives the row kernel under four rows through
+// gemmRowBlock: one to three rows, panel counts 1…19 (the AVX tier's strips
+// of four pairs, a single pair and an odd last panel, in every mix), k from
+// 1 to 33, A, the panels and the C rows at addresses that are not 32-byte
+// aligned. A holds ±0 (skipped for every column, as gemmRef skips them),
+// NaN and ±Inf; B holds NaN, ±Inf and −0 where A is finite. Guard values
+// around each C row catch a store outside it; C starts as NaN, so a lane the
+// kernel did not store shows.
+func TestGemmRowMatchesReference(t *testing.T) {
 	const guard = float32(-777.25)
+	nan, inf, negz := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
 	forEachTier(t, func(t *testing.T) {
 		g := tensor.NewRNG(47)
-		for n := 0; n <= 33; n++ {
-			for off := 0; off < 4; off++ {
-				src := make([]float32, off+n+3)[off:]
-				fillNormal(g, src)
-				init := make([]float32, n)
-				fillNormal(g, init)
-				if n > 5 {
-					src[0], src[2], src[n-1] = 0, float32(math.Inf(-1)), float32(math.NaN())
-					init[1], init[3] = float32(math.Copysign(0, -1)), float32(math.Inf(1))
-				}
-				a := float32(g.NormFloat64())
-				buf := make([]float32, off+n+9)
-				for i := range buf {
-					buf[i] = guard
-				}
-				copy(buf[off:], init)
-				axpy(buf[off:off+n], src, a)
-				for i, got := range buf {
-					j := i - off
-					if j < 0 || j >= n {
-						if got != guard {
-							t.Fatalf("n=%d off=%d: wrote outside dst at %d", n, off, j)
-						}
-						continue
+		shifted := func(n, off int) []float32 { return make([]float32, n+off)[off:] }
+		for _, k := range []int{1, 2, 7, 33} {
+			for np := 1; np <= 19; np++ {
+				for rows := 1; rows < gemmMR; rows++ {
+					off := (np + rows) % 4
+					n := np * gemmNR
+					a, b := shifted(rows*k, off), make([]float32, k*n)
+					fillNormal(g, a)
+					fillNormal(g, b)
+					if k >= 7 {
+						a[1], a[(rows-1)*k+3] = 0, negz
+						a[2] = []float32{nan, inf, -inf}[np%3]
+						b[4*n+np%n], b[5*n+(np+1)%n], b[6*n] = nan, -inf, negz
 					}
-					want := init[j]
-					want += float32(a * src[j])
-					if math.Float32bits(got) != math.Float32bits(want) {
-						t.Fatalf("n=%d off=%d: dst[%d] = %v, scalar %v", n, off, j, got, want)
+					packed := shifted(np*k*gemmNR, off)
+					packRange(0, np, b, packed, k, n, false)
+					want := make([]float32, rows*n)
+					gemmRef(a, b, want, rows, k, n)
+					ldc := n + 2*off + 1
+					c := shifted(rows*ldc, off)
+					for i := range c {
+						c[i] = guard
+					}
+					for r := 0; r < rows; r++ {
+						for j := range n {
+							c[r*ldc+off+j] = nan
+						}
+					}
+					gemmRowBlock(a, c, packed, 0, rows, k, ldc, off, np)
+					for i, v := range c {
+						r, j := i/ldc, i%ldc-off
+						switch {
+						case j < 0 || j >= n:
+							if v != guard {
+								t.Fatalf("k=%d np=%d rows=%d: wrote outside the row at C[%d][%d]", k, np, rows, r, j)
+							}
+						case math.Float32bits(v) != math.Float32bits(want[r*n+j]):
+							t.Fatalf("k=%d np=%d rows=%d: C[%d][%d] = %v (%#08x), reference %v (%#08x)", k, np, rows, r, j,
+								v, math.Float32bits(v), want[r*n+j], math.Float32bits(want[r*n+j]))
+						}
 					}
 				}
 			}
