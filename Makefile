@@ -88,11 +88,14 @@ test:
 # its package runs again at each — and so does the convolution test whose
 # workers each pad input planes into a buffer of their own, and the test
 # that runs one graph from four goroutines, whose executions hand their
-# activations back to one shared pool.
+# activations back to one shared pool. The convolution differential and
+# the GEMM panel-count test run at one to four workers; three cut panel
+# ranges at an odd panel count.
 race:
 	$(GO) test -race -timeout 45m $$($(GO) list ./... | grep -v '^repro/benchmark$$')
 	$(GO) test -race -cpu 1,2,4 ./internal/parallel
 	$(GO) test -race -cpu 1,2,4 -run 'TestConvPaddedPlanesPerWorker|TestConvLoweringFirstUse' ./internal/tensorops
+	$(GO) test -race -cpu 1,2,3,4 -run 'TestConvDirectMatchesReference|TestGemmRowBlockPanelCountsAndOffsets' ./internal/tensorops
 	$(GO) test -race -cpu 1,2,4 -run TestExecuteConcurrent ./internal/models
 
 test-benchmark:

@@ -186,25 +186,46 @@ func (g *Graph) liveness() (owner, last, pool []int32) {
 // tanhMove tells execNode one half of a tanh moved past a max pool: on the
 // convolution, run its epilogue without the tanh; on the pool, apply tanh
 // and then, when prec is FP16, the convolution's last half-precision round
-// to the pooled values. halfIn tells a max pool that its input is already
-// in half precision (halfInput).
+// to the pooled values. halfIn tells a max pool, convolution or dense layer
+// that its input is already in half precision (halfInput).
 type tanhMove struct {
 	on     bool
 	prec   tensorops.Precision
 	halfIn bool
 }
 
-// halfInput reports whether n is a max pool whose input is the output of an
-// FP16 convolution this sweep computed (ID ≥ from, so under cfg's knob, not
-// whatever knob computed a base value): every such output ends in a
-// half-precision round, with or without its tanh, so an FP16 pool need not
-// round it again.
+// halfInput reports whether n is a max pool, convolution or dense layer
+// whose input holds half-precision values this sweep computed (halfValued),
+// so that under FP16 it need not round them again.
 func (g *Graph) halfInput(n *Node, cfg approx.Config, from int) bool {
-	if n.Kind != OpMaxPool {
-		return false
+	switch n.Kind {
+	case OpMaxPool, OpConv, OpMatMul:
+		return g.halfValued(n.Inputs[0], cfg, from)
 	}
-	c := g.Nodes[n.Inputs[0]]
-	return c.Kind == OpConv && c.ID >= from && approx.MustLookup(cfg.Knob(c.ID)).Prec == tensorops.FP16
+	return false
+}
+
+// halfValued reports whether node id's value is the output of an FP16
+// convolution this sweep computed (ID ≥ from, so under cfg's knob, not
+// whatever knob computed a base value), directly or through max pools and
+// Flattens this sweep ran as well: every such convolution output ends in a
+// half-precision round, with or without its tanh; a max pool keeps one of
+// its window's values, or rounds tanh of it to half when the tanh moved
+// past it (tanhPastPool); a Flatten is a view.
+func (g *Graph) halfValued(id int, cfg approx.Config, from int) bool {
+	for {
+		n := g.Nodes[id]
+		switch {
+		case n.ID < from:
+			return false
+		case n.Kind == OpMaxPool || n.Kind == OpFlatten:
+			id = n.Inputs[0]
+		case n.Kind == OpConv:
+			return approx.MustLookup(cfg.Knob(n.ID)).Prec == tensorops.FP16
+		default:
+			return false
+		}
+	}
 }
 
 // tanhPastPool decides the move for node n, a convolution or the max pool
@@ -254,6 +275,7 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, mv t
 		// kernels that compute in the engine; PROMISE perturbs the raw
 		// output first, then applies it in a single in-place pass.
 		ep := n.fusedEpilogue()
+		ep.HalfIn = mv.halfIn
 		if mv.on {
 			ep.Act = tensorops.ActNone
 		}
@@ -276,6 +298,7 @@ func (g *Graph) execNode(n *Node, vals []*tensor.Tensor, kid approx.KnobID, mv t
 
 	case OpMatMul:
 		ep := n.fusedEpilogue()
+		ep.HalfIn = mv.halfIn
 		var out *tensor.Tensor
 		switch knob.Kind {
 		case approx.KindBaseline, approx.KindFP16:

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/approx"
@@ -434,6 +435,46 @@ func TestInvalidateWeightDropsLowering(t *testing.T) {
 		got, want := g.Execute(in, cfg, ExecOptions{}), fresh.Execute(in, cfg, ExecOptions{})
 		if !tensor.Equal(got, want, 0) {
 			t.Errorf("config %d: Execute after InvalidateWeight differs from the rewritten weight's output", i)
+		}
+	}
+}
+
+// TestHalfInputFollowsFP16Producers pins which readers skip their FP16
+// input round (halfInput) on tinyNet — input, conv1, pool, conv2, pool,
+// flatten, fc, softmax: a max pool, convolution or dense layer reading an
+// FP16 convolution this sweep ran, directly or through max pools and
+// Flattens this sweep ran too. An FP32 convolution, or one below from whose
+// value came from base, breaks the chain.
+func TestHalfInputFollowsFP16Producers(t *testing.T) {
+	gr := tinyNet(tensor.NewRNG(16))
+	const conv1, conv2 = 1, 3
+	for _, tc := range []struct {
+		name string
+		fp32 int // a convolution left at FP32, or −1
+		from int
+		want []int // the nodes that read half values
+	}{
+		{"all fp16", -1, 0, []int{2, 3, 4, 6}},
+		{"conv1 fp32", conv1, 0, []int{4, 6}},
+		{"conv2 fp32", conv2, 0, []int{2, 3}},
+		{"from conv2", -1, conv2, []int{4, 6}},
+		{"from its pool", -1, conv2 + 1, nil},
+	} {
+		cfg := approx.Config{}
+		for _, op := range gr.ApproxOps() {
+			cfg[op] = approx.KnobFP16
+		}
+		if tc.fp32 >= 0 {
+			cfg[tc.fp32] = approx.KnobFP32
+		}
+		var got []int
+		for _, n := range gr.Nodes {
+			if n.ID >= tc.from && gr.halfInput(n, cfg, tc.from) {
+				got = append(got, n.ID)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: half inputs at %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package tensorops
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -418,6 +420,38 @@ func BenchmarkGemmRow(b *testing.B) {
 	benchRowTiers(b, k, func() {
 		gemmRowBlock(a, c, packed, 0, 1, k, n, 0, n/gemmNR)
 	})
+}
+
+// BenchmarkGemmKernel is the GEMM kernel's rate with no packing or
+// dispatch in it: gemmRowBlock over panels prepacked once, every row block
+// of an m×k×n product in turn on one goroutine, under the CPU's tier. The
+// shapes are resnet18's 64-channel 3×3 layer over a 16×16 plane, a
+// 32-channel 3×3 layer over 32×32 and its 128-channel one over 8×8.
+// Each call is timed on its own and GMAC/s reported at the median call and
+// at the fastest (p50-GMAC/s, min-GMAC/s); the host changes speed, so
+// compare builds in alternating runs.
+func BenchmarkGemmKernel(b *testing.B) {
+	for _, sh := range [][3]int{{64, 576, 256}, {32, 288, 1024}, {128, 1152, 64}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			a, w, c := benchGemmOperands(m, k, n)
+			packed := make([]float32, prepackedLen(k, n))
+			packRange(0, n/gemmNR, w, packed, k, n, false)
+			ns := make([]float64, 0, b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				for i0 := 0; i0 < m; i0 += gemmMR {
+					gemmRowBlock(a, c, packed, i0, gemmMR, k, n, 0, n/gemmNR)
+				}
+				ns = append(ns, float64(time.Since(t0).Nanoseconds()))
+			}
+			slices.Sort(ns)
+			macs := float64(m * k * n)
+			b.ReportMetric(macs/ns[len(ns)/2], "p50-GMAC/s")
+			b.ReportMetric(macs/ns[0], "min-GMAC/s")
+		})
+	}
 }
 
 // TestConv2DFusedFreshAllocs pins the allocation count of the serving-shaped

@@ -154,13 +154,16 @@ func convolve(x, w *tensor.Tensor, p ConvParams, prec Precision, perf *perfSpec,
 		// executions; the others quantize into pooled scratch. The copy of
 		// x is the one activation-derived operand that is kept: quantizing
 		// marked activations afresh on every call cost the alexnet2 tuning
-		// passes about 8 % of their wall time.
-		if q, ok := cachedQuantized(x); ok {
-			xd = q
-		} else {
-			xq := quantizedScratch(xd)
-			defer tensor.Release(&xq)
-			xd = xq
+		// passes about 8 % of their wall time. An input that holds half
+		// values already (ep.HalfIn) is read as it is.
+		if !ep.HalfIn {
+			if q, ok := cachedQuantized(x); ok {
+				xd = q
+			} else {
+				xq := quantizedScratch(xd)
+				defer tensor.Release(&xq)
+				xd = xq
+			}
 		}
 		if q, ok := cachedQuantized(w); ok {
 			wdat = q
@@ -373,15 +376,18 @@ func (pl *convPlan) fillCols(plane, kept []float32) {
 // edge column copies its one neighbour. expandColsAVX reads it through
 // go_asm.h.
 type colStep struct {
-	a, b, avg [gemmNR]int32
+	a, b, avg [colVec]int32
 	w         int32
 	_         [3]int32
 }
 
+// colVec is the outputs of one colStep: one XMM register.
+const colVec = 4
+
 // colTable appends the steps of a row of wo outputs, nk ≥ 4 of them kept,
 // to st.
 func (p *perfSpec) colTable(st []colStep, wo, nk int) []colStep {
-	for x0 := 0; x0 < wo; x0 += gemmNR {
+	for x0 := 0; x0 < wo; x0 += colVec {
 		var s colStep
 		// The window starts at the leftmost kept value any lane needs,
 		// moved left to stay inside the row; four kept values always span
@@ -393,8 +399,8 @@ func (p *perfSpec) colTable(st []colStep, wo, nk int) []colStep {
 		if lo == 0 && p.skips(0) {
 			lo = 1
 		}
-		s.w = int32(min(p.kept(lo), nk-gemmNR))
-		for q := 0; q < gemmNR && x0+q < wo; q++ {
+		s.w = int32(min(p.kept(lo), nk-colVec))
+		for q := 0; q < colVec && x0+q < wo; q++ {
 			x := x0 + q
 			at := func(i int) int32 { return int32(p.kept(i)) - s.w }
 			switch {
@@ -421,26 +427,26 @@ func (p *perfSpec) colTable(st []colStep, wo, nk int) []colStep {
 // each (expandColsAVX); the loop is the other tiers, a ragged last step and
 // what that is pinned to.
 func expandCols(row, kept []float32, steps []colStep) {
-	full := len(row) / gemmNR
+	full := len(row) / colVec
 	g := len(steps) - 1
 	if gemmTier == tierAVX && full > 0 {
 		if g == full { // ragged: go first, it is last
-			expandStep(row[g*gemmNR:], kept, &steps[g])
+			expandStep(row[g*colVec:], kept, &steps[g])
 		}
-		kept = kept[:steps[full-1].w+gemmNR]
-		expandColsAVX(&row[:full*gemmNR][0], &kept[0], &steps[0], full)
+		kept = kept[:steps[full-1].w+colVec]
+		expandColsAVX(&row[:full*colVec][0], &kept[0], &steps[0], full)
 		return
 	}
 	for ; g >= 0; g-- {
-		expandStep(row[g*gemmNR:], kept, &steps[g])
+		expandStep(row[g*colVec:], kept, &steps[g])
 	}
 }
 
 // expandStep is one step of expandCols, into the first min(4, len(d))
 // outputs of d.
 func expandStep(d, kept []float32, st *colStep) {
-	win := *(*[gemmNR]float32)(kept[st.w:])
-	for q := range min(gemmNR, len(d)) {
+	win := *(*[colVec]float32)(kept[st.w:])
+	for q := range min(colVec, len(d)) {
 		v := win[st.a[q]]
 		if st.avg[q] != 0 {
 			v = 0.5 * (v + win[st.b[q]])

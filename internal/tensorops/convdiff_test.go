@@ -320,8 +320,8 @@ func TestConvDirectMatchesReference(t *testing.T) {
 // of the square grid above — through every knob, both precisions and every
 // tier: padding 0–3 in either axis alone and together, under 1×1, 3×3, 5×5
 // and non-square filters (k×1 keeps the rows abutting, so the whole output
-// is one span; 1×k does not); output widths 3, 4, 6, 7, 12 and 28 (panels
-// that straddle two rows, pairs that do, long runs); stride 2 in one axis or
+// is one span; 1×k does not); output widths 3, 4, 6, 7, 12 and 28 (rows of
+// half a panel, panels that straddle two rows, pairs that do, runs); stride 2 in one axis or
 // both (no two columns adjacent: every panel gathers); groups whose
 // cog ≥ 4 takes the blocked kernel per group; and MobileNet's depthwise
 // layers, which take direct.
@@ -334,11 +334,11 @@ func TestConvLoweringShapes(t *testing.T) {
 	shapes := []shape{
 		// output width (sw = 1): w + 2·pw − kw + 1
 		{5, 3, 1, 1, 1, 1, 0, 0, 3, 5, 1},    // wo 3, flat span, in place
-		{4, 4, 3, 3, 1, 1, 1, 1, 2, 4, 1},    // wo 4: a row is a panel
-		{5, 6, 3, 3, 1, 1, 1, 1, 3, 6, 1},    // wo 6: every other panel straddles
+		{4, 4, 3, 3, 1, 1, 1, 1, 2, 4, 1},    // wo 4: a row is half a panel
+		{5, 6, 3, 3, 1, 1, 1, 1, 3, 6, 1},    // wo 6: every panel straddles
 		{6, 7, 5, 5, 1, 1, 2, 2, 2, 5, 1},    // wo 7
-		{4, 12, 3, 3, 1, 1, 1, 1, 2, 4, 1},   // wo 12: runs of three
-		{3, 28, 3, 3, 1, 1, 1, 1, 1, 4, 1},   // wo 28: runs of seven
+		{4, 12, 3, 3, 1, 1, 1, 1, 2, 4, 1},   // wo 12: a run of one, then a straddling panel
+		{3, 28, 3, 3, 1, 1, 1, 1, 1, 4, 1},   // wo 28: runs of three
 		{5, 28, 1, 1, 1, 1, 0, 0, 4, 8, 1},   // flat span of 140 columns
 		{6, 6, 1, 1, 1, 1, 1, 1, 3, 4, 1},    // padded 1×1: wp ≠ wo, not flat
 		{5, 5, 3, 3, 1, 1, 3, 3, 2, 4, 1},    // padding wider than the filter reaches
@@ -355,9 +355,10 @@ func TestConvLoweringShapes(t *testing.T) {
 		{6, 10, 3, 3, 1, 1, 1, 1, 4, 8, 2},   // two groups of cog 4
 		{6, 6, 3, 3, 2, 2, 1, 1, 6, 15, 3},   // three groups of cog 5, strided
 		{5, 12, 1, 1, 1, 1, 0, 0, 8, 16, 4},  // grouped pointwise
-		{6, 8, 3, 3, 1, 1, 1, 1, 3, 8, 1},    // wo 8: a kept row is one panel pair
-		{5, 16, 3, 3, 1, 1, 1, 1, 2, 5, 1},   // wo 16: two pairs a row, a remainder row
-		{3, 16, 3, 3, 1, 1, 1, 1, 230, 4, 1}, // kc 2070: blocks of one pair cut rows in two
+		{6, 8, 3, 3, 1, 1, 1, 1, 3, 8, 1},    // wo 8: a kept row is one panel
+		{5, 16, 3, 3, 1, 1, 1, 1, 2, 5, 1},   // wo 16: a pair a row, a remainder row
+		{3, 16, 3, 3, 1, 1, 1, 1, 230, 4, 1}, // kc 2070: blocks of one pair, a row each
+		{3, 32, 3, 3, 1, 1, 1, 1, 230, 4, 1}, // wo 32, kc 2070: blocks of one pair cut rows in two
 		{1, 9, 1, 3, 1, 1, 0, 1, 2, 4, 1},    // a single output row
 		{9, 1, 3, 1, 1, 1, 1, 0, 2, 4, 1},    // a single output column
 	}
@@ -548,7 +549,7 @@ func TestConvSmallGroupSpecialValues(t *testing.T) {
 	})
 }
 
-// TestConvNarrowGrids runs the outputs narrower than a panel pair — 2×2
+// TestConvNarrowGrids runs the outputs narrower than a panel — 2×2
 // (MobileNet's last pointwise layers), 1×3 and 3×1 — at batch 1, where
 // each image's few columns are one zero-padded panel, and 2, 3, 8 and 16,
 // where the images share one GEMM N, through every knob (both perforation

@@ -28,19 +28,20 @@ import (
 // sampling: col(j) = oy·sh·wp + ox·sw is the patch's first element, walked
 // column by column from the kept rows and columns (colCursor), offs[l] =
 // c·hp·wp + ky·wp + kx its l-th kept one. Panels whose
-// columns are adjacent in memory are copied a run at a time, four floats per
-// (l, panel) (packRun); a panel whose columns lie in two windows of four
-// floats — strided or column-perforated columns, most panels that straddle
-// two output rows — is one vector permute and blend per l on the AVX tier
-// (packQuad); the rest gather through the same offsets, four columns per l.
-// The last ncols mod 4 columns are a panel of their own whose other lanes
-// are +0 (packTail). Every element is still accumulated in ascending-l order
+// columns are adjacent in memory are copied a run at a time, one eight-float
+// row per (l, panel) (packRun); a panel each of whose four-column halves
+// lies in two windows of four floats — strided or column-perforated columns,
+// most panels that straddle two output rows — is four window loads, two
+// vector permutes and a blend per l on the AVX tier (packQuad); the rest
+// gather through the same offsets, eight columns per l. The last
+// ncols mod 8 columns are a panel of their own whose other lanes are +0
+// (packTail). Every element is still accumulated in ascending-l order
 // by the same kernels, a padding tap as a stored +0, so outputs are
 // bit-identical to computing everything and discarding (convdiff_test.go
 // pins this against the im2col reference).
 //
-// A kept grid narrower than a panel pair would leave each image's GEMM with
-// one four-lane panel or only the tail. When the call has more than one
+// A kept grid narrower than a panel would leave each image's GEMM with only
+// the tail. When the call has more than one
 // image, its images then share one N instead: column j is image j / per's
 // output j mod per, the planes of consecutive images lie pstride apart, and
 // the product is one (m × images·per) block whose rows are filled out to
@@ -91,7 +92,7 @@ type convPlan struct {
 	offs           []int32   // kc ascending plane offsets, sampled-out positions absent
 	perf           *perfSpec // nil when every output is computed
 	// imgs images share one GEMM N (1 unless a kept grid is narrower than
-	// a panel pair); per is one image's kept outputs, pstride the distance
+	// a panel); per is one image's kept outputs, pstride the distance
 	// between consecutive images' planes as planes returns them.
 	imgs, per, pstride int
 	steps              []fillStep // one per output of a plane, when fillSteps fills it
@@ -159,7 +160,7 @@ func lowerConv(wt *tensor.Tensor, n, ci, h, w, ho, wo int, p ConvParams, perf *p
 		return o, int64(4 * len(o))
 	})
 	shared := 0
-	if kept := keptAlong(ho, perf, PerfRows) * keptAlong(wo, perf, PerfCols); cog >= gemmMR && n > 1 && kept < 2*gemmNR {
+	if kept := keptAlong(ho, perf, PerfRows) * keptAlong(wo, perf, PerfCols); cog >= gemmMR && n > 1 && kept < gemmNR {
 		shared = n // newConvPlan may still find the images too far apart for int32
 	}
 	key, ok := convKey(packPlan, h, w, shared, p, perf, samp, FP32)
@@ -248,7 +249,7 @@ func newConvPlan(offs []int32, n, ci, cig, cog, h, w, ho, wo int, p ConvParams, 
 	pl.oy = keep(ho, perf != nil && perf.dir == PerfRows)
 	pl.ox = keep(wo, perf != nil && perf.dir == PerfCols)
 	pl.per = len(pl.oy) * len(pl.ox)
-	if cog >= gemmMR && n > 1 && pl.per < 2*gemmNR && (n-1)*pl.pstride <= math.MaxInt32-psize {
+	if cog >= gemmMR && n > 1 && pl.per < gemmNR && (n-1)*pl.pstride <= math.MaxInt32-psize {
 		pl.imgs = n
 	}
 	switch {
@@ -373,8 +374,8 @@ func (pl *convPlan) packPanels(dst, planes []float32, plo, phi int) {
 	}
 }
 
-// packRun packs `run` panels whose 4·run columns are adjacent in src, the
-// first at src[0]: dst[(p·kc+l)·4 : +4] = src[offs[l]+4p : +4], kc =
+// packRun packs `run` panels whose 8·run columns are adjacent in src, the
+// first at src[0]: dst[(p·kc+l)·8 : +8] = src[offs[l]+8p : +8], kc =
 // len(offs); offs ascends, so its last entry bounds what is read. The AVX
 // tier runs packRunAVX; the loop is the other tiers and what that is pinned to.
 func packRun(dst, src []float32, offs []int32, run int) {
@@ -393,44 +394,51 @@ func packRun(dst, src []float32, offs []int32, run int) {
 	}
 }
 
-// packQuad packs one panel whose columns start at src[b[0]] … src[b[3]],
-// ascending: dst[l·4+q] = src[b[q]+offs[l]]. Under tierAVX, when every
-// column lies in the four floats from b[0] or the four up to b[3], each l is
-// two four-float loads, a permute of each and a blend (packQuadAVX); the
-// gather below is the other tiers, the other panels and what that is pinned
-// to.
+// packQuad packs one panel whose columns start at src[b[0]] … src[b[7]],
+// ascending: dst[l·8+q] = src[b[q]+offs[l]]. Under tierAVX, when every
+// column of each four-column half lies in the four floats from the half's
+// first or the four up to its last, each l is four four-float loads, two
+// permutes and a blend (packQuadAVX); the gather below is the other tiers,
+// the other panels and what that is pinned to.
 func packQuad(dst, src []float32, offs []int32, b *[gemmNR]int32) {
 	kc := len(offs)
 	dst = dst[:kc*gemmNR]
 	if gemmTier == tierAVX {
-		if ctrl, ok := quadWindows(b); ok {
-			src = src[:int(b[3])+int(offs[kc-1])+1]
-			packQuadAVX(&dst[0], &src[b[0]], &src[b[3]-3], &offs[0], kc, &ctrl)
+		if ctrl, win, ok := quadWindows(b); ok {
+			src = src[:int(b[gemmNR-1])+int(offs[kc-1])+1]
+			packQuadAVX(&dst[0], &src[0], &offs[0], kc, &win, &ctrl)
 			return
 		}
 	}
-	s0, s1, s2, s3 := src[b[0]:], src[b[1]:], src[b[2]:], src[b[3]:]
 	for l, o := range offs {
 		d := (*[gemmNR]float32)(dst[l*gemmNR:])
-		d[0], d[1], d[2], d[3] = s0[o], s1[o], s2[o], s3[o]
+		for q, c := range b {
+			d[q] = src[int(c)+int(o)]
+		}
 	}
 }
 
-// quadWindows is packQuadAVX's lane control for columns b: lane q takes
-// element ctrl[q]&3 of the window at b[0], or of the window at b[3]−3 when
-// its sign bit is set. ok is false when a column lies in neither.
-func quadWindows(b *[gemmNR]int32) (ctrl [gemmNR]int32, ok bool) {
-	for q, c := range b {
-		switch {
-		case c-b[0] < gemmNR:
-			ctrl[q] = c - b[0]
-		case b[3]-c < gemmNR:
-			ctrl[q] = c - (b[3] - 3) | math.MinInt32
-		default:
-			return ctrl, false
+// quadWindows is packQuadAVX's operands for columns b: each half's two
+// windows, win[2h] at its first column and win[2h+1] ending at its last,
+// and the lane control — lane q takes element ctrl[q]&3 of its half's first
+// window, or of the second when its sign bit is set. ok is false when a
+// column lies in neither window of its half.
+func quadWindows(b *[gemmNR]int32) (ctrl [gemmNR]int32, win [4]int32, ok bool) {
+	for h := 0; h < gemmNR; h += halfNR {
+		first, last := b[h], b[h+halfNR-1]-(halfNR-1)
+		win[h/halfNR*2], win[h/halfNR*2+1] = first, last
+		for q := h; q < h+halfNR; q++ {
+			switch c := b[q]; {
+			case c-first < halfNR:
+				ctrl[q] = c - first
+			case c >= last:
+				ctrl[q] = c - last | math.MinInt32
+			default:
+				return ctrl, win, false
+			}
 		}
 	}
-	return ctrl, true
+	return ctrl, win, true
 }
 
 // packTail packs the last t < gemmNR packed columns, from j, into one panel
@@ -456,10 +464,11 @@ const packBlockFloats = 16 << 10
 
 // panelBlock is how many panels of K extent kc a worker packs and multiplies
 // at a time: what fits packBlockFloats, rounded down to an even count and
-// never less than one pair. The AVX kernel takes panels two at a time and an
-// odd one left over runs four lanes wide at half that rate — with
-// kc = 576 or 1152 (7 and 3 to the budget) that was every seventh or third
-// panel, and past kc = 2048 (one to the budget) every panel.
+// never less than one pair. The AVX kernel takes panels two at a time, a
+// 4×16 tile, and an odd one left over runs as a 4×8 tile with half the
+// accumulator chains in flight — with kc = 576 (3 panels to the budget) an
+// odd block would leave every third panel to it, and past kc = 1024 (one to
+// the budget) every panel.
 func panelBlock(kc int) int {
 	return max(packBlockFloats/(kc*gemmNR)&^1, 2)
 }
@@ -471,21 +480,21 @@ func panelBlock(kc int) int {
 // worker packs a block of its panels, multiplies all of A against it and
 // applies ep to every finished row segment (C row i is output channel
 // chan0+i). The unit past the last full panel is the ncols mod gemmNR tail.
-// Ranges are cut between panel pairs, and blocks inside a range are even
-// (panelBlock), so only the last pair of the call can be a single panel for
-// the half-rate four-lane step.
+// Ranges are cut between panels and blocks inside a range are even
+// (panelBlock), so only a range's last panel can be a single one for the
+// 4×8 step.
 func (pl *convPlan) blocked(a, planes, c []float32, m, ldc int, ep *rowEpi, chan0 int) {
 	units := (pl.ncols() + gemmNR - 1) / gemmNR
 	if parallel.Serial() {
 		pl.blockedRange(a, planes, c, m, ldc, ep, chan0, 0, units)
 		return
 	}
-	parallel.ForChunked((units+1)/2, func(lo, hi int) {
-		pl.blockedRange(a, planes, c, m, ldc, ep, chan0, 2*lo, min(2*hi, units))
+	parallel.ForChunked(units, func(lo, hi int) {
+		pl.blockedRange(a, planes, c, m, ldc, ep, chan0, lo, hi)
 	})
 }
 
-// blockedRange is one worker's share of blocked: units [lo,hi), lo even.
+// blockedRange is one worker's share of blocked: units [lo,hi).
 func (pl *convPlan) blockedRange(a, planes, c []float32, m, ldc int, ep *rowEpi, chan0, lo, hi int) {
 	n, kc := pl.ncols(), pl.kc
 	np := n / gemmNR

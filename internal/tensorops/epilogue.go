@@ -33,6 +33,12 @@ type Epilogue struct {
 	Bias *tensor.Tensor // optional, length = output channels/features
 	Act  ActKind
 	Clip float32 // ClippedReLU ceiling
+	// HalfIn says the input already holds half-precision values — the
+	// output of an FP16 producer, which ends in a half round — so an FP16
+	// convolution or dense layer reads it as it is instead of rounding a
+	// copy into scratch. Rounding is idempotent, so no bit moves. The
+	// fused entry points read it; FP32 ignores it.
+	HalfIn bool
 }
 
 // rowEpi flags: the steps of the chain, in the order they run. The values

@@ -13,7 +13,7 @@
 // shrinks) — see convpack.go. What perforation adds must cost less than
 // what it skips: strided kept columns are packed by a vector permute, not
 // gathered one float at a time; images that keep fewer outputs than a panel
-// pair share one GEMM N; and one pass per plane moves the kept outputs and
+// share one GEMM N; and one pass per plane moves the kept outputs and
 // fills the skipped ones before the epilogue (convPlan.finish). Reduction
 // sampling likewise visits only the sampled window elements. FP16 and
 // PROMISE remain emulation: values are quantized or perturbed through their
@@ -29,11 +29,12 @@
 // Kernel tiers. The full-block GEMM micro-kernel exists twice and the CPU
 // picks one at start-up (internal/cpu: CPUID + XGETBV, no flag, environment
 // variable or build tag): where the processor has AVX and the OS saves YMM
-// state, an AVX kernel computing a 4×8 tile from each pair of adjacent
-// panels and a 4×4 tile from an odd last one, and one row of A against a
-// strip of panels for the rows under a block (gemm_avx_amd64.s); everywhere
-// else, amd64 without AVX included, the pure Go microKernel4 and
-// microKernel1. The AVX tier also covers the rest of a layer: the copies
+// state, an AVX kernel computing a 4×16 tile from each pair of adjacent
+// eight-wide panels and a 4×8 tile from an odd last one, and one row of A
+// against a strip of four panels for the rows under a block
+// (gemm_avx_amd64.s); everywhere else, amd64 without AVX included, the pure
+// Go microKernel4 and microKernel1, which take each panel as two four-lane
+// halves. The AVX tier also covers the rest of a layer: the copies
 // that pack a convolution's panels (pack_avx_amd64.s), in rowops_avx_amd64.s
 // the bias/activation/FP16 epilogue of a C row in one pass, tanh32 four
 // float64 lanes at a time and the fill of perforated rows and columns, and
@@ -91,14 +92,19 @@ func (p Precision) String() string {
 }
 
 // GEMM engine geometry. B is packed (prepacked) into row-panels of gemmNR
-// contiguous columns; the inner kernel computes a gemmMR×gemmNR
-// micro-tile of C with every output element accumulating in a register
-// over the full K extent, in ascending-l order. That order is exactly the
-// reference triple loop's, so for a zeroed C the blocked kernel is
-// bit-identical to the naive kernel (the differential tests pin this).
+// contiguous columns, one YMM register per panel row; the inner kernels
+// compute micro-tiles of gemmMR rows with every output element accumulating
+// in a register lane over the full K extent, in ascending-l order. That
+// order is exactly the reference triple loop's, so for a zeroed C the
+// blocked kernel is bit-identical to the naive kernel (the differential
+// tests pin this).
 const (
 	gemmMR = 4 // micro-tile rows (rows of A per inner kernel)
-	gemmNR = 4 // micro-tile columns (panel width)
+	gemmNR = 8 // panel width: the columns of one packed row
+
+	// halfNR is the columns of one 128-bit half of a panel row: the
+	// portable tile's width and the window packQuad permutes.
+	halfNR = gemmNR / 2
 )
 
 // kernelTier names an implementation of the full-block micro-kernel and of
@@ -110,7 +116,7 @@ type kernelTier int
 // Ascending: a CPU that runs a tier runs every tier below it.
 const (
 	tierPortable kernelTier = iota // pure Go microKernel4, every architecture
-	tierAVX                        // 4×8 tile over panel pairs, gemm_avx_amd64.s; row kernels, rowops_avx_amd64.s and window_avx_amd64.s
+	tierAVX                        // 4×16 tile over panel pairs, gemm_avx_amd64.s; row kernels, rowops_avx_amd64.s and window_avx_amd64.s
 )
 
 // gemmTier is the tier gemmRowBlock and the row kernels run, chosen once
@@ -123,7 +129,7 @@ func (t kernelTier) String() string {
 }
 
 // KernelTier names the kernels this process runs, so that speed numbers
-// from two hosts are never compared without it: "avx" is the 4×8 GEMM tile
+// from two hosts are never compared without it: "avx" is the 4×16 GEMM tile
 // plus the vector row kernels (four-lane tanh32, the one-pass FP32 epilogue,
 // the one-row GEMM strip, the depthwise tap sum, the max-pool fold); "avx+f16c" adds the F16C
 // round trip, in QuantizeFP16Slice and inside the FP16 epilogue pass;
@@ -207,9 +213,9 @@ func gemmBlockRange(lo, hi int, a, c []float32, pre prepacked, k, n int, ep *row
 // gemmRowBlock stores the `rows` (≤ gemmMR) rows of C starting at row i0
 // computed against np consecutive packed panels, into C columns j0 onward
 // (ldc is C's row stride). A full block goes through the AVX kernel, which
-// takes every panel, or through the Go 4×4 tile one panel at a time;
+// takes every panel, or through the Go 4×4 tile one half-panel at a time;
 // remainder rows take the one-row kernel, gemmRow1AVX on the AVX tier and
-// the 1×4 edge kernel a panel at a time on the portable one.
+// the 1×4 edge kernel a half-panel at a time on the portable one.
 func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
 	if k == 0 || np == 0 {
 		return
@@ -228,10 +234,11 @@ func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
 		c2 := c[(i0+2)*ldc+j0 : (i0+3)*ldc]
 		c3 := c[(i0+3)*ldc+j0 : (i0+4)*ldc]
 		for jp := 0; jp < np; jp++ {
-			panel := panels[jp*k*gemmNR : (jp+1)*k*gemmNR]
-			j := jp * gemmNR
-			microKernel4(a0, a1, a2, a3, panel,
-				c0[j:j+gemmNR], c1[j:j+gemmNR], c2[j:j+gemmNR], c3[j:j+gemmNR])
+			for h := 0; h < gemmNR; h += halfNR {
+				panel, j := panels[jp*k*gemmNR+h:], jp*gemmNR+h
+				microKernel4(a0, a1, a2, a3, panel,
+					c0[j:j+halfNR], c1[j:j+halfNR], c2[j:j+halfNR], c3[j:j+halfNR])
+			}
 		}
 		return
 	}
@@ -243,8 +250,10 @@ func gemmRowBlock(a, c, panels []float32, i0, rows, k, ldc, j0, np int) {
 			continue
 		}
 		for jp := 0; jp < np; jp++ {
-			j := jp * gemmNR
-			microKernel1(arow, panels[jp*k*gemmNR:(jp+1)*k*gemmNR], crow[j:j+gemmNR])
+			for h := 0; h < gemmNR; h += halfNR {
+				j := jp*gemmNR + h
+				microKernel1(arow, panels[jp*k*gemmNR+h:], crow[j:j+halfNR])
+			}
 		}
 	}
 }
@@ -260,18 +269,14 @@ func packRange(plo, phi int, b, packed []float32, k, n int, quantB bool) {
 		j0 := jp * gemmNR
 		dst := packed[jp*k*gemmNR : (jp+1)*k*gemmNR]
 		for l := 0; l < k; l++ {
-			src := b[l*n+j0 : l*n+j0+gemmNR]
-			d := dst[l*gemmNR : l*gemmNR+gemmNR]
+			src := (*[gemmNR]float32)(b[l*n+j0:])
+			d := (*[gemmNR]float32)(dst[l*gemmNR:])
 			if quantB {
-				d[0] = tensor.QuantizeFP16(src[0])
-				d[1] = tensor.QuantizeFP16(src[1])
-				d[2] = tensor.QuantizeFP16(src[2])
-				d[3] = tensor.QuantizeFP16(src[3])
+				for j, v := range src {
+					d[j] = tensor.QuantizeFP16(v)
+				}
 			} else {
-				d[0] = src[0]
-				d[1] = src[1]
-				d[2] = src[2]
-				d[3] = src[3]
+				*d = *src
 			}
 		}
 	}
@@ -279,10 +284,11 @@ func packRange(plo, phi int, b, packed []float32, k, n int, quantB bool) {
 
 // microKernel4 stores the 4×4 micro-tile C[r][j] = Σ_l A[r][l]·P[l][j]
 // over the full K extent with all sixteen outputs held in scalar
-// accumulators. The a slices are the four A rows (equal length k); panel is
-// the packed B panel (k×gemmNR); c0..c3 are the four gemmNR-wide C row
-// segments. It is the portable tier's tile — under AVX the assembly kernel
-// runs instead, computing the same operation sequence per output element.
+// accumulators. The a slices are the four A rows (equal length k); panel
+// starts at one four-lane half of a packed B panel, whose row l is
+// panel[l·gemmNR:]; c0..c3 are the four halfNR-wide C row segments. It is
+// the portable tier's tile — under AVX the assembly kernel runs instead,
+// computing the same operation sequence per output element.
 // No tier tests for zero A elements: an accumulator that starts at +0 is
 // never −0, so a ±0 product leaves it unchanged and skipping one is not
 // observable on finite operands; since filter sampling compacts K instead of
@@ -292,15 +298,13 @@ func microKernel4(a0, a1, a2, a3, panel []float32, c0, c1, c2, c3 []float32) {
 	a1 = a1[:kc]
 	a2 = a2[:kc]
 	a3 = a3[:kc]
-	panel = panel[: kc*gemmNR : kc*gemmNR]
 	var s00, s01, s02, s03 float32
 	var s10, s11, s12, s13 float32
 	var s20, s21, s22, s23 float32
 	var s30, s31, s32, s33 float32
 	for l := 0; l < kc; l++ {
 		v0, v1, v2, v3 := a0[l], a1[l], a2[l], a3[l]
-		pi := l * gemmNR
-		p := panel[pi : pi+gemmNR]
+		p := (*[halfNR]float32)(panel[l*gemmNR:])
 		b0, b1, b2, b3 := p[0], p[1], p[2], p[3]
 		s00 += float32(v0 * b0)
 		s01 += float32(v0 * b1)
@@ -338,19 +342,18 @@ func microKernel4(a0, a1, a2, a3, panel []float32, c0, c1, c2, c3 []float32) {
 }
 
 // microKernel1 is the portable tier's 1×4 edge kernel for the rows under a
-// full block, with the per-element zero skip of the reference (ReLU-sparse
-// activations benefit). gemmRow1AVX transcribes it over a row of panels.
+// full block, over one half-panel as microKernel4 reads it, with the
+// per-element zero skip of the reference (ReLU-sparse activations benefit).
+// gemmRow1AVX transcribes it over a row of panels.
 func microKernel1(arow, panel []float32, crow []float32) {
 	kc := len(arow)
-	panel = panel[: kc*gemmNR : kc*gemmNR]
 	var s0, s1, s2, s3 float32
 	for l := 0; l < kc; l++ {
 		v := arow[l]
 		if v == 0 {
 			continue
 		}
-		pi := l * gemmNR
-		p := panel[pi : pi+gemmNR]
+		p := (*[halfNR]float32)(panel[l*gemmNR:])
 		s0 += float32(v * p[0])
 		s1 += float32(v * p[1])
 		s2 += float32(v * p[2])
@@ -375,7 +378,8 @@ func MatMul(x, w *tensor.Tensor, prec Precision) *tensor.Tensor {
 // MatMulFused is MatMul with the bias/activation/FP16-writeback epilogue
 // applied per C row during the GEMM instead of as separate whole-tensor
 // passes, and with w's packed panels built once and kept on w when w is
-// marked cacheable. Bit-identical to the unfused chain.
+// marked cacheable. Bit-identical to the unfused chain. Under FP16 an input
+// marked ep.HalfIn is not rounded again.
 func MatMulFused(x, w *tensor.Tensor, prec Precision, ep Epilogue) *tensor.Tensor {
 	n, k := x.Dim(0), x.Elems()/x.Dim(0)
 	if w.Rank() != 2 || w.Dim(0) != k {
@@ -386,7 +390,7 @@ func MatMulFused(x, w *tensor.Tensor, prec Precision, ep Epilogue) *tensor.Tenso
 		panicShape("MatMul", "bias length %d != output features %d", ep.Bias.Elems(), m)
 	}
 	xd := x.Data()
-	if prec == FP16 {
+	if prec == FP16 && !ep.HalfIn {
 		if q, ok := cachedQuantized(x); ok {
 			xd = q
 		} else {

@@ -15,19 +15,20 @@ func gemmRows4AVX(a, panels, c *float32, kc, ldc, np int)
 //go:noescape
 func gemmRow1AVX(a, panels, c *float32, kc, np int)
 
-// packRunAVX is the pack routine in pack_avx_amd64.s: dst[(p*kc+l)*4 : +4] =
-// src[offs[l]+4p : +4] for p < run, l < kc. It checks no bound (packRun
+// packRunAVX is the pack routine in pack_avx_amd64.s: dst[(p*kc+l)*8 : +8] =
+// src[offs[l]+8p : +8] for p < run, l < kc. It checks no bound (packRun
 // does); kc and run must be positive.
 //
 //go:noescape
 func packRunAVX(dst, src *float32, offs *int32, kc, run int)
 
-// packQuadAVX is the other pack routine there: dst[l*4+q] = w[offs[l] +
-// ctrl[q]&3] for l < kc, w being lo, or hi where ctrl[q] is negative. It
-// checks no bound (packQuad does); kc must be positive.
+// packQuadAVX is the other pack routine there: dst[l*8+q] = src[offs[l] +
+// win[2h+s] + ctrl[q]&3] for l < kc, q < 8, where h = q/4 is the half of the
+// row and s is 1 where ctrl[q] is negative, 0 otherwise. It checks no bound
+// (packQuad does); kc must be positive.
 //
 //go:noescape
-func packQuadAVX(dst, lo, hi *float32, offs *int32, kc int, ctrl *[gemmNR]int32)
+func packQuadAVX(dst, src *float32, offs *int32, kc int, win *[4]int32, ctrl *[gemmNR]int32)
 
 // bestTier is the CPU's choice: AVX where the probe found it, otherwise the
 // portable Go kernels, as on every other architecture.

@@ -16,4 +16,4 @@ func gemmRowAVX(arow, crow, panels []float32, k, np int) {}
 // packRunAVX and packQuadAVX are never reached either: the Go loops run.
 func packRunAVX(dst, src *float32, offs *int32, kc, run int) {}
 
-func packQuadAVX(dst, lo, hi *float32, offs *int32, kc int, ctrl *[gemmNR]int32) {}
+func packQuadAVX(dst, src *float32, offs *int32, kc int, win *[4]int32, ctrl *[gemmNR]int32) {}

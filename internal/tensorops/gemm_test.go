@@ -217,14 +217,15 @@ func TestKernelTierNamesTheDispatch(t *testing.T) {
 }
 
 // TestGemmRowBlockPanelCountsAndOffsets drives gemmRowBlock directly where
-// the grid's shapes do not reach: every panel count 1…7 (so the AVX tier
-// sees zero to three pairs with and without an odd last panel), k from 0
-// through both parities of its two-step unrolled loop, and A, the panels and
-// the C row segments starting at addresses that are not 32-byte aligned,
-// with C's row stride odd. Guard values around each C segment catch a store
-// outside it. A second pattern plants special values where the last panel's
-// columns read them: an all-zero A column, −0, NaN and +Inf in A, and NaN,
-// ±Inf and −0 in B. The zeros of A sit where B is finite, because the
+// the grid's shapes do not reach: every panel count 1…9 of eight-wide panels
+// (so the AVX tier sees zero to four 4×16 pairs with and without an odd last
+// panel's 4×8 step), k from 0 through both parities of its two-step
+// unrolled loop, and A, the panels and the C row segments starting at
+// addresses that are not 32-byte aligned, with C's row stride odd. Guard
+// values around each C segment catch a store outside it. A second pattern
+// plants special values where the last panel's columns read them, in both
+// of its halves and in lane 7: an all-zero A column, −0, NaN and +Inf in A,
+// and NaN, ±Inf and −0 in B. The zeros of A sit where B is finite, because the
 // reference skips a zero activation and the tile multiplies it.
 func TestGemmRowBlockPanelCountsAndOffsets(t *testing.T) {
 	const guard = float32(-777.25)
@@ -233,7 +234,7 @@ func TestGemmRowBlockPanelCountsAndOffsets(t *testing.T) {
 		g := tensor.NewRNG(19)
 		shifted := func(n, off int) []float32 { return make([]float32, n+off)[off:] }
 		for _, k := range []int{0, 1, 2, 5, 32, 33} {
-			for np := 1; np <= 7; np++ {
+			for np := 1; np <= 9; np++ {
 				for _, off := range []int{0, 1, 3, 5} {
 					for _, special := range []bool{false, true} {
 						if special && k < 5 {
@@ -249,7 +250,8 @@ func TestGemmRowBlockPanelCountsAndOffsets(t *testing.T) {
 							}
 							a[1*k+1], a[2*k+2], a[3*k+3] = negz, nan, inf
 							last := b[5*n-gemmNR : 5*n] // l = 4, the last panel's columns
-							last[0], last[1], last[2], last[3] = nan, inf, -inf, negz
+							last[0], last[3], last[4], last[7] = nan, inf, -inf, negz
+							last[1], last[6] = negz, nan
 						}
 						packed := shifted(np*k*gemmNR, off)
 						packRange(0, np, b, packed, k, n, false)
@@ -329,14 +331,15 @@ func TestGemmZeroTermRulePerRow(t *testing.T) {
 }
 
 // TestPanelBlockLeavesNoOddPanelMidRange pins the block size blockedRange
-// steps by: always even, so that walking any unit range the way
-// blockedRange does hands panelPairsAVX every panel except, at most, the
-// range's last, and within the pack budget unless one pair already exceeds
-// it. kc = 576 and 1152 are resnet18's 64- and 128-channel 3×3 layers, where
-// the budget alone gives 7 and 3; past kc = 2048 it gives 1.
+// steps by, in eight-wide panels: always even, so that walking any unit
+// range the way blockedRange does hands the AVX kernel's 4×16 pair step
+// every panel except, at most, the range's last, and within the pack budget
+// unless one pair already exceeds it. kc = 576 and 1152 are resnet18's 64-
+// and 128-channel 3×3 layers, where the budget alone gives 3 and 1; past
+// kc = 1024 it gives 1, past 2048 none.
 func TestPanelBlockLeavesNoOddPanelMidRange(t *testing.T) {
 	for _, tc := range []struct{ kc, want int }{
-		{1, 4096}, {27, 150}, {72, 56}, {576, 6}, {1152, 2}, {2048, 2}, {2304, 2}, {9000, 2},
+		{1, 2048}, {27, 74}, {72, 28}, {288, 6}, {576, 2}, {1024, 2}, {1152, 2}, {2304, 2}, {9000, 2},
 	} {
 		blk := panelBlock(tc.kc)
 		if blk != tc.want {

@@ -537,3 +537,60 @@ func TestMaxPoolHalfInputSkipsRound(t *testing.T) {
 		}
 	})
 }
+
+// TestConvHalfInputSkipsRound: over every half-precision value — NaNs, ±0,
+// ±Inf and the subnormals included — an FP16 convolution or dense layer
+// told that its input holds half values (Epilogue.HalfIn) returns the bits
+// of the one that rounds it, on every tier: exact, filter-sampled and
+// perforated convolutions, and dense layers through the four-row tile and
+// the row kernel. One image holds the values in order, so that the NaNs and
+// infinities fill whole patches; the other shuffles them.
+func TestConvHalfInputSkipsRound(t *testing.T) {
+	x := tensor.New(2, 4, 128, 128)
+	xd := x.Data()
+	for h := range 1 << 16 {
+		xd[h] = tensor.F16ToF32(uint16(h))
+		xd[1<<16+h] = xd[h]
+	}
+	g := tensor.NewRNG(73)
+	mixed := xd[1<<16:]
+	for i := len(mixed) - 1; i > 0; i-- {
+		j := g.Intn(i + 1)
+		mixed[i], mixed[j] = mixed[j], mixed[i]
+	}
+	x0 := x.Clone()
+	w := randTensor(g, 8, 4, 3, 3)
+	ep := Epilogue{Bias: randTensor(g, 8), Act: ActClippedReLU, Clip: 6}
+	half := ep
+	half.HalfIn = true
+	p := ConvParams{PadH: 1, PadW: 1}
+	dense := []struct{ x, w *tensor.Tensor }{
+		{Flatten(x), randTensor(g, 1<<16, 12)},                      // two rows: the row kernel
+		{tensor.FromSlice(xd, 16, 1<<13), randTensor(g, 1<<13, 12)}, // a four-row tile and a tail
+	}
+	forEachTier(t, func(t *testing.T) {
+		for _, k := range []struct {
+			name string
+			run  func(ep Epilogue) *tensor.Tensor
+		}{
+			{"exact", func(ep Epilogue) *tensor.Tensor { return Conv2DFused(x, w, p, FP16, ep) }},
+			{"samp50", func(ep Epilogue) *tensor.Tensor { return Conv2DFilterSamplingFused(x, w, p, 2, 0, FP16, ep) }},
+			{"perf-rows", func(ep Epilogue) *tensor.Tensor {
+				return Conv2DPerforatedFused(x, w, p, PerfRows, 2, 0, FP16, ep)
+			}},
+			{"perf-cols", func(ep Epilogue) *tensor.Tensor {
+				return Conv2DPerforatedFused(x, w, p, PerfCols, 3, 1, FP16, ep)
+			}},
+		} {
+			requireSameBits(t, k.run(half), k.run(ep), "%s", k.name)
+			requireSameBits(t, x, x0, "%s: input written", k.name)
+		}
+		for i, d := range dense {
+			dep := Epilogue{Bias: randTensor(tensor.NewRNG(int64(i)), 12), Act: ActReLU}
+			want := MatMulFused(d.x, d.w, FP16, dep)
+			dep.HalfIn = true
+			requireSameBits(t, MatMulFused(d.x, d.w, FP16, dep), want, "dense %v", d.x.Shape())
+			requireSameBits(t, x, x0, "dense %v: input written", d.x.Shape())
+		}
+	})
+}

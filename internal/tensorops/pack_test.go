@@ -27,10 +27,11 @@ func packCase(g *tensor.RNG, kc, run int) (offs []int32, src []float32) {
 }
 
 // TestPackRunTiersMatch pins every tier of packRun — the AVX routine, which
-// checks no bounds, and the Go loop — to the definition dst[(p·kc+l)·4+j] =
-// src[offs[l]+4p+j], over random (kc, run, offsets): odd and even kc and
-// run exercise the pair loop, its odd-l step and the single-panel loop. dst
-// sits between guard words that must survive.
+// checks no bounds, and the Go loop — to the definition dst[(p·kc+l)·8+j] =
+// src[offs[l]+8p+j], j < 8, over random (kc, run, offsets): odd and even kc
+// exercise the two-row step and its odd last row, run = 1…9 one panel and
+// many. dst sits between guard words that must survive, and every lane is
+// checked, the last of each row included.
 func TestPackRunTiersMatch(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		g := tensor.NewRNG(61)
@@ -66,14 +67,15 @@ func TestPackRunTiersMatch(t *testing.T) {
 }
 
 // TestPackQuadTiersMatch pins every tier of packQuad — the AVX permute and
-// blend over two four-float windows, which checks no bounds, and the
-// gather — to the definition dst[l·4+q] = src[b[q]+offs[l]]: columns one,
-// two or three floats apart inside one window (a stride-2 or -3
-// convolution, column perforation), split between the window at b[0] and
-// the one ending at b[3] (a panel that straddles two output rows or two
-// images), and spread too far for either (the gather on every tier), over
-// random kc and offsets. The source ends at the last float read, and dst
-// sits between guard words that must survive.
+// blend over two four-float windows a half, which checks no bounds, and the
+// gather — to the definition dst[l·8+q] = src[b[q]+offs[l]], q < 8: columns
+// one, two or three floats apart inside one window (a stride-2 or -3
+// convolution, column perforation), a half split between the window at its
+// first column and the one ending at its last (a panel that straddles two
+// output rows or two images), and a half spread too far for either (the
+// gather on every tier for the whole panel), over random kc and
+// offsets. The source ends at the last float read, and dst sits between
+// guard words that must survive.
 func TestPackQuadTiersMatch(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		g := tensor.NewRNG(67)
@@ -88,16 +90,16 @@ func TestPackQuadTiersMatch(t *testing.T) {
 			b[0] = int32(g.Intn(5))
 			for q := 1; q < gemmNR; q++ {
 				step := 1 + g.Intn(3) // inside a window
-				if g.Intn(4) == 0 {
+				if g.Intn(6) == 0 {
 					step += g.Intn(60) // a jump to another row or image
 				}
 				b[q] = b[q-1] + int32(step)
 			}
-			if _, ok := quadWindows(&b); ok {
+			if _, _, ok := quadWindows(&b); ok {
 				vector++
 			}
 			offs, _ := packCase(g, kc, 1)
-			src := make([]float32, int(b[3])+int(offs[kc-1])+1)
+			src := make([]float32, int(b[gemmNR-1])+int(offs[kc-1])+1)
 			for i := range src {
 				src[i] = float32(i)
 			}
@@ -121,7 +123,7 @@ func TestPackQuadTiersMatch(t *testing.T) {
 			}
 		}
 		if vector < 100 {
-			t.Fatalf("only %d of 600 cases fit the two windows", vector)
+			t.Fatalf("only %d of 600 cases fit the two windows in both halves", vector)
 		}
 	})
 }

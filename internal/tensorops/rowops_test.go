@@ -428,7 +428,7 @@ func TestDepthwiseRowsAVXShortRow(t *testing.T) {
 
 // TestGemmRowMatchesReference drives the row kernel under four rows through
 // gemmRowBlock: one to three rows, panel counts 1…19 (the AVX tier's strips
-// of four pairs, a single pair and an odd last panel, in every mix), k from
+// of four panels and up to three single panels after them), k from
 // 1 to 33, A, the panels and the C rows at addresses that are not 32-byte
 // aligned. A holds ±0 (skipped for every column, as gemmRef skips them),
 // NaN and ±Inf; B holds NaN, ±Inf and −0 where A is finite. Guard values
@@ -547,7 +547,7 @@ func TestExpandColsMatchesDefinition(t *testing.T) {
 						}
 					}
 					nk := len(kx)
-					if nk < gemmNR {
+					if nk < colVec {
 						continue
 					}
 					steps := p.colTable(nil, wo, nk)
