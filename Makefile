@@ -138,10 +138,12 @@ fuzz-smoke:
 
 # End-to-end serving smoke: boot approxserve on a loopback port, wait
 # for the ready-file, fire one seeded closed-loop loadgen burst that
-# tolerates zero transport failures, require /metrics to count the burst
-# under its route (a non-zero http_server_seconds series keyed
-# `POST /v1/infer`, so a rename cannot drop it silently), then SIGTERM
-# and require a clean graceful drain (exit 0).
+# tolerates zero transport failures, scrape /metrics with Prometheus' own
+# Accept header and require an OpenMetrics 1.0 answer (its Content-Type,
+# a last line of `# EOF`) that counts the burst under its route (a
+# non-zero http_server_seconds series keyed `POST /v1/infer`, so a rename
+# cannot drop it silently), then SIGTERM and require a clean graceful
+# drain (exit 0).
 serve-smoke:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/approxserve ./cmd/approxserve || exit 1; \
@@ -158,7 +160,17 @@ serve-smoke:
 	if ! $$tmp/loadgen -url $$url -n 32 -c 4 -items 2 -seed 7 -max-errors 0; then \
 		echo "serve-smoke: loadgen burst failed"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
 	fi; \
-	if ! curl -sf "$$url/metrics?format=prom" | grep -qE '^http_server_seconds_count\{key="POST /v1/infer"\} [1-9]'; then \
+	if ! curl -sf -D $$tmp/metrics.hdr -o $$tmp/metrics.txt \
+		-H 'Accept: application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5,*/*;q=0.1' "$$url/metrics"; then \
+		echo "serve-smoke: GET /metrics failed"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
+	fi; \
+	if ! grep -qi '^Content-Type: application/openmetrics-text; version=1.0.0' $$tmp/metrics.hdr; then \
+		echo "serve-smoke: /metrics is not OpenMetrics 1.0.0: $$(grep -i '^Content-Type:' $$tmp/metrics.hdr)"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
+	fi; \
+	if [ "$$(tail -n 1 $$tmp/metrics.txt)" != "# EOF" ]; then \
+		echo "serve-smoke: /metrics does not end in # EOF"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
+	fi; \
+	if ! grep -qE '^http_server_seconds_count\{key="POST /v1/infer"\} [1-9]' $$tmp/metrics.txt; then \
 		echo "serve-smoke: /metrics has no non-zero http_server_seconds series for POST /v1/infer"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
 	fi; \
 	kill -TERM $$pid; \

@@ -66,7 +66,6 @@ func run(args []string, stderr io.Writer) int {
 		drain      = fs.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-drain bound on shutdown")
 		readyFile  = fs.String("ready-file", "", "write the bound address to this file once serving")
 
-		traceReqs  = fs.Bool("trace-requests", true, "request-scoped tracing: per-request spans, traceparent propagation, tail sampling, histogram exemplars")
 		traceSeed  = fs.Int64("trace-seed", 0, "seed for trace IDs and tail-sampling floor decisions (0 = clock-derived)")
 		flightPath = fs.String("flight", "", "append flight-recorder dumps (drift latch, health 503) to this file as JSONL")
 		slowAfter  = fs.Int("slow-after", 0, "with -slow-factor: inject the slowdown after this many batches")
@@ -137,16 +136,15 @@ func run(args []string, stderr io.Writer) int {
 		SlowdownFactor: *slowFactor,
 		SlowdownAfter:  *slowAfter,
 	}
-	var sampler *obs.TailSampler
-	if *traceReqs {
-		sampler = obs.NewTailSampler(obs.TailSamplerOptions{Seed: *traceSeed})
-		cfg.Sampler = sampler
-		cfg.Tracer = obs.NewTracer(obs.TracerOptions{
-			KeepInMemory: -1, // nothing reads Records(): spans reach the sampler and the flight ring
-			IDSeed:       *traceSeed,
-			Sinks:        []obs.SpanSink{sampler},
-		})
-	}
+	// Request-scoped tracing: per-request spans, traceparent propagation,
+	// tail sampling and histogram exemplars.
+	sampler := obs.NewTailSampler(obs.TailSamplerOptions{Seed: *traceSeed})
+	cfg.Sampler = sampler
+	cfg.Tracer = obs.NewTracer(obs.TracerOptions{
+		KeepInMemory: -1, // nothing reads Records(): spans reach the sampler and the flight ring
+		IDSeed:       *traceSeed,
+		Sinks:        []obs.SpanSink{sampler},
+	})
 	if *flightPath != "" {
 		f, err := os.OpenFile(*flightPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -195,10 +193,8 @@ func run(args []string, stderr io.Writer) int {
 	st := srv.Stats()
 	logger.Infof("approxserve: drained cleanly: %d served, %d rejected, %d expired, %d batches, %d switches\n",
 		st.Served, st.Rejected, st.Expired, st.Batches, st.Switches)
-	if sampler != nil {
-		seen, keptN, evicted := sampler.Stats()
-		logger.Infof("approxserve: tail sampler: %d traces seen, %d kept, %d evicted undecided\n", seen, keptN, evicted)
-	}
+	seen, keptN, evicted := sampler.Stats()
+	logger.Infof("approxserve: tail sampler: %d traces seen, %d kept, %d evicted undecided\n", seen, keptN, evicted)
 	return 0
 }
 

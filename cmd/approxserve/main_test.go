@@ -114,8 +114,8 @@ func inferAndScrape(t *testing.T, base string) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/infer: %d", resp.StatusCode)
 	}
-	prom := get("/metrics?format=prom")
-	if !regexp.MustCompile(`(?m)^http_server_seconds_count\{key="POST /v1/infer"\} [1-9]`).Match(prom) {
-		t.Errorf("/metrics has no http_server_seconds series counting POST /v1/infer:\n%s", prom)
+	metrics := get("/metrics")
+	if !regexp.MustCompile(`(?m)^http_server_seconds_count\{key="POST /v1/infer"\} [1-9]`).Match(metrics) {
+		t.Errorf("/metrics has no http_server_seconds series counting POST /v1/infer:\n%s", metrics)
 	}
 }

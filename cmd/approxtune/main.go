@@ -7,10 +7,9 @@
 //	approxtune -benchmark resnet18 -max-qos-loss 2 -model pi1 -o curve.json
 //
 // Observability: -trace out.jsonl exports a JSONL span trace of the run,
-// -metrics-addr :8090 serves live /metrics (JSON or Prometheus text),
-// /healthz and /debug/pprof, -prom writes a final Prometheus textfile,
-// -telemetry prints an end-of-run metric summary table, and -v / -q
-// adjust progress verbosity.
+// -metrics-addr :8090 serves live /metrics (OpenMetrics), /healthz and
+// /debug/pprof, -telemetry prints an end-of-run metric summary table,
+// and -v / -q adjust progress verbosity.
 package main
 
 import (

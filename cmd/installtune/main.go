@@ -14,13 +14,12 @@
 // -req-timeout and -retries tune its fault-tolerance knobs.
 //
 // Observability: -trace out.jsonl exports a JSONL span trace of the run,
-// -metrics-addr :8090 serves live /metrics (JSON or Prometheus text),
-// /healthz and /debug/pprof, -prom writes a final Prometheus textfile,
-// -telemetry prints an end-of-run metric summary table, and -v / -q
-// adjust progress verbosity. In -http mode the coordinator itself also
-// serves /metrics, /healthz and the aggregated fleet telemetry at
-// GET /v1/stats, which is logged as a fleet summary at the end of the
-// run.
+// -metrics-addr :8090 serves live /metrics (OpenMetrics), /healthz and
+// /debug/pprof, -telemetry prints an end-of-run metric summary table,
+// and -v / -q adjust progress verbosity. In -http mode the coordinator
+// itself also serves /metrics, /healthz and the aggregated fleet
+// telemetry at GET /v1/stats, which is logged as a fleet summary at the
+// end of the run.
 package main
 
 import (

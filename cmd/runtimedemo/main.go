@@ -12,9 +12,8 @@
 // the end-of-run health report shows the drift detectors catching it.
 //
 // Observability: -trace out.jsonl exports a JSONL span trace of the run,
-// -metrics-addr :8090 serves live /metrics (JSON or Prometheus text),
-// /healthz and /debug/pprof, -prom writes a final Prometheus textfile,
-// and -telemetry prints an end-of-run metric summary table.
+// -metrics-addr :8090 serves live /metrics (OpenMetrics), /healthz and
+// /debug/pprof, and -telemetry prints an end-of-run metric summary table.
 package main
 
 import (

@@ -225,7 +225,7 @@ type curveResp struct {
 
 // Handler returns the coordinator's HTTP API: the protocol endpoints, the
 // fleet stats at GET /v1/stats, the process metric registry at /metrics
-// (JSON or Prometheus text, content-negotiated) and a liveness probe at
+// (OpenMetrics) and a liveness probe at
 // /healthz, so a coordinator is scrapeable without a separate
 // -metrics-addr endpoint. Every route is counted by obs.Route and
 // continues an inbound trace (traced).

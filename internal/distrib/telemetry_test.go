@@ -19,17 +19,18 @@ import (
 	"repro/internal/predictor"
 )
 
-// telemetryLineRe matches one valid Prometheus text-format line (the
-// subset the obs writer emits).
-var telemetryLineRe = regexp.MustCompile(`^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
-	`|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (-?\d+(\.\d+)?([eE][+-]?\d+)?|[+-]Inf|NaN))$`)
+// telemetryLineRe matches one valid OpenMetrics line (the subset the obs
+// writer emits, exemplar suffixes and the # EOF terminator included).
+var telemetryLineRe = regexp.MustCompile(`^(# EOF|# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
+	`|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? ` +
+	`(-?\d+(\.\d+)?([eE][+-]?\d+)?|[+-]Inf|NaN)( # \{trace_id="[0-9a-f]{32}"\} \S+)?)$`)
 
 // TestFleetTelemetryAggregation pins the fleet-telemetry acceptance
 // criterion: a loopback fleet behind a lossy transport converges, every
 // edge's end-of-run client telemetry (requests, retries, latency) lands
 // in GET /v1/stats with correct totals, and the coordinator's own
 // /metrics endpoint counts every protocol route (obs.Route) and serves
-// valid Prometheus text.
+// valid OpenMetrics.
 func TestFleetTelemetryAggregation(t *testing.T) {
 	gp, base := buildProgram(t)
 	profs := devProfiles(t, gp)
@@ -131,42 +132,41 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 	}
 	// The process-wide route families may hold other tests' requests too,
 	// so each route is checked for consistency, not for this run's counts.
-	var routes struct {
-		Seconds   map[string]obs.QSummary `json:"http.server_seconds"`
-		Responses map[string]int64        `json:"http.responses"`
-		InFlight  map[string]float64      `json:"http.in_flight"`
-	}
-	if err := json.Unmarshal(get("/metrics"), &routes); err != nil {
-		t.Fatalf("/metrics: %v", err)
-	}
+	// They are read by name: a renamed family reads empty and fails.
+	seconds := obs.Default.QHistVec("http.server_seconds")
+	responses := obs.Default.CounterVec("http.responses")
+	inFlight := obs.Default.GaugeVec("http.in_flight")
 	for _, pattern := range []string{"POST /v1/register", "POST /v1/profiles", "GET /v1/curve", "POST /v1/telemetry"} {
-		var responses int64
+		var answered int64
 		for class := 1; class <= 5; class++ {
-			responses += routes.Responses[fmt.Sprintf("%s %dxx", pattern, class)]
+			answered += responses.With(fmt.Sprintf("%s %dxx", pattern, class)).Value()
 		}
-		if n := routes.Seconds[pattern].Count; n <= 0 || n != responses {
-			t.Errorf("route %s: latency count %d, responses %d", pattern, n, responses)
+		if n := seconds.With(pattern).Count(); n <= 0 || n != answered {
+			t.Errorf("route %s: latency count %d, responses %d", pattern, n, answered)
 		}
-		if routes.Responses[pattern+" 2xx"] <= 0 {
+		if responses.With(pattern+" 2xx").Value() <= 0 {
 			t.Errorf("route %s has no 2xx responses", pattern)
 		}
-		if f := routes.InFlight[pattern]; f != 0 {
+		if f := inFlight.With(pattern).Value(); f != 0 {
 			t.Errorf("route %s: %v requests in flight after the run", pattern, f)
 		}
 	}
 
-	// The coordinator serves the process registry at /metrics with
-	// Prometheus content negotiation, and a liveness probe at /healthz.
-	prom := string(get("/metrics?format=prom"))
-	for _, line := range strings.Split(strings.TrimRight(prom, "\n"), "\n") {
+	// The coordinator serves the process registry at /metrics in
+	// OpenMetrics, and a liveness probe at /healthz.
+	metrics := string(get("/metrics"))
+	if !strings.HasSuffix(metrics, "\n# EOF\n") {
+		t.Error("coordinator /metrics does not end in # EOF")
+	}
+	for _, line := range strings.Split(strings.TrimRight(metrics, "\n"), "\n") {
 		if !telemetryLineRe.MatchString(line) {
-			t.Errorf("invalid prometheus line from coordinator /metrics: %q", line)
+			t.Errorf("invalid openmetrics line from coordinator /metrics: %q", line)
 		}
 	}
 	for _, want := range []string{
-		`http_server_seconds_count{key="POST /v1/profiles"}`, `http_responses{key="GET /v1/curve 2xx"}`, "distrib_client_retries",
+		`http_server_seconds_count{key="POST /v1/profiles"}`, `http_responses_total{key="GET /v1/curve 2xx"}`, "distrib_client_retries_total",
 	} {
-		if !strings.Contains(prom, want) {
+		if !strings.Contains(metrics, want) {
 			t.Errorf("coordinator /metrics missing %s", want)
 		}
 	}

@@ -10,12 +10,11 @@ import (
 // CLIConfig wires the standard observability command-line surface shared
 // by the repository's binaries: -trace (JSONL trace export),
 // -metrics-addr (live /metrics + /healthz + /debug/pprof endpoint),
-// -prom (end-of-run Prometheus textfile export), -telemetry (end-of-run
-// summary table), and -v / -q verbosity control for the leveled Logger.
+// -telemetry (end-of-run summary table), and -v / -q verbosity control
+// for the leveled Logger.
 type CLIConfig struct {
 	TracePath   string
 	MetricsAddr string
-	PromPath    string
 	Telemetry   bool
 	Verbose     bool
 	Quiet       bool
@@ -38,7 +37,6 @@ func RegisterFlags(fs *flag.FlagSet) *CLIConfig {
 	c := &CLIConfig{Log: NewLogger(os.Stderr, Normal)}
 	fs.StringVar(&c.TracePath, "trace", "", "write a JSONL span trace to this file")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve /metrics, /healthz, /trace and /debug/pprof on this address (e.g. :8090)")
-	fs.StringVar(&c.PromPath, "prom", "", "write the final metrics in Prometheus text format to this file at exit (\"-\" for stderr; node-exporter textfile collector compatible)")
 	fs.BoolVar(&c.Telemetry, "telemetry", false, "print an end-of-run telemetry summary table to stderr")
 	fs.BoolVar(&c.Verbose, "v", false, "verbose progress output")
 	fs.BoolVar(&c.Quiet, "q", false, "suppress progress output")
@@ -89,9 +87,8 @@ func (c *CLIConfig) closeTrace() {
 	}
 }
 
-// Close flushes the trace file, writes the end-of-run telemetry outputs
-// (-prom textfile, -telemetry summary table) and stops the metrics
-// endpoint.
+// Close flushes the trace file, writes the -telemetry summary table and
+// stops the metrics endpoint.
 func (c *CLIConfig) Close() {
 	c.closeTrace()
 	if c.Telemetry {
@@ -104,35 +101,8 @@ func (c *CLIConfig) Close() {
 			c.Log.Errorf("telemetry summary: %v\n", err)
 		}
 	}
-	if c.PromPath != "" {
-		if err := c.writeProm(); err != nil {
-			c.Log.Errorf("prometheus export: %v\n", err)
-		}
-	}
 	if c.srv != nil {
 		_ = c.srv.Close()
 		c.srv = nil
 	}
-}
-
-// writeProm dumps the Default registry in Prometheus text format to the
-// -prom target, making one-shot CLI runs scrapeable through the
-// node-exporter textfile collector.
-func (c *CLIConfig) writeProm() error {
-	if c.PromPath == "-" {
-		w := c.errw
-		if w == nil {
-			w = os.Stderr
-		}
-		return Default.WritePrometheus(w)
-	}
-	f, err := os.Create(c.PromPath)
-	if err != nil {
-		return err
-	}
-	if err := Default.WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

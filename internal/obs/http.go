@@ -3,12 +3,12 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -148,18 +148,30 @@ func GetJSON(ctx context.Context, client *http.Client, url string, v any) error 
 const MaxBodyBytes = 64 << 20
 
 // ReadBody reads a request body of at most MaxBodyBytes. On failure it
-// has answered 400 and returns false.
+// has answered 413 for a body over the bound, 400 for any other read
+// error, and returns false.
 func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		ReplyError(w, http.StatusBadRequest, err.Error())
+		ReplyError(w, readStatus(err), err.Error())
 		return nil, false
 	}
 	return body, true
 }
 
+// readStatus is the status that answers a failed body read: 413 Content
+// Too Large for a body over its bound, 400 for any other error.
+func readStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // ReadJSON reads a request body (ReadBody) and decodes it into v. On
-// failure it has answered 400 and returns false.
+// failure it has answered as ReadBody does, or 400 for a body that does
+// not decode, and returns false.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, ok := ReadBody(w, r)
 	if !ok {
@@ -172,69 +184,18 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// metricsFormat is the negotiated /metrics exposition.
-type metricsFormat int
-
-const (
-	fmtJSON        metricsFormat = iota // expvar-style indented JSON snapshot
-	fmtProm                             // classic text 0.0.4, no exemplars
-	fmtOpenMetrics                      // OpenMetrics 1.0, exemplars on buckets
-)
-
-// MetricsHandler serves the registry at a /metrics-style endpoint with
-// content negotiation: `?format=openmetrics` (or an Accept header
-// naming application/openmetrics-text, which modern Prometheus
-// scrapers prefer) selects the OpenMetrics exposition — the only
-// format whose grammar has exemplars; `?format=prom` (or an Accept
-// naming text/plain) selects the classic 0.0.4 text exposition, which
-// never carries exemplars; `?format=json` or an Accept header naming
-// application/json — and any request expressing no preference —
-// selects the expvar-style indented JSON snapshot, which keeps
-// existing `curl :8090/metrics` consumers byte-compatible.
+// MetricsHandler serves the registry at a /metrics-style endpoint in the
+// OpenMetrics 1.0 exposition (WriteOpenMetrics), whatever the query or
+// Accept header: it is the format Prometheus asks for first, and the only
+// one whose grammar carries exemplars. reg nil means the Default registry.
 func MetricsHandler(reg *Registry) http.Handler {
 	if reg == nil {
 		reg = Default
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch negotiateMetrics(r) {
-		case fmtOpenMetrics:
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			_ = reg.WriteOpenMetrics(w)
-		case fmtProm:
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = reg.WritePrometheus(w)
-		default:
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(reg.Snapshot())
-		}
+		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
+		_ = reg.WriteOpenMetrics(w)
 	})
-}
-
-// negotiateMetrics applies the /metrics content negotiation: the
-// explicit format query parameter wins; otherwise the Accept header
-// decides (OpenMetrics outranking classic text, as a scraper offering
-// both prefers it), with JSON as the no-preference default.
-func negotiateMetrics(r *http.Request) metricsFormat {
-	switch r.URL.Query().Get("format") {
-	case "prom", "prometheus":
-		return fmtProm
-	case "openmetrics":
-		return fmtOpenMetrics
-	case "json":
-		return fmtJSON
-	}
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, "application/openmetrics-text"):
-		return fmtOpenMetrics
-	case strings.Contains(accept, "application/json"):
-		return fmtJSON
-	case strings.Contains(accept, "text/plain"):
-		return fmtProm
-	}
-	return fmtJSON
 }
 
 // HealthzHandler answers liveness probes with 200 "ok". It reports the
@@ -248,11 +209,11 @@ func HealthzHandler() http.Handler {
 }
 
 // ServeMetrics binds addr and serves the opt-in live observability
-// endpoint in a background goroutine: metric exposition at /metrics
-// (MetricsHandler), a liveness probe at /healthz, a span-tree summary at
-// /trace, the flight recorder at /debug/flight and the standard
-// net/http/pprof handlers at /debug/pprof/ for live profiling of long
-// tuning runs. reg nil means the Default registry; tr nil serves the
+// endpoint in a background goroutine: the OpenMetrics exposition at
+// /metrics (MetricsHandler), a liveness probe at /healthz, a span-tree
+// summary at /trace, the flight recorder at /debug/flight and the
+// standard net/http/pprof handlers at /debug/pprof/ for live profiling of
+// long tuning runs. reg nil means the Default registry; tr nil serves the
 // currently installed tracer at /trace.
 func ServeMetrics(addr string, reg *Registry, tr *Tracer) (*Server, error) {
 	mux := http.NewServeMux()
@@ -261,7 +222,7 @@ func ServeMetrics(addr string, reg *Registry, tr *Tracer) (*Server, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "approxtuner observability endpoint\n\n/metrics      metric snapshot (JSON; ?format=prom for classic text, ?format=openmetrics for OpenMetrics with exemplars; Accept negotiated)\n/healthz      liveness probe\n/trace        span tree of the active tracer\n/debug/flight flight-recorder dump (JSONL, most recent spans + events)\n/debug/pprof  live profiling\n")
+		fmt.Fprintf(w, "approxtuner observability endpoint\n\n/metrics      metrics in OpenMetrics 1.0, exemplars on histogram buckets\n/healthz      liveness probe\n/trace        span tree of the active tracer\n/debug/flight flight-recorder dump (JSONL, most recent spans + events)\n/debug/pprof  live profiling\n")
 	})
 	mux.Handle("/metrics", MetricsHandler(reg))
 	mux.Handle("/healthz", HealthzHandler())

@@ -219,7 +219,7 @@ type metricReadings struct {
 }
 
 // readAll reads every metric, ordered by name: the one walk behind the
-// JSON snapshot, both text expositions and the telemetry table.
+// OpenMetrics exposition and the telemetry table.
 func (r *Registry) readAll() []metricReadings {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -250,45 +250,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Snapshot returns the current value of every metric keyed by name:
-// int64 for counters, float64 for gauges, map[string]... for the vec
-// families and QSummary for quantile histograms — the expvar-style JSON
-// the HTTP endpoint serves.
-func (r *Registry) Snapshot() map[string]any {
-	all := r.readAll()
-	out := make(map[string]any, len(all))
-	for _, mr := range all {
-		switch {
-		case !mr.family:
-			out[mr.name] = mr.series[0].value()
-		case mr.kind == kindCounter:
-			out[mr.name] = byLabel(mr.series, func(rd reading) int64 { return rd.n })
-		case mr.kind == kindGauge:
-			out[mr.name] = byLabel(mr.series, func(rd reading) float64 { return rd.f })
-		default:
-			out[mr.name] = byLabel(mr.series, func(rd reading) QSummary { return rd.h.Summary() })
-		}
-	}
-	return out
-}
-
-// value is the reading in its snapshot form: int64, float64 or QSummary.
-func (rd reading) value() any {
-	switch rd.kind {
-	case kindCounter:
-		return rd.n
-	case kindGauge:
-		return rd.f
-	}
-	return rd.h.Summary()
-}
-
-func byLabel[V any](series []reading, value func(reading) V) map[string]V {
-	out := make(map[string]V, len(series))
-	for _, rd := range series {
-		out[rd.key] = value(rd)
-	}
-	return out
 }

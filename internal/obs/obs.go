@@ -1,8 +1,8 @@
 // Package obs is the repository's stdlib-only observability layer: a
 // hierarchical span tracer, a metrics registry (counters, gauges,
 // log-scale histograms), and exporters (JSONL trace files, a
-// human-readable tree summary, and an opt-in HTTP endpoint serving
-// expvar-style metric JSON plus net/http/pprof).
+// human-readable tree summary, and an opt-in HTTP endpoint serving the
+// OpenMetrics exposition plus net/http/pprof).
 //
 // The paper's entire evaluation (§6, Tables 3–4, Figs 6–9) is built from
 // per-phase timings, per-iteration tuner telemetry and per-op cost/QoS

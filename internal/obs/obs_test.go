@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -108,7 +107,7 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 				vec.With(fmt.Sprintf("w%d", w%2)).Inc()
 				c.End()
 				sp.End()
-				_ = reg.Snapshot()
+				_ = reg.readAll()
 			}
 		}(w)
 	}
@@ -127,13 +126,8 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 	if len(records) != 2*workers*iters {
 		t.Fatalf("got %d spans, want %d", len(records), 2*workers*iters)
 	}
-	snap := reg.Snapshot()
-	if snap["test.c"].(int64) != workers*iters {
-		t.Fatalf("snapshot counter = %v", snap["test.c"])
-	}
-	byLabel := snap["test.v"].(map[string]int64)
-	if byLabel["w0"]+byLabel["w1"] != workers*iters {
-		t.Fatalf("vec snapshot = %v", byLabel)
+	if w0, w1 := vec.With("w0").Value(), vec.With("w1").Value(); w0+w1 != workers*iters {
+		t.Fatalf("vec counts w0 %d + w1 %d, want %d", w0, w1, workers*iters)
 	}
 }
 
@@ -166,7 +160,7 @@ func TestRegistryRefusesMalformedNames(t *testing.T) {
 		mk(good)
 		mk(good) // the hit path
 	}
-	if n := len(reg.Snapshot()); n != len(ctors) {
+	if n := len(reg.readAll()); n != len(ctors) {
 		t.Errorf("registry holds %d metrics, want the %d well-formed ones", n, len(ctors))
 	}
 }
@@ -244,12 +238,8 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		}
 		return string(body)
 	}
-	var snap map[string]any
-	if err := json.Unmarshal([]byte(get("/metrics")), &snap); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
-	}
-	if snap["graph.kernels"].(float64) != 42 {
-		t.Fatalf("metrics = %v", snap)
+	if metrics := get("/metrics"); !strings.Contains(metrics, "\ngraph_kernels_total 42\n") {
+		t.Fatalf("metrics = %q, want graph_kernels_total 42", metrics)
 	}
 	if !strings.Contains(get("/trace"), "phase:devtime") {
 		t.Fatal("trace endpoint missing span")

@@ -8,47 +8,28 @@ import (
 	"strings"
 )
 
-// WritePrometheus writes every metric of the registry in the classic
-// Prometheus text exposition format (version 0.0.4), ordered by metric
-// name so the output is deterministic for a given registry state:
+// WriteOpenMetrics writes every metric of the registry in the OpenMetrics
+// 1.0 text format, ordered by metric name so the output is deterministic
+// for a given registry state, and terminated by the mandatory `# EOF`:
 //
-//   - Counter      → counter
+//   - Counter      → counter, its sample carrying the `_total` suffix
 //   - Gauge        → gauge
 //   - CounterVec   → counter with a `key` label per family member
 //   - GaugeVec     → gauge with a `key` label per family member
-//   - QHistogram   → summary (p50/p90/p99 quantile series) plus a
-//     `<name>_max` gauge for the tail
-//   - QHistVec     → summary with a `key` label per family member
+//   - QHistogram   → histogram: cumulative `_bucket{le=...}` series over
+//     the log-linear buckets actually touched, plus a `<name>_max` gauge
+//     for the tail
+//   - QHistVec     → histogram with a `key` label per family member
 //
-// The classic format has no exemplar syntax, so exemplars are never
-// emitted here — a scraper speaking text/plain;version=0.0.4 would
-// fail the whole scrape on one. Exemplar-carrying exposition is
-// WriteOpenMetrics; the JSON snapshot carries them too.
+// Histograms rather than summaries, because OpenMetrics allows exemplars
+// only on histogram buckets and counters: each bucket line carries its
+// recorded exemplar (`# {trace_id="…"} value`), and quantiles come from
+// histogram_quantile() over the buckets.
 //
 // Metric names are mangled dots-to-underscores ("runtime.drift_alarms"
 // → "runtime_drift_alarms"), which maps the project's snake_case dotted
 // naming convention onto Prometheus' [a-zA-Z_:] charset exactly.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.writeText(w, false)
-}
-
-// WriteOpenMetrics writes the registry in the OpenMetrics 1.0 text
-// format (terminated by the mandatory `# EOF`). Differences from the
-// classic exposition, per the OpenMetrics grammar:
-//
-//   - counter samples carry the canonical `_total` suffix;
-//   - QHistogram / QHistVec families are exposed as histograms —
-//     cumulative `_bucket{le=...}` series over the log-linear buckets
-//     actually touched — because OpenMetrics allows exemplars only on
-//     histogram buckets and counters, never on summary quantiles. Each
-//     bucket line carries its recorded exemplar
-//     (`# {trace_id="…"} value`); quantiles come from
-//     histogram_quantile() over the buckets.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	return r.writeText(w, true)
-}
-
-func (r *Registry) writeText(w io.Writer, om bool) error {
 	pw := &promWriter{w: w}
 	for _, mr := range r.readAll() {
 		pn := promName(mr.name)
@@ -60,13 +41,10 @@ func (r *Registry) writeText(w io.Writer, om bool) error {
 		}
 		switch mr.kind {
 		case kindCounter:
-			sample := pn
-			if om {
-				sample += "_total"
-			}
 			pw.typ(pn, "counter")
+			total := pn + "_total"
 			for _, rd := range mr.series {
-				pw.line(sample, float64(rd.n), label(rd))
+				pw.line(total, float64(rd.n), label(rd))
 			}
 		case kindGauge:
 			pw.typ(pn, "gauge")
@@ -74,16 +52,9 @@ func (r *Registry) writeText(w io.Writer, om bool) error {
 				pw.line(pn, rd.f, label(rd))
 			}
 		case kindQHist:
-			if !om {
-				pw.typ(pn, "summary")
-				for _, rd := range mr.series {
-					pw.summary(pn, rd.h, label(rd))
-				}
-				continue
-			}
 			pw.typ(pn, "histogram")
 			for _, rd := range mr.series {
-				pw.qhistOM(pn, rd.h, label(rd))
+				pw.histogram(pn, rd.h, label(rd))
 			}
 			// The tail maximum is its own gauge family: _max is not a
 			// histogram sample suffix the OpenMetrics grammar knows.
@@ -93,9 +64,7 @@ func (r *Registry) writeText(w io.Writer, om bool) error {
 			}
 		}
 	}
-	if om {
-		pw.printf("# EOF\n")
-	}
+	pw.printf("# EOF\n")
 	return pw.err
 }
 
@@ -134,27 +103,13 @@ func (p *promWriter) sample(name string, v float64, suffix string, labels ...str
 	p.printf("%s %s%s\n", name, promFloat(v), suffix)
 }
 
-// summary emits one quantile histogram as a classic Prometheus summary
-// (the quantile series plus _sum/_count) and a _max gauge for the tail.
-// No exemplars: the classic format has no syntax for them, and
-// OpenMetrics forbids them on summaries anyway. extra, when non-empty,
-// is prepended to each series' label set.
-func (p *promWriter) summary(name string, s *QSnapshot, extra string) {
-	p.line(name, s.P50(), extra, promLabel("quantile", "0.5"))
-	p.line(name, s.P90(), extra, promLabel("quantile", "0.9"))
-	p.line(name, s.P99(), extra, promLabel("quantile", "0.99"))
-	p.line(name+"_sum", s.sum, extra)
-	p.line(name+"_count", float64(s.count), extra)
-	p.line(name+"_max", s.Max(), extra)
-}
-
-// qhistOM emits one quantile histogram as an OpenMetrics histogram:
+// histogram emits one quantile histogram as an OpenMetrics histogram:
 // cumulative _bucket series at the upper bounds of the non-empty
 // log-linear buckets (plus the mandatory +Inf bucket), each carrying
 // its bucket's exemplar (`# {trace_id="..."} value`) when one was
 // recorded — the only sample kind OpenMetrics allows exemplars on.
 // extra, when non-empty, is prepended to each series' label set.
-func (p *promWriter) qhistOM(name string, s *QSnapshot, extra string) {
+func (p *promWriter) histogram(name string, s *QSnapshot, extra string) {
 	var cum int64
 	for i := 0; i < qhistNBuckets; i++ {
 		ex, hasEx := s.exemplars[i]

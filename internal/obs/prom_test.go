@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
@@ -36,8 +37,7 @@ func promTestRegistry() *Registry {
 	for i := 1; i <= 100; i++ {
 		if i == 50 {
 			// One exemplar in the p50 bucket: same counts as a plain
-			// Observe. Only the OpenMetrics exposition may render it —
-			// classic text 0.0.4 has no exemplar syntax.
+			// Observe, plus the exemplar suffix on that bucket's line.
 			q.ObserveExemplar(float64(i)/1024, exTID)
 			continue
 		}
@@ -48,30 +48,6 @@ func promTestRegistry() *Registry {
 	lat.Observe(0.002)
 	lat.Observe(0.004)
 	return reg
-}
-
-// TestWritePrometheusGolden pins the full text exposition — every metric
-// kind, name mangling, label escaping order and float formatting —
-// against testdata/prom.golden.
-func TestWritePrometheusGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := promTestRegistry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("testdata/prom.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != string(want) {
-		t.Errorf("prometheus exposition drifted from testdata/prom.golden:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
-	}
-	checkPromFormat(t, buf.String())
-	// Exemplars were recorded on the registry, but classic text 0.0.4
-	// has no exemplar syntax — one would fail the whole scrape in a real
-	// Prometheus. The classic exposition must never carry them.
-	if strings.Contains(buf.String(), "# {") {
-		t.Error("classic exposition carries an exemplar suffix; format 0.0.4 has no exemplar grammar")
-	}
 }
 
 // TestWriteOpenMetricsGolden pins the OpenMetrics exposition — counter
@@ -99,15 +75,9 @@ func TestWriteOpenMetricsGolden(t *testing.T) {
 // promValuePat matches one exposition float the writer emits.
 const promValuePat = `(-?\d+(\.\d+)?([eE][+-]?\d+)?|[+-]Inf|NaN)`
 
-// promLineRe matches one valid classic Prometheus text-format sample or
-// comment line (the subset the writer emits). No exemplar suffix: the
-// classic grammar has none.
-var promLineRe = regexp.MustCompile(`^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
-	`|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? ` +
-	promValuePat + `)$`)
-
-// omLineRe additionally admits the OpenMetrics exemplar suffix
-// (`# {trace_id="..."} value`) and the `# EOF` terminator.
+// omLineRe matches one valid OpenMetrics sample or comment line (the
+// subset the writer emits), the exemplar suffix (`# {trace_id="..."}
+// value`) and the `# EOF` terminator included.
 var omLineRe = regexp.MustCompile(`^(# EOF` +
 	`|# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
 	`|([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? ` +
@@ -115,21 +85,6 @@ var omLineRe = regexp.MustCompile(`^(# EOF` +
 
 // omExemplarRe captures the sample name of an exemplar-carrying line.
 var omExemplarRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)\{.* # \{trace_id=`)
-
-// checkPromFormat validates every non-empty line of a classic text
-// exposition.
-func checkPromFormat(t *testing.T, text string) {
-	t.Helper()
-	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	if len(lines) == 0 {
-		t.Fatal("empty exposition")
-	}
-	for _, line := range lines {
-		if !promLineRe.MatchString(line) {
-			t.Errorf("invalid prometheus text line: %q", line)
-		}
-	}
-}
 
 // checkOpenMetricsFormat validates an OpenMetrics exposition: every
 // line within the grammar, exemplars only on _bucket/_total samples
@@ -152,52 +107,50 @@ func checkOpenMetricsFormat(t *testing.T, text string) {
 	}
 }
 
-// TestWritePrometheusValidFormat validates the exposition of the live
+// TestWriteOpenMetricsValidFormat validates the exposition of the live
 // Default registry (whatever the rest of the test binary populated it
 // with) line by line.
-func TestWritePrometheusValidFormat(t *testing.T) {
+func TestWriteOpenMetricsValidFormat(t *testing.T) {
 	var buf bytes.Buffer
 	NewCounter("obs.prom_format_test").Inc()
-	if err := Default.WritePrometheus(&buf); err != nil {
+	if err := Default.WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkPromFormat(t, buf.String())
+	checkOpenMetricsFormat(t, buf.String())
 }
 
-// TestMetricsContentNegotiation checks the /metrics format selection:
-// query parameter beats Accept header beats the JSON default, and a
-// scraper offering OpenMetrics gets it over classic text.
+// TestMetricsContentNegotiation checks that /metrics has one exposition:
+// whatever the query or the Accept header asks for, the answer is
+// OpenMetrics 1.0, ending in # EOF.
 func TestMetricsContentNegotiation(t *testing.T) {
-	cases := []struct {
-		format, accept string
-		want           metricsFormat
-	}{
-		{"", "", fmtJSON},
-		{"", "text/html,application/xhtml+xml", fmtJSON},
-		{"", "application/json", fmtJSON},
-		{"", "text/plain;version=0.0.4", fmtProm},
-		{"", "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5,*/*;q=0.1", fmtOpenMetrics},
-		{"prom", "application/json", fmtProm},
-		{"prometheus", "", fmtProm},
-		{"openmetrics", "text/plain", fmtOpenMetrics},
-		{"json", "text/plain", fmtJSON},
-	}
-	for _, c := range cases {
-		req, err := http.NewRequest("GET", "/metrics?format="+c.format, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	reg := NewRegistry()
+	reg.Counter("obs.negotiation_test").Inc()
+	h := MetricsHandler(reg)
+	for _, c := range []struct{ format, accept string }{
+		{"", ""},
+		{"prom", ""},
+		{"json", ""},
+		{"", "text/plain;version=0.0.4"},
+		{"", "application/json"},
+		{"", "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5,*/*;q=0.1"},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/metrics?format="+c.format, nil)
 		if c.accept != "" {
 			req.Header.Set("Accept", c.accept)
 		}
-		if got := negotiateMetrics(req); got != c.want {
-			t.Errorf("format=%q accept=%q: negotiateMetrics = %v, want %v", c.format, c.accept, got, c.want)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text; version=1.0.0") {
+			t.Errorf("format %q accept %q: Content-Type %q, want OpenMetrics 1.0.0", c.format, c.accept, ct)
+		}
+		if body := rec.Body.String(); !strings.HasSuffix(body, "\n# EOF\n") {
+			t.Errorf("format %q accept %q: body does not end in # EOF:\n%s", c.format, c.accept, body)
 		}
 	}
 }
 
-// TestConcurrentScrapes serves a live endpoint and hammers /metrics
-// (both formats), /healthz and /trace while spans, counters and quantile
+// TestConcurrentScrapes serves a live endpoint and hammers /metrics,
+// /healthz and /trace while spans, counters and quantile
 // histograms are being written — the CI race gate runs this under -race.
 func TestConcurrentScrapes(t *testing.T) {
 	tr := NewTracer(TracerOptions{})
@@ -264,18 +217,12 @@ func TestConcurrentScrapes(t *testing.T) {
 				iters = 3
 			}
 			for i := 0; i < iters; i++ {
-				if body, code := get("/metrics?format=prom"); code != http.StatusOK {
-					t.Errorf("/metrics prom status %d", code)
+				if body, code := get("/metrics"); code != http.StatusOK {
+					t.Errorf("/metrics status %d", code)
 				} else if !strings.Contains(body, "obs_scrape_test_total") {
-					t.Error("prom scrape missing obs_scrape_test_total")
-				}
-				if body, code := get("/metrics?format=openmetrics"); code != http.StatusOK {
-					t.Errorf("/metrics openmetrics status %d", code)
-				} else if !strings.HasSuffix(strings.TrimRight(body, "\n"), "# EOF") {
-					t.Error("openmetrics scrape missing # EOF terminator")
-				}
-				if body, code := get("/metrics"); code != http.StatusOK || !strings.HasPrefix(strings.TrimSpace(body), "{") {
-					t.Errorf("/metrics json scrape broken (status %d)", code)
+					t.Error("scrape missing obs_scrape_test_total")
+				} else if !strings.HasSuffix(body, "\n# EOF\n") {
+					t.Error("scrape missing # EOF terminator")
 				}
 				if _, code := get("/trace"); code != http.StatusOK {
 					t.Errorf("/trace status %d", code)
@@ -290,10 +237,8 @@ func TestConcurrentScrapes(t *testing.T) {
 	close(stop)
 	writers.Wait()
 
-	// Final scrapes in both text formats must still be format-valid.
-	body, _ := get("/metrics?format=prom")
-	checkPromFormat(t, body)
-	body, _ = get("/metrics?format=openmetrics")
+	// The final scrape must still be format-valid.
+	body, _ := get("/metrics")
 	checkOpenMetricsFormat(t, body)
 }
 

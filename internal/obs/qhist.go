@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -358,8 +357,8 @@ func (s *QSnapshot) P50() float64 { return s.Quantile(0.50) }
 func (s *QSnapshot) P90() float64 { return s.Quantile(0.90) }
 func (s *QSnapshot) P99() float64 { return s.Quantile(0.99) }
 
-// QSummary is the exported (JSON) form of a quantile histogram, used by
-// the expvar-style snapshot and the end-of-run summary table.
+// QSummary is the exported (JSON) form of a quantile histogram, which
+// health reports and fleet statistics carry.
 type QSummary struct {
 	Count int64   `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -367,44 +366,11 @@ type QSummary struct {
 	P50   float64 `json:"p50"`
 	P90   float64 `json:"p90"`
 	P99   float64 `json:"p99"`
-	// Exemplars are the per-bucket trace-linked observations, ordered by
-	// bucket upper bound (omitted when none were recorded).
-	Exemplars []BucketExemplar `json:"exemplars,omitempty"`
-}
-
-// BucketExemplar is one exported exemplar with its bucket upper bound.
-type BucketExemplar struct {
-	LE      float64 `json:"le"`
-	Value   float64 `json:"value"`
-	TraceID TraceID `json:"trace_id"`
 }
 
 // Summary condenses the snapshot into its exported form.
 func (s *QSnapshot) Summary() QSummary {
-	sum := QSummary{
-		Count: s.count,
-		Sum:   s.sum,
-		Max:   s.Max(),
-		P50:   s.P50(),
-		P90:   s.P90(),
-		P99:   s.P99(),
-	}
-	if len(s.exemplars) > 0 {
-		idx := make([]int, 0, len(s.exemplars))
-		for i := range s.exemplars {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
-		for _, i := range idx {
-			e := s.exemplars[i]
-			sum.Exemplars = append(sum.Exemplars, BucketExemplar{
-				LE:      qhistUpper(i),
-				Value:   e.Value,
-				TraceID: e.TraceID,
-			})
-		}
-	}
-	return sum
+	return QSummary{Count: s.count, Sum: s.sum, Max: s.Max(), P50: s.P50(), P90: s.P90(), P99: s.P99()}
 }
 
 // QHistogram returns (creating if needed) the named quantile histogram.

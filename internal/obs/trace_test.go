@@ -375,11 +375,13 @@ func TestExemplarJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	sum := back.Summary()
-	if len(sum.Exemplars) != 1 {
-		t.Fatalf("decoded snapshot carries %d exemplars, want 1", len(sum.Exemplars))
+	if len(back.exemplars) != 1 {
+		t.Fatalf("decoded snapshot carries %d exemplars, want 1", len(back.exemplars))
 	}
-	ex := sum.Exemplars[0]
+	ex, ok := back.exemplars[qhistIndex(0.25)]
+	if !ok {
+		t.Fatalf("decoded exemplar left its bucket: %v", back.exemplars)
+	}
 	if ex.TraceID != tid {
 		t.Errorf("exemplar trace = %s, want %s", ex.TraceID, tid)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -33,8 +34,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, sp *obs.Span) (*p
 		err = decodeInferRequest(body.Bytes(), &req)
 	}
 	if err != nil {
-		obs.ReplyError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return nil, nil, http.StatusBadRequest
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		obs.ReplyError(w, code, fmt.Sprintf("bad request body: %v", err))
+		return nil, nil, code
 	}
 	in, items, err := s.admitTensor(req.Input)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Serving telemetry. Queue and latency state lands on /metrics (JSON or
-// Prometheus text); per-server counts live in Server.stats for /statz.
+// Serving telemetry. Queue and latency state lands on /metrics
+// (OpenMetrics); per-server counts live in Server.stats for /statz.
 var (
 	mRejectedFull  = obs.NewCounter("serve.rejected_full")
 	mRejectedDrain = obs.NewCounter("serve.rejected_draining")

@@ -9,8 +9,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/core"
@@ -311,7 +313,15 @@ func TestServeBatchObservability(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	before := obs.Default.Snapshot()
+	// Read by name, so a renamed counter reads a fresh zero and fails.
+	linger := map[string]*obs.Counter{
+		"serve.linger_waits":   obs.Default.Counter("serve.linger_waits"),
+		"serve.linger_expired": obs.Default.Counter("serve.linger_expired"),
+	}
+	before := map[string]int64{}
+	for name, c := range linger {
+		before[name] = c.Value()
+	}
 	s.arriving.Add(1)
 	go s.loop()
 	wg.Wait()
@@ -322,22 +332,24 @@ func TestServeBatchObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after := obs.Default.Snapshot()
-	for _, name := range []string{"serve.linger_waits", "serve.linger_expired"} {
-		b, _ := before[name].(int64)
-		if a, ok := after[name].(int64); !ok || a != b+1 {
-			t.Errorf("%s went %d → %v, want one more", name, b, after[name])
+	for name, c := range linger {
+		if a := c.Value(); a != before[name]+1 {
+			t.Errorf("%s went %d → %d, want one more", name, before[name], a)
 		}
 	}
 	if st := s.Stats(); st.LingerWaits != 1 || st.LingerExpired != 1 {
 		t.Errorf("/statz linger_waits %d, linger_expired %d, want 1 and 1", st.LingerWaits, st.LingerExpired)
 	}
-	byItems, _ := after["serve.items_exec_seconds"].(map[string]obs.QSummary)
-	if byItems["3"].Count == 0 {
-		t.Errorf("serve.items_exec_seconds has no sample under items=3: %v", byItems)
+	if n := obs.Default.QHistVec("serve.items_exec_seconds").With("3").Count(); n == 0 {
+		t.Error("serve.items_exec_seconds has no sample under items=3")
 	}
-	if len(byItems) > cfg.MaxBatch {
-		t.Errorf("serve.items_exec_seconds has %d label values, MaxBatch is %d", len(byItems), cfg.MaxBatch)
+	var exposition bytes.Buffer
+	if err := obs.Default.WriteOpenMetrics(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	labels := strings.Count(exposition.String(), "\nserve_items_exec_seconds_count{")
+	if labels == 0 || labels > cfg.MaxBatch {
+		t.Errorf("serve.items_exec_seconds has %d label values on /metrics, want 1 to MaxBatch %d", labels, cfg.MaxBatch)
 	}
 	found := false
 	for _, kt := range sampler.Kept() {
@@ -389,6 +401,44 @@ func TestReadBodyLimit(t *testing.T) {
 				t.Errorf("a Content-Length of %d reserved %d bytes for a %d-byte body", tc.declared, buf.Cap(), tc.size)
 			}
 		})
+	}
+}
+
+// TestOversizeBodyAnswers413 pins the status of a failed body read at
+// both readers, the pooled one behind /v1/infer and obs.ReadBody behind
+// /v1/curve: a body over its bound answers 413 Content Too Large, any
+// other read error 400. The bound here is a MaxBytesReader the test
+// wraps the body in, as a proxy in front of the server would; its error
+// reaches the handler through the server's own MaxBytesReader unchanged.
+func TestOversizeBodyAnswers413(t *testing.T) {
+	s, err := New(testConfig(testNet(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	const limit = 3000
+	for _, path := range []string{"/v1/infer", "/v1/curve"} {
+		for _, tc := range []struct {
+			name string
+			body func(http.ResponseWriter) io.ReadCloser
+			want int
+		}{
+			{"over the bound", func(w http.ResponseWriter) io.ReadCloser {
+				return http.MaxBytesReader(w, io.NopCloser(&zeros{n: limit + 1}), limit)
+			}, http.StatusRequestEntityTooLarge},
+			{"cut short", func(http.ResponseWriter) io.ReadCloser {
+				return io.NopCloser(io.MultiReader(&zeros{n: 10}, iotest.ErrReader(io.ErrUnexpectedEOF)))
+			}, http.StatusBadRequest},
+		} {
+			rec := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, path, nil)
+			r.Body = tc.body(rec)
+			h.ServeHTTP(rec, r)
+			if rec.Code != tc.want {
+				t.Errorf("%s %s: HTTP %d (%s), want %d", path, tc.name, rec.Code, rec.Body, tc.want)
+			}
+		}
 	}
 }
 

@@ -335,7 +335,7 @@ func (s *Server) Close() error {
 //	POST /v1/curve     — hot-swap a freshly calibrated tradeoff curve
 //	GET  /healthz      — liveness; 503 while draining or once drift latches
 //	GET  /statz        — control-loop and queue state snapshot (JSON)
-//	GET  /metrics      — process metrics (JSON or Prometheus text)
+//	GET  /metrics      — process metrics (OpenMetrics 1.0, with exemplars)
 //	GET  /debug/flight — flight-recorder dump (JSONL, recent spans+events)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,12 +259,16 @@ func TestServeBackpressureAndDrain(t *testing.T) {
 			events[e.Name] = true
 		}
 	}
+	var exposition bytes.Buffer
+	if err := obs.Default.WriteOpenMetrics(&exposition); err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"serve.rejected_full", "serve.rejected_draining"} {
 		if !events[name] {
 			t.Errorf("flight ring has no %q event", name)
 		}
-		if _, ok := obs.Default.Snapshot()[name].(int64); !ok {
-			t.Errorf("no counter named %q", name)
+		if typ := "\n# TYPE " + strings.ReplaceAll(name, ".", "_") + " counter\n"; !strings.Contains(exposition.String(), typ) {
+			t.Errorf("no counter named %q on /metrics", name)
 		}
 	}
 }

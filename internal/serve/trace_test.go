@@ -111,7 +111,7 @@ func exemplarsOf(t *testing.T, s *obs.QSnapshot) map[int]obs.Exemplar {
 // tail-sampled trace crossing admission → batch → execute → tuner,
 // (b) a flight dump carrying drift and config-switch events, and (c) an
 // OpenMetrics exposition whose serve-latency bucket exemplar points at a
-// kept trace (the classic text format stays exemplar-free).
+// kept trace.
 func TestServeTraceAcceptance(t *testing.T) {
 	// serve.request_seconds is process-wide: earlier servers of this test
 	// binary, under other tracers and samplers, left exemplars on it. Only
@@ -198,8 +198,7 @@ func TestServeTraceAcceptance(t *testing.T) {
 	// (c) Exemplars: every exemplar this scenario left on the
 	// request-latency histogram must reference a kept (retrievable) trace,
 	// there must be one, and the OpenMetrics exposition must carry it on a
-	// serve_request_seconds bucket line. The classic text format has no
-	// exemplar grammar, so it must stay clean.
+	// serve_request_seconds bucket line.
 	var promTID string
 	for i, ex := range exemplarsOf(t, qRequest.Snapshot()) {
 		if ex == before[i] {
@@ -227,13 +226,6 @@ func TestServeTraceAcceptance(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("openmetrics exposition has no serve_request_seconds bucket exemplar for kept trace %s", promTID)
-	}
-	var classic bytes.Buffer
-	if err := obs.Default.WritePrometheus(&classic); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(classic.String(), "# {") {
-		t.Error("classic prometheus exposition carries exemplar syntax; 0.0.4 scrapers would reject it")
 	}
 
 	// The loadgen report's slowest-trace section must point at server-side
