@@ -186,7 +186,9 @@ serve-smoke:
 # IDs from traceparent response headers, and (c) verify over
 # /debug/flight that the drift alarm fired and at least one reported
 # trace's span is in the live ring. The drift latch must also have
-# dumped the alarm into the flight file.
+# dumped the alarm into the flight file, and every trace a
+# serve_request_seconds bucket names as its exemplar on /metrics must
+# have a span in /debug/flight: an exemplar is a trace you can look up.
 trace-smoke:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/approxserve ./cmd/approxserve || exit 1; \
@@ -208,6 +210,18 @@ trace-smoke:
 	if ! grep -q 'runtime.drift_alarm' $$tmp/flight.jsonl; then \
 		echo "trace-smoke: drift latch never dumped the alarm to the flight file"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
 	fi; \
+	if ! curl -sf -o $$tmp/metrics.txt "$$url/metrics" || ! curl -sf -o $$tmp/live.jsonl "$$url/debug/flight"; then \
+		echo "trace-smoke: GET /metrics or /debug/flight failed"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
+	fi; \
+	tids=$$(grep '^serve_request_seconds_bucket{' $$tmp/metrics.txt | grep -o 'trace_id="[0-9a-f]*"' | cut -d'"' -f2); \
+	if [ -z "$$tids" ]; then \
+		echo "trace-smoke: no serve_request_seconds bucket carries an exemplar"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
+	fi; \
+	for tid in $$tids; do \
+		if ! grep '"kind":"span"' $$tmp/live.jsonl | grep -q "\"trace_id\":\"$$tid\""; then \
+			echo "trace-smoke: exemplar trace $$tid has no span in /debug/flight"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
+		fi; \
+	done; \
 	kill -TERM $$pid; \
 	if ! wait $$pid; then \
 		echo "trace-smoke: server exited non-zero on drain"; rm -rf $$tmp; exit 1; \

@@ -206,14 +206,6 @@ func (rt *RuntimeTuner) raiseAlarm(ch *configHealth) {
 		fmt.Sprintf("config=%d alarms=%d invocation=%d", rt.idx, rt.driftAlarms, rt.invocations), obs.TraceID{})
 }
 
-// DriftAlarms counts detector transitions into the drifting state over
-// the tuner's lifetime (preserved across curve swaps).
-func (rt *RuntimeTuner) DriftAlarms() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.driftAlarms
-}
-
 // RecalibrationNeeded reports whether any configuration has raised a
 // drift alarm since the tuner started: the shipped tradeoff curve no
 // longer describes this machine and install-time calibration should be

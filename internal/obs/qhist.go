@@ -34,8 +34,8 @@ type QHistogram struct {
 }
 
 // Exemplar ties one observed value to the trace that produced it
-// (OpenMetrics exemplars), so a latency quantile links directly to a
-// kept trace in the flight recorder or tail sampler.
+// (OpenMetrics exemplars), so a latency bucket names a request whose
+// spans the flight recorder holds while they are recent.
 type Exemplar struct {
 	Value   float64 `json:"value"`
 	TraceID TraceID `json:"trace_id"`

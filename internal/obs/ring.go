@@ -7,8 +7,7 @@ import (
 
 // ring is a bounded most-recent buffer, safe for concurrent use: once max
 // items are held, each push overwrites the oldest. It is the retention
-// behind the tracer's span ring, the tail sampler's kept traces and each
-// flight-recorder shard.
+// behind the tracer's span ring and each flight-recorder shard.
 type ring[T any] struct {
 	mu      sync.Mutex
 	buf     []T

@@ -9,7 +9,7 @@ import (
 )
 
 // SpanSink receives every completed span record; the in-memory ring, the
-// JSONL export, the flight recorder and the tail sampler are all sinks.
+// JSONL export and the flight recorder are all sinks.
 // Sinks must be goroutine-safe and treat the record's Attrs and Links as
 // read-only: every sink of a tracer is handed the same ones.
 type SpanSink interface {
@@ -30,7 +30,7 @@ type TracerOptions struct {
 	// derives a seed from the process start time; fix it for
 	// reproducible IDs in tests and smoke runs.
 	IDSeed int64
-	// Sinks receive every completed span record (e.g. a TailSampler).
+	// Sinks receive every completed span record after the built-in ones.
 	Sinks []SpanSink
 }
 

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -207,152 +206,6 @@ func TestFlightTimeBase(t *testing.T) {
 	}
 }
 
-// sampleTrace pushes one synthetic single-span trace through a sampler
-// and finishes it with the given verdict.
-func sampleTrace(ts *TailSampler, ids *IDSource, v Verdict) (TraceID, bool, string) {
-	tid := ids.TraceID()
-	ts.OnSpanEnd(SpanRecord{Name: "req", TraceID: tid, SpanID: ids.SpanID()})
-	kept, reason := ts.Finish(tid, v)
-	return tid, kept, reason
-}
-
-// TestTailSamplerReasons pins the keep-reason precedence and the floor.
-func TestTailSamplerReasons(t *testing.T) {
-	ts := NewTailSampler(TailSamplerOptions{Seed: 3, Floor: -1})
-	ids := NewIDSource(7)
-	cases := []struct {
-		v      Verdict
-		kept   bool
-		reason string
-	}{
-		{Verdict{Errored: true, Slow: true, Eventful: true}, true, "error"},
-		{Verdict{Slow: true, Eventful: true}, true, "slow"},
-		{Verdict{Eventful: true}, true, "event"},
-		{Verdict{}, false, ""},
-	}
-	for _, c := range cases {
-		_, kept, reason := sampleTrace(ts, ids, c.v)
-		if kept != c.kept || reason != c.reason {
-			t.Errorf("verdict %+v: kept=%v reason=%q, want kept=%v reason=%q", c.v, kept, reason, c.kept, c.reason)
-		}
-	}
-
-	// Floor=1 keeps everything uninteresting with reason "floor".
-	all := NewTailSampler(TailSamplerOptions{Seed: 3, Floor: 1})
-	if _, kept, reason := sampleTrace(all, ids, Verdict{}); !kept || reason != "floor" {
-		t.Errorf("Floor=1: kept=%v reason=%q, want floor keep", kept, reason)
-	}
-}
-
-// samplerRun drives a fixed workload through a fresh seeded sampler and
-// returns the kept trace IDs in decision order.
-func samplerRun(seed int64) []string {
-	ts := NewTailSampler(TailSamplerOptions{Seed: seed, Floor: 0.25})
-	ids := NewIDSource(99)
-	var kept []string
-	for i := 0; i < 400; i++ {
-		tid, ok, _ := sampleTrace(ts, ids, Verdict{})
-		if ok {
-			kept = append(kept, tid.String())
-		}
-	}
-	return kept
-}
-
-// TestTailSamplerDeterministicAcrossGOMAXPROCS pins floor-sampling
-// reproducibility: same seed, same trace IDs → bit-identical kept set,
-// independent of scheduler parallelism.
-func TestTailSamplerDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	runtime.GOMAXPROCS(1)
-	kept1 := samplerRun(11)
-	runtime.GOMAXPROCS(8)
-	kept8 := samplerRun(11)
-
-	if len(kept1) == 0 {
-		t.Fatal("floor=0.25 kept nothing across 400 traces; determinism check is vacuous")
-	}
-	if len(kept1) != len(kept8) {
-		t.Fatalf("kept %d at GOMAXPROCS=1 but %d at 8", len(kept1), len(kept8))
-	}
-	for i := range kept1 {
-		if kept1[i] != kept8[i] {
-			t.Fatalf("kept[%d] differs: %s vs %s", i, kept1[i], kept8[i])
-		}
-	}
-	// And a different seed must produce a different kept set.
-	if other := samplerRun(12); len(other) == len(kept1) {
-		same := true
-		for i := range other {
-			if other[i] != kept1[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Error("seeds 11 and 12 kept identical sets; floor is not seed-driven")
-		}
-	}
-}
-
-// TestTailSamplerLinkCopiesSubtree checks the batch-linking contract: a
-// span that Links another trace donates its buffered subtree to the
-// linked trace, so the member's kept trace includes the shared spans.
-func TestTailSamplerLinkCopiesSubtree(t *testing.T) {
-	ts := NewTailSampler(TailSamplerOptions{Seed: 1, Floor: -1})
-	ids := NewIDSource(3)
-	member := ids.TraceID()
-	batch := ids.TraceID()
-
-	ts.OnSpanEnd(SpanRecord{Name: "member:request", TraceID: member, SpanID: ids.SpanID()})
-	ts.OnSpanEnd(SpanRecord{Name: "batch:execute", TraceID: batch, SpanID: ids.SpanID()})
-	ts.OnSpanEnd(SpanRecord{Name: "batch:root", TraceID: batch, SpanID: ids.SpanID(), Links: []TraceID{member}})
-
-	kept, reason := ts.Finish(member, Verdict{Slow: true})
-	if !kept || reason != "slow" {
-		t.Fatalf("Finish: kept=%v reason=%q", kept, reason)
-	}
-	traces := ts.Kept()
-	if len(traces) != 1 {
-		t.Fatalf("kept %d traces, want 1", len(traces))
-	}
-	names := make(map[string]bool)
-	for _, sp := range traces[0].Spans {
-		names[sp.Name] = true
-	}
-	for _, want := range []string{"member:request", "batch:execute", "batch:root"} {
-		if !names[want] {
-			t.Errorf("kept trace missing %q (have %v)", want, names)
-		}
-	}
-}
-
-// TestTailSamplerBoundedPending checks eviction: undecided traces
-// beyond maxPending are dropped oldest-first and counted.
-func TestTailSamplerBoundedPending(t *testing.T) {
-	ts := NewTailSampler(TailSamplerOptions{Seed: 1, Floor: -1})
-	ts.maxPending = 8
-	ids := NewIDSource(5)
-	tids := make([]TraceID, 20)
-	for i := range tids {
-		tids[i] = ids.TraceID()
-		ts.OnSpanEnd(SpanRecord{Name: "s", TraceID: tids[i], SpanID: ids.SpanID()})
-	}
-	_, _, evicted := ts.Stats()
-	if evicted != 12 {
-		t.Errorf("evicted = %d, want 12", evicted)
-	}
-	// An evicted trace finishes with no spans: decision still works, but
-	// a keep would be empty — the sampler must not keep what it no longer
-	// buffers unless the verdict demands it.
-	kept, _ := ts.Finish(tids[0], Verdict{})
-	if kept {
-		t.Error("uninteresting evicted trace kept with floor disabled")
-	}
-}
-
 // TestExemplarJSONRoundTrip pins exemplar persistence through the
 // QSnapshot JSON codec.
 func TestExemplarJSONRoundTrip(t *testing.T) {
@@ -451,23 +304,20 @@ func (s *recordingSink) records() []SpanRecord {
 }
 
 // TestEverySinkSeesEachSpanOnce runs one tracer with all four kinds of
-// destination — ring, JSONL writer, flight recorder, tail sampler — and
+// destination — ring, JSONL writer, flight recorder, a caller's sink — and
 // holds them to one record: each span arrives at each exactly once, with
 // the same identity and the same process-clock times, and the flight
 // entry's start_ns is the record's Start, not a re-based copy.
 func TestEverySinkSeesEachSpanOnce(t *testing.T) {
 	var buf bytes.Buffer
-	sampler := NewTailSampler(TailSamplerOptions{Seed: 1, Floor: 1})
-	tr := NewTracer(TracerOptions{Writer: &buf, KeepInMemory: 16, IDSeed: 77, Sinks: []SpanSink{sampler}})
+	sink := &recordingSink{}
+	tr := NewTracer(TracerOptions{Writer: &buf, KeepInMemory: 16, IDSeed: 77, Sinks: []SpanSink{sink}})
 	t0 := Now()
 	root := tr.Start("sinks:root").With("k", 1)
 	child := root.Child("sinks:child")
 	child.End()
 	root.End()
 	t1 := Now()
-	if kept, _ := sampler.Finish(root.TraceID(), Verdict{}); !kept {
-		t.Fatal("Floor=1 sampler dropped the trace")
-	}
 
 	ring := tr.Records()
 	if len(ring) != 2 || ring[0].Name != "sinks:child" || ring[1].Name != "sinks:root" {
@@ -487,30 +337,23 @@ func TestEverySinkSeesEachSpanOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := sampler.Kept()
-	if len(kept) != 1 {
-		t.Fatalf("sampler kept %d traces, want 1", len(kept))
-	}
-	byStart := []SpanRecord{ring[1], ring[0]} // the sampler orders a kept trace by Start
-	for name, got := range map[string][]SpanRecord{"jsonl": written, "sampler": kept[0].Spans} {
-		want := ring
-		if name == "sampler" {
-			want = byStart
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s received %d spans, want %d", name, len(got), len(want))
+	for name, got := range map[string][]SpanRecord{"jsonl": written, "sink": sink.records()} {
+		if len(got) != len(ring) {
+			t.Errorf("%s received %d spans, want %d", name, len(got), len(ring))
 			continue
 		}
-		for i := range want {
-			if !same(got[i], want[i]) {
-				t.Errorf("%s span %d = %+v, want %+v", name, i, got[i], want[i])
+		for i := range ring {
+			if !same(got[i], ring[i]) {
+				t.Errorf("%s span %d = %+v, want %+v", name, i, got[i], ring[i])
 			}
 		}
 	}
 	for _, rec := range ring {
 		n := 0
 		for _, e := range Flight().Entries() {
-			if e.SpanID != rec.SpanID || e.TraceID != rec.TraceID {
+			// The ring is process-wide and IDSeed fixed: under -count an
+			// earlier run left entries with these IDs, all before t0.
+			if e.SpanID != rec.SpanID || e.TraceID != rec.TraceID || e.Start < t0 {
 				continue
 			}
 			n++

@@ -148,16 +148,6 @@ type StatzBody struct {
 	CurveSwaps  int                `json:"curve_swaps"`
 	SwitchTrace []core.SwitchEvent `json:"switch_trace"`
 	Health      core.RuntimeHealth `json:"health"`
-
-	// Sampler is the tail-sampler state (nil when tracing is disabled).
-	Sampler *SamplerStats `json:"sampler,omitempty"`
-}
-
-// SamplerStats summarizes the tail sampler for /statz.
-type SamplerStats struct {
-	Seen    int64 `json:"seen"`    // finished traces decided
-	Kept    int64 `json:"kept"`    // traces retained
-	Evicted int64 `json:"evicted"` // undecided traces evicted under memory pressure
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
@@ -173,11 +163,6 @@ func (s *Server) Stats() StatzBody {
 	trace := s.tuner.SwitchTrace()
 	if len(trace) > 32 {
 		trace = trace[len(trace)-32:]
-	}
-	var samp *SamplerStats
-	if s.cfg.Sampler != nil {
-		seen, kept, evicted := s.cfg.Sampler.Stats()
-		samp = &SamplerStats{Seen: seen, Kept: kept, Evicted: evicted}
 	}
 	return StatzBody{
 		Program:       s.cfg.Curve.Program,
@@ -206,7 +191,6 @@ func (s *Server) Stats() StatzBody {
 		CurveSwaps:    s.tuner.CurveSwaps(),
 		SwitchTrace:   trace,
 		Health:        s.tuner.Health(),
-		Sampler:       samp,
 	}
 }
 

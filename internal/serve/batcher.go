@@ -213,9 +213,6 @@ collecting:
 
 // runBatch executes one coalesced batch under the configuration the
 // tuner currently selects and answers every request in it exactly once.
-// The fan-out happens after executeBatch has ended the batch span, so a
-// member's completion-time sampling decision always sees the full batch
-// subtree in its buffered trace.
 func (s *Server) runBatch(reqs []*pending, lingered time.Duration) {
 	start := time.Now()
 	// Expire requests whose deadline passed while queued: executing
@@ -258,15 +255,6 @@ func (s *Server) executeBatch(live []*pending, start time.Time, lingered time.Du
 			bsp.Link(p.sc.TraceID)
 		}
 	}
-	// Runs after bsp.End() (LIFO): by then the sampler's linked fan-out
-	// has copied the batch subtree into every member trace, and the
-	// batch's own trace — which nothing ever calls Finish on — must not
-	// pin a pending slot until eviction pressure reclaims it.
-	defer func() {
-		if bsp != nil && s.cfg.Sampler != nil {
-			s.cfg.Sampler.Drop(bsp.TraceID())
-		}
-	}()
 	defer bsp.End()
 
 	pt, idx := s.tuner.Acquire()
@@ -341,7 +329,6 @@ func (s *Server) executeBatch(live []*pending, start time.Time, lingered time.Du
 		s.trace = s.trace[len(s.trace)-maxBatchTrace:]
 	}
 	s.mu.Unlock()
-	s.refreshSlowThreshold(start.Add(wall))
 
 	return parts, result{
 		cfgIdx:     idx,
@@ -349,37 +336,6 @@ func (s *Server) executeBatch(live []*pending, start time.Time, lingered time.Du
 		batchItems: items,
 		exec:       wall,
 	}, nil
-}
-
-// slowMinSamples is how many request-latency observations must exist
-// before the slow-trace threshold is trusted (the quantile of a handful
-// of samples is noise).
-const slowMinSamples = 20
-
-// slowRefreshEvery bounds how often the slow-trace threshold is
-// re-derived: a snapshot of the request histogram is a ~10 KB allocation
-// on the one serial goroutine in the server, and a running quantile of
-// thousands of samples does not move between two batches.
-const slowRefreshEvery = 100 * time.Millisecond
-
-// slowQuantile is the running quantile of serve.request_seconds at or
-// above which a finished request is judged slow for the sampler.
-const slowQuantile = 0.9
-
-// refreshSlowThreshold re-derives the tail sampler's "slow" cutoff from
-// the live request-latency quantile, at most once per slowRefreshEvery.
-// Skipped when tracing is off (nothing consumes it); while samples are
-// few it keeps looking after every batch.
-func (s *Server) refreshSlowThreshold(now time.Time) {
-	if s.cfg.Tracer == nil || now.Sub(s.slowAt) < slowRefreshEvery {
-		return
-	}
-	snap := qRequest.Snapshot()
-	if snap.Count() < slowMinSamples {
-		return
-	}
-	s.slowAt = now
-	s.slowNs.Store(int64(snap.Quantile(slowQuantile) * 1e9))
 }
 
 // maxBatchTrace bounds the retained per-batch configuration trace.

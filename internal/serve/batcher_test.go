@@ -285,12 +285,10 @@ func TestServeTrickledUploadIsNotArriving(t *testing.T) {
 // policy: the two linger counters in the registry and on /statz, how long
 // a batch waited on its span, and execution time by batch item count.
 func TestServeBatchObservability(t *testing.T) {
-	sampler := obs.NewTailSampler(obs.TailSamplerOptions{Seed: 3, Floor: 1})
 	cfg := testConfig(testNet(7))
 	cfg.Linger = 30 * time.Millisecond
 	cfg.MaxBatch = 8
-	cfg.Sampler = sampler
-	cfg.Tracer = obs.NewTracer(obs.TracerOptions{KeepInMemory: 64, IDSeed: 3, Sinks: []obs.SpanSink{sampler}})
+	cfg.Tracer = obs.NewTracer(obs.TracerOptions{KeepInMemory: 64, IDSeed: 3})
 	s := handBuilt(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -352,19 +350,20 @@ func TestServeBatchObservability(t *testing.T) {
 		t.Errorf("serve.items_exec_seconds has %d label values on /metrics, want 1 to MaxBatch %d", labels, cfg.MaxBatch)
 	}
 	found := false
-	for _, kt := range sampler.Kept() {
-		for _, sp := range kt.Spans {
-			if sp.Name != "serve:batch" {
-				continue
-			}
-			found = true
-			if ms, ok := sp.Attrs["lingered_ms"].(float64); !ok || ms < 30 || ms > 1000 {
-				t.Errorf("serve:batch lingered_ms = %v, want the 30 ms Linger", sp.Attrs["lingered_ms"])
-			}
+	for _, sp := range cfg.Tracer.Records() {
+		if sp.Name != "serve:batch" {
+			continue
+		}
+		found = true
+		if ms, ok := sp.Attrs["lingered_ms"].(float64); !ok || ms < 30 || ms > 1000 {
+			t.Errorf("serve:batch lingered_ms = %v, want the 30 ms Linger", sp.Attrs["lingered_ms"])
+		}
+		if len(sp.Links) != 3 {
+			t.Errorf("serve:batch links %d member traces, want 3", len(sp.Links))
 		}
 	}
 	if !found {
-		t.Error("no kept trace carries the serve:batch span")
+		t.Error("the tracer recorded no serve:batch span")
 	}
 }
 

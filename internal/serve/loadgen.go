@@ -45,9 +45,9 @@ type LoadConfig struct {
 	Timeout time.Duration
 	// SlowestK is how many of the slowest OK requests to report trace
 	// IDs for (default 3). Trace IDs come from the traceparent response
-	// header, so the report links directly into /debug/flight and the
-	// server's kept tail samples; requests answered without a
-	// traceparent header (tracing disabled) are skipped.
+	// header, so the report links directly into /debug/flight; requests
+	// answered without a traceparent header (tracing disabled) are
+	// skipped.
 	SlowestK int
 }
 
@@ -114,8 +114,7 @@ type LoadReport struct {
 	// SlowestTraces are the SlowestK slowest OK requests that carried a
 	// traceparent response header, slowest first; FailedTraces are all
 	// non-OK responses that carried one. Both let an operator jump from
-	// the loadgen summary straight to /debug/flight or the server's kept
-	// tail samples.
+	// the loadgen summary straight to /debug/flight.
 	SlowestTraces []TraceRef `json:"slowest_traces,omitempty"`
 	FailedTraces  []TraceRef `json:"failed_traces,omitempty"`
 }

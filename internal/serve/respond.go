@@ -38,14 +38,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 	start := time.Now()
 	sp := s.startRequestSpan(w, r)
-	var sw0, al0 int
-	if sp != nil {
-		// Baseline tuner-event counters: a switch or drift alarm landing
-		// while this request is in flight makes its trace "eventful".
-		sw0, al0 = s.tuner.Switches(), s.tuner.DriftAlarms()
-	}
 	status := s.serveInfer(w, r, sp)
-	s.finishRequest(sp, time.Since(start), status, sw0, al0)
+	finishRequest(sp, start, status)
 }
 
 // startRequestSpan opens the per-request root span when request tracing
@@ -63,39 +57,17 @@ func (s *Server) startRequestSpan(w http.ResponseWriter, r *http.Request) *obs.S
 	return sp
 }
 
-// finishRequest ends the request's root span and makes the tail-sampling
-// decision now that latency, status and tuner-event overlap are known.
-// The latency histogram is fed here: with a trace-linked exemplar when
-// the trace was kept, plain otherwise — so every exposed exemplar
-// references a retrievable trace.
-func (s *Server) finishRequest(sp *obs.Span, total time.Duration, status int, sw0, al0 int) {
-	sec := total.Seconds()
-	if sp == nil {
-		if status == http.StatusOK {
-			qRequest.Observe(sec)
-		}
-		return
+// finishRequest ends the request's root span and feeds the latency
+// histogram with the time since start; only OK requests are timed. A
+// traced OK request is its bucket's exemplar, so each bucket names the
+// latest request that landed in it, whose spans /debug/flight holds while
+// they are recent.
+func finishRequest(sp *obs.Span, start time.Time, status int) {
+	if sp != nil {
+		sp.With("status", status).End()
 	}
-	sp.With("status", status)
-	sp.End()
-	tid := sp.TraceID()
-	thr := s.slowNs.Load()
-	v := obs.Verdict{
-		Slow:     thr > 0 && total.Nanoseconds() >= thr,
-		Errored:  status == http.StatusTooManyRequests || status >= http.StatusInternalServerError,
-		Eventful: s.tuner.Switches() != sw0 || s.tuner.DriftAlarms() != al0,
-	}
-	kept := false
-	if s.cfg.Sampler != nil {
-		kept, _ = s.cfg.Sampler.Finish(tid, v)
-	}
-	if status != http.StatusOK {
-		return
-	}
-	if kept {
-		qRequest.ObserveExemplar(sec, tid)
-	} else {
-		qRequest.Observe(sec)
+	if status == http.StatusOK {
+		qRequest.ObserveExemplar(time.Since(start).Seconds(), sp.TraceID())
 	}
 }
 

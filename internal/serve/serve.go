@@ -107,9 +107,10 @@ type Config struct {
 	// trace. Nil disables request tracing; the disabled path stays
 	// allocation-free.
 	Tracer *obs.Tracer
-	// Sampler receives the tail-sampling decision for every finished
-	// request trace. Register it as a sink on Tracer so it sees the span
-	// records it buffers. Nil disables sampling.
+	// Sampler is ignored.
+	//
+	// Deprecated: kept for benchmark/serve.go; delete it with the next
+	// benchmark change.
 	Sampler *obs.TailSampler
 	// FlightLog, when set, receives one automatic flight-recorder JSONL
 	// dump on the first drift latch and one on the first non-draining
@@ -185,11 +186,6 @@ type Server struct {
 
 	hs atomic.Pointer[obs.Server] // the listener Start bound, if any
 
-	// slowNs is the live "slow request" threshold for tail sampling,
-	// re-derived from the request-latency quantile every slowRefreshEvery;
-	// slowAt is when, loop-goroutine private.
-	slowNs atomic.Int64
-	slowAt time.Time
 	// flightMu serializes the automatic FlightLog dumps: the drift latch
 	// (batcher goroutine) and the /healthz 503 transition (handler
 	// goroutine) can fire concurrently, and FlightLog is typically a

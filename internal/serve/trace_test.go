@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,22 +19,18 @@ import (
 // traceScenario boots a traced server with a real injected slowdown
 // (SlowdownFactor stretches batch wall time after SlowdownAfter
 // batches) and drives a seeded closed loop. It returns the server, the
-// sampler, the flight-dump buffer, and the load report.
-func traceScenario(t *testing.T) (*Server, *obs.TailSampler, *bytes.Buffer, *LoadReport) {
+// tracer, the flight-dump buffer, and the load report, whose
+// SlowestTraces name every request the client sent.
+func traceScenario(t *testing.T) (*Server, *obs.Tracer, *bytes.Buffer, *LoadReport) {
 	t.Helper()
 	gr := testNet(9)
-	sampler := obs.NewTailSampler(obs.TailSamplerOptions{Seed: 17, Floor: -1})
-	tracer := obs.NewTracer(obs.TracerOptions{
-		KeepInMemory: 4096,
-		IDSeed:       17,
-		Sinks:        []obs.SpanSink{sampler},
-	})
+	tracer := obs.NewTracer(obs.TracerOptions{KeepInMemory: 4096, IDSeed: 17})
 	flight := &bytes.Buffer{}
 
 	// The tuner sees the same modeled ×2 slowdown as the determinism
 	// scenario (so config switches deterministically precede the drift
-	// latch), while SlowdownFactor stretches real wall time so "slow"
-	// keeps reflect genuine request latency.
+	// latch), while SlowdownFactor stretches real wall time so request
+	// latency reflects it.
 	curve := testCurve(gr)
 	nOps := len(gr.Nodes)
 	perfOf := perfByKey(curve, nOps)
@@ -57,7 +54,6 @@ func traceScenario(t *testing.T) (*Server, *obs.TailSampler, *bytes.Buffer, *Loa
 	cfg.Seed = 21
 	cfg.MeasureExec = measure
 	cfg.Tracer = tracer
-	cfg.Sampler = sampler
 	cfg.FlightLog = flight
 	cfg.SlowdownFactor = 3
 	cfg.SlowdownAfter = 12
@@ -75,7 +71,7 @@ func traceScenario(t *testing.T) (*Server, *obs.TailSampler, *bytes.Buffer, *Loa
 		Concurrency: 1,
 		Requests:    48,
 		Seed:        5,
-		SlowestK:    3,
+		SlowestK:    48,
 	})
 	if err != nil {
 		s.Close()
@@ -86,7 +82,7 @@ func traceScenario(t *testing.T) (*Server, *obs.TailSampler, *bytes.Buffer, *Loa
 		t.Fatalf("closed loop: %d ok of 48 (%d rejected, %d expired, %d failed)",
 			rep.OK, rep.Rejected, rep.Expired, rep.Failed)
 	}
-	return s, sampler, flight, rep
+	return s, tracer, flight, rep
 }
 
 // exemplarsOf returns a snapshot's exemplars by bucket, as its wire form
@@ -106,65 +102,66 @@ func exemplarsOf(t *testing.T, s *obs.QSnapshot) map[int]obs.Exemplar {
 	return w.Exemplars
 }
 
-// TestServeTraceAcceptance is the end-to-end demo pinned by the issue:
-// a seeded run with an injected ×3 slowdown must produce (a) a kept
-// tail-sampled trace crossing admission → batch → execute → tuner,
-// (b) a flight dump carrying drift and config-switch events, and (c) an
-// OpenMetrics exposition whose serve-latency bucket exemplar points at a
-// kept trace.
+// TestServeTraceAcceptance is the end-to-end demo: a seeded run with an
+// injected ×3 slowdown must produce (a) batch spans linking every member
+// request's trace, and the request path from admission through batch,
+// execute and tuner in the flight ring, (b) a flight dump carrying drift
+// and config-switch events, and (c) an OpenMetrics exposition whose
+// serve-latency bucket exemplars name traces the client saw and
+// /debug/flight holds.
 func TestServeTraceAcceptance(t *testing.T) {
 	// serve.request_seconds is process-wide: earlier servers of this test
-	// binary, under other tracers and samplers, left exemplars on it. Only
-	// the ones this scenario records are checked.
+	// binary, under other tracers, left exemplars on it. Only the ones
+	// this scenario records are checked.
 	before := exemplarsOf(t, qRequest.Snapshot())
-	s, sampler, flight, rep := traceScenario(t)
+	s, tracer, flight, rep := traceScenario(t)
 	defer s.Close()
 
-	// (a) At least one kept trace holds the full request path. The batch
-	// span ends before the member fan-out, so the linked subtree must be
-	// visible to the member's completion-time decision.
-	kept := sampler.Kept()
-	if len(kept) == 0 {
-		t.Fatal("tail sampler kept no traces despite slowdown + tuner churn")
+	sent := make(map[string]bool, len(rep.SlowestTraces))
+	for _, ref := range rep.SlowestTraces {
+		sent[ref.TraceID] = true
 	}
-	wantSpans := []string{"serve:request", "serve:admit", "serve:batch", "serve:execute", "serve:tuner"}
-	keptIDs := make(map[string]bool, len(kept))
-	fullPath := false
-	for _, kt := range kept {
-		keptIDs[kt.TraceID.String()] = true
-		names := make(map[string]bool, len(kt.Spans))
-		for _, sp := range kt.Spans {
-			names[sp.Name] = true
-		}
-		all := true
-		for _, w := range wantSpans {
-			if !names[w] {
-				all = false
-				break
-			}
-		}
-		if all {
-			fullPath = true
-		}
-	}
-	if !fullPath {
-		t.Errorf("no kept trace contains all of %v; kept: %+v", wantSpans, kept)
+	if len(sent) != 48 {
+		t.Fatalf("client saw %d distinct trace IDs in traceparent headers, want 48", len(sent))
 	}
 
-	// Batch traces are dropped from the sampler right after their linked
-	// fan-out, so once every request's verdict is in, the pending map
-	// must drain to empty — nothing may sit pinned until eviction. The
-	// last finishRequest can lag the last HTTP response by a beat, so
-	// poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for sampler.PendingCount() > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	// (a) Each request is executed in one batch, so the serve:batch
+	// records together link every trace the client saw, and nothing else.
+	// A batch span ends before its members are answered.
+	linked := map[string]bool{}
+	scenario := map[obs.TraceID]bool{}
+	for _, rec := range tracer.Records() {
+		scenario[rec.TraceID] = true
+		if rec.Name != "serve:batch" {
+			continue
+		}
+		if len(rec.Links) == 0 {
+			t.Errorf("serve:batch span %s links no member trace", rec.SpanID)
+		}
+		for _, tid := range rec.Links {
+			linked[tid.String()] = true
+		}
 	}
-	if n := sampler.PendingCount(); n != 0 {
-		t.Errorf("tail sampler still holds %d pending traces after all requests finished; batch traces leak", n)
+	for tid := range sent {
+		if !linked[tid] {
+			t.Errorf("no serve:batch span links trace %s", tid)
+		}
 	}
-	if _, _, evicted := sampler.Stats(); evicted != 0 {
-		t.Errorf("tail sampler evicted %d undecided traces in a run far below MaxPending", evicted)
+	for tid := range linked {
+		if !sent[tid] {
+			t.Errorf("a serve:batch span links trace %s, which no client saw", tid)
+		}
+	}
+	inFlight := map[string]bool{}
+	for _, e := range obs.Flight().Entries() {
+		if e.Kind == "span" && scenario[e.TraceID] {
+			inFlight[e.Name] = true
+		}
+	}
+	for _, want := range []string{"serve:request", "serve:admit", "serve:batch", "serve:execute", "serve:tuner"} {
+		if !inFlight[want] {
+			t.Errorf("flight ring holds no %s span of this scenario", want)
+		}
 	}
 
 	// (b) The drift latch dumped the flight ring at alarm time; the dump
@@ -185,9 +182,9 @@ func TestServeTraceAcceptance(t *testing.T) {
 	// config-switch events plus at least one span from a trace the client
 	// saw in a traceparent response header.
 	client := &http.Client{Timeout: 10 * time.Second}
-	tids := rep.TraceIDs()
-	if len(tids) == 0 {
-		t.Fatal("load report carries no trace IDs; traceparent response header missing")
+	var tids []string
+	for _, ref := range rep.SlowestTraces[:3] {
+		tids = append(tids, ref.TraceID)
 	}
 	for _, event := range []string{"runtime.drift_alarm", "runtime.config_switch"} {
 		if err := VerifyFlight(context.Background(), client, "http://"+s.Addr(), event, tids); err != nil {
@@ -196,18 +193,27 @@ func TestServeTraceAcceptance(t *testing.T) {
 	}
 
 	// (c) Exemplars: every exemplar this scenario left on the
-	// request-latency histogram must reference a kept (retrievable) trace,
-	// there must be one, and the OpenMetrics exposition must carry it on a
-	// serve_request_seconds bucket line.
+	// request-latency histogram must name a trace the client received and
+	// /debug/flight holds a span of, there must be one, and the
+	// OpenMetrics exposition must carry it on a serve_request_seconds
+	// bucket line.
+	flightTraces, err := flightSpanTraces(client, "http://"+s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var promTID string
 	for i, ex := range exemplarsOf(t, qRequest.Snapshot()) {
 		if ex == before[i] {
 			continue // an earlier server's
 		}
-		if !keptIDs[ex.TraceID.String()] {
-			t.Errorf("exemplar in bucket %d references unkept trace %s", i, ex.TraceID)
+		tid := ex.TraceID.String()
+		if !sent[tid] {
+			t.Errorf("exemplar in bucket %d names trace %s, which no client received", i, tid)
 		}
-		promTID = ex.TraceID.String()
+		if !flightTraces[tid] {
+			t.Errorf("exemplar in bucket %d names trace %s, of which /debug/flight holds no span", i, tid)
+		}
+		promTID = tid
 	}
 	if promTID == "" {
 		t.Fatal("the scenario recorded no exemplar; exposition would carry none of its traces")
@@ -225,14 +231,11 @@ func TestServeTraceAcceptance(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("openmetrics exposition has no serve_request_seconds bucket exemplar for kept trace %s", promTID)
+		t.Errorf("openmetrics exposition has no serve_request_seconds bucket exemplar for trace %s", promTID)
 	}
 
 	// The loadgen report's slowest-trace section must point at server-side
 	// traces (non-empty hex IDs the server minted).
-	if len(rep.SlowestTraces) == 0 {
-		t.Error("load report has no slowest traces despite tracing enabled")
-	}
 	for _, ref := range rep.SlowestTraces {
 		if len(ref.TraceID) != 32 {
 			t.Errorf("slowest trace carries malformed trace ID %q", ref.TraceID)
@@ -241,14 +244,12 @@ func TestServeTraceAcceptance(t *testing.T) {
 }
 
 // requestBracket returns a server, traced or not, and the per-request
-// tracing bracket over it: span start, header injection, end, sampling
-// decision — what the allocation pins and the overhead benchmark run.
+// tracing bracket over it: span start, header injection, end, latency
+// observation — what the allocation pins and the overhead benchmark run.
 func requestBracket(tb testing.TB, traced bool) func() {
 	cfg := testConfig(testNet(9))
 	if traced {
-		sampler := obs.NewTailSampler(obs.TailSamplerOptions{Seed: 7, Floor: -1})
-		cfg.Tracer = obs.NewTracer(obs.TracerOptions{IDSeed: 7, Sinks: []obs.SpanSink{sampler}})
-		cfg.Sampler = sampler
+		cfg.Tracer = obs.NewTracer(obs.TracerOptions{IDSeed: 7})
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -259,14 +260,14 @@ func requestBracket(tb testing.TB, traced bool) func() {
 	r := httptest.NewRequest(http.MethodPost, "/v1/infer", nil)
 	return func() {
 		sp := s.startRequestSpan(w, r)
-		s.finishRequest(sp, 3*time.Millisecond, http.StatusOK, 0, 0)
+		finishRequest(sp, time.Now(), http.StatusOK)
 	}
 }
 
 // TestServeDisabledTracingZeroAlloc and TestServeTracedBracketAllocs pin
 // the bracket's allocations. Disabled (no Tracer configured) it is one nil
-// check and nothing else; enabled it was 13 before Span.End stopped copying
-// the attribute map it hands to the sinks, 11 since.
+// check and nothing else; enabled it is 10, one of them the exemplar every
+// OK request leaves.
 func TestServeDisabledTracingZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, requestBracket(t, false)); n != 0 {
 		t.Errorf("disabled-tracing request bracket allocates %.1f times per op, want 0", n)
@@ -274,20 +275,20 @@ func TestServeDisabledTracingZeroAlloc(t *testing.T) {
 }
 
 func TestServeTracedBracketAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(1000, requestBracket(t, true)); n > 11 {
-		t.Errorf("traced request bracket allocates %.0f times per op, want at most 11", n)
+	if n := testing.AllocsPerRun(1000, requestBracket(t, true)); n > 10 {
+		t.Errorf("traced request bracket allocates %.0f times per op, want at most 10", n)
 	}
 }
 
 // TestServeTraceparentPropagation checks that an inbound W3C
 // traceparent header continues the caller's trace: the response header
-// echoes the same trace ID with a server-minted span ID.
+// echoes the same trace ID with a server-minted span ID, and the server's
+// serve:request span carries the caller's trace.
 func TestServeTraceparentPropagation(t *testing.T) {
 	gr := testNet(9)
-	sampler := obs.NewTailSampler(obs.TailSamplerOptions{Seed: 1, Floor: 1})
 	cfg := testConfig(gr)
-	cfg.Tracer = obs.NewTracer(obs.TracerOptions{IDSeed: 1, Sinks: []obs.SpanSink{sampler}})
-	cfg.Sampler = sampler
+	tracer := obs.NewTracer(obs.TracerOptions{IDSeed: 1})
+	cfg.Tracer = tracer
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -322,21 +323,50 @@ func TestServeTraceparentPropagation(t *testing.T) {
 		t.Error("server echoed the caller's span ID instead of minting its own")
 	}
 
-	// Floor=1 keeps everything: the continued trace must be retrievable.
-	found := false
-	for _, kt := range sampler.Kept() {
-		if kt.TraceID.String() == "0af7651916cd43dd8448eb211c80319c" {
-			found = true
+	// The root span ends after the reply is written, so poll briefly.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		for _, rec := range tracer.Records() {
+			if rec.Name != "serve:request" || rec.TraceID != sc.TraceID {
+				continue
+			}
+			if rec.SpanID != sc.SpanID || rec.ParentSpanID.String() != "b7ad6b7169203331" {
+				t.Errorf("serve:request span %s (parent %s), want %s under the caller's b7ad6b7169203331",
+					rec.SpanID, rec.ParentSpanID, sc.SpanID)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no serve:request span of the continued trace in the tracer's records")
 		}
 	}
-	if !found {
-		t.Error("continued trace not kept despite Floor=1")
+}
+
+// flightSpanTraces fetches base's /debug/flight dump and returns the trace
+// IDs its span entries carry.
+func flightSpanTraces(client *http.Client, base string) (map[string]bool, error) {
+	resp, err := client.Get(base + "/debug/flight")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	out := map[string]bool{}
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var e obs.FlightEntry
+		if err := dec.Decode(&e); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, err
+		}
+		if e.Kind == "span" {
+			out[e.TraceID.String()] = true
+		}
 	}
 }
 
 // BenchmarkServeTracingOverhead measures the per-request cost of the
-// tracing bracket itself — span start, header injection, end, sampling
-// decision — against the disabled baseline benchmarked by the nil-check
+// tracing bracket itself — span start, header injection, end, latency
+// observation — against the disabled baseline benchmarked by the nil-check
 // sub-benchmark.
 func BenchmarkServeTracingOverhead(b *testing.B) {
 	run := func(b *testing.B, traced bool) {
