@@ -188,7 +188,8 @@ serve-smoke:
 # trace's span is in the live ring. The drift latch must also have
 # dumped the alarm into the flight file, and every trace a
 # serve_request_seconds bucket names as its exemplar on /metrics must
-# have a span in /debug/flight: an exemplar is a trace you can look up.
+# have a span in /debug/flight, and be linked by a serve:batch span there:
+# an exemplar is a trace you can look up, down to the batch that ran it.
 trace-smoke:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/approxserve ./cmd/approxserve || exit 1; \
@@ -220,6 +221,9 @@ trace-smoke:
 	for tid in $$tids; do \
 		if ! grep '"kind":"span"' $$tmp/live.jsonl | grep -q "\"trace_id\":\"$$tid\""; then \
 			echo "trace-smoke: exemplar trace $$tid has no span in /debug/flight"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
+		fi; \
+		if ! grep '"name":"serve:batch"' $$tmp/live.jsonl | grep -q "\"links\":\[[^]]*\"$$tid\""; then \
+			echo "trace-smoke: no serve:batch span in /debug/flight links exemplar trace $$tid"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; \
 		fi; \
 	done; \
 	kill -TERM $$pid; \

@@ -25,7 +25,7 @@ func PredictorAccuracy(s *Session, name string, nSamples int) *Report {
 	}
 	e := s.Entry(name)
 	profiles := s.Profiles(name)
-	prob := problemOf(e.prog)
+	prob := core.ProblemFor(e.prog, core.KnobPolicy{AllowFP16: true})
 	rng := tensor.NewRNG(s.Cfg().Seed + 77)
 	type sample struct {
 		cfg  approx.Config
@@ -33,7 +33,7 @@ func PredictorAccuracy(s *Session, name string, nSamples int) *Report {
 	}
 	var samples []sample
 	for i := 0; i < nSamples; i++ {
-		cfg := randomCfg(prob, rng)
+		cfg := core.RandomConfig(prob, rng)
 		out := e.prog.Run(cfg, core.Calib, nil)
 		samples = append(samples, sample{cfg, e.prog.Score(core.Calib, out)})
 	}
@@ -96,11 +96,11 @@ func AlphaCalibration(s *Session, name string, nSamples int) *Report {
 	}
 	e := s.Entry(name)
 	profiles := s.Profiles(name)
-	prob := problemOf(e.prog)
+	prob := core.ProblemFor(e.prog, core.KnobPolicy{AllowFP16: true})
 	rng := tensor.NewRNG(s.Cfg().Seed + 78)
 	var samples []predictor.Sample
 	for i := 0; i < nSamples; i++ {
-		cfg := randomCfg(prob, rng)
+		cfg := core.RandomConfig(prob, rng)
 		out := e.prog.Run(cfg, core.Calib, nil)
 		samples = append(samples, predictor.Sample{Cfg: cfg, QoS: e.prog.Score(core.Calib, out)})
 	}
@@ -141,7 +141,7 @@ func EpsilonSweep(s *Session, name string) *Report {
 	e := s.Entry(name)
 	profiles := s.Profiles(name)
 	qosMin := s.CalibBaseline(name) - 3
-	prob := problemOf(e.prog)
+	prob := core.ProblemFor(e.prog, core.KnobPolicy{AllowFP16: true})
 	qp := predictor.NewQoSPredictor(predictor.Pi2, profiles, nil)
 	pp := predictor.NewPerfPredictor(e.prog.Costs())
 	tuner := autotuner.New(prob, autotuner.Options{
@@ -180,7 +180,7 @@ func TechniqueAblation(s *Session, name string) *Report {
 	profiles := s.Profiles(name)
 	qosMin := s.CalibBaseline(name) - 3
 	scoreVariant := func(techniques []string) (float64, int) {
-		prob := problemOf(e.prog)
+		prob := core.ProblemFor(e.prog, core.KnobPolicy{AllowFP16: true})
 		qp := predictor.NewQoSPredictor(predictor.Pi2, profiles, nil)
 		pp := predictor.NewPerfPredictor(e.prog.Costs())
 		tuner := autotuner.New(prob, autotuner.Options{
@@ -286,25 +286,4 @@ func RuntimePolicies(s *Session, name string) *Report {
 	}
 	r.Notes = append(r.Notes, "policy 1 suits deadlines (fewer misses); policy 2 matches average throughput with less QoS loss")
 	return r
-}
-
-// problemOf mirrors core's internal search-space construction for ablation
-// use.
-func problemOf(p core.Program) autotuner.Problem {
-	ops := p.Ops()
-	knobs := make(map[int][]approx.KnobID, len(ops))
-	pol := core.KnobPolicy{AllowFP16: true}
-	for _, op := range ops {
-		knobs[op] = core.KnobsFor(p, op, pol)
-	}
-	return autotuner.Problem{Ops: ops, Knobs: knobs}
-}
-
-func randomCfg(prob autotuner.Problem, rng *tensor.RNG) approx.Config {
-	cfg := make(approx.Config, len(prob.Ops))
-	for _, op := range prob.Ops {
-		ks := prob.Knobs[op]
-		cfg[op] = ks[rng.Intn(len(ks))]
-	}
-	return cfg
 }

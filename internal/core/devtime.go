@@ -211,14 +211,14 @@ func searchShortlist(p Program, profiles *predictor.Profiles, o Options, calibRn
 	// Step 2: initialize and calibrate the QoS predictor (lines 18–20).
 	csp := parent.Child("calibrate").With("samples", o.NCalibrate)
 	qp := predictor.NewQoSPredictor(o.Model, profiles, func(out *tensor.Tensor) float64 { return p.Score(Calib, out) })
-	prob := problemFor(p, o.Policy)
+	prob := ProblemFor(p, o.Policy)
 	cfgs := make([]approx.Config, o.NCalibrate)
 	rngs := make([]*tensor.RNG, o.NCalibrate)
 	for i := range cfgs {
 		// Draw the config and the per-run RNG sequentially (Split advances
 		// the parent), in the exact interleaving of a sequential loop,
 		// before fanning the runs out.
-		cfgs[i] = randomConfig(prob, calibRng)
+		cfgs[i] = RandomConfig(prob, calibRng)
 		rngs[i] = calibRng.Split(int64(i))
 	}
 	samples := make([]predictor.Sample, o.NCalibrate)
@@ -260,7 +260,7 @@ func searchShortlist(p Program, profiles *predictor.Profiles, o Options, calibRn
 func search(p Program, o Options, baseQoS float64, batch int, score func([]approx.Config) []float64, parent *obs.Span, st *Stats) []pareto.Point {
 	ssp := parent.Child("search")
 	perfOf := perfModel(p, o)
-	tuner := autotuner.New(problemFor(p, o.Policy), autotuner.Options{
+	tuner := autotuner.New(ProblemFor(p, o.Policy), autotuner.Options{
 		MaxIters:   o.MaxIters,
 		StallLimit: o.StallLimit,
 		QoSMin:     o.QoSMin,
@@ -360,9 +360,9 @@ func evalScores(p Program, cfgs []approx.Config, rngs []*tensor.RNG, sp *obs.Spa
 	return qos
 }
 
-// problemFor builds the autotuner search space for a program under a knob
+// ProblemFor builds the autotuner search space for a program under a knob
 // policy.
-func problemFor(p Program, pol KnobPolicy) autotuner.Problem {
+func ProblemFor(p Program, pol KnobPolicy) autotuner.Problem {
 	ops := p.Ops()
 	knobs := make(map[int][]approx.KnobID, len(ops))
 	for _, op := range ops {
@@ -371,7 +371,9 @@ func problemFor(p Program, pol KnobPolicy) autotuner.Problem {
 	return autotuner.Problem{Ops: ops, Knobs: knobs}
 }
 
-func randomConfig(prob autotuner.Problem, rng *tensor.RNG) approx.Config {
+// RandomConfig draws one knob per op of prob, uniformly from each op's
+// knobs, in prob.Ops order.
+func RandomConfig(prob autotuner.Problem, rng *tensor.RNG) approx.Config {
 	cfg := make(approx.Config, len(prob.Ops))
 	for _, op := range prob.Ops {
 		ks := prob.Knobs[op]

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -73,13 +72,6 @@ type Coordinator struct {
 	searched  bool
 	final     *pareto.Curve
 	edgeTel   map[int]edgeTelemetryReq // edgeID → end-of-run client telemetry
-
-	// Server-side trace capture: when a request arrives with a W3C
-	// traceparent header, traced opens a coord:<path> span under
-	// the caller's trace so GET /v1/stats can assemble the cross-process
-	// trace. The tracer is private to this coordinator and retains the
-	// most recent maxCoordSpans records.
-	tracer *obs.Tracer
 }
 
 // edgeLease tracks one edge's liveness.
@@ -151,7 +143,6 @@ func NewCoordinator(p core.Program, devProfiles *predictor.Profiles, opts core.I
 		prof:     newPhase[*predictor.Profiles](opts.NEdge),
 		val:      newPhase[[]pareto.Point](opts.NEdge),
 		edgeTel:  make(map[int]edgeTelemetryReq),
-		tracer:   obs.NewTracer(obs.TracerOptions{KeepInMemory: maxCoordSpans, IDSeed: opts.Seed}),
 	}, nil
 }
 
@@ -227,8 +218,7 @@ type curveResp struct {
 // fleet stats at GET /v1/stats, the process metric registry at /metrics
 // (OpenMetrics) and a liveness probe at
 // /healthz, so a coordinator is scrapeable without a separate
-// -metrics-addr endpoint. Every route is counted by obs.Route and
-// continues an inbound trace (traced).
+// -metrics-addr endpoint. Every route is counted by obs.Route.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range []struct {
@@ -245,24 +235,9 @@ func (c *Coordinator) Handler() http.Handler {
 		{"GET /metrics", obs.MetricsHandler(nil)},
 		{"GET /healthz", obs.HealthzHandler()},
 	} {
-		mux.Handle(rt.pattern, obs.Route(rt.pattern, c.traced(rt.pattern, rt.h)))
+		mux.Handle(rt.pattern, obs.Route(rt.pattern, rt.h))
 	}
 	return mux
-}
-
-// traced continues the caller's trace, when the request carries a W3C
-// traceparent, in a coord:<path> span that ends with the handler and
-// records the status it answered.
-func (c *Coordinator) traced(pattern string, h http.Handler) http.Handler {
-	_, path, _ := strings.Cut(pattern, " ")
-	name := "coord:" + path
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if sc := obs.Extract(r.Header); sc.Valid() {
-			sp := c.tracer.StartRemote(sc, name)
-			defer func() { sp.With("status", obs.StatusOf(w)).End() }()
-		}
-		h.ServeHTTP(w, r)
-	})
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {

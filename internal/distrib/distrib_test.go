@@ -75,10 +75,7 @@ func TestFullProtocolOverHTTP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := &Edge{
-				ID: i, BaseURL: srv.URL, Program: gp,
-				Device: device.NewTX2GPU(),
-			}
+			e := NewEdge(i, srv.URL, gp, device.NewTX2GPU(), opts)
 			c, err := e.Run(ctx)
 			results[i] = &errCurve{c, err}
 		}(i)
@@ -154,7 +151,7 @@ func TestRegisterRejectsBadEdgeID(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	e := &Edge{ID: 99, BaseURL: srv.URL, Program: gp}
+	e := NewEdge(99, srv.URL, gp, nil, core.InstallOptions{})
 	if _, err := e.Run(context.Background()); err == nil {
 		t.Fatal("out-of-range edge id must be rejected")
 	}

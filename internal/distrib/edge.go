@@ -21,7 +21,7 @@ import (
 // Edge is one device of the fleet: it owns the full program binary and
 // its local calibration inputs (a shard of the global set), plus a device
 // model for performance/energy measurement. An Edge drives one protocol
-// run from a single goroutine.
+// run from a single goroutine; build one with NewEdge.
 type Edge struct {
 	ID      int
 	BaseURL string
@@ -32,28 +32,19 @@ type Edge struct {
 	Transport http.RoundTripper
 	// PollInterval paces the assignment/curve polling loops (default 20ms).
 	PollInterval time.Duration
-	// RequestTimeout bounds every HTTP request, MaxRetries is how many times
-	// a failed request is retried before the run aborts, and RetryBase is
-	// the first backoff delay (it doubles per retry with seeded jitter,
-	// capped at 2s). Zero means the core.InstallOptions default of the same
-	// name. Tuning options are not here: the coordinator hands them out at
-	// registration.
-	RequestTimeout time.Duration
-	MaxRetries     int
-	RetryBase      time.Duration
 	// Failpoints injects protocol-step crashes for chaos testing.
 	Failpoints Failpoints
-	// Tracer, when set, wraps the run in an edge:run span with one child
-	// per HTTP request, injects W3C traceparent headers so the
-	// coordinator can record its side of each call, and uploads the
-	// run's completed spans with the end-of-run telemetry. Nil disables
-	// tracing at zero cost.
-	Tracer *obs.Tracer
 
+	// opts holds the normalized install options. The edge reads only its
+	// RequestTimeout (bound on every HTTP request), MaxRetries (retries
+	// of a failed request before the run aborts) and RetryBase (first
+	// backoff delay, doubling per retry with seeded jitter, capped at
+	// 2s). Tuning options are not taken from here: the coordinator hands
+	// them out at registration.
+	opts    core.InstallOptions
 	httpc   *http.Client
 	rng     *tensor.RNG // backoff jitter stream, the only RNG an edge seeds itself
 	attempt int         // logical-operation idempotency token counter
-	span    *obs.Span   // run-level root span (nil when Tracer is nil)
 
 	// Client-side telemetry, reported best-effort to POST /v1/telemetry
 	// at the end of Run. An Edge runs from a single goroutine, so the
@@ -66,17 +57,10 @@ type Edge struct {
 }
 
 // NewEdge builds an edge whose robustness knobs come from the install
-// options (the same knobs the coordinator was built with).
+// options (the same knobs the coordinator was built with); unset ones take
+// core.InstallOptions' documented defaults.
 func NewEdge(id int, baseURL string, p core.Program, dev *device.Device, opts core.InstallOptions) *Edge {
-	return &Edge{
-		ID:             id,
-		BaseURL:        baseURL,
-		Program:        p,
-		Device:         dev,
-		RequestTimeout: opts.RequestTimeout,
-		MaxRetries:     opts.MaxRetries,
-		RetryBase:      opts.RetryBase,
-	}
+	return &Edge{ID: id, BaseURL: baseURL, Program: p, Device: dev, opts: opts.Norm(), telLat: obs.NewQHist()}
 }
 
 func (e *Edge) client() *http.Client {
@@ -84,7 +68,7 @@ func (e *Edge) client() *http.Client {
 		// Client-level timeout is a backstop; the per-request context
 		// deadline in doOnce is the operative bound.
 		e.httpc = &http.Client{
-			Timeout:   e.RequestTimeout + time.Second,
+			Timeout:   e.opts.RequestTimeout + time.Second,
 			Transport: e.Transport,
 		}
 	}
@@ -111,19 +95,9 @@ func (e *Edge) Run(ctx context.Context) (*pareto.Curve, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Unset robustness knobs take core.InstallOptions' documented defaults.
-	d := core.InstallOptions{RequestTimeout: e.RequestTimeout, MaxRetries: e.MaxRetries, RetryBase: e.RetryBase}.Norm()
-	e.RequestTimeout, e.MaxRetries, e.RetryBase = d.RequestTimeout, d.MaxRetries, d.RetryBase
 	// Jitter stream for backoff only: retry timing never touches the tuning
 	// streams, whose seeds all come from the coordinator.
 	e.rng = tensor.NewRNG(9001 + int64(e.ID)*7919)
-	if e.telLat == nil {
-		e.telLat = obs.NewQHist()
-	}
-	if e.Tracer != nil {
-		e.span = e.Tracer.Start("edge:run").With("edge", e.ID)
-		defer e.span.End()
-	}
 
 	// Step 1: register, and take the fleet's tuning options from the
 	// coordinator; only the device is the edge's own.
@@ -195,12 +169,6 @@ func (e *Edge) Run(ctx context.Context) (*pareto.Curve, error) {
 			continue
 		}
 		if cr.Ready {
-			// End the run's root span before the telemetry upload: Records()
-			// only holds completed spans, and shipping children whose
-			// ParentSpanID references a never-uploaded root would leave the
-			// coordinator's assembled trace headless. End is idempotent, so
-			// the deferred End (which covers every error path) is a no-op.
-			e.span.End()
 			e.reportTelemetry(ctx)
 			return pareto.UnmarshalCurve(cr.Curve)
 		}
@@ -223,18 +191,6 @@ func (e *Edge) reportTelemetry(ctx context.Context) {
 		Retries:  e.telRetries,
 		Timeouts: e.telTimeouts,
 		Latency:  e.telLat.Snapshot(),
-	}
-	if e.span != nil {
-		// Ship the run's newest completed spans so GET /v1/stats can
-		// assemble the cross-process trace (bounded: telemetry must stay a
-		// small best-effort payload).
-		tid := e.span.TraceID()
-		for _, rec := range e.Tracer.Records() {
-			if rec.TraceID == tid {
-				req.Spans = append(req.Spans, rec)
-			}
-		}
-		req.Spans = newestSpans(req.Spans)
 	}
 	_ = e.post(ctx, "/v1/telemetry", req, nil)
 }
@@ -307,14 +263,14 @@ func (e *Edge) do(ctx context.Context, method, path string, body []byte, out any
 		if ctx.Err() != nil {
 			return fmt.Errorf("distrib: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
 		}
-		if try >= e.MaxRetries {
-			return fmt.Errorf("distrib: %s %s: %d retries exhausted: %w", method, path, e.MaxRetries, lastErr)
+		if try >= e.opts.MaxRetries {
+			return fmt.Errorf("distrib: %s %s: %d retries exhausted: %w", method, path, e.opts.MaxRetries, lastErr)
 		}
 	}
 }
 
 func (e *Edge) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
-	rctx, cancel := context.WithTimeout(ctx, e.RequestTimeout)
+	rctx, cancel := context.WithTimeout(ctx, e.opts.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -327,24 +283,10 @@ func (e *Edge) doOnce(ctx context.Context, method, path string, body []byte, out
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	var dsp *obs.Span
-	if e.span != nil {
-		// One child span per HTTP attempt (retries get their own), with
-		// the identity injected so the coordinator's middleware can record
-		// the server side of the same trace.
-		dsp = e.span.Child("edge:request").With("method", method).With("path", path)
-		obs.Inject(req.Header, dsp)
-	}
 	e.telRequests++
 	start := time.Now()
 	r, err := e.client().Do(req)
-	if e.telLat != nil {
-		e.telLat.Observe(time.Since(start).Seconds())
-	}
-	if err != nil {
-		dsp.With("error", true)
-	}
-	dsp.End()
+	e.telLat.Observe(time.Since(start).Seconds())
 	if err != nil {
 		if isTimeout(err) {
 			mClientTimeouts.Inc()
@@ -371,7 +313,7 @@ func (e *Edge) doOnce(ctx context.Context, method, path string, body []byte, out
 // backoff returns the delay before retry number try (1-based): the base
 // doubles per retry with multiplicative jitter in [1,2), capped at 2s.
 func (e *Edge) backoff(try int) time.Duration {
-	d := e.RetryBase << (try - 1)
+	d := e.opts.RetryBase << (try - 1)
 	if max := 2 * time.Second; d > max {
 		d = max
 	}

@@ -3,29 +3,10 @@ package distrib
 import (
 	"fmt"
 	"net/http"
-	"slices"
 	"sort"
 
 	"repro/internal/obs"
 )
-
-// maxCoordSpans bounds the coordinator-side trace ring; once full the
-// oldest record is overwritten, so a long-lived coordinator keeps the
-// most recent fleet activity.
-const maxCoordSpans = 512
-
-// maxUploadSpans bounds the span records one telemetry upload carries, and
-// what the coordinator keeps of one.
-const maxUploadSpans = 256
-
-// newestSpans keeps the last maxUploadSpans records, in an array of their
-// own: edge:run ends last, and a trace without its root is headless.
-func newestSpans(recs []obs.SpanRecord) []obs.SpanRecord {
-	if n := len(recs); n > maxUploadSpans {
-		return slices.Clone(recs[n-maxUploadSpans:])
-	}
-	return recs
-}
 
 // Fleet-telemetry wire types.
 
@@ -38,9 +19,6 @@ type edgeTelemetryReq struct {
 	Retries  int64          `json:"retries"`
 	Timeouts int64          `json:"timeouts"`
 	Latency  *obs.QSnapshot `json:"latency,omitempty"`
-	// Spans are the run's completed client-side span records (at most
-	// maxUploadSpans of them), keyed into FleetStats.Traces by trace ID.
-	Spans []obs.SpanRecord `json:"spans,omitempty"`
 }
 
 // EdgeStats is one edge's client-side view in the fleet stats.
@@ -61,22 +39,15 @@ type FleetStats struct {
 	TotalRetries  int64                `json:"total_retries"`
 	TotalTimeouts int64                `json:"total_timeouts"`
 	EdgeLatency   obs.QSummary         `json:"edge_latency"`
-	// Traces assembles the cross-process traces the coordinator knows
-	// about — client-side spans uploaded with edge telemetry merged with
-	// the coordinator's own server-side records — keyed by trace ID and
-	// sorted by start offset within each trace.
-	Traces map[string][]obs.SpanRecord `json:"traces,omitempty"`
 }
 
 // handleTelemetry stores one edge's end-of-run client telemetry (last
-// write per edge wins, so a restarted edge reports its final state), and
-// of its spans only the newest maxUploadSpans, whatever the edge sent.
+// write per edge wins, so a restarted edge reports its final state).
 func (c *Coordinator) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	var req edgeTelemetryReq
 	if !obs.ReadJSON(w, r, &req) || !c.inFleet(w, "edge id", &req.EdgeID) {
 		return
 	}
-	req.Spans = newestSpans(req.Spans)
 	c.mu.Lock()
 	c.touchLocked(req.EdgeID)
 	c.edgeTel[req.EdgeID] = req
@@ -108,35 +79,5 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		fs.TotalTimeouts += t.Timeouts
 	}
 	fs.EdgeLatency = merged.Summary()
-	fs.Traces = c.assembleTraces(tel)
 	obs.ReplyJSON(w, http.StatusOK, fs)
-}
-
-// assembleTraces merges the coordinator's server-side span records with
-// the client-side spans each edge uploaded, grouped by trace ID. Spans
-// within a trace are sorted by start offset (client and server clocks
-// have different bases, so ordering is per-process best-effort; span
-// parentage carries the authoritative structure).
-func (c *Coordinator) assembleTraces(tel []edgeTelemetryReq) map[string][]obs.SpanRecord {
-	traces := make(map[string][]obs.SpanRecord)
-	for _, rec := range c.tracer.Records() {
-		tid := rec.TraceID.String()
-		traces[tid] = append(traces[tid], rec)
-	}
-	for _, t := range tel {
-		for _, rec := range t.Spans {
-			if rec.TraceID.IsZero() {
-				continue
-			}
-			tid := rec.TraceID.String()
-			traces[tid] = append(traces[tid], rec)
-		}
-	}
-	for _, spans := range traces {
-		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	}
-	if len(traces) == 0 {
-		return nil
-	}
-	return traces
 }

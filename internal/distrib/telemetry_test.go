@@ -60,15 +60,13 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := &Edge{
-				ID: i, BaseURL: srv.URL, Program: gp,
-				Device:    device.NewTX2GPU(),
-				RetryBase: time.Millisecond,
-				// A lossy link forces client retries so the retry fields in
-				// /v1/stats are exercised, not just present. Per-edge seeds
-				// decorrelate the three fault schedules.
-				Transport: NewFaultyTransport(FaultPlan{Seed: int64(100 + i), DropProb: 0.3}, nil),
-			}
+			eo := opts
+			eo.RetryBase = time.Millisecond
+			e := NewEdge(i, srv.URL, gp, device.NewTX2GPU(), eo)
+			// A lossy link forces client retries so the retry fields in
+			// /v1/stats are exercised, not just present. Per-edge seeds
+			// decorrelate the three fault schedules.
+			e.Transport = NewFaultyTransport(FaultPlan{Seed: int64(100 + i), DropProb: 0.3}, nil)
 			_, errs[i] = e.Run(ctx)
 		}(i)
 	}
@@ -225,86 +223,5 @@ func TestTelemetryRejectsInconsistentSnapshot(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("latency %s: status %d, want 400", latency, resp.StatusCode)
 		}
-	}
-}
-
-// TestTelemetryUploadKeepsRunRoot pins which spans survive the upload
-// bound: a run with more request spans than maxUploadSpans (one per HTTP
-// attempt, so any run that polls for a few seconds) must still ship
-// edge:run, which ends last — without it the assembled trace is headless.
-func TestTelemetryUploadKeepsRunRoot(t *testing.T) {
-	srv := telemetryCoordinator(t)
-	e := &Edge{
-		ID: 0, BaseURL: srv.URL, RequestTimeout: 5 * time.Second,
-		Tracer: obs.NewTracer(obs.TracerOptions{IDSeed: 5}),
-		telLat: obs.NewQHist(),
-	}
-	e.span = e.Tracer.Start("edge:run")
-	for i := 0; i < maxUploadSpans+44; i++ {
-		e.span.Child("edge:request").End()
-	}
-	e.span.End()
-	e.reportTelemetry(context.Background())
-
-	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var fs FleetStats
-	if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
-		t.Fatal(err)
-	}
-	spans := fs.Traces[e.span.TraceID().String()]
-	hasRoot := false
-	for _, rec := range spans {
-		hasRoot = hasRoot || rec.Name == "edge:run"
-	}
-	if !hasRoot {
-		t.Errorf("%d spans of the run's trace reached the coordinator, edge:run not among them", len(spans))
-	}
-}
-
-// TestTelemetryKeepsNewestSpans pins the coordinator's own bound on
-// uploaded spans: an edge that sends more than maxUploadSpans records —
-// whatever its client does — has only the newest of them kept, so the run
-// root, which ends last, survives and the oldest are gone.
-func TestTelemetryKeepsNewestSpans(t *testing.T) {
-	srv := telemetryCoordinator(t)
-	tid := obs.TraceID{15: 1}
-	req := edgeTelemetryReq{EdgeID: 0}
-	for i := 0; i < 300; i++ {
-		req.Spans = append(req.Spans, obs.SpanRecord{
-			TraceID: tid, ID: int64(i + 1), Name: fmt.Sprintf("edge:request#%d", i), Start: int64(i),
-		})
-	}
-	req.Spans[299].Name = "edge:run"
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := srv.Client().Post(srv.URL+"/v1/telemetry", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("telemetry upload: status %d", resp.StatusCode)
-	}
-	resp, err = srv.Client().Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var fs FleetStats
-	if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
-		t.Fatal(err)
-	}
-	spans := fs.Traces[tid.String()]
-	if len(spans) != maxUploadSpans {
-		t.Fatalf("coordinator kept %d of 300 uploaded spans, want %d", len(spans), maxUploadSpans)
-	}
-	if spans[0].Name != "edge:request#44" || spans[len(spans)-1].Name != "edge:run" {
-		t.Errorf("kept spans run %q … %q, want the newest: edge:request#44 … edge:run", spans[0].Name, spans[len(spans)-1].Name)
 	}
 }

@@ -17,15 +17,22 @@ import (
 // /healthz 503 transition, SIGQUIT, and on demand via /debug/flight.
 
 // FlightEntry is one ring slot: a completed span or a discrete event.
+// A span's ParentSpanID and Links join the ring's traces: a request's
+// trace ID appears in the links of the serve:batch span that executed
+// it, and that batch's own trace holds its serve:execute and serve:tuner
+// spans. Links shares the span record's slice (sinks treat it as
+// read-only), so recording still copies a fixed-size entry.
 type FlightEntry struct {
-	Seq     uint64  `json:"seq"`
-	Kind    string  `json:"kind"` // "span" or "event"
-	Name    string  `json:"name"`
-	TraceID TraceID `json:"trace_id"`
-	SpanID  SpanID  `json:"span_id"`
-	Start   int64   `json:"start_ns"`
-	Dur     int64   `json:"dur_ns"`
-	Detail  string  `json:"detail,omitempty"`
+	Seq          uint64    `json:"seq"`
+	Kind         string    `json:"kind"` // "span" or "event"
+	Name         string    `json:"name"`
+	TraceID      TraceID   `json:"trace_id"`
+	SpanID       SpanID    `json:"span_id"`
+	ParentSpanID SpanID    `json:"parent_span_id"`
+	Links        []TraceID `json:"links,omitempty"`
+	Start        int64     `json:"start_ns"`
+	Dur          int64     `json:"dur_ns"`
+	Detail       string    `json:"detail,omitempty"`
 }
 
 // flightShard is one ring segment. The trailing pad keeps hot shards on
@@ -65,12 +72,12 @@ var defaultFlight = newFlightRecorder(flightShards, flightPerShard)
 // Flight returns the process-wide flight recorder.
 func Flight() *FlightRecorder { return defaultFlight }
 
-func (f *FlightRecorder) record(e FlightEntry) {
+func (f *FlightRecorder) record(e *FlightEntry) {
 	if f == nil {
 		return
 	}
 	e.Seq = f.seq.Add(1)
-	f.shards[e.Seq%uint64(len(f.shards))].push(e)
+	f.shards[e.Seq%uint64(len(f.shards))].push(*e)
 }
 
 // OnSpanEnd records a completed span (SpanSink; NewTracer appends the
@@ -78,20 +85,22 @@ func (f *FlightRecorder) record(e FlightEntry) {
 // events are both stamped with obs.Now, so the entries of one ring are
 // chronologically comparable.
 func (f *FlightRecorder) OnSpanEnd(rec SpanRecord) {
-	f.record(FlightEntry{
-		Kind:    "span",
-		Name:    rec.Name,
-		TraceID: rec.TraceID,
-		SpanID:  rec.SpanID,
-		Start:   rec.Start,
-		Dur:     rec.Dur,
+	f.record(&FlightEntry{
+		Kind:         "span",
+		Name:         rec.Name,
+		TraceID:      rec.TraceID,
+		SpanID:       rec.SpanID,
+		ParentSpanID: rec.ParentSpanID,
+		Links:        rec.Links,
+		Start:        rec.Start,
+		Dur:          rec.Dur,
 	})
 }
 
 // Event records a discrete event (switch, alarm, reject). tid may be
 // zero when the event is not tied to one request.
 func (f *FlightRecorder) Event(name, detail string, tid TraceID) {
-	f.record(FlightEntry{
+	f.record(&FlightEntry{
 		Kind:    "event",
 		Name:    name,
 		Detail:  detail,

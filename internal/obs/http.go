@@ -106,15 +106,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// StatusOf reports the status a handler running under Route has answered
-// with so far (200 until it writes a header, and for any other writer).
-func StatusOf(w http.ResponseWriter) int {
-	if sw, ok := w.(*statusWriter); ok {
-		return sw.status
-	}
-	return http.StatusOK
-}
-
 // ReplyJSON answers with status code and v as a JSON body.
 func ReplyJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

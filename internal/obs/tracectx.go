@@ -10,10 +10,9 @@ import (
 
 // Request-scoped trace identity (Dapper-style). A trace is one logical
 // request; its ID is minted where the request enters the system and
-// propagated across process boundaries in the W3C `traceparent` header,
-// so the edge client, the coordinator middleware and the serve handler
-// all stamp their spans with the same 128-bit trace ID and a cross-
-// process trace can be assembled after the fact.
+// carried across process boundaries in the W3C `traceparent` header, so
+// the serve handler stamps its spans with the 128-bit trace ID its caller
+// sent and answers with the identity it used.
 
 // TraceID identifies one logical request end to end (128 bits, rendered
 // as 32 lowercase hex digits). The zero value means "no trace".
@@ -140,20 +139,6 @@ func ParseTraceparent(v string) (SpanContext, bool) {
 // isHexByte reports whether c is a lowercase hex digit.
 func isHexByte(c byte) bool {
 	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
-}
-
-// Inject writes s's identity into h as a traceparent header. No-op on
-// nil spans or spans without identity, so disabled tracing adds nothing
-// to outbound requests.
-func Inject(h http.Header, s *Span) {
-	if s == nil {
-		return
-	}
-	sc := s.Context()
-	if !sc.Valid() {
-		return
-	}
-	h.Set(TraceparentHeader, FormatTraceparent(sc))
 }
 
 // Extract reads the traceparent header from h. The zero SpanContext

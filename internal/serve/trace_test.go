@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -337,6 +338,63 @@ func TestServeTraceparentPropagation(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("no serve:request span of the continued trace in the tracer's records")
+		}
+	}
+}
+
+// TestServeFlightJoinsRequestToBatch checks that the flight ring alone
+// leads from a request to the batch that executed it: the request's trace
+// ID is among the links of a serve:batch entry, and that batch's trace
+// holds its serve:execute and serve:tuner children, parented on it.
+func TestServeFlightJoinsRequestToBatch(t *testing.T) {
+	cfg := testConfig(testNet(9))
+	cfg.Tracer = obs.NewTracer(obs.TracerOptions{IDSeed: 29})
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The ring is process-wide: look only at what this test recorded.
+	var since uint64
+	for _, e := range obs.Flight().Entries() {
+		since = max(since, e.Seq)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(inferBody(t, 1, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("infer: HTTP %d", resp.StatusCode)
+	}
+	tid := obs.Extract(resp.Header).TraceID
+	if tid.IsZero() {
+		t.Fatal("traced server answered without a traceparent")
+	}
+
+	// A batch's children end before it, so they precede it in the ring.
+	var batch *obs.FlightEntry
+	entries := obs.Flight().Entries()
+	for i, e := range entries {
+		if e.Seq > since && e.Kind == "span" && e.Name == "serve:batch" && slices.Contains(e.Links, tid) {
+			batch = &entries[i]
+		}
+	}
+	if batch == nil {
+		t.Fatalf("no serve:batch entry in the flight ring links request trace %s", tid)
+	}
+	children := map[string]obs.SpanID{}
+	for _, e := range entries {
+		if e.Seq > since && e.Kind == "span" && e.TraceID == batch.TraceID {
+			children[e.Name] = e.ParentSpanID
+		}
+	}
+	for _, name := range []string{"serve:execute", "serve:tuner"} {
+		if parent, ok := children[name]; !ok || parent != batch.SpanID {
+			t.Errorf("%s of batch trace %s: found %v, parent %s, want parent %s", name, batch.TraceID, ok, parent, batch.SpanID)
 		}
 	}
 }
