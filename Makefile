@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable test race test-benchmark chaos bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke examples trace
+.PHONY: ci fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable test race test-benchmark bench-smoke bench-exec-smoke fuzz-smoke serve-smoke trace-smoke examples trace
 
 ci: fmt-check vet vet-selftest no-fma no-fma-selftest build build-portable bench-exec-smoke fuzz-smoke serve-smoke trace-smoke examples race test-benchmark
 
@@ -101,13 +101,6 @@ race:
 test-benchmark:
 	$(GO) test ./benchmark
 
-# Fault-injection suite for the distributed install-time protocol: seeded
-# chaos schedules (edge crashes, flaky transport, no-shows) plus the
-# zero-fault bit-determinism pin. `-short` trims to one seed and drops
-# the slowest scenario.
-chaos:
-	$(GO) test -race -v -run 'TestChaos|TestEdgeRunHonorsContext' ./internal/distrib
-
 # The repo benchmark's exec_fresh workload at smoke scale: every model ×
 # configuration × batch executes and its output digest is checked against
 # benchmark/expected.json, so a kernel change that moves one bit fails here.
@@ -118,17 +111,16 @@ bench-exec-smoke:
 # engine against the im2col reference), of the row-epilogue one (every
 # kernel tier against the scalar chain), of the /v1/infer body scanner
 # against encoding/json, of the traceparent header parser, of the
-# install-time coordinator's three upload endpoints, of the tradeoff-curve
-# decoder (round trip and core.CheckCurve), of the curve-bundle loader
-# (round trip and core.CheckCurve on both slots) and of max pooling
-# (every kernel tier against the reference loop), starting from the
-# committed corpora and in-code seeds.
+# tradeoff-curve decoder (round trip and core.CheckCurve), of the
+# curve-bundle loader (round trip and core.CheckCurve on both slots), of
+# max pooling (every kernel tier against the reference loop) and of the
+# JSON model frontend, starting from the committed corpora and in-code
+# seeds.
 fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzConvDirectVsReference -fuzztime 10s
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzEpilogueRow -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzInferRequestDecode -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s
-	$(GO) test ./internal/distrib -run '^$$' -fuzz FuzzCoordinatorUploads -fuzztime 10s
 	$(GO) test ./internal/pareto -run '^$$' -fuzz FuzzUnmarshalCurve -fuzztime 10s
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzArtifactLoad -fuzztime 10s
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzMaxPool -fuzztime 10s

@@ -59,12 +59,6 @@ type (
 	Result = core.Result
 	// InstallResult bundles an install-time run's curve and stats.
 	InstallResult = core.InstallResult
-	// InstallOptions is the full install-time option set, including the
-	// distributed protocol's fault-tolerance knobs (LeaseTTL,
-	// RequestTimeout, MaxRetries). Build one with
-	// App.InstallOptionsFor when driving the HTTP coordinator/edge
-	// transport directly.
-	InstallOptions = core.InstallOptions
 	// Metric scores program outputs (higher is better).
 	Metric = qos.Metric
 )
@@ -195,26 +189,16 @@ func (a *App) TuneDevelopmentTime(spec TuneSpec) (*Result, error) {
 // predictive tuning over nEdge simulated edge devices explores them;
 // otherwise the shipped curve is re-measured and filtered.
 func (a *App) TuneInstallTime(dev *Result, d *Device, spec TuneSpec, objective core.Objective, nEdge int) (*InstallResult, error) {
-	io := a.InstallOptionsFor(d, spec, objective, nEdge)
-	if dev.Profiles == nil {
-		return core.RefineCurve(a.prog, dev.Curve, io)
-	}
-	return core.InstallTune(a.prog, dev.Profiles, io)
-}
-
-// InstallOptionsFor materializes the install-time option set that
-// TuneInstallTime would use — the configuration a distributed (HTTP)
-// install-time run must share between the coordinator and every edge.
-// Fault-tolerance knobs (LeaseTTL, RequestTimeout, MaxRetries) are zero
-// on the returned value, meaning the protocol defaults; set them before
-// handing the options to both sides.
-func (a *App) InstallOptionsFor(d *Device, spec TuneSpec, objective core.Objective, nEdge int) InstallOptions {
-	return core.InstallOptions{
+	io := core.InstallOptions{
 		Options:   spec.options(a.BaselineQoS),
 		Device:    d,
 		Objective: objective,
 		NEdge:     nEdge,
 	}
+	if dev.Profiles == nil {
+		return core.RefineCurve(a.prog, dev.Curve, io)
+	}
+	return core.InstallTune(a.prog, dev.Profiles, io)
 }
 
 // RefineOnDevice is the software-only install-time path: re-measure and

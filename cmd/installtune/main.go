@@ -8,32 +8,23 @@
 //
 //	installtune -benchmark alexnet2 -device gpu -objective energy -edges 8
 //
-// With -http the distributed phase runs over a loopback HTTP
-// coordinator and a real edge-client fleet (the internal/distrib
-// transport) instead of the in-process simulation; -lease-ttl,
-// -req-timeout and -retries tune its fault-tolerance knobs.
+// The -edges devices are goroutines of this process (core.InstallTune's
+// fleet), each profiling and validating its own calibration shard.
 //
 // Observability: -trace out.jsonl exports a JSONL span trace of the run,
 // -metrics-addr :8090 serves live /metrics (OpenMetrics), /healthz and
 // /debug/pprof, -telemetry prints an end-of-run metric summary table,
-// and -v / -q adjust progress verbosity. In -http mode the coordinator
-// itself also serves /metrics and /healthz, and the run ends with a
-// "fleet:" line of the fleet's retry, timeout and reassignment counts.
+// and -v / -q adjust progress verbosity.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	approxtuner "repro"
-	"repro/internal/distrib"
 	"repro/internal/models"
 	"repro/internal/obs"
 )
@@ -55,11 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		iters     = fs.Int("iters", 3000, "search iteration cap")
 		out       = fs.String("o", "", "write the final curve JSON to this file (default stdout)")
 		seed      = fs.Int64("seed", 1, "seed")
-
-		httpMode   = fs.Bool("http", false, "run the distributed phase over a loopback HTTP coordinator + edge fleet")
-		leaseTTL   = fs.Duration("lease-ttl", 30*time.Second, "HTTP mode: edge liveness lease before work is reassigned")
-		reqTimeout = fs.Duration("req-timeout", 10*time.Second, "HTTP mode: per-request timeout on the edge client")
-		retries    = fs.Int("retries", 4, "HTTP mode: retries per request (exponential backoff)")
 	)
 	oc := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -114,37 +100,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if strings.ToLower(*objective) == "energy" {
 		obj = approxtuner.MinimizeEnergy
 	}
-	var curve *approxtuner.Curve
-	if *httpMode {
-		if devRes.Profiles == nil {
-			return fail(errors.New("-http needs development-time profiles (predictive path)"))
-		}
-		opts := app.InstallOptionsFor(dev, spec, obj, *edges)
-		opts.LeaseTTL = *leaseTTL
-		opts.RequestTimeout = *reqTimeout
-		opts.MaxRetries = *retries
-		logger.Infof("install-time tuning on %s over loopback HTTP (%s objective, %d edges, lease %v)...\n",
-			dev.Name, obj, *edges, *leaseTTL)
-		curve, err = runDistributed(app, devRes, dev, opts, logger)
-		if err != nil {
-			return fail(err)
-		}
-		logger.Infof("final curve: %d points\n", curve.Len())
-	} else {
-		logger.Infof("install-time tuning on %s (%s objective, %d edge devices)...\n",
-			dev.Name, obj, *edges)
-		inst, err := app.TuneInstallTime(devRes, dev, spec, obj, *edges)
-		if err != nil {
-			return fail(err)
-		}
-		curve = inst.Curve
-		logger.Infof(
-			"final curve: %d points; edge profile phase %v, server tuning %v\n",
-			inst.Curve.Len(),
-			inst.Stats.EdgeProfileTime.Round(1e6), inst.Stats.ServerTuneTime.Round(1e6))
-		logger.Verbosef("validation: %d configs per edge, %d survived, total %v\n",
-			inst.Stats.ValidatePerEdge, inst.Stats.Validated, inst.Stats.Total.Round(1e6))
+	logger.Infof("install-time tuning on %s (%s objective, %d edge devices)...\n",
+		dev.Name, obj, *edges)
+	inst, err := app.TuneInstallTime(devRes, dev, spec, obj, *edges)
+	if err != nil {
+		return fail(err)
 	}
+	curve := inst.Curve
+	logger.Infof(
+		"final curve: %d points; edge profile phase %v, server tuning %v\n",
+		curve.Len(),
+		inst.Stats.EdgeProfileTime.Round(1e6), inst.Stats.ServerTuneTime.Round(1e6))
+	logger.Verbosef("validation: %d configs per edge, %d survived, total %v\n",
+		inst.Stats.ValidatePerEdge, inst.Stats.Validated, inst.Stats.Total.Round(1e6))
 	if pt, ok := curve.Best(app.BaselineQoS - *loss); ok {
 		logger.Infof("best: %s → %.2fx (%s)\n",
 			approxtuner.DescribeConfig(pt.Config), pt.Perf, obj)
@@ -163,55 +131,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logger.Infof("curve written to %s\n", *out)
 	return 0
-}
-
-// runDistributed executes the install-time distributed phase over a real
-// loopback HTTP transport: a coordinator served on 127.0.0.1 and one edge
-// client goroutine per fleet member, all sharing the same options (and
-// therefore the same lease/retry discipline the flags configured).
-func runDistributed(app *approxtuner.App, devRes *approxtuner.Result, dev *approxtuner.Device, opts approxtuner.InstallOptions, logger *obs.Logger) (*approxtuner.Curve, error) {
-	coord, err := distrib.NewCoordinator(app.Program(), devRes.Profiles, opts)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := obs.Listen("127.0.0.1:0", coord.Handler())
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	baseURL := "http://" + srv.Addr
-
-	ctx := context.Background()
-	errs := make([]error, opts.NEdge)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.NEdge; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			e := distrib.NewEdge(i, baseURL, app.Program(), dev, opts)
-			_, errs[i] = e.Run(ctx)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("edge %d: %w", i, err)
-		}
-	}
-	final, ok := coord.FinalCurve()
-	if !ok {
-		return nil, fmt.Errorf("coordinator did not produce a final curve")
-	}
-	logFleetCounts(logger)
-	return final, nil
-}
-
-// logFleetCounts logs the fault-tolerance counters of the run. The edges
-// run in this process, so their client counts are the process registry's.
-func logFleetCounts(logger *obs.Logger) {
-	reg := obs.Default
-	logger.Infof("fleet: %d client retries, %d client timeouts, %d lease expirations, %d shards and %d slices reassigned\n",
-		reg.Counter("distrib.client_retries").Value(), reg.Counter("distrib.client_timeouts").Value(),
-		reg.Counter("distrib.lease_expirations").Value(), reg.Counter("distrib.reassigned_shards").Value(),
-		reg.Counter("distrib.reassigned_slices").Value())
 }

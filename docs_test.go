@@ -72,10 +72,15 @@ func TestDocsStayWithinTheirCaps(t *testing.T) {
 // trailing `*` makes Name a prefix.
 var docSymbolRe = regexp.MustCompile(`(?:^|[^\w./-])([a-z][a-z0-9]*)\.([A-Z]\w*)(\*?)`)
 
+// docDirRe finds a package path `internal/dir` or `cmd/dir` inside a
+// backticked span, alone or at the head of a longer path or import path.
+var docDirRe = regexp.MustCompile(`(?:^|[^\w.-])((?:internal|cmd)/(\w+))`)
+
 // TestDocsNameDeclaredSymbols holds README.md and DESIGN.md to the code: a
 // backticked `pkg.Name` whose pkg is a directory under internal/ or cmd/
-// must name a top-level declaration of that package, so a deleted or
-// renamed symbol cannot live on in the docs.
+// must name a top-level declaration of that package, and a backticked
+// `internal/dir` or `cmd/dir` must name an existing directory, so a deleted
+// or renamed symbol or package cannot live on in the docs.
 func TestDocsNameDeclaredSymbols(t *testing.T) {
 	decls := map[string]map[string]bool{}
 	for _, root := range []string{"internal", "cmd"} {
@@ -98,6 +103,12 @@ func TestDocsNameDeclaredSymbols(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, s := range span.FindAllString(line, -1) {
+				for _, m := range docDirRe.FindAllStringSubmatch(s, -1) {
+					checked++
+					if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+						t.Errorf("%s:%d: %s names %s, which is not a directory", doc, i+1, s, m[1])
+					}
+				}
 				for _, m := range docSymbolRe.FindAllStringSubmatch(s, -1) {
 					names, ok := decls[m[1]]
 					if !ok {
@@ -113,7 +124,7 @@ func TestDocsNameDeclaredSymbols(t *testing.T) {
 		}
 	}
 	if checked == 0 {
-		t.Fatal("no backticked pkg.Name found in README.md or DESIGN.md: the pattern no longer matches the docs")
+		t.Fatal("no backticked pkg.Name or package path found in README.md or DESIGN.md: the patterns no longer match the docs")
 	}
 }
 

@@ -202,7 +202,7 @@ func EmpiricalTune(p Program, o Options) (*Result, error) {
 // searchShortlist is steps 2–4 of Algorithm 1 over a knob space o.Policy
 // and profiles that cover it: calibrate Π, search with Π as the QoS oracle,
 // keep the ε1-shortlist. Development time runs it on the software knobs,
-// install time (SearchShortlist) on software and hardware knobs together.
+// install time (InstallTune's step 2) on software and hardware knobs together.
 func searchShortlist(p Program, profiles *predictor.Profiles, o Options, calibRng *tensor.RNG, parent *obs.Span, watch *Stopwatch, st *Stats) ([]pareto.Point, error) {
 	if o.Model == predictor.Pi1 && !profiles.SupportsPi1() {
 		return nil, fmt.Errorf("core: Π1 unavailable for %q: the profiles carry no raw-output deltas", p.Name())

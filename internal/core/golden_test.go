@@ -28,6 +28,7 @@ var goldenRuns = map[string]struct{ curve, stats string }{
 	"install/edges1/time":   {"c583cd0e3d45beca2c5ea314e1b9a5ddff9de2cd69a4bffa7c82e22fce568ba2", "300/210/300/2/0.623809523809524"},
 	"install/edges3/energy": {"b6a40a661578e1a8d389ffe6b1989a1f7f42b3433117db0e6fc9bd49956de1d6", "290/199/290/4/0.6410256410256412"},
 	"install/edges3/time":   {"201c159622d8b540de69e38935f1b789a7dce8a7cd22aa5f05997aca3d80c855", "300/220/300/4/0.6410256410256412"},
+	"install/edges8/energy": {"677e9e8248b58aa2a55a8710d618e483f0ea89143ddaace81f55d27ed61e9396", "300/207/300/6/0.6490949507780248"},
 	"predictive/pi1":        {"56c033bc1fdfdb4d70fb6c22db9e3428992d2fa5d8ab419664b1d61a64bcb4c2", "300/100/300/2/0.6090534979423868"},
 	"predictive/pi2":        {"9df7cc865a95af56e4032a4c3f88d88728183c80457ae3b52ec3b87dd5ae447d", "300/65/300/12/0.5843023255813954"},
 	"predictive/pi2-loose":  {"95cf9356c1188a52f7ef332b3c41616fb2529931bac14cfdf3f87f3b70fef466", "300/197/300/13/0.5843023255813954"},
@@ -87,15 +88,17 @@ func TestGoldenCurveDigests(t *testing.T) {
 		}
 		check("refine/"+name, res.Curve, res.Stats.Stats)
 	}
-	for _, nEdge := range []int{1, 3} {
-		for _, obj := range []Objective{MinimizeTime, MinimizeEnergy} {
-			res, err := InstallTune(gp, dev.Profiles, InstallOptions{
-				Options: o, Device: device.NewTX2GPU(), Objective: obj, NEdge: nEdge,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("install/edges%d/%s", nEdge, obj), res.Curve, res.Stats.Stats)
+	// Eight edges is installtune's default fleet.
+	for _, run := range []struct {
+		nEdge int
+		obj   Objective
+	}{{1, MinimizeTime}, {1, MinimizeEnergy}, {3, MinimizeTime}, {3, MinimizeEnergy}, {8, MinimizeEnergy}} {
+		res, err := InstallTune(gp, dev.Profiles, InstallOptions{
+			Options: o, Device: device.NewTX2GPU(), Objective: run.obj, NEdge: run.nEdge,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		check(fmt.Sprintf("install/edges%d/%s", run.nEdge, run.obj), res.Curve, res.Stats.Stats)
 	}
 }

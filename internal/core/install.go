@@ -52,54 +52,8 @@ type InstallOptions struct {
 	// Objective selects time vs energy optimization.
 	Objective Objective
 	// NEdge is the number of edge devices participating in distributed
-	// tuning (the paper emulates 100).
+	// tuning (the paper emulates 100; default 4).
 	NEdge int
-	// LeaseTTL is how long an edge may stay silent before the network
-	// coordinator (internal/distrib) declares it dead and reassigns its
-	// shard/slice to a live edge (default 30s). The in-process simulated
-	// fleet ignores it.
-	LeaseTTL time.Duration
-	// RequestTimeout bounds each edge HTTP request (default 10s).
-	RequestTimeout time.Duration
-	// MaxRetries is the per-request retry budget of the edge client
-	// (default 4).
-	MaxRetries int
-}
-
-// Norm returns o with every unset field replaced by its documented
-// default. InstallTune, RefineCurve and the network transport
-// (internal/distrib) all normalize through it, so no default is written
-// down twice.
-func (o InstallOptions) Norm() InstallOptions {
-	o.Options = o.Options.norm()
-	if o.NEdge == 0 {
-		o.NEdge = 4
-	}
-	if o.LeaseTTL == 0 {
-		o.LeaseTTL = 30 * time.Second
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 10 * time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 4
-	}
-	return o
-}
-
-// ForFleet returns o normalized for a distributed run of p, or the reason
-// no fleet — simulated or networked — can run it: the protocol measures on
-// a device model, and more than one edge needs a calibration set that
-// shards.
-func (o InstallOptions) ForFleet(p Program) (InstallOptions, error) {
-	o = o.Norm()
-	if o.Device == nil {
-		return o, errNoDevice
-	}
-	if _, ok := p.(Sharder); !ok && o.NEdge > 1 {
-		return o, errCannotShard(p, o.NEdge)
-	}
-	return o, nil
 }
 
 var errNoDevice = errors.New("core: install-time tuning requires a device model")
@@ -157,7 +111,7 @@ func deviceSupports(dev *device.Device, cfg approx.Config) bool {
 // QoS threshold or that the device cannot execute (e.g. FP16 knobs on the
 // TX2's CPU), and returns the refined Pareto curve PS(S*).
 func RefineCurve(p Program, devCurve *pareto.Curve, o InstallOptions) (*InstallResult, error) {
-	o = o.Norm()
+	o.Options = o.Options.norm()
 	if o.Device == nil {
 		return nil, errNoDevice
 	}
@@ -186,13 +140,18 @@ func RefineCurve(p Program, devCurve *pareto.Curve, o InstallOptions) (*InstallR
 // validation and performance/energy measurement; and the server computes
 // the final curve PS(S*₁ ∪ … ∪ S*ₙ).
 //
-// The four steps are the exported functions below; this fleet calls them
-// from goroutines, internal/distrib's from HTTP handlers and clients, and
-// for equal options the two ship byte-identical curves.
+// An edge's seeds come from its unit number, never from the goroutine
+// that runs it, so the curve is independent of scheduling.
 func InstallTune(p Program, devProfiles *predictor.Profiles, o InstallOptions) (*InstallResult, error) {
-	o, err := o.ForFleet(p)
-	if err != nil {
-		return nil, err
+	o.Options = o.Options.norm()
+	if o.NEdge == 0 {
+		o.NEdge = 4
+	}
+	if o.Device == nil {
+		return nil, errNoDevice
+	}
+	if _, ok := p.(Sharder); !ok && o.NEdge > 1 {
+		return nil, errCannotShard(p, o.NEdge)
 	}
 	root := obs.Start("phase:install").
 		With("program", p.Name()).With("mode", "distributed").
@@ -201,12 +160,14 @@ func InstallTune(p Program, devProfiles *predictor.Profiles, o InstallOptions) (
 	watch := NewStopwatch()
 	var st InstallStats
 
+	// Step 1, on every edge: collect the QoS profiles of the
+	// hardware-specific knobs on the edge's calibration shard.
 	esp := root.Child("edge-profile")
 	shards := make([]*predictor.Profiles, o.NEdge)
-	err = eachEdge(o.NEdge, func(e int) (err error) {
+	err := eachEdge(o.NEdge, func(e int) (err error) {
 		ssp := esp.Child("edge-shard").With("edge", e)
 		defer ssp.End()
-		shards[e], err = ProfileShard(p, o, e, ssp)
+		shards[e], err = profileShard(p, o, e, ssp)
 		return err
 	})
 	esp.End()
@@ -215,22 +176,45 @@ func InstallTune(p Program, devProfiles *predictor.Profiles, o InstallOptions) (
 	}
 	st.EdgeProfileTime = watch.Lap()
 
+	// Step 2, on the server: merge the shard profiles (mean ΔQ,
+	// concatenated ΔT), lay them over the development-time software
+	// profiles, and run steps 2–4 of Algorithm 1 over the combined knob
+	// space.
 	tsp := root.Child("server-tune")
-	candidates, searchStats, err := SearchShortlist(p, devProfiles, shards, o, tsp)
+	hw := shards[0]
+	if o.NEdge > 1 {
+		hw = predictor.Merge(shards)
+	}
+	so := o.Options
+	so.Policy = o.installPolicy()
+	if o.Objective == MinimizeEnergy {
+		// For energy the search ranks by the device's energy model (the
+		// "corresponding prediction model" of §3.1); for time it keeps the
+		// hardware-agnostic Eq. 3 ranking.
+		so.PerfModel = func(cfg approx.Config) float64 { return measurePerf(p, o.Device, MinimizeEnergy, cfg) }
+	}
+	candidates, err := searchShortlist(p, combineProfiles(devProfiles, hw), so, tensor.NewRNG(o.Seed+400), tsp, NewStopwatch(), &st.Stats)
 	tsp.With("shortlist", len(candidates)).End()
 	if err != nil {
 		return nil, err
 	}
-	st.Stats = searchStats
 	st.ServerTuneTime = watch.Lap()
 
+	// Step 3, on every edge: measure real QoS on the edge's shard, and
+	// perf/energy on the device, for its share candidates[e],
+	// candidates[e+NEdge], … and keep the local Pareto set.
 	vsp := root.Child("edge-validate").With("shortlist", len(candidates))
 	edgeSets := make([][]pareto.Point, o.NEdge)
-	err = eachEdge(o.NEdge, func(e int) (err error) {
+	err = eachEdge(o.NEdge, func(e int) error {
 		edgeSpan := vsp.Child("edge").With("edge", e)
 		defer edgeSpan.End()
-		edgeSets[e], err = ValidateSlice(p, o, e, candidates, edgeSpan)
-		return err
+		local, err := edgeProgram(p, e, o.NEdge)
+		if err != nil {
+			return err
+		}
+		kept, _ := validate(local, p, candidates, e, o.NEdge, tensor.NewRNG(o.Seed+300+int64(e)), o, edgeSpan)
+		edgeSets[e] = pareto.Set(kept)
+		return nil
 	})
 	vsp.End()
 	if err != nil {
@@ -238,10 +222,16 @@ func InstallTune(p Program, devProfiles *predictor.Profiles, o InstallOptions) (
 	}
 	st.ValidatePerEdge = (len(candidates) + o.NEdge - 1) / o.NEdge
 
-	curve := FinalCurve(p, devProfiles.BaseQoS, edgeSets, o)
+	// Step 4, on the server: the curve over the union of the edges'
+	// local Pareto sets.
+	var union []pareto.Point
 	for _, s := range edgeSets {
-		st.Validated += len(s)
+		union = append(union, s...)
 	}
+	st.Validated = len(union)
+	sort.Slice(union, func(i, j int) bool { return union[i].Perf < union[j].Perf })
+	curve := pareto.NewCurve(p.Name(), devProfiles.BaseQoS, union)
+	curve.BaselineTime = o.Device.Time(p.Costs(), nil)
 	st.ValidateTime = watch.Lap()
 	st.Total = watch.Total()
 	return &InstallResult{Curve: curve, Stats: st}, nil
@@ -268,15 +258,8 @@ func eachEdge(nEdge int, step func(e int) error) error {
 	return nil
 }
 
-// The §4 protocol, one function per step. Every step takes the fleet's
-// ForFleet-normalized options and is a pure function of them and its unit
-// number: a unit's seed comes from the unit, never from who computes it, so
-// a survivor that takes over a dead peer's shard or slice reproduces the
-// bytes the peer would have sent. Spans may be nil.
-
-// ProfileShard is step 1 as edge unit performs it: collect the QoS profiles
-// of the hardware-specific knobs on the unit's calibration shard.
-func ProfileShard(p Program, o InstallOptions, unit int, sp *obs.Span) (*predictor.Profiles, error) {
+// profileShard is step 1 as edge unit performs it.
+func profileShard(p Program, o InstallOptions, unit int, sp *obs.Span) (*predictor.Profiles, error) {
 	local, err := edgeProgram(p, unit, o.NEdge)
 	if err != nil {
 		return nil, err
@@ -294,60 +277,9 @@ func ProfileShard(p Program, o InstallOptions, unit int, sp *obs.Span) (*predict
 	return CollectProfiles(local, nil, hwKnobs, tensor.NewRNG(o.Seed+200+int64(unit)), sp), nil
 }
 
-// SearchShortlist is step 2, the server's: merge the edges' shard profiles
-// (mean ΔQ, concatenated ΔT), lay them over the development-time software
-// profiles, and run steps 2–4 of Algorithm 1 — calibration, search,
-// ε1-shortlist — over the combined knob space. shards is indexed by unit.
-func SearchShortlist(p Program, devProfiles *predictor.Profiles, shards []*predictor.Profiles, o InstallOptions, sp *obs.Span) ([]pareto.Point, Stats, error) {
-	hw := shards[0]
-	if len(shards) > 1 {
-		hw = predictor.Merge(shards)
-	}
-	o.Policy = o.installPolicy()
-	if o.Objective == MinimizeEnergy {
-		// For energy the search ranks by the device's energy model (the
-		// "corresponding prediction model" of §3.1); for time it keeps the
-		// hardware-agnostic Eq. 3 ranking.
-		dev := o.Device
-		o.PerfModel = func(cfg approx.Config) float64 { return measurePerf(p, dev, MinimizeEnergy, cfg) }
-	}
-	var st Stats
-	candidates, err := searchShortlist(p, combineProfiles(devProfiles, hw), o.Options, tensor.NewRNG(o.Seed+400), sp, NewStopwatch(), &st)
-	return candidates, st, err
-}
-
-// ValidateSlice is step 3 as edge unit performs it: measure real QoS on the
-// unit's calibration shard, and perf/energy on the device, for its equal
-// share shortlist[unit], shortlist[unit+NEdge], … and return the local
-// Pareto set.
-func ValidateSlice(p Program, o InstallOptions, unit int, candidates []pareto.Point, sp *obs.Span) ([]pareto.Point, error) {
-	local, err := edgeProgram(p, unit, o.NEdge)
-	if err != nil {
-		return nil, err
-	}
-	kept, _ := validate(local, p, candidates, unit, o.NEdge, tensor.NewRNG(o.Seed+300+int64(unit)), o, sp)
-	return pareto.Set(kept), nil
-}
-
-// FinalCurve is step 4, the server's: the curve PS(S*₁ ∪ … ∪ S*ₙ) over the
-// edges' local Pareto sets, indexed by unit.
-func FinalCurve(p Program, baseQoS float64, edgeSets [][]pareto.Point, o InstallOptions) *pareto.Curve {
-	var union []pareto.Point
-	for _, s := range edgeSets {
-		union = append(union, s...)
-	}
-	sort.Slice(union, func(i, j int) bool { return union[i].Perf < union[j].Perf })
-	curve := pareto.NewCurve(p.Name(), baseQoS, union)
-	curve.BaselineTime = o.Device.Time(p.Costs(), nil)
-	return curve
-}
-
 // edgeProgram is p as edge unit of an nEdge fleet sees it: the unit's
 // in-order share of the calibration inputs, or all of p for a fleet of one.
 func edgeProgram(p Program, unit, nEdge int) (Program, error) {
-	if unit < 0 || unit >= nEdge {
-		return nil, fmt.Errorf("core: unit %d is outside a fleet of %d", unit, nEdge)
-	}
 	if nEdge == 1 {
 		return p, nil
 	}

@@ -13,11 +13,9 @@
 // calibrates Π, searches with it and keeps the ε1-shortlist for development
 // time and install time alike; search is the only autotuning loop, scored
 // by prediction or by measurement; validate is the only place a
-// configuration's real QoS is held against QoS_min. The §4 install-time
-// protocol is four exported per-unit steps (install.go: ProfileShard,
-// SearchShortlist, ValidateSlice, FinalCurve) that InstallTune runs on
-// goroutines and internal/distrib carries over HTTP, with identical
-// results. The device model enters tuning through measurePerf alone.
+// configuration's real QoS is held against QoS_min. InstallTune runs the
+// §4 install-time protocol's four steps over a fleet of goroutine edges
+// (install.go). The device model enters tuning through measurePerf alone.
 //
 // Programs are abstracted behind the Program interface so both plain CNN
 // graphs and composite pipelines (CNN + Canny with a multi-metric QoS) are

@@ -16,8 +16,8 @@ import (
 // This file is the repository's one HTTP scaffold: the listener every
 // server binds through (Listen), the middleware every route is counted by
 // (Route), the JSON reply, error body and bounded read every handler
-// answers and reads with, and the JSON fetch their clients use. serve,
-// distrib's coordinator and the metrics endpoint below all use it.
+// answers and reads with, and the JSON fetch their clients use. serve and
+// the metrics endpoint below use it.
 
 // Server is one bound HTTP listener with the header-read bound every
 // server in the repository shares.
@@ -160,39 +160,21 @@ func readStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// ReadJSON reads a request body (ReadBody) and decodes it into v. On
-// failure it has answered as ReadBody does, or 400 for a body that does
-// not decode, and returns false.
-func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, ok := ReadBody(w, r)
-	if !ok {
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		ReplyError(w, http.StatusBadRequest, err.Error())
-		return false
-	}
-	return true
-}
-
-// MetricsHandler serves the registry at a /metrics-style endpoint in the
-// OpenMetrics 1.0 exposition (WriteOpenMetrics), whatever the query or
-// Accept header: it is the format Prometheus asks for first, and the only
-// one whose grammar carries exemplars. reg nil means the Default registry.
-func MetricsHandler(reg *Registry) http.Handler {
-	if reg == nil {
-		reg = Default
-	}
+// MetricsHandler serves the Default registry at a /metrics-style endpoint
+// in the OpenMetrics 1.0 exposition (WriteOpenMetrics), whatever the query
+// or Accept header: it is the format Prometheus asks for first, and the
+// only one whose grammar carries exemplars.
+func MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		_ = reg.WriteOpenMetrics(w)
+		_ = Default.WriteOpenMetrics(w)
 	})
 }
 
-// HealthzHandler answers liveness probes with 200 "ok". It reports the
+// healthzHandler answers liveness probes with 200 "ok". It reports the
 // process-level signal only; richer health (e.g. runtime drift) lives in
 // the metrics the same endpoint serves.
-func HealthzHandler() http.Handler {
+func healthzHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -215,8 +197,8 @@ func ServeMetrics(addr string) (*Server, error) {
 		}
 		fmt.Fprintf(w, "approxtuner observability endpoint\n\n/metrics      metrics in OpenMetrics 1.0, exemplars on histogram buckets\n/healthz      liveness probe\n/trace        span tree of the active tracer\n/debug/flight flight-recorder dump (JSONL, most recent spans + events)\n/debug/pprof  live profiling\n")
 	})
-	mux.Handle("/metrics", MetricsHandler(nil))
-	mux.Handle("/healthz", HealthzHandler())
+	mux.Handle("/metrics", MetricsHandler())
+	mux.Handle("/healthz", healthzHandler())
 	mux.Handle("/debug/flight", Flight().Handler())
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		t := Active()

@@ -123,9 +123,8 @@ func TestWriteOpenMetricsValidFormat(t *testing.T) {
 // whatever the query or the Accept header asks for, the answer is
 // OpenMetrics 1.0, ending in # EOF.
 func TestMetricsContentNegotiation(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("obs.negotiation_test").Inc()
-	h := MetricsHandler(reg)
+	NewCounter("obs.negotiation_test").Inc()
+	h := MetricsHandler()
 	for _, c := range []struct{ format, accept string }{
 		{"", ""},
 		{"prom", ""},

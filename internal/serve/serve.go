@@ -344,7 +344,7 @@ func (s *Server) Handler() http.Handler {
 		{"POST /v1/curve", http.HandlerFunc(s.handleCurve)},
 		{"GET /healthz", http.HandlerFunc(s.handleHealthz)},
 		{"GET /statz", http.HandlerFunc(s.handleStatz)},
-		{"GET /metrics", obs.MetricsHandler(nil)},
+		{"GET /metrics", obs.MetricsHandler()},
 		{"GET /debug/flight", obs.Flight().Handler()},
 	} {
 		mux.Handle(rt.pattern, obs.Route(rt.pattern, rt.h))
