@@ -90,13 +90,18 @@ test:
 # that runs one graph from four goroutines, whose executions hand their
 # activations back to one shared pool. The convolution differential and
 # the GEMM panel-count test run at one to four workers; three cut panel
-# ranges at an odd panel count.
+# ranges at an odd panel count. The flight recorder is process-wide, so a
+# test that reads spans from it sees an earlier run's too; the tests that do
+# run twice in one binary, where each must still find only its own.
 race:
 	$(GO) test -race -timeout 45m $$($(GO) list ./... | grep -v '^repro/benchmark$$')
 	$(GO) test -race -cpu 1,2,4 ./internal/parallel
 	$(GO) test -race -cpu 1,2,4 -run 'TestConvPaddedPlanesPerWorker|TestConvLoweringFirstUse' ./internal/tensorops
 	$(GO) test -race -cpu 1,2,3,4 -run 'TestConvDirectMatchesReference|TestGemmRowBlockPanelCountsAndOffsets' ./internal/tensorops
 	$(GO) test -race -cpu 1,2,4 -run TestExecuteConcurrent ./internal/models
+	$(GO) test -race -count=2 -run 'TestEverySinkSeesEachSpanOnce|TestServeMetricsEndpoint' ./internal/obs
+	$(GO) test -race -count=2 -run 'TestServeTraceAcceptance|TestServeTraceparentPropagation|TestServeBatchObservability|TestServeFlightJoinsRequestToBatch' ./internal/serve
+	$(GO) test -race -count=2 -run TestRuntimeTunerCloseIdempotent ./internal/core
 
 test-benchmark:
 	$(GO) test ./benchmark

@@ -138,10 +138,7 @@ func run(args []string, stderr io.Writer) int {
 	}
 	// Request-scoped tracing: per-request spans, traceparent propagation
 	// and histogram exemplars.
-	cfg.Tracer = obs.NewTracer(obs.TracerOptions{
-		KeepInMemory: -1, // nothing reads Records(): spans reach the flight ring
-		IDSeed:       *traceSeed,
-	})
+	cfg.Tracer = obs.NewTracer(obs.TracerOptions{IDSeed: *traceSeed})
 	if *flightPath != "" {
 		f, err := os.OpenFile(*flightPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {

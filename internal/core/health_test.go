@@ -115,6 +115,7 @@ func TestRuntimeTunerCloseIdempotent(t *testing.T) {
 	prev := obs.Install(tr)
 	defer obs.Install(prev)
 
+	t0 := obs.Now()
 	rt, err := NewRuntimeTuner(healthTestCurve(), PolicyAverage, 0.1, 1, 14)
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +124,10 @@ func TestRuntimeTunerCloseIdempotent(t *testing.T) {
 	rt.Close()
 	rt.Close()
 	rt.Close()
+	// The flight ring is process-wide: count only this tuner's span.
 	var ended int
-	for _, rec := range tr.Records() {
-		if rec.Name == "phase:runtime" {
+	for _, e := range obs.Flight().Entries() {
+		if e.Kind == "span" && e.Name == "phase:runtime" && e.TraceID == rt.span.TraceID() && e.Start >= t0 {
 			ended++
 		}
 	}

@@ -70,34 +70,55 @@ func ReadTrace(r io.Reader) ([]SpanRecord, error) {
 type TreeNode struct {
 	SpanRecord
 	Children []*TreeNode
+	parent   *TreeNode
 }
 
-// BuildTree links span records into forests by parent ID. Roots (and each
-// node's children) are ordered by start time. Spans referencing a missing
-// parent become roots, so partial traces still render.
+// BuildTree links span records into forests by SpanID/ParentSpanID. Roots
+// (and each node's children) are ordered by start time. A span whose
+// parent is missing becomes a root, so partial traces still render. Parent
+// IDs can come from an untrusted traceparent header and the flight ring
+// mixes tracers, so the links are not trusted to form a tree: a span ID
+// seen twice is the parent of its children only at its first record, and a
+// span whose parent link would close a cycle becomes a root. Every record
+// is then one node, and a walk visits each once.
 func BuildTree(records []SpanRecord) []*TreeNode {
-	nodes := make(map[int64]*TreeNode, len(records))
-	for _, r := range records {
-		nodes[r.ID] = &TreeNode{SpanRecord: r}
+	nodes := make([]TreeNode, len(records))
+	byID := make(map[SpanID]*TreeNode, len(records))
+	for i, r := range records {
+		nodes[i].SpanRecord = r
+		if _, dup := byID[r.SpanID]; !dup && !r.SpanID.IsZero() {
+			byID[r.SpanID] = &nodes[i]
+		}
 	}
 	var roots []*TreeNode
-	for _, r := range records {
-		n := nodes[r.ID]
-		if p, ok := nodes[r.Parent]; ok && r.Parent != r.ID {
+	for i := range nodes {
+		n := &nodes[i]
+		if p := byID[n.ParentSpanID]; p != nil && !p.descendsFrom(n) {
+			n.parent = p
 			p.Children = append(p.Children, n)
 		} else {
 			roots = append(roots, n)
 		}
 	}
-	var sortNodes func(ns []*TreeNode)
-	sortNodes = func(ns []*TreeNode) {
-		sort.Slice(ns, func(i, j int) bool { return ns[i].Start < ns[j].Start })
-		for _, n := range ns {
-			sortNodes(n.Children)
+	byStart := func(ns []*TreeNode) {
+		sort.SliceStable(ns, func(i, j int) bool { return ns[i].Start < ns[j].Start })
+	}
+	byStart(roots)
+	for i := range nodes {
+		byStart(nodes[i].Children)
+	}
+	return roots
+}
+
+// descendsFrom reports whether n is anc or lies below it in the links made
+// so far.
+func (n *TreeNode) descendsFrom(anc *TreeNode) bool {
+	for ; n != nil; n = n.parent {
+		if n == anc {
+			return true
 		}
 	}
-	sortNodes(roots)
-	return roots
+	return false
 }
 
 // Walk visits the node and its descendants depth-first.

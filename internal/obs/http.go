@@ -186,8 +186,8 @@ func healthzHandler() http.Handler {
 // /metrics (MetricsHandler), a liveness probe at /healthz, a span-tree
 // summary at /trace, the flight recorder at /debug/flight and the
 // standard net/http/pprof handlers at /debug/pprof/ for live profiling of
-// long tuning runs. /metrics serves the Default registry and /trace the
-// currently installed tracer.
+// long tuning runs. /metrics serves the Default registry; /trace renders
+// the flight recorder's span entries, of every tracer, as a tree.
 func ServeMetrics(addr string) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -195,19 +195,20 @@ func ServeMetrics(addr string) (*Server, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "approxtuner observability endpoint\n\n/metrics      metrics in OpenMetrics 1.0, exemplars on histogram buckets\n/healthz      liveness probe\n/trace        span tree of the active tracer\n/debug/flight flight-recorder dump (JSONL, most recent spans + events)\n/debug/pprof  live profiling\n")
+		fmt.Fprintf(w, "approxtuner observability endpoint\n\n/metrics      metrics in OpenMetrics 1.0, exemplars on histogram buckets\n/healthz      liveness probe\n/trace        span tree of the flight recorder\n/debug/flight flight-recorder dump (JSONL, most recent spans + events)\n/debug/pprof  live profiling\n")
 	})
 	mux.Handle("/metrics", MetricsHandler())
 	mux.Handle("/healthz", healthzHandler())
 	mux.Handle("/debug/flight", Flight().Handler())
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		t := Active()
-		if t == nil {
-			ReplyError(w, http.StatusNotFound, "no tracer installed")
-			return
+		var spans []SpanRecord
+		for _, e := range Flight().Entries() {
+			if e.Kind == "span" {
+				spans = append(spans, e.SpanRecord)
+			}
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, Summarize(t.Records()))
+		fmt.Fprint(w, Summarize(spans))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

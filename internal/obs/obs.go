@@ -1,8 +1,9 @@
 // Package obs is the repository's stdlib-only observability layer: a
 // hierarchical span tracer, a metrics registry (counters, gauges,
-// log-scale histograms), and exporters (JSONL trace files, a
+// log-scale histograms), the flight recorder (the one in-memory store of
+// recent spans and events), and exporters (JSONL trace files, a
 // human-readable tree summary, and an opt-in HTTP endpoint serving the
-// OpenMetrics exposition plus net/http/pprof).
+// OpenMetrics exposition, the flight recorder and net/http/pprof).
 //
 // The paper's entire evaluation (§6, Tables 3–4, Figs 6–9) is built from
 // per-phase timings, per-iteration tuner telemetry and per-op cost/QoS
@@ -40,13 +41,10 @@ func Now() int64 { return int64(time.Since(clockBase)) }
 // global holds the installed tracer; nil means tracing is disabled.
 var global atomic.Pointer[Tracer]
 
-// Install makes t the process-wide tracer returned by Active. Passing nil
-// disables tracing. Install returns the previous tracer (possibly nil) so
-// tests can restore it.
+// Install makes t the process-wide tracer that Start opens root spans on.
+// Passing nil disables tracing. Install returns the previous tracer
+// (possibly nil) so tests can restore it.
 func Install(t *Tracer) *Tracer { return global.Swap(t) }
-
-// Active returns the installed tracer, or nil when tracing is disabled.
-func Active() *Tracer { return global.Load() }
 
 // Start opens a root span on the installed tracer. It returns nil (a
 // valid no-op span) when tracing is disabled.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -84,7 +85,7 @@ func TestNoopPathAllocatesZero(t *testing.T) {
 
 func TestConcurrentSpansAndMetrics(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(TracerOptions{Writer: &buf, KeepInMemory: 100000})
+	tr := NewTracer(TracerOptions{Writer: &buf})
 	install(t, tr)
 	reg := NewRegistry()
 	ctr := reg.Counter("test.c")
@@ -178,19 +179,6 @@ func TestGraphDetailBudget(t *testing.T) {
 	sp.End()
 }
 
-func TestTracerRetentionBound(t *testing.T) {
-	tr := NewTracer(TracerOptions{KeepInMemory: 3})
-	for i := 0; i < 10; i++ {
-		tr.Start("s").End()
-	}
-	if got := len(tr.Records()); got != 3 {
-		t.Fatalf("retained %d, want 3", got)
-	}
-	if tr.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", tr.Dropped())
-	}
-}
-
 func TestLoggerLevels(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, Normal)
@@ -215,16 +203,22 @@ func TestLoggerLevels(t *testing.T) {
 	}
 }
 
+// endpointTreeRe matches TestServeMetricsEndpoint's two spans as /trace
+// renders them: the child one level in, under its parent, with its op.
+var endpointTreeRe = regexp.MustCompile(`(?m)^endpoint:root  [0-9.]+ms\n  endpoint:child  [0-9.]+ms op=3$`)
+
 func TestServeMetricsEndpoint(t *testing.T) {
 	// A Default counter keeps its count across -count runs, so the
 	// expected line is read back from it.
 	ctr := NewCounter("obs.serve_metrics_test")
 	ctr.Add(42)
 	want := fmt.Sprintf("\nobs_serve_metrics_test_total %d\n", ctr.Value())
-	tr := NewTracer(TracerOptions{})
-	prev := Install(tr)
-	defer Install(prev)
-	tr.Start("phase:devtime").End()
+	// Two unseeded tracers' spans meet in the flight ring: each tracer
+	// must mint its own IDs, or the child is shown under the other root.
+	NewTracer(TracerOptions{}).Start("endpoint:other").End()
+	root := NewTracer(TracerOptions{}).Start("endpoint:root")
+	root.Child("endpoint:child").With("op", 3).End()
+	root.End()
 	srv, err := ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeMetrics: %v", err)
@@ -246,8 +240,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if metrics := get("/metrics"); !strings.Contains(metrics, want) {
 		t.Fatalf("metrics = %q, want %q", metrics, want)
 	}
-	if !strings.Contains(get("/trace"), "phase:devtime") {
-		t.Fatal("trace endpoint missing span")
+	// /trace renders the flight ring, which holds other tests' spans too.
+	if tree := get("/trace"); !endpointTreeRe.MatchString(tree) {
+		t.Fatalf("/trace does not indent endpoint:child, with its attribute, under endpoint:root:\n%s", tree)
 	}
 	if !strings.Contains(get("/debug/pprof/"), "profile") {
 		t.Fatal("pprof index not served")

@@ -33,7 +33,7 @@ func promTestRegistry() *Registry {
 	h.Observe(1.0 / 16)
 	h.Observe(96)
 	q := reg.QHistogram("runtime.invocation_seconds")
-	exTID, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
+	exTID, _ := parseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
 	for i := 1; i <= 100; i++ {
 		if i == 50 {
 			// One exemplar in the p50 bucket: same counts as a plain

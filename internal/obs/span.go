@@ -2,14 +2,13 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 )
 
-// SpanSink receives every completed span record; the in-memory ring, the
-// JSONL export and the flight recorder are all sinks.
+// SpanSink receives every completed span record; the JSONL export and the
+// flight recorder, the one in-memory span store, are both sinks.
 // Sinks must be goroutine-safe and treat the record's Attrs and Links as
 // read-only: every sink of a tracer is handed the same ones.
 type SpanSink interface {
@@ -21,14 +20,15 @@ type TracerOptions struct {
 	// Writer, when non-nil, receives one JSON line per completed span
 	// (the JSONL trace export). The tracer serializes writes.
 	Writer io.Writer
-	// KeepInMemory bounds the number of completed spans retained for
-	// Records/Summarize (default 4096; 0 takes the default, negative
-	// disables retention). Retention is a ring: when full, the oldest
-	// record is overwritten, so a long run keeps the most recent spans.
+	// KeepInMemory does nothing: the flight recorder is the one in-memory
+	// span store.
+	//
+	// Deprecated: benchmark/serve.go and benchmark/micro.go still set it;
+	// delete it with the next benchmark change.
 	KeepInMemory int
 	// IDSeed seeds trace/span ID generation (splitmix64 sequence). Zero
-	// derives a seed from the process start time; fix it for
-	// reproducible IDs in tests and smoke runs.
+	// draws a stream of the tracer's own from the process start time and
+	// a count of unseeded tracers; fix it for reproducible IDs.
 	IDSeed int64
 	// Sinks receive every completed span record after the built-in ones.
 	Sinks []SpanSink
@@ -39,33 +39,26 @@ type TracerOptions struct {
 // execute the graph thousands of times, and traces must stay readable.
 const graphExecDetail = 16
 
+// unseededTracers counts the tracers built without an IDSeed.
+var unseededTracers atomic.Uint64
+
 // Tracer records hierarchical spans. All methods are goroutine-safe.
 type Tracer struct {
-	ids   *IDSource
+	ids   *idSource
 	sinks []SpanSink
-	ring  *ringSink  // answers Records and Dropped; nil when retention is off
 	jsonl *jsonlSink // answers Err; nil without a Writer
 
-	nextID       atomic.Int64
 	detailBudget atomic.Int64
 }
 
-// NewTracer builds a tracer. A zero TracerOptions gives an in-memory-only
-// tracer suitable for tests and CLI tree summaries. Completed spans go,
-// in order, to the ring (KeepInMemory), the JSONL export (Writer), the
-// process-wide flight recorder, then o.Sinks.
+// NewTracer builds a tracer. With a zero TracerOptions its spans reach the
+// flight recorder alone. Completed spans go, in order, to the JSONL export
+// (Writer), the process-wide flight recorder, then o.Sinks.
 func NewTracer(o TracerOptions) *Tracer {
-	if o.KeepInMemory == 0 {
-		o.KeepInMemory = 4096
-	}
 	if o.IDSeed == 0 {
-		o.IDSeed = clockBase.UnixNano()
+		o.IDSeed = int64(mix64(uint64(clockBase.UnixNano()) + unseededTracers.Add(1)))
 	}
-	t := &Tracer{ids: NewIDSource(o.IDSeed)}
-	if o.KeepInMemory > 0 {
-		t.ring = &ringSink{ring[SpanRecord]{max: o.KeepInMemory}}
-		t.sinks = append(t.sinks, t.ring)
-	}
+	t := &Tracer{ids: newIDSource(o.IDSeed)}
 	if o.Writer != nil {
 		t.jsonl = &jsonlSink{w: o.Writer}
 		t.sinks = append(t.sinks, t.jsonl)
@@ -81,7 +74,7 @@ func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(name, 0, TraceID{}, SpanID{})
+	return t.newSpan(name, TraceID{}, SpanID{})
 }
 
 // openSpans counts the spans begun and not yet ended, on every tracer.
@@ -95,38 +88,19 @@ func OpenSpans() int64 { return openSpans.Load() }
 // newSpan is the single span constructor: a zero trace ID mints a fresh
 // trace (root span); a non-zero one continues it with parentSID as the
 // parent span (local child or remote continuation).
-func (t *Tracer) newSpan(name string, parent int64, trace TraceID, parentSID SpanID) *Span {
+func (t *Tracer) newSpan(name string, trace TraceID, parentSID SpanID) *Span {
 	if trace.IsZero() {
 		trace = t.ids.TraceID()
 	}
 	openSpans.Add(1)
 	return &Span{
-		tr:     t,
-		id:     t.nextID.Add(1),
-		parent: parent,
-		name:   name,
-		start:  Now(),
-		trace:  trace,
-		sid:    t.ids.SpanID(),
-		psid:   parentSID,
+		tr:    t,
+		name:  name,
+		start: Now(),
+		trace: trace,
+		sid:   t.ids.SpanID(),
+		psid:  parentSID,
 	}
-}
-
-// Records returns a copy of the retained completed spans, oldest first.
-func (t *Tracer) Records() []SpanRecord {
-	if t == nil || t.ring == nil {
-		return nil
-	}
-	return t.ring.items()
-}
-
-// Dropped returns how many completed spans have been overwritten because
-// the in-memory retention ring was full.
-func (t *Tracer) Dropped() int64 {
-	if t == nil || t.ring == nil {
-		return 0
-	}
-	return t.ring.dropped.Load()
 }
 
 // Err returns the first JSONL write error, if any.
@@ -144,12 +118,6 @@ func (t *Tracer) finish(rec SpanRecord) {
 		s.OnSpanEnd(rec)
 	}
 }
-
-// ringSink retains the most recent spans, so a long-lived process shows
-// current activity rather than its first few thousand spans.
-type ringSink struct{ ring[SpanRecord] }
-
-func (s *ringSink) OnSpanEnd(rec SpanRecord) { s.push(rec) }
 
 // jsonlSink writes one JSON line per span. Marshalling happens before
 // the lock is taken, so concurrent span ends serialize only on the
@@ -175,18 +143,16 @@ func (s *jsonlSink) OnSpanEnd(rec SpanRecord) {
 // Span is one timed, attributed, nestable region of work. A nil *Span is
 // the valid no-op span; every method tolerates it.
 type Span struct {
-	tr     *Tracer
-	id     int64
-	parent int64
-	name   string
-	start  int64
-	trace  TraceID
-	sid    SpanID
-	psid   SpanID
-	attrs  map[string]any
-	links  []TraceID
-	mu     sync.Mutex
-	ended  bool
+	tr    *Tracer
+	name  string
+	start int64
+	trace TraceID
+	sid   SpanID
+	psid  SpanID
+	attrs map[string]any
+	links []TraceID
+	mu    sync.Mutex
+	ended bool
 }
 
 // Child opens a sub-span sharing s's trace ID. On a nil span it returns
@@ -195,7 +161,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tr.newSpan(name, s.id, s.trace, s.sid)
+	return s.tr.newSpan(name, s.trace, s.sid)
 }
 
 // With attaches an attribute and returns the span for chaining. No-op on
@@ -272,8 +238,6 @@ func (s *Span) End() {
 	openSpans.Add(-1)
 	end := Now()
 	rec := SpanRecord{
-		ID:           s.id,
-		Parent:       s.parent,
 		Name:         s.name,
 		Start:        s.start,
 		End:          end,
@@ -291,24 +255,16 @@ func (s *Span) End() {
 // SpanRecord is the exported form of a completed span. Start and End are
 // process-clock nanoseconds (obs.Now, as flight-recorder events are), Dur
 // their difference; Attrs and Links are shared by every sink: read-only.
-// ID/Parent are the
-// process-local int64 tree used by BuildTree; TraceID/SpanID/
-// ParentSpanID are the propagable identity (hex in JSON) used to stitch
-// cross-process traces.
+// TraceID/SpanID/ParentSpanID (hex in JSON) are its one identity: BuildTree
+// links records by them, and traceparent propagates them.
 type SpanRecord struct {
-	ID           int64          `json:"id"`
-	Parent       int64          `json:"parent,omitempty"`
 	Name         string         `json:"name"`
 	Start        int64          `json:"start_ns"`
-	End          int64          `json:"end_ns"`
+	End          int64          `json:"end_ns,omitempty"`
 	Dur          int64          `json:"dur_ns"`
 	TraceID      TraceID        `json:"trace_id"`
 	SpanID       SpanID         `json:"span_id"`
 	ParentSpanID SpanID         `json:"parent_span_id"`
 	Links        []TraceID      `json:"links,omitempty"`
 	Attrs        map[string]any `json:"attrs,omitempty"`
-}
-
-func (r SpanRecord) String() string {
-	return fmt.Sprintf("%s (%.3fms)", r.Name, float64(r.Dur)/1e6)
 }

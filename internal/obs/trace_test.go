@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -11,39 +12,16 @@ import (
 	"testing"
 )
 
-// TestTracerRetentionKeepsMostRecent pins the ring semantics of the
-// in-memory span store: when more spans complete than KeepInMemory, the
-// retained set is the most recent N in completion order — not the first
-// N — so a long-lived server's /trace always shows current activity.
-func TestTracerRetentionKeepsMostRecent(t *testing.T) {
-	tr := NewTracer(TracerOptions{KeepInMemory: 3})
-	for i := 0; i < 10; i++ {
-		tr.Start(fmt.Sprintf("span-%d", i)).End()
-	}
-	recs := tr.Records()
-	if len(recs) != 3 {
-		t.Fatalf("retained %d, want 3", len(recs))
-	}
-	for i, want := range []string{"span-7", "span-8", "span-9"} {
-		if recs[i].Name != want {
-			t.Errorf("records[%d] = %q, want %q (ring must keep the newest, oldest first)", i, recs[i].Name, want)
-		}
-	}
-	if tr.Dropped() != 7 {
-		t.Errorf("dropped = %d, want 7", tr.Dropped())
-	}
-}
-
 // TestTraceparentRoundTrip pins the W3C traceparent wire format through
 // format → parse → inject → extract.
 func TestTraceparentRoundTrip(t *testing.T) {
-	tid, ok := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
+	tid, ok := parseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
 	if !ok {
-		t.Fatal("ParseTraceID rejected valid ID")
+		t.Fatal("parseTraceID rejected valid ID")
 	}
-	sid, ok := ParseSpanID("00f067aa0ba902b7")
+	sid, ok := parseSpanID("00f067aa0ba902b7")
 	if !ok {
-		t.Fatal("ParseSpanID rejected valid ID")
+		t.Fatal("parseSpanID rejected valid ID")
 	}
 	sc := SpanContext{TraceID: tid, SpanID: sid}
 	hdr := FormatTraceparent(sc)
@@ -81,7 +59,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 // seed yields the same trace/span IDs, different seeds diverge, and no
 // ID is ever zero.
 func TestIDSourceDeterministic(t *testing.T) {
-	a, b := NewIDSource(42), NewIDSource(42)
+	a, b := newIDSource(42), newIDSource(42)
 	for i := 0; i < 100; i++ {
 		ta, tb := a.TraceID(), b.TraceID()
 		if ta != tb {
@@ -98,8 +76,8 @@ func TestIDSourceDeterministic(t *testing.T) {
 			t.Fatal("zero span ID minted")
 		}
 	}
-	c := NewIDSource(43)
-	if a0, c0 := NewIDSource(42).TraceID(), c.TraceID(); a0 == c0 {
+	c := newIDSource(43)
+	if a0, c0 := newIDSource(42).TraceID(), c.TraceID(); a0 == c0 {
 		t.Error("different seeds produced identical first trace IDs")
 	}
 }
@@ -169,6 +147,32 @@ func TestFlightRecorderRetainsRecent(t *testing.T) {
 		if want := fmt.Sprintf("e%d", 92+i); e.Name != want {
 			t.Errorf("entries[%d] = %q, want %q", i, e.Name, want)
 		}
+	}
+}
+
+// TestFlightDumpCarriesAttrs pins what /debug/flight shows of a span: its
+// attributes, and, when one of them has no JSON form, the rest of the
+// entry and of the dump.
+func TestFlightDumpCarriesAttrs(t *testing.T) {
+	fr := newFlightRecorder(1, 8)
+	fr.OnSpanEnd(SpanRecord{Name: "ok", Attrs: map[string]any{"k": 1}})
+	fr.OnSpanEnd(SpanRecord{Name: "nan", Attrs: map[string]any{"alpha": math.NaN()}})
+	fr.Event("after", "", TraceID{})
+	var buf bytes.Buffer
+	if err := fr.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("dump has %d lines, want 3:\n%s", len(lines), buf.String())
+	}
+	for i, want := range []string{`"name":"ok"`, `"name":"nan"`, `"name":"after"`} {
+		if !strings.Contains(lines[i], want) {
+			t.Errorf("line %d = %s, want %s", i, lines[i], want)
+		}
+	}
+	if !strings.Contains(lines[0], `"attrs":{"k":1}`) || strings.Contains(lines[1], `"attrs"`) {
+		t.Errorf("attrs dumped as %s and %s, want {\"k\":1} and none", lines[0], lines[1])
 	}
 }
 
@@ -265,15 +269,15 @@ func (s *recordingSink) records() []SpanRecord {
 	return append([]SpanRecord(nil), s.recs...)
 }
 
-// TestEverySinkSeesEachSpanOnce runs one tracer with all four kinds of
-// destination — ring, JSONL writer, flight recorder, a caller's sink — and
-// holds them to one record: each span arrives at each exactly once, with
-// the same identity and the same process-clock times, and the flight
-// entry's start_ns is the record's Start, not a re-based copy.
+// TestEverySinkSeesEachSpanOnce runs one tracer with all three kinds of
+// destination — JSONL writer, flight recorder, a caller's sink — and holds
+// them to one record: each span arrives at each exactly once, with the
+// same identity and the same process-clock times, and the flight entry is
+// the record itself, not a re-based copy.
 func TestEverySinkSeesEachSpanOnce(t *testing.T) {
 	var buf bytes.Buffer
 	sink := &recordingSink{}
-	tr := NewTracer(TracerOptions{Writer: &buf, KeepInMemory: 16, IDSeed: 77, Sinks: []SpanSink{sink}})
+	tr := NewTracer(TracerOptions{Writer: &buf, IDSeed: 77, Sinks: []SpanSink{sink}})
 	t0 := Now()
 	root := tr.Start("sinks:root").With("k", 1)
 	child := root.Child("sinks:child")
@@ -281,51 +285,99 @@ func TestEverySinkSeesEachSpanOnce(t *testing.T) {
 	root.End()
 	t1 := Now()
 
-	ring := tr.Records()
-	if len(ring) != 2 || ring[0].Name != "sinks:child" || ring[1].Name != "sinks:root" {
-		t.Fatalf("ring holds %v, want child then root", ring)
+	recs := sink.records()
+	if len(recs) != 2 || recs[0].Name != "sinks:child" || recs[1].Name != "sinks:root" {
+		t.Fatalf("sink holds %v, want child then root", recs)
 	}
-	for _, rec := range ring {
+	for _, rec := range recs {
 		if rec.Start < t0 || rec.End > t1 || rec.End < rec.Start {
 			t.Errorf("%s: [%d, %d] outside the process-clock window [%d, %d]", rec.Name, rec.Start, rec.End, t0, t1)
 		}
-	}
-	// Everything but Attrs (JSON turns numbers into float64) must match.
-	same := func(a, b SpanRecord) bool {
-		a.Attrs, b.Attrs = nil, nil
-		return reflect.DeepEqual(a, b)
 	}
 	written, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, got := range map[string][]SpanRecord{"jsonl": written, "sink": sink.records()} {
-		if len(got) != len(ring) {
-			t.Errorf("%s received %d spans, want %d", name, len(got), len(ring))
-			continue
+	if len(written) != len(recs) {
+		t.Fatalf("jsonl received %d spans, want %d", len(written), len(recs))
+	}
+	for i, got := range written {
+		// JSON turns numbers into float64, so Attrs are compared apart.
+		want := recs[i]
+		if fmt.Sprint(got.Attrs) != fmt.Sprint(want.Attrs) {
+			t.Errorf("jsonl span %d attrs %v, want %v", i, got.Attrs, want.Attrs)
 		}
-		for i := range ring {
-			if !same(got[i], ring[i]) {
-				t.Errorf("%s span %d = %+v, want %+v", name, i, got[i], ring[i])
-			}
+		got.Attrs, want.Attrs = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("jsonl span %d = %+v, want %+v", i, got, want)
 		}
 	}
-	for _, rec := range ring {
+	for _, rec := range recs {
 		n := 0
 		for _, e := range Flight().Entries() {
 			// The ring is process-wide and IDSeed fixed: under -count an
 			// earlier run left entries with these IDs, all before t0.
-			if e.SpanID != rec.SpanID || e.TraceID != rec.TraceID || e.Start < t0 {
+			if e.Kind != "span" || e.SpanID != rec.SpanID || e.TraceID != rec.TraceID || e.Start < t0 {
 				continue
 			}
 			n++
-			if e.Start != rec.Start || e.Dur != rec.Dur || e.Name != rec.Name {
-				t.Errorf("flight entry %+v differs from record %+v", e, rec)
+			if !reflect.DeepEqual(e.SpanRecord, rec) {
+				t.Errorf("flight entry %+v differs from record %+v", e.SpanRecord, rec)
 			}
 		}
 		if n != 1 {
 			t.Errorf("%s is in the flight ring %d times, want 1", rec.Name, n)
 		}
+	}
+}
+
+// TestBuildTreeSurvivesBadLinks feeds BuildTree the links an untrusted
+// traceparent or a ring of several tracers can produce — a span that is
+// its own parent, two spans that are each other's parent, one span ID on
+// two records — and holds it to a forest in which every record is one
+// node: a walk visits each once, and Summarize ends.
+func TestBuildTreeSurvivesBadLinks(t *testing.T) {
+	id := func(b byte) SpanID { return SpanID{7: b} }
+	recs := []SpanRecord{
+		{Name: "ok:root", Start: 1, SpanID: id(1)},
+		{Name: "ok:child", Start: 2, SpanID: id(2), ParentSpanID: id(1)},
+		{Name: "self", Start: 3, SpanID: id(3), ParentSpanID: id(3)},
+		{Name: "cycle:a", Start: 4, SpanID: id(4), ParentSpanID: id(5)},
+		{Name: "cycle:b", Start: 5, SpanID: id(5), ParentSpanID: id(4)},
+		{Name: "dup:first", Start: 6, SpanID: id(6)},
+		{Name: "dup:second", Start: 7, SpanID: id(6), ParentSpanID: id(6)},
+		{Name: "dup:child", Start: 8, SpanID: id(8), ParentSpanID: id(6)},
+		{Name: "orphan", Start: 9, SpanID: id(9), ParentSpanID: id(99)},
+	}
+	under := map[string]string{}
+	visits := map[string]int{}
+	var roots []string
+	for _, root := range BuildTree(recs) {
+		roots = append(roots, root.Name)
+		root.Walk(func(n *TreeNode, _ int) {
+			visits[n.Name]++
+			for _, c := range n.Children {
+				under[c.Name] = n.Name
+			}
+		})
+	}
+	if want := []string{"ok:root", "self", "cycle:b", "dup:first", "orphan"}; !reflect.DeepEqual(roots, want) {
+		t.Errorf("roots %v, want %v", roots, want)
+	}
+	for child, parent := range map[string]string{
+		"ok:child": "ok:root", "cycle:a": "cycle:b", "dup:second": "dup:first", "dup:child": "dup:first",
+	} {
+		if got := under[child]; got != parent {
+			t.Errorf("%s is under %q, want %q", child, got, parent)
+		}
+	}
+	for _, r := range recs {
+		if visits[r.Name] != 1 {
+			t.Errorf("walk visited %s %d times, want once", r.Name, visits[r.Name])
+		}
+	}
+	if lines := strings.Count(Summarize(recs), "\n"); lines != len(recs) {
+		t.Errorf("Summarize rendered %d lines, want %d", lines, len(recs))
 	}
 }
 
@@ -335,8 +387,8 @@ func TestEverySinkSeesEachSpanOnce(t *testing.T) {
 // after End are no-ops — a delivered record never changes.
 func TestEndHandsOverAttrsAndLinks(t *testing.T) {
 	sink := &recordingSink{}
-	tr := NewTracer(TracerOptions{KeepInMemory: -1, IDSeed: 9, Sinks: []SpanSink{sink}})
-	other := NewIDSource(4).TraceID()
+	tr := NewTracer(TracerOptions{IDSeed: 9, Sinks: []SpanSink{sink}})
+	other := newIDSource(4).TraceID()
 	const spans, writers = 200, 3
 	for i := 0; i < spans; i++ {
 		sp := tr.Start("race").With("base", i)
@@ -378,10 +430,11 @@ func TestEndHandsOverAttrsAndLinks(t *testing.T) {
 }
 
 // TestTracedBracketAllocs pins what a traced two-span bracket costs
-// through a ring: the two spans and one attribute map. The parent of the
-// change that removed End's copy of that map read 6 allocations / 960 B.
+// through the flight recorder: the two spans and one attribute map. The
+// parent of the change that removed End's copy of that map read 6
+// allocations / 960 B.
 func TestTracedBracketAllocs(t *testing.T) {
-	tr := NewTracer(TracerOptions{KeepInMemory: 64, IDSeed: 1})
+	tr := NewTracer(TracerOptions{IDSeed: 1})
 	if n := testing.AllocsPerRun(1000, func() {
 		root := tr.Start("req").With("status", 200).With("items", 2).With("config", 3)
 		root.Child("exec").End()

@@ -40,7 +40,7 @@ func (t *TraceID) UnmarshalText(b []byte) error {
 		*t = TraceID{}
 		return nil
 	}
-	id, ok := ParseTraceID(string(b))
+	id, ok := parseTraceID(string(b))
 	if !ok {
 		return fmt.Errorf("obs: invalid trace id %q", b)
 	}
@@ -57,7 +57,7 @@ func (s *SpanID) UnmarshalText(b []byte) error {
 		*s = SpanID{}
 		return nil
 	}
-	id, ok := ParseSpanID(string(b))
+	id, ok := parseSpanID(string(b))
 	if !ok {
 		return fmt.Errorf("obs: invalid span id %q", b)
 	}
@@ -65,8 +65,8 @@ func (s *SpanID) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// ParseTraceID parses 32 lowercase/uppercase hex digits.
-func ParseTraceID(s string) (TraceID, bool) {
+// parseTraceID parses 32 lowercase/uppercase hex digits.
+func parseTraceID(s string) (TraceID, bool) {
 	var id TraceID
 	if len(s) != 32 {
 		return id, false
@@ -77,8 +77,8 @@ func ParseTraceID(s string) (TraceID, bool) {
 	return id, true
 }
 
-// ParseSpanID parses 16 hex digits.
-func ParseSpanID(s string) (SpanID, bool) {
+// parseSpanID parses 16 hex digits.
+func parseSpanID(s string) (SpanID, bool) {
 	var id SpanID
 	if len(s) != 16 {
 		return id, false
@@ -121,11 +121,11 @@ func ParseTraceparent(v string) (SpanContext, bool) {
 	if !isHexByte(v[0]) || !isHexByte(v[1]) || v[:2] == "ff" {
 		return SpanContext{}, false
 	}
-	tid, ok := ParseTraceID(v[3:35])
+	tid, ok := parseTraceID(v[3:35])
 	if !ok {
 		return SpanContext{}, false
 	}
-	sid, ok := ParseSpanID(v[36:52])
+	sid, ok := parseSpanID(v[36:52])
 	if !ok {
 		return SpanContext{}, false
 	}
@@ -153,8 +153,8 @@ func Extract(h http.Header) SpanContext {
 }
 
 // mix64 is the splitmix64 finalizer: a full-avalanche 64-bit mix used
-// for ID generation and sampling decisions. It keeps both deterministic
-// under a fixed seed without touching math/rand.
+// for ID generation. It keeps IDs deterministic under a fixed seed
+// without touching math/rand.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e9b5
@@ -164,28 +164,28 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// IDSource mints trace and span IDs: splitmix64 over an atomic counter,
+// idSource mints trace and span IDs: splitmix64 over an atomic counter,
 // so IDs are unique per source, allocation-free, and — under a fixed
 // seed — a deterministic sequence.
-type IDSource struct {
+type idSource struct {
 	state atomic.Uint64
 }
 
-// NewIDSource builds an ID source. The same seed yields the same ID
+// newIDSource builds an ID source. The same seed yields the same ID
 // sequence; use a clock-derived seed for production uniqueness.
-func NewIDSource(seed int64) *IDSource {
-	s := &IDSource{}
+func newIDSource(seed int64) *idSource {
+	s := &idSource{}
 	s.state.Store(uint64(seed))
 	return s
 }
 
-func (g *IDSource) next() uint64 {
+func (g *idSource) next() uint64 {
 	// Weyl-sequence increment + finalizer: the canonical splitmix64 step.
 	return mix64(g.state.Add(0x9e3779b97f4a7c15))
 }
 
 // TraceID returns a fresh non-zero trace ID.
-func (g *IDSource) TraceID() TraceID {
+func (g *idSource) TraceID() TraceID {
 	var id TraceID
 	for id.IsZero() {
 		binary.BigEndian.PutUint64(id[:8], g.next())
@@ -195,7 +195,7 @@ func (g *IDSource) TraceID() TraceID {
 }
 
 // SpanID returns a fresh non-zero span ID.
-func (g *IDSource) SpanID() SpanID {
+func (g *idSource) SpanID() SpanID {
 	var id SpanID
 	for id.IsZero() {
 		binary.BigEndian.PutUint64(id[:], g.next())
@@ -213,5 +213,5 @@ func (t *Tracer) StartRemote(sc SpanContext, name string) *Span {
 	if !sc.Valid() {
 		return t.Start(name)
 	}
-	return t.newSpan(name, 0, sc.TraceID, sc.SpanID)
+	return t.newSpan(name, sc.TraceID, sc.SpanID)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -21,12 +22,11 @@ import (
 // traceScenario boots a traced server with a real injected slowdown
 // (SlowdownFactor stretches batch wall time after SlowdownAfter
 // batches) and drives a seeded closed loop. It returns the server, the
-// tracer, the flight-dump buffer, and the load report, whose
-// SlowestTraces name every request the client sent.
-func traceScenario(t *testing.T) (*Server, *obs.Tracer, *bytes.Buffer, *LoadReport) {
+// flight-dump buffer, and the load report, whose SlowestTraces name every
+// request the client sent.
+func traceScenario(t *testing.T) (*Server, *bytes.Buffer, *LoadReport) {
 	t.Helper()
 	gr := testNet(9)
-	tracer := obs.NewTracer(obs.TracerOptions{KeepInMemory: 4096, IDSeed: 17})
 	flight := &bytes.Buffer{}
 
 	// The tuner sees the same modeled ×2 slowdown as the determinism
@@ -55,7 +55,7 @@ func traceScenario(t *testing.T) (*Server, *obs.Tracer, *bytes.Buffer, *LoadRepo
 	cfg.MaxBatch = 1
 	cfg.Seed = 21
 	cfg.MeasureExec = measure
-	cfg.Tracer = tracer
+	cfg.Tracer = obs.NewTracer(obs.TracerOptions{IDSeed: 17})
 	cfg.FlightLog = flight
 	cfg.SlowdownFactor = 3
 	cfg.SlowdownAfter = 12
@@ -84,7 +84,7 @@ func traceScenario(t *testing.T) (*Server, *obs.Tracer, *bytes.Buffer, *LoadRepo
 		t.Fatalf("closed loop: %d ok of 48 (%d rejected, %d expired, %d failed)",
 			rep.OK, rep.Rejected, rep.Expired, rep.Failed)
 	}
-	return s, tracer, flight, rep
+	return s, flight, rep
 }
 
 // requestExemplarRe matches one serve_request_seconds bucket line that
@@ -121,7 +121,8 @@ func TestServeTraceAcceptance(t *testing.T) {
 	// binary, under other tracers, left exemplars on it. Only the ones
 	// this scenario records are checked.
 	before := requestExemplars(t)
-	s, tracer, flight, rep := traceScenario(t)
+	t0 := obs.Now()
+	s, flight, rep := traceScenario(t)
 	defer s.Close()
 
 	sent := make(map[string]bool, len(rep.SlowestTraces))
@@ -133,19 +134,28 @@ func TestServeTraceAcceptance(t *testing.T) {
 	}
 
 	// (a) Each request is executed in one batch, so the serve:batch
-	// records together link every trace the client saw, and nothing else.
-	// A batch span ends before its members are answered.
+	// entries together link every trace the client saw, and nothing else.
+	// A batch span ends before its members are answered. The flight ring
+	// is process-wide and the tracer's seed fixed: the scenario's spans
+	// are the ones that started at or after t0, and its traces are the
+	// ones the client saw and those of the batches that executed them.
+	var spans []obs.FlightEntry
+	for _, e := range obs.Flight().Entries() {
+		if e.Kind == "span" && e.Start >= t0 {
+			spans = append(spans, e)
+		}
+	}
 	linked := map[string]bool{}
-	scenario := map[obs.TraceID]bool{}
-	for _, rec := range tracer.Records() {
-		scenario[rec.TraceID] = true
-		if rec.Name != "serve:batch" {
+	scenario := maps.Clone(sent)
+	for _, e := range spans {
+		if e.Name != "serve:batch" {
 			continue
 		}
-		if len(rec.Links) == 0 {
-			t.Errorf("serve:batch span %s links no member trace", rec.SpanID)
+		scenario[e.TraceID.String()] = true
+		if len(e.Links) == 0 {
+			t.Errorf("serve:batch span %s links no member trace", e.SpanID)
 		}
-		for _, tid := range rec.Links {
+		for _, tid := range e.Links {
 			linked[tid.String()] = true
 		}
 	}
@@ -160,8 +170,8 @@ func TestServeTraceAcceptance(t *testing.T) {
 		}
 	}
 	inFlight := map[string]bool{}
-	for _, e := range obs.Flight().Entries() {
-		if e.Kind == "span" && scenario[e.TraceID] {
+	for _, e := range spans {
+		if scenario[e.TraceID.String()] {
 			inFlight[e.Name] = true
 		}
 	}
@@ -278,8 +288,7 @@ func TestServeTracedBracketAllocs(t *testing.T) {
 func TestServeTraceparentPropagation(t *testing.T) {
 	gr := testNet(9)
 	cfg := testConfig(gr)
-	tracer := obs.NewTracer(obs.TracerOptions{IDSeed: 1})
-	cfg.Tracer = tracer
+	cfg.Tracer = obs.NewTracer(obs.TracerOptions{IDSeed: 1})
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +298,7 @@ func TestServeTraceparentPropagation(t *testing.T) {
 	defer ts.Close()
 
 	const parent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	t0 := obs.Now()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/infer", bytes.NewReader(inferBody(t, 1, 0)))
 	if err != nil {
 		t.Fatal(err)
@@ -314,20 +324,22 @@ func TestServeTraceparentPropagation(t *testing.T) {
 		t.Error("server echoed the caller's span ID instead of minting its own")
 	}
 
-	// The root span ends after the reply is written, so poll briefly.
+	// The root span ends after the reply is written, so poll briefly. The
+	// caller's trace ID and the tracer's seed are fixed: under -count an
+	// earlier run left the same span in the flight ring, before t0.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		for _, rec := range tracer.Records() {
-			if rec.Name != "serve:request" || rec.TraceID != sc.TraceID {
+		for _, e := range obs.Flight().Entries() {
+			if e.Kind != "span" || e.Name != "serve:request" || e.TraceID != sc.TraceID || e.Start < t0 {
 				continue
 			}
-			if rec.SpanID != sc.SpanID || rec.ParentSpanID.String() != "b7ad6b7169203331" {
+			if e.SpanID != sc.SpanID || e.ParentSpanID.String() != "b7ad6b7169203331" {
 				t.Errorf("serve:request span %s (parent %s), want %s under the caller's b7ad6b7169203331",
-					rec.SpanID, rec.ParentSpanID, sc.SpanID)
+					e.SpanID, e.ParentSpanID, sc.SpanID)
 			}
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no serve:request span of the continued trace in the tracer's records")
+			t.Fatal("no serve:request span of the continued trace in the flight ring")
 		}
 	}
 }

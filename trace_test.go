@@ -12,7 +12,8 @@ import (
 // (results/sample_trace.jsonl, recorded from examples/quickstart with
 // -trace): its span tree must contain the three tuning phases in
 // dev → install → runtime order, with graph executions (and their
-// per-node kernel spans) nested under the phase spans.
+// per-node kernel spans) nested under the phase spans. The tree is linked
+// by span ID, so a sample recorded before spans carried one fails.
 func TestSampleTracePhases(t *testing.T) {
 	f, err := os.Open("results/sample_trace.jsonl")
 	if err != nil {
@@ -22,6 +23,11 @@ func TestSampleTracePhases(t *testing.T) {
 	records, err := obs.ReadTrace(f)
 	if err != nil {
 		t.Fatalf("parse sample trace: %v", err)
+	}
+	for i, r := range records {
+		if r.SpanID.IsZero() || r.TraceID.IsZero() {
+			t.Fatalf("record %d (%s) has no span or trace ID: regenerate the sample with make trace", i+1, r.Name)
+		}
 	}
 	roots := obs.BuildTree(records)
 
