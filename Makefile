@@ -131,19 +131,25 @@ fuzz-smoke:
 	$(GO) test ./internal/tensorops -run '^$$' -fuzz FuzzMaxPool -fuzztime 10s
 	$(GO) test ./internal/models -run '^$$' -fuzz FuzzModelFromJSON -fuzztime 10s
 
-# End-to-end serving smoke: boot approxserve on a loopback port, wait
-# for the ready-file, fire one seeded closed-loop loadgen burst that
-# tolerates zero transport failures, scrape /metrics with Prometheus' own
-# Accept header and require an OpenMetrics 1.0 answer (its Content-Type,
-# a last line of `# EOF`) that counts the burst under its route (a
-# non-zero http_server_seconds series keyed `POST /v1/infer`, so a rename
-# cannot drop it silently), then SIGTERM and require a clean graceful
-# drain (exit 0).
+# The development-time run both serving smokes ship a curve from (≈ 0.1 s).
+SMOKE_TUNE = -benchmark lenet -width 0.25 -images 32 -iters 300 -max-qos-loss 3 -q
+
+# End-to-end serving smoke, the paper's three phases in one pass: tune
+# lenet with approxtune, boot approxserve on the curve it ships on a
+# loopback port, wait for the ready-file, fire one seeded closed-loop
+# loadgen burst that tolerates zero transport failures, scrape /metrics
+# with Prometheus' own Accept header and require an OpenMetrics 1.0 answer
+# (its Content-Type, a last line of `# EOF`) that counts the burst under
+# its route (a non-zero http_server_seconds series keyed `POST /v1/infer`,
+# so a rename cannot drop it silently), then SIGTERM and require a clean
+# graceful drain (exit 0).
 serve-smoke:
 	@tmp=$$(mktemp -d); \
+	$(GO) build -o $$tmp/approxtune ./cmd/approxtune || exit 1; \
 	$(GO) build -o $$tmp/approxserve ./cmd/approxserve || exit 1; \
 	$(GO) build -o $$tmp/loadgen ./cmd/loadgen || exit 1; \
-	$$tmp/approxserve -addr 127.0.0.1:0 -benchmark lenet -width 0.25 \
+	$$tmp/approxtune $(SMOKE_TUNE) -o $$tmp/curve.json || { echo "serve-smoke: approxtune failed"; rm -rf $$tmp; exit 1; }; \
+	$$tmp/approxserve -addr 127.0.0.1:0 -benchmark lenet -width 0.25 -curve $$tmp/curve.json \
 		-slo 250ms -ready-file $$tmp/ready & pid=$$!; \
 	ok=0; for i in $$(seq 1 100); do \
 		if [ -s $$tmp/ready ]; then ok=1; break; fi; sleep 0.1; \
@@ -175,22 +181,27 @@ serve-smoke:
 	rm -rf $$tmp; \
 	echo "serve-smoke: OK"
 
-# End-to-end tracing smoke: boot approxserve with the chaos slowdown
-# hook (×3 after 6 batches) and a flight file, fire a seeded burst whose
-# loadgen must (a) see zero failures, (b) collect slowest/failed trace
-# IDs from traceparent response headers, and (c) verify over
-# /debug/flight that the drift alarm fired and at least one reported
-# trace's span is in the live ring. The drift latch must also have
-# dumped the alarm into the flight file, and every trace a
-# serve_request_seconds bucket names as its exemplar on /metrics must
-# have a span in /debug/flight, and be linked by a serve:batch span there:
-# an exemplar is a trace you can look up, down to the batch that ran it.
+# End-to-end tracing smoke: tune and ship as serve-smoke does, then boot
+# approxserve on the curve with a flight file and a 50µs -exec-budget.
+# A lenet batch takes far longer than that, so the runtime tuner's drift
+# detector sees every batch run slow and latches from its own input: no
+# slowdown is injected. Fire a seeded burst whose loadgen must (a) see
+# zero failures, (b) collect slowest/failed trace IDs from traceparent
+# response headers, and (c) verify over /debug/flight that the drift
+# alarm fired and at least one reported trace's span is in the live ring.
+# The drift latch must also have dumped the alarm into the flight file,
+# and every trace a serve_request_seconds bucket names as its exemplar on
+# /metrics must have a span in /debug/flight, and be linked by a
+# serve:batch span there: an exemplar is a trace you can look up, down to
+# the batch that ran it.
 trace-smoke:
 	@tmp=$$(mktemp -d); \
+	$(GO) build -o $$tmp/approxtune ./cmd/approxtune || exit 1; \
 	$(GO) build -o $$tmp/approxserve ./cmd/approxserve || exit 1; \
 	$(GO) build -o $$tmp/loadgen ./cmd/loadgen || exit 1; \
-	$$tmp/approxserve -addr 127.0.0.1:0 -benchmark lenet -width 0.25 \
-		-slo 250ms -window 4 -trace-seed 11 -slow-after 6 -slow-factor 3 \
+	$$tmp/approxtune $(SMOKE_TUNE) -o $$tmp/curve.json || { echo "trace-smoke: approxtune failed"; rm -rf $$tmp; exit 1; }; \
+	$$tmp/approxserve -addr 127.0.0.1:0 -benchmark lenet -width 0.25 -curve $$tmp/curve.json \
+		-slo 250ms -exec-budget 50us -window 4 -trace-seed 11 \
 		-flight $$tmp/flight.jsonl -ready-file $$tmp/ready & pid=$$!; \
 	ok=0; for i in $$(seq 1 100); do \
 		if [ -s $$tmp/ready ]; then ok=1; break; fi; sleep 0.1; \
@@ -228,16 +239,13 @@ trace-smoke:
 	rm -rf $$tmp; \
 	echo "trace-smoke: OK"
 
-# The examples no other target runs, each to a zero exit (≈ 15 s together):
-# canny_pipeline drives Abs, Sqrt, NMS and Hysteresis through the graph's
-# node loop, distributed_tuning install-time tuning over edge profiles,
-# model_from_json the JSON model front end and the dual-curve bundle, and
-# runtime_adaptation the runtime tuner. `make trace` runs quickstart.
+# The examples no other target runs, each to a zero exit: canny_pipeline
+# drives Abs, Sqrt, NMS and Hysteresis through the graph's node loop, and
+# model_from_json the JSON model front end and the dual-curve bundle.
+# `make trace` runs quickstart, which covers all three tuning phases.
 examples:
 	$(GO) run ./examples/canny_pipeline
-	$(GO) run ./examples/distributed_tuning
 	$(GO) run ./examples/model_from_json
-	$(GO) run ./examples/runtime_adaptation
 
 # One-iteration smoke run of every benchmark in the module.
 bench-smoke:

@@ -6,12 +6,11 @@
 //
 // Usage:
 //
-//	approxserve -benchmark lenet -addr :8080 -slo 50ms
-//	approxserve -benchmark resnet18 -curve curve.json -policy average
+//	approxtune -benchmark lenet -o curve.json
+//	approxserve -benchmark lenet -curve curve.json -addr :8080 -slo 50ms
 //
-// The tradeoff curve comes from -curve (an approxtune/installtune
-// artifact); without it a built-in approximation ladder is used, with
-// modeled speedups — fine for demos and smoke tests, not calibrated.
+// The tradeoff curve is required: -curve names an approxtune or
+// installtune artifact, and the server refuses to start without one.
 // With -exec-budget 0 the per-batch execution budget is calibrated at
 // startup from measured baseline executions.
 //
@@ -26,12 +25,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/models"
@@ -55,7 +52,7 @@ func run(args []string, stderr io.Writer) int {
 		modelJSON  = fs.String("model-json", "", "serve a model compiled from this JSON spec instead of a zoo benchmark")
 		width      = fs.Float64("width", 0.25, "channel-width multiplier for zoo benchmarks")
 		seed       = fs.Int64("seed", 1, "seed for weights, tuner and executor RNG")
-		curvePath  = fs.String("curve", "", "tradeoff-curve JSON (approxtune output); empty builds a built-in ladder")
+		curvePath  = fs.String("curve", "", "tradeoff-curve JSON to serve (approxtune or installtune output); required")
 		policyName = fs.String("policy", "enforce", "runtime policy: enforce | average")
 		slo        = fs.Duration("slo", 50*time.Millisecond, "per-request latency SLO")
 		execBudget = fs.Duration("exec-budget", 0, "per-batch execution budget for the tuner (0 = calibrate from measured baseline executions)")
@@ -68,11 +65,13 @@ func run(args []string, stderr io.Writer) int {
 
 		traceSeed  = fs.Int64("trace-seed", 0, "seed for trace IDs (0 = clock-derived)")
 		flightPath = fs.String("flight", "", "append flight-recorder dumps (drift latch, health 503) to this file as JSONL")
-		slowAfter  = fs.Int("slow-after", 0, "with -slow-factor: inject the slowdown after this many batches")
-		slowFactor = fs.Float64("slow-factor", 0, "inject an artificial batch slowdown of this factor (>1) — chaos/smoke hook")
 	)
 	oc := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *curvePath == "" {
+		fmt.Fprintln(stderr, "approxserve: -curve is required; tune one with approxtune -o curve.json")
 		return 2
 	}
 	fail := func(err error) int {
@@ -94,24 +93,17 @@ func run(args []string, stderr io.Writer) int {
 		return fail(fmt.Errorf("unknown policy %q (want enforce or average)", *policyName))
 	}
 
-	g, itemDims, program, baselineQoS, err := buildModel(*benchmark, *modelJSON, *width, *seed)
+	g, itemDims, program, err := buildModel(*benchmark, *modelJSON, *width, *seed)
 	if err != nil {
 		return fail(err)
 	}
-
-	var curve *pareto.Curve
-	if *curvePath != "" {
-		data, err := os.ReadFile(*curvePath)
-		if err != nil {
-			return fail(err)
-		}
-		curve, err = pareto.UnmarshalCurve(data)
-		if err != nil {
-			return fail(fmt.Errorf("%s: %w", *curvePath, err))
-		}
-	} else {
-		curve = ladderCurve(g, program, baselineQoS)
-		logger.Infof("approxserve: no -curve given; using a built-in %d-point approximation ladder (modeled speedups)\n", curve.Len())
+	data, err := os.ReadFile(*curvePath)
+	if err != nil {
+		return fail(err)
+	}
+	curve, err := pareto.UnmarshalCurve(data)
+	if err != nil {
+		return fail(fmt.Errorf("%s: %w", *curvePath, err))
 	}
 
 	budget := *execBudget
@@ -121,20 +113,18 @@ func run(args []string, stderr io.Writer) int {
 	}
 
 	cfg := serve.Config{
-		Graph:          g,
-		Curve:          curve,
-		ItemDims:       itemDims,
-		Policy:         policy,
-		SLO:            *slo,
-		ExecBudget:     budget,
-		Window:         *window,
-		MaxBatch:       *maxBatch,
-		MaxQueue:       *maxQueue,
-		Linger:         *linger,
-		Seed:           *seed,
-		DrainTimeout:   *drain,
-		SlowdownFactor: *slowFactor,
-		SlowdownAfter:  *slowAfter,
+		Graph:        g,
+		Curve:        curve,
+		ItemDims:     itemDims,
+		Policy:       policy,
+		SLO:          *slo,
+		ExecBudget:   budget,
+		Window:       *window,
+		MaxBatch:     *maxBatch,
+		MaxQueue:     *maxQueue,
+		Linger:       *linger,
+		Seed:         *seed,
+		DrainTimeout: *drain,
 	}
 	// Request-scoped tracing: per-request spans, traceparent propagation
 	// and histogram exemplars.
@@ -191,94 +181,31 @@ func run(args []string, stderr io.Writer) int {
 }
 
 // buildModel constructs the served graph from a zoo benchmark or a JSON
-// model spec, returning the graph, its per-item input dims, a program
-// label, and the baseline QoS for the built-in ladder curve.
-func buildModel(benchmark, modelJSON string, width float64, seed int64) (*graph.Graph, []int, string, float64, error) {
+// model spec, returning the graph, its per-item input dims and a program
+// label.
+func buildModel(benchmark, modelJSON string, width float64, seed int64) (*graph.Graph, []int, string, error) {
 	if modelJSON != "" {
 		data, err := os.ReadFile(modelJSON)
 		if err != nil {
-			return nil, nil, "", 0, err
+			return nil, nil, "", err
 		}
 		m, err := models.FromJSON(data)
 		if err != nil {
-			return nil, nil, "", 0, err
+			return nil, nil, "", err
 		}
-		return m.Graph, []int{m.C, m.H, m.W}, "model-json", 100, nil
+		return m.Graph, []int{m.C, m.H, m.W}, "model-json", nil
 	}
 	b, err := models.Build(benchmark, models.Scale{Width: width, Seed: seed})
 	if err != nil {
-		return nil, nil, "", 0, err
+		return nil, nil, "", err
 	}
 	m := b.Model
-	return m.Graph, []int{m.C, m.H, m.W}, benchmark, b.BaselineAcc, nil
-}
-
-// ladderCurve builds a small built-in tradeoff curve when no calibrated
-// curve is shipped: exact execution, FP16 everywhere, and two
-// progressively more aggressive sampling/perforation rungs. Speedups
-// are modeled from the knobs' cost factors (1/mean rc across the
-// graph's approximable ops); QoS values step down synthetically. Good
-// enough for demos and smoke tests — production deployments should
-// ship an approxtune curve and recalibrate on drift.
-func ladderCurve(g *graph.Graph, program string, baselineQoS float64) *pareto.Curve {
-	ops := g.ApproxOps()
-	classes := g.OpClasses()
-
-	// rung builds a config by picking, per op, the hardware-independent
-	// knob of the op's class whose compute-reduction factor is closest
-	// to wantRC (rc >= 1; rc=2.0 means half the MACs, so a modeled ~2x
-	// speedup). Perf is the mean reduction factor across ops.
-	rung := func(wantRC float64) (approx.Config, float64) {
-		cfg := approx.Config{}
-		var rcSum float64
-		for i, op := range ops {
-			best := approx.KnobFP16
-			bestGap := gap(approx.KnobFP16, wantRC)
-			for _, id := range approx.KnobsFor(classes[i], false) {
-				if k := approx.MustLookup(id); k.IsBaseline() {
-					continue
-				}
-				if d := gap(id, wantRC); d < bestGap {
-					best, bestGap = id, d
-				}
-			}
-			cfg[op] = best
-			rc, _ := approx.CostFactors(best)
-			rcSum += rc
-		}
-		if len(ops) == 0 {
-			return nil, 1
-		}
-		return cfg, rcSum / float64(len(ops))
-	}
-
-	points := []pareto.Point{{QoS: baselineQoS, Perf: 1, Config: nil}}
-	for i, want := range []float64{1.33, 1.5, 2.0} {
-		cfg, perf := rung(want)
-		if cfg == nil {
-			break
-		}
-		points = append(points, pareto.Point{
-			QoS:    baselineQoS - 0.5*float64(i+1),
-			Perf:   perf,
-			Config: cfg,
-		})
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].Perf < points[j].Perf })
-	return pareto.NewCurve(program, baselineQoS, points)
-}
-
-func gap(id approx.KnobID, wantRC float64) float64 {
-	rc, _ := approx.CostFactors(id)
-	if rc > wantRC {
-		return rc - wantRC
-	}
-	return wantRC - rc
+	return m.Graph, []int{m.C, m.H, m.W}, benchmark, nil
 }
 
 // calibrateBudget measures exact baseline executions of a full batch
-// and returns a per-batch budget with 20% headroom, so the shipped (or
-// built-in) curve's Perf=1 point sits just inside the target and the
+// and returns a per-batch budget with 20% headroom, so the shipped
+// curve's Perf=1 point sits just inside the target and the
 // drift detectors judge configurations against a measured baseline
 // rather than a guessed one.
 func calibrateBudget(g *graph.Graph, itemDims []int, maxBatch int, seed int64) time.Duration {

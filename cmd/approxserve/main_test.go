@@ -13,13 +13,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/approx"
+	"repro/internal/models"
+	"repro/internal/pareto"
 	"repro/internal/serve"
 )
 
-// TestExitCodes pins the command's contract: 2 on a usage error, 1 on a
-// bad value, and 0 once a server that answered over its obs.Listen
-// listener has drained on SIGTERM.
+// TestExitCodes pins the command's contract: 2 on a usage error (a
+// missing -curve among them), 1 on a bad value, and 0 once a server that
+// answered over its obs.Listen listener has drained on SIGTERM.
 func TestExitCodes(t *testing.T) {
+	curve := writeCurve(t)
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -28,9 +32,10 @@ func TestExitCodes(t *testing.T) {
 		drive  func(t *testing.T, base string)
 	}{
 		{"unknown flag", []string{"-nosuch"}, 2, "flag provided but not defined: -nosuch", nil},
-		{"bad policy", []string{"-policy", "fastest"}, 1, `unknown policy "fastest"`, nil},
-		{"unknown benchmark", []string{"-benchmark", "nosuch"}, 1, "nosuch", nil},
-		{"serve and drain", []string{"-benchmark", "lenet", "-width", "0.125", "-exec-budget", "20ms", "-q"}, 0, "", inferAndScrape},
+		{"no -curve", []string{"-benchmark", "lenet"}, 2, "approxtune", nil},
+		{"bad policy", []string{"-curve", curve, "-policy", "fastest"}, 1, `unknown policy "fastest"`, nil},
+		{"unknown benchmark", []string{"-curve", curve, "-benchmark", "nosuch"}, 1, "nosuch", nil},
+		{"serve and drain", []string{"-curve", curve, "-benchmark", "lenet", "-width", "0.125", "-exec-budget", "20ms", "-q"}, 0, "", inferAndScrape},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ready := filepath.Join(t.TempDir(), "ready")
@@ -58,6 +63,33 @@ func TestExitCodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeCurve writes a two-point tradeoff curve for the lenet the serving
+// case builds, the exact baseline and FP16 on every approximable op, and
+// returns its path.
+func writeCurve(t *testing.T) string {
+	t.Helper()
+	b, err := models.Build("lenet", models.Scale{Width: 0.125, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp16 := approx.Config{}
+	for _, op := range b.Model.Graph.ApproxOps() {
+		fp16[op] = approx.KnobFP16
+	}
+	data, err := pareto.NewCurve("lenet", b.BaselineAcc, []pareto.Point{
+		{QoS: b.BaselineAcc, Perf: 1},
+		{QoS: b.BaselineAcc - 0.5, Perf: 1.5, Config: fp16},
+	}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "curve.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // waitReady returns the address the server wrote to its ready file.

@@ -270,7 +270,7 @@ func RuntimePolicies(s *Session, name string) *Report {
 		var sumTime, sumAcc float64
 		misses := 0
 		for b := 0; b < batches; b++ {
-			bt, acc := d.invoke(rt, 1)
+			bt, acc := d.invoke(rt)
 			sumTime += bt
 			if bt > d.target*1.02 {
 				misses++

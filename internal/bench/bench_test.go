@@ -140,56 +140,6 @@ func TestFig6RuntimeAdaptation(t *testing.T) {
 	}
 }
 
-// TestRunFig6HealthFaultInjection pins the end-to-end drift story: an
-// unmodeled 2x slowdown injected over the second half of the DVFS
-// ladder must show up in the runtime tuner's health snapshot — more
-// drift alarms than the fault-free run, flagged configurations, and the
-// latched recalibration signal — while leaving the fault-free half of
-// the rows untouched.
-func TestRunFig6HealthFaultInjection(t *testing.T) {
-	clean := Quick()
-	cleanRows, cleanHealth := RunFig6Health(NewSession(clean), "lenet")
-
-	faulty := Quick()
-	faulty.FaultSlowdown = 2
-	rows, h := RunFig6Health(NewSession(faulty), "lenet")
-
-	if len(rows) != len(cleanRows) {
-		t.Fatalf("row count changed under fault injection: %d vs %d", len(rows), len(cleanRows))
-	}
-	// The first half of the ladder runs fault-free with identical seeds,
-	// so it must reproduce the clean run exactly.
-	for i := 0; i < len(rows)/2; i++ {
-		if rows[i].AdaptedNormTime != cleanRows[i].AdaptedNormTime {
-			t.Errorf("fault leaked into fault-free frequency %d: %v vs %v",
-				i, rows[i].AdaptedNormTime, cleanRows[i].AdaptedNormTime)
-		}
-	}
-	// The second half must actually be slower than the clean run.
-	last, cleanLast := rows[len(rows)-1], cleanRows[len(cleanRows)-1]
-	if last.AdaptedNormTime <= cleanLast.AdaptedNormTime {
-		t.Errorf("injected slowdown had no effect: %v vs clean %v",
-			last.AdaptedNormTime, cleanLast.AdaptedNormTime)
-	}
-	if h.DriftAlarms < 1 {
-		t.Fatalf("injected 2x slowdown raised no drift alarms:\n%s", h)
-	}
-	if h.DriftAlarms < cleanHealth.DriftAlarms {
-		t.Errorf("fault run has fewer alarms (%d) than the clean run (%d)",
-			h.DriftAlarms, cleanHealth.DriftAlarms)
-	}
-	if !h.RecalibrationNeeded {
-		t.Error("injected fault must latch the recalibration signal")
-	}
-	if len(h.Drifting()) == 0 {
-		t.Errorf("no configuration flagged as drifting:\n%s", h)
-	}
-	if h.Invocations == 0 || h.Latency.Count != int64(h.Invocations) {
-		t.Errorf("health latency accounting: %d invocations, latency count %d",
-			h.Invocations, h.Latency.Count)
-	}
-}
-
 func TestFig4InstallTime(t *testing.T) {
 	s := quickSession()
 	r := Fig4(s)

@@ -137,8 +137,6 @@ func Fig6(s *Session) *Report {
 	}
 	for _, name := range names {
 		rows := RunFig6(s, name)
-		e := s.Entry(name)
-		_ = e
 		for _, row := range rows {
 			r.Rows = append(r.Rows, []string{
 				name, fmt.Sprintf("%.0f", row.FreqMHz),
@@ -158,18 +156,6 @@ func Fig6(s *Session) *Report {
 // RunFig6 simulates the runtime-adaptation experiment for one benchmark
 // across the full DVFS ladder and returns the per-frequency rows.
 func RunFig6(s *Session, name string) []Fig6Row {
-	rows, _ := RunFig6Health(s, name)
-	return rows
-}
-
-// RunFig6Health is RunFig6 plus the runtime tuner's health snapshot.
-// When cfg.FaultSlowdown > 1, measured batch times are additionally
-// multiplied by that factor over the second half of the DVFS ladder —
-// an injected fault the shipped curve knows nothing about, which the
-// tuner's drift detectors should surface as alarms and a latched
-// recalibration signal (the DVFS ladder itself is modeled by the device
-// and stays fault-free).
-func RunFig6Health(s *Session, name string) ([]Fig6Row, core.RuntimeHealth) {
 	d := newDVFSRuntime(s, name)
 	rt := d.tuner(core.PolicyAverage, s.cfg.Seed)
 	defer rt.Close()
@@ -177,20 +163,13 @@ func RunFig6Health(s *Session, name string) ([]Fig6Row, core.RuntimeHealth) {
 
 	const batches = 24
 	var rows []Fig6Row
-	for fi, f := range device.Freqs {
+	for _, f := range device.Freqs {
 		d.gpu.SetFrequencyMHz(f)
 		baseTime := d.gpu.Time(d.costs, nil)
-		// Injected fault: an unmodeled slowdown over the second half of
-		// the ladder (cache pollution, thermal throttling beyond DVFS, a
-		// co-scheduled tenant — anything calibration never saw).
-		fault := 1.0
-		if s.cfg.FaultSlowdown > 1 && fi >= len(device.Freqs)/2 {
-			fault = s.cfg.FaultSlowdown
-		}
 		var sumTime, sumAcc float64
 		startSwitches := rt.Switches()
 		for b := 0; b < batches; b++ {
-			bt, acc := d.invoke(rt, fault)
+			bt, acc := d.invoke(rt)
 			sumTime += bt
 			sumAcc += acc
 		}
@@ -203,7 +182,7 @@ func RunFig6Health(s *Session, name string) ([]Fig6Row, core.RuntimeHealth) {
 			ConfigSwitches:   rt.Switches() - startSwitches,
 		})
 	}
-	return rows, rt.Health()
+	return rows
 }
 
 // dvfsRuntime is the simulated-DVFS setup that Fig. 6 and the runtime
@@ -251,11 +230,11 @@ func (d *dvfsRuntime) tuner(policy core.Policy, seed int64) *core.RuntimeTuner {
 }
 
 // invoke runs one batch under the configuration rt hands out at the
-// current frequency, its time scaled by fault, reports the time back to
-// rt, and returns it with the configuration's test accuracy.
-func (d *dvfsRuntime) invoke(rt *core.RuntimeTuner, fault float64) (batchTime, accuracy float64) {
+// current frequency, reports its time back to rt, and returns it with
+// the configuration's test accuracy.
+func (d *dvfsRuntime) invoke(rt *core.RuntimeTuner) (batchTime, accuracy float64) {
 	pt, idx := rt.Acquire()
-	batchTime = d.gpu.Time(d.costs, pt.Config) * fault
+	batchTime = d.gpu.Time(d.costs, pt.Config)
 	key := pt.Config.Key(d.nOps)
 	accuracy, ok := d.acc[key]
 	if !ok {

@@ -43,11 +43,6 @@ type Config struct {
 	// MaxConfigs caps validated/shipped curves (paper: 50).
 	MaxConfigs int
 	Seed       int64
-	// FaultSlowdown, when > 1, injects an unmodeled execution-time
-	// slowdown of that factor over the second half of the DVFS ladder in
-	// the runtime-adaptation experiment (RunFig6Health), to exercise the
-	// runtime tuner's drift detectors. 0 or 1 injects nothing.
-	FaultSlowdown float64
 }
 
 // Defaults returns the standard single-core-host configuration.

@@ -3,9 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -15,9 +13,9 @@ import (
 
 // This file is the repository's one HTTP scaffold: the listener every
 // server binds through (Listen), the middleware every route is counted by
-// (Route), the JSON reply, error body and bounded read every handler
-// answers and reads with, and the JSON fetch their clients use. serve and
-// the metrics endpoint below use it.
+// (Route), the JSON reply and error body every handler answers with, the
+// bound on what a request body may hold, and the JSON fetch their clients
+// use. serve and the metrics endpoint below use it.
 
 // Server is one bound HTTP listener with the header-read bound every
 // server in the repository shares.
@@ -137,28 +135,6 @@ func GetJSON(ctx context.Context, client *http.Client, url string, v any) error 
 
 // MaxBodyBytes bounds every request body a handler reads.
 const MaxBodyBytes = 64 << 20
-
-// ReadBody reads a request body of at most MaxBodyBytes. On failure it
-// has answered 413 for a body over the bound, 400 for any other read
-// error, and returns false.
-func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	if err != nil {
-		ReplyError(w, readStatus(err), err.Error())
-		return nil, false
-	}
-	return body, true
-}
-
-// readStatus is the status that answers a failed body read: 413 Content
-// Too Large for a body over its bound, 400 for any other error.
-func readStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
 
 // MetricsHandler serves the Default registry at a /metrics-style endpoint
 // in the OpenMetrics 1.0 exposition (WriteOpenMetrics), whatever the query

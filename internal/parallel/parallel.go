@@ -37,9 +37,9 @@ const (
 	// graph.Execute dispatches every 30–200 µs. Geomean of the benchmark's
 	// 16 batch-1 cells by bound, five interleaved runs each: 0 → 1163 µs (no
 	// gain over spawning a goroutine per chunk, 1200: the gain is the warm
-	// helper), 50 µs → 779, 200 µs → 738, 1 ms → 704 (EXPERIMENTS.md, "A
-	// warm worker team"). 200 µs covers the gaps inside one Execute and is
-	// all an idle process pays before its helpers sleep.
+	// helper), 50 µs → 779, 200 µs → 738, 1 ms → 704. 200 µs covers the
+	// gaps inside one Execute and is all an idle process pays before its
+	// helpers sleep.
 	spinFor = 200 * time.Microsecond
 
 	// chunksPerWorker is how finely a loop is cut beyond one chunk per

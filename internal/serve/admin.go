@@ -38,11 +38,13 @@ func (s *Server) handleSpec(w http.ResponseWriter, _ *http.Request) {
 // curve, and the tuner resumes with reset health state and a released
 // recalibration latch, without dropping a request.
 func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
-	body, ok := obs.ReadBody(w, r)
-	if !ok {
+	body, err := readBody(w, r, obs.MaxBodyBytes)
+	defer releaseBody(body)
+	if err != nil {
+		obs.ReplyError(w, bodyStatus(err), err.Error())
 		return
 	}
-	curve, err := pareto.UnmarshalCurve(body)
+	curve, err := pareto.UnmarshalCurve(body.Bytes())
 	if err != nil {
 		obs.ReplyError(w, http.StatusBadRequest, fmt.Sprintf("bad curve: %v", err))
 		return

@@ -34,11 +34,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, sp *obs.Span) (*p
 		err = decodeInferRequest(body.Bytes(), &req)
 	}
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
+		code := bodyStatus(err)
 		obs.ReplyError(w, code, fmt.Sprintf("bad request body: %v", err))
 		return nil, nil, code
 	}
@@ -91,7 +87,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, sp *obs.Span) (*p
 // holds beyond its live heap.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readBody reads an inference request body of at most limit bytes into a
+// readBody reads a request body of at most limit bytes into a
 // buffer from the pool; the caller hands it to releaseBody once nothing
 // refers to its bytes. A declared Content-Length sizes the buffer before
 // the read — up to bodyPresize, so that a header alone cannot reserve
@@ -103,6 +99,16 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffe
 	buf.Grow(int(min(max(r.ContentLength, 0), bodyPresize)) + bytes.MinRead)
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	return buf, err
+}
+
+// bodyStatus is the status that answers a failed request: 413 Content
+// Too Large for a body over its bound, 400 for any other error.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // releaseBody returns a buffer to the pool, unless one large request

@@ -274,12 +274,6 @@ func (s *Server) executeBatch(live []*pending, start time.Time, lingered time.Du
 	if err != nil {
 		return nil, result{}, err
 	}
-	if f := s.cfg.SlowdownFactor; f > 1 && s.stats.batches.Load() >= int64(s.cfg.SlowdownAfter) {
-		// Injected slowdown (smoke/chaos hook): stretch the batch's wall
-		// time so request latency and the drift detector both see a
-		// genuinely slower machine.
-		time.Sleep(time.Duration(float64(time.Since(start)) * (f - 1)))
-	}
 	wall := time.Since(start)
 	// One batch execution is one tuner invocation: the measured latency
 	// is attributed to the curve index acquired above, so a sample can

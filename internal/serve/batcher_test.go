@@ -406,8 +406,8 @@ func TestReadBodyLimit(t *testing.T) {
 	}
 }
 
-// TestOversizeBodyAnswers413 pins the status of a failed body read at
-// both readers, the pooled one behind /v1/infer and obs.ReadBody behind
+// TestOversizeBodyAnswers413 pins the status of a failed body read on
+// both routes that read one through the pooled readBody, /v1/infer and
 // /v1/curve: a body over its bound answers 413 Content Too Large, any
 // other read error 400. The bound here is a MaxBytesReader the test
 // wraps the body in, as a proxy in front of the server would; its error

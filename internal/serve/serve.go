@@ -119,13 +119,6 @@ type Config struct {
 	// serializes them, so a plain *os.File works.
 	FlightLog io.Writer
 
-	// SlowdownFactor > 1 stretches every batch's wall time by that
-	// factor once SlowdownAfter batches have run — the injected-slowdown
-	// hook trace-smoke uses to provoke a real drift latch end to end.
-	SlowdownFactor float64
-	// SlowdownAfter is the batch count after which SlowdownFactor
-	// applies.
-	SlowdownAfter int
 	// MeasureExec, when set, replaces the wall clock as the batch
 	// latency source fed to the tuner: it receives the executed
 	// configuration and item count and returns seconds. Tests and

@@ -19,20 +19,18 @@ import (
 	"repro/internal/obs"
 )
 
-// traceScenario boots a traced server with a real injected slowdown
-// (SlowdownFactor stretches batch wall time after SlowdownAfter
-// batches) and drives a seeded closed loop. It returns the server, the
-// flight-dump buffer, and the load report, whose SlowestTraces name every
-// request the client sent.
+// traceScenario boots a traced server whose MeasureExec model turns ×2
+// slower after 12 batches and drives a seeded closed loop. It returns
+// the server, the flight-dump buffer, and the load report, whose
+// SlowestTraces name every request the client sent.
 func traceScenario(t *testing.T) (*Server, *bytes.Buffer, *LoadReport) {
 	t.Helper()
 	gr := testNet(9)
 	flight := &bytes.Buffer{}
 
 	// The tuner sees the same modeled ×2 slowdown as the determinism
-	// scenario (so config switches deterministically precede the drift
-	// latch), while SlowdownFactor stretches real wall time so request
-	// latency reflects it.
+	// scenario, so the drift latch and the config switches land on the
+	// same batches in every run.
 	curve := testCurve(gr)
 	nOps := len(gr.Nodes)
 	perfOf := perfByKey(curve, nOps)
@@ -57,8 +55,6 @@ func traceScenario(t *testing.T) (*Server, *bytes.Buffer, *LoadReport) {
 	cfg.MeasureExec = measure
 	cfg.Tracer = obs.NewTracer(obs.TracerOptions{IDSeed: 17})
 	cfg.FlightLog = flight
-	cfg.SlowdownFactor = 3
-	cfg.SlowdownAfter = 12
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,13 +105,13 @@ func requestExemplars(t *testing.T) map[string]string {
 	return out
 }
 
-// TestServeTraceAcceptance is the end-to-end demo: a seeded run with an
-// injected ×3 slowdown must produce (a) batch spans linking every member
-// request's trace, and the request path from admission through batch,
-// execute and tuner in the flight ring, (b) a flight dump carrying drift
-// and config-switch events, and (c) an OpenMetrics exposition whose
-// serve-latency bucket exemplars name traces the client saw and
-// /debug/flight holds.
+// TestServeTraceAcceptance is the end-to-end demo: a seeded run whose
+// modelled batch time doubles mid-run must produce (a) batch spans
+// linking every member request's trace, and the request path from
+// admission through batch, execute and tuner in the flight ring, (b) a
+// flight dump carrying drift and config-switch events, and (c) an
+// OpenMetrics exposition whose serve-latency bucket exemplars name
+// traces the client saw and /debug/flight holds.
 func TestServeTraceAcceptance(t *testing.T) {
 	// serve.request_seconds is process-wide: earlier servers of this test
 	// binary, under other tracers, left exemplars on it. Only the ones
